@@ -592,9 +592,8 @@ func BenchmarkScorerQuality(b *testing.B) {
 }
 
 // benchTree builds a search tree over the micro environment with both the
-// sequential and the per-worker-seeded evaluator wired, optionally with
-// path pooling disabled.
-func benchTree(b *testing.B, seed int64, pooling bool) *mcts.Tree {
+// sequential and the per-worker-seeded evaluator wired.
+func benchTree(b *testing.B, seed int64) *mcts.Tree {
 	b.Helper()
 	e := microSetup(b)
 	rng := rand.New(rand.NewSource(seed))
@@ -616,7 +615,6 @@ func benchTree(b *testing.B, seed int64, pooling bool) *mcts.Tree {
 		b.Fatal(err)
 	}
 	tree.SeededEval = seeded
-	tree.DisablePathPooling = !pooling
 	return tree
 }
 
@@ -627,31 +625,11 @@ func benchTree(b *testing.B, seed int64, pooling bool) *mcts.Tree {
 func BenchmarkSampleParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tree := benchTree(b, 11, true)
+			tree := benchTree(b, 11)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := tree.SampleParallelBatch(ctx, b.N, workers); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkSamplePooling isolates the sequential sampler's per-round
-// allocations with the pooled descent path versus the pooling disabled —
-// the allocs/op delta is what the pooling saves every round.
-func BenchmarkSamplePooling(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		pooling bool
-	}{{"pooled", true}, {"unpooled", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tree := benchTree(b, 12, mode.pooling)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := tree.SampleBatch(ctx, b.N); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -32,8 +32,10 @@ func NewHolistic(d *olap.Dataset, q olap.Query, cfg Config) *Holistic {
 // reward, or nil if best has no competition.
 func runnerUp(tree *mcts.Tree, best *mcts.Node) *mcts.Node {
 	var second *mcts.Node
-	for _, c := range tree.Root().Children {
-		if c == best || c.Visits == 0 {
+	root := tree.Root()
+	for i := 0; i < tree.NumChildren(root); i++ {
+		c := tree.Child(root, i)
+		if c == nil || c == best || c.Visits == 0 {
 			continue
 		}
 		if second == nil || c.MeanReward() > second.MeanReward() {

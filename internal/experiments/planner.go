@@ -112,10 +112,6 @@ type PlannerResult struct {
 	// runner the sweep is skipped outright — a "speedup" measured there
 	// is scheduler noise, not a result.
 	ParallelNote string `json:"parallel_note,omitempty"`
-
-	// Allocation accounting for the sequential sampler's path pooling.
-	AllocsPerRoundPooled   float64 `json:"allocs_per_round_pooled"`
-	AllocsPerRoundUnpooled float64 `json:"allocs_per_round_unpooled"`
 }
 
 // legacyQuality replicates the planner's quality loop as it stood before
@@ -525,7 +521,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 		return sampleModel.Reward(sp, a, e), true
 	}
-	mkTree := func(seed int64, pooling bool) (*mcts.Tree, error) {
+	mkTree := func(seed int64) (*mcts.Tree, error) {
 		rng := rand.New(rand.NewSource(seed))
 		evalRng := rand.New(rand.NewSource(seed + 1))
 		eval := func(sp *speech.Speech) (float64, bool) { return seeded(sp, evalRng) }
@@ -534,7 +530,6 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 			return nil, terr
 		}
 		tree.SeededEval = seeded
-		tree.DisablePathPooling = !pooling
 		return tree, nil
 	}
 	ctx := context.Background()
@@ -542,7 +537,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	measure := func(workers int) (time.Duration, error) {
 		var best time.Duration
 		for rep := 0; rep < 3; rep++ {
-			tree, terr := mkTree(cfg.Seed+int64(rep), true)
+			tree, terr := mkTree(cfg.Seed + int64(rep))
 			if terr != nil {
 				return 0, terr
 			}
@@ -598,35 +593,6 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 	}
 
-	// Allocations per sequential round, with and without path pooling.
-	allocsPerRound := func(pooling bool) (float64, error) {
-		tree, terr := mkTree(cfg.Seed+17, pooling)
-		if terr != nil {
-			return 0, terr
-		}
-		// Warm up memoized texts and deltas so steady-state rounds are
-		// what gets counted.
-		if _, terr = tree.SampleBatch(ctx, 64); terr != nil {
-			return 0, terr
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, terr = tree.SampleBatch(ctx, rounds); terr != nil {
-			return 0, terr
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / float64(rounds), nil
-	}
-	pooled, err := allocsPerRound(true)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	unpooled, err := allocsPerRound(false)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-
 	perSpeech := func(d time.Duration) float64 {
 		if scored == 0 {
 			return 0
@@ -656,9 +622,6 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		SequentialRoundsPerSec: roundsPerSec(seqNs),
 		Parallel:               parallel,
 		ParallelNote:           parallelNote,
-
-		AllocsPerRoundPooled:   pooled,
-		AllocsPerRoundUnpooled: unpooled,
 	}
 	if scorerBest != nil {
 		res.BestSpeech = scorerBest.MainText()
@@ -697,6 +660,4 @@ func PrintPlanner(w io.Writer, r *PlannerResult) {
 	if r.ParallelNote != "" {
 		fmt.Fprintf(w, "    %s\n", r.ParallelNote)
 	}
-	fmt.Fprintf(w, "  allocs/round: %.1f pooled, %.1f unpooled\n",
-		r.AllocsPerRoundPooled, r.AllocsPerRoundUnpooled)
 }

@@ -98,13 +98,6 @@ func TestPlannerSmoke(t *testing.T) {
 	if r.Gomaxprocs <= 0 {
 		t.Error("gomaxprocs stamp missing")
 	}
-	if r.AllocsPerRoundPooled <= 0 || r.AllocsPerRoundUnpooled <= 0 {
-		t.Error("allocation accounting missing")
-	}
-	if r.AllocsPerRoundPooled > r.AllocsPerRoundUnpooled {
-		t.Errorf("pooling should not allocate more: %.1f pooled vs %.1f unpooled",
-			r.AllocsPerRoundPooled, r.AllocsPerRoundUnpooled)
-	}
 
 	var buf bytes.Buffer
 	PrintPlanner(&buf, r)

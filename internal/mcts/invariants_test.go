@@ -7,6 +7,19 @@ import (
 	"repro/internal/speech"
 )
 
+// visitedChildren returns the children of n that a sample has descended
+// into, in enumeration order. The rest are empty slots: children with zero
+// visits and zero reward that were never made into nodes.
+func visitedChildren(t *Tree, n *Node) []*Node {
+	var out []*Node
+	for i := 0; i < t.NumChildren(n); i++ {
+		if c := t.Child(n, i); c != nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // TestVisitAccountingInvariant: after any number of samples, a parent's
 // visit count equals the sum of its children's visits (every sample path
 // traverses from root to a leaf), and accumulated rewards are consistent.
@@ -27,7 +40,7 @@ func TestVisitAccountingInvariant(t *testing.T) {
 		}
 		var childVisits int64
 		var childReward float64
-		for _, c := range n.Children {
+		for _, c := range visitedChildren(tree, n) {
 			childVisits += c.Visits
 			childReward += c.Reward
 		}
@@ -37,7 +50,7 @@ func TestVisitAccountingInvariant(t *testing.T) {
 		if diff := childReward - n.Reward; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("node reward %v != sum of child rewards %v", n.Reward, childReward)
 		}
-		for _, c := range n.Children {
+		for _, c := range visitedChildren(tree, n) {
 			walk(c)
 		}
 	}
@@ -64,7 +77,7 @@ func TestRewardBoundsInvariant(t *testing.T) {
 				t.Fatalf("mean reward %v out of [0,1]", m)
 			}
 		}
-		for _, c := range n.Children {
+		for _, c := range visitedChildren(tree, n) {
 			walk(c)
 		}
 	}

@@ -141,9 +141,6 @@ func (t *Tree) flushRoot(d *rootDelta) {
 // descent scratch (returned for reuse; nil allocates); root batches the
 // worker's root-statistics updates.
 func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node, root *rootDelta) ([]*Node, bool) {
-	if t.DisablePathPooling {
-		path = nil
-	}
 	n := t.root
 	path = append(path[:0], n)
 	// The root's virtual loss stays worker-local (root.visits): the root is
@@ -195,29 +192,28 @@ func (t *Tree) evalParallel(eval SeededEvalFunc, sp *speech.Speech, rng *rand.Ra
 }
 
 // maxUCTChildAtomic is maxUCTChild with atomic statistics reads and no
-// per-call allocation: unvisited children are picked uniformly by
-// reservoir sampling; a child whose visits drop to zero mid-scan (a
-// concurrent failed round reverting its virtual loss) is taken
+// per-call allocation: unvisited children (empty slots included) are picked
+// uniformly by reservoir sampling; a child whose visits drop to zero
+// mid-scan (a concurrent failed round reverting its virtual loss) is taken
 // immediately, the moral equivalent of its +Inf UCT score. rootExtra adds
 // the calling worker's unflushed root-visit delta when n is the root, and
 // the total is clamped to >= 1 so a stale shared count never feeds a
 // non-positive value to the logarithm.
 func (t *Tree) maxUCTChildAtomic(n *Node, rng *rand.Rand, rootExtra int64) *Node {
 	if t.UniformPolicy {
-		return n.Children[rng.Intn(len(n.Children))]
+		return t.child(n, rng.Intn(len(n.slots)))
 	}
-	var pick *Node
-	unvisited := 0
-	for _, c := range n.Children {
-		if atomic.LoadInt64(&c.Visits) == 0 {
+	pick, unvisited := -1, 0
+	for i := range n.slots {
+		if c := t.Child(n, i); c == nil || atomic.LoadInt64(&c.Visits) == 0 {
 			unvisited++
 			if rng.Intn(unvisited) == 0 {
-				pick = c
+				pick = i
 			}
 		}
 	}
-	if pick != nil {
-		return pick
+	if pick >= 0 {
+		return t.child(n, pick)
 	}
 	visits := atomic.LoadInt64(&n.Visits) + rootExtra
 	if visits < 1 {
@@ -226,7 +222,9 @@ func (t *Tree) maxUCTChildAtomic(n *Node, rng *rand.Rand, rootExtra int64) *Node
 	logN := math.Log(float64(visits))
 	var best *Node
 	bestScore := math.Inf(-1)
-	for _, c := range n.Children {
+	for i := range n.slots {
+		// Slots never empty again, and the first scan found none empty.
+		c := t.Child(n, i)
 		v := atomic.LoadInt64(&c.Visits)
 		if v == 0 {
 			return c

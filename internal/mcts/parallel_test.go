@@ -41,11 +41,17 @@ func TestParallelOneWorkerGolden(t *testing.T) {
 		if math.Float64bits(a.Reward) != math.Float64bits(b.Reward) {
 			t.Fatalf("%s: reward %v not bit-identical to %v", path, a.Reward, b.Reward)
 		}
-		if len(a.Children) != len(b.Children) {
-			t.Fatalf("%s: child count %d != %d", path, len(a.Children), len(b.Children))
+		if seq.NumChildren(a) != par.NumChildren(b) {
+			t.Fatalf("%s: child count %d != %d", path, seq.NumChildren(a), par.NumChildren(b))
 		}
-		for i := range a.Children {
-			walk(a.Children[i], b.Children[i], path+"/"+string(rune('0'+i%10)))
+		for i := 0; i < seq.NumChildren(a); i++ {
+			ca, cb := seq.Child(a, i), par.Child(b, i)
+			if (ca == nil) != (cb == nil) {
+				t.Fatalf("%s/%d: descended into on one side only", path, i)
+			}
+			if ca != nil {
+				walk(ca, cb, path+"/"+string(rune('0'+i%10)))
+			}
 		}
 	}
 	walk(seq.Root(), par.Root(), "root")
@@ -70,7 +76,7 @@ func checkTreeInvariants(t *testing.T, tree *Tree, done int) {
 		}
 		var visits int64
 		var reward float64
-		for _, c := range n.Children {
+		for _, c := range visitedChildren(tree, n) {
 			visits += c.Visits
 			reward += c.Reward
 			if c.Visits < 0 {
@@ -86,7 +92,7 @@ func checkTreeInvariants(t *testing.T, tree *Tree, done int) {
 		if math.Abs(reward-n.Reward) > 1e-6*(1+math.Abs(n.Reward)) {
 			t.Errorf("node reward %v != children sum %v", n.Reward, reward)
 		}
-		for _, c := range n.Children {
+		for _, c := range visitedChildren(tree, n) {
 			walk(c)
 		}
 	}
@@ -172,7 +178,7 @@ func TestParallelEvalFailureLeavesNoTrace(t *testing.T) {
 			t.Fatalf("node retains statistics after failed rounds: visits %d reward %v",
 				n.Visits, n.Reward)
 		}
-		for _, c := range n.Children {
+		for _, c := range visitedChildren(tree, n) {
 			walk(c)
 		}
 	}
@@ -228,29 +234,4 @@ func TestParallelLazyExpansionRace(t *testing.T) {
 		t.Error("lazy expansion should allocate nodes during the parallel batch")
 	}
 	checkTreeInvariants(t, tree, done)
-}
-
-// TestParallelPathPoolingAblation checks the DisablePathPooling knob
-// changes allocations only, not behavior.
-func TestParallelPathPoolingAblation(t *testing.T) {
-	const rounds = 300
-	e1, e2 := newEnv(t), newEnv(t)
-	pooled, err := NewTree(e1.gen, e1.result.GrandValue(), e1.exactEval(), rand.New(rand.NewSource(18)))
-	if err != nil {
-		t.Fatalf("NewTree: %v", err)
-	}
-	plain, err := NewTree(e2.gen, e2.result.GrandValue(), e2.exactEval(), rand.New(rand.NewSource(18)))
-	if err != nil {
-		t.Fatalf("NewTree: %v", err)
-	}
-	plain.DisablePathPooling = true
-	d1, _ := pooled.SampleBatch(context.Background(), rounds)
-	d2, _ := plain.SampleBatch(context.Background(), rounds)
-	if d1 != d2 {
-		t.Fatalf("done rounds differ: %d vs %d", d1, d2)
-	}
-	if pooled.Root().Visits != plain.Root().Visits ||
-		math.Float64bits(pooled.Root().Reward) != math.Float64bits(plain.Root().Reward) {
-		t.Error("path pooling must not change sampling behavior")
-	}
 }

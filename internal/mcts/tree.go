@@ -6,6 +6,23 @@
 // pre-processing step (the fragment limit bounds its height), with a node
 // cap as a safety valve that switches to lazy expansion on first visit.
 //
+// A child costs four bytes until it is visited. Expanding a node enumerates
+// its valid one-fragment extensions into a table of slots, each holding the
+// ordinal of its fragment in the generator's shared menu; a Node is
+// materialised only when a sample first descends into the slot, when the
+// eager pre-build recurses into it, or when BestChild must return it. A
+// fine-grained query enumerates some 520 children per expansion and over
+// half a million per answer, of which the answer's samples can reach a few
+// tens of thousands; the rest never become nodes. An empty slot counts as
+// an unvisited child in every decision, so the search is step for step the
+// one a fully materialised tree would run, and NodeCount keeps counting
+// enumerated children. Materialised nodes come from fixed-size blocks owned
+// by the tree and are published by a compare-and-swap on their slot; one
+// tree-level lock serialises enumeration (about a thousand expansions
+// against tens of thousands of samples per answer). An earlier layout padded every node to three cache
+// lines against false sharing between parallel workers; measured at two
+// cores the padding slowed the parallel sampler, and it is gone.
+//
 // Nodes store only the fragment they add — a baseline or one refinement —
 // and materialize their full speech on demand by walking to the root.
 // Cloning speeches per node would dominate tree-construction cost.
@@ -27,54 +44,62 @@ import (
 // yet (e.g. no aggregate has cached rows); such rounds update nothing.
 type EvalFunc func(s *speech.Speech) (reward float64, ok bool)
 
-// Node is a search tree node adding one fragment to its parent's speech.
-//
-// Field order is a deliberate cache layout, verified by TestNodeLayout.
-// Visits and Reward are the only words parallel workers write on every
-// round (virtual-loss increments during descent, reward CAS on backup);
-// they lead the struct followed by padding so the hot 16 bytes own their
-// cache line, and a tail pad rounds the struct to a whole number of lines.
-// Without the padding, siblings allocated from one expansion slab would
-// false-share: worker A bumping child 3's visits would evict the line
-// holding child 4's counters from worker B's cache, and the read-mostly
-// cold fields (Parent, Children — read on every descent by every worker)
-// would ride the same invalidated lines.
+// Node is a materialised search tree node adding one fragment to its
+// parent's speech.
 type Node struct {
 	// Visits counts tree samples traversing this node.
 	Visits int64
 	// Reward accumulates sampled rewards over those visits.
 	Reward float64
-	_      [48]byte // rest of the hot cache line; see TestNodeLayout
-
 	// Parent is nil for the root.
 	Parent *Node
-	// Children are the valid one-fragment extensions.
-	Children []*Node
+	// slots is the child table: the valid one-fragment extensions, in menu
+	// order. It is written once, before expanded flips.
+	slots []slot
 	// baseline is set on first-level nodes.
 	baseline *speech.Baseline
 	// ref is set on refinement nodes.
 	ref *speech.Refinement
 	// depth counts refinements on the path (0 for root and baselines).
-	depth int
+	depth int32
 	// mainLen is the running MainText length for O(1) validity checks.
-	mainLen int
-
-	// expanded flips to true only after Children is fully built, so a
-	// lock-free load that observes true also observes the children
-	// (release/acquire via the atomic). mu serializes the build itself
-	// when parallel workers race to lazily expand the same node.
+	mainLen int32
+	// expanded flips to true only after slots is fully built, so a
+	// lock-free load that observes true also observes the table
+	// (release/acquire via the atomic).
 	expanded atomic.Bool
-	mu       sync.Mutex
 	// speechMemo memoizes the materialized speech once requested; atomic
 	// so parallel workers can share it. A lost race rebuilds an identical
 	// speech — benign.
 	speechMemo atomic.Pointer[speech.Speech]
-	_          [40]byte // round the struct up to a multiple of 64 bytes
 }
+
+// slot is one enumerated child. A non-negative value is the ordinal of the
+// child's fragment (in the tree's baseline ladder below the root, in the
+// refinement menu elsewhere) and means no sample has descended into it yet;
+// a negative value v means the child is the tree's node number ^v. The
+// transition happens once, by compare-and-swap.
+type slot struct{ v atomic.Int32 }
+
+// Nodes are handed out from blocks of blockSize, so materialising one is a
+// bump of a counter and their addresses never move.
+const (
+	blockShift = 8
+	blockSize  = 1 << blockShift
+)
+
+type block [blockSize]Node
+
+// directory is one snapshot of a tree's node blocks. A scan that cannot
+// race with materialisation (the sequential sampler's) loads it once.
+type directory []*block
+
+// at returns the node with the given number.
+func (d directory) at(id int32) *Node { return &d[id>>blockShift][id&(blockSize-1)] }
 
 // IsLeaf reports whether the node has no children. Before expansion a node
 // is treated as a leaf only if it is terminal (no valid extensions).
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
+func (n *Node) IsLeaf() bool { return len(n.slots) == 0 }
 
 // MeanReward returns the node's average sampled reward (0 when unvisited).
 func (n *Node) MeanReward() float64 {
@@ -95,7 +120,6 @@ type Tree struct {
 	gen      *speech.Generator
 	eval     EvalFunc
 	rng      *rand.Rand
-	scale    float64
 	// MaxNodes caps eager pre-expansion; deeper nodes expand lazily on
 	// first visit.
 	MaxNodes int
@@ -114,12 +138,26 @@ type Tree struct {
 	// evaluators keep per-worker mutable scratch (e.g. a belief reward
 	// kernel with hoisted constants) without any cross-worker sharing.
 	SeededEvalFactory func() SeededEvalFunc
-	// DisablePathPooling turns off reuse of the per-round descent path
-	// slice (and per-worker scratch in the parallel sampler). It exists
-	// for the allocs/round ablation in the planner benchmark.
-	DisablePathPooling bool
 
+	// menu and baselines are what slot ordinals index: the generator's
+	// shared refinement menu and the baseline ladder around the scale estimate.
+	menu      []*speech.Refinement
+	baselines []*speech.Baseline
+
+	// mu is the tree's one expansion lock: it serialises enumerating a
+	// node's children, and adding a block of nodes.
+	mu sync.Mutex
+	// blocks is the directory of node blocks. Growth stores a longer copy,
+	// so a reader that found a node number in a slot always finds its
+	// block in the directory it loads afterwards.
+	blocks atomic.Pointer[directory]
+	// made is the number of nodes handed out.
+	made atomic.Int32
+	// ordScratch collects the ordinals of one expansion (guarded by mu).
+	ordScratch []int32
+	// nodeCount counts enumerated children plus the root.
 	nodeCount atomic.Int64
+
 	// pathScratch is the pooled descent path of the sequential Sample.
 	pathScratch []*Node
 	evalMu      sync.Mutex
@@ -148,32 +186,94 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		maxNodes = DefaultMaxNodes
 	}
 	t := &Tree{
-		root:     &Node{},
-		preamble: gen.NewPreamble(),
-		gen:      gen,
-		eval:     eval,
-		rng:      rng,
-		scale:    scale,
-		MaxNodes: maxNodes,
+		preamble:  gen.NewPreamble(),
+		gen:       gen,
+		eval:      eval,
+		rng:       rng,
+		MaxNodes:  maxNodes,
+		menu:      gen.Refinements(nil),
+		baselines: gen.BaselineCandidates(speech.SpeechScale(scale)),
 	}
+	t.blocks.Store(new(directory))
+	t.root, _ = t.newNode()
 	t.nodeCount.Store(1)
-	// Prewarm the generator menu and the per-refinement text memos now:
-	// candidate refinements are shared across the whole tree, and lazy
-	// expansion during a parallel batch must never be the first caller of
-	// an unsynchronized memoization.
-	for _, r := range gen.Refinements(nil) {
+	// Prewarm the per-fragment text memos now: candidate fragments are
+	// shared across the whole tree, and lazy expansion during a parallel
+	// batch must never be the first caller of an unsynchronized memoization.
+	for _, r := range t.menu {
 		r.Text()
 	}
+	for _, b := range t.baselines {
+		b.Text()
+	}
 	t.preamble.Text()
-	t.expand(t.root)
+	t.prebuild(t.root)
 	return t, nil
 }
 
 // Root returns the current root node.
 func (t *Tree) Root() *Node { return t.root }
 
-// NodeCount returns the number of allocated nodes.
+// NodeCount returns the number of enumerated nodes: the root plus every
+// child an expansion has listed, materialised or not.
 func (t *Tree) NodeCount() int { return int(t.nodeCount.Load()) }
+
+// NumChildren returns the number of children expansion enumerated below n
+// (zero for a leaf and for a node no sample has reached yet).
+func (t *Tree) NumChildren(n *Node) int { return len(n.slots) }
+
+// Child returns the i-th child of n in enumeration order, or nil while no
+// sample has descended into it: such a child has zero visits and reward.
+func (t *Tree) Child(n *Node, i int) *Node {
+	if v := n.slots[i].v.Load(); v < 0 {
+		return t.node(^v)
+	}
+	return nil
+}
+
+// node returns the materialised node with the given number.
+func (t *Tree) node(id int32) *Node { return t.blocks.Load().at(id) }
+
+// newNode hands out the next node and its number. The number is a bump of
+// an atomic cursor; mu is taken only to add a block to the directory.
+func (t *Tree) newNode() (*Node, int32) {
+	id := t.made.Add(1) - 1
+	if hi := int(id >> blockShift); hi >= len(*t.blocks.Load()) {
+		t.mu.Lock()
+		for hi >= len(*t.blocks.Load()) {
+			dir := *t.blocks.Load()
+			grown := append(dir[:len(dir):len(dir)], new(block))
+			t.blocks.Store(&grown)
+		}
+		t.mu.Unlock()
+	}
+	return t.node(id), id
+}
+
+// child returns the i-th child of n, materialising it on first use. Rival
+// workers each fill a node of their own and one compare-and-swap on the
+// slot decides; the loser's node is never referenced.
+func (t *Tree) child(n *Node, i int) *Node {
+	s := &n.slots[i]
+	v := s.v.Load()
+	if v < 0 {
+		return t.node(^v)
+	}
+	c, id := t.newNode()
+	c.Parent = n
+	if n.Parent == nil {
+		c.baseline = t.baselines[v]
+		c.mainLen = int32(len(c.baseline.Text()))
+	} else {
+		c.ref = t.menu[v]
+		c.depth = n.depth + 1
+		c.mainLen = n.mainLen + 1 + int32(len(c.ref.Text()))
+	}
+	if !s.v.CompareAndSwap(v, ^id) {
+		return t.node(^s.v.Load())
+	}
+	return c
+}
 
 // Speech materializes the speech represented by node n (which must belong
 // to this tree): the preamble, the path's baseline, and its refinements in
@@ -198,98 +298,78 @@ func (t *Tree) Speech(n *Node) *speech.Speech {
 	return sp
 }
 
-// pathRefinements collects the refinements on the path to n (ordered).
-func (n *Node) pathRefinements() []*speech.Refinement {
-	if n.depth == 0 {
-		return nil
-	}
-	out := make([]*speech.Refinement, n.depth)
+// conflictsOnPath reports whether r can no longer extend n's speech: an
+// ancestor refinement has the same scope or, under the generator's
+// disjoint-scopes rule, an overlapping one.
+func (t *Tree) conflictsOnPath(n *Node, r *speech.Refinement) bool {
 	for cur := n; cur != nil; cur = cur.Parent {
-		if cur.ref != nil {
-			out[cur.depth-1] = cur.ref
-		}
-	}
-	return out
-}
-
-// hasScopeOnPath reports whether any ancestor refinement shares r's scope.
-func (n *Node) hasScopeOnPath(r *speech.Refinement) bool {
-	for cur := n; cur != nil; cur = cur.Parent {
-		if cur.ref != nil && cur.ref.SameScope(r) {
+		if cur.ref != nil && t.gen.Conflicts(cur.ref, r) {
 			return true
 		}
 	}
 	return false
 }
 
-// expand generates the children of n (ST.EXPAND) and recurses while the
-// node budget lasts; past the budget, descendants expand lazily. Validity
+// expand enumerates the children of n (ST.EXPAND) as slots. Validity
 // (character and fragment limits, duplicate scopes) is checked with O(k)
-// incremental state instead of materializing candidate speeches.
+// incremental state against the shared menu, without copying the menu or
+// materializing candidate speeches.
 //
-// Expansion is safe under concurrent sampling: the per-node mutex
+// Expansion is safe under concurrent sampling: the tree's expansion lock
 // serializes rival builders (double-checked against the expanded flag),
-// children become visible before the flag flips, and nodes past the flag
+// the table becomes visible before the flag flips, and nodes past the flag
 // are never rebuilt.
 func (t *Tree) expand(n *Node) {
 	if n.expanded.Load() {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if n.expanded.Load() {
 		return
 	}
 	prefs := t.gen.Prefs
 	maxChars := prefs.MaxCharsEffective()
-	// Children are allocated from one contiguous slab per expansion — a
-	// per-expansion arena. One allocation instead of one per child, and a
-	// UCT scan over the siblings walks memory linearly. The slab may grow
-	// (and copy) while it is built; pointers are taken only once it is
-	// final, and nothing is published before the expanded flag flips.
-	var slab []Node
-	if n.baseline == nil && n.Parent == nil {
-		cands := t.gen.BaselineCandidates(speech.SpeechScale(t.scale))
-		slab = make([]Node, 0, len(cands))
-		for _, b := range cands {
-			ln := len(b.Text())
-			if maxChars > 0 && ln > maxChars {
+	ords := t.ordScratch[:0]
+	if n.Parent == nil {
+		for i, b := range t.baselines {
+			if maxChars > 0 && len(b.Text()) > maxChars {
 				continue
 			}
-			slab = append(slab, Node{Parent: n, baseline: b, mainLen: ln})
+			ords = append(ords, int32(i))
 		}
-	} else if prefs.MaxFragments <= 0 || n.depth < prefs.MaxFragments {
-		cands := t.gen.Refinements(n.pathRefinements())
-		slab = make([]Node, 0, len(cands))
-		for _, r := range cands {
-			ln := n.mainLen + 1 + len(r.Text())
-			if maxChars > 0 && ln > maxChars {
+	} else if prefs.MaxFragments <= 0 || int(n.depth) < prefs.MaxFragments {
+		for i, r := range t.menu {
+			if maxChars > 0 && int(n.mainLen)+1+len(r.Text()) > maxChars {
 				continue
 			}
-			if n.hasScopeOnPath(r) {
+			if t.conflictsOnPath(n, r) {
 				continue
 			}
-			slab = append(slab, Node{Parent: n, ref: r, depth: n.depth + 1, mainLen: ln})
+			ords = append(ords, int32(i))
 		}
 	}
-	var children []*Node
-	if len(slab) > 0 {
-		children = make([]*Node, len(slab))
-		for i := range slab {
-			children[i] = &slab[i]
+	t.ordScratch = ords
+	if len(ords) > 0 {
+		n.slots = make([]slot, len(ords))
+		for i, o := range ords {
+			n.slots[i].v.Store(o)
 		}
-		t.nodeCount.Add(int64(len(slab)))
+		t.nodeCount.Add(int64(len(ords)))
 	}
-	n.Children = children
 	n.expanded.Store(true)
-	if t.nodeCount.Load() >= int64(t.MaxNodes) {
+}
+
+// prebuild expands n and its descendants depth-first while the node budget
+// lasts; past the budget, descendants expand lazily. Children at the
+// fragment limit cannot have children of their own and stay slots.
+func (t *Tree) prebuild(n *Node) {
+	t.expand(n)
+	if mf := t.gen.Prefs.MaxFragments; n.Parent != nil && mf > 0 && int(n.depth)+1 >= mf {
 		return
 	}
-	for _, c := range n.Children {
-		t.expand(c)
-		if t.nodeCount.Load() >= int64(t.MaxNodes) {
-			return
-		}
+	for i := 0; i < len(n.slots) && t.nodeCount.Load() < int64(t.MaxNodes); i++ {
+		t.prebuild(t.child(n, i))
 	}
 }
 
@@ -298,39 +378,48 @@ func (t *Tree) expand(n *Node) {
 // UCT upper confidence bound.
 func (t *Tree) maxUCTChild(n *Node) *Node {
 	if t.UniformPolicy {
-		return n.Children[t.rng.Intn(len(n.Children))]
+		return t.child(n, t.rng.Intn(len(n.slots)))
 	}
-	// Unvisited children are counted and the pick re-scanned by ordinal
-	// rather than collected into a slice: one Intn draw either way (the
-	// RNG stream is pinned by golden tests), zero allocations per level.
-	unvisited := 0
-	for _, c := range n.Children {
-		if c.Visits == 0 {
-			unvisited++
-		}
-	}
-	if unvisited > 0 {
-		k := t.rng.Intn(unvisited)
-		for _, c := range n.Children {
-			if c.Visits == 0 {
-				if k == 0 {
-					return c
-				}
-				k--
-			}
-		}
-	}
+	// One scan counts the unvisited children (an empty slot is one) and, in
+	// case there are none, already ranks the visited ones by UCT bound. The
+	// unvisited pick is re-scanned by ordinal rather than collected into a
+	// slice: one Intn draw either way (the RNG stream is pinned by golden
+	// tests), zero allocations per level.
+	nodes := *t.blocks.Load()
 	logN := math.Log(float64(n.Visits))
+	unvisited := 0
 	var best *Node
 	bestScore := math.Inf(-1)
-	for _, c := range n.Children {
-		score := c.MeanReward() + math.Sqrt(2*logN/float64(c.Visits))
+	for i := range n.slots {
+		v := n.slots[i].v.Load()
+		if v >= 0 {
+			unvisited++
+			continue
+		}
+		c := nodes.at(^v)
+		if c.Visits == 0 {
+			unvisited++
+			continue
+		}
+		score := c.Reward/float64(c.Visits) + math.Sqrt(2*logN/float64(c.Visits))
 		if score > bestScore {
 			bestScore = score
 			best = c
 		}
 	}
-	return best
+	if unvisited == 0 {
+		return best
+	}
+	k := t.rng.Intn(unvisited)
+	for i := range n.slots {
+		if v := n.slots[i].v.Load(); v >= 0 || nodes.at(^v).Visits == 0 {
+			if k == 0 {
+				return t.child(n, i)
+			}
+			k--
+		}
+	}
+	panic("mcts: unvisited child vanished during a sequential scan")
 }
 
 // Sample performs one MCTS round (Algorithm 2's SAMPLE): descend from the
@@ -343,11 +432,7 @@ func (t *Tree) Sample() bool {
 	// The descent path is pooled across rounds: its length is bounded by
 	// the fragment limit, and one slice per round was the planner loop's
 	// dominant allocation.
-	path := t.pathScratch[:0]
-	if t.DisablePathPooling {
-		path = nil
-	}
-	path = append(path, n)
+	path := append(t.pathScratch[:0], n)
 	for {
 		if !n.expanded.Load() {
 			t.expand(n)
@@ -358,9 +443,7 @@ func (t *Tree) Sample() bool {
 		n = t.maxUCTChild(n)
 		path = append(path, n)
 	}
-	if !t.DisablePathPooling {
-		t.pathScratch = path
-	}
+	t.pathScratch = path
 	r, ok := t.eval(t.Speech(n))
 	if !ok {
 		return false
@@ -397,17 +480,21 @@ func (t *Tree) SampleBatch(ctx context.Context, n int) (int, error) {
 // below any visited child; among equally unvisited children the first is
 // returned.
 func (t *Tree) BestChild() *Node {
+	if t.root.IsLeaf() {
+		return nil
+	}
 	var best *Node
-	bestScore := math.Inf(-1)
-	for _, c := range t.root.Children {
-		score := math.Inf(-1)
-		if c.Visits > 0 {
-			score = c.MeanReward()
+	var bestScore float64
+	for i := range t.root.slots {
+		if c := t.Child(t.root, i); c != nil && c.Visits > 0 {
+			if score := c.MeanReward(); best == nil || score > bestScore {
+				best = c
+				bestScore = score
+			}
 		}
-		if best == nil || score > bestScore {
-			best = c
-			bestScore = score
-		}
+	}
+	if best == nil {
+		return t.child(t.root, 0)
 	}
 	return best
 }
@@ -416,23 +503,25 @@ func (t *Tree) BestChild() *Node {
 // planning never restarts from scratch (the paper's root-reuse).
 // It panics if child is not a child of the current root.
 func (t *Tree) Advance(child *Node) {
-	for _, c := range t.root.Children {
-		if c == child {
-			t.root = child
-			return
-		}
+	if child.Parent != t.root {
+		panic("mcts: Advance target is not a child of the root")
 	}
-	panic("mcts: Advance target is not a child of the root")
+	t.root = child
 }
 
 // Depth returns the height of the tree below the current root (leaf speech
-// length in fragments relative to the root).
+// length in fragments relative to the root). An empty slot is a child of
+// unknown height and counts as one level.
 func (t *Tree) Depth() int {
 	var walk func(n *Node) int
 	walk = func(n *Node) int {
 		max := 0
-		for _, c := range n.Children {
-			if d := walk(c) + 1; d > max {
+		for i := range n.slots {
+			d := 1
+			if c := t.Child(n, i); c != nil {
+				d += walk(c)
+			}
+			if d > max {
 				max = d
 			}
 		}

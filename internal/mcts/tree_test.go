@@ -89,10 +89,14 @@ func TestTreeStructure(t *testing.T) {
 	if tree.Speech(root).Preamble == nil {
 		t.Error("root should carry the preamble")
 	}
-	if len(root.Children) == 0 {
+	if tree.NumChildren(root) == 0 {
 		t.Fatal("root should have baseline children")
 	}
-	for _, c := range root.Children {
+	for i := 0; i < tree.NumChildren(root); i++ {
+		c := tree.Child(root, i)
+		if c == nil {
+			t.Fatal("the eager build should have made every baseline a node")
+		}
 		if tree.Speech(c).Baseline == nil {
 			t.Error("first level should set baselines")
 		}
@@ -105,7 +109,7 @@ func TestTreeStructure(t *testing.T) {
 	if got := tree.Depth(); got != wantDepth {
 		t.Errorf("depth = %d, want %d", got, wantDepth)
 	}
-	if tree.NodeCount() <= len(root.Children) {
+	if tree.NodeCount() <= tree.NumChildren(root) {
 		t.Error("tree should be expanded beyond the first level")
 	}
 }
@@ -123,8 +127,9 @@ func TestTreeRespectsFragmentLimit(t *testing.T) {
 		if !sp.Valid(e.gen.Prefs) && sp.Baseline != nil {
 			t.Fatalf("invalid speech in tree: %q", sp.MainText())
 		}
-		for _, c := range n.Children {
-			walk(c)
+		// Every enumerated child is checked, so each is made a node here.
+		for i := 0; i < tree.NumChildren(n); i++ {
+			walk(tree.child(n, i))
 		}
 	}
 	walk(tree.Root())
@@ -141,7 +146,7 @@ func TestSampleUpdatesPathStatistics(t *testing.T) {
 		t.Errorf("root visits = %d, want 1", tree.Root().Visits)
 	}
 	visited := 0
-	for _, c := range tree.Root().Children {
+	for _, c := range visitedChildren(tree, tree.Root()) {
 		visited += int(c.Visits)
 	}
 	if visited != 1 {
@@ -175,12 +180,16 @@ func TestUCTPrioritizesUnvisited(t *testing.T) {
 	e := newEnv(t)
 	rng := rand.New(rand.NewSource(6))
 	tree, _ := NewTree(e.gen, e.result.GrandValue(), e.exactEval(), rng)
-	n := len(tree.Root().Children)
+	n := tree.NumChildren(tree.Root())
 	// After exactly n samples every root child has been tried once.
 	for i := 0; i < n; i++ {
 		tree.Sample()
 	}
-	for _, c := range tree.Root().Children {
+	for i := 0; i < n; i++ {
+		c := tree.Child(tree.Root(), i)
+		if c == nil {
+			t.Fatalf("child %d was never descended into after %d samples", i, n)
+		}
 		if c.Visits != 1 {
 			t.Fatalf("child visits = %d after %d samples, want 1 each", c.Visits, n)
 		}
@@ -206,7 +215,7 @@ func TestUCTConvergesToBestSpeech(t *testing.T) {
 	}
 	// And its exact quality should be at least that of every sibling.
 	bestQ := e.model.Quality(tree.Speech(best), e.result)
-	for _, c := range tree.Root().Children {
+	for _, c := range visitedChildren(tree, tree.Root()) {
 		q := e.model.Quality(tree.Speech(c), e.result)
 		// Allow near-ties: sampled mean rewards cannot separate speeches
 		// whose exact qualities differ by under two percent.

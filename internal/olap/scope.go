@@ -26,6 +26,17 @@ func (ss *ScopeSet) Contains(idx int) bool {
 // bitset, i.e. the m of the paper's refinement semantics).
 func (ss *ScopeSet) Size() int { return ss.size }
 
+// Intersects reports whether the two sets, built over the same space,
+// share an aggregate.
+func (ss *ScopeSet) Intersects(o *ScopeSet) bool {
+	for i, w := range ss.words {
+		if w&o.words[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Words exposes the backing bitset for vectorized sweeps (one uint64 per
 // 64 aggregates, LSB first). Callers must not mutate it.
 func (ss *ScopeSet) Words() []uint64 { return ss.words }

@@ -223,10 +223,11 @@ func (g *Generator) fullMenu() []*Refinement {
 
 // Refinements returns the candidate next refinements for a speech with the
 // given existing refinements (SG.Refinements): the full candidate menu
-// minus scopes already used. Validity against length constraints is
-// checked separately by the caller via Speech.Valid (ST.IsValid in the
-// paper's pseudo-code). The returned refinements are shared; callers must
-// not mutate them.
+// minus the candidates that Conflicts with one of them. With no existing
+// refinements it is the shared menu itself, uncopied. Validity against
+// length constraints is checked separately by the caller via Speech.Valid
+// (ST.IsValid in the paper's pseudo-code). The returned refinements are
+// shared; callers must not mutate them.
 func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	menu := g.fullMenu()
 	if len(prev) == 0 {
@@ -236,11 +237,7 @@ func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	for _, c := range menu {
 		used := false
 		for _, r := range prev {
-			if r.SameScope(c) {
-				used = true
-				break
-			}
-			if g.DisjointScopes && g.overlaps(r, c) {
+			if g.Conflicts(r, c) {
 				used = true
 				break
 			}
@@ -252,12 +249,28 @@ func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	return out
 }
 
-// overlaps reports whether two refinement scopes share any aggregate.
+// Conflicts reports whether candidate c can no longer follow a speech that
+// already contains r: the two address the same scope, or DisjointScopes is
+// set and their scopes share an aggregate. It allocates nothing for menu
+// refinements, so the search tree filters the shared menu with it in place
+// instead of copying a filtered menu per node.
+func (g *Generator) Conflicts(r, c *Refinement) bool {
+	return r.SameScope(c) || (g.DisjointScopes && g.overlaps(r, c))
+}
+
+// overlaps reports whether two refinement scopes share any aggregate. The
+// scope of the combined predicates is the intersection of the two scopes.
 func (g *Generator) overlaps(a, b *Refinement) bool {
-	union := make([]*dimension.Member, 0, len(a.Preds)+len(b.Preds))
-	union = append(union, a.Preds...)
-	union = append(union, b.Preds...)
-	return g.Space.ScopeSize(union) > 0
+	return g.scopeOf(a).Intersects(g.scopeOf(b))
+}
+
+// scopeOf returns r's membership bitset: precomputed on menu refinements,
+// looked up in the space's cache for hand-built ones.
+func (g *Generator) scopeOf(r *Refinement) *olap.ScopeSet {
+	if r.Scope != nil {
+		return r.Scope
+	}
+	return g.Space.ScopeSet(r.Preds)
 }
 
 // BranchingFactor returns the maximum number of children any search node

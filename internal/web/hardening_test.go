@@ -21,6 +21,13 @@ import (
 // the Server (for internal inspection) and a running test listener.
 func newHardenedServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
+	return newHardenedServerRounds(t, 100, opts)
+}
+
+// newHardenedServerRounds is newHardenedServer with the planner's round cap
+// per sentence chosen by the caller.
+func newHardenedServerRounds(t *testing.T, maxRounds int, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
 	if err != nil {
 		t.Fatalf("Flights: %v", err)
@@ -29,7 +36,7 @@ func newHardenedServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
 		SimRoundCost:         time.Millisecond,
-		MaxRoundsPerSentence: 100,
+		MaxRoundsPerSentence: maxRounds,
 		Percents:             []int{50, 100},
 	}
 	srv, err := NewServerWith(cfg, opts,
@@ -296,4 +303,55 @@ func TestConcurrentQueriesAndLogReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentPlansSpeakWhatTheySpeakAlone pins one simulated clock per
+// answer: two plans running at once must not advance each other's playback
+// timeline, so each speaks exactly what it speaks with the server to itself.
+func TestConcurrentPlansSpeakWhatTheySpeakAlone(t *testing.T) {
+	// The round cap is out of reach, so playback alone ends each planning
+	// window, as it does for short sentences under the daemon's cap.
+	_, ts := newHardenedServerRounds(t, 1<<20, Options{SemCacheEntries: -1, SemCacheViews: -1})
+	inputs := []string{"break down by region and season", "break down by state"}
+	ask := func(session, input string) string {
+		b, _ := json.Marshal(map[string]string{"session": session, "dataset": "flights", "input": input, "method": "this"})
+		resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Errorf("POST: %v", err)
+			return ""
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Speech   string `json:"speech"`
+			Degraded bool   `json:"degraded"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out.Degraded {
+			t.Errorf("%q: status %d, degraded %v, decode %v", input, resp.StatusCode, out.Degraded, err)
+		}
+		return out.Speech
+	}
+	alone := make([]string, len(inputs))
+	for i, in := range inputs {
+		alone[i] = ask(fmt.Sprintf("alone-%d", i), in)
+	}
+	for round := 0; round < 3; round++ {
+		together := make([]string, len(inputs))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, in := range inputs {
+			wg.Add(1)
+			go func(i int, in string) {
+				defer wg.Done()
+				<-start
+				together[i] = ask(fmt.Sprintf("together-%d-%d", round, i), in)
+			}(i, in)
+		}
+		close(start)
+		wg.Wait()
+		for i := range inputs {
+			if together[i] != alone[i] {
+				t.Fatalf("round %d, %q: concurrent plan spoke\n%q\nalone it speaks\n%q", round, inputs[i], together[i], alone[i])
+			}
+		}
+	}
 }

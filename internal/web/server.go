@@ -785,7 +785,10 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 	}
 	cfg := s.cfg
 	cfg.Format = info.Format
-	if cfg.Clock == nil {
+	// A simulated clock is one answer's playback timeline: every request
+	// gets its own, or concurrent plans would advance each other's playback
+	// and cut each other's planning windows short.
+	if _, sim := cfg.Clock.(*voice.SimClock); sim || cfg.Clock == nil {
 		cfg.Clock = voice.NewSimClock()
 	}
 	if cfg.MaxRoundsPerSentence == 0 {
