@@ -99,7 +99,6 @@ func run() error {
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline; answers degrade at the deadline (negative disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on SIGINT/SIGTERM")
 	plannerWorkers := flag.Int("planner-workers", 1, "tree-sampling workers per planning round (1 = sequential planner; >1 uses virtual-loss parallel UCT, capped back to 1 under brownout)")
-	samplerShards := flag.Int("sampler-shards", 0, "background-scan workers over disjoint row partitions (<= 1 single scan goroutine; only applies with background sampling)")
 	maxConcurrent := flag.Int("max-concurrent", 32, "concurrent vocalizations admitted before queueing or responding 503")
 	queueDepth := flag.Int("queue-depth", 0, "weighted-fair admission queue depth beyond -max-concurrent (0 sheds immediately at saturation)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admitted queries per second (0 disables rate limiting; beyond it responds 429)")
@@ -150,7 +149,6 @@ func run() error {
 		MaxRoundsPerSentence: 2000,
 		MaxTreeNodes:         100000,
 		PlannerWorkers:       *plannerWorkers,
-		SamplerShards:        *samplerShards,
 	}
 	injectorOpts := faults.InjectorOptions{
 		SlowEvery:    *faultSlowEvery,

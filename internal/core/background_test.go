@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
+	"repro/internal/table"
 )
 
 // backgroundConfig runs on the real clock with a fast speaking rate so
@@ -84,29 +89,88 @@ func TestBackgroundSamplingWithBounds(t *testing.T) {
 	}
 }
 
-func TestBackgroundSamplingSharded(t *testing.T) {
-	d, q := flightsQuery(t, 50000, 105)
-	cfg := backgroundConfig(5)
-	cfg.SamplerShards = 4
-	cfg.Uncertainty = UncertaintyBounds
-	out, err := NewHolistic(d, q, cfg).Vocalize()
-	if err != nil {
-		t.Fatalf("sharded holistic: %v", err)
+// TestScannerBuiltOncePerAnswer: an answer has one sample source, so the
+// Config.Scanner factory runs once whether rows are read synchronously or
+// from the background goroutine.
+func TestScannerBuiltOncePerAnswer(t *testing.T) {
+	d, q := flightsQuery(t, 2000, 106)
+	for _, background := range []bool{false, true} {
+		calls := 0
+		cfg := testConfig(6)
+		cfg.BackgroundSampling = background
+		cfg.Scanner = func(tab *table.Table, rng *rand.Rand) table.Scanner {
+			calls++
+			return table.NewRandomScanner(tab, rng)
+		}
+		out, err := NewHolistic(d, q, cfg).VocalizeContext(context.Background())
+		requireValidSpeech(t, out, err)
+		if calls != 1 {
+			t.Errorf("background=%v: Config.Scanner called %d times per answer, want 1", background, calls)
+		}
 	}
-	if out.Speech.Baseline == nil {
-		t.Fatal("no baseline")
+}
+
+// TestInjectedStallHitsTheScannerTheAnswerReads: with every second scan
+// stalled, the first answer reads a healthy stream and the second reads
+// exactly the rows delivered before the stall — no fault is spent on a
+// scanner nobody reads.
+func TestInjectedStallHitsTheScannerTheAnswerReads(t *testing.T) {
+	d, q := flightsQuery(t, 2000, 107)
+	const stallAfter = 32
+	for _, background := range []bool{false, true} {
+		inj := faults.NewInjector(faults.InjectorOptions{
+			StallEvery:   2,
+			StallAfter:   stallAfter,
+			StallRelease: 20 * time.Millisecond,
+		})
+		cfg := testConfig(7)
+		cfg.BackgroundSampling = background
+		cfg.Scanner = inj.Scanner
+		healthy, err := NewHolistic(d, q, cfg).Vocalize()
+		requireValidSpeech(t, healthy, err)
+		stalled, err := NewHolistic(d, q, cfg).Vocalize()
+		requireValidSpeech(t, stalled, err)
+		if healthy.RowsRead <= stallAfter {
+			t.Errorf("background=%v: first answer read %d rows, want a healthy scan", background, healthy.RowsRead)
+		}
+		if stalled.RowsRead != stallAfter {
+			t.Errorf("background=%v: second answer read %d rows, want the %d before the stall",
+				background, stalled.RowsRead, stallAfter)
+		}
+		if st := inj.Stats(); st.Scans != 2 || st.Stalled != 1 {
+			t.Errorf("background=%v: injector built %d scans and stalled %d, want 2 and 1",
+				background, st.Scans, st.Stalled)
+		}
 	}
-	if out.RowsRead == 0 {
-		t.Error("sharded scan should have read rows")
+}
+
+// TestBackgroundSamplingShortScanSkipsInitialWait: a table smaller than
+// InitialRows can never satisfy the initial-rows wait, so the planner must
+// leave it when the scan ends instead of sitting out the 100 ms cap.
+func TestBackgroundSamplingShortScanSkipsInitialWait(t *testing.T) {
+	d, q := flightsQuery(t, 100, 108)
+	cfg := Config{
+		Percents:             []int{50, 100},
+		Seed:                 8,
+		SpeakingRate:         1e9,
+		MinRounds:            1,
+		MaxRoundsPerSentence: 1,
+		BackgroundSampling:   true,
 	}
-	if len(out.BoundsSpoken) == 0 {
-		t.Error("bounds mode should speak intervals from the sharded caches")
+	best := time.Hour
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		out, err := NewHolistic(d, q, cfg).Vocalize()
+		took := time.Since(start)
+		requireValidSpeech(t, out, err)
+		if out.RowsRead != 100 {
+			t.Fatalf("read %d of 100 rows", out.RowsRead)
+		}
+		if took < best {
+			best = took
+		}
 	}
-	quality, err := ExactQuality(d, q, out, cfg)
-	if err != nil {
-		t.Fatalf("ExactQuality: %v", err)
-	}
-	if quality <= 0 {
-		t.Errorf("quality = %v", quality)
+	if best >= 50*time.Millisecond {
+		t.Errorf("fastest of 5 answers over a 100-row table took %v, want well under the 100 ms wait cap", best)
 	}
 }

@@ -105,16 +105,10 @@ type Config struct {
 	// (simulated clocks keep the deterministic synchronous loop).
 	BackgroundSampling bool
 
-	// SamplerShards > 1 splits the background scan across that many
-	// goroutines over disjoint row partitions (multicore row pipeline).
-	// It only applies with BackgroundSampling set and no Scanner override:
-	// fault-injected scanners wrap a single stream and keep the single
-	// background sampler. Zero or one keeps one scan goroutine.
-	SamplerShards int
-
-	// Scanner overrides how table rows are streamed into the samplers;
+	// Scanner overrides how table rows are streamed into the sampler;
 	// nil selects the pseudo-random full-table scan. Fault-injection
 	// tests wrap the scan with failing, slow, or stalling variants here.
+	// It is called once per answer.
 	Scanner func(t *table.Table, rng *rand.Rand) table.Scanner
 
 	// AsyncStopGrace bounds how long a cancelled vocalization waits for

@@ -101,19 +101,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	grand := s.sampler.Cache().GrandEstimate
 	totalRead := func(fallback int64) int64 { return fallback }
 	if cfg.BackgroundSampling {
-		// Sharded scanning only applies to the default pseudo-random scan:
-		// a Scanner override supplies a single stream (fault wrappers), so
-		// it keeps the single background goroutine. Multi-shard scans use
-		// the epoch sampler: per-worker epoch-local accumulators merged at
-		// batch boundaries, with wait-free estimator reads — the planner's
-		// workers never serialize behind the scan.
-		var async sampling.BackgroundSource
-		var err error
-		if cfg.SamplerShards > 1 && cfg.Scanner == nil {
-			async, err = sampling.NewEpochSampler(s.space, s.rng, cfg.SamplerShards, cfg.RowsPerRound*4)
-		} else {
-			async, err = sampling.NewAsyncSamplerWithScanner(s.space, newScanner(cfg, s.space, s.rng), cfg.RowsPerRound*4)
-		}
+		async, err := sampling.NewAsyncSampler(s.sampler, cfg.RowsPerRound*4)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -127,12 +115,21 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		grand = async.GrandEstimate
 		totalRead = func(int64) int64 { return async.NrRead() }
 		// Give the scan a moment to cover the initial batch the scale
-		// estimate needs; the preamble is playing meanwhile.
-		waitUntil := time.Now().Add(100 * time.Millisecond)
-		for async.NrRead() < int64(cfg.InitialRows) && time.Now().Before(waitUntil) {
-			if ctx.Err() != nil {
-				break
+		// estimate needs; the preamble is playing meanwhile. A scan that
+		// has ended (short table, failed scanner) will deliver nothing
+		// more, so only a slow or hung one is waited for.
+		ended := func() bool {
+			select {
+			case <-async.Done():
+				return true
+			case <-ctx.Done():
+				return true
+			default:
+				return false
 			}
+		}
+		waitUntil := time.Now().Add(100 * time.Millisecond)
+		for async.NrRead() < int64(cfg.InitialRows) && time.Now().Before(waitUntil) && !ended() {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}

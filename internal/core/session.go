@@ -22,10 +22,10 @@ type session struct {
 	space   *olap.Space
 	gen     *speech.Generator
 	sampler *sampling.Sampler
-	// async replaces the synchronous sampler when background sampling is
-	// enabled — a single AsyncSampler or a ShardedSampler depending on
-	// Config.SamplerShards; confidence queries then go through its locks.
-	async   sampling.BackgroundSource
+	// async is set by Holistic under BackgroundSampling: it scans the
+	// sampler's row stream into the sampler's cache from a goroutine, and
+	// from then on the cache is reached only through its locked methods.
+	async   *sampling.AsyncSampler
 	model   *belief.Model
 	speaker *voice.Speaker
 	rng     *rand.Rand
@@ -71,7 +71,7 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 	}, nil
 }
 
-// newScanner builds the row stream for a sampler: the configured override
+// newScanner builds the session's row stream: the configured override
 // when set (fault injection, alternative orders), else the pseudo-random
 // full-table scan.
 func newScanner(cfg Config, space *olap.Space, rng *rand.Rand) table.Scanner {
@@ -127,7 +127,7 @@ func (s *session) evalFunc(est sampling.Estimator) mcts.EvalFunc {
 // never contend on (or race over) shared generator state. The estimator
 // itself is safe to share: the synchronous cache is read-only during a
 // sampling batch (rows are inserted between batches), and the background
-// sources are internally locked.
+// sampler is internally locked.
 func (s *session) seededEvalFunc(est sampling.Estimator) mcts.SeededEvalFunc {
 	return func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
 		a, ok := est.PickAggregate(rng)

@@ -5,19 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"time"
 
 	"repro/internal/belief"
 	"repro/internal/datagen"
-	"repro/internal/dimension"
 	"repro/internal/mcts"
 	"repro/internal/olap"
 	"repro/internal/sampling"
 	"repro/internal/speech"
-	"repro/internal/stats"
 	"repro/internal/table"
 )
 
@@ -77,26 +74,19 @@ type PlannerResult struct {
 	Query      string `json:"query"`
 	Aggregates int    `json:"aggregates"`
 
-	// Exhaustive quality search over every valid speech, three ways:
-	// legacy is the pre-optimization per-aggregate loop (member-walking
-	// scope checks, per-aggregate delta recomputation), scalar is today's
-	// Model.Quality (bitset scopes, memoized deltas), scorer is the
+	// Exhaustive quality search over every valid speech, two ways: scalar
+	// is Model.Quality (the per-candidate reference form), scorer is the
 	// incremental apply/undo kernel the optimal planner uses.
 	SpeechesScored    int     `json:"speeches_scored"`
-	LegacyQualityNs   int64   `json:"legacy_quality_ns"`
 	ScalarQualityNs   int64   `json:"scalar_quality_ns"`
 	ScorerQualityNs   int64   `json:"scorer_quality_ns"`
-	LegacyNsPerSpeech float64 `json:"legacy_ns_per_speech"`
 	ScalarNsPerSpeech float64 `json:"scalar_ns_per_speech"`
 	ScorerNsPerSpeech float64 `json:"scorer_ns_per_speech"`
-	// QualitySpeedup is legacy/scorer: the end-to-end gain of this
-	// optimization wave over the loop it replaced.
-	QualitySpeedup float64 `json:"quality_speedup"`
 	// ScorerSpeedup is scalar/scorer: the incremental kernel's gain over
-	// the already-bitset per-candidate loop.
+	// the per-candidate loop.
 	ScorerSpeedup float64 `json:"scorer_speedup"`
-	// IdenticalChoice must be true: all three searches pick the same
-	// speech (the kernel changes evaluation order, not the math).
+	// IdenticalChoice must be true: both searches pick the same speech
+	// (the kernel changes evaluation order, not the math).
 	IdenticalChoice bool   `json:"identical_choice"`
 	BestSpeech      string `json:"best_speech"`
 
@@ -114,144 +104,9 @@ type PlannerResult struct {
 	ParallelNote string `json:"parallel_note,omitempty"`
 }
 
-// legacyQuality replicates the planner's quality loop as it stood before
-// the scope bitsets and the incremental scorer: scope membership by walking
-// member ancestors per aggregate per refinement, and the refinement deltas
-// recomputed (and reallocated) for every aggregate. It is the honest
-// baseline for QualitySpeedup; TestLegacyQualityMatchesModel pins it to
-// Model.Quality.
-type legacyQuality struct {
-	space   *olap.Space
-	sigma   float64
-	step    float64
-	members [][]*dimension.Member
-	hiers   []*dimension.Hierarchy
-	strides []int
-}
-
-func newLegacyQuality(space *olap.Space, sigma float64) *legacyQuality {
-	l := &legacyQuality{
-		space: space,
-		sigma: sigma,
-		step:  belief.BucketStepForScale(2 * sigma),
-	}
-	stride := 1
-	l.members = make([][]*dimension.Member, space.NumDims())
-	l.hiers = make([]*dimension.Hierarchy, space.NumDims())
-	l.strides = make([]int, space.NumDims())
-	for d := space.NumDims() - 1; d >= 0; d-- {
-		ms := space.Members(d)
-		l.members[d] = ms
-		l.hiers[d] = ms[0].Hierarchy()
-		l.strides[d] = stride
-		stride *= len(ms)
-	}
-	return l
-}
-
-func (l *legacyQuality) inScope(idx int, preds []*dimension.Member) bool {
-	for _, p := range preds {
-		matched := false
-		found := false
-		for d := range l.members {
-			if l.hiers[d] == p.Hierarchy() {
-				found = true
-				coord := l.members[d][(idx/l.strides[d])%len(l.members[d])]
-				matched = coord.IsDescendantOf(p)
-				break
-			}
-		}
-		if found && !matched {
-			return false
-		}
-	}
-	return true
-}
-
-func (l *legacyQuality) scopeSize(preds []*dimension.Member) int {
-	n := 1
-	for d := range l.members {
-		count := 0
-		for _, m := range l.members[d] {
-			all := true
-			for _, p := range preds {
-				if p.Hierarchy() == l.hiers[d] && !m.IsDescendantOf(p) {
-					all = false
-					break
-				}
-			}
-			if all {
-				count++
-			}
-		}
-		n *= count
-	}
-	return n
-}
-
-func legacyDeltas(sp *speech.Speech) []float64 {
-	deltas := make([]float64, len(sp.Refinements))
-	if sp.Baseline == nil {
-		return deltas
-	}
-	for i, r := range sp.Refinements {
-		ref := sp.Baseline.Value
-		for j := 0; j < i; j++ {
-			if sp.Refinements[j].Subsumes(r) {
-				ref += deltas[j]
-			}
-		}
-		d := ref * float64(r.Percent) / 100
-		if r.Dir == speech.Decrease {
-			d = -d
-		}
-		deltas[i] = d
-	}
-	return deltas
-}
-
-func (l *legacyQuality) mean(sp *speech.Speech, agg int) float64 {
-	if sp.Baseline == nil {
-		return 0
-	}
-	mean := sp.Baseline.Value
-	n := l.space.Size()
-	deltas := legacyDeltas(sp) // per-aggregate recomputation, as before memoization
-	for i, r := range sp.Refinements {
-		sz := r.ScopeSize
-		if sz <= 0 {
-			sz = l.scopeSize(r.Preds)
-		}
-		if l.inScope(agg, r.Preds) {
-			mean += deltas[i]
-		} else if n > sz {
-			mean -= float64(sz) * deltas[i] / float64(n-sz)
-		}
-	}
-	return mean
-}
-
-func (l *legacyQuality) quality(sp *speech.Speech, result *olap.Result) float64 {
-	var sum float64
-	var n int
-	for a := 0; a < l.space.Size(); a++ {
-		v := result.Value(a)
-		if math.IsNaN(v) {
-			continue
-		}
-		b := stats.Normal{Mu: l.mean(sp, a), Sigma: l.sigma}
-		sum += b.Prob(v-l.step/2, v+l.step/2)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// searchHooks lets exhaustiveSearch drive either a stateless per-candidate
-// scorer (score only) or the incremental scorer (reset/push/pop around the
-// DFS edges).
+// searchHooks are the incremental-scorer calls exhaustiveSearch makes
+// around its DFS edges: reset per baseline, push/pop per refinement, score
+// per candidate.
 type searchHooks struct {
 	reset func(sp *speech.Speech)
 	push  func(r *speech.Refinement)
@@ -287,13 +142,9 @@ func exhaustiveSearch(gen *speech.Generator, prefs speech.Prefs, preamble *speec
 			}
 			ext := sp.Extend(r)
 			if ext.Valid(prefs) {
-				if h.push != nil {
-					h.push(r)
-				}
+				h.push(r)
 				extend(ext)
-				if h.pop != nil {
-					h.pop()
-				}
+				h.pop()
 			}
 		}
 	}
@@ -302,9 +153,7 @@ func exhaustiveSearch(gen *speech.Generator, prefs speech.Prefs, preamble *speec
 			break
 		}
 		sp := &speech.Speech{Preamble: preamble, Baseline: b}
-		if h.reset != nil {
-			h.reset(sp)
-		}
+		h.reset(sp)
 		extend(sp)
 	}
 	return best, scored
@@ -327,9 +176,8 @@ type scoreOp struct {
 }
 
 // Planner measures the speech planner on the flights region-by-season
-// query: the exhaustive quality search three ways (legacy loop, scalar
-// model, incremental scorer) and UCT sampling throughput sequential versus
-// parallel, plus the sequential sampler's allocations per round.
+// query: the exhaustive quality search two ways (scalar model, incremental
+// scorer) and UCT sampling throughput sequential versus parallel.
 func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	rows := cfg.Rows
 	if rows <= 0 {
@@ -358,9 +206,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	case "SM", "CM":
 		// State by month (level 2x2) or city by month (level 3x2): the
 		// unfiltered drill-down breakdowns on both hierarchies, paper-scale
-		// aggregate counts in the hundreds. City-level coordinates also make
-		// the legacy loop's per-aggregate ancestor walks representative of a
-		// real drill-down, where predicates sit levels above the group-by.
+		// aggregate counts in the hundreds.
 		level := 2
 		if dims == "CM" {
 			level = 3
@@ -406,10 +252,10 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	preamble := gen.NewPreamble()
 
 	// Record the optimal planner's DFS over the candidate space once as a
-	// tape of scorer operations, then time the three quality kernels over
+	// tape of scorer operations, then time the two quality kernels over
 	// the identical candidate set with enumeration overhead excluded:
-	// what remains is exactly the per-candidate scoring loop the issue
-	// targets. All three must pick the same speech.
+	// what remains is exactly the per-candidate scoring loop. Both must
+	// pick the same speech.
 	maxSpeeches := cfg.MaxSpeeches
 	if maxSpeeches <= 0 {
 		maxSpeeches = 50000
@@ -426,24 +272,16 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 			return 0
 		},
 	})
-	legacy := newLegacyQuality(space, sigma)
-	argmax := func(quality func(sp *speech.Speech) float64) *speech.Speech {
-		var best *speech.Speech
+	var scalarBest, scorerBest *speech.Speech
+	scalarNs := timeBest(7, func() {
+		scalarBest = nil
 		bestQ := -1.0
 		for _, sp := range speeches {
-			if q := quality(sp); q > bestQ {
+			if q := model.Quality(sp, result); q > bestQ {
 				bestQ = q
-				best = sp
+				scalarBest = sp
 			}
 		}
-		return best
-	}
-	var legacyBest, scalarBest, scorerBest *speech.Speech
-	legacyNs := timeBest(7, func() {
-		legacyBest = argmax(func(sp *speech.Speech) float64 { return legacy.quality(sp, result) })
-	})
-	scalarNs := timeBest(7, func() {
-		scalarBest = argmax(func(sp *speech.Speech) float64 { return model.Quality(sp, result) })
 	})
 	sc := model.NewScorer(result)
 	scorerNs := timeBest(7, func() {
@@ -466,8 +304,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 		scorerBest = best
 	})
-	identical := legacyBest != nil && scalarBest != nil && scorerBest != nil &&
-		legacyBest.Text() == scorerBest.Text() && scalarBest.Text() == scorerBest.Text()
+	identical := scalarBest != nil && scorerBest != nil && scalarBest.Text() == scorerBest.Text()
 
 	// UCT sampling throughput on the Figure 3 region-by-season query (the
 	// tree the holistic planner demos actually sample; its candidate
@@ -607,10 +444,8 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		Aggregates: space.Size(),
 
 		SpeechesScored:    scored,
-		LegacyQualityNs:   legacyNs.Nanoseconds(),
 		ScalarQualityNs:   scalarNs.Nanoseconds(),
 		ScorerQualityNs:   scorerNs.Nanoseconds(),
-		LegacyNsPerSpeech: perSpeech(legacyNs),
 		ScalarNsPerSpeech: perSpeech(scalarNs),
 		ScorerNsPerSpeech: perSpeech(scorerNs),
 		IdenticalChoice:   identical,
@@ -627,7 +462,6 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		res.BestSpeech = scorerBest.MainText()
 	}
 	if scorerNs > 0 {
-		res.QualitySpeedup = float64(legacyNs) / float64(scorerNs)
 		res.ScorerSpeedup = float64(scalarNs) / float64(scorerNs)
 	}
 	return res, nil
@@ -646,10 +480,9 @@ func PrintPlanner(w io.Writer, r *PlannerResult) {
 		r.Rows, r.Aggregates, r.NumCPU, r.Gomaxprocs, r.Query)
 	fmt.Fprintf(w, "  exhaustive search over %d speeches (identical choice: %v)\n",
 		r.SpeechesScored, r.IdenticalChoice)
-	fmt.Fprintf(w, "    legacy loop:        %10.0f ns/speech\n", r.LegacyNsPerSpeech)
 	fmt.Fprintf(w, "    scalar model:       %10.0f ns/speech\n", r.ScalarNsPerSpeech)
-	fmt.Fprintf(w, "    incremental scorer: %10.0f ns/speech  (%.2fx vs legacy, %.2fx vs scalar)\n",
-		r.ScorerNsPerSpeech, r.QualitySpeedup, r.ScorerSpeedup)
+	fmt.Fprintf(w, "    incremental scorer: %10.0f ns/speech  (%.2fx vs scalar)\n",
+		r.ScorerNsPerSpeech, r.ScorerSpeedup)
 	fmt.Fprintf(w, "  UCT sampling on %s, %d rounds (%d tree nodes)\n",
 		r.SamplingQuery, r.Rounds, r.TreeNodes)
 	fmt.Fprintf(w, "    sequential:         %10.0f rounds/s\n", r.SequentialRoundsPerSec)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/mcts"
 	"repro/internal/olap"
-	"repro/internal/sampling"
 	"repro/internal/speech"
 )
 
@@ -83,11 +82,6 @@ type SweepPoint struct {
 	EvalRowsPerSec float64 `json:"eval_rows_per_sec"`
 	EvalSpeedup    float64 `json:"eval_speedup"`
 	EvalEfficiency float64 `json:"eval_efficiency"`
-
-	// Epoch-local background sampler draining the full table.
-	SamplerRowsPerSec float64 `json:"sampler_rows_per_sec"`
-	SamplerSpeedup    float64 `json:"sampler_speedup"`
-	SamplerEfficiency float64 `json:"sampler_efficiency"`
 
 	// Contention evidence over the whole point's measurement interval.
 	MutexWaitNs int64 `json:"mutex_wait_ns"`
@@ -255,27 +249,6 @@ func (e *sweepEnv) measureEval(workers int) (time.Duration, error) {
 	return d, err
 }
 
-// measureSampler drains the full table through an epoch-local background
-// sampler with the given worker count.
-func (e *sweepEnv) measureSampler(workers int) (time.Duration, error) {
-	var best time.Duration
-	for rep := 0; rep < 2; rep++ {
-		es, err := sampling.NewEpochSampler(e.space, rand.New(rand.NewSource(e.cfg.Seed+7)), workers, 8192)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		es.Start()
-		<-es.Done()
-		d := time.Since(start)
-		es.Stop()
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
 // oneWorkerIdentical checks the sweep's exactness baseline: the 1-worker
 // parallel tree is byte-identical to the sequential sampler (same visits,
 // same reward bits, same node count) and the 1-worker scan returns the
@@ -318,8 +291,8 @@ func (e *sweepEnv) oneWorkerIdentical() (bool, error) {
 	return true, nil
 }
 
-// ScalingSweep measures MCTS sampling, exact evaluation, and background
-// sampling throughput over a workers x GOMAXPROCS grid: the per-worker
+// ScalingSweep measures MCTS sampling and exact evaluation throughput
+// over a workers x GOMAXPROCS grid: the per-worker
 // speedup curve the contention work is judged by. GOMAXPROCS is changed
 // process-wide per column and restored afterwards, so nothing else should
 // run concurrently with the sweep.
@@ -364,7 +337,7 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 		}
 		runtime.GOMAXPROCS(procs)
 		// The per-column 1-worker baselines speedups are relative to.
-		var mctsBase, evalBase, samplerBase time.Duration
+		var mctsBase, evalBase time.Duration
 		for _, workers := range workersAxis {
 			probe := probeContention()
 			mctsNs, p50, p99, allocs, nodes, err := env.measureMcts(workers)
@@ -378,14 +351,9 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 				runtime.GOMAXPROCS(baseProcs)
 				return nil, err
 			}
-			samplerNs, err := env.measureSampler(workers)
-			if err != nil {
-				runtime.GOMAXPROCS(baseProcs)
-				return nil, err
-			}
 			after := probeContention()
 			if workers == 1 {
-				mctsBase, evalBase, samplerBase = mctsNs, evalNs, samplerNs
+				mctsBase, evalBase = mctsNs, evalNs
 			}
 			p := SweepPoint{
 				Workers:            workers,
@@ -402,9 +370,6 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 			if evalNs > 0 {
 				p.EvalRowsPerSec = float64(res.Rows) / evalNs.Seconds()
 			}
-			if samplerNs > 0 {
-				p.SamplerRowsPerSec = float64(res.Rows) / samplerNs.Seconds()
-			}
 			if mctsBase > 0 && mctsNs > 0 {
 				p.MctsSpeedup = float64(mctsBase) / float64(mctsNs)
 				p.MctsEfficiency = p.MctsSpeedup / float64(workers)
@@ -412,10 +377,6 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 			if evalBase > 0 && evalNs > 0 {
 				p.EvalSpeedup = float64(evalBase) / float64(evalNs)
 				p.EvalEfficiency = p.EvalSpeedup / float64(workers)
-			}
-			if samplerBase > 0 && samplerNs > 0 {
-				p.SamplerSpeedup = float64(samplerBase) / float64(samplerNs)
-				p.SamplerEfficiency = p.SamplerSpeedup / float64(workers)
 			}
 			res.Points = append(res.Points, p)
 		}
@@ -441,14 +402,13 @@ func PrintScalingSweep(w io.Writer, r *ScalingResult) {
 		r.Rows, r.Rounds, r.NumCPU, r.Gomaxprocs, r.Query)
 	fmt.Fprintf(w, "  1-worker parallel paths byte-identical to sequential: %v\n", r.OneWorkerIdentical)
 	if len(r.Points) > 0 {
-		fmt.Fprintf(w, "  %5s %5s %14s %8s %6s %14s %8s %14s %8s %12s %10s\n",
-			"procs", "wrk", "mcts rnd/s", "speedup", "eff", "eval rows/s", "speedup", "smplr rows/s", "speedup", "mutex wait", "allocs/rnd")
+		fmt.Fprintf(w, "  %5s %5s %14s %8s %6s %14s %8s %12s %10s\n",
+			"procs", "wrk", "mcts rnd/s", "speedup", "eff", "eval rows/s", "speedup", "mutex wait", "allocs/rnd")
 		for _, p := range r.Points {
-			fmt.Fprintf(w, "  %5d %5d %14.0f %7.2fx %6.2f %14.0f %7.2fx %14.0f %7.2fx %12s %10.1f\n",
+			fmt.Fprintf(w, "  %5d %5d %14.0f %7.2fx %6.2f %14.0f %7.2fx %12s %10.1f\n",
 				p.Gomaxprocs, p.Workers,
 				p.MctsRoundsPerSec, p.MctsSpeedup, p.MctsEfficiency,
 				p.EvalRowsPerSec, p.EvalSpeedup,
-				p.SamplerRowsPerSec, p.SamplerSpeedup,
 				time.Duration(p.MutexWaitNs).Round(time.Microsecond),
 				p.MctsAllocsPerRound)
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/olap"
 	"repro/internal/stats"
 	"repro/internal/table"
 )
@@ -21,12 +20,9 @@ import (
 // and holds mu just for the journal replay (Cache.MergeWorker, bit-
 // identical to inserting the batch directly). Estimate readers therefore
 // serialize only behind the short merge, not behind full insert bursts.
-// Readers do still take the mutex: unlike EpochSampler, this sampler backs
-// the exact single-stream path whose PooledConfidenceInterval pools raw
-// per-aggregate value lists, and those lists cannot be snapshotted in O(1).
-// Callers who want wait-free reads use EpochSampler instead. Lifecycle
-// state (started) lives under its own lock so Start/Stop never queue
-// behind a merge.
+// Every formula is the Cache's own, so a drained AsyncSampler equals a
+// Sampler over the same stream bit for bit. Lifecycle state (started)
+// lives under its own lock so Start/Stop never queue behind a merge.
 type AsyncSampler struct {
 	mu      sync.Mutex
 	cache   *Cache
@@ -46,21 +42,13 @@ type AsyncSampler struct {
 // Compile-time check: the async sampler is an Estimator.
 var _ Estimator = (*AsyncSampler)(nil)
 
-// NewAsyncSampler creates the cache and scan stream for space. batch is
-// the number of rows inserted per lock acquisition (<= 0 selects 256).
-func NewAsyncSampler(space *olap.Space, rng *rand.Rand, batch int) (*AsyncSampler, error) {
-	return NewAsyncSamplerWithScanner(space, table.NewRandomScanner(space.Dataset().Table(), rng), batch)
-}
-
-// NewAsyncSamplerWithScanner is NewAsyncSampler with an explicit row
-// stream, the injection point for fault wrappers and alternative scan
-// orders.
-func NewAsyncSamplerWithScanner(space *olap.Space, scanner table.Scanner, batch int) (*AsyncSampler, error) {
-	cache, err := NewCache(space)
-	if err != nil {
-		return nil, err
-	}
-	staged, err := NewWorkerAccumulator(space)
+// NewAsyncSampler takes over the row stream and cache of s (including a
+// cache configured for resampling) and scans them from a background
+// goroutine. From here on the caller reaches the cache only through the
+// AsyncSampler's locked methods and must not call s.ReadRows. batch is the
+// number of rows inserted per lock acquisition (<= 0 selects 256).
+func NewAsyncSampler(s *Sampler, batch int) (*AsyncSampler, error) {
+	staged, err := NewWorkerAccumulator(s.cache.Space())
 	if err != nil {
 		return nil, err
 	}
@@ -68,8 +56,8 @@ func NewAsyncSamplerWithScanner(space *olap.Space, scanner table.Scanner, batch 
 		batch = 256
 	}
 	return &AsyncSampler{
-		cache:   cache,
-		scanner: scanner,
+		cache:   s.cache,
+		scanner: s.scanner,
 		staged:  staged,
 		batch:   batch,
 		stop:    make(chan struct{}),
@@ -119,6 +107,11 @@ func (a *AsyncSampler) loop(ctx context.Context) {
 		a.staged.Reset()
 	}
 }
+
+// Done is closed when the background scan has ended: table exhausted,
+// scanner failed, context cancelled or Stop called. It never closes for a
+// sampler that was not started.
+func (a *AsyncSampler) Done() <-chan struct{} { return a.done }
 
 // Stop halts the background scan and waits for it to finish. Safe to call
 // multiple times, concurrently, and before Start.

@@ -7,15 +7,89 @@ import (
 	"time"
 
 	"repro/internal/olap"
+	"repro/internal/table"
 )
+
+// newAsync builds a background sampler over a seeded pseudo-random scan.
+func newAsync(t *testing.T, s *olap.Space, rng *rand.Rand, batch int) *AsyncSampler {
+	t.Helper()
+	return newAsyncOver(t, s, table.NewRandomScanner(s.Dataset().Table(), rng), batch)
+}
+
+// newAsyncOver builds a background sampler over an explicit row stream.
+func newAsyncOver(t *testing.T, s *olap.Space, scanner table.Scanner, batch int) *AsyncSampler {
+	t.Helper()
+	smp, err := NewSamplerWithScanner(s, scanner)
+	if err != nil {
+		t.Fatalf("NewSamplerWithScanner: %v", err)
+	}
+	a, err := NewAsyncSampler(smp, batch)
+	if err != nil {
+		t.Fatalf("NewAsyncSampler: %v", err)
+	}
+	return a
+}
+
+// TestAsyncSamplerMatchesSequential pins the background sampler to the
+// sequential reference: drained over a seeded stream it holds the cache a
+// Sampler.ReadRows over the same stream builds, bit for bit — journal,
+// replay and locking add no numeric deviation.
+func TestAsyncSamplerMatchesSequential(t *testing.T) {
+	for _, fct := range []olap.AggFunc{olap.Avg, olap.Sum, olap.Count} {
+		s := flightsSpace(t, fct)
+		n := s.Dataset().Table().NumRows()
+		const seed = 31
+
+		a := newAsync(t, s, rand.New(rand.NewSource(seed)), 512)
+		a.Start()
+		select {
+		case <-a.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: scan did not finish", fct)
+		}
+		a.Stop()
+
+		seq, err := NewSampler(s, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatalf("NewSampler: %v", err)
+		}
+		if got := seq.ReadRows(n + 1); got != n {
+			t.Fatalf("%v: sequential read %d of %d rows", fct, got, n)
+		}
+		want := seq.Cache()
+
+		if a.NrRead() != want.NrRead() || a.NrInScope() != want.NrInScope() {
+			t.Fatalf("%v: read %d/%d in scope %d/%d", fct,
+				a.NrRead(), want.NrRead(), a.NrInScope(), want.NrInScope())
+		}
+		// Running-mean estimates draw nothing from the rng.
+		all := make([]int, s.Size())
+		for agg := range all {
+			all[agg] = agg
+			g, gok := a.Estimate(agg, nil)
+			w, wok := want.Estimate(agg, nil)
+			if gok != wok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%v agg %d: estimate %v (%v), sequential %v (%v)", fct, agg, g, gok, w, wok)
+			}
+		}
+		g, gok := a.GrandEstimate()
+		w, wok := want.GrandEstimate()
+		if gok != wok || math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%v: grand %v (%v), sequential %v (%v)", fct, g, gok, w, wok)
+		}
+		giv, gok := a.PooledConfidenceInterval(all, 0.95)
+		wiv, wok := want.PooledConfidenceInterval(all, 0.95)
+		if gok != wok || giv != wiv {
+			t.Errorf("%v: pooled interval %+v (%v), sequential %+v (%v)", fct, giv, gok, wiv, wok)
+		}
+		requireCachesBitIdentical(t, a.cache, want, fct.String())
+	}
+}
 
 func TestAsyncSamplerFillsInBackground(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	rng := rand.New(rand.NewSource(1))
-	a, err := NewAsyncSampler(s, rng, 128)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rng, 128)
 	a.Start()
 	defer a.Stop()
 	deadline := time.Now().Add(5 * time.Second)
@@ -41,10 +115,7 @@ func TestAsyncSamplerFillsInBackground(t *testing.T) {
 func TestAsyncSamplerDrainsTable(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	rng := rand.New(rand.NewSource(2))
-	a, err := NewAsyncSampler(s, rng, 4096)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rng, 4096)
 	a.Start()
 	n := int64(s.Dataset().Table().NumRows())
 	deadline := time.Now().Add(10 * time.Second)
@@ -69,10 +140,7 @@ func TestAsyncSamplerDrainsTable(t *testing.T) {
 func TestAsyncSamplerStopIsIdempotent(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	rng := rand.New(rand.NewSource(3))
-	a, err := NewAsyncSampler(s, rng, 64)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rng, 64)
 	// Stop before start: no deadlock.
 	a.Stop()
 	a.Stop()
@@ -83,12 +151,13 @@ func TestAsyncSamplerStopIsIdempotent(t *testing.T) {
 
 func TestAsyncSamplerConcurrentReads(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
-	a, err := NewAsyncSampler(s, rand.New(rand.NewSource(4)), 64)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rand.New(rand.NewSource(4)), 64)
 	a.Start()
 	defer a.Stop()
+	all := make([]int, s.Size())
+	for i := range all {
+		all[i] = i
+	}
 	done := make(chan struct{})
 	go func() {
 		rng := rand.New(rand.NewSource(5))
@@ -97,6 +166,7 @@ func TestAsyncSamplerConcurrentReads(t *testing.T) {
 				a.Estimate(agg, rng)
 			}
 			a.GrandEstimate()
+			a.NrInScope()
 		}
 		close(done)
 	}()
@@ -106,16 +176,16 @@ func TestAsyncSamplerConcurrentReads(t *testing.T) {
 		if agg, ok := a.PickAggregate(rng); ok {
 			a.Estimate(agg, rng)
 		}
+		if i%100 == 0 {
+			a.PooledConfidenceInterval(all, 0.95)
+		}
 	}
 	<-done
 }
 
 func TestAsyncSamplerPooledInterval(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
-	a, err := NewAsyncSampler(s, rand.New(rand.NewSource(7)), 1024)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rand.New(rand.NewSource(7)), 1024)
 	a.Start()
 	defer a.Stop()
 	deadline := time.Now().Add(5 * time.Second)

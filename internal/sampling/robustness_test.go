@@ -14,10 +14,7 @@ import (
 
 func TestAsyncSamplerConcurrentStop(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
-	a, err := NewAsyncSampler(s, rand.New(rand.NewSource(21)), 64)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rand.New(rand.NewSource(21)), 64)
 	a.Start()
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
@@ -32,10 +29,7 @@ func TestAsyncSamplerConcurrentStop(t *testing.T) {
 
 func TestAsyncSamplerStartContextCancelHaltsScan(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
-	a, err := NewAsyncSampler(s, rand.New(rand.NewSource(22)), 16)
-	if err != nil {
-		t.Fatalf("NewAsyncSampler: %v", err)
-	}
+	a := newAsync(t, s, rand.New(rand.NewSource(22)), 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	a.StartContext(ctx)
 	deadline := time.Now().Add(5 * time.Second)
@@ -44,7 +38,7 @@ func TestAsyncSamplerStartContextCancelHaltsScan(t *testing.T) {
 	}
 	cancel()
 	select {
-	case <-a.done:
+	case <-a.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("scan loop did not exit after context cancellation")
 	}
@@ -64,10 +58,7 @@ func TestAsyncSamplerStopWithinAbandonsStalledScan(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	stall := faults.NewStallingScanner(
 		table.NewRandomScanner(s.Dataset().Table(), rand.New(rand.NewSource(23))), 32)
-	a, err := NewAsyncSamplerWithScanner(s, stall, 16)
-	if err != nil {
-		t.Fatalf("NewAsyncSamplerWithScanner: %v", err)
-	}
+	a := newAsyncOver(t, s, stall, 16)
 	a.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for a.NrRead() < 32 && time.Now().Before(deadline) {
@@ -79,7 +70,7 @@ func TestAsyncSamplerStopWithinAbandonsStalledScan(t *testing.T) {
 	// Unblocking the scanner lets the abandoned goroutine drain and exit.
 	stall.Release()
 	select {
-	case <-a.done:
+	case <-a.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("abandoned scan goroutine never exited after Release")
 	}

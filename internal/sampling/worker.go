@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/olap"
-	"repro/internal/table"
 )
 
-// WorkerAccumulator is the epoch-local half of the contention-free sampling
-// path: each scan worker owns one and fills it with zero synchronization —
-// batch classification and the measure gather run entirely on private
-// state, which is where the CPU time of an insert goes. At an epoch
-// boundary (a scan batch, or a sentence boundary in the planner) the
-// accumulator is replayed into a shared Cache via Cache.MergeWorker and
-// recycled with Reset.
+// WorkerAccumulator is the lock-free half of background sampling: the
+// AsyncSampler's scan goroutine owns one and fills it with zero
+// synchronization — batch classification and the measure gather run
+// entirely on private state, which is where the CPU time of an insert
+// goes. After each scan batch the accumulator is replayed into the shared
+// Cache via Cache.MergeWorker and recycled with Reset.
 //
 // The accumulator journals its in-scope (aggregate, value) pairs in row
 // order rather than keeping per-aggregate state. Replaying the journal
@@ -134,14 +132,4 @@ func (c *Cache) MergeWorker(w *WorkerAccumulator) {
 		c.accs[idx].Add(v)
 		c.grand.Add(v)
 	}
-}
-
-// fillFromScanner pulls up to batch rows from a scanner into rows and
-// journals them; shared by the epoch sampler's workers and tests.
-func (w *WorkerAccumulator) fillFromScanner(s table.Scanner, rows []int) int {
-	n := table.FillBatch(s, rows)
-	if n > 0 {
-		w.InsertBatch(rows[:n])
-	}
-	return n
 }

@@ -112,9 +112,8 @@ func (s *RandomScanner) Epoch() int64 { return s.epoch }
 
 // NewRandomRangeScanner returns a scanner over rows [lo, hi) in
 // pseudo-random order derived from rng: the same full-cycle affine walk as
-// NewRandomScanner restricted to a contiguous partition. Sharded samplers
-// give each worker one partition, so every shard remains a uniform stream
-// over its rows. An empty range yields an exhausted scanner.
+// NewRandomScanner restricted to a contiguous partition. An empty range
+// yields an exhausted scanner.
 func NewRandomRangeScanner(lo, hi int, rng *rand.Rand) *RandomScanner {
 	n := hi - lo
 	if n < 0 {

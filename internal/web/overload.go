@@ -206,11 +206,9 @@ type ServingStats struct {
 type PlannerServingStats struct {
 	// Workers is the configured tree-sampling worker count per planning
 	// round (1 = sequential planner).
-	Workers int `json:"workers"`
-	// SamplerShards is the configured background-scan worker count.
-	SamplerShards int `json:"samplerShards,omitempty"`
-	NumCPU        int `json:"numCpu"`
-	Gomaxprocs    int `json:"gomaxprocs"`
+	Workers    int `json:"workers"`
+	NumCPU     int `json:"numCpu"`
+	Gomaxprocs int `json:"gomaxprocs"`
 	// BrownoutCapped reports that the current ladder step runs every
 	// query with a single sampling worker despite Workers > 1.
 	BrownoutCapped bool `json:"brownoutCapped,omitempty"`
@@ -231,7 +229,6 @@ func (s *Server) servingStats() ServingStats {
 	}
 	out.Planner = PlannerServingStats{
 		Workers:        workers,
-		SamplerShards:  s.cfg.SamplerShards,
 		NumCPU:         runtime.NumCPU(),
 		Gomaxprocs:     runtime.GOMAXPROCS(0),
 		BrownoutCapped: workers > 1 && out.Brownout.Step >= admission.StepReduced,
