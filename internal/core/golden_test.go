@@ -197,16 +197,15 @@ func TestHolisticGolden(t *testing.T) {
 	}
 }
 
-// TestFineAnswerAllocBudget keeps the cost of a fine-grained answer inside
-// tier 1: one state-by-month answer (the benchmark's explore_fine shape,
-// ~520 refinement candidates per node) with daemon budgets must allocate
-// under 48 MiB. Materialising every enumerated child allocated ~198 MiB.
-func TestFineAnswerAllocBudget(t *testing.T) {
+// answerAlloc plans one answer over the golden flights table with daemon
+// budgets (which read all 200 000 rows) and returns the bytes it allocated.
+func answerAlloc(t *testing.T, airport, date int) uint64 {
+	t.Helper()
 	d, err := goldenFlights()
 	if err != nil {
 		t.Fatalf("Flights: %v", err)
 	}
-	q := goldenQuery(t, d, 2, 2, false, "")
+	q := goldenQuery(t, d, airport, date, false, "")
 	h := NewHolistic(d, q, daemonTestConfig(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -218,9 +217,31 @@ func TestFineAnswerAllocBudget(t *testing.T) {
 	if len(out.Speech.Refinements) == 0 {
 		t.Fatalf("answer has no refinements: %q", out.Text())
 	}
-	const budget = 48 << 20
-	if delta := after.TotalAlloc - before.TotalAlloc; delta > budget {
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFineAnswerAllocBudget keeps the cost of a fine-grained answer inside
+// tier 1: one state-by-month answer (the benchmark's explore_fine shape,
+// ~520 refinement candidates per node) must allocate under 11 MiB, 1.5x
+// the 7.2 MiB measured. Materialising every enumerated child allocated
+// ~198 MiB; storing every sampled row, 4.7 MiB on top of today's figure.
+func TestFineAnswerAllocBudget(t *testing.T) {
+	const budget = 11 << 20
+	if got := answerAlloc(t, 2, 2); got > budget {
 		t.Errorf("one state x month answer allocated %.1f MiB, budget %d MiB",
-			float64(delta)/(1<<20), budget>>20)
+			float64(got)/(1<<20), budget>>20)
+	}
+}
+
+// TestCoarseAnswerAllocBudget does the same for the explore_coarse shape:
+// one region-by-season answer must allocate under 4 MiB, 1.5x the 2.65 MiB
+// measured. With 16 aggregates the tree is small, so a coarse answer's
+// allocation follows what the sample cache keeps per row read: nothing
+// now, 9.1 MiB in all when it stored every row.
+func TestCoarseAnswerAllocBudget(t *testing.T) {
+	const budget = 4 << 20
+	if got := answerAlloc(t, 1, 1); got > budget {
+		t.Errorf("one region x season answer allocated %.1f MiB, budget %d MiB",
+			float64(got)/(1<<20), budget>>20)
 	}
 }

@@ -56,9 +56,8 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.ResampleEstimates {
-		sampler.Cache().UseResample = true
-		if cfg.ResampleSize > 0 {
-			sampler.Cache().ResampleSize = cfg.ResampleSize
+		if err := sampler.Cache().EnableResample(cfg.ResampleSize); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
 	return &session{

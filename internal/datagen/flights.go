@@ -286,21 +286,92 @@ func Flights(cfg FlightsConfig) (*olap.Dataset, error) {
 }
 
 // flightsSequential is the original single-stream generator; its output for
-// a fixed seed is frozen (tests pin exact aggregate values against it).
+// a fixed seed is frozen (tests pin exact aggregate values against it),
+// including the dictionary order of appending each row's strings one by
+// one: codes are handed out in first-appearance order.
 func flightsSequential(seed int64, rows int, model *flightModel) (*table.Table, error) {
 	rng := rand.New(rand.NewSource(seed))
-	airportCol := table.NewStringColumn("airport")
-	monthCol := table.NewStringColumn("month")
-	airlineCol := table.NewStringColumn("airline")
-	cancelledCol := table.NewFloat64Column("cancelled")
+	airports := newFirstSeen(len(airportCatalog))
+	months := newFirstSeen(len(model.months))
+	airlines := newFirstSeen(len(airlineCatalog))
+	airportCodes := make([]int32, rows)
+	monthCodes := make([]int32, rows)
+	airlineCodes := make([]int32, rows)
+	cancelled := make([]float64, rows)
 	for i := 0; i < rows; i++ {
-		a, m, l, cancelled := model.genRow(rng)
-		airportCol.Append(airportCatalog[a].code)
-		monthCol.Append(model.months[m].month)
-		airlineCol.Append(airlineCatalog[l].name)
-		cancelledCol.Append(cancelled)
+		a, m, l, c := model.genRow(rng)
+		airportCodes[i] = airports.code(a)
+		monthCodes[i] = months.code(m)
+		airlineCodes[i] = airlines.code(l)
+		cancelled[i] = c
 	}
-	return table.New("flights", airportCol, monthCol, airlineCol, cancelledCol)
+	airportNames, monthNames, airlineNames := model.catalogNames()
+	airportCol, err := airports.column("airport", airportCodes, airportNames)
+	if err != nil {
+		return nil, err
+	}
+	monthCol, err := months.column("month", monthCodes, monthNames)
+	if err != nil {
+		return nil, err
+	}
+	airlineCol, err := airlines.column("airline", airlineCodes, airlineNames)
+	if err != nil {
+		return nil, err
+	}
+	return table.New("flights", airportCol, monthCol, airlineCol,
+		table.NewFloat64ColumnFromValues("cancelled", cancelled))
+}
+
+// firstSeen hands out dictionary codes to catalog indices in the order they
+// first occur, the order StringColumn.Append would intern their strings in,
+// without hashing a string per row.
+type firstSeen struct {
+	codes []int32 // catalog index -> code, -1 until seen
+	order []int   // catalog indices in code order
+}
+
+func newFirstSeen(catalog int) *firstSeen {
+	f := &firstSeen{codes: make([]int32, catalog)}
+	for i := range f.codes {
+		f.codes[i] = -1
+	}
+	return f
+}
+
+func (f *firstSeen) code(i int) int32 {
+	if f.codes[i] < 0 {
+		f.codes[i] = int32(len(f.order))
+		f.order = append(f.order, i)
+	}
+	return f.codes[i]
+}
+
+// column builds the string column of the rows coded so far; names lists
+// the catalog's strings in catalog order.
+func (f *firstSeen) column(col string, codes []int32, names []string) (*table.StringColumn, error) {
+	dict := make([]string, len(f.order))
+	for code, i := range f.order {
+		dict[code] = names[i]
+	}
+	return table.NewStringColumnFromCodes(col, dict, codes)
+}
+
+// catalogNames lists the column strings of the three dimensions in catalog
+// order, the order genRow's indices refer to.
+func (fm *flightModel) catalogNames() (airports, months, airlines []string) {
+	airports = make([]string, len(airportCatalog))
+	for i, a := range airportCatalog {
+		airports[i] = a.code
+	}
+	months = make([]string, len(fm.months))
+	for i, m := range fm.months {
+		months[i] = m.month
+	}
+	airlines = make([]string, len(airlineCatalog))
+	for i, a := range airlineCatalog {
+		airlines[i] = a.name
+	}
+	return airports, months, airlines
 }
 
 // flightsParallel generates rows with the given number of workers, each
@@ -335,18 +406,7 @@ func flightsParallel(seed int64, rows, workers int, model *flightModel) (*table.
 	}
 	wg.Wait()
 
-	airportDict := make([]string, len(airportCatalog))
-	for i, a := range airportCatalog {
-		airportDict[i] = a.code
-	}
-	monthDict := make([]string, len(model.months))
-	for i, m := range model.months {
-		monthDict[i] = m.month
-	}
-	airlineDict := make([]string, len(airlineCatalog))
-	for i, a := range airlineCatalog {
-		airlineDict[i] = a.name
-	}
+	airportDict, monthDict, airlineDict := model.catalogNames()
 	airportCol, err := table.NewStringColumnFromCodes("airport", airportDict, airportCodes)
 	if err != nil {
 		return nil, err

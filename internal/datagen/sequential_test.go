@@ -1,0 +1,79 @@
+package datagen
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/table"
+)
+
+// flightsAppendReference is the sequential generator as it was first
+// written: one StringColumn.Append per string per row. Seeded datasets,
+// golden files and every benchmark quality number were produced by it, so
+// flightsSequential must reproduce it byte for byte.
+func flightsAppendReference(seed int64, rows int, model *flightModel) (*table.Table, error) {
+	rng := rand.New(rand.NewSource(seed))
+	airportCol := table.NewStringColumn("airport")
+	monthCol := table.NewStringColumn("month")
+	airlineCol := table.NewStringColumn("airline")
+	cancelledCol := table.NewFloat64Column("cancelled")
+	for i := 0; i < rows; i++ {
+		a, m, l, cancelled := model.genRow(rng)
+		airportCol.Append(airportCatalog[a].code)
+		monthCol.Append(model.months[m].month)
+		airlineCol.Append(airlineCatalog[l].name)
+		cancelledCol.Append(cancelled)
+	}
+	return table.New("flights", airportCol, monthCol, airlineCol, cancelledCol)
+}
+
+func TestFlightsSequentialMatchesAppendReference(t *testing.T) {
+	model := newFlightModel()
+	// 3 rows leave most catalog entries unseen; 50 000 see them all.
+	for _, rows := range []int{3, 50000} {
+		for _, seed := range []int64{1, 11, 2019} {
+			got, err := flightsSequential(seed, rows, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := flightsAppendReference(seed, rows, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"airport", "month", "airline"} {
+				g, err := got.StringColumn(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.StringColumn(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g.Dict(), w.Dict()) {
+					t.Errorf("seed %d rows %d: %s dictionary %v, reference %v", seed, rows, name, g.Dict(), w.Dict())
+				}
+				if !reflect.DeepEqual(g.Codes(), w.Codes()) {
+					t.Errorf("seed %d rows %d: %s codes differ from the reference", seed, rows, name)
+				}
+			}
+			g, err := got.Float64Column("cancelled")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := want.Float64Column("cancelled")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.Values()) != len(w.Values()) {
+				t.Fatalf("seed %d rows %d: %d measures, reference %d", seed, rows, len(g.Values()), len(w.Values()))
+			}
+			for i, v := range g.Values() {
+				if math.Float64bits(v) != math.Float64bits(w.Values()[i]) {
+					t.Fatalf("seed %d rows %d: cancelled[%d] = %v, reference %v", seed, rows, i, v, w.Values()[i])
+				}
+			}
+		}
+	}
+}

@@ -43,7 +43,7 @@ type AsyncSampler struct {
 var _ Estimator = (*AsyncSampler)(nil)
 
 // NewAsyncSampler takes over the row stream and cache of s (including a
-// cache configured for resampling) and scans them from a background
+// cache already put in resample mode) and scans them from a background
 // goroutine. From here on the caller reaches the cache only through the
 // AsyncSampler's locked methods and must not call s.ReadRows. batch is the
 // number of rows inserted per lock acquisition (<= 0 selects 256).
@@ -181,7 +181,9 @@ func (a *AsyncSampler) NrInScope() int64 {
 	return a.cache.NrInScope()
 }
 
-// PooledConfidenceInterval proxies the cache's pooled bound under the lock.
+// PooledConfidenceInterval proxies the cache's pooled bound under the lock:
+// a merge of len(aggs) accumulators, so the scan goroutine's next journal
+// replay waits behind it no longer than behind an Estimate.
 func (a *AsyncSampler) PooledConfidenceInterval(aggs []int, confidence float64) (stats.Interval, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,10 +1,12 @@
 // Package sampling implements the database-sampling side of the holistic
-// algorithm: a cache of sampled rows indexed by query aggregate (Algorithm 3
-// of the paper), unbiased count/sum/average estimators derived from the
-// cache, the PickAggregate selection rule, and confidence bounds for the
-// uncertainty extensions. The cache is filled from a pseudo-random row
-// stream and is deliberately single-goroutine: the holistic planner
-// interleaves cache fills, tree sampling, and voice output in one loop.
+// algorithm: a cache of per-aggregate sufficient statistics over the
+// sampled rows (Algorithm 3 of the paper caches the rows themselves; only
+// its literal resampling estimator needs them, see Cache.EnableResample),
+// unbiased count/sum/average estimators derived from the cache, the
+// PickAggregate selection rule, and confidence bounds for the uncertainty
+// extensions. The cache is filled from a pseudo-random row stream and is
+// deliberately single-goroutine: the holistic planner interleaves cache
+// fills, tree sampling, and voice output in one loop.
 package sampling
 
 import (
@@ -21,18 +23,19 @@ import (
 // full the cache becomes.
 const DefaultResampleSize = 10
 
-// Cache stores sampled rows classified by aggregate for one query.
+// Cache summarizes the sampled rows of one query, classified by aggregate.
+// Per aggregate it keeps running moments (count, Welford mean and M2, sum),
+// which is all the default estimators and the confidence bounds read; the
+// rows themselves are retained only in resample mode (EnableResample).
 type Cache struct {
 	space   *olap.Space
 	measure *table.Float64Column // nil for count queries
 	// measureVals is the measure's backing slice, letting batch inserts
-	// gather values with direct array loads.
+	// gather measures with direct array loads.
 	measureVals []float64
-	// values[a] holds the measure values of cached rows for aggregate a
-	// (for count queries a placeholder 1 per row, kept for uniformity).
-	values [][]float64
-	// accs[a] maintains running moments of values[a], giving O(1)
-	// full-cache estimates.
+	// accs[a] maintains running moments of the measures of the rows cached
+	// for aggregate a (for count queries a placeholder 1 per row), giving
+	// O(1) full-cache estimates.
 	accs []stats.Accumulator
 	// grand maintains running moments over all in-scope rows, giving O(1)
 	// grand estimates regardless of cache size.
@@ -50,27 +53,20 @@ type Cache struct {
 	nonEmpty []int
 	nrRead   int64
 	inScope  int64
-	// ResampleSize is the fixed subsample size used when UseResample is
-	// set.
-	ResampleSize int
-	// UseResample derives estimates from a fixed-size cache subsample as
-	// in the paper's Algorithm 3. The default (false) uses the running
-	// full-cache mean instead: it has the same O(1) per-estimate cost
-	// (via the accumulators) but far lower variance, which matters for
-	// 0/1 measures like cancellation flags where a 10-value subsample
-	// quantizes estimates to multiples of 0.1. The resample mode remains
-	// available for the ablation benchmarks.
-	UseResample bool
+	// values is the resample store: nil unless EnableResample was called,
+	// else values[a] holds the measures of aggregate a's cached rows in
+	// insertion order.
+	values [][]float64
+	// resampleSize is the fixed subsample size Resample draws from values.
+	resampleSize int
 }
 
 // NewCache creates an empty cache for the query of space.
 func NewCache(space *olap.Space) (*Cache, error) {
 	c := &Cache{
-		space:        space,
-		values:       make([][]float64, space.Size()),
-		accs:         make([]stats.Accumulator, space.Size()),
-		totalRows:    int64(space.Dataset().Table().NumRows()),
-		ResampleSize: DefaultResampleSize,
+		space:     space,
+		accs:      make([]stats.Accumulator, space.Size()),
+		totalRows: int64(space.Dataset().Table().NumRows()),
 	}
 	q := space.Query()
 	if q.Fct != olap.Count {
@@ -142,17 +138,11 @@ func (c *Cache) AbsorbAppend(next *olap.Space) error {
 			if idx < 0 {
 				continue
 			}
-			c.inScope++
 			v := 1.0
 			if measureVals != nil {
 				v = measureVals[lo+i]
 			}
-			if len(c.values[idx]) == 0 {
-				c.nonEmpty = append(c.nonEmpty, int(idx))
-			}
-			c.values[idx] = append(c.values[idx], v)
-			c.accs[idx].Add(v)
-			c.grand.Add(v)
+			c.add(int(idx), v)
 		}
 	}
 	c.space = next
@@ -171,17 +161,11 @@ func (c *Cache) Insert(row int) {
 	if !ok {
 		return
 	}
-	c.inScope++
-	if len(c.values[idx]) == 0 {
-		c.nonEmpty = append(c.nonEmpty, idx)
-	}
 	v := 1.0
 	if c.measure != nil {
 		v = c.measure.Float(row)
 	}
-	c.values[idx] = append(c.values[idx], v)
-	c.accs[idx].Add(v)
-	c.grand.Add(v)
+	c.add(idx, v)
 }
 
 // InsertBatch considers a batch of rows for caching: one dense batch
@@ -202,22 +186,44 @@ func (c *Cache) InsertBatch(rows []int) {
 		if idx < 0 {
 			continue
 		}
-		c.inScope++
 		v := 1.0
 		if c.measureVals != nil {
 			v = c.measureVals[rows[i]]
 		}
-		if len(c.values[idx]) == 0 {
+		// add, spelled out: it is over the inlining budget and the call
+		// costs this loop a tenth of its throughput.
+		c.inScope++
+		acc := &c.accs[idx]
+		if acc.Count() == 0 {
 			c.nonEmpty = append(c.nonEmpty, int(idx))
 		}
-		c.values[idx] = append(c.values[idx], v)
-		c.accs[idx].Add(v)
+		acc.Add(v)
 		c.grand.Add(v)
+		if c.values != nil {
+			c.values[idx] = append(c.values[idx], v)
+		}
+	}
+}
+
+// add counts one in-scope row and folds its measure into aggregate idx's
+// moments and the grand moments (and, in resample mode, keeps it). Every
+// writer makes these updates in row order, which is what keeps the
+// estimates of all insert paths bit-identical.
+func (c *Cache) add(idx int, v float64) {
+	c.inScope++
+	acc := &c.accs[idx]
+	if acc.Count() == 0 {
+		c.nonEmpty = append(c.nonEmpty, idx)
+	}
+	acc.Add(v)
+	c.grand.Add(v)
+	if c.values != nil {
+		c.values[idx] = append(c.values[idx], v)
 	}
 }
 
 // Size returns the number of cached rows for aggregate a (CA.SIZE).
-func (c *Cache) Size(a int) int { return len(c.values[a]) }
+func (c *Cache) Size(a int) int { return int(c.accs[a].Count()) }
 
 // NrRead returns the total number of rows considered (CA.NRREAD).
 func (c *Cache) NrRead() int64 { return c.nrRead }
@@ -228,16 +234,39 @@ func (c *Cache) NrInScope() int64 { return c.inScope }
 // NonEmpty returns the number of aggregates with at least one cached row.
 func (c *Cache) NonEmpty() int { return len(c.nonEmpty) }
 
-// Resample returns a fixed-size subsample of the cached values for
-// aggregate a (CA.RESAMPLE). If at most ResampleSize values are cached they
-// are all returned; otherwise ResampleSize values are drawn uniformly with
-// replacement, keeping per-estimate cost constant as the cache grows.
-func (c *Cache) Resample(a int, rng *rand.Rand) []float64 {
-	vs := c.values[a]
-	k := c.ResampleSize
-	if k <= 0 {
-		k = DefaultResampleSize
+// EnableResample puts the cache in the paper's literal Algorithm 3 mode:
+// every in-scope measure is retained per aggregate and Estimate takes its
+// mean from a fixed-size subsample (size <= 0 selects DefaultResampleSize)
+// instead of the running moments. The default estimator has the same O(1)
+// cost but far lower variance, which matters for 0/1 measures like
+// cancellation flags where a 10-row subsample quantizes estimates to
+// multiples of 0.1; resample mode exists for the ablation benchmarks. Rows
+// read before the switch cannot be recovered, so it fails once anything
+// was read.
+func (c *Cache) EnableResample(size int) error {
+	if c.nrRead > 0 {
+		return fmt.Errorf("sampling: resample mode enabled after %d rows were read", c.nrRead)
 	}
+	if size <= 0 {
+		size = DefaultResampleSize
+	}
+	c.values = make([][]float64, len(c.accs))
+	c.resampleSize = size
+	return nil
+}
+
+// Resample returns a fixed-size subsample of the measures cached for
+// aggregate a (CA.RESAMPLE). If at most the resample size are cached they
+// are all returned; otherwise that many are drawn uniformly with
+// replacement, keeping per-estimate cost constant as the cache grows. It
+// panics on a cache that is not in resample mode, which has no rows to
+// draw from.
+func (c *Cache) Resample(a int, rng *rand.Rand) []float64 {
+	if c.values == nil {
+		panic("sampling: Resample on a cache without EnableResample")
+	}
+	vs := c.values[a]
+	k := c.resampleSize
 	if len(vs) <= k {
 		out := make([]float64, len(vs))
 		copy(out, vs)
@@ -270,33 +299,34 @@ func (c *Cache) PickAggregate(rng *rand.Rand) (int, bool) {
 
 // Estimate derives an unbiased estimate for aggregate a (CACHEESTIMATE):
 // count is scaled up from the cache hit rate, sum multiplies the count
-// estimate by the mean cached value, and average is the mean cached value.
-// The mean comes from the O(1) running accumulator by default, or from a
-// fixed-size subsample in UseResample mode (the paper's literal Algorithm
-// 3). It returns ok=false when no estimate can be derived (average with an
-// empty entry, or nothing read yet).
+// estimate by the mean cached measure, and average is the mean cached
+// measure. The mean comes from the O(1) running accumulator by default, or
+// from a fixed-size subsample in resample mode (the paper's literal
+// Algorithm 3). It returns ok=false when no estimate can be derived
+// (average with an empty entry, or nothing read yet).
 func (c *Cache) Estimate(a int, rng *rand.Rand) (float64, bool) {
 	if c.nrRead == 0 {
 		return 0, false
 	}
 	mean := func() float64 {
-		if c.UseResample {
+		if c.values != nil {
 			return stats.Mean(c.Resample(a, rng))
 		}
 		return c.accs[a].Mean()
 	}
+	size := c.accs[a].Count()
 	nrRows := float64(c.totalRows)
-	countEst := nrRows * float64(len(c.values[a])) / float64(c.nrRead)
+	countEst := nrRows * float64(size) / float64(c.nrRead)
 	switch c.space.Query().Fct {
 	case olap.Count:
 		return countEst, true
 	case olap.Sum:
-		if len(c.values[a]) == 0 {
+		if size == 0 {
 			return 0, true
 		}
 		return countEst * mean(), true
 	case olap.Avg:
-		if len(c.values[a]) == 0 {
+		if size == 0 {
 			return 0, false
 		}
 		return mean(), true
@@ -334,51 +364,31 @@ func (c *Cache) GrandEstimate() (float64, bool) {
 
 // PooledConfidenceInterval returns a CLT confidence interval for the
 // aggregate value over the union of the given aggregates, pooling their
-// cached rows. It powers the Section 4.4 uncertainty extensions, which
-// speak bounds for the scope of a sentence (all aggregates for the
-// baseline, the refinement's scope otherwise). ok is false when no
-// interval can be derived yet.
+// moments with the parallel Welford merge: O(len(aggs)) however many rows
+// are cached, and equal to accumulating the pooled rows one by one up to
+// floating-point rounding. It powers the Section 4.4 uncertainty
+// extensions, which speak bounds for the scope of a sentence (all
+// aggregates for the baseline, the refinement's scope otherwise). ok is
+// false when no interval can be derived yet.
 func (c *Cache) PooledConfidenceInterval(aggs []int, confidence float64) (stats.Interval, bool) {
 	var acc stats.Accumulator
 	for _, a := range aggs {
-		for _, v := range c.values[a] {
-			acc.Add(v)
-		}
+		acc.Merge(&c.accs[a])
 	}
-	switch c.space.Query().Fct {
-	case olap.Avg:
-		if acc.Count() == 0 {
-			return stats.Interval{}, false
-		}
-		return stats.MeanConfidenceInterval(acc.Mean(), acc.StdDev(), acc.Count(), confidence), true
-	case olap.Count:
-		if c.nrRead == 0 {
-			return stats.Interval{}, false
-		}
-		nrRows := float64(c.totalRows)
-		p := stats.ProportionConfidenceInterval(acc.Count(), c.nrRead, confidence)
-		return stats.Interval{Lo: p.Lo * nrRows, Hi: p.Hi * nrRows}, true
-	case olap.Sum:
-		if c.nrRead == 0 || acc.Count() == 0 {
-			return stats.Interval{}, false
-		}
-		nrRows := float64(c.totalRows)
-		mean := stats.MeanConfidenceInterval(acc.Mean(), acc.StdDev(), acc.Count(), confidence)
-		scale := nrRows * float64(acc.Count()) / float64(c.nrRead)
-		return stats.Interval{Lo: mean.Lo * scale, Hi: mean.Hi * scale}, true
-	default:
-		panic(fmt.Sprintf("sampling: unknown aggregation function %v", c.space.Query().Fct))
-	}
+	return c.interval(&acc, confidence)
 }
 
 // ConfidenceInterval returns a CLT confidence interval for the value of
 // aggregate a using all cached rows (not the fixed-size subsample: bounds
 // are reported to users, so precision matters more than constant cost).
-// The moments come straight from the per-aggregate running accumulator —
-// no pass over the cached values. ok is false when no interval can be
-// derived.
+// ok is false when no interval can be derived.
 func (c *Cache) ConfidenceInterval(a int, confidence float64) (stats.Interval, bool) {
-	acc := &c.accs[a]
+	return c.interval(&c.accs[a], confidence)
+}
+
+// interval derives the confidence interval of the query's aggregation
+// function over the rows whose moments acc holds.
+func (c *Cache) interval(acc *stats.Accumulator, confidence float64) (stats.Interval, bool) {
 	switch c.space.Query().Fct {
 	case olap.Avg:
 		if acc.Count() == 0 {

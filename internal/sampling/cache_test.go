@@ -91,40 +91,6 @@ func TestCacheScopeFilter(t *testing.T) {
 	}
 }
 
-func TestResampleFixedSize(t *testing.T) {
-	s := flightsSpace(t, olap.Avg)
-	c, _ := NewCache(s)
-	rng := rand.New(rand.NewSource(1))
-	for row := 0; row < 10000; row++ {
-		c.Insert(row)
-	}
-	// Find an aggregate with plenty of entries.
-	big := -1
-	for a := 0; a < s.Size(); a++ {
-		if c.Size(a) > DefaultResampleSize {
-			big = a
-			break
-		}
-	}
-	if big < 0 {
-		t.Fatal("expected a well-populated aggregate")
-	}
-	v := c.Resample(big, rng)
-	if len(v) != DefaultResampleSize {
-		t.Errorf("resample size = %d, want %d", len(v), DefaultResampleSize)
-	}
-	// Sparse aggregate: returns everything it has.
-	c2, _ := NewCache(s)
-	c2.Insert(0)
-	idx, ok := c2.PickAggregate(rng)
-	if !ok {
-		t.Fatal("one cached row should make one aggregate eligible")
-	}
-	if got := c2.Resample(idx, rng); len(got) != 1 {
-		t.Errorf("sparse resample size = %d, want 1", len(got))
-	}
-}
-
 func TestPickAggregateAvgRequiresData(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	c, _ := NewCache(s)
@@ -179,7 +145,6 @@ func TestEstimateUnbiasedness(t *testing.T) {
 	for row := 0; row < n; row++ {
 		c.Insert(row)
 	}
-	c.ResampleSize = 1 << 20 // use the full cache for this accuracy check
 	for a := 0; a < s.Size(); a++ {
 		want := exact.Value(a)
 		if math.IsNaN(want) {
@@ -224,7 +189,6 @@ func TestEstimateSum(t *testing.T) {
 	for row := 0; row < n; row++ {
 		c.Insert(row)
 	}
-	c.ResampleSize = 1 << 20
 	for a := 0; a < s.Size(); a++ {
 		got, ok := c.Estimate(a, rng)
 		if !ok {

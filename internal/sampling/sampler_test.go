@@ -50,7 +50,6 @@ func TestSamplerEstimateConvergence(t *testing.T) {
 	smp, _ := NewSampler(s, rng)
 	smp.ReadRows(10000)
 	c := smp.Cache()
-	c.ResampleSize = 1 << 20
 	// Cells with hundreds of samples should estimate within a few tenths
 	// of a percentage point of cancellation probability.
 	checked := 0

@@ -33,7 +33,7 @@ type WorkerAccumulator struct {
 
 // NewWorkerAccumulator creates an empty epoch-local accumulator for the
 // query of space. It resolves the same measure column a Cache for the same
-// space would, so journaled values match Cache.InsertBatch's bit for bit.
+// space would, so journaled measures match Cache.InsertBatch's bit for bit.
 func NewWorkerAccumulator(space *olap.Space) (*WorkerAccumulator, error) {
 	w := &WorkerAccumulator{space: space}
 	q := space.Query()
@@ -117,19 +117,12 @@ func (w *WorkerAccumulator) Rebind(next *olap.Space) error {
 // the cache's (in the streaming case: any snapshot of the same table, since
 // appends never re-classify existing rows).
 func (c *Cache) MergeWorker(w *WorkerAccumulator) {
-	if len(c.values) != w.space.Size() {
+	if len(c.accs) != w.space.Size() {
 		panic(fmt.Sprintf("sampling: merge of a worker over %d aggregates into a cache over %d",
-			w.space.Size(), len(c.values)))
+			w.space.Size(), len(c.accs)))
 	}
 	c.nrRead += w.nrRead
 	for i, idx := range w.idxs {
-		v := w.vals[i]
-		c.inScope++
-		if len(c.values[idx]) == 0 {
-			c.nonEmpty = append(c.nonEmpty, int(idx))
-		}
-		c.values[idx] = append(c.values[idx], v)
-		c.accs[idx].Add(v)
-		c.grand.Add(v)
+		c.add(int(idx), w.vals[i])
 	}
 }

@@ -82,14 +82,15 @@ func (s *Speech) SSML(opts SSMLOptions) string {
 	return b.String()
 }
 
+// ssmlEscaper is built once: a Replacer compiles a 6 KB lookup table on
+// first use and is safe for concurrent use afterwards.
+var ssmlEscaper = strings.NewReplacer(
+	"&", "&amp;",
+	"<", "&lt;",
+	">", "&gt;",
+	`"`, "&quot;",
+	"'", "&apos;",
+)
+
 // escapeSSML escapes XML-special characters in spoken text.
-func escapeSSML(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;",
-		"<", "&lt;",
-		">", "&gt;",
-		`"`, "&quot;",
-		"'", "&apos;",
-	)
-	return r.Replace(s)
-}
+func escapeSSML(s string) string { return ssmlEscaper.Replace(s) }

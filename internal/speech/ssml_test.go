@@ -1,6 +1,7 @@
 package speech
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,5 +86,53 @@ func TestSSMLEscaping(t *testing.T) {
 func TestEscapeSSML(t *testing.T) {
 	if got := escapeSSML(`a<b>&"c"'d'`); got != "a&lt;b&gt;&amp;&quot;c&quot;&apos;d&apos;" {
 		t.Errorf("escape = %q", got)
+	}
+}
+
+// threeSentenceSpeech is a baseline with two refinements, the shape the
+// daemon renders on every answer.
+func threeSentenceSpeech(tb testing.TB) *Speech {
+	tb.Helper()
+	airport := dimension.MustNewHierarchy("start airport", "city", "flights starting from", "any airport",
+		[]string{"region", "city"})
+	airport.MustAddPath("the North East", "Boston")
+	airport.MustAddPath("the Midwest", "Chicago")
+	return &Speech{
+		Baseline: &Baseline{Value: 0.02, AggName: "average cancellation probability", Format: PercentFormat},
+		Refinements: []*Refinement{
+			{Preds: []*dimension.Member{airport.FindMember("the North East")}, Dir: Increase, Percent: 50},
+			{Preds: []*dimension.Member{airport.FindMember("the Midwest")}, Dir: Decrease, Percent: 20},
+		},
+	}
+}
+
+var ssmlSink string
+
+// TestSSMLAllocs bounds what rendering costs per response: the daemon
+// renders SSML on every answer, cache hits included, and a Replacer built
+// per escaped string used to put about 36 KiB behind each call.
+func TestSSMLAllocs(t *testing.T) {
+	sp := threeSentenceSpeech(t)
+	opts := DefaultSSMLOptions()
+	ssmlSink = sp.SSML(opts)
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ssmlSink = sp.SSML(opts)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 4<<10 {
+		t.Errorf("SSML allocates %d bytes per call, want at most 4 KiB", perCall)
+	}
+}
+
+func BenchmarkSSML(b *testing.B) {
+	sp := threeSentenceSpeech(b)
+	opts := DefaultSSMLOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ssmlSink = sp.SSML(opts)
 	}
 }

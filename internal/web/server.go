@@ -618,8 +618,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// committed response is authoritative. The dataset info is captured
 	// under the same lock hold as the epoch: reload and ingest swap
 	// st.info while holding s.mu, so reading it later (inside the compute
-	// closure) would race and could pair an old epoch with new data.
+	// closure) would race and could pair an old epoch with new data. For
+	// the same reason a session that a reload dropped since the dry run is
+	// replaced here: its query names the old dataset's hierarchies, which
+	// the info captured below no longer binds.
 	s.mu.Lock()
+	if e, ok := s.sessions[key]; !ok || e.sess != sess {
+		if sess, err = s.session(key, st); err != nil {
+			s.mu.Unlock()
+			s.opts.Logf("web: session init: %v", err)
+			writeError(w, http.StatusInternalServerError, errInternal)
+			return
+		}
+	}
 	resp, err = sess.Parse(req.Input)
 	var q olap.Query
 	if err == nil {
