@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling|scaling|pipeline|planner]
+//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling|scaling|planner]
 //	            [-flight-rows N] [-sessions N] [-seed S]
-//	            [-workers N] [-gen-workers N] [-bench-out FILE]  (pipeline)
 //	            [-workers N] [-planner-rounds N] [-bench-out FILE]  (planner)
 //	            [-planner-rounds N] [-bench-out FILE]  (scaling)
 //
@@ -31,14 +30,13 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling, scaling, pipeline, planner)")
+	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling, scaling, planner)")
 	flightRows := flag.Int("flight-rows", experiments.DefaultBenchFlightRows, "flight dataset rows (paper: 5300000)")
 	sessions := flag.Int("sessions", 20, "exploratory study sessions per dataset")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "pipeline: eval workers (0 = GOMAXPROCS); planner: max sampling workers (0 = 4)")
-	genWorkers := flag.Int("gen-workers", 0, "pipeline: datagen workers (<= 1 sequential)")
+	workers := flag.Int("workers", 0, "planner: max sampling workers (0 = 4)")
 	plannerRounds := flag.Int("planner-rounds", 0, "planner: tree-sampling rounds per measurement (0 = 20000)")
-	benchOut := flag.String("bench-out", "", "pipeline/planner: machine-readable output file (default BENCH_<exp>.json, \"-\" to skip)")
+	benchOut := flag.String("bench-out", "", "planner/scaling: machine-readable output file (default BENCH_<exp>.json, \"-\" to skip)")
 	flag.Parse()
 
 	// writeBench persists a machine-readable result to the per-experiment
@@ -64,19 +62,6 @@ func run() error {
 		}
 		fmt.Printf("wrote %s\n", out)
 		return nil
-	}
-
-	// The pipeline experiment generates its own dataset (it measures the
-	// generator too), so it runs before the shared setup.
-	if *exp == "pipeline" {
-		res, err := experiments.Pipeline(experiments.PipelineConfig{
-			Rows: *flightRows, Seed: *seed, Workers: *workers, GenWorkers: *genWorkers,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintPipeline(os.Stdout, res)
-		return writeBench("BENCH_pipeline.json", res.WriteJSON)
 	}
 
 	// The multicore scaling sweep owns its dataset and changes GOMAXPROCS
@@ -234,7 +219,7 @@ func run() error {
 		fmt.Fprintln(w)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling scaling pipeline planner",
+		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling scaling planner",
 			strings.TrimSpace(*exp))
 	}
 	return nil

@@ -36,10 +36,6 @@ type Config struct {
 	Format speech.ValueFormat
 	// Percents overrides the refinement change menu (optional).
 	Percents []int
-	// BaselineMultipliers overrides the baseline ladder (optional).
-	BaselineMultipliers []float64
-	// MaxPredsPerRefinement > 1 enables multi-predicate refinements.
-	MaxPredsPerRefinement int
 	// Sigma fixes the belief-model standard deviation; zero derives it as
 	// half the estimated grand average (the paper's choice).
 	Sigma float64
@@ -100,21 +96,11 @@ type Config struct {
 	// ResampleSize is the fixed subsample size for ResampleEstimates.
 	ResampleSize int
 
-	// BackgroundSampling scans the table from a dedicated goroutine so
-	// data access truly overlaps planning and playback on a real clock
-	// (simulated clocks keep the deterministic synchronous loop).
-	BackgroundSampling bool
-
 	// Scanner overrides how table rows are streamed into the sampler;
 	// nil selects the pseudo-random full-table scan. Fault-injection
 	// tests wrap the scan with failing, slow, or stalling variants here.
 	// It is called once per answer.
 	Scanner func(t *table.Table, rng *rand.Rand) table.Scanner
-
-	// AsyncStopGrace bounds how long a cancelled vocalization waits for
-	// the background scan goroutine to exit before abandoning it (a hung
-	// scanner must not hang the answer); zero selects one second.
-	AsyncStopGrace time.Duration
 
 	// Trace, when non-nil, records the planner's per-sentence decisions
 	// for observability.
@@ -170,9 +156,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.WarnRelativeWidth <= 0 {
 		c.WarnRelativeWidth = 0.5
-	}
-	if c.AsyncStopGrace <= 0 {
-		c.AsyncStopGrace = time.Second
 	}
 	return c
 }

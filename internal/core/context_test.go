@@ -62,15 +62,6 @@ func TestOptimalExpiredContextDegrades(t *testing.T) {
 	requireDegradedValid(t, out, err)
 }
 
-func TestBackgroundVocalizeExpiredContextDegrades(t *testing.T) {
-	d, q := flightsQuery(t, 20000, 51)
-	cfg := testConfig(1)
-	cfg.BackgroundSampling = true
-	cfg.AsyncStopGrace = 100 * time.Millisecond
-	out, err := NewHolistic(d, q, cfg).VocalizeContext(expiredContext())
-	requireDegradedValid(t, out, err)
-}
-
 func TestVocalizeContextWithoutDeadlineIsUndegraded(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 51)
 	out, err := NewHolistic(d, q, testConfig(1)).VocalizeContext(context.Background())

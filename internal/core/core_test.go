@@ -296,6 +296,21 @@ func TestExactQualityOfTruthfulSpeechBeatsWrong(t *testing.T) {
 	}
 }
 
+// TestHolisticShortTableReadsEveryRowOnce: a table shorter than the initial
+// batch (100 rows < InitialRows 256) is drained by the first read, every
+// later round reads nothing, and the answer is still a valid speech.
+func TestHolisticShortTableReadsEveryRowOnce(t *testing.T) {
+	d, q := flightsQuery(t, 100, 108)
+	out, err := NewHolistic(d, q, testConfig(8)).Vocalize()
+	requireValidSpeech(t, out, err)
+	if out.RowsRead != 100 {
+		t.Errorf("read %d rows of a 100-row table, want each exactly once", out.RowsRead)
+	}
+	if out.Degraded {
+		t.Errorf("a drained table is not a fault: degraded with %q", out.DegradeReason)
+	}
+}
+
 func TestConfigNormalize(t *testing.T) {
 	cfg := Config{}.Normalize()
 	if cfg.Prefs.MaxChars != 300 || cfg.SpeakingRate != voice.DefaultCharsPerSecond {

@@ -55,24 +55,6 @@ func TestUnmergedSurvivesFailingScanner(t *testing.T) {
 	requireValidSpeech(t, out, err)
 }
 
-func TestHolisticSurvivesStallingScanner(t *testing.T) {
-	d, q := flightsQuery(t, 20000, 51)
-	var stall *faults.StallingScanner
-	cfg := testConfig(1)
-	cfg.BackgroundSampling = true
-	cfg.AsyncStopGrace = 50 * time.Millisecond
-	cfg.Scanner = func(tab *table.Table, rng *rand.Rand) table.Scanner {
-		stall = faults.NewStallingScanner(table.NewRandomScanner(tab, rng), 64)
-		return stall
-	}
-	out, err := NewHolistic(d, q, cfg).Vocalize()
-	// Unblock the abandoned scan goroutine before the test ends.
-	if stall != nil {
-		defer stall.Release()
-	}
-	requireValidSpeech(t, out, err)
-}
-
 func TestHolisticSurvivesSlowScannerUnderDeadline(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 51)
 	cfg := testConfig(1)
@@ -98,4 +80,50 @@ func TestHolisticSurvivesJitteryClock(t *testing.T) {
 	cfg.SpeakingRate = 1e9
 	out, err := NewHolistic(d, q, cfg).Vocalize()
 	requireValidSpeech(t, out, err)
+}
+
+// TestScannerBuiltOncePerAnswer: an answer has one sample source, so the
+// Config.Scanner factory runs once per answer.
+func TestScannerBuiltOncePerAnswer(t *testing.T) {
+	d, q := flightsQuery(t, 2000, 106)
+	calls := 0
+	cfg := testConfig(6)
+	cfg.Scanner = func(tab *table.Table, rng *rand.Rand) table.Scanner {
+		calls++
+		return table.NewRandomScanner(tab, rng)
+	}
+	out, err := NewHolistic(d, q, cfg).Vocalize()
+	requireValidSpeech(t, out, err)
+	if calls != 1 {
+		t.Errorf("Config.Scanner called %d times per answer, want 1", calls)
+	}
+}
+
+// TestInjectedStallHitsTheScannerTheAnswerReads: with every second scan
+// stalled, the first answer reads a healthy stream and the second reads
+// exactly the rows delivered before the stall — no fault is spent on a
+// scanner nobody reads.
+func TestInjectedStallHitsTheScannerTheAnswerReads(t *testing.T) {
+	d, q := flightsQuery(t, 2000, 107)
+	const stallAfter = 32
+	inj := faults.NewInjector(faults.InjectorOptions{
+		StallEvery:   2,
+		StallAfter:   stallAfter,
+		StallRelease: 20 * time.Millisecond,
+	})
+	cfg := testConfig(7)
+	cfg.Scanner = inj.Scanner
+	healthy, err := NewHolistic(d, q, cfg).Vocalize()
+	requireValidSpeech(t, healthy, err)
+	stalled, err := NewHolistic(d, q, cfg).Vocalize()
+	requireValidSpeech(t, stalled, err)
+	if healthy.RowsRead <= stallAfter {
+		t.Errorf("first answer read %d rows, want a healthy scan", healthy.RowsRead)
+	}
+	if stalled.RowsRead != stallAfter {
+		t.Errorf("second answer read %d rows, want the %d before the stall", stalled.RowsRead, stallAfter)
+	}
+	if st := inj.Stats(); st.Scans != 2 || st.Stalled != 1 {
+		t.Errorf("injector built %d scans and stalled %d, want 2 and 1", st.Scans, st.Stalled)
+	}
 }

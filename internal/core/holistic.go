@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/mcts"
 	"repro/internal/olap"
-	"repro/internal/sampling"
 	"repro/internal/speech"
 )
 
@@ -94,50 +92,11 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		}, ctx, h.dataset), nil
 	}
 
-	// Sample source: synchronous batches interleaved with planning by
-	// default, or a background goroutine when BackgroundSampling is set.
-	var est sampling.Estimator = s.sampler.Cache()
-	readBatch := func(n int) int64 { return int64(s.sampler.ReadRowsContext(ctx, n)) }
-	grand := s.sampler.Cache().GrandEstimate
-	totalRead := func(fallback int64) int64 { return fallback }
-	if cfg.BackgroundSampling {
-		async, err := sampling.NewAsyncSampler(s.sampler, cfg.RowsPerRound*4)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.async = async
-		async.StartContext(ctx)
-		// A bounded wait at teardown: a scan stuck inside a hung scanner
-		// must not hang the answer with it.
-		defer async.StopWithin(cfg.AsyncStopGrace)
-		est = async
-		readBatch = func(int) int64 { return 0 }
-		grand = async.GrandEstimate
-		totalRead = func(int64) int64 { return async.NrRead() }
-		// Give the scan a moment to cover the initial batch the scale
-		// estimate needs; the preamble is playing meanwhile. A scan that
-		// has ended (short table, failed scanner) will deliver nothing
-		// more, so only a slow or hung one is waited for.
-		ended := func() bool {
-			select {
-			case <-async.Done():
-				return true
-			case <-ctx.Done():
-				return true
-			default:
-				return false
-			}
-		}
-		waitUntil := time.Now().Add(100 * time.Millisecond)
-		for async.NrRead() < int64(cfg.InitialRows) && time.Now().Before(waitUntil) && !ended() {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
 	// Initial sample batch: enough rows to estimate the value scale that
 	// seeds baseline candidates and the belief σ.
-	rowsRead := readBatch(cfg.InitialRows)
-	scale, ok := grand()
+	cache := s.sampler.Cache()
+	rowsRead := int64(s.sampler.ReadRowsContext(ctx, cfg.InitialRows))
+	scale, ok := cache.GrandEstimate()
 	if !ok {
 		scale = 0
 	}
@@ -148,19 +107,19 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		return markDegraded(&Output{
 			Speech:     &speech.Speech{Preamble: preamble},
 			Latency:    latency,
-			RowsRead:   totalRead(rowsRead),
+			RowsRead:   rowsRead,
 			Transcript: s.speaker.Transcript(),
 		}, ctx, h.dataset), nil
 	}
 
 	// Initialize the search tree for speech output (ST.NEWNODE/ST.EXPAND).
-	tree, err := mcts.NewTreeWithCap(s.gen, speech.SpeechScale(scale), s.evalFunc(est), s.rng, cfg.MaxTreeNodes)
+	tree, err := mcts.NewTreeWithCap(s.gen, speech.SpeechScale(scale), s.evalFunc(cache), s.rng, cfg.MaxTreeNodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	tree.UniformPolicy = cfg.UniformTreePolicy
-	tree.SeededEval = s.seededEvalFunc(est)
-	tree.SeededEvalFactory = s.seededEvalFactory(est)
+	tree.SeededEval = s.seededEvalFunc(cache)
+	tree.SeededEvalFactory = s.seededEvalFactory(cache)
 	// Tree construction overlaps preamble playback: on a simulated
 	// substrate its cost consumes playback time, never answer latency.
 	s.simCharge(tree.NodeCount())
@@ -186,7 +145,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 			if cfg.MaxRoundsPerSentence > 0 && rounds >= cfg.MaxRoundsPerSentence {
 				break
 			}
-			n := readBatch(cfg.RowsPerRound)
+			n := int64(s.sampler.ReadRowsContext(ctx, cfg.RowsPerRound))
 			rowsRead += n
 			windowRows += n
 			done, sampleErr := tree.SampleParallelBatch(ctx, cfg.SamplesPerRound, cfg.PlannerWorkers)
@@ -246,7 +205,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		Speech:       tree.Speech(tree.Root()),
 		Latency:      latency,
 		PlanningTime: cfg.Clock.Now().Sub(start),
-		RowsRead:     totalRead(rowsRead),
+		RowsRead:     rowsRead,
 		TreeSamples:  treeSamples,
 		Transcript:   s.speaker.Transcript(),
 		BoundsSpoken: boundsSpoken,

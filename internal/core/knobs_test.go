@@ -34,31 +34,6 @@ func TestResampleEstimatesKnob(t *testing.T) {
 			resSum, defSum)
 	}
 
-	// The background sampler honours the knob too. Over a table the scan
-	// drains before planning starts, a background run on the simulated
-	// clock is deterministic: it must speak what the synchronous run with
-	// the same knob speaks, not what the running mean does.
-	small, sq := flightsQuery(t, 2000, 95)
-	run := func(background, resample bool) *Output {
-		cfg := testConfig(3)
-		cfg.InitialRows = 4096
-		cfg.BackgroundSampling = background
-		cfg.ResampleEstimates = resample
-		cfg.ResampleSize = 1
-		out, err := NewHolistic(small, sq, cfg).Vocalize()
-		if err != nil {
-			t.Fatalf("background=%v resample=%v: %v", background, resample, err)
-		}
-		return out
-	}
-	want, got, mean := run(false, true), run(true, true), run(true, false)
-	if got.Text() != want.Text() || got.TreeSamples != want.TreeSamples {
-		t.Errorf("background resample run spoke %q (%d samples), synchronous %q (%d samples)",
-			got.Text(), got.TreeSamples, want.Text(), want.TreeSamples)
-	}
-	if got.Text() == mean.Text() {
-		t.Errorf("background run ignored ResampleEstimates: same speech as the running mean, %q", got.Text())
-	}
 }
 
 // TestUniformPolicyKnob verifies the UCT-off wiring runs end to end.

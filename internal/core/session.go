@@ -22,10 +22,6 @@ type session struct {
 	space   *olap.Space
 	gen     *speech.Generator
 	sampler *sampling.Sampler
-	// async is set by Holistic under BackgroundSampling: it scans the
-	// sampler's row stream into the sampler's cache from a goroutine, and
-	// from then on the cache is reached only through its locked methods.
-	async   *sampling.AsyncSampler
 	model   *belief.Model
 	speaker *voice.Speaker
 	rng     *rand.Rand
@@ -42,12 +38,6 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 	gen := speech.NewGenerator(space, cfg.Prefs, cfg.Format)
 	if cfg.Percents != nil {
 		gen.Percents = cfg.Percents
-	}
-	if cfg.BaselineMultipliers != nil {
-		gen.BaselineMultipliers = cfg.BaselineMultipliers
-	}
-	if cfg.MaxPredsPerRefinement > 1 {
-		gen.MaxPredsPerRefinement = cfg.MaxPredsPerRefinement
 	}
 	gen.DisjointScopes = cfg.DisjointScopes
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -124,9 +114,8 @@ func (s *session) evalFunc(est sampling.Estimator) mcts.EvalFunc {
 // seededEvalFunc is evalFunc for parallel tree sampling: randomness comes
 // from the worker's private RNG instead of the session RNG, so workers
 // never contend on (or race over) shared generator state. The estimator
-// itself is safe to share: the synchronous cache is read-only during a
-// sampling batch (rows are inserted between batches), and the background
-// sampler is internally locked.
+// itself is safe to share: the cache is read-only during a sampling batch
+// (rows are inserted between batches), and a view is immutable.
 func (s *session) seededEvalFunc(est sampling.Estimator) mcts.SeededEvalFunc {
 	return func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
 		a, ok := est.PickAggregate(rng)

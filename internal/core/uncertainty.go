@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/speech"
-	"repro/internal/stats"
 )
 
 // UncertaintyMode selects the Section 4.4 extension for transmitting
@@ -53,27 +52,10 @@ func (s *session) scopeAggs(r *speech.Refinement) []int {
 	return out
 }
 
-// pooledInterval returns the pooled confidence bound from whichever sample
-// source the session runs on.
-func (s *session) pooledInterval(aggs []int, confidence float64) (stats.Interval, bool) {
-	if s.async != nil {
-		return s.async.PooledConfidenceInterval(aggs, confidence)
-	}
-	return s.sampler.Cache().PooledConfidenceInterval(aggs, confidence)
-}
-
-// inScopeRows returns the cached in-scope row count of the active source.
-func (s *session) inScopeRows() int64 {
-	if s.async != nil {
-		return s.async.NrInScope()
-	}
-	return s.sampler.Cache().NrInScope()
-}
-
 // boundsSentence renders the confidence bounds for the scope of a sentence,
 // e.g. "Between one percent and three percent with 95 percent confidence.".
 func (s *session) boundsSentence(r *speech.Refinement) (string, bool) {
-	iv, ok := s.pooledInterval(s.scopeAggs(r), s.cfg.Confidence)
+	iv, ok := s.sampler.Cache().PooledConfidenceInterval(s.scopeAggs(r), s.cfg.Confidence)
 	if !ok {
 		return "", false
 	}
@@ -92,10 +74,11 @@ const minConfidentSample = 30
 // lowConfidence reports whether the grand-scope confidence interval is
 // wide relative to its center, triggering the warning mode.
 func (s *session) lowConfidence() bool {
-	if s.inScopeRows() < minConfidentSample {
+	cache := s.sampler.Cache()
+	if cache.NrInScope() < minConfidentSample {
 		return true
 	}
-	iv, ok := s.pooledInterval(s.scopeAggs(nil), s.cfg.Confidence)
+	iv, ok := cache.PooledConfidenceInterval(s.scopeAggs(nil), s.cfg.Confidence)
 	if !ok {
 		return true
 	}

@@ -18,6 +18,21 @@ import (
 	"repro/internal/table"
 )
 
+// timeBest runs f reps times and returns the fastest duration: the least
+// noisy single-shot estimator for short deterministic workloads.
+func timeBest(reps int, f func()) time.Duration {
+	best := time.Duration(0)
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		f()
+		d := time.Since(start)
+		if best == 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // PlannerConfig parameterizes the planner benchmark: the exhaustive quality
 // search (scalar versus incremental scorer) and UCT sampling throughput
 // (sequential versus virtual-loss parallel).

@@ -73,9 +73,8 @@ func (s *SlowScanner) Next() (int, bool) {
 func (s *SlowScanner) Reset() { s.Inner.Reset() }
 
 // StallingScanner delivers After rows normally, then blocks every Next
-// until Release is called — a hung storage backend. Consumers that read
-// synchronously will hang with it (that is the point); the async sampler
-// tolerates it via its bounded StopWithin teardown.
+// until Release is called — a hung storage backend. Every consumer reads
+// synchronously and hangs with it until the release (that is the point).
 type StallingScanner struct {
 	// Inner is the wrapped stream.
 	Inner table.Scanner

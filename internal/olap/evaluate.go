@@ -73,9 +73,8 @@ const evalChunkRows = 8192
 // evalParallelMinRows is the smallest table for which the parallel scan
 // pays for its goroutine fan-out and grid merge. Below it (or with a
 // single usable CPU) the "parallel" path was measurably slower than the
-// sequential scan — BENCH_pipeline.json recorded a 0.985x speedup on a
-// one-CPU machine — so EvaluateSpaceWorkers falls back to the sequential
-// scan instead.
+// sequential scan — a 0.985x speedup was recorded on a one-CPU machine —
+// so EvaluateSpaceWorkers falls back to the sequential scan instead.
 const evalParallelMinRows = 4 * evalChunkRows
 
 // evalWorkers returns the effective worker count for an n-row scan: 1

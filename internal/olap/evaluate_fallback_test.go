@@ -7,7 +7,7 @@ import (
 )
 
 // TestEvalWorkersFallback pins the sequential-fallback policy that fixed
-// the 0.985x "speedup" BENCH_pipeline.json recorded on a one-CPU machine:
+// the 0.985x "speedup" once recorded on a one-CPU machine:
 // small tables and single-worker requests must resolve to exactly one
 // worker, and larger requests are capped by GOMAXPROCS and chunk count.
 func TestEvalWorkersFallback(t *testing.T) {

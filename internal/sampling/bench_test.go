@@ -31,8 +31,7 @@ func benchSpace(b *testing.B, fct olap.AggFunc) *olap.Space {
 	return s
 }
 
-// BenchmarkCacheInsertBatch is the sequential insert reference the merged
-// path is measured against.
+// BenchmarkCacheInsertBatch times the batched insert a planning round runs.
 func BenchmarkCacheInsertBatch(b *testing.B) {
 	s := benchSpace(b, olap.Avg)
 	c, err := NewCache(s)
@@ -49,32 +48,5 @@ func BenchmarkCacheInsertBatch(b *testing.B) {
 			rows[j] = rng.Intn(n)
 		}
 		c.InsertBatch(rows)
-	}
-}
-
-// BenchmarkWorkerAccumulatorFillMerge times one epoch through the
-// contention-free path: private classification plus the journal replay.
-func BenchmarkWorkerAccumulatorFillMerge(b *testing.B) {
-	s := benchSpace(b, olap.Avg)
-	c, err := NewCache(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := NewWorkerAccumulator(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	rows := make([]int, 256)
-	n := s.Dataset().Table().NumRows()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range rows {
-			rows[j] = rng.Intn(n)
-		}
-		w.InsertBatch(rows)
-		c.MergeWorker(w)
-		w.Reset()
 	}
 }

@@ -84,13 +84,6 @@ func (r *refCache) InsertBatch(rows []int) {
 	}
 }
 
-func (r *refCache) MergeWorker(w *WorkerAccumulator) {
-	r.nrRead += w.nrRead
-	for i, idx := range w.idxs {
-		r.add(int(idx), w.vals[i])
-	}
-}
-
 // AbsorbAppend mirrors Cache.AbsorbAppend's refusal of time-windowed
 // spaces; the other rejections are not exercised by the scenarios.
 func (r *refCache) AbsorbAppend(t *testing.T, next *olap.Space) error {
@@ -281,15 +274,11 @@ func (sc *scenario) snapshotSpace(t *testing.T) *olap.Space {
 }
 
 // drive feeds c and ref the same rows through the same writers: batches of
-// random size, each through InsertBatch, row-by-row Insert or a worker
-// epoch merged with MergeWorker, with one AbsorbAppend of freshly appended
-// rows in the middle. check runs after the absorb and at the end.
+// random size, each through InsertBatch or row-by-row Insert, with one
+// AbsorbAppend of freshly appended rows in the middle. check runs after
+// the absorb and at the end.
 func (sc *scenario) drive(t *testing.T, c *Cache, ref *refCache, check func(stage string)) {
 	t.Helper()
-	w, err := NewWorkerAccumulator(sc.space)
-	if err != nil {
-		t.Fatal(err)
-	}
 	write := func(batches int) {
 		n := c.Space().Dataset().Table().NumRows()
 		for b := 0; b < batches; b++ {
@@ -297,20 +286,14 @@ func (sc *scenario) drive(t *testing.T, c *Cache, ref *refCache, check func(stag
 			for i := range rows {
 				rows[i] = sc.rng.Intn(n)
 			}
-			switch sc.rng.Intn(3) {
-			case 0:
+			if sc.rng.Intn(2) == 0 {
 				c.InsertBatch(rows)
 				ref.InsertBatch(rows)
-			case 1:
+			} else {
 				for _, row := range rows {
 					c.Insert(row)
 					ref.Insert(row)
 				}
-			default:
-				w.InsertBatch(rows)
-				c.MergeWorker(w)
-				ref.MergeWorker(w)
-				w.Reset()
 			}
 		}
 	}
@@ -321,11 +304,6 @@ func (sc *scenario) drive(t *testing.T, c *Cache, ref *refCache, check func(stag
 	errC, errRef := c.AbsorbAppend(next), ref.AbsorbAppend(t, next)
 	if (errC == nil) != (errRef == nil) {
 		t.Fatalf("AbsorbAppend: cache %v, reference %v", errC, errRef)
-	}
-	if errC == nil {
-		if err := w.Rebind(next); err != nil {
-			t.Fatal(err)
-		}
 	}
 	check("after absorb")
 

@@ -9,8 +9,9 @@ import (
 )
 
 // Sampler pulls rows from a pseudo-random scan of the base table into a
-// cache. The holistic planner calls ReadRows in small batches between
-// search-tree samples, overlapping data access with voice output.
+// cache. The holistic planner calls ReadRowsContext once per planning
+// round, between search-tree samples, so data access shares each
+// sentence's playback window with planning.
 type Sampler struct {
 	scanner table.Scanner
 	cache   *Cache
