@@ -15,8 +15,9 @@ import (
 // sizes, and compensation terms of Mean, plus the bucket step and the
 // σ·√2 denominator of the normal CDF. MCTS evaluates each leaf speech many
 // times per batch, so a worker-private kernel memoizes the per-speech terms
-// (keyed on the speech pointer — speeches are immutable once built) and
-// hoists the constants, leaving only two Erfc calls and a short
+// (keyed on the speech pointer — speeches are immutable once built, so a
+// scratch speech rewritten with Speech.SetFragments must never reach a
+// kernel) and hoists the constants, leaving only two Erfc calls and a short
 // scope-membership loop on the hot path.
 //
 // Exactness contract: for any speech, aggregate, and estimate,

@@ -227,7 +227,9 @@ func answerAlloc(t *testing.T, airport, date int) uint64 {
 // ~198 MiB; storing every sampled row, 4.7 MiB on top of today's figure.
 func TestFineAnswerAllocBudget(t *testing.T) {
 	const budget = 11 << 20
-	if got := answerAlloc(t, 2, 2); got > budget {
+	got := answerAlloc(t, 2, 2)
+	t.Logf("one state x month answer allocated %.2f MiB", float64(got)/(1<<20))
+	if got > budget {
 		t.Errorf("one state x month answer allocated %.1f MiB, budget %d MiB",
 			float64(got)/(1<<20), budget>>20)
 	}
@@ -240,7 +242,9 @@ func TestFineAnswerAllocBudget(t *testing.T) {
 // now, 9.1 MiB in all when it stored every row.
 func TestCoarseAnswerAllocBudget(t *testing.T) {
 	const budget = 4 << 20
-	if got := answerAlloc(t, 1, 1); got > budget {
+	got := answerAlloc(t, 1, 1)
+	t.Logf("one region x season answer allocated %.2f MiB", float64(got)/(1<<20))
+	if got > budget {
 		t.Errorf("one region x season answer allocated %.1f MiB, budget %d MiB",
 			float64(got)/(1<<20), budget>>20)
 	}

@@ -30,16 +30,14 @@ func NewHolistic(d *olap.Dataset, q olap.Query, cfg Config) *Holistic {
 // reward, or nil if best has no competition.
 func runnerUp(tree *mcts.Tree, best *mcts.Node) *mcts.Node {
 	var second *mcts.Node
-	root := tree.Root()
-	for i := 0; i < tree.NumChildren(root); i++ {
-		c := tree.Child(root, i)
-		if c == nil || c == best || c.Visits == 0 {
-			continue
+	tree.Kids(tree.Root(), func(c *mcts.Node) {
+		if c == best || c.Visits == 0 {
+			return
 		}
 		if second == nil || c.MeanReward() > second.MeanReward() {
 			second = c
 		}
-	}
+	})
 	return second
 }
 
@@ -187,7 +185,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		// Choose the next sentence (exploitation only) and start playing.
 		tree.Advance(best)
 		if cfg.Uncertainty == UncertaintyBounds {
-			if bounds, ok := s.boundsSentence(best.Refinement()); ok {
+			if bounds, ok := s.boundsSentence(tree.Refinement(best)); ok {
 				s.speaker.Start(bounds)
 				boundsSpoken = append(boundsSpoken, bounds)
 			}

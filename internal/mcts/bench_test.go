@@ -32,6 +32,23 @@ func BenchmarkSampleSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleSequentialFine is the same round over the widest menu a
+// query gets (city by month, 480 refinements below every node, the daemon's
+// 100 000-node eager cap). BenchmarkSampleSequential's tree has 24-wide
+// levels and never showed what an expansion and a descent level cost when
+// both grow with the menu.
+func BenchmarkSampleSequentialFine(b *testing.B) {
+	tree, err := NewTreeWithCap(fineGen(b), 0.02, hashEval(0, new(float64)), rand.New(rand.NewSource(7)), 100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := tree.SampleBatch(context.Background(), b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSampleParallelBatch runs the virtual-loss parallel sampler with
 // as many workers as the -cpu value grants; ns/op falling with -cpu is the
 // scaling evidence, ns/op rising is a contention regression.

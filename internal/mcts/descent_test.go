@@ -1,0 +1,376 @@
+package mcts
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/olap"
+	"repro/internal/speech"
+)
+
+// fineGen is the generator of a fine-grained query, city by month, whose menu
+// is as wide as the 48-predicate cap lets one get: 480 refinements below
+// every node (the benchmark's explore_fine shapes offer 390 to 480).
+func fineGen(t testing.TB) *speech.Generator {
+	t.Helper()
+	d, err := datagen.Flights(datagen.FlightsConfig{Rows: 20000, Seed: 1})
+	if err != nil {
+		t.Fatalf("Flights: %v", err)
+	}
+	q := olap.Query{
+		Fct: olap.Avg, Col: "cancelled",
+		ColDescription: "average cancellation probability",
+		GroupBy: []olap.GroupBy{
+			{Hierarchy: d.HierarchyByName("start airport"), Level: 3},
+			{Hierarchy: d.HierarchyByName("flight date"), Level: 2},
+		},
+	}
+	s, err := olap.NewSpace(d, q)
+	if err != nil {
+		t.Fatalf("NewSpace: %v", err)
+	}
+	return speech.NewGenerator(s, speech.DefaultPrefs(), speech.PercentFormat)
+}
+
+// hashEval is a stand-in evaluator that needs no data: a reward in [0,1)
+// computed from the speech's length and deltas, stored in *last, and no
+// reward on every failEvery-th call (0 for never), which leaves the nodes of
+// that descent made but unvisited.
+func hashEval(failEvery int, last *float64) EvalFunc {
+	calls := 0
+	return func(s *speech.Speech) (float64, bool) {
+		calls++
+		if failEvery > 0 && calls%failEvery == 0 {
+			return 0, false
+		}
+		x := float64(s.MainLen()) * 0.6180339887
+		for _, d := range s.Deltas() {
+			x += d * 1000
+		}
+		*last = x - math.Floor(x)
+		return *last, true
+	}
+}
+
+// slotRef mirrors one tree node the way the tree stored it before bitsets:
+// a table with one entry per enumerated child in order, nil until a sample
+// descends into it.
+type slotRef struct {
+	visits int64
+	reward float64
+	slots  []*slotRef
+}
+
+// pick is the former descent step, kept as the reference: one scan counts
+// the unvisited entries and ranks the visited ones by UCT bound, a second
+// finds the k-th unvisited entry.
+func (r *slotRef) pick(rng *rand.Rand, uniform bool) int {
+	if uniform {
+		return rng.Intn(len(r.slots))
+	}
+	logN := math.Log(float64(r.visits))
+	unvisited, best, bestScore := 0, -1, math.Inf(-1)
+	for i, c := range r.slots {
+		if c == nil || c.visits == 0 {
+			unvisited++
+			continue
+		}
+		score := c.reward/float64(c.visits) + math.Sqrt(2*logN/float64(c.visits))
+		if score > bestScore {
+			bestScore, best = score, i
+		}
+	}
+	if unvisited == 0 {
+		return best
+	}
+	k := rng.Intn(unvisited)
+	for i, c := range r.slots {
+		if c == nil || c.visits == 0 {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("unvisited entry vanished")
+}
+
+// checkDescent samples a tree and a slot-table mirror of it from the same
+// seed and requires the same child at every level of every descent,
+// identical statistics on every node afterwards, and a node count equal to
+// what the generator's public filter enumerates. Half way through it commits
+// to the best child, as the planner does between sentences.
+func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples int, seed int64, uniform bool) {
+	t.Helper()
+	var last float64
+	tree, err := NewTreeWithCap(gen, 0.02, hashEval(7, &last), rand.New(rand.NewSource(seed)), nodeCap)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	tree.UniformPolicy = uniform
+	rng := rand.New(rand.NewSource(seed))
+	top := &slotRef{}
+	root := top
+	index := func(c *Node) int { return rank(c.Parent.fan.valid(), int(c.ord)) }
+	var refPath []*slotRef
+	for s := 0; s < samples; s++ {
+		if s == samples/2 {
+			if best := tree.BestChild(); best != nil && best.Visits > 0 {
+				tree.Advance(best)
+				root = root.slots[index(best)]
+			}
+		}
+		ok := tree.Sample()
+		r := root
+		refPath = append(refPath[:0], r)
+		for lvl, n := range tree.pathScratch[:len(tree.pathScratch)-1] {
+			if r.slots == nil {
+				r.slots = make([]*slotRef, tree.NumChildren(n))
+			}
+			i := r.pick(rng, uniform)
+			if want := index(tree.pathScratch[lvl+1]); i != want {
+				t.Fatalf("sample %d level %d: the tree descended into child %d, the slot scan into %d", s, lvl, want, i)
+			}
+			if r.slots[i] == nil {
+				r.slots[i] = &slotRef{}
+			}
+			r = r.slots[i]
+			refPath = append(refPath, r)
+		}
+		if ok {
+			for _, p := range refPath {
+				p.visits++
+				p.reward += last
+			}
+		}
+	}
+
+	var compare func(n *Node, r *slotRef)
+	compare = func(n *Node, r *slotRef) {
+		if n.Visits != r.visits || math.Float64bits(n.Reward) != math.Float64bits(r.reward) {
+			t.Fatalf("%q: visits %d reward %x, the slot scan has %d and %x", tree.Speech(n).MainText(),
+				n.Visits, math.Float64bits(n.Reward), r.visits, math.Float64bits(r.reward))
+		}
+		for i := 0; i < tree.NumChildren(n); i++ {
+			c := tree.Child(n, i)
+			switch {
+			case r.slots != nil && r.slots[i] != nil:
+				if c == nil {
+					t.Fatalf("%q: child %d was descended into and is not a node", tree.Speech(n).MainText(), i)
+				}
+				compare(c, r.slots[i])
+			case c != nil && (c.Visits != 0 || c.Reward != 0):
+				t.Fatalf("%q: child %d has statistics and was never descended into", tree.Speech(n).MainText(), i)
+			}
+		}
+	}
+	first := tree.Root()
+	for first.Parent != nil {
+		first = first.Parent
+	}
+	compare(first, top)
+	if got, want := tree.NodeCount(), enumerate(t, tree, gen); got != want {
+		t.Fatalf("NodeCount is %d, the generator enumerates %d", got, want)
+	}
+}
+
+// enumerate walks every expanded node of the tree, checks that its children
+// are exactly the extensions the generator's public (copying) filter and
+// Speech.Valid allow, in order, and returns what NodeCount should be: the
+// root plus every child listed.
+func enumerate(t testing.TB, tree *Tree, gen *speech.Generator) int {
+	t.Helper()
+	root := tree.Root()
+	for root.Parent != nil {
+		root = root.Parent
+	}
+	count := 1
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if !n.expanded {
+			return
+		}
+		sp := tree.Speech(n)
+		want := 0
+		if n == root {
+			for _, b := range tree.baselines {
+				if (&speech.Speech{Baseline: b}).Valid(gen.Prefs) {
+					want++
+				}
+			}
+		} else if mf := gen.Prefs.MaxFragments; mf <= 0 || len(sp.Refinements) < mf {
+			for _, r := range gen.Refinements(sp.Refinements) {
+				ext := &speech.Speech{Baseline: sp.Baseline, Refinements: append(sp.Refinements[:len(sp.Refinements):len(sp.Refinements)], r)}
+				if !ext.Valid(gen.Prefs) {
+					continue
+				}
+				if want < tree.NumChildren(n) && tree.menu[selectBit(n.fan.valid(), want)] != r {
+					t.Fatalf("%q: child %d is not %q", sp.MainText(), want, r.Text())
+				}
+				want++
+			}
+		}
+		if got := tree.NumChildren(n); got != want {
+			t.Fatalf("%q lists %d children, the generator allows %d", sp.MainText(), got, want)
+		}
+		count += want
+		tree.Kids(n, walk)
+	}
+	walk(root)
+	return count
+}
+
+// smallGen draws a generator over a random small space, the way
+// TestLazyChildrenMatchEager does, from the given choices.
+func smallGen(t testing.TB, dataSeed int64, airportLevel, dateLevel, maxChars, maxFragments, percents, maxPreds int, disjoint bool) *speech.Generator {
+	t.Helper()
+	d, err := datagen.Flights(datagen.FlightsConfig{Rows: 500, Seed: dataSeed})
+	if err != nil {
+		t.Fatalf("Flights: %v", err)
+	}
+	q := olap.Query{Fct: olap.Avg, Col: "cancelled", ColDescription: "average cancellation probability"}
+	q.GroupBy = append(q.GroupBy, olap.GroupBy{Hierarchy: d.HierarchyByName("start airport"), Level: 1 + airportLevel%2})
+	if dateLevel%3 > 0 {
+		q.GroupBy = append(q.GroupBy, olap.GroupBy{Hierarchy: d.HierarchyByName("flight date"), Level: dateLevel % 3})
+	}
+	space, err := olap.NewSpace(d, q)
+	if err != nil {
+		t.Fatalf("NewSpace: %v", err)
+	}
+	prefs := speech.DefaultPrefs()
+	prefs.MaxFragments = 1 + maxFragments%3
+	prefs.MaxChars = 100 + maxChars%250
+	gen := speech.NewGenerator(space, prefs, speech.PercentFormat)
+	gen.Percents = [][]int{{50}, {20, 100}, {5, 50, 200}}[percents%3]
+	gen.MaxPredicates = 4 + maxPreds%8
+	gen.DisjointScopes = disjoint
+	return gen
+}
+
+// TestDescentMatchesSlotScan holds the bitset descent to the slot scan it
+// replaced: on random small spaces and on the 480-wide city-by-month menu,
+// 10 000 samples from a shared seed choose the same child at every
+// level and leave bit-identical statistics.
+func TestDescentMatchesSlotScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 12; trial++ {
+		gen := smallGen(t, 5, rng.Intn(2), rng.Intn(3), rng.Intn(250), rng.Intn(3), rng.Intn(3), rng.Intn(8), rng.Intn(3) == 0)
+		nodeCap := []int{1, 40, 1 << 30}[trial%3]
+		checkDescent(t, gen, nodeCap, 10000, int64(trial), trial%4 == 3)
+	}
+	if testing.Short() {
+		return
+	}
+	checkDescent(t, fineGen(t), 100000, 10000, 1, false)
+}
+
+// FuzzDescentMatchesReference is TestDescentMatchesSlotScan on inputs
+// nobody chose: whatever the space, the limits, the node cap and the number
+// of samples, the tree never panics, descends like the slot scan and counts
+// the nodes the generator enumerates.
+func FuzzDescentMatchesReference(f *testing.F) {
+	f.Add(int64(5), uint8(0), uint8(1), uint16(200), uint8(1), uint8(1), uint8(3), false, uint16(40), uint16(600), false)
+	f.Add(int64(9), uint8(1), uint8(2), uint16(20), uint8(2), uint8(2), uint8(7), true, uint16(0), uint16(900), false)
+	f.Add(int64(2), uint8(1), uint8(0), uint16(249), uint8(0), uint8(0), uint8(0), false, uint16(5000), uint16(300), true)
+	f.Fuzz(func(t *testing.T, dataSeed int64, airportLevel, dateLevel uint8, maxChars uint16, maxFragments, percents, maxPreds uint8,
+		disjoint bool, nodeCap, samples uint16, uniform bool) {
+		gen := smallGen(t, dataSeed, int(airportLevel), int(dateLevel), int(maxChars), int(maxFragments), int(percents), int(maxPreds), disjoint)
+		checkDescent(t, gen, 1+int(nodeCap), int(samples)%2000, dataSeed, uniform)
+	})
+}
+
+// TestScratchSpeechDoesNotAlias guards the one speech every leaf is
+// evaluated through: its deltas always describe the leaf at hand (two
+// different leaves back to back, one leaf twice), and a speech handed out by
+// Tree.Speech is never that scratch, so later samples cannot rewrite it.
+func TestScratchSpeechDoesNotAlias(t *testing.T) {
+	e := newEnv(t)
+	e.gen.Percents = []int{50} // under 2 000 leaves, so 6 000 samples come back to some
+	seen := make(map[string][]float64)
+	repeats, leaves := 0, 0
+	eval := func(s *speech.Speech) (float64, bool) {
+		got := append([]float64(nil), s.Deltas()...)
+		fresh := &speech.Speech{Baseline: s.Baseline, Refinements: append([]*speech.Refinement(nil), s.Refinements...)}
+		want := fresh.Deltas()
+		text := s.MainText()
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d deltas through the scratch, %d computed afresh", text, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%q: delta %d is %v through the scratch, %v computed afresh", text, i, got[i], want[i])
+			}
+		}
+		if old, ok := seen[text]; ok {
+			repeats++
+			for i := range old {
+				if math.Float64bits(old[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("%q: delta %d changed between two evaluations", text, i)
+				}
+			}
+		} else {
+			leaves++
+		}
+		seen[text] = got
+		return e.model.Quality(fresh, e.result), true
+	}
+	tree, err := NewTree(e.gen, e.result.GrandValue(), eval, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
+	}
+	for i := 0; i < 6000; i++ {
+		tree.Sample()
+	}
+	if leaves < 2 || repeats == 0 {
+		t.Fatalf("%d distinct leaves and %d repeats: the run exercised nothing", leaves, repeats)
+	}
+	best := tree.BestChild()
+	tree.Advance(best)
+	committed := tree.Speech(best)
+	if committed == &tree.scratch {
+		t.Fatal("Tree.Speech returned the scratch speech")
+	}
+	text, deltas := committed.Text(), append([]float64(nil), committed.Deltas()...)
+	kid := tree.Speech(tree.BestChild())
+	kidText := kid.Text()
+	for i := 0; i < 2000; i++ {
+		tree.Sample()
+	}
+	if committed.Text() != text || kid.Text() != kidText {
+		t.Fatalf("a handed-out speech changed under later samples: %q, %q", committed.Text(), kid.Text())
+	}
+	for i, d := range committed.Deltas() {
+		if math.Float64bits(d) != math.Float64bits(deltas[i]) {
+			t.Fatalf("delta %d of a handed-out speech changed under later samples", i)
+		}
+	}
+}
+
+// TestBestChildWithNoVisitedChild pins the fallback: when no child of the
+// root has a visit (every evaluation so far declined to score), BestChild
+// returns the first child, made into a node.
+func TestBestChildWithNoVisitedChild(t *testing.T) {
+	e := newEnv(t)
+	never := func(*speech.Speech) (float64, bool) { return 0, false }
+	for _, nodeCap := range []int{1, DefaultMaxNodes} {
+		tree, err := NewTreeWithCap(e.gen, e.result.GrandValue(), never, rand.New(rand.NewSource(12)), nodeCap)
+		if err != nil {
+			t.Fatalf("NewTreeWithCap: %v", err)
+		}
+		for i := 0; i < 50; i++ {
+			if tree.Sample() {
+				t.Fatal("an evaluator that never scores produced a sample")
+			}
+		}
+		best := tree.BestChild()
+		if best == nil || best != tree.Child(tree.Root(), 0) {
+			t.Fatalf("cap %d: BestChild = %p, want the first child %p", nodeCap, best, tree.Child(tree.Root(), 0))
+		}
+		if best.Visits != 0 || tree.Speech(best).Baseline != tree.baselines[0] {
+			t.Errorf("cap %d: the fallback child has %d visits and baseline %v", nodeCap, best.Visits, tree.Speech(best).Baseline)
+		}
+		tree.Advance(best) // and the planner can commit to it
+	}
+}

@@ -8,17 +8,16 @@ import (
 )
 
 // visitedChildren returns the children of n that a sample has descended
-// into, in enumeration order. The rest are empty slots: children with zero
-// visits and zero reward that were never made into nodes.
+// into, in enumeration order. The rest are bits: children with zero visits
+// and zero reward that were never made into nodes.
 func visitedChildren(t *Tree, n *Node) []*Node {
 	var out []*Node
-	for i := 0; i < t.NumChildren(n); i++ {
-		if c := t.Child(n, i); c != nil {
-			out = append(out, c)
-		}
-	}
+	t.Kids(n, func(c *Node) { out = append(out, c) })
 	return out
 }
+
+// childAt returns the i-th enumerated child of n, making it a node.
+func childAt(t *Tree, n *Node, i int) *Node { return t.child(n, selectBit(n.fan.valid(), i)) }
 
 // TestVisitAccountingInvariant: after any number of samples, a parent's
 // visit count equals the sum of its children's visits (every sample path

@@ -2,6 +2,7 @@ package mcts
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -11,19 +12,39 @@ import (
 	"repro/internal/speech"
 )
 
-// TestNodeSize pins what a child costs: four bytes while it is only
-// enumerated, and at most 96 once a sample has made it a node.
+// TestNodeSize pins what a child costs: three bits while it is only
+// enumerated, at most 48 bytes once a sample has made it a node, and under
+// 400 bytes for the table of a 470-child expansion.
 func TestNodeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(slot{}); sz > 12 {
-		t.Errorf("an unvisited child costs %d bytes, want <= 12", sz)
+	if sz := unsafe.Sizeof(Node{}); sz > 48 {
+		t.Errorf("Node is %d bytes, want <= 48", sz)
 	}
-	if sz := unsafe.Sizeof(Node{}); sz > 96 {
-		t.Errorf("Node is %d bytes, want <= 96", sz)
+	tree, err := NewTreeWithCap(fineGen(t), 0.02, hashEval(0, new(float64)), rand.New(rand.NewSource(1)), 1)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	base := childAt(tree, tree.Root(), 0)
+	tree.expand(base)
+	tree.expand(childAt(tree, base, 0)) // allocates the tree's compatibility rows
+	n := childAt(tree, base, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tree.expand(n)
+	runtime.ReadMemStats(&after)
+	kids := tree.NumChildren(n)
+	if kids < 450 {
+		t.Fatalf("a first refinement of city x month has %d children, want the 480-wide menu less one scope", kids)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 400 {
+		t.Errorf("expanding a %d-child node allocated %d bytes, want <= 400", kids, got)
+	}
+	if bits, menu := 64*len(n.fan.sets), 64*tree.menuWords; bits > 3*menu {
+		t.Errorf("%d bits for a menu of %d (rounded to words): an enumerated child costs more than 3", bits, menu)
 	}
 }
 
 // TestLazyChildrenMatchEager is the property behind materialise-on-visit:
-// on random small spaces, the children a tree lists as slots are, in order,
+// on random small spaces, the children a tree lists as bits are, in order,
 // exactly the nodes a fully materialised tree holds, which are exactly the
 // valid extensions the generator's public (copying) filter produces. An
 // eagerly built tree and one that expands only on first visit agree on
@@ -72,7 +93,9 @@ func TestLazyChildrenMatchEager(t *testing.T) {
 		nodes := 1
 		var walk func(a, b *Node)
 		walk = func(a, b *Node) {
-			lazy.expand(b) // what the first sample through b does
+			if !b.expanded { // what the first sample through b does
+				lazy.expand(b)
+			}
 			sp := lazy.Speech(b)
 			var want []*speech.Refinement
 			if b != lazy.Root() {
@@ -96,18 +119,17 @@ func TestLazyChildrenMatchEager(t *testing.T) {
 				if lazy.Child(b, i) != nil {
 					t.Fatalf("trial %d: child %d of %q is a node before any descent", trial, i, sp.MainText())
 				}
-				ord := b.slots[i].v.Load()
-				ca, cb := eager.child(a, i), lazy.child(b, i)
+				ca, cb := childAt(eager, a, i), childAt(lazy, b, i)
 				if lazy.Child(b, i) != cb || cb.Parent != b {
-					t.Fatalf("trial %d: child %d of %q is not linked to its slot", trial, i, sp.MainText())
+					t.Fatalf("trial %d: child %d of %q is not linked to its parent", trial, i, sp.MainText())
 				}
 				if b == lazy.Root() {
-					if cb.baseline != lazy.baselines[ord] || ca.baseline.Value != cb.baseline.Value {
+					if lazy.Speech(cb).Baseline != lazy.baselines[cb.ord] || eager.Speech(ca).Baseline.Value != lazy.Speech(cb).Baseline.Value {
 						t.Fatalf("trial %d: baseline %d differs", trial, i)
 					}
-				} else if cb.ref != lazy.menu[ord] || cb.ref != want[i] || ca.ref != cb.ref {
+				} else if ref := lazy.Refinement(cb); ref != want[i] || eager.Refinement(ca) != ref {
 					t.Fatalf("trial %d: child %d of %q is %q, want %q (eager %q)",
-						trial, i, sp.MainText(), cb.ref.Text(), want[i].Text(), ca.ref.Text())
+						trial, i, sp.MainText(), ref.Text(), want[i].Text(), eager.Refinement(ca).Text())
 				}
 				if ca.depth != cb.depth || ca.mainLen != cb.mainLen || int(cb.mainLen) != lazy.Speech(cb).MainLen() {
 					t.Fatalf("trial %d: child %d of %q carries the wrong running state", trial, i, sp.MainText())

@@ -6,42 +6,52 @@
 // pre-processing step (the fragment limit bounds its height), with a node
 // cap as a safety valve that switches to lazy expansion on first visit.
 //
-// A child costs four bytes until it is visited. Expanding a node enumerates
-// its valid one-fragment extensions into a table of slots, each holding the
-// ordinal of its fragment in the generator's shared menu; a Node is
-// materialised only when a sample first descends into the slot, when the
+// A child is three bits until it is visited. Every node below the root
+// chooses its children from one shared menu (the generator's refinement
+// candidates; the baseline ladder below the root), so an expanded node keeps
+// a fan-out of three bitsets over that menu's ordinals: valid (the fragment
+// may follow this speech), seen (the child has a visit) and made (the child
+// is a Node), plus the numbers of its made children in ordinal order. The
+// valid set is the AND of one compatibility row per ancestor refinement,
+// built once per tree, minus what overflows the character limit. A Node is
+// materialised only when a sample first descends into a child, when the
 // eager pre-build recurses into it, or when BestChild must return it. A
-// fine-grained query enumerates some 520 children per expansion and over
-// half a million per answer, of which the answer's samples can reach a few
-// tens of thousands; the rest never become nodes. An empty slot counts as
-// an unvisited child in every decision, so the search is step for step the
-// one a fully materialised tree would run, and NodeCount keeps counting
-// enumerated children. Materialised nodes come from fixed-size blocks owned
-// by the tree and are published by a compare-and-swap on their slot; one
-// tree-level lock serialises enumeration (about a thousand expansions
-// against tens of thousands of samples per answer). An earlier layout padded every node to three cache
-// lines against false sharing between parallel workers; measured at two
-// cores the padding slowed the parallel sampler, and it is gone.
+// fine-grained query offers some 520 children per expansion and over half a
+// million per answer, of which the answer's samples reach a few tens of
+// thousands; the rest stay bits. A child that is not made counts as an
+// unvisited child in every decision, so the search is step for step the one
+// a fully materialised tree would run, and NodeCount keeps counting
+// enumerated children.
 //
-// Nodes store only the fragment they add — a baseline or one refinement —
-// and materialize their full speech on demand by walking to the root.
-// Cloning speeches per node would dominate tree-construction cost.
+// What that buys per level of a descent, with m the menu size: counting the
+// unvisited children and selecting the k-th is O(m/64) words; only when
+// every child has a visit does the level score all of them by UCT, which is
+// the O(m) of the paper's Theorem A.3 and stays.
+//
+// Nodes store only the ordinal of the fragment they add and come from
+// fixed-size blocks owned by the tree. A leaf is never made into a speech:
+// the sequential sampler evaluates it through one scratch speech it rewrites
+// in place, and Speech builds a real one for the few nodes a caller asks
+// about. Nothing here is safe for concurrent use except SampleParallelBatch,
+// which takes the tree's lock around every descent and back-up.
 package mcts
 
 import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/speech"
 )
 
 // EvalFunc scores a complete candidate speech against one database sample
 // (SpeechDBeval). ok is false when no sample-based evaluation is possible
-// yet (e.g. no aggregate has cached rows); such rounds update nothing.
+// yet (e.g. no aggregate has cached rows); such rounds update nothing. The
+// speech is valid only during the call: the tree rewrites it for the next
+// leaf, so an evaluator must not keep it, its refinement slice or its deltas.
 type EvalFunc func(s *speech.Speech) (reward float64, ok bool)
 
 // Node is a materialised search tree node adding one fragment to its
@@ -53,33 +63,69 @@ type Node struct {
 	Reward float64
 	// Parent is nil for the root.
 	Parent *Node
-	// slots is the child table: the valid one-fragment extensions, in menu
-	// order. It is written once, before expanded flips.
-	slots []slot
-	// baseline is set on first-level nodes.
-	baseline *speech.Baseline
-	// ref is set on refinement nodes.
-	ref *speech.Refinement
-	// depth counts refinements on the path (0 for root and baselines).
-	depth int32
+	// fan is the child table; nil until the node is expanded, and for a
+	// node no fragment can follow.
+	fan *fanout
+	// ord is the ordinal of the node's fragment: in the tree's baseline
+	// ladder for a child of the root, in the refinement menu elsewhere.
+	ord int32
 	// mainLen is the running MainText length for O(1) validity checks.
 	mainLen int32
-	// expanded flips to true only after slots is fully built, so a
-	// lock-free load that observes true also observes the table
-	// (release/acquire via the atomic).
-	expanded atomic.Bool
-	// speechMemo memoizes the materialized speech once requested; atomic
-	// so parallel workers can share it. A lost race rebuilds an identical
-	// speech — benign.
-	speechMemo atomic.Pointer[speech.Speech]
+	// depth counts refinements on the path (0 for root and baselines).
+	depth int32
+	// expanded is set once fan is final. A node at the fragment limit is
+	// born expanded.
+	expanded bool
 }
 
-// slot is one enumerated child. A non-negative value is the ordinal of the
-// child's fragment (in the tree's baseline ladder below the root, in the
-// refinement menu elsewhere) and means no sample has descended into it yet;
-// a negative value v means the child is the tree's node number ^v. The
-// transition happens once, by compare-and-swap.
-type slot struct{ v atomic.Int32 }
+// fanout is the child table of an expanded node with at least one child.
+type fanout struct {
+	// sets holds three bitsets of equal length over the ordinals of the
+	// menu the children come from, back to back: valid, seen, made.
+	sets []uint64
+	// kids are the numbers of the made children, in ordinal order: the
+	// child with ordinal o is kids[popcount of made below o].
+	kids []int32
+}
+
+func (f *fanout) valid() []uint64 { return f.sets[:len(f.sets)/3] }
+func (f *fanout) seen() []uint64  { w := len(f.sets) / 3; return f.sets[w : 2*w] }
+func (f *fanout) made() []uint64  { return f.sets[2*len(f.sets)/3:] }
+
+// popcount returns the number of set bits.
+func popcount(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// rank returns the number of set bits below position o.
+func rank(set []uint64, o int) int {
+	return popcount(set[:o>>6]) + bits.OnesCount64(set[o>>6]&(1<<(o&63)-1))
+}
+
+// nth returns the position of the k-th set bit (from zero) of word w.
+func nth(w uint64, k int) int {
+	for ; k > 0; k-- {
+		w &= w - 1
+	}
+	return bits.TrailingZeros64(w)
+}
+
+// selectBit returns the position of the k-th set bit of set, which must
+// have more than k.
+func selectBit(set []uint64, k int) int {
+	for j, w := range set {
+		if c := bits.OnesCount64(w); k < c {
+			return j<<6 + nth(w, k)
+		} else {
+			k -= c
+		}
+	}
+	panic("mcts: selectBit past the last set bit")
+}
 
 // Nodes are handed out from blocks of blockSize, so materialising one is a
 // bump of a counter and their addresses never move.
@@ -90,16 +136,9 @@ const (
 
 type block [blockSize]Node
 
-// directory is one snapshot of a tree's node blocks. A scan that cannot
-// race with materialisation (the sequential sampler's) loads it once.
-type directory []*block
-
-// at returns the node with the given number.
-func (d directory) at(id int32) *Node { return &d[id>>blockShift][id&(blockSize-1)] }
-
 // IsLeaf reports whether the node has no children. Before expansion a node
 // is treated as a leaf only if it is terminal (no valid extensions).
-func (n *Node) IsLeaf() bool { return len(n.slots) == 0 }
+func (n *Node) IsLeaf() bool { return n.fan == nil }
 
 // MeanReward returns the node's average sampled reward (0 when unvisited).
 func (n *Node) MeanReward() float64 {
@@ -108,10 +147,6 @@ func (n *Node) MeanReward() float64 {
 	}
 	return n.Reward / float64(n.Visits)
 }
-
-// Refinement returns the refinement fragment this node adds (nil for the
-// root and baseline nodes).
-func (n *Node) Refinement() *speech.Refinement { return n.ref }
 
 // Tree is the speech search tree with its generator and evaluator.
 type Tree struct {
@@ -139,28 +174,42 @@ type Tree struct {
 	// kernel with hoisted constants) without any cross-worker sharing.
 	SeededEvalFactory func() SeededEvalFunc
 
-	// menu and baselines are what slot ordinals index: the generator's
-	// shared refinement menu and the baseline ladder around the scale estimate.
+	// menu and baselines are what child ordinals index: the generator's
+	// shared refinement menu and the baseline ladder around the scale
+	// estimate. textLen[o] is len(menu[o].Text()).
 	menu      []*speech.Refinement
 	baselines []*speech.Baseline
+	textLen   []int32
+	// maxChars and maxDepth are the generator's limits, resolved once: zero
+	// means no character limit; no node at maxDepth has children.
+	maxChars int
+	maxDepth int32
+	// compat holds one row of menuWords words per menu ordinal o, bit i set
+	// when menu[i] may follow a speech containing menu[o]; compatMade marks
+	// the rows built so far.
+	menuWords  int
+	compat     []uint64
+	compatMade []uint64
+	// validScratch collects the valid set of one expansion.
+	validScratch []uint64
 
-	// mu is the tree's one expansion lock: it serialises enumerating a
-	// node's children, and adding a block of nodes.
-	mu sync.Mutex
-	// blocks is the directory of node blocks. Growth stores a longer copy,
-	// so a reader that found a node number in a slot always finds its
-	// block in the directory it loads afterwards.
-	blocks atomic.Pointer[directory]
-	// made is the number of nodes handed out.
-	made atomic.Int32
-	// ordScratch collects the ordinals of one expansion (guarded by mu).
-	ordScratch []int32
+	// blocks holds every node handed out; made is their number.
+	blocks []*block
+	made   int32
 	// nodeCount counts enumerated children plus the root.
-	nodeCount atomic.Int64
+	nodeCount int
 
-	// pathScratch is the pooled descent path of the sequential Sample.
+	// pathScratch is the pooled descent path of the sequential Sample, and
+	// scratch the speech it evaluates every leaf through.
 	pathScratch []*Node
-	evalMu      sync.Mutex
+	scratch     speech.Speech
+	scratchRefs []*speech.Refinement
+
+	// mu serialises the workers of SampleParallelBatch on the tree; evalMu
+	// serialises their calls to the sequential evaluator when no seeded one
+	// is set.
+	mu     sync.Mutex
+	evalMu sync.Mutex
 }
 
 // DefaultMaxNodes bounds eager tree construction. The paper's queries stay
@@ -193,20 +242,28 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		MaxNodes:  maxNodes,
 		menu:      gen.Refinements(nil),
 		baselines: gen.BaselineCandidates(speech.SpeechScale(scale)),
+		maxChars:  gen.Prefs.MaxCharsEffective(),
+		maxDepth:  math.MaxInt32,
+		nodeCount: 1,
 	}
-	t.blocks.Store(new(directory))
-	t.root, _ = t.newNode()
-	t.nodeCount.Store(1)
-	// Prewarm the per-fragment text memos now: candidate fragments are
-	// shared across the whole tree, and lazy expansion during a parallel
-	// batch must never be the first caller of an unsynchronized memoization.
-	for _, r := range t.menu {
-		r.Text()
+	if mf := gen.Prefs.MaxFragments; mf > 0 {
+		t.maxDepth = int32(mf)
+	}
+	t.menuWords = (len(t.menu) + 63) / 64
+	t.validScratch = make([]uint64, t.menuWords)
+	t.scratch.Preamble = t.preamble
+	// Render every fragment now: candidate fragments are shared across the
+	// whole tree, and lazy expansion during a parallel batch must never be
+	// the first caller of an unsynchronized memoization.
+	t.textLen = make([]int32, len(t.menu))
+	for o, r := range t.menu {
+		t.textLen[o] = int32(len(r.Text()))
 	}
 	for _, b := range t.baselines {
 		b.Text()
 	}
 	t.preamble.Text()
+	t.root = t.newNode()
 	t.prebuild(t.root)
 	return t, nil
 }
@@ -216,210 +273,258 @@ func (t *Tree) Root() *Node { return t.root }
 
 // NodeCount returns the number of enumerated nodes: the root plus every
 // child an expansion has listed, materialised or not.
-func (t *Tree) NodeCount() int { return int(t.nodeCount.Load()) }
+func (t *Tree) NodeCount() int { return t.nodeCount }
 
 // NumChildren returns the number of children expansion enumerated below n
 // (zero for a leaf and for a node no sample has reached yet).
-func (t *Tree) NumChildren(n *Node) int { return len(n.slots) }
+func (t *Tree) NumChildren(n *Node) int {
+	if n.fan == nil {
+		return 0
+	}
+	return popcount(n.fan.valid())
+}
 
 // Child returns the i-th child of n in enumeration order, or nil while no
 // sample has descended into it: such a child has zero visits and reward.
 func (t *Tree) Child(n *Node, i int) *Node {
-	if v := n.slots[i].v.Load(); v < 0 {
-		return t.node(^v)
+	f := n.fan
+	o := selectBit(f.valid(), i)
+	if f.made()[o>>6]&(1<<(o&63)) == 0 {
+		return nil
 	}
-	return nil
+	return t.node(f.kids[rank(f.made(), o)])
+}
+
+// Kids calls visit for every child of n that is a node, in enumeration
+// order. The children it skips were never descended into.
+func (t *Tree) Kids(n *Node, visit func(c *Node)) {
+	if n.fan == nil {
+		return
+	}
+	for _, id := range n.fan.kids {
+		visit(t.node(id))
+	}
+}
+
+// Refinement returns the refinement fragment n adds (nil for the root and
+// baseline nodes).
+func (t *Tree) Refinement(n *Node) *speech.Refinement {
+	if n.depth == 0 {
+		return nil
+	}
+	return t.menu[n.ord]
 }
 
 // node returns the materialised node with the given number.
-func (t *Tree) node(id int32) *Node { return t.blocks.Load().at(id) }
+func (t *Tree) node(id int32) *Node { return &t.blocks[id>>blockShift][id&(blockSize-1)] }
 
-// newNode hands out the next node and its number. The number is a bump of
-// an atomic cursor; mu is taken only to add a block to the directory.
-func (t *Tree) newNode() (*Node, int32) {
-	id := t.made.Add(1) - 1
-	if hi := int(id >> blockShift); hi >= len(*t.blocks.Load()) {
-		t.mu.Lock()
-		for hi >= len(*t.blocks.Load()) {
-			dir := *t.blocks.Load()
-			grown := append(dir[:len(dir):len(dir)], new(block))
-			t.blocks.Store(&grown)
-		}
-		t.mu.Unlock()
+// newNode hands out the next node.
+func (t *Tree) newNode() *Node {
+	if int(t.made>>blockShift) == len(t.blocks) {
+		t.blocks = append(t.blocks, new(block))
 	}
-	return t.node(id), id
+	t.made++
+	return t.node(t.made - 1)
 }
 
-// child returns the i-th child of n, materialising it on first use. Rival
-// workers each fill a node of their own and one compare-and-swap on the
-// slot decides; the loser's node is never referenced.
-func (t *Tree) child(n *Node, i int) *Node {
-	s := &n.slots[i]
-	v := s.v.Load()
-	if v < 0 {
-		return t.node(^v)
+// child returns the child of n with fragment ordinal o, which must be in
+// n's valid set, materialising it on first use.
+func (t *Tree) child(n *Node, o int) *Node {
+	f := n.fan
+	made := f.made()
+	r := rank(made, o)
+	if made[o>>6]&(1<<(o&63)) != 0 {
+		return t.node(f.kids[r])
 	}
-	c, id := t.newNode()
+	c := t.newNode()
 	c.Parent = n
+	c.ord = int32(o)
 	if n.Parent == nil {
-		c.baseline = t.baselines[v]
-		c.mainLen = int32(len(c.baseline.Text()))
+		c.mainLen = int32(len(t.baselines[o].Text()))
 	} else {
-		c.ref = t.menu[v]
 		c.depth = n.depth + 1
-		c.mainLen = n.mainLen + 1 + int32(len(c.ref.Text()))
+		c.mainLen = n.mainLen + 1 + t.textLen[o]
+		c.expanded = c.depth >= t.maxDepth
 	}
-	if !s.v.CompareAndSwap(v, ^id) {
-		return t.node(^s.v.Load())
-	}
+	made[o>>6] |= 1 << (o & 63)
+	f.kids = append(f.kids, 0)
+	copy(f.kids[r+1:], f.kids[r:])
+	f.kids[r] = t.made - 1
 	return c
+}
+
+// fill rewrites sp in place to the speech n represents: the path's baseline
+// and its refinements in order, stored in refs (at least n.depth long).
+func (t *Tree) fill(sp *speech.Speech, refs []*speech.Refinement, n *Node) {
+	var base *speech.Baseline
+	for cur := n; cur.Parent != nil; cur = cur.Parent {
+		if cur.depth > 0 {
+			refs[cur.depth-1] = t.menu[cur.ord]
+		} else {
+			base = t.baselines[cur.ord]
+		}
+	}
+	sp.SetFragments(base, refs[:n.depth])
 }
 
 // Speech materializes the speech represented by node n (which must belong
 // to this tree): the preamble, the path's baseline, and its refinements in
-// order. The result is memoized on the node.
+// order. Every call builds a speech of its own.
 func (t *Tree) Speech(n *Node) *speech.Speech {
-	if sp := n.speechMemo.Load(); sp != nil {
-		return sp
-	}
 	sp := &speech.Speech{Preamble: t.preamble}
+	var refs []*speech.Refinement
 	if n.depth > 0 {
-		sp.Refinements = make([]*speech.Refinement, n.depth)
+		refs = make([]*speech.Refinement, n.depth)
 	}
-	for cur := n; cur != nil; cur = cur.Parent {
-		if cur.ref != nil {
-			sp.Refinements[cur.depth-1] = cur.ref
-		}
-		if cur.baseline != nil {
-			sp.Baseline = cur.baseline
-		}
-	}
-	n.speechMemo.Store(sp)
+	t.fill(sp, refs, n)
 	return sp
 }
 
-// conflictsOnPath reports whether r can no longer extend n's speech: an
-// ancestor refinement has the same scope or, under the generator's
-// disjoint-scopes rule, an overlapping one.
-func (t *Tree) conflictsOnPath(n *Node, r *speech.Refinement) bool {
-	for cur := n; cur != nil; cur = cur.Parent {
-		if cur.ref != nil && t.gen.Conflicts(cur.ref, r) {
-			return true
-		}
+// compatRow returns the compatibility row of menu ordinal o, building it on
+// first use: bit i is set unless menu[i] conflicts with menu[o] (the same
+// scope or, under the generator's disjoint-scopes rule, an overlapping one).
+func (t *Tree) compatRow(o int) []uint64 {
+	w := t.menuWords
+	if t.compat == nil {
+		t.compat = make([]uint64, len(t.menu)*w)
+		t.compatMade = make([]uint64, w)
 	}
-	return false
+	row := t.compat[o*w : (o+1)*w]
+	if t.compatMade[o>>6]&(1<<(o&63)) == 0 {
+		for i, c := range t.menu {
+			if !t.gen.Conflicts(t.menu[o], c) {
+				row[i>>6] |= 1 << (i & 63)
+			}
+		}
+		t.compatMade[o>>6] |= 1 << (o & 63)
+	}
+	return row
 }
 
-// expand enumerates the children of n (ST.EXPAND) as slots. Validity
-// (character and fragment limits, duplicate scopes) is checked with O(k)
-// incremental state against the shared menu, without copying the menu or
-// materializing candidate speeches.
-//
-// Expansion is safe under concurrent sampling: the tree's expansion lock
-// serializes rival builders (double-checked against the expanded flag),
-// the table becomes visible before the flag flips, and nodes past the flag
-// are never rebuilt.
+// expand enumerates the children of n (ST.EXPAND) as a valid set: below the
+// root the baselines that fit the character limit, elsewhere the AND of the
+// ancestors' compatibility rows minus the refinements that would overflow
+// it. No candidate speech is materialised and the menu is not copied.
 func (t *Tree) expand(n *Node) {
-	if n.expanded.Load() {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n.expanded.Load() {
-		return
-	}
-	prefs := t.gen.Prefs
-	maxChars := prefs.MaxCharsEffective()
-	ords := t.ordScratch[:0]
+	n.expanded = true
+	valid := t.validScratch
 	if n.Parent == nil {
+		valid = make([]uint64, (len(t.baselines)+63)/64)
 		for i, b := range t.baselines {
-			if maxChars > 0 && len(b.Text()) > maxChars {
-				continue
+			if t.maxChars <= 0 || len(b.Text()) <= t.maxChars {
+				valid[i>>6] |= 1 << (i & 63)
 			}
-			ords = append(ords, int32(i))
 		}
-	} else if prefs.MaxFragments <= 0 || int(n.depth) < prefs.MaxFragments {
-		for i, r := range t.menu {
-			if maxChars > 0 && int(n.mainLen)+1+len(r.Text()) > maxChars {
-				continue
+	} else {
+		for j := range valid {
+			valid[j] = ^uint64(0)
+		}
+		if tail := len(t.menu) & 63; tail != 0 {
+			valid[len(valid)-1] = 1<<tail - 1
+		}
+		for cur := n; cur.depth > 0; cur = cur.Parent {
+			for j, w := range t.compatRow(int(cur.ord)) {
+				valid[j] &= w
 			}
-			if t.conflictsOnPath(n, r) {
-				continue
+		}
+		if room := int32(t.maxChars) - n.mainLen - 1; t.maxChars > 0 {
+			for o, l := range t.textLen {
+				if l > room {
+					valid[o>>6] &^= 1 << (o & 63)
+				}
 			}
-			ords = append(ords, int32(i))
 		}
 	}
-	t.ordScratch = ords
-	if len(ords) > 0 {
-		n.slots = make([]slot, len(ords))
-		for i, o := range ords {
-			n.slots[i].v.Store(o)
-		}
-		t.nodeCount.Add(int64(len(ords)))
+	count := popcount(valid)
+	if count == 0 {
+		return
 	}
-	n.expanded.Store(true)
+	n.fan = &fanout{sets: make([]uint64, 3*len(valid))}
+	copy(n.fan.sets, valid)
+	t.nodeCount += count
 }
 
 // prebuild expands n and its descendants depth-first while the node budget
 // lasts; past the budget, descendants expand lazily. Children at the
-// fragment limit cannot have children of their own and stay slots.
+// fragment limit cannot have children of their own and stay bits.
 func (t *Tree) prebuild(n *Node) {
 	t.expand(n)
-	if mf := t.gen.Prefs.MaxFragments; n.Parent != nil && mf > 0 && int(n.depth)+1 >= mf {
+	if n.fan == nil || (n.Parent != nil && n.depth+1 >= t.maxDepth) {
 		return
 	}
-	for i := 0; i < len(n.slots) && t.nodeCount.Load() < int64(t.MaxNodes); i++ {
-		t.prebuild(t.child(n, i))
+	for j, w := range n.fan.valid() {
+		for ; w != 0 && t.nodeCount < t.MaxNodes; w &= w - 1 {
+			t.prebuild(t.child(n, j<<6+bits.TrailingZeros64(w)))
+		}
 	}
 }
 
 // maxUCTChild returns the child to descend into (ST.MAXUCTCHILD):
 // unvisited children first (random pick), otherwise the maximizer of the
-// UCT upper confidence bound.
-func (t *Tree) maxUCTChild(n *Node) *Node {
+// UCT upper confidence bound. n must have children.
+func (t *Tree) maxUCTChild(n *Node, rng *rand.Rand) *Node {
+	f := n.fan
+	valid := f.valid()
 	if t.UniformPolicy {
-		return t.child(n, t.rng.Intn(len(n.slots)))
+		return t.child(n, selectBit(valid, rng.Intn(popcount(valid))))
 	}
-	// One scan counts the unvisited children (an empty slot is one) and, in
-	// case there are none, already ranks the visited ones by UCT bound. The
-	// unvisited pick is re-scanned by ordinal rather than collected into a
-	// slice: one Intn draw either way (the RNG stream is pinned by golden
-	// tests), zero allocations per level.
-	nodes := *t.blocks.Load()
-	logN := math.Log(float64(n.Visits))
+	// A child without its seen bit has no visit, made or not. One draw picks
+	// among them by position (the RNG stream is pinned by golden tests).
+	seen := f.seen()
 	unvisited := 0
+	for j, w := range valid {
+		unvisited += bits.OnesCount64(w &^ seen[j])
+	}
+	if unvisited > 0 {
+		k := rng.Intn(unvisited)
+		for j, w := range valid {
+			w &^= seen[j]
+			if c := bits.OnesCount64(w); k < c {
+				return t.child(n, j<<6+nth(w, k))
+			} else {
+				k -= c
+			}
+		}
+	}
+	// Every child has a visit, so every child is a node: score them all,
+	// first maximum in ordinal order.
+	logN := math.Log(float64(n.Visits))
 	var best *Node
 	bestScore := math.Inf(-1)
-	for i := range n.slots {
-		v := n.slots[i].v.Load()
-		if v >= 0 {
-			unvisited++
-			continue
-		}
-		c := nodes.at(^v)
-		if c.Visits == 0 {
-			unvisited++
-			continue
-		}
+	for _, id := range f.kids {
+		c := t.node(id)
 		score := c.Reward/float64(c.Visits) + math.Sqrt(2*logN/float64(c.Visits))
 		if score > bestScore {
 			bestScore = score
 			best = c
 		}
 	}
-	if unvisited == 0 {
-		return best
+	return best
+}
+
+// visit counts one traversal of n, flipping its seen bit in the parent's
+// fan-out on the first.
+func (n *Node) visit() {
+	if n.Visits == 0 && n.Parent != nil {
+		n.Parent.fan.seen()[n.ord>>6] |= 1 << (n.ord & 63)
 	}
-	k := t.rng.Intn(unvisited)
-	for i := range n.slots {
-		if v := n.slots[i].v.Load(); v >= 0 || nodes.at(^v).Visits == 0 {
-			if k == 0 {
-				return t.child(n, i)
-			}
-			k--
+	n.Visits++
+}
+
+// descend walks from the root to a leaf, choosing children with rng and
+// expanding on first visit, and returns the path appended to path.
+func (t *Tree) descend(path []*Node, rng *rand.Rand) []*Node {
+	n := t.root
+	for {
+		path = append(path, n)
+		if !n.expanded {
+			t.expand(n)
 		}
+		if n.fan == nil {
+			return path
+		}
+		n = t.maxUCTChild(n, rng)
 	}
-	panic("mcts: unvisited child vanished during a sequential scan")
 }
 
 // Sample performs one MCTS round (Algorithm 2's SAMPLE): descend from the
@@ -428,28 +533,23 @@ func (t *Tree) maxUCTChild(n *Node) *Node {
 // returns false when the evaluator could not produce a reward (nothing is
 // updated then).
 func (t *Tree) Sample() bool {
-	n := t.root
 	// The descent path is pooled across rounds: its length is bounded by
 	// the fragment limit, and one slice per round was the planner loop's
-	// dominant allocation.
-	path := append(t.pathScratch[:0], n)
-	for {
-		if !n.expanded.Load() {
-			t.expand(n)
-		}
-		if n.IsLeaf() {
-			break
-		}
-		n = t.maxUCTChild(n)
-		path = append(path, n)
-	}
+	// dominant allocation. So is the speech: a leaf is read once, by this
+	// call, and keeping one per leaf was most of what an answer allocated.
+	path := t.descend(t.pathScratch[:0], t.rng)
 	t.pathScratch = path
-	r, ok := t.eval(t.Speech(n))
+	leaf := path[len(path)-1]
+	for int(leaf.depth) > len(t.scratchRefs) {
+		t.scratchRefs = append(t.scratchRefs, nil)
+	}
+	t.fill(&t.scratch, t.scratchRefs, leaf)
+	r, ok := t.eval(&t.scratch)
 	if !ok {
 		return false
 	}
 	for _, p := range path {
-		p.Visits++
+		p.visit()
 		p.Reward += r
 	}
 	return true
@@ -485,16 +585,16 @@ func (t *Tree) BestChild() *Node {
 	}
 	var best *Node
 	var bestScore float64
-	for i := range t.root.slots {
-		if c := t.Child(t.root, i); c != nil && c.Visits > 0 {
+	t.Kids(t.root, func(c *Node) {
+		if c.Visits > 0 {
 			if score := c.MeanReward(); best == nil || score > bestScore {
 				best = c
 				bestScore = score
 			}
 		}
-	}
+	})
 	if best == nil {
-		return t.child(t.root, 0)
+		return t.child(t.root, selectBit(t.root.fan.valid(), 0))
 	}
 	return best
 }
@@ -510,21 +610,20 @@ func (t *Tree) Advance(child *Node) {
 }
 
 // Depth returns the height of the tree below the current root (leaf speech
-// length in fragments relative to the root). An empty slot is a child of
-// unknown height and counts as one level.
+// length in fragments relative to the root). A child that is not a node is
+// of unknown height and counts as one level.
 func (t *Tree) Depth() int {
 	var walk func(n *Node) int
 	walk = func(n *Node) int {
-		max := 0
-		for i := range n.slots {
-			d := 1
-			if c := t.Child(n, i); c != nil {
-				d += walk(c)
-			}
-			if d > max {
+		if n.fan == nil {
+			return 0
+		}
+		max := 1
+		t.Kids(n, func(c *Node) {
+			if d := 1 + walk(c); d > max {
 				max = d
 			}
-		}
+		})
 		return max
 	}
 	return walk(t.root)

@@ -129,7 +129,7 @@ func TestTreeRespectsFragmentLimit(t *testing.T) {
 		}
 		// Every enumerated child is checked, so each is made a node here.
 		for i := 0; i < tree.NumChildren(n); i++ {
-			walk(tree.child(n, i))
+			walk(childAt(tree, n, i))
 		}
 	}
 	walk(tree.Root())

@@ -251,9 +251,10 @@ func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 
 // Conflicts reports whether candidate c can no longer follow a speech that
 // already contains r: the two address the same scope, or DisjointScopes is
-// set and their scopes share an aggregate. It allocates nothing for menu
-// refinements, so the search tree filters the shared menu with it in place
-// instead of copying a filtered menu per node.
+// set and their scopes share an aggregate. It is a pure function of the
+// pair and allocates nothing for menu refinements, so the search tree asks
+// it once per pair of menu entries instead of copying a filtered menu per
+// node.
 func (g *Generator) Conflicts(r, c *Refinement) bool {
 	return r.SameScope(c) || (g.DisjointScopes && g.overlaps(r, c))
 }

@@ -159,11 +159,11 @@ type Speech struct {
 	Baseline    *Baseline
 	Refinements []*Refinement
 
-	// deltas memoizes Deltas(). Clone and Extend return fresh structs, so a
-	// memo can never describe a stale refinement list; the atomic pointer
-	// makes the lazy fill safe when parallel planner workers share a node's
-	// speech. Duplicate computation under contention is benign — the value
-	// is deterministic.
+	// deltas memoizes Deltas(). Clone and Extend return fresh structs and
+	// SetFragments recomputes it, so a memo never describes a stale
+	// refinement list; the atomic pointer makes the lazy fill safe when
+	// goroutines share a speech. Duplicate computation under contention is
+	// benign — the value is deterministic.
 	deltas atomic.Pointer[[]float64]
 }
 
@@ -245,30 +245,43 @@ func (s *Speech) Deltas() []float64 {
 	if p := s.deltas.Load(); p != nil {
 		return *p
 	}
-	deltas := s.computeDeltas()
+	deltas := s.appendDeltas(make([]float64, 0, len(s.Refinements)))
 	s.deltas.Store(&deltas)
 	return deltas
 }
 
-func (s *Speech) computeDeltas() []float64 {
-	deltas := make([]float64, len(s.Refinements))
+// SetFragments rewrites s in place to the baseline b followed by refs, which
+// it keeps, and recomputes deltas already memoized into the storage they
+// occupy. It is for a scratch speech that one goroutine points at one
+// candidate after another (the search tree's leaf evaluation) without
+// allocating a speech each: whoever still holds the previous Deltas slice
+// sees it overwritten, and no other goroutine may be reading s.
+func (s *Speech) SetFragments(b *Baseline, refs []*Refinement) {
+	s.Baseline, s.Refinements = b, refs
+	if p := s.deltas.Load(); p != nil {
+		*p = s.appendDeltas((*p)[:0])
+	}
+}
+
+// appendDeltas appends the speech's deltas to dst, which must be empty.
+func (s *Speech) appendDeltas(dst []float64) []float64 {
 	if s.Baseline == nil {
-		return deltas
+		return append(dst, make([]float64, len(s.Refinements))...)
 	}
 	for i, r := range s.Refinements {
 		ref := s.Baseline.Value
 		for j := 0; j < i; j++ {
 			if s.Refinements[j].Subsumes(r) {
-				ref += deltas[j]
+				ref += dst[j]
 			}
 		}
 		d := ref * float64(r.Percent) / 100
 		if r.Dir == Decrease {
 			d = -d
 		}
-		deltas[i] = d
+		dst = append(dst, d)
 	}
-	return deltas
+	return dst
 }
 
 // Prefs are the user preference constraints on speech output.
