@@ -129,7 +129,9 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	var treeSamples int64
 	var boundsSpoken []string
 	cancelled := false
-	for !cancelled {
+	// The speech is finished once nothing can follow the committed sentence:
+	// what would be planned while that sentence plays, nobody would hear.
+	for !cancelled && !tree.Terminal() {
 		// Refine quality estimates while the current sentence plays.
 		rounds := 0
 		windowStart := cfg.Clock.Now()
@@ -161,11 +163,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 			// evaluate: the committed prefix is the degraded answer.
 			break
 		}
-		// Is the speech finished?
 		best := tree.BestChild()
-		if best == nil {
-			break
-		}
 		if cfg.Trace != nil {
 			st := SentenceTrace{
 				Sentence:       tree.Speech(best).LastSentence(),

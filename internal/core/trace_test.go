@@ -39,14 +39,13 @@ func TestTraceRecordsPlannerDecisions(t *testing.T) {
 		totalRows += st.RowsRead
 		totalSamples += st.TreeSamples
 	}
-	// Attributed windows cover everything except the initial batch and
-	// the final window that plays out the last sentence (Algorithm 1
-	// keeps sampling until playback ends, with no commit to attribute
-	// the work to).
-	if totalRows > out.RowsRead {
-		t.Errorf("window rows %d exceed total %d", totalRows, out.RowsRead)
+	// Every planning window ends in a sentence somebody hears: the
+	// attributed windows cover all samples, and all rows but the initial
+	// batch; nothing is planned while the last sentence plays.
+	if want := out.RowsRead - int64(cfg.Normalize().InitialRows); totalRows != want {
+		t.Errorf("window rows %d, want every row after the initial batch: %d", totalRows, want)
 	}
-	if totalSamples == 0 || totalSamples > out.TreeSamples {
+	if totalSamples == 0 || totalSamples != out.TreeSamples {
 		t.Errorf("window samples %d vs total %d", totalSamples, out.TreeSamples)
 	}
 }

@@ -92,7 +92,7 @@ func (w *Warm) VocalizeContext(ctx context.Context) (*Output, error) {
 
 	var treeSamples int64
 	cancelled := false
-	for !cancelled {
+	for !cancelled && !tree.Terminal() {
 		rounds := 0
 		for s.speaker.IsPlaying() || rounds < cfg.MinRounds {
 			if ctx.Err() != nil {
@@ -116,9 +116,6 @@ func (w *Warm) VocalizeContext(ctx context.Context) (*Output, error) {
 			break
 		}
 		best := tree.BestChild()
-		if best == nil {
-			break
-		}
 		tree.Advance(best)
 		s.speaker.Start(tree.Speech(best).LastSentence())
 	}

@@ -136,8 +136,8 @@ const (
 
 type block [blockSize]Node
 
-// IsLeaf reports whether the node has no children. Before expansion a node
-// is treated as a leaf only if it is terminal (no valid extensions).
+// IsLeaf reports whether the node has no children: no fragment can follow
+// its speech, or no sample has reached it yet.
 func (n *Node) IsLeaf() bool { return n.fan == nil }
 
 // MeanReward returns the node's average sampled reward (0 when unvisited).
@@ -597,6 +597,15 @@ func (t *Tree) BestChild() *Node {
 		return t.child(t.root, selectBit(t.root.fan.valid(), 0))
 	}
 	return best
+}
+
+// Terminal reports whether no fragment can follow the current root's
+// speech, enumerating its children if no sample has yet.
+func (t *Tree) Terminal() bool {
+	if !t.root.expanded {
+		t.expand(t.root)
+	}
+	return t.root.fan == nil
 }
 
 // Advance makes child the new root, retaining its subtree statistics so
