@@ -58,10 +58,8 @@ func (t *Tree) SampleParallelBatch(ctx context.Context, rounds, workers int) (in
 			if t.SeededEvalFactory != nil {
 				eval = t.SeededEvalFactory()
 			}
-			var path []*Node
 			for remaining.Add(-1) >= 0 && ctx.Err() == nil {
-				var ok bool
-				if path, ok = t.sampleParallel(rng, eval, path); ok {
+				if t.sampleParallel(rng, eval) {
 					done.Add(1)
 				}
 			}
@@ -71,11 +69,10 @@ func (t *Tree) SampleParallelBatch(ctx context.Context, rounds, workers int) (in
 	return int(done.Load()), ctx.Err()
 }
 
-// sampleParallel is one parallel MCTS round. path is the worker's pooled
-// descent scratch (returned for reuse; nil allocates).
-func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node) ([]*Node, bool) {
+// sampleParallel is one parallel MCTS round.
+func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc) bool {
 	t.mu.Lock()
-	path = t.descend(path[:0], rng)
+	path := t.descend(make([]*Node, 0, 8), rng)
 	for _, p := range path {
 		p.visit() // virtual loss
 	}
@@ -95,14 +92,14 @@ func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node)
 			p.unvisit()
 		}
 	}
-	return path, ok
+	return ok
 }
 
 // unvisit takes back one visit of n, clearing its seen bit with the last.
 func (n *Node) unvisit() {
 	n.Visits--
 	if n.Visits == 0 && n.Parent != nil {
-		n.Parent.fan.seen()[n.ord>>6] &^= 1 << (n.ord & 63)
+		drop(n.Parent.fan.seen(), int(n.ord))
 	}
 }
 

@@ -16,8 +16,8 @@
 // built once per tree, minus what overflows the character limit. A Node is
 // materialised only when a sample first descends into a child, when the
 // eager pre-build recurses into it, or when BestChild must return it. A
-// fine-grained query offers some 520 children per expansion and over half a
-// million per answer, of which the answer's samples reach a few tens of
+// fine-grained query offers 390 to 480 children per expansion and over half
+// a million per answer, of which the answer's samples reach a few tens of
 // thousands; the rest stay bits. A child that is not made counts as an
 // unvisited child in every decision, so the search is step for step the one
 // a fully materialised tree would run, and NodeCount keeps counting
@@ -92,6 +92,11 @@ func (f *fanout) valid() []uint64 { return f.sets[:len(f.sets)/3] }
 func (f *fanout) seen() []uint64  { w := len(f.sets) / 3; return f.sets[w : 2*w] }
 func (f *fanout) made() []uint64  { return f.sets[2*len(f.sets)/3:] }
 
+// has reports whether bit o of set is set; put sets it and drop clears it.
+func has(set []uint64, o int) bool { return set[o>>6]&(1<<(o&63)) != 0 }
+func put(set []uint64, o int)      { set[o>>6] |= 1 << (o & 63) }
+func drop(set []uint64, o int)     { set[o>>6] &^= 1 << (o & 63) }
+
 // popcount returns the number of set bits.
 func popcount(set []uint64) int {
 	n := 0
@@ -118,11 +123,11 @@ func nth(w uint64, k int) int {
 // have more than k.
 func selectBit(set []uint64, k int) int {
 	for j, w := range set {
-		if c := bits.OnesCount64(w); k < c {
+		c := bits.OnesCount64(w)
+		if k < c {
 			return j<<6 + nth(w, k)
-		} else {
-			k -= c
 		}
+		k -= c
 	}
 	panic("mcts: selectBit past the last set bit")
 }
@@ -135,6 +140,9 @@ const (
 )
 
 type block [blockSize]Node
+
+// fanChunk is the number of fan-outs allocated at a time.
+const fanChunk = 32
 
 // IsLeaf reports whether the node has no children: no fragment can follow
 // its speech, or no sample has reached it yet.
@@ -196,6 +204,10 @@ type Tree struct {
 	// blocks holds every node handed out; made is their number.
 	blocks []*block
 	made   int32
+	// fans and fanSets are what is left of the current chunk of fan-outs
+	// and of the bitsets that go with them.
+	fans    []fanout
+	fanSets []uint64
 	// nodeCount counts enumerated children plus the root.
 	nodeCount int
 
@@ -289,7 +301,7 @@ func (t *Tree) NumChildren(n *Node) int {
 func (t *Tree) Child(n *Node, i int) *Node {
 	f := n.fan
 	o := selectBit(f.valid(), i)
-	if f.made()[o>>6]&(1<<(o&63)) == 0 {
+	if !has(f.made(), o) {
 		return nil
 	}
 	return t.node(f.kids[rank(f.made(), o)])
@@ -333,7 +345,7 @@ func (t *Tree) child(n *Node, o int) *Node {
 	f := n.fan
 	made := f.made()
 	r := rank(made, o)
-	if made[o>>6]&(1<<(o&63)) != 0 {
+	if has(made, o) {
 		return t.node(f.kids[r])
 	}
 	c := t.newNode()
@@ -346,7 +358,7 @@ func (t *Tree) child(n *Node, o int) *Node {
 		c.mainLen = n.mainLen + 1 + t.textLen[o]
 		c.expanded = c.depth >= t.maxDepth
 	}
-	made[o>>6] |= 1 << (o & 63)
+	put(made, o)
 	f.kids = append(f.kids, 0)
 	copy(f.kids[r+1:], f.kids[r:])
 	f.kids[r] = t.made - 1
@@ -390,13 +402,13 @@ func (t *Tree) compatRow(o int) []uint64 {
 		t.compatMade = make([]uint64, w)
 	}
 	row := t.compat[o*w : (o+1)*w]
-	if t.compatMade[o>>6]&(1<<(o&63)) == 0 {
+	if !has(t.compatMade, o) {
 		for i, c := range t.menu {
 			if !t.gen.Conflicts(t.menu[o], c) {
-				row[i>>6] |= 1 << (i & 63)
+				put(row, i)
 			}
 		}
-		t.compatMade[o>>6] |= 1 << (o & 63)
+		put(t.compatMade, o)
 	}
 	return row
 }
@@ -412,7 +424,7 @@ func (t *Tree) expand(n *Node) {
 		valid = make([]uint64, (len(t.baselines)+63)/64)
 		for i, b := range t.baselines {
 			if t.maxChars <= 0 || len(b.Text()) <= t.maxChars {
-				valid[i>>6] |= 1 << (i & 63)
+				put(valid, i)
 			}
 		}
 	} else {
@@ -430,7 +442,7 @@ func (t *Tree) expand(n *Node) {
 		if room := int32(t.maxChars) - n.mainLen - 1; t.maxChars > 0 {
 			for o, l := range t.textLen {
 				if l > room {
-					valid[o>>6] &^= 1 << (o & 63)
+					drop(valid, o)
 				}
 			}
 		}
@@ -439,9 +451,29 @@ func (t *Tree) expand(n *Node) {
 	if count == 0 {
 		return
 	}
-	n.fan = &fanout{sets: make([]uint64, 3*len(valid))}
+	if n.Parent == nil {
+		n.fan = &fanout{sets: make([]uint64, 3*len(valid))}
+	} else {
+		n.fan = t.newFanout()
+	}
 	copy(n.fan.sets, valid)
 	t.nodeCount += count
+}
+
+// newFanout hands out an empty fan-out over the refinement menu. They come
+// in chunks, like nodes: an answer expands a couple of thousand nodes, and a
+// table and its bitsets apiece made expansion two thirds of the planning
+// loop's mallocs. (The root's, over the baseline ladder, is allocated alone.)
+func (t *Tree) newFanout() *fanout {
+	w := 3 * t.menuWords
+	if len(t.fans) == 0 {
+		t.fans = make([]fanout, fanChunk)
+		t.fanSets = make([]uint64, fanChunk*w)
+	}
+	f := &t.fans[0]
+	f.sets = t.fanSets[:w:w]
+	t.fans, t.fanSets = t.fans[1:], t.fanSets[w:]
+	return f
 }
 
 // prebuild expands n and its descendants depth-first while the node budget
@@ -479,11 +511,11 @@ func (t *Tree) maxUCTChild(n *Node, rng *rand.Rand) *Node {
 		k := rng.Intn(unvisited)
 		for j, w := range valid {
 			w &^= seen[j]
-			if c := bits.OnesCount64(w); k < c {
+			c := bits.OnesCount64(w)
+			if k < c {
 				return t.child(n, j<<6+nth(w, k))
-			} else {
-				k -= c
 			}
+			k -= c
 		}
 	}
 	// Every child has a visit, so every child is a node: score them all,
@@ -506,7 +538,7 @@ func (t *Tree) maxUCTChild(n *Node, rng *rand.Rand) *Node {
 // fan-out on the first.
 func (n *Node) visit() {
 	if n.Visits == 0 && n.Parent != nil {
-		n.Parent.fan.seen()[n.ord>>6] |= 1 << (n.ord & 63)
+		put(n.Parent.fan.seen(), int(n.ord))
 	}
 	n.Visits++
 }
