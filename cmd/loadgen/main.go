@@ -7,21 +7,11 @@
 //
 // Usage:
 //
-//	loadgen [-workload serving|semcache|stream]
+//	loadgen [-workload serving|stream]
 //	        [-target http://host:port] [-sessions 64] [-queries 20]
 //	        [-tenants 8] [-dataset flights] [-seed 1] [-out BENCH_serving.json]
 //	        [-assert] [-max-shed-rate 0.9]
-//	        [-requests 400] [-distinct 12] [-zipf-s 1.2]
 //	        [-batches 8] [-batch-rows 64] [-ingest-interval 25ms]
-//
-// The semcache workload measures the semantic answer cache instead of
-// chaos resilience: every request opens a fresh session and asks one of
-// -distinct canonical questions drawn from a Zipf popularity distribution,
-// phrased through a random equivalent wording (dimension order swapped,
-// "carrier" for "airline", ...). The report (BENCH_semcache.json) splits
-// latency percentiles by serving path — cache hits versus cold vocalizer
-// runs — and computes the hit speedup; with -assert it fails unless the
-// cache actually hit and hits were faster than misses.
 //
 // The stream workload races a streaming ingest feed against concurrent
 // query sessions (semantic cache on): an ingester ships -batches batches
@@ -55,7 +45,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -113,7 +102,7 @@ func main() {
 }
 
 func run() error {
-	workload := flag.String("workload", "serving", "workload: serving (chaos resilience) or semcache (Zipf repetition cache bench)")
+	workload := flag.String("workload", "serving", "workload: serving (chaos resilience) or stream (ingest racing queries)")
 	target := flag.String("target", "", "URL of a running voiceolapd (empty: spin up an in-process server)")
 	sessions := flag.Int("sessions", 64, "concurrent query sessions")
 	queries := flag.Int("queries", 20, "queries per session")
@@ -124,9 +113,6 @@ func run() error {
 	outPath := flag.String("out", "", "benchmark output path (default BENCH_<workload>.json)")
 	assert := flag.Bool("assert", false, "exit nonzero when a workload invariant is violated")
 	maxShedRate := flag.Float64("max-shed-rate", 0.9, "serving assert: maximum tolerated shed rate")
-	requests := flag.Int("requests", 400, "semcache: total requests to issue")
-	distinct := flag.Int("distinct", 12, "semcache: distinct canonical queries in the Zipf universe")
-	zipfS := flag.Float64("zipf-s", 1.2, "semcache: Zipf popularity exponent (>1; larger = more repetition)")
 	batches := flag.Int("batches", 8, "stream: ingest batches to ship")
 	batchRows := flag.Int("batch-rows", 64, "stream: rows per ingest batch")
 	ingestInterval := flag.Duration("ingest-interval", 25*time.Millisecond, "stream: pause between ingest batches")
@@ -151,14 +137,6 @@ func run() error {
 	}
 	switch *workload {
 	case "serving":
-	case "semcache":
-		return runSemcache(semcacheParams{
-			target: *target, dataset: *dataset, seed: *seed,
-			requests: *requests, distinct: *distinct, zipfS: *zipfS,
-			flightRows: *flightRows, maxConcurrent: *maxConcurrent,
-			requestTimeout: *requestTimeout, clientTimeout: *clientTimeout,
-			outPath: *outPath, assert: *assert,
-		})
 	case "stream":
 		return runStream(streamParams{
 			target: *target, dataset: *dataset, seed: *seed,
@@ -169,7 +147,7 @@ func run() error {
 			outPath: *outPath, assert: *assert,
 		})
 	default:
-		return fmt.Errorf("unknown -workload %q (want serving, semcache, or stream)", *workload)
+		return fmt.Errorf("unknown -workload %q (want serving or stream)", *workload)
 	}
 
 	base := *target
@@ -498,259 +476,6 @@ func fetchServing(client *http.Client, base string) any {
 		return nil
 	}
 	return payload.Serving
-}
-
-// semcacheParams bundles the semcache workload inputs.
-type semcacheParams struct {
-	target         string
-	dataset        string
-	seed           int64
-	requests       int
-	distinct       int
-	zipfS          float64
-	flightRows     int
-	maxConcurrent  int
-	requestTimeout time.Duration
-	clientTimeout  time.Duration
-	outPath        string
-	assert         bool
-}
-
-// canonQuery is one distinct canonical query with its equivalent spoken
-// phrasings: every phrasing parses to the same normalized olap.Query, so
-// any of them must hit a cache entry stored under any other.
-type canonQuery struct {
-	name      string
-	phrasings []string
-}
-
-// semcacheUniverse enumerates distinct canonical flight queries: singles
-// first, then cross-hierarchy pairs. Each dimension carries its spoken
-// aliases ("carrier" for "airline"), and pairs are phrased in both orders
-// — the wordings differ, the canonical queries do not.
-func semcacheUniverse(n int) ([]canonQuery, error) {
-	type dim struct {
-		hierarchy string // levels of one hierarchy never pair up: the
-		// parser folds them into a single group level, which would
-		// collapse two universe entries into one canonical query
-		aliases []string
-	}
-	dims := []dim{
-		{"airport", []string{"region"}},
-		{"date", []string{"season"}},
-		{"airline", []string{"airline", "carrier", "operator"}},
-		{"airport", []string{"state"}},
-		{"date", []string{"month"}},
-		{"airport", []string{"city"}},
-	}
-	var universe []canonQuery
-	for _, d := range dims {
-		var ph []string
-		for _, a := range d.aliases {
-			ph = append(ph, "how does cancellation depend on "+a)
-		}
-		universe = append(universe, canonQuery{name: d.aliases[0], phrasings: ph})
-	}
-	for i, a := range dims {
-		for _, b := range dims[i+1:] {
-			if a.hierarchy == b.hierarchy {
-				continue
-			}
-			var ph []string
-			for _, x := range a.aliases {
-				for _, y := range b.aliases {
-					ph = append(ph,
-						"how does cancellation depend on "+x+" and "+y,
-						"how does cancellation depend on "+y+" and "+x)
-				}
-			}
-			universe = append(universe, canonQuery{name: a.aliases[0] + "+" + b.aliases[0], phrasings: ph})
-		}
-	}
-	if n < 1 || n > len(universe) {
-		return nil, fmt.Errorf("-distinct must be 1..%d, got %d", len(universe), n)
-	}
-	return universe[:n], nil
-}
-
-// runSemcache drives the Zipf-repetition cache benchmark: every request
-// opens a fresh session (hits must come from the semantic cache, never
-// from per-session dialogue state) and asks a Zipf-popular canonical
-// query through a random equivalent phrasing.
-func runSemcache(p semcacheParams) error {
-	if p.dataset != "flights" {
-		return fmt.Errorf("the semcache workload phrases flight queries; -dataset must be flights")
-	}
-	if p.zipfS <= 1 {
-		return fmt.Errorf("-zipf-s must be > 1, got %g", p.zipfS)
-	}
-	universe, err := semcacheUniverse(p.distinct)
-	if err != nil {
-		return err
-	}
-
-	base := p.target
-	if base == "" {
-		// No chaos injection and no overload machinery: the bench isolates
-		// cache-hit cost against cold vocalizer cost. Semantic-cache and
-		// pool options are left zero so the server runs its defaults.
-		srv, ln, serr := startServer(serverConfig{
-			seed: p.seed, flightRows: p.flightRows,
-			opts: web.Options{
-				RequestTimeout: p.requestTimeout,
-				MaxConcurrent:  p.maxConcurrent,
-				Logf:           func(string, ...any) {},
-			},
-		})
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Printf("in-process server on %s (semantic cache at defaults)\n", base)
-	}
-
-	client := &http.Client{Timeout: p.clientTimeout}
-	rng := rand.New(rand.NewSource(p.seed))
-	zipf := rand.NewZipf(rng, p.zipfS, 1, uint64(len(universe)-1))
-	fmt.Printf("issuing %d Zipf(s=%.2f) requests over %d distinct canonical queries...\n",
-		p.requests, p.zipfS, len(universe))
-
-	samples := make([]sample, 0, p.requests)
-	sampled := map[int]bool{}
-	start := time.Now()
-	for i := 0; i < p.requests; i++ {
-		idx := int(zipf.Uint64())
-		sampled[idx] = true
-		q := universe[idx]
-		phrasing := q.phrasings[rng.Intn(len(q.phrasings))]
-		session := fmt.Sprintf("sc-%d", i)
-		samples = append(samples, postQuery(client, base, session, "bench", p.dataset, phrasing, "this"))
-	}
-	wall := time.Since(start)
-
-	report := summarizeSemcache(samples, len(sampled), wall)
-	report["config"] = map[string]any{
-		"target": p.target, "requests": p.requests, "distinct": p.distinct,
-		"zipfS": p.zipfS, "seed": p.seed, "flightRows": p.flightRows,
-	}
-	if serving := fetchServing(client, base); serving != nil {
-		report["serving"] = serving
-	}
-
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(p.outPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", p.outPath)
-	fmt.Printf("requests=%v hits=%v warm=%v misses=%v hitRate=%.3f hitP50=%.3fms missP50=%.3fms speedup=%.1fx\n",
-		report["requests"], report["hits"], report["warm"], report["misses"], report["hitRate"],
-		report["hitLatencyMs"].(map[string]float64)["p50"],
-		report["missLatencyMs"].(map[string]float64)["p50"],
-		report["speedup"])
-
-	if p.assert {
-		return assertSemcache(report)
-	}
-	return nil
-}
-
-// summarizeSemcache splits the samples by serving path: tier-A cache
-// replays (hit or coalesced), tier-B warmed-view runs, and cold vocalizer
-// runs, with separate latency percentiles for replays versus cold runs.
-func summarizeSemcache(samples []sample, distinctSampled int, wall time.Duration) map[string]any {
-	var hits, coalesced, warm, misses, degraded, invalid, errors int
-	var hitLat, missLat []time.Duration
-	var invalidExamples []string
-	for _, s := range samples {
-		if s.code != http.StatusOK || !s.hasSpeech {
-			errors++
-			continue
-		}
-		if s.degraded {
-			degraded++
-		}
-		if !s.grammarOK {
-			invalid++
-			if len(invalidExamples) < 3 {
-				invalidExamples = append(invalidExamples, s.speech)
-			}
-		}
-		switch s.cache {
-		case "hit", "coalesced":
-			hits++
-			if s.cache == "coalesced" {
-				coalesced++
-			}
-			hitLat = append(hitLat, s.wall)
-		case "warm":
-			warm++
-		default:
-			misses++
-			missLat = append(missLat, s.wall)
-		}
-	}
-	answered := hits + warm + misses
-	speedup := 0.0
-	if p := quantileMS(hitLat, 0.50); p > 0 {
-		speedup = quantileMS(missLat, 0.50) / p
-	}
-	report := map[string]any{
-		"bench":           "semcache",
-		"num_cpu":         runtime.NumCPU(),
-		"gomaxprocs":      runtime.GOMAXPROCS(0),
-		"wallMs":          float64(wall) / float64(time.Millisecond),
-		"requests":        len(samples),
-		"errors":          errors,
-		"distinctSampled": distinctSampled,
-		"hits":            hits,
-		"coalesced":       coalesced,
-		"warm":            warm,
-		"misses":          misses,
-		"hitRate":         ratio(hits, answered),
-		"degraded":        degraded,
-		"grammarInvalid":  invalid,
-		"hitLatencyMs": map[string]float64{
-			"p50": quantileMS(hitLat, 0.50),
-			"p99": quantileMS(hitLat, 0.99),
-		},
-		"missLatencyMs": map[string]float64{
-			"p50": quantileMS(missLat, 0.50),
-			"p99": quantileMS(missLat, 0.99),
-		},
-		"speedup": speedup,
-	}
-	if len(invalidExamples) > 0 {
-		report["grammarInvalidExamples"] = invalidExamples
-	}
-	return report
-}
-
-// assertSemcache enforces the cache-bench contract on the report.
-func assertSemcache(report map[string]any) error {
-	var violations []string
-	if n := report["errors"].(int); n > 0 {
-		violations = append(violations, fmt.Sprintf("%d requests failed or returned no speech", n))
-	}
-	if n := report["grammarInvalid"].(int); n > 0 {
-		violations = append(violations, fmt.Sprintf("%d grammar-invalid speech answers (replays must stay in-grammar)", n))
-	}
-	if report["hits"].(int) == 0 {
-		violations = append(violations, "the semantic cache never hit under a Zipf repetition workload")
-	}
-	hitP50 := report["hitLatencyMs"].(map[string]float64)["p50"]
-	missP50 := report["missLatencyMs"].(map[string]float64)["p50"]
-	if missP50 > 0 && hitP50 >= missP50 {
-		violations = append(violations, fmt.Sprintf("hit p50 %.3fms not below miss p50 %.3fms", hitP50, missP50))
-	}
-	if len(violations) == 0 {
-		fmt.Println("ASSERT OK: cache hit, replays in-grammar, hits faster than cold runs")
-		return nil
-	}
-	return fmt.Errorf("semcache invariants violated:\n  - %s", strings.Join(violations, "\n  - "))
 }
 
 // assertInvariants enforces the chaos contract on the report.

@@ -1,6 +1,7 @@
 package nlq
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -132,11 +133,11 @@ func TestSynonymOnSalaries(t *testing.T) {
 	}
 }
 
-// TestCloneIsolationUnderStagedParses mirrors the web layer's
-// stage-then-commit pattern across a multi-turn script: every utterance is
-// first parsed on a clone (the dry run admission control may throw away)
-// and then on the live session. The dry run must never leak state into the
-// live session, and both parses must agree on what the command does.
+// TestCloneIsolationUnderStagedParses runs a multi-turn script twice in
+// lockstep: every utterance is first parsed on a clone (what the web layer
+// stages, and admission control may throw away) and then on the session
+// itself. The clone's parse must never leak state into the session it was
+// cloned from, and both parses must agree on what the command does.
 func TestCloneIsolationUnderStagedParses(t *testing.T) {
 	s := newFlightsSession(t)
 	script := []string{
@@ -168,7 +169,7 @@ func TestCloneIsolationUnderStagedParses(t *testing.T) {
 	}
 }
 
-// TestCloneIsolationOfHistory pins the deep copy of the undo stack: undoing
+// TestCloneIsolationOfHistory pins the isolation of the undo stack: undoing
 // on a clone after further live mutations must restore the clone's own
 // snapshot, untouched by the live session's history edits.
 func TestCloneIsolationOfHistory(t *testing.T) {
@@ -191,6 +192,95 @@ func TestCloneIsolationOfHistory(t *testing.T) {
 	}
 	if sum := s.Summary(); !strings.Contains(sum, "region") {
 		t.Errorf("live summary after double undo looks wrong: %q", sum)
+	}
+}
+
+// TestCloneSharedHistoryInterleaved drives the hazard of sharing the undo
+// stack between clones: parent and clone start from one full (more than
+// maxHistory deep) history and then interleave "back" and new commands at
+// random, re-cloning now and then. Each session is checked against its own
+// model stack of summaries, so a push that landed in the other's backing
+// array, or an installed snapshot written through by a later command, shows
+// up as a "back" that restores the wrong state.
+func TestCloneSharedHistoryInterleaved(t *testing.T) {
+	// Every command here succeeds from any state and pushes one snapshot.
+	cmds := []string{
+		"only flights in winter", "break down by state", "only flights in summer",
+		"break down by month", "break down by region", "only flights in spring",
+		"break down by city", "break down by season", "total in the last hour by region",
+		"average over all time by state",
+	}
+	type tracked struct {
+		s    *Session
+		undo []string
+	}
+	apply := func(tr *tracked, input string) {
+		t.Helper()
+		before := tr.s.Summary()
+		parse(t, tr.s, input)
+		if tr.undo = append(tr.undo, before); len(tr.undo) > maxHistory {
+			tr.undo = tr.undo[1:]
+		}
+	}
+	back := func(tr *tracked, who string) {
+		t.Helper()
+		want := tr.undo[len(tr.undo)-1]
+		tr.undo = tr.undo[:len(tr.undo)-1]
+		parse(t, tr.s, "back")
+		if got := tr.s.Summary(); got != want {
+			t.Fatalf("%s: back restored\n  %q\nwant\n  %q", who, got, want)
+		}
+	}
+	fork := func(tr *tracked) *tracked {
+		return &tracked{s: tr.s.Clone(), undo: append([]string(nil), tr.undo...)}
+	}
+
+	parent := &tracked{s: newFlightsSession(t)}
+	for i := 0; i < maxHistory+10; i++ {
+		apply(parent, cmds[i%len(cmds)])
+	}
+	if len(parent.s.history) != maxHistory {
+		t.Fatalf("history depth = %d, want %d", len(parent.s.history), maxHistory)
+	}
+	clone := fork(parent)
+	// Both sides push twice onto the shared stack before either pops: with
+	// an uncapped share the second pushes land in the same slot.
+	apply(parent, "break down by city")
+	apply(clone, "break down by region")
+	apply(parent, "only flights in spring")
+	apply(clone, "only flights in winter")
+	back(parent, "parent")
+	back(clone, "clone")
+	// A pop followed by a push must not reuse the popped slot either.
+	apply(clone, "break down by month")
+	back(parent, "parent")
+	back(clone, "clone")
+
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		tr, who := parent, "parent"
+		if rng.Intn(2) == 0 {
+			tr, who = clone, "clone"
+		}
+		switch {
+		case rng.Intn(40) == 0:
+			clone = fork(parent)
+		case rng.Intn(2) == 0 && len(tr.undo) > 0:
+			back(tr, who)
+		default:
+			apply(tr, cmds[rng.Intn(len(cmds))])
+		}
+	}
+	for len(parent.undo) > 0 {
+		back(parent, "parent")
+	}
+	for len(clone.undo) > 0 {
+		back(clone, "clone")
+	}
+	for _, tr := range []*tracked{parent, clone} {
+		if _, err := tr.s.Parse("back"); err == nil {
+			t.Error("back on an exhausted history should fail")
+		}
 	}
 }
 

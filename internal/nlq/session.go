@@ -18,7 +18,11 @@ import (
 	"repro/internal/olap"
 )
 
-// Session is one user's exploration state over a dataset.
+// Session is one user's exploration state over a dataset. Parse writes it
+// in place and nothing here locks, so a session shared between goroutines
+// is shared as a value: once published it is only read (Query, Summary,
+// Clone), and a command runs on a Clone that then replaces it — which is
+// how internal/web keeps its session table.
 type Session struct {
 	dataset *olap.Dataset
 	fct     olap.AggFunc
@@ -48,86 +52,78 @@ type snapshot struct {
 // maxHistory bounds the undo stack.
 const maxHistory = 64
 
-// capture snapshots the current state.
-func (s *Session) capture() snapshot {
-	snap := snapshot{
-		fct:     s.fct,
-		levels:  make(map[*dimension.Hierarchy]int, len(s.levels)),
-		order:   append([]*dimension.Hierarchy{}, s.order...),
-		filters: make(map[*dimension.Hierarchy]*dimension.Member, len(s.filters)),
-		window:  s.window,
-	}
-	for h, l := range s.levels {
-		snap.levels[h] = l
-	}
-	for h, m := range s.filters {
-		snap.filters[h] = m
-	}
-	return snap
+// state returns the live exploration state as a snapshot that aliases it.
+func (s *Session) state() snapshot {
+	return snapshot{fct: s.fct, levels: s.levels, order: s.order, filters: s.filters, window: s.window}
 }
 
-// pushHistory records the current state before a mutation.
-func (s *Session) pushHistory() {
-	s.history = append(s.history, s.capture())
-	if len(s.history) > maxHistory {
-		s.history = s.history[len(s.history)-maxHistory:]
-	}
-}
-
-// popHistory restores the most recent snapshot; false if none exists.
-func (s *Session) popHistory() bool {
-	if len(s.history) == 0 {
-		return false
-	}
-	snap := s.history[len(s.history)-1]
-	s.history = s.history[:len(s.history)-1]
-	s.fct = snap.fct
-	s.levels = snap.levels
-	s.order = snap.order
-	s.filters = snap.filters
-	s.window = snap.window
-	return true
-}
-
-// clone deep-copies a snapshot's mutable maps and slices.
-func (s snapshot) clone() snapshot {
+// clone deep-copies a snapshot's maps and slice.
+func (snap snapshot) clone() snapshot {
 	c := snapshot{
-		fct:     s.fct,
-		levels:  make(map[*dimension.Hierarchy]int, len(s.levels)),
-		order:   append([]*dimension.Hierarchy{}, s.order...),
-		filters: make(map[*dimension.Hierarchy]*dimension.Member, len(s.filters)),
-		window:  s.window,
+		fct:     snap.fct,
+		levels:  make(map[*dimension.Hierarchy]int, len(snap.levels)),
+		order:   append([]*dimension.Hierarchy{}, snap.order...),
+		filters: make(map[*dimension.Hierarchy]*dimension.Member, len(snap.filters)),
+		window:  snap.window,
 	}
-	for h, l := range s.levels {
+	for h, l := range snap.levels {
 		c.levels[h] = l
 	}
-	for h, m := range s.filters {
+	for h, m := range snap.filters {
 		c.filters[h] = m
 	}
 	return c
 }
 
-// Clone returns an independent deep copy of the session's exploration
-// state, including the undo history (the immutable dataset is shared).
-// The web layer stages Parse on a clone so a request shed by admission
-// control afterwards leaves the live session untouched — a client retry
-// must not double-apply the keyword command.
+// install makes a private copy of snap the live state: commands write the
+// live maps in place, and snap may be shared with clones.
+func (s *Session) install(snap snapshot) {
+	c := snap.clone()
+	s.fct, s.levels, s.order, s.filters, s.window = c.fct, c.levels, c.order, c.filters, c.window
+}
+
+// pushHistory records the current state before a mutation. A pushed
+// snapshot is never written again.
+func (s *Session) pushHistory() {
+	s.history = append(s.history, s.state().clone())
+	if len(s.history) > maxHistory {
+		s.history = s.history[len(s.history)-maxHistory:]
+	}
+}
+
+// popHistory restores the most recent snapshot; false if none exists. The
+// shortened stack is capped at its length, so the next push reallocates
+// instead of overwriting a slot a clone still reads.
+func (s *Session) popHistory() bool {
+	n := len(s.history)
+	if n == 0 {
+		return false
+	}
+	s.install(s.history[n-1])
+	s.history = s.history[: n-1 : n-1]
+	return true
+}
+
+// Clone returns an independent copy of the session's exploration state
+// (the immutable dataset is shared). The live maps are copied; the undo
+// history is shared: pushed snapshots are read-only (popHistory copies the
+// one it installs), and the shared slice is capped at its length, so the
+// first push on either side reallocates rather than appending into the
+// other's backing array.
+//
+// Clone is what lets the web layer treat a published session as a value: a
+// command runs on a clone, which then replaces the published session by
+// pointer swap, so a request that is shed or fails leaves nothing behind
+// and a client retry cannot double-apply "drill down" or "back".
 func (s *Session) Clone() *Session {
+	n := len(s.history)
 	c := &Session{
 		dataset: s.dataset,
-		fct:     s.fct,
 		col:     s.col,
 		colDesc: s.colDesc,
-		window:  s.window,
-		history: make([]snapshot, len(s.history)),
+		history: s.history[:n:n],
 	}
-	cur := s.capture()
-	c.levels, c.order, c.filters = cur.levels, cur.order, cur.filters
-	// History snapshots must be copied too: popHistory installs a
-	// snapshot's maps as the live state, which later mutates them.
-	for i, snap := range s.history {
-		c.history[i] = snap.clone()
-	}
+	c.install(s.state())
 	return c
 }
 

@@ -10,7 +10,6 @@
 package web
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,16 +39,8 @@ type ingestResponse struct {
 
 // handleIngest appends one batch of rows to a dataset.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -60,10 +51,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Copy-on-first-ingest: materialize the appendable table under s.mu so
 	// concurrent first batches agree on one copy.
 	s.mu.Lock()
-	st, ok := s.datasets[req.Dataset]
-	if !ok {
+	st, err := s.dataset(req.Dataset)
+	if err != nil {
 		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", req.Dataset))
+		s.writeCommandError(w, err)
 		return
 	}
 	if st.live == nil {

@@ -1,0 +1,206 @@
+package web
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/nlq"
+	"repro/internal/olap"
+)
+
+// queryReq builds one in-memory /api/query call on the flights dataset.
+func queryReq(session, input, method string) *http.Request {
+	body, _ := json.Marshal(queryRequest{Session: session, Dataset: "flights", Input: input, Method: method})
+	return httptest.NewRequest("POST", "/api/query", bytes.NewReader(body))
+}
+
+// serve runs one /api/query call through the handler in memory.
+func serve(h http.Handler, session, input, method string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, queryReq(session, input, method))
+	return rec
+}
+
+// TestCacheHitAllocBudget pins what a tier-A hit costs in front of the
+// cache: one clone, one parse, one commit, one response. Sessions are five
+// turns long, as in the repeat_zipf workload, and the measured request is
+// the fifth turn, a hit like the four before it. Staging every command
+// twice and committing it by a third parse cost 529 allocations here; one
+// staging costs about 220.
+func TestCacheHitAllocBudget(t *testing.T) {
+	const budget = 300
+	srv, _ := newCacheServer(t, Options{SemCacheViews: -1})
+	h := srv.Handler()
+	turns := []string{
+		"how does cancellation depend on region and carrier",
+		"and for winter",
+		"how does cancellation depend on season",
+		"drill down",
+		"how does cancellation depend on airline and region",
+	}
+	const runs = 200
+	// Session 0 plans every turn cold; the others then replay them, their
+	// last turn inside the measurement (AllocsPerRun adds a warm-up run).
+	var last []*http.Request
+	for i := 0; i <= runs+1; i++ {
+		session := fmt.Sprintf("s%d", i)
+		for _, in := range turns[:4] {
+			if rec := serve(h, session, in, "this"); rec.Code != http.StatusOK {
+				t.Fatalf("session %d %q: status %d: %s", i, in, rec.Code, rec.Body)
+			}
+		}
+		if i == 0 {
+			serve(h, session, turns[4], "this")
+		} else {
+			last = append(last, queryReq(session, turns[4], "this"))
+		}
+	}
+	rec := httptest.NewRecorder()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		rec.Body.Reset()
+		h.ServeHTTP(rec, last[next])
+		next++
+	})
+	var out queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Cache != "hit" || out.Speech == "" {
+		t.Fatalf("measured request was not a cache hit: %v %s", err, rec.Body)
+	}
+	t.Logf("a cache hit on a five-turn session allocates %.0f times", allocs)
+	if allocs > budget {
+		t.Errorf("a cache hit on a five-turn session allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
+// TestRacingCommandsApplyOnceInCommitOrder is the serial-equivalence
+// property of the request lifecycle. Goroutines fire random commands —
+// queries, navigation, help, nonsense — at a few shared sessions while
+// admission is tight enough to shed some and one ReloadDataset lands
+// mid-run. The commit hook gives, per session, the commands in the order
+// the server published them (/api/log cannot: it lists spoken answers in
+// reply order and leaves feedback commands out). Replaying that order on a
+// fresh nlq.Session must reproduce every 200 reply — each reply carries the
+// summary of the state its command left — use every reply exactly once,
+// and end in the state the table holds. A command applied twice, in part,
+// after a refusal, or not at all breaks one of the three.
+func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
+	srv, _ := newCacheServer(t, Options{MaxConcurrent: 1, QueueDepth: 1, SemCacheViews: -1})
+	h := srv.Handler()
+	type commit struct {
+		input string
+		epoch int64
+	}
+	commits := map[string][]commit{} // by session key, appended under srv.mu
+	srv.committed = func(req *request) {
+		commits[req.key] = append(commits[req.key], commit{req.Input, req.epoch})
+	}
+	commands := []string{
+		"how does cancellation depend on region and season", "break down by airline",
+		"break down by state", "only flights in winter", "only flights in summer",
+		"drill down", "drill down", "roll up", "back", "back", "clear", "reset", "help",
+		"how many flights", "average", "remove start airport", "colorless green ideas", "",
+	}
+	sessions := []string{"a", "b", "c"}
+	const workers, perWorker = 8, 60
+
+	// reply is what a 200 told its client.
+	type reply struct{ input, action, message string }
+	var mu sync.Mutex
+	replies := map[string]map[reply]int{}
+	refused := map[int]int{}
+	for _, session := range sessions {
+		replies[session] = map[reply]int{}
+	}
+	reloaded, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 132})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := srv.datasets["flights"].info
+	byEpoch := []*olap.Dataset{info.Dataset, reloaded}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				if w == 0 && i == perWorker/2 {
+					if err := srv.ReloadDataset("flights", reloaded); err != nil {
+						t.Errorf("reload: %v", err)
+					}
+				}
+				session := sessions[rng.Intn(len(sessions))]
+				input := commands[rng.Intn(len(commands))]
+				rec := serve(h, session, input, []string{"this", "prior"}[rng.Intn(2)])
+				var out queryResponse
+				if rec.Code == http.StatusOK {
+					if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+						t.Errorf("decode: %v", err)
+					}
+				}
+				mu.Lock()
+				if rec.Code == http.StatusOK {
+					replies[session][reply{input, out.Action, out.Message}]++
+				} else {
+					refused[rec.Code]++
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	t.Logf("refusals by status: %v", refused)
+	for code, n := range refused {
+		if code != http.StatusServiceUnavailable && code != http.StatusUnprocessableEntity {
+			t.Errorf("%d replies with unexpected status %d", n, code)
+		}
+	}
+	if refused[http.StatusServiceUnavailable] == 0 || refused[http.StatusUnprocessableEntity] == 0 {
+		t.Error("the run should see both sheds and parse refusals")
+	}
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, session := range sessions {
+		key := session + "\x00flights"
+		var model *nlq.Session
+		epoch := int64(-1)
+		for i, c := range commits[key] {
+			if c.epoch != epoch {
+				// First command, or first after the reload dropped the session.
+				if model, err = nlq.NewSession(byEpoch[c.epoch], olap.Avg, info.MeasureCol, info.MeasureDesc); err != nil {
+					t.Fatal(err)
+				}
+				epoch = c.epoch
+			}
+			resp, err := model.Parse(c.input)
+			if err != nil {
+				t.Fatalf("session %s commit %d: %q was published but does not parse in commit order: %v", session, i, c.input, err)
+			}
+			r := reply{c.input, resp.Action, resp.Message}
+			if replies[session][r] == 0 {
+				t.Fatalf("session %s commit %d: no client was told %+v", session, i, r)
+			}
+			replies[session][r]--
+		}
+		for r, n := range replies[session] {
+			if n != 0 {
+				t.Errorf("session %s: %d replies %+v answer no published command", session, n, r)
+			}
+		}
+		if model == nil {
+			t.Fatalf("session %s never committed", session)
+		}
+		if got, want := srv.sessions[key].Value.(*sessionEntry).sess.Summary(), model.Summary(); got != want {
+			t.Errorf("session %s ends at\n  %q\nreplay of its commits at\n  %q", session, got, want)
+		}
+	}
+}

@@ -235,8 +235,8 @@ func (s *Server) servingStats() ServingStats {
 	}
 	if p50, p99, _, ok := s.latw.quantiles(); ok {
 		out.VocalizeLatencyMS = map[string]float64{
-			"p50": float64(p50) / float64(time.Millisecond),
-			"p99": float64(p99) / float64(time.Millisecond),
+			"p50": ms(p50),
+			"p99": ms(p99),
 		}
 	}
 	for name, br := range s.breakers {

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"strconv"
 	"strings"
 	"time"
@@ -117,58 +116,17 @@ func viewKey(dataset string, epoch int64, q olap.Query) string {
 	return epochPrefix(dataset, epoch) + "view\x00" + semcache.Key(q)
 }
 
-// tryServeCached is the pre-admission fast path: if an equivalent query
-// (same canonical key, same dataset epoch) already has a memoized answer,
-// commit the command and replay the speech without touching the brownout
-// ladder, the admission queue, or the planner. A hit costs microseconds,
-// so it stays available even while the server sheds load. The probe parse
-// and the commit run under one hold of s.mu, so the committed query is
-// exactly the one the key was computed from.
-func (s *Server) tryServeCached(w http.ResponseWriter, req queryRequest, sess *nlq.Session, st *datasetState, method, tenant string) bool {
-	if s.answers == nil {
-		return false
-	}
-	start := time.Now()
-	s.mu.Lock()
-	probe := sess.Clone()
-	presp, perr := probe.Parse(req.Input)
-	if perr != nil || !presp.IsQuery {
-		s.mu.Unlock()
-		return false
-	}
-	epoch := st.epoch
-	key := answerKey(req.Dataset, epoch, method, probe.Query())
-	ans, ok := s.answers.Get(key)
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	resp, err := sess.Parse(req.Input)
-	s.mu.Unlock()
-	if err != nil {
-		// Unreachable in practice: the probe parsed the same input on an
-		// identical clone under the same lock hold. Answer rather than
-		// fall through, because the command is already committed.
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return true
-	}
-	if !resp.IsQuery {
-		writeJSON(w, http.StatusOK, queryResponse{Action: resp.Action, Message: resp.Message})
-		return true
-	}
-	s.serving.cached(tenant, semcache.Hit)
-	latencyMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.respondSpeech(w, req, method, resp, ans.voc, "cache", ans.origin, semcache.Hit.String(), "", latencyMS, st, epoch)
-	return true
-}
-
 // answerQuery produces the answer for the committed query, consulting the
 // semantic caches: tier A replays stored speeches and coalesces identical
 // in-flight work (singleflight), tier B warm-starts the planner from a
 // prebuilt sample view so even a tier-A miss skips scan cost. Brownout
 // and breaker observations happen inside the compute closure, so only
 // real vocalizer runs feed the control loops.
-func (s *Server) answerQuery(ctx context.Context, info DatasetInfo, dataset string, epoch int64, nq olap.Query, method, servedBy string, step admission.Step, fallback string) (cachedAnswer, semcache.Outcome, error) {
+func (s *Server) answerQuery(ctx context.Context, req *request, servedBy string, step admission.Step, fallback string) (cachedAnswer, semcache.Outcome, error) {
+	// Every vocalizer runs on the canonical query: key equality then
+	// implies identical planner input, which is what makes replaying a
+	// cached speech sound.
+	dataset, epoch, nq := req.Dataset, req.epoch, semcache.Normalize(req.staged.Query())
 	compute := func() (cachedAnswer, bool, error) {
 		var view *sampling.View
 		if servedBy == "this" && s.views != nil && s.cfg.Uncertainty == core.UncertaintyOff {
@@ -177,11 +135,11 @@ func (s *Server) answerQuery(ctx context.Context, info DatasetInfo, dataset stri
 			}
 		}
 		wallStart := time.Now()
-		voc, err := s.vocalize(ctx, info, nq, servedBy, step, view)
+		voc, err := s.vocalize(ctx, req.info, nq, servedBy, step, view)
 		wall := time.Since(wallStart)
 		s.brown.Observe(wall)
 		s.latw.observe(wall)
-		if method == "this" && servedBy == "this" && err == nil {
+		if req.method == "this" && servedBy == "this" && err == nil {
 			// A deadline-degraded answer is the breaker's blowout signal;
 			// a client cancellation is not the dataset's fault.
 			s.breakers[dataset].Record(voc.degraded && voc.reason == context.DeadlineExceeded.Error())
@@ -299,9 +257,9 @@ func (s *Server) ReloadDataset(name string, d *olap.Dataset) error {
 	st.pool = fresh.pool
 	st.live = nil
 	st.epoch++
-	for key := range s.sessions {
+	for key, el := range s.sessions {
 		if strings.HasSuffix(key, "\x00"+name) {
-			delete(s.sessions, key)
+			s.dropSession(el)
 		}
 	}
 	s.mu.Unlock()

@@ -17,6 +17,7 @@
 package web
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -226,8 +227,12 @@ func (l *queryLog) snapshot() []QueryLogEntry {
 	return out
 }
 
-// sessionEntry tracks a session's last use for TTL/LRU eviction.
+// sessionEntry is one row of the session table. The session it points to
+// is published: nothing calls Parse on it again. A command runs on a clone
+// and commit replaces the pointer, so whoever read sess under s.mu may keep
+// reading it after the lock is gone.
 type sessionEntry struct {
+	key      string
 	sess     *nlq.Session
 	lastUsed time.Time
 }
@@ -237,7 +242,11 @@ type Server struct {
 	mu       sync.Mutex
 	datasets map[string]*datasetState
 	order    []string
-	sessions map[string]*sessionEntry
+	// sessions maps "session\x00dataset" to its element in recency, which
+	// lists the *sessionEntry rows most recently used first: the session
+	// idle longest — the TTL's victim and the LRU's alike — is at the back.
+	sessions map[string]*list.Element
+	recency  *list.List
 	log      queryLog
 	cfg      core.Config
 	opts     Options
@@ -277,6 +286,10 @@ type Server struct {
 	// holdVocalize gate (its command is committed, its epoch captured) —
 	// the companion hook that lets a test order events around the hold.
 	vocalizeParked chan struct{}
+	// committed, when non-nil, is called under s.mu with every request
+	// whose command commit has just published — the test hook that reads
+	// the order commands were applied in.
+	committed func(*request)
 }
 
 // NewServer registers the datasets and returns a server with default
@@ -294,7 +307,8 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 	opts = opts.normalize()
 	s := &Server{
 		datasets: make(map[string]*datasetState, len(infos)),
-		sessions: make(map[string]*sessionEntry),
+		sessions: make(map[string]*list.Element),
+		recency:  list.New(),
 		log:      queryLog{cap: opts.LogCap},
 		cfg:      cfg,
 		opts:     opts,
@@ -476,178 +490,297 @@ func methodName(m string) (string, bool) {
 	}
 }
 
-// session returns the live session for key, creating it on first use (from
-// the dataset's warm pool) and evicting expired and least-recently-used
-// sessions. Caller holds s.mu.
-func (s *Server) session(key string, st *datasetState) (*nlq.Session, error) {
-	now := s.now()
-	// TTL sweep: drop sessions idle past the deadline.
-	for k, e := range s.sessions {
-		if now.Sub(e.lastUsed) > s.opts.SessionTTL {
-			delete(s.sessions, k)
-		}
+// Errors of the stage and commit stages that are not the command's own
+// parse error; writeCommandError maps them to a status.
+var (
+	errUnknownDataset = errors.New("unknown dataset")
+	errSessionInit    = errors.New("session init")
+	// errMoved refuses a no-restage commit: the session or the dataset
+	// changed since the command was staged. It never reaches a client.
+	errMoved = errors.New("session or epoch moved since staging")
+)
+
+// dataset looks up a registered dataset. Caller holds s.mu.
+func (s *Server) dataset(name string) (*datasetState, error) {
+	st, ok := s.datasets[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", errUnknownDataset, name)
 	}
-	if e, ok := s.sessions[key]; ok {
+	return st, nil
+}
+
+// session returns key's row of the session table, creating it on first use
+// (from the dataset's warm pool) and moving it to the hot end. Sessions
+// idle past the TTL, and the least recently used ones beyond MaxSessions,
+// drop off the cold end of the recency list. Caller holds s.mu.
+func (s *Server) session(key string, st *datasetState) (*sessionEntry, error) {
+	now := s.now()
+	for el := s.recency.Back(); el != nil && now.Sub(el.Value.(*sessionEntry).lastUsed) > s.opts.SessionTTL; el = s.recency.Back() {
+		s.dropSession(el)
+	}
+	if el, ok := s.sessions[key]; ok {
+		e := el.Value.(*sessionEntry)
 		e.lastUsed = now
-		return e.sess, nil
+		s.recency.MoveToFront(el)
+		return e, nil
 	}
 	sess, err := st.newSession()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", errSessionInit, err)
 	}
-	// LRU eviction: make room before inserting.
 	for len(s.sessions) >= s.opts.MaxSessions {
-		oldestKey := ""
-		var oldest time.Time
-		for k, e := range s.sessions {
-			if oldestKey == "" || e.lastUsed.Before(oldest) {
-				oldestKey, oldest = k, e.lastUsed
-			}
-		}
-		delete(s.sessions, oldestKey)
+		s.dropSession(s.recency.Back())
 	}
-	s.sessions[key] = &sessionEntry{sess: sess, lastUsed: now}
-	return sess, nil
+	e := &sessionEntry{key: key, sess: sess, lastUsed: now}
+	s.sessions[key] = s.recency.PushFront(e)
+	return e, nil
 }
 
-// handleQuery parses the command in the caller's session and vocalizes
-// the resulting query with the chosen method.
+// dropSession removes one row from the session table. Caller holds s.mu.
+func (s *Server) dropSession(el *list.Element) {
+	delete(s.sessions, s.recency.Remove(el).(*sessionEntry).key)
+}
+
+// request is one /api/query call on its way through handleQuery's stages.
+// Each stage reads what the earlier ones filled in and fills in its own
+// part; nothing in it is shared with another request.
+type request struct {
+	// decode: the payload, the normalized method, the admission tenant and
+	// the session-table key.
+	queryRequest
+	method string
+	tenant string
+	key    string
+	// stage: the published session the command was applied to, the clone
+	// that carries the result (invisible to everyone else until commit),
+	// and what the command did. commit rewrites all three if it restages.
+	base   *nlq.Session
+	staged *nlq.Session
+	resp   nlq.Response
+	// st is the dataset's state; epoch and info are read from it under
+	// s.mu — epoch by stage (for the cache key) and both again by commit,
+	// which is the pair the planner runs on.
+	st    *datasetState
+	epoch int64
+	info  DatasetInfo
+	// queued reports that admission made the request wait for its slot.
+	queued bool
+}
+
+// stageOn applies the command to a clone of base. The one place a request
+// clones and parses: stage calls it outside s.mu, commit under it.
+func (req *request) stageOn(base *nlq.Session) (err error) {
+	req.base, req.staged = base, base.Clone()
+	req.resp, err = req.staged.Parse(req.Input)
+	return err
+}
+
+// answer is what respondSpeech speaks and logs: the speech plus how it was
+// served.
+type answer struct {
+	voc vocOut
+	// servedBy, origin, cache and fallback fill the response fields of the
+	// same names.
+	servedBy, origin, cache, fallback string
+	latencyMS                         float64
+}
+
+// handleQuery applies the command to the caller's session and vocalizes
+// the resulting query with the chosen method. One request value passes
+// through the stages in order — decode, stage, cache lookup, admit, commit,
+// plan, respond — and every stage that can refuse the request does so
+// before commit, so a refused request leaves the session as it was.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	req, ok := s.decodeQuery(w, r)
+	if !ok {
+		return
+	}
+	if err := s.stage(req); err != nil {
+		s.writeCommandError(w, err)
+		return
+	}
+	// Only queries vocalize. Help, summaries and navigation feedback skip
+	// the cache and admission and go straight to commit.
+	vocalizes := req.resp.IsQuery
+	if vocalizes {
+		// An equivalent query already answered this epoch replays its speech
+		// before admission — even while shedding — provided session and
+		// epoch still are what the key was computed from.
+		start := time.Now()
+		if hit, ok := s.lookup(req); ok && s.commit(req, false) == nil {
+			s.serving.cached(req.tenant, semcache.Hit)
+			s.respondSpeech(w, req, answer{
+				voc: hit.voc, servedBy: "cache", origin: hit.origin,
+				cache: semcache.Hit.String(), latencyMS: ms(time.Since(start)),
+			})
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+		ticket := s.admit(w, r, req)
+		if ticket == nil {
+			return
+		}
+		defer ticket.Release()
+	}
+	if err := s.commit(req, true); err != nil {
+		s.writeCommandError(w, err)
 		return
+	}
+	if !vocalizes || !req.resp.IsQuery {
+		// Also the rare command that a racing one turned from query into
+		// feedback or back: what was committed is what the reply reports,
+		// and only a request that went through admission may plan.
+		writeJSON(w, http.StatusOK, queryResponse{Action: req.resp.Action, Message: req.resp.Message})
+		return
+	}
+	ans, err := s.plan(r.Context(), req)
+	if err != nil {
+		if !s.writeAborted(w, r, req.tenant, err, "") {
+			s.opts.Logf("web: vocalize: %v", err)
+			writeError(w, http.StatusInternalServerError, errInternal)
+		}
+		return
+	}
+	s.respondSpeech(w, req, ans)
+}
+
+// decodeBody reads a size-capped JSON body into v. On failure it has
+// written the 413 or 400 and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	}
+	return false
+}
+
+// decodeQuery is the decode stage: payload, method and session checks that
+// need no server state. On failure it has written the 4xx.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (*request, bool) {
+	req := &request{}
+	if !s.decodeBody(w, r, &req.queryRequest) {
+		return nil, false
 	}
 	if req.Session == "" {
 		writeError(w, http.StatusBadRequest, errors.New("session required"))
-		return
+		return nil, false
 	}
-	method, ok := methodName(req.Method)
-	if !ok {
+	var ok bool
+	if req.method, ok = methodName(req.Method); !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown method %q (want \"this\" or \"prior\")", req.Method))
-		return
+		return nil, false
 	}
+	req.tenant = tenantOf(r, req.Session)
+	req.key = req.Session + "\x00" + req.Dataset
+	return req, true
+}
+
+// stage is the staging step: one hold of s.mu to read the published session
+// and the epoch, then clone and parse outside it. Nothing is visible to
+// other requests yet (a first command does open its pristine session).
+func (s *Server) stage(req *request) error {
 	s.mu.Lock()
-	st, ok := s.datasets[req.Dataset]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", req.Dataset))
-		return
+	st, err := s.dataset(req.Dataset)
+	var e *sessionEntry
+	if err == nil {
+		e, err = s.session(req.key, st)
 	}
-	key := req.Session + "\x00" + req.Dataset
-	sess, err := s.session(key, st)
 	if err != nil {
 		s.mu.Unlock()
-		s.opts.Logf("web: session init: %v", err)
-		writeError(w, http.StatusInternalServerError, errInternal)
-		return
+		return err
 	}
-	// Stage the parse on a clone: admission may still shed this request,
-	// and a shed must be side-effect free so a client retry does not
-	// double-apply the command ("drill down" twice deep, "back" twice up).
-	staged := sess.Clone()
+	req.st, req.epoch = st, st.epoch
+	base := e.sess
 	s.mu.Unlock()
-	resp, err := staged.Parse(req.Input)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
+	return req.stageOn(base)
+}
 
-	if !resp.IsQuery {
-		// Non-query commands (help, summaries, navigation feedback) never
-		// vocalize, so they bypass admission; commit on the live session.
-		s.mu.Lock()
-		live, err := sess.Parse(req.Input)
-		s.mu.Unlock()
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{Action: live.Action, Message: live.Message})
-		return
+// lookup is the cache-lookup stage: the tier-A answer stored for the staged
+// query at the staged epoch, if any.
+func (s *Server) lookup(req *request) (cachedAnswer, bool) {
+	if s.answers == nil {
+		return cachedAnswer{}, false
 	}
+	return s.answers.Get(answerKey(req.Dataset, req.epoch, req.method, req.staged.Query()))
+}
 
-	tenant := tenantOf(r, req.Session)
-	// Semantic fast path: an equivalent query already answered this epoch
-	// replays its speech before admission — even while shedding.
-	if s.tryServeCached(w, req, sess, st, method, tenant) {
-		return
-	}
-	// The ladder's last rung refuses queries before they touch the queue.
+// admit is the admission stage: the brownout ladder's last rung, then the
+// per-tenant bucket and the fair queue. It returns the request's
+// vocalization slot, or nil after writing the refusal.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *request) *admission.Ticket {
 	if s.brown.Step() == admission.StepShed {
-		s.serving.shed(tenant, "brownout")
+		s.serving.shed(req.tenant, "brownout")
 		s.writeShed(w, req.Dataset, http.StatusServiceUnavailable,
 			errors.New("server browned out, retry shortly"))
-		return
+		return nil
 	}
-	res := s.adm.Acquire(r.Context(), tenant)
-	if res.Ticket == nil {
-		switch res.Shed {
-		case admission.ShedCanceled:
-			if r.Context().Err() == context.DeadlineExceeded {
-				writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded while queued"))
-				break
-			}
-			// The client hung up while queued; nobody reads this reply,
-			// but the status keeps the log honest (499, not 5xx).
-			s.serving.clientGone(tenant)
-			writeError(w, statusClientClosedRequest, errors.New("client closed request"))
-		case admission.ShedRate:
-			s.serving.shed(tenant, res.Shed.String())
-			s.writeShed(w, req.Dataset, http.StatusTooManyRequests,
-				errors.New("tenant rate limit exceeded, retry shortly"))
-		default:
-			s.serving.shed(tenant, res.Shed.String())
-			s.writeShed(w, req.Dataset, http.StatusServiceUnavailable,
-				errors.New("server saturated, retry shortly"))
-		}
-		return
+	res := s.adm.Acquire(r.Context(), req.tenant)
+	req.queued = res.Waited > 0
+	switch {
+	case res.Ticket != nil:
+		return res.Ticket
+	case res.Shed == admission.ShedCanceled:
+		// Nobody may be left to read the reply, but the status keeps the
+		// log honest (499 or 408, not 5xx).
+		s.writeAborted(w, r, req.tenant, r.Context().Err(), " while queued")
+	case res.Shed == admission.ShedRate:
+		s.serving.shed(req.tenant, res.Shed.String())
+		s.writeShed(w, req.Dataset, http.StatusTooManyRequests,
+			errors.New("tenant rate limit exceeded, retry shortly"))
+	default:
+		s.serving.shed(req.tenant, res.Shed.String())
+		s.writeShed(w, req.Dataset, http.StatusServiceUnavailable,
+			errors.New("server saturated, retry shortly"))
 	}
-	defer res.Ticket.Release()
+	return nil
+}
 
-	// Admitted: commit the staged command on the live session. The parse
-	// re-runs under the lock so concurrent commits serialize; a racing
-	// command may have changed the session since the dry run, so the
-	// committed response is authoritative. The dataset info is captured
-	// under the same lock hold as the epoch: reload and ingest swap
-	// st.info while holding s.mu, so reading it later (inside the compute
-	// closure) would race and could pair an old epoch with new data. For
-	// the same reason a session that a reload dropped since the dry run is
-	// replaced here: its query names the old dataset's hierarchies, which
-	// the info captured below no longer binds.
+// commit is the commit stage, the only place a command becomes visible:
+// under s.mu, if the table still holds the session the command was staged
+// on, the staged clone replaces it. Otherwise another command on this
+// session committed first, or a reload or an eviction dropped the session
+// and the table now holds a fresh one — either way the command is staged
+// again on what the table holds now, inside the same lock hold, so racing
+// commands apply one after the other and the query that is planned is
+// always the one that was committed. Epoch and dataset info are read in
+// that hold too: reload and ingest swap them under s.mu, and reading them
+// later could pair an old epoch with new data.
+//
+// With restage false (the cache-hit path, which must not commit anything
+// but the query its key was computed from) a moved session or epoch
+// returns errMoved instead. On any error the table is left as it was.
+func (s *Server) commit(req *request, restage bool) error {
 	s.mu.Lock()
-	if e, ok := s.sessions[key]; !ok || e.sess != sess {
-		if sess, err = s.session(key, st); err != nil {
-			s.mu.Unlock()
-			s.opts.Logf("web: session init: %v", err)
-			writeError(w, http.StatusInternalServerError, errInternal)
-			return
+	defer s.mu.Unlock()
+	e, err := s.session(req.key, req.st)
+	if err != nil {
+		return err
+	}
+	if moved := e.sess != req.base; !restage && (moved || req.st.epoch != req.epoch) {
+		return errMoved
+	} else if moved {
+		if err := req.stageOn(e.sess); err != nil {
+			return err
 		}
 	}
-	resp, err = sess.Parse(req.Input)
-	var q olap.Query
-	if err == nil {
-		q = sess.Query()
+	e.sess = req.staged
+	req.epoch, req.info = req.st.epoch, req.st.info
+	if s.committed != nil {
+		s.committed(req)
 	}
-	epoch := st.epoch
-	info := st.info
-	s.mu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if !resp.IsQuery {
-		writeJSON(w, http.StatusOK, queryResponse{Action: resp.Action, Message: resp.Message})
-		return
-	}
+	return nil
+}
 
+// plan is the plan stage: it picks the vocalizer the ladder and the breaker
+// allow and gets the committed query's answer from it or from the caches.
+func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 	if s.holdVocalize != nil {
 		if s.vocalizeParked != nil {
 			close(s.vocalizeParked)
@@ -661,80 +794,65 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// so serve the cheap fallback instead of wasting the wait.
 		step = admission.StepPrior
 	}
-	servedBy, fallback := method, ""
-	if method == "this" {
+	servedBy, fallback := req.method, ""
+	if req.method == "this" {
 		if step >= admission.StepPrior {
 			servedBy, fallback = "prior", "brownout"
 		} else if !s.breakers[req.Dataset].Allow() {
 			servedBy, fallback = "prior", "breaker"
 		}
 	}
-	// Every vocalizer runs on the canonical query: key equality then
-	// implies identical planner input, which is what makes replaying a
-	// cached speech sound.
-	nq := semcache.Normalize(q)
-	wallStart := time.Now()
-	ans, outcome, err := s.answerQuery(r.Context(), info, req.Dataset, epoch, nq, method, servedBy, step, fallback)
+	start := time.Now()
+	cached, outcome, err := s.answerQuery(ctx, req, servedBy, step, fallback)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || r.Context().Err() == context.Canceled {
-			s.serving.clientGone(tenant)
-			writeError(w, statusClientClosedRequest, errors.New("client closed request"))
-			return
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"))
-			return
-		}
-		s.opts.Logf("web: vocalize: %v", err)
-		writeError(w, http.StatusInternalServerError, errInternal)
-		return
+		return answer{}, err
 	}
-	servedAs, origin, cacheTag := servedBy, "", ""
-	latencyMS := float64(ans.voc.latency) / float64(time.Millisecond)
+	ans := answer{
+		voc: cached.voc, servedBy: servedBy, fallback: fallback,
+		latencyMS: ms(cached.voc.latency),
+	}
 	switch outcome {
 	case semcache.Hit, semcache.Coalesced:
 		// The stored answer is always clean and full-quality, whatever
 		// ladder step this request happened to arrive at.
-		servedAs, origin, cacheTag = "cache", ans.origin, outcome.String()
-		fallback = ""
-		latencyMS = float64(time.Since(wallStart)) / float64(time.Millisecond)
-		s.serving.cached(tenant, outcome)
+		ans.servedBy, ans.origin, ans.cache, ans.fallback = "cache", cached.origin, outcome.String(), ""
+		ans.latencyMS = ms(time.Since(start))
+		s.serving.cached(req.tenant, outcome)
 	default:
-		s.serving.served(tenant, res.Waited > 0, step, fallback)
-		if ans.warm {
-			cacheTag = "warm"
+		s.serving.served(req.tenant, req.queued, step, fallback)
+		if cached.warm {
+			ans.cache = "warm"
 			s.serving.warmServed()
 		}
 	}
-	s.respondSpeech(w, req, method, resp, ans.voc, servedAs, origin, cacheTag, fallback, latencyMS, st, epoch)
+	return ans, nil
 }
 
-// respondSpeech writes the speech response and appends the query-log
-// entry — shared by the cold path and the cache fast path. dataEpoch is
-// the dataset epoch the answer was computed against; if the dataset has
-// moved past it by the time the reply is written, the answer is flagged
-// stale (degrade, don't error) with the spoken caveat attached.
-func (s *Server) respondSpeech(w http.ResponseWriter, req queryRequest, method string, resp nlq.Response, voc vocOut, servedBy, origin, cacheTag, fallback string, latencyMS float64, st *datasetState, dataEpoch int64) {
+// respondSpeech is the respond stage: it writes the speech response and
+// appends the query-log entry. If the dataset has moved past the epoch the
+// answer was computed against by now, the answer is flagged stale (degrade,
+// don't error) with the spoken caveat attached.
+func (s *Server) respondSpeech(w http.ResponseWriter, req *request, ans answer) {
 	out := queryResponse{
-		Action:    resp.Action,
-		Message:   resp.Message,
-		Speech:    voc.text,
-		LatencyMS: latencyMS,
-		Degraded:  voc.degraded,
-		ServedBy:  servedBy,
-		Origin:    origin,
-		Cache:     cacheTag,
-		Fallback:  fallback,
-		DataEpoch: dataEpoch,
-		TableRows: voc.tableRows,
+		Action:    req.resp.Action,
+		Message:   req.resp.Message,
+		Speech:    ans.voc.text,
+		LatencyMS: ans.latencyMS,
+		Degraded:  ans.voc.degraded,
+		ServedBy:  ans.servedBy,
+		Origin:    ans.origin,
+		Cache:     ans.cache,
+		Fallback:  ans.fallback,
+		DataEpoch: req.epoch,
+		TableRows: ans.voc.tableRows,
 	}
-	if voc.structured != nil {
-		enc := encode.EncodeSpeech(voc.structured)
+	if ans.voc.structured != nil {
+		enc := encode.EncodeSpeech(ans.voc.structured)
 		out.Structured = &enc
-		out.SSML = voc.structured.SSML(speech.DefaultSSMLOptions())
+		out.SSML = ans.voc.structured.SSML(speech.DefaultSSMLOptions())
 	}
 	s.mu.Lock()
-	if st.epoch != dataEpoch {
+	if req.st.epoch != req.epoch {
 		out.Stale = true
 		out.StaleNote = speech.StaleNote
 	}
@@ -743,14 +861,14 @@ func (s *Server) respondSpeech(w http.ResponseWriter, req queryRequest, method s
 		Session:   req.Session,
 		Dataset:   req.Dataset,
 		Input:     req.Input,
-		Method:    method,
+		Method:    req.method,
 		Speech:    out.Speech,
-		LatencyMS: latencyMS,
-		Degraded:  voc.degraded,
-		ServedBy:  servedBy,
-		Origin:    origin,
-		Cache:     cacheTag,
-		DataEpoch: dataEpoch,
+		LatencyMS: out.LatencyMS,
+		Degraded:  out.Degraded,
+		ServedBy:  out.ServedBy,
+		Origin:    out.Origin,
+		Cache:     out.Cache,
+		DataEpoch: out.DataEpoch,
 		Stale:     out.Stale,
 	})
 	s.mu.Unlock()
@@ -759,6 +877,41 @@ func (s *Server) respondSpeech(w http.ResponseWriter, req queryRequest, method s
 	}
 	writeJSON(w, http.StatusOK, out)
 }
+
+// writeCommandError answers a request whose command could not be staged or
+// committed: an unknown dataset is 404, a session that could not be opened
+// is a logged 500, anything else is the parser refusing the input (422).
+func (s *Server) writeCommandError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errUnknownDataset):
+		writeError(w, http.StatusNotFound, err)
+	case errors.Is(err, errSessionInit):
+		s.opts.Logf("web: %v", err)
+		writeError(w, http.StatusInternalServerError, errInternal)
+	default:
+		writeError(w, http.StatusUnprocessableEntity, err)
+	}
+}
+
+// writeAborted answers a request that its own context cut short, while
+// queued or while planning: 499 when the client hung up, 408 when the
+// request deadline passed. It reports false, writing nothing, for any other
+// error.
+func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant string, err error, where string) bool {
+	switch {
+	case errors.Is(err, context.Canceled) || r.Context().Err() == context.Canceled:
+		s.serving.clientGone(tenant)
+		writeError(w, statusClientClosedRequest, errors.New("client closed request"))
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"+where))
+	default:
+		return false
+	}
+	return true
+}
+
+// ms renders a duration as the fractional milliseconds the API reports.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // vocOut is one vocalizer run's result.
 type vocOut struct {
