@@ -48,7 +48,9 @@ type Config struct {
 	Clock voice.Clock
 
 	// InitialRows are read before the search tree is built, providing the
-	// scale estimate that seeds baseline candidates.
+	// scale estimate that seeds baseline candidates and the belief σ. The
+	// default is 4096: on a 2 % 0/1 measure 256 rows hold five positives,
+	// and every answer at one Seed shares them (TestScaleEstimateSpread).
 	InitialRows int
 	// RowsPerRound are read from the table in each planning round.
 	RowsPerRound int
@@ -128,7 +130,7 @@ func (c Config) Normalize() Config {
 		c.Clock = voice.RealClock{}
 	}
 	if c.InitialRows <= 0 {
-		c.InitialRows = 256
+		c.InitialRows = 4096
 	}
 	if c.RowsPerRound <= 0 {
 		c.RowsPerRound = 64

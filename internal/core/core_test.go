@@ -10,6 +10,7 @@ import (
 	"repro/internal/dimension"
 	"repro/internal/olap"
 	"repro/internal/speech"
+	"repro/internal/stats"
 	"repro/internal/voice"
 )
 
@@ -297,7 +298,7 @@ func TestExactQualityOfTruthfulSpeechBeatsWrong(t *testing.T) {
 }
 
 // TestHolisticShortTableReadsEveryRowOnce: a table shorter than the initial
-// batch (100 rows < InitialRows 256) is drained by the first read, every
+// batch (100 rows < InitialRows 4096) is drained by the first read, every
 // later round reads nothing, and the answer is still a valid speech.
 func TestHolisticShortTableReadsEveryRowOnce(t *testing.T) {
 	d, q := flightsQuery(t, 100, 108)
@@ -308,6 +309,38 @@ func TestHolisticShortTableReadsEveryRowOnce(t *testing.T) {
 	}
 	if out.Degraded {
 		t.Errorf("a drained table is not a fault: degraded with %q", out.DegradeReason)
+	}
+}
+
+// TestScaleEstimateSpread: the scale estimate that seeds the baseline ladder
+// and σ must not hinge on a handful of positive rows. On the 2 % 0/1
+// cancellation measure its relative spread (standard deviation over mean,
+// 32 seeds) stays under 0.2 at the default initial batch; at the former
+// default of 256 rows, about five positives, it does not.
+func TestScaleEstimateSpread(t *testing.T) {
+	d, q := flightsQuery(t, 200000, 61)
+	spread := func(initialRows int) float64 {
+		var acc stats.Accumulator
+		for seed := int64(1); seed <= 32; seed++ {
+			s, err := newSession(d, q, Config{Seed: seed, InitialRows: initialRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.sampler.ReadRows(s.cfg.InitialRows)
+			scale, _ := s.sampler.Cache().GrandEstimate()
+			acc.Add(scale)
+		}
+		t.Logf("InitialRows %d: scale %.4f +- %.4f over 32 seeds",
+			Config{InitialRows: initialRows}.Normalize().InitialRows, acc.Mean(), acc.StdDev())
+		return acc.StdDev() / acc.Mean()
+	}
+	const bound = 0.2
+	if got := spread(0); got >= bound {
+		t.Errorf("relative spread of the scale estimate at the default %d initial rows = %.3f, want < %v",
+			Config{}.Normalize().InitialRows, got, bound)
+	}
+	if got := spread(256); got < bound {
+		t.Errorf("relative spread at 256 initial rows = %.3f: the bound %v no longer tells the two apart", got, bound)
 	}
 }
 

@@ -257,6 +257,30 @@ func (s *Space) ClassifyRow(row int) (idx int, ok bool) {
 	return idx, true
 }
 
+// TouchRows loads the code of every given row in each stored column that
+// ClassifyRows reads and returns their sum, which the caller must keep (Go
+// has no prefetch intrinsic, and a load whose result is dropped is deleted).
+// The loads do not depend on one another, so the cache and TLB misses of all
+// rows and columns are in flight together, where classification takes them
+// one dimension after another. One row per cache line is enough.
+func (s *Space) TouchRows(rows []int) (sink int32) {
+	for i := range s.denseFilters {
+		if codes := s.denseFilters[i].codes; codes != nil {
+			for _, r := range rows {
+				sink += codes[r]
+			}
+		}
+	}
+	for d := range s.denseDims {
+		if codes := s.denseDims[d].codes; codes != nil {
+			for _, r := range rows {
+				sink += codes[r]
+			}
+		}
+	}
+	return sink
+}
+
 // ClassifyRows classifies a batch of row indices into out (len(out) must be
 // at least len(rows)): out[i] is the aggregate index of rows[i], or -1 when
 // that row is outside the query scope. Processing is dimension-major so

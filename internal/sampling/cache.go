@@ -42,6 +42,10 @@ type Cache struct {
 	grand stats.Accumulator
 	// scratch is the classification buffer reused across InsertBatch calls.
 	scratch []int32
+	// lines is the touch pass's buffer, the first row of each cache line of
+	// a batch; sink keeps its loads alive.
+	lines []int
+	sink  float64
 	// totalRows is the table row count the cache's estimates scale
 	// against, captured when the cache is created (and advanced by
 	// AbsorbAppend). Reading it live from the dataset would silently
@@ -180,6 +184,7 @@ func (c *Cache) InsertBatch(rows []int) {
 		c.scratch = make([]int32, len(rows))
 	}
 	idxs := c.scratch[:len(rows)]
+	c.touch(rows)
 	c.space.ClassifyRows(rows, idxs)
 	c.nrRead += int64(len(rows))
 	for i, idx := range idxs {
@@ -201,6 +206,32 @@ func (c *Cache) InsertBatch(rows []int) {
 		c.grand.Add(v)
 		if c.values != nil {
 			c.values[idx] = append(c.values[idx], v)
+		}
+	}
+}
+
+// touch is the first-touch pass of InsertBatch: it loads one value per
+// cache line the batch will read, in the measure and (olap.Space.TouchRows)
+// in every code column, before anything depends on them. Classification and
+// the measure gather take their misses one column after another, about
+// 200 ns each at 5.3 M rows; issued together here they overlap.
+func (c *Cache) touch(rows []int) {
+	lo, hi := c.space.RowBounds()
+	c.lines = c.lines[:0]
+	line := -1
+	for _, r := range rows {
+		// 8 float64 measures share a 64-byte line (16 int32 codes do, and
+		// touching their line twice costs a hit). Rows outside a time
+		// window are never loaded, so they are not touched either.
+		if r>>3 != line && r >= lo && r < hi {
+			line = r >> 3
+			c.lines = append(c.lines, r)
+		}
+	}
+	c.sink += float64(c.space.TouchRows(c.lines))
+	if c.measureVals != nil {
+		for _, r := range c.lines {
+			c.sink += c.measureVals[r]
 		}
 	}
 }

@@ -38,53 +38,27 @@ func NewSamplerWithScanner(space *olap.Space, scanner table.Scanner) (*Sampler, 
 func (s *Sampler) Cache() *Cache { return s.cache }
 
 // ReadRows pulls up to n rows from the scan into the cache and returns how
-// many rows were actually read (fewer once the table is exhausted). Rows
-// move in batches through the dense classifier rather than one at a time.
+// many rows were actually read (fewer once the table is exhausted).
 func (s *Sampler) ReadRows(n int) int {
-	read := 0
-	for read < n {
-		want := n - read
-		got := table.FillBatch(s.scanner, s.batchBuf(want))
-		if got == 0 {
-			break
-		}
-		s.cache.InsertBatch(s.buf[:got])
-		read += got
-	}
-	return read
+	return s.ReadRowsContext(context.Background(), n)
 }
 
-// batchBuf returns a reusable row buffer of at most want entries, capped at
-// the sampler's batch grain.
-func (s *Sampler) batchBuf(want int) []int {
-	const grain = 1024
-	if want > grain {
-		want = grain
-	}
-	if cap(s.buf) < want {
-		s.buf = make([]int, want)
-	}
-	s.buf = s.buf[:want]
-	return s.buf
-}
-
-// ReadRowsContext is ReadRows with a cancellation check every few rows: it
+// ReadRowsContext is ReadRows with a cancellation check every 64 rows: it
 // stops early and returns the rows read so far once ctx is done, so a
-// planning loop under a deadline never overshoots it by a whole batch.
+// planning loop under a deadline never overshoots it by a whole batch. Rows
+// move in batches through the dense classifier rather than one at a time.
 func (s *Sampler) ReadRowsContext(ctx context.Context, n int) int {
 	const checkEvery = 64
+	if s.buf == nil {
+		s.buf = make([]int, checkEvery)
+	}
 	read := 0
-	for read < n {
-		select {
-		case <-ctx.Done():
-			return read
-		default:
-		}
+	for read < n && ctx.Err() == nil {
 		want := n - read
 		if want > checkEvery {
 			want = checkEvery
 		}
-		got := table.FillBatch(s.scanner, s.batchBuf(want))
+		got := table.FillBatch(s.scanner, s.buf[:want])
 		if got == 0 {
 			break
 		}
@@ -94,10 +68,10 @@ func (s *Sampler) ReadRowsContext(ctx context.Context, n int) int {
 	return read
 }
 
-// Exhausted reports whether the scan has consumed the whole table.
+// Exhausted reports whether the scan has consumed the whole table. A
+// scanner that cannot say how much is left (no Remaining method) is never
+// reported exhausted.
 func (s *Sampler) Exhausted() bool {
-	if rs, ok := s.scanner.(*table.RandomScanner); ok {
-		return rs.Remaining() == 0
-	}
-	return false
+	r, ok := s.scanner.(interface{ Remaining() int })
+	return ok && r.Remaining() == 0
 }

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/olap"
+	"repro/internal/table"
 )
 
 func TestSamplerReadRows(t *testing.T) {
@@ -71,3 +73,31 @@ func TestSamplerEstimateConvergence(t *testing.T) {
 		t.Error("expected populated aggregates after 10000 reads")
 	}
 }
+
+// A wrapped scanner is still asked how much is left: Exhausted goes through
+// the optional Remaining method, not through the concrete scanner type.
+func TestSamplerExhaustionThroughWrapper(t *testing.T) {
+	s := flightsSpace(t, olap.Avg)
+	tab := s.Dataset().Table()
+	inner := table.NewRandomScanner(tab, rand.New(rand.NewSource(6)))
+	smp, err := NewSamplerWithScanner(s, &faults.SlowScanner{Inner: inner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smp.ReadRows(500); smp.Exhausted() {
+		t.Error("exhausted after 500 rows")
+	}
+	if read := smp.ReadRows(tab.NumRows()); read != tab.NumRows()-500 || !smp.Exhausted() {
+		t.Errorf("read %d more rows, exhausted = %v; want the rest of the table and true", read, smp.Exhausted())
+	}
+	// A stream that cannot say how much is left is never called exhausted.
+	smp, _ = NewSamplerWithScanner(s, &nextOnly{inner})
+	inner.Reset()
+	smp.ReadRows(tab.NumRows())
+	if smp.Exhausted() {
+		t.Error("a scanner without Remaining reported exhausted")
+	}
+}
+
+// nextOnly hides every optional method of a scanner.
+type nextOnly struct{ table.Scanner }
