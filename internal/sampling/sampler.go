@@ -54,11 +54,7 @@ func (s *Sampler) ReadRowsContext(ctx context.Context, n int) int {
 	}
 	read := 0
 	for read < n && ctx.Err() == nil {
-		want := n - read
-		if want > checkEvery {
-			want = checkEvery
-		}
-		got := table.FillBatch(s.scanner, s.buf[:want])
+		got := table.FillBatch(s.scanner, s.buf[:min(n-read, checkEvery)])
 		if got == 0 {
 			break
 		}

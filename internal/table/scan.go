@@ -84,8 +84,8 @@ func (s *SequentialScanner) NextBatch(buf []int) int {
 // pseudo-random block: one cache line of int32 codes, two of float64
 // measures. It was chosen from two measurements (DESIGN.md, "The row
 // stream"). Throughput: with the sampler's first-touch pass a row costs
-// about 110 / 45 / 32 / 27 / 26 / 24 ns at B = 1 / 4 / 8 / 16 / 32 / 64 over
-// 5.3 M rows (BenchmarkBlockSize), so 16 is the knee. Statistics: on a
+// about 81 / 39 / 30 / 23 / 22 / 22 ns at B = 1 / 4 / 8 / 16 / 32 / 64 over
+// 5.3 M rows (BenchmarkSamplerReadRows), so 16 is the knee. Statistics: on a
 // date-sorted table (TestBlockSampleCoverage) an average per month is
 // covered at nominal at every size, but the 95 % interval of a count per
 // month, which takes the rows for independent draws, covers 0.92 at 16,
@@ -183,10 +183,7 @@ func (s *RandomScanner) Next() (int, bool) {
 // is a run of consecutive integers, and a block cut short by the end of buf
 // resumes on the next call.
 func (s *RandomScanner) NextBatch(buf []int) int {
-	want := s.n - s.emitted
-	if want > len(buf) {
-		want = len(buf)
-	}
+	want := min(s.n-s.emitted, len(buf))
 	for i := 0; i < want; {
 		end := min((s.block+1)*s.b, s.n)
 		run := buf[i:min(want, i+end-s.row)]
