@@ -52,20 +52,6 @@ func (f *FailingScanner) Reset() {
 	f.failed = false
 }
 
-// remaining asks a stream how many rows it has left, the optional method
-// sampling.Sampler.Exhausted reads; one that cannot say is taken to have
-// plenty.
-func remaining(s table.Scanner) int {
-	if r, ok := s.(interface{ Remaining() int }); ok {
-		return r.Remaining()
-	}
-	return math.MaxInt
-}
-
-// Remaining is what the consumer can still get: the rest of the inner
-// stream or of the limit, whichever is less.
-func (f *FailingScanner) Remaining() int { return min(f.Limit-f.emitted, remaining(f.Inner)) }
-
 // Failed reports whether the injected failure triggered.
 func (f *FailingScanner) Failed() bool { return f.failed }
 
@@ -87,8 +73,15 @@ func (s *SlowScanner) Next() (int, bool) {
 // Reset implements table.Scanner.
 func (s *SlowScanner) Reset() { s.Inner.Reset() }
 
-// Remaining passes the inner stream's count through.
-func (s *SlowScanner) Remaining() int { return remaining(s.Inner) }
+// Remaining passes the inner stream's count through, so a slowed scan
+// still tells sampling.Sampler.Exhausted when it has run dry; an inner
+// stream that does not count is taken to have plenty left.
+func (s *SlowScanner) Remaining() int {
+	if r, ok := s.Inner.(interface{ Remaining() int }); ok {
+		return r.Remaining()
+	}
+	return math.MaxInt
+}
 
 // StallingScanner delivers After rows normally, then blocks every Next
 // until Release is called — a hung storage backend. Every consumer reads
@@ -129,10 +122,6 @@ func (s *StallingScanner) Reset() {
 	s.Inner.Reset()
 	s.emitted = 0
 }
-
-// Remaining counts down to the stall point, past which nothing is
-// delivered.
-func (s *StallingScanner) Remaining() int { return min(s.After-s.emitted, remaining(s.Inner)) }
 
 // Release unblocks all present and future stalled Next calls, which then
 // report exhaustion. Safe to call multiple times.

@@ -214,7 +214,10 @@ func (c *Cache) InsertBatch(rows []int) {
 // cache line the batch will read, in the measure and (olap.Space.TouchRows)
 // in every code column, before anything depends on them. Classification and
 // the measure gather take their misses one column after another, about
-// 200 ns each at 5.3 M rows; issued together here they overlap.
+// 200 ns each at 5.3 M rows; issued together here they overlap. The pass is
+// not free where there is nothing to overlap: a sequential drain of the
+// table (experiments/planner.go) pays about a tenth more per row for it,
+// 14-15.6 ns against 12.5-14.3 (EXPERIMENTS.md, "Blocks, not rows").
 func (c *Cache) touch(rows []int) {
 	lo, hi := c.space.RowBounds()
 	c.lines = c.lines[:0]

@@ -289,7 +289,7 @@ func vocalizeStep(ctx context.Context, s *Spec, d *olap.Dataset, prof datasetPro
 		vs.checkHolisticShape(out, step.Expect)
 		vs.checkUncertainty(out, step.Expect)
 		if step.Expect.Tendency && !out.Degraded {
-			vs.checkTendency(d, q, out.Speech)
+			vs.checkTendency(ctx, d, q, c, out.Speech)
 		}
 	}
 }

@@ -147,7 +147,8 @@ type Expect struct {
 	// (holistic, non-degraded answers only).
 	MinRefinements int
 	// Tendency verifies every refinement's spoken direction against the
-	// exact query result (in-process only; skipped on degraded answers).
+	// exact query result, as a rate over planner seeds (check.go,
+	// tendencySeeds; in-process only; skipped on degraded answers).
 	Tendency bool
 	// BoundsSane requires at least one spoken confidence bound, each
 	// matching the bounds sentence form (in-process only).

@@ -15,15 +15,6 @@ import (
 // flights5k is the default scenario dataset.
 var flights5k = DatasetSpec{Name: "flights", Rows: 5000, Seed: 1}
 
-// tendencySeed pins the planner seed of the two specs that check the
-// tendency of region x season on flights5k. At 500 rounds over 5 000 rows of
-// a 2 % measure a second or third refinement is committed on ~30 visits, so
-// the check holds for about four seeds in five whatever the row stream is
-// (33 of seeds 1..40 with the row-affine walk, 31 with the block walk:
-// EXPERIMENTS.md, "Blocks, not rows"). The default seed 1 was one of the
-// four before the block walk and is not after; 2 is.
-var tendencySeed = PlannerSpec{Seed: 2}
-
 // salariesStd is the salaries scenario dataset (size is fixed by family).
 var salariesStd = DatasetSpec{Name: "salaries", Seed: 2}
 
@@ -35,7 +26,6 @@ func init() {
 		Desc:    "The paper's flagship query speaks a grammar-valid answer whose refinement tendencies match the exact result (examples/quickstart, examples/flights).",
 		Attrs:   []string{AttrNominal},
 		Dataset: flights5k,
-		Planner: tendencySeed,
 		Script: []Step{{
 			Input: "how does cancellation depend on region and season",
 			Expect: Expect{
@@ -162,7 +152,6 @@ func init() {
 		Desc:    "\"And for winter?\" keeps the established region-season breakdown and narrows the scope; a second season replaces the first.",
 		Attrs:   []string{AttrMultiTurn},
 		Dataset: flights5k,
-		Planner: tendencySeed,
 		Script: []Step{
 			{Input: "how does cancellation depend on region and season", Expect: Expect{Action: "query", Speech: true, Tendency: true}},
 			{Input: "and for winter", Expect: Expect{Action: "query", Speech: true}},
