@@ -5,8 +5,8 @@
 //
 //	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling|scaling|planner]
 //	            [-flight-rows N] [-sessions N] [-seed S]
-//	            [-workers N] [-planner-rounds N] [-bench-out FILE]  (planner)
-//	            [-planner-rounds N] [-bench-out FILE]  (scaling)
+//	            [-planner-rounds N]  (planner)
+//	            [-bench-out FILE]  (planner, scaling)
 //
 // Pass -flight-rows 5300000 for paper-scale runs (slower; the default
 // 200000 preserves the published shapes at a fraction of the time).
@@ -34,7 +34,6 @@ func run() error {
 	flightRows := flag.Int("flight-rows", experiments.DefaultBenchFlightRows, "flight dataset rows (paper: 5300000)")
 	sessions := flag.Int("sessions", 20, "exploratory study sessions per dataset")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "planner: max sampling workers (0 = 4)")
 	plannerRounds := flag.Int("planner-rounds", 0, "planner: tree-sampling rounds per measurement (0 = 20000)")
 	benchOut := flag.String("bench-out", "", "planner/scaling: machine-readable output file (default BENCH_<exp>.json, \"-\" to skip)")
 	flag.Parse()
@@ -68,7 +67,7 @@ func run() error {
 	// per column, so it runs alone, before the shared setup.
 	if *exp == "scaling" {
 		res, err := experiments.ScalingSweep(experiments.ScalingConfig{
-			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds,
+			Rows: *flightRows, Seed: *seed,
 		})
 		if err != nil {
 			return err
@@ -81,7 +80,7 @@ func run() error {
 	// shared setup.
 	if *exp == "planner" {
 		res, err := experiments.Planner(experiments.PlannerConfig{
-			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds, MaxWorkers: *workers,
+			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds,
 		})
 		if err != nil {
 			return err
@@ -198,7 +197,6 @@ func run() error {
 			{"Ablation — relative vs absolute refinements", experiments.AblationRelativeVsAbsolute},
 			{"Ablation — belief sigma as fraction of the mean", experiments.AblationSigma},
 			{"Ablation — refinement budget k", experiments.AblationFragments},
-			{"Ablation — on-line sampling vs materialized sample view", experiments.AblationWarmStart},
 			{"Ablation — planning rounds per sentence (pipelining budget)", experiments.AblationPlanningBudget},
 		} {
 			rows, err := a.run(setup)

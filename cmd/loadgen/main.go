@@ -177,8 +177,6 @@ func run() error {
 				// the brownout ladder, and the faulted scan path; semantic
 				// cache hits would bypass all three.
 				SemCacheEntries: -1,
-				SemCacheViews:   -1,
-				PoolSize:        -1,
 				Logf:            func(string, ...any) {}, // chaos noise stays out of the report
 			},
 		})

@@ -265,7 +265,7 @@ func runStream(p streamParams) error {
 // failures the workload exists to catch.
 func summarizeStream(results [][]sample, wall time.Duration) map[string]any {
 	var total, transport, non200, ok, speechOK int
-	var hits, warm, misses, degraded, invalid int
+	var hits, misses, degraded, invalid int
 	var staleReplays, freshViolations, staleFlagged int
 	var hitLat, missLat []time.Duration
 	var invalidExamples []string
@@ -313,8 +313,6 @@ func summarizeStream(results [][]sample, wall time.Duration) map[string]any {
 			if cached {
 				hits++
 				hitLat = append(hitLat, s.wall)
-			} else if s.cache == "warm" {
-				warm++
 			} else {
 				misses++
 				missLat = append(missLat, s.wall)
@@ -333,7 +331,6 @@ func summarizeStream(results [][]sample, wall time.Duration) map[string]any {
 		"status":              status,
 		"speechAnswers":       speechOK,
 		"hits":                hits,
-		"warm":                warm,
 		"misses":              misses,
 		"hitRate":             ratio(hits, speechOK),
 		"staleCacheReplays":   staleReplays,

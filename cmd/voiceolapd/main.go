@@ -22,18 +22,16 @@
 //	           [-brownout-target 0] [-brownout-window 64] [-brownout-hold 2s]
 //	           [-breaker-threshold 0] [-breaker-cooldown 10s]
 //	           [-log-cap 10000] [-max-sessions 1024] [-session-ttl 1h]
-//	           [-semcache-entries 1024] [-semcache-views 64] [-pool-size 4]
+//	           [-semcache-entries 1024]
 //	           [-read-timeout 30s] [-write-timeout 60s] [-idle-timeout 2m]
 //	           [-debug-addr 127.0.0.1:6060]
 //	           [-fault-slow-every 0] [-fault-stall-every 0] [-fault-fail-every 0]
 //
 // Repeated voice queries are nearly free: a semantic answer cache keyed
 // by canonical query (scope order and dimension synonyms normalized away)
-// replays finished speeches for equivalent requests, a warmed sample-view
-// cache skips scan cost on partial hits, and per-dataset session pools
-// hand out pre-cloned sessions. The query port exposes Prometheus-style
-// text metrics at /metrics (serving, brownout, breaker, semcache, and
-// latency-quantile counters).
+// replays finished speeches for equivalent requests. The query port
+// exposes Prometheus-style text metrics at /metrics (serving, brownout,
+// breaker, semcache, and latency-quantile counters).
 //
 // -debug-addr serves net/http/pprof on its own listener and mux, so
 // planner hot spots are profileable in production without ever exposing
@@ -98,7 +96,6 @@ func run() error {
 	seed := flag.Int64("seed", 1, "random seed")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline; answers degrade at the deadline (negative disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on SIGINT/SIGTERM")
-	plannerWorkers := flag.Int("planner-workers", 1, "tree-sampling workers per planning round (1 = sequential planner; >1 uses virtual-loss parallel UCT, capped back to 1 under brownout)")
 	maxConcurrent := flag.Int("max-concurrent", 32, "concurrent vocalizations admitted before queueing or responding 503")
 	queueDepth := flag.Int("queue-depth", 0, "weighted-fair admission queue depth beyond -max-concurrent (0 sheds immediately at saturation)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admitted queries per second (0 disables rate limiting; beyond it responds 429)")
@@ -114,8 +111,6 @@ func run() error {
 	maxSessions := flag.Int("max-sessions", 1024, "live session cap (LRU eviction beyond it)")
 	sessionTTL := flag.Duration("session-ttl", time.Hour, "idle session eviction deadline")
 	semcacheEntries := flag.Int("semcache-entries", 1024, "semantic answer cache capacity (negative disables; equivalent repeat queries replay for free)")
-	semcacheViews := flag.Int("semcache-views", 64, "warmed sample-view cache capacity (negative disables; repeat queries skip scan cost)")
-	poolSize := flag.Int("pool-size", 4, "per-dataset warm session pool size (negative disables)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "HTTP server read timeout")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "HTTP server write timeout (keep above -request-timeout)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout")
@@ -148,7 +143,6 @@ func run() error {
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 		MaxTreeNodes:         100000,
-		PlannerWorkers:       *plannerWorkers,
 	}
 	injectorOpts := faults.InjectorOptions{
 		SlowEvery:    *faultSlowEvery,
@@ -178,8 +172,6 @@ func run() error {
 		MaxSessions:      *maxSessions,
 		SessionTTL:       *sessionTTL,
 		SemCacheEntries:  *semcacheEntries,
-		SemCacheViews:    *semcacheViews,
-		PoolSize:         *poolSize,
 	}
 	srv, err := web.NewServerWith(cfg, opts,
 		web.DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
@@ -190,7 +182,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 
 	if *debugAddr != "" {
 		dln, derr := net.Listen("tcp", *debugAddr)

@@ -26,9 +26,12 @@ import (
 // the same expression Model.Reward evaluates, merely computed once instead
 // of per call; no reassociation, no fused alternatives.
 //
-// A kernel is NOT safe for concurrent use — create one per worker (see
-// mcts.Tree.SeededEvalFactory). It snapshots Model.BucketStep at creation,
-// so mutate BucketStep before building kernels, not during a batch.
+// A kernel is NOT safe for concurrent use. It snapshots Model.BucketStep at
+// creation, so mutate BucketStep before building kernels, not during a batch.
+//
+// Nothing in the repository builds one: the kernel served the workers of the
+// parallel sampler, which is gone. This file stays because
+// benchmark/probes.go:233 times NewRewardKernel; ROADMAP item 1 removes it.
 type RewardKernel struct {
 	space    *olap.Space
 	sd       float64 // sigma * √2: the CDF denominator, hoisted

@@ -56,11 +56,9 @@ type Config struct {
 	RowsPerRound int
 	// SamplesPerRound is the number of tree samples per planning round.
 	SamplesPerRound int
-	// PlannerWorkers is the number of goroutines sampling the speech tree
-	// per planning round. 1 (the default) keeps the sequential sampler and
-	// reproduces its behavior exactly; higher values use virtual-loss
-	// parallel UCT (mcts.SampleParallelBatch) to raise sampling throughput
-	// during sentence playback on multicore machines.
+	// PlannerWorkers is read by nothing: the planner samples the tree on one
+	// goroutine. The field stays because benchmark/server.go:34 sets it;
+	// ROADMAP item 1 removes both.
 	PlannerWorkers int
 	// MinRounds is the minimum number of planning rounds before a sentence
 	// is committed, guarding quality when playback outpaces planning.
@@ -137,9 +135,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.SamplesPerRound <= 0 {
 		c.SamplesPerRound = 4
-	}
-	if c.PlannerWorkers < 1 {
-		c.PlannerWorkers = 1
 	}
 	if c.MinRounds <= 0 {
 		c.MinRounds = 64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -135,6 +136,68 @@ func TestOptimalMaximizesQuality(t *testing.T) {
 	}
 	if oQ <= 0 {
 		t.Errorf("optimal quality = %v, want positive", oQ)
+	}
+}
+
+// TestOptimalMatchesScalarSearch re-runs the optimal plan-space search
+// with the pre-scorer scalar implementation (Model.Quality per candidate)
+// and requires the incremental-scorer search to choose the identical
+// speech with the identical candidate count — the acceptance bar for
+// swapping in the kernel ("unchanged math, only evaluation order").
+func TestOptimalMatchesScalarSearch(t *testing.T) {
+	d, q := flightsQuery(t, 20000, 100)
+	cfg := testConfig(9)
+	o := NewOptimal(d, q, cfg)
+	s, err := newSession(d, q, cfg)
+	if err != nil {
+		t.Fatalf("newSession: %v", err)
+	}
+	result, err := olap.EvaluateSpace(s.space)
+	if err != nil {
+		t.Fatalf("EvaluateSpace: %v", err)
+	}
+	scale := result.GrandValue()
+	if err := s.buildModel(scale); err != nil {
+		t.Fatalf("buildModel: %v", err)
+	}
+	preamble := s.gen.NewPreamble()
+
+	got, gotScored := o.searchBest(context.Background(), s, result, scale, preamble)
+
+	// Reference: the scalar search exactly as it was before the scorer.
+	var want *speech.Speech
+	wantQ := -1.0
+	var wantScored int64
+	var extend func(sp *speech.Speech)
+	extend = func(sp *speech.Speech) {
+		qual := s.model.Quality(sp, result)
+		wantScored++
+		if qual > wantQ {
+			wantQ = qual
+			want = sp
+		}
+		if len(sp.Refinements) >= s.cfg.Prefs.MaxFragments {
+			return
+		}
+		for _, r := range s.gen.Refinements(sp.Refinements) {
+			ext := sp.Extend(r)
+			if ext.Valid(s.cfg.Prefs) {
+				extend(ext)
+			}
+		}
+	}
+	for _, b := range s.gen.BaselineCandidates(speech.SpeechScale(scale)) {
+		extend(&speech.Speech{Preamble: preamble, Baseline: b})
+	}
+
+	if gotScored != wantScored {
+		t.Errorf("scored %d candidates, scalar search scored %d", gotScored, wantScored)
+	}
+	if want == nil || got == nil {
+		t.Fatal("both searches should find a speech")
+	}
+	if got.Text() != want.Text() {
+		t.Errorf("chosen speech differs:\n  scorer: %q\n  scalar: %q", got.Text(), want.Text())
 	}
 }
 

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite testdata/holistic_golden.json f
 
 // daemonTestConfig is the planner configuration cmd/voiceolapd ships (and
 // the benchmark copies): full percent menu, simulated clock, 2000 rounds
-// per sentence, a 100 000-node eager cap, one planner worker.
+// per sentence, a 100 000-node eager cap.
 func daemonTestConfig(seed int64) Config {
 	return Config{
 		Format:               speech.PercentFormat,
@@ -33,7 +33,6 @@ func daemonTestConfig(seed int64) Config {
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 		MaxTreeNodes:         100000,
-		PlannerWorkers:       1,
 	}
 }
 

@@ -116,8 +116,6 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	tree.UniformPolicy = cfg.UniformTreePolicy
-	tree.SeededEval = s.seededEvalFunc(cache)
-	tree.SeededEvalFactory = s.seededEvalFactory(cache)
 	// Tree construction overlaps preamble playback: on a simulated
 	// substrate its cost consumes playback time, never answer latency.
 	s.simCharge(tree.NodeCount())
@@ -148,7 +146,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 			n := int64(s.sampler.ReadRowsContext(ctx, cfg.RowsPerRound))
 			rowsRead += n
 			windowRows += n
-			done, sampleErr := tree.SampleParallelBatch(ctx, cfg.SamplesPerRound, cfg.PlannerWorkers)
+			done, sampleErr := tree.SampleBatch(ctx, cfg.SamplesPerRound)
 			treeSamples += int64(done)
 			windowSamples += int64(done)
 			if sampleErr != nil {

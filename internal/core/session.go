@@ -94,62 +94,19 @@ func (s *session) buildModel(scale float64) error {
 }
 
 // evalFunc is SpeechDBeval (Algorithm 3): pick a random eligible aggregate,
-// estimate its value from the given source, and reward the speech by the
-// belief probability of that estimate. The source is the on-line cache for
-// normal runs or a materialized sample view for warm starts.
-func (s *session) evalFunc(est sampling.Estimator) mcts.EvalFunc {
+// estimate its value from the sample cache, and reward the speech by the
+// belief probability of that estimate.
+func (s *session) evalFunc(cache *sampling.Cache) mcts.EvalFunc {
 	return func(sp *speech.Speech) (float64, bool) {
-		a, ok := est.PickAggregate(s.rng)
+		a, ok := cache.PickAggregate(s.rng)
 		if !ok {
 			return 0, false
 		}
-		e, ok := est.Estimate(a, s.rng)
-		if !ok {
-			return 0, false
-		}
-		return s.model.Reward(sp, a, e), true
-	}
-}
-
-// seededEvalFunc is evalFunc for parallel tree sampling: randomness comes
-// from the worker's private RNG instead of the session RNG, so workers
-// never contend on (or race over) shared generator state. The estimator
-// itself is safe to share: the cache is read-only during a sampling batch
-// (rows are inserted between batches), and a view is immutable.
-func (s *session) seededEvalFunc(est sampling.Estimator) mcts.SeededEvalFunc {
-	return func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-		a, ok := est.PickAggregate(rng)
-		if !ok {
-			return 0, false
-		}
-		e, ok := est.Estimate(a, rng)
+		e, ok := cache.Estimate(a, s.rng)
 		if !ok {
 			return 0, false
 		}
 		return s.model.Reward(sp, a, e), true
-	}
-}
-
-// seededEvalFactory builds a fresh seeded evaluator per planner worker,
-// each backed by a private belief.RewardKernel: the kernel memoizes
-// per-speech mean terms and hoists the CDF constants without any
-// cross-worker sharing, and its rewards are bit-identical to Model.Reward
-// (so switching a tree from SeededEval to SeededEvalFactory changes no
-// sampled statistic, only the cost of producing them).
-func (s *session) seededEvalFactory(est sampling.Estimator) func() mcts.SeededEvalFunc {
-	return func() mcts.SeededEvalFunc {
-		k := s.model.NewRewardKernel()
-		return func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-			a, ok := est.PickAggregate(rng)
-			if !ok {
-				return 0, false
-			}
-			e, ok := est.Estimate(a, rng)
-			if !ok {
-				return 0, false
-			}
-			return k.Reward(sp, a, e), true
-		}
 	}
 }
 

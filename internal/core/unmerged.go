@@ -70,8 +70,6 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	tree.UniformPolicy = cfg.UniformTreePolicy
-	tree.SeededEval = s.seededEvalFunc(s.sampler.Cache())
-	tree.SeededEvalFactory = s.seededEvalFactory(s.sampler.Cache())
 	// Without pipelining there is nothing to overlap tree construction
 	// with: its cost comes straight out of the interactivity budget.
 	s.simCharge(tree.NodeCount())
@@ -89,7 +87,7 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 			break
 		}
 		rowsRead += int64(s.sampler.ReadRowsContext(ctx, cfg.RowsPerRound))
-		done, sampleErr := tree.SampleParallelBatch(ctx, cfg.SamplesPerRound, cfg.PlannerWorkers)
+		done, sampleErr := tree.SampleBatch(ctx, cfg.SamplesPerRound)
 		treeSamples += int64(done)
 		if sampleErr != nil {
 			break

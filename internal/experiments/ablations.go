@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/olap"
-	"repro/internal/sampling"
 )
 
 // AblationRow is one configuration's quality (and latency surrogate) in an
@@ -129,46 +126,6 @@ func AblationSigma(s *Setup) ([]AblationRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// AblationWarmStart compares on-line sampling against a materialized
-// sample view (the Section 4.3 extension): the view answers without
-// reading any rows at query time.
-func AblationWarmStart(s *Setup) ([]AblationRow, error) {
-	online, err := s.runHolisticQuality(nil)
-	if err != nil {
-		return nil, err
-	}
-	q, err := s.regionSeasonQuery()
-	if err != nil {
-		return nil, err
-	}
-	space, err := olap.NewSpace(s.Flights, q)
-	if err != nil {
-		return nil, err
-	}
-	view, err := sampling.BuildView(space, 256, rand.New(rand.NewSource(s.Seed+300)))
-	if err != nil {
-		return nil, err
-	}
-	const runs = 3
-	var sum float64
-	for i := 0; i < runs; i++ {
-		cfg := s.simConfig(s.Seed + int64(200+i))
-		out, err := core.NewWarm(s.Flights, view, cfg).Vocalize()
-		if err != nil {
-			return nil, err
-		}
-		quality, err := core.ExactQuality(s.Flights, q, out, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sum += quality
-	}
-	return []AblationRow{
-		{Variant: "on-line sampling", Quality: online},
-		{Variant: "materialized view", Quality: sum / runs},
-	}, nil
 }
 
 // AblationFragments sweeps the refinement budget k, quantifying what each

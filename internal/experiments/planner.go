@@ -34,8 +34,7 @@ func timeBest(reps int, f func()) time.Duration {
 }
 
 // PlannerConfig parameterizes the planner benchmark: the exhaustive quality
-// search (scalar versus incremental scorer) and UCT sampling throughput
-// (sequential versus virtual-loss parallel).
+// search (scalar versus incremental scorer) and UCT sampling throughput.
 type PlannerConfig struct {
 	// Rows is the flight dataset size (<= 0 selects DefaultBenchFlightRows).
 	Rows int
@@ -44,9 +43,6 @@ type PlannerConfig struct {
 	// Rounds is the number of tree-sampling rounds per throughput
 	// measurement (<= 0 selects 20000).
 	Rounds int
-	// MaxWorkers is the largest parallel worker count measured; worker
-	// counts double from 2 up to it (<= 0 selects 4).
-	MaxWorkers int
 	// Dims selects the quality-kernel query shape: "CM" (default) breaks
 	// down by city and month and "SM" by state and month — paper-scale
 	// aggregate counts in the hundreds, which is what the scorer targets —
@@ -60,30 +56,11 @@ type PlannerConfig struct {
 	MaxSpeeches int
 }
 
-// ParallelSample records one worker count of the parallel-sampling sweep.
-type ParallelSample struct {
-	Workers      int     `json:"workers"`
-	Ns           int64   `json:"ns"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// Speedup is rounds/s relative to the sequential sampler. On a
-	// single-CPU runner (see num_cpu) expect ~1x or below: virtual-loss
-	// workers only help when they run on distinct cores.
-	Speedup float64 `json:"speedup"`
-	// Efficiency is Speedup/Workers: 1.0 means ideal linear scaling.
-	Efficiency float64 `json:"efficiency"`
-	// MutexWaitNs and GCPauseNs are deltas over this measurement:
-	// contention evidence recorded alongside the throughput.
-	MutexWaitNs int64 `json:"mutex_wait_ns"`
-	GCPauseNs   int64 `json:"gc_pause_ns"`
-}
-
 // PlannerResult is the machine-readable record of the planner benchmark.
 // benchrunner -exp planner writes it to BENCH_planner.json.
 type PlannerResult struct {
 	Rows int `json:"rows"`
-	// NumCPU and Gomaxprocs pin the machine the numbers were taken on:
-	// cross-machine comparisons of the parallel figures are meaningless
-	// without them.
+	// NumCPU and Gomaxprocs pin the machine the numbers were taken on.
 	NumCPU     int    `json:"num_cpu"`
 	Gomaxprocs int    `json:"gomaxprocs"`
 	Query      string `json:"query"`
@@ -107,16 +84,11 @@ type PlannerResult struct {
 
 	// UCT sampling throughput at fixed rounds, on the region-by-season
 	// tree (SamplingQuery).
-	SamplingQuery          string           `json:"sampling_query"`
-	TreeNodes              int              `json:"tree_nodes"`
-	Rounds                 int              `json:"rounds"`
-	SequentialNs           int64            `json:"sequential_sample_ns"`
-	SequentialRoundsPerSec float64          `json:"sequential_rounds_per_sec"`
-	Parallel               []ParallelSample `json:"parallel"`
-	// ParallelNote explains an empty Parallel sweep: on a single-CPU
-	// runner the sweep is skipped outright — a "speedup" measured there
-	// is scheduler noise, not a result.
-	ParallelNote string `json:"parallel_note,omitempty"`
+	SamplingQuery          string  `json:"sampling_query"`
+	TreeNodes              int     `json:"tree_nodes"`
+	Rounds                 int     `json:"rounds"`
+	SequentialNs           int64   `json:"sequential_sample_ns"`
+	SequentialRoundsPerSec float64 `json:"sequential_rounds_per_sec"`
 }
 
 // searchHooks are the incremental-scorer calls exhaustiveSearch makes
@@ -192,7 +164,7 @@ type scoreOp struct {
 
 // Planner measures the speech planner on the flights region-by-season
 // query: the exhaustive quality search two ways (scalar model, incremental
-// scorer) and UCT sampling throughput sequential versus parallel.
+// scorer) and UCT sampling throughput.
 func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	rows := cfg.Rows
 	if rows <= 0 {
@@ -201,10 +173,6 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 20000
-	}
-	maxWorkers := cfg.MaxWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = 4
 	}
 
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: rows, Seed: cfg.Seed})
@@ -362,87 +330,35 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 		cache.InsertBatch(batch[:got])
 	}
-	seeded := func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-		a, ok := cache.PickAggregate(rng)
-		if !ok {
-			return 0, false
-		}
-		e, ok := cache.Estimate(a, rng)
-		if !ok {
-			return 0, false
-		}
-		return sampleModel.Reward(sp, a, e), true
-	}
-	mkTree := func(seed int64) (*mcts.Tree, error) {
-		rng := rand.New(rand.NewSource(seed))
-		evalRng := rand.New(rand.NewSource(seed + 1))
-		eval := func(sp *speech.Speech) (float64, bool) { return seeded(sp, evalRng) }
-		tree, terr := mcts.NewTreeWithCap(sampleGen, speech.SpeechScale(sampleScale), eval, rng, 100000)
-		if terr != nil {
-			return nil, terr
-		}
-		tree.SeededEval = seeded
-		return tree, nil
-	}
-	ctx := context.Background()
+	// Best of three trees, each sampled for the full round count.
+	var seqNs time.Duration
 	treeNodes := 0
-	measure := func(workers int) (time.Duration, error) {
-		var best time.Duration
-		for rep := 0; rep < 3; rep++ {
-			tree, terr := mkTree(cfg.Seed + int64(rep))
-			if terr != nil {
-				return 0, terr
+	for rep := 0; rep < 3; rep++ {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(rep)))
+		evalRng := rand.New(rand.NewSource(cfg.Seed + int64(rep) + 1))
+		eval := func(sp *speech.Speech) (float64, bool) {
+			a, ok := cache.PickAggregate(evalRng)
+			if !ok {
+				return 0, false
 			}
-			start := time.Now()
-			if workers <= 1 {
-				_, terr = tree.SampleBatch(ctx, rounds)
-			} else {
-				_, terr = tree.SampleParallelBatch(ctx, rounds, workers)
+			e, ok := cache.Estimate(a, evalRng)
+			if !ok {
+				return 0, false
 			}
-			d := time.Since(start)
-			if terr != nil {
-				return 0, terr
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-			treeNodes = tree.NodeCount()
+			return sampleModel.Reward(sp, a, e), true
 		}
-		return best, nil
-	}
-	roundsPerSec := func(d time.Duration) float64 {
-		if d <= 0 {
-			return 0
+		tree, err := mcts.NewTreeWithCap(sampleGen, speech.SpeechScale(sampleScale), eval, rng, 100000)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		return float64(rounds) / d.Seconds()
-	}
-	seqNs, err := measure(1)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	var parallel []ParallelSample
-	var parallelNote string
-	if runtime.NumCPU() < 2 {
-		parallelNote = "parallel sweep skipped: single-CPU runner (virtual-loss workers need distinct cores for speedup to mean anything)"
-	} else {
-		for w := 2; w <= maxWorkers; w *= 2 {
-			probe := probeContention()
-			d, merr := measure(w)
-			if merr != nil {
-				return nil, fmt.Errorf("experiments: %w", merr)
-			}
-			after := probeContention()
-			ps := ParallelSample{
-				Workers: w, Ns: d.Nanoseconds(), RoundsPerSec: roundsPerSec(d),
-				MutexWaitNs: after.mutexWaitNs - probe.mutexWaitNs,
-				GCPauseNs:   int64(after.gcPauseNs - probe.gcPauseNs),
-			}
-			if d > 0 {
-				ps.Speedup = float64(seqNs) / float64(d)
-				ps.Efficiency = ps.Speedup / float64(w)
-			}
-			parallel = append(parallel, ps)
+		start := time.Now()
+		if _, err := tree.SampleBatch(context.Background(), rounds); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
+		if d := time.Since(start); seqNs == 0 || d < seqNs {
+			seqNs = d
+		}
+		treeNodes = tree.NodeCount()
 	}
 
 	perSpeech := func(d time.Duration) float64 {
@@ -469,9 +385,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		TreeNodes:              treeNodes,
 		Rounds:                 rounds,
 		SequentialNs:           seqNs.Nanoseconds(),
-		SequentialRoundsPerSec: roundsPerSec(seqNs),
-		Parallel:               parallel,
-		ParallelNote:           parallelNote,
+		SequentialRoundsPerSec: float64(rounds) / seqNs.Seconds(),
 	}
 	if scorerBest != nil {
 		res.BestSpeech = scorerBest.MainText()
@@ -501,11 +415,4 @@ func PrintPlanner(w io.Writer, r *PlannerResult) {
 	fmt.Fprintf(w, "  UCT sampling on %s, %d rounds (%d tree nodes)\n",
 		r.SamplingQuery, r.Rounds, r.TreeNodes)
 	fmt.Fprintf(w, "    sequential:         %10.0f rounds/s\n", r.SequentialRoundsPerSec)
-	for _, p := range r.Parallel {
-		fmt.Fprintf(w, "    %d workers:          %10.0f rounds/s  (speedup %.2fx, efficiency %.2f, mutex wait %v)\n",
-			p.Workers, p.RoundsPerSec, p.Speedup, p.Efficiency, time.Duration(p.MutexWaitNs).Round(time.Microsecond))
-	}
-	if r.ParallelNote != "" {
-		fmt.Fprintf(w, "    %s\n", r.ParallelNote)
-	}
 }

@@ -1,21 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	rtmetrics "runtime/metrics"
-	"sort"
 	"time"
 
-	"repro/internal/belief"
 	"repro/internal/datagen"
-	"repro/internal/mcts"
 	"repro/internal/olap"
-	"repro/internal/speech"
 )
 
 // mutexWaitMetric is the cumulative time goroutines have spent blocked on
@@ -28,7 +22,6 @@ const mutexWaitMetric = "/sync/mutex/wait/total:seconds"
 type contentionProbe struct {
 	mutexWaitNs int64
 	gcPauseNs   uint64
-	mallocs     uint64
 }
 
 func probeContention() contentionProbe {
@@ -41,7 +34,6 @@ func probeContention() contentionProbe {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	p.gcPauseNs = ms.PauseTotalNs
-	p.mallocs = ms.Mallocs
 	return p
 }
 
@@ -49,11 +41,8 @@ func probeContention() contentionProbe {
 type ScalingConfig struct {
 	// Rows is the flight dataset size (<= 0 selects DefaultBenchFlightRows).
 	Rows int
-	// Seed drives dataset generation and all sampling RNGs.
+	// Seed drives dataset generation.
 	Seed int64
-	// Rounds is the number of MCTS rounds per sweep point (<= 0 selects
-	// 20000).
-	Rounds int
 	// Workers and Gomaxprocs are the sweep axes (empty selects 1/2/4/8).
 	// Points whose GOMAXPROCS exceeds the machine's CPU count are skipped
 	// with a note rather than measured: throughput numbers taken on
@@ -69,14 +58,6 @@ type ScalingConfig struct {
 type SweepPoint struct {
 	Workers    int `json:"workers"`
 	Gomaxprocs int `json:"gomaxprocs"`
-
-	// Virtual-loss parallel UCT sampling on the region-by-season tree.
-	MctsRoundsPerSec   float64 `json:"mcts_rounds_per_sec"`
-	MctsP50Ns          int64   `json:"mcts_p50_ns"`
-	MctsP99Ns          int64   `json:"mcts_p99_ns"`
-	MctsAllocsPerRound float64 `json:"mcts_allocs_per_round"`
-	MctsSpeedup        float64 `json:"mcts_speedup"`
-	MctsEfficiency     float64 `json:"mcts_efficiency"`
 
 	// Exact evaluation (EvaluateSpaceWorkers) over the full table.
 	EvalRowsPerSec float64 `json:"eval_rows_per_sec"`
@@ -98,13 +79,10 @@ type ScalingResult struct {
 	NumCPU     int    `json:"num_cpu"`
 	Gomaxprocs int    `json:"gomaxprocs"`
 	Query      string `json:"query"`
-	Rounds     int    `json:"rounds"`
-	TreeNodes  int    `json:"tree_nodes"`
 
-	// OneWorkerIdentical must be true: the 1-worker parallel paths
-	// (SampleParallelBatch, EvaluateSpaceWorkers) produce byte-identical
-	// results to their sequential references, so the sweep's baseline IS
-	// the sequential planner.
+	// OneWorkerIdentical must be true: EvaluateSpaceWorkers at one worker
+	// returns the sequential scan's result bit for bit, so the sweep's
+	// baseline IS the sequential evaluator.
 	OneWorkerIdentical bool `json:"one_worker_identical"`
 
 	Points []SweepPoint `json:"points"`
@@ -116,23 +94,14 @@ type ScalingResult struct {
 
 // sweepEnv bundles the fixtures every sweep point reuses.
 type sweepEnv struct {
-	cfg     ScalingConfig
 	flights *olap.Dataset
 	space   *olap.Space
-	scale   float64
-	model   *belief.Model
-	gen     *speech.Generator
-	rounds  int
 }
 
 func newSweepEnv(cfg ScalingConfig) (*sweepEnv, error) {
 	rows := cfg.Rows
 	if rows <= 0 {
 		rows = DefaultBenchFlightRows
-	}
-	rounds := cfg.Rounds
-	if rounds <= 0 {
-		rounds = 20000
 	}
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: rows, Seed: cfg.Seed})
 	if err != nil {
@@ -147,95 +116,7 @@ func newSweepEnv(cfg ScalingConfig) (*sweepEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	result, err := olap.EvaluateSpace(space)
-	if err != nil {
-		return nil, err
-	}
-	scale := result.GrandValue()
-	sigma := belief.SigmaFromScale(scale)
-	if sigma <= 0 {
-		sigma = 1
-	}
-	model, err := belief.NewModel(space, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return &sweepEnv{
-		cfg:     cfg,
-		flights: flights,
-		space:   space,
-		scale:   scale,
-		model:   model,
-		gen:     speech.NewGenerator(space, speech.DefaultPrefs(), speech.PercentFormat),
-		rounds:  rounds,
-	}, nil
-}
-
-// mkTree builds a planning tree whose rewards come from exact estimates
-// jittered only by aggregate choice — the same shape the planner samples,
-// with per-worker reward kernels via SeededEvalFactory.
-func (e *sweepEnv) mkTree(seed int64) (*mcts.Tree, error) {
-	rng := rand.New(rand.NewSource(seed))
-	result, err := olap.EvaluateSpaceSequential(e.space)
-	if err != nil {
-		return nil, err
-	}
-	eval := func(sp *speech.Speech) (float64, bool) {
-		a := rng.Intn(e.space.Size())
-		return e.model.Reward(sp, a, result.Value(a)), true
-	}
-	tree, err := mcts.NewTreeWithCap(e.gen, speech.SpeechScale(e.scale), eval, rng, 100000)
-	if err != nil {
-		return nil, err
-	}
-	tree.SeededEvalFactory = func() mcts.SeededEvalFunc {
-		k := e.model.NewRewardKernel()
-		return func(sp *speech.Speech, wrng *rand.Rand) (float64, bool) {
-			a := wrng.Intn(e.space.Size())
-			return k.Reward(sp, a, result.Value(a)), true
-		}
-	}
-	return tree, nil
-}
-
-// measureMcts runs the tree sampler at the given worker count, reporting
-// total duration, sub-batch p50/p99, and allocations per round.
-func (e *sweepEnv) measureMcts(workers int) (total time.Duration, p50, p99 int64, allocs float64, nodes int, err error) {
-	tree, err := e.mkTree(e.cfg.Seed + 3)
-	if err != nil {
-		return 0, 0, 0, 0, 0, err
-	}
-	ctx := context.Background()
-	// Warm up memoized speech texts and deltas.
-	if _, err = tree.SampleParallelBatch(ctx, 256, workers); err != nil {
-		return 0, 0, 0, 0, 0, err
-	}
-	const subBatches = 32
-	sub := e.rounds / subBatches
-	if sub < 1 {
-		sub = 1
-	}
-	durations := make([]time.Duration, 0, subBatches)
-	rounds := 0
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < subBatches; i++ {
-		start := time.Now()
-		if _, err = tree.SampleParallelBatch(ctx, sub, workers); err != nil {
-			return 0, 0, 0, 0, 0, err
-		}
-		d := time.Since(start)
-		durations = append(durations, d)
-		total += d
-		rounds += sub
-	}
-	runtime.ReadMemStats(&after)
-	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-	p50 = durations[len(durations)/2].Nanoseconds()
-	p99 = durations[(len(durations)*99)/100].Nanoseconds()
-	allocs = float64(after.Mallocs-before.Mallocs) / float64(rounds)
-	return total, p50, p99, allocs, tree.NodeCount(), nil
+	return &sweepEnv{flights: flights, space: space}, nil
 }
 
 // measureEval times EvaluateSpaceWorkers over the full table.
@@ -250,31 +131,8 @@ func (e *sweepEnv) measureEval(workers int) (time.Duration, error) {
 }
 
 // oneWorkerIdentical checks the sweep's exactness baseline: the 1-worker
-// parallel tree is byte-identical to the sequential sampler (same visits,
-// same reward bits, same node count) and the 1-worker scan returns the
-// sequential result bit for bit.
+// scan returns the sequential result bit for bit.
 func (e *sweepEnv) oneWorkerIdentical() (bool, error) {
-	seqTree, err := e.mkTree(e.cfg.Seed + 11)
-	if err != nil {
-		return false, err
-	}
-	parTree, err := e.mkTree(e.cfg.Seed + 11)
-	if err != nil {
-		return false, err
-	}
-	ctx := context.Background()
-	const rounds = 2000
-	if _, err := seqTree.SampleBatch(ctx, rounds); err != nil {
-		return false, err
-	}
-	if _, err := parTree.SampleParallelBatch(ctx, rounds, 1); err != nil {
-		return false, err
-	}
-	if seqTree.Root().Visits != parTree.Root().Visits ||
-		seqTree.Root().Reward != parTree.Root().Reward ||
-		seqTree.NodeCount() != parTree.NodeCount() {
-		return false, nil
-	}
 	seq, err := olap.EvaluateSpaceSequential(e.space)
 	if err != nil {
 		return false, err
@@ -291,11 +149,10 @@ func (e *sweepEnv) oneWorkerIdentical() (bool, error) {
 	return true, nil
 }
 
-// ScalingSweep measures MCTS sampling and exact evaluation throughput
-// over a workers x GOMAXPROCS grid: the per-worker
-// speedup curve the contention work is judged by. GOMAXPROCS is changed
-// process-wide per column and restored afterwards, so nothing else should
-// run concurrently with the sweep.
+// ScalingSweep measures exact evaluation throughput over a workers x
+// GOMAXPROCS grid. GOMAXPROCS is changed process-wide per column and
+// restored afterwards, so nothing else should run concurrently with the
+// sweep.
 func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 	workersAxis := cfg.Workers
 	if len(workersAxis) == 0 {
@@ -314,7 +171,6 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 		NumCPU:     runtime.NumCPU(),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Query:      "-,RD",
-		Rounds:     env.rounds,
 	}
 	identical, err := env.oneWorkerIdentical()
 	if err != nil {
@@ -336,16 +192,10 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 			continue
 		}
 		runtime.GOMAXPROCS(procs)
-		// The per-column 1-worker baselines speedups are relative to.
-		var mctsBase, evalBase time.Duration
+		// The per-column 1-worker baseline speedups are relative to.
+		var evalBase time.Duration
 		for _, workers := range workersAxis {
 			probe := probeContention()
-			mctsNs, p50, p99, allocs, nodes, err := env.measureMcts(workers)
-			if err != nil {
-				runtime.GOMAXPROCS(baseProcs)
-				return nil, err
-			}
-			res.TreeNodes = nodes
 			evalNs, err := env.measureEval(workers)
 			if err != nil {
 				runtime.GOMAXPROCS(baseProcs)
@@ -353,26 +203,16 @@ func ScalingSweep(cfg ScalingConfig) (*ScalingResult, error) {
 			}
 			after := probeContention()
 			if workers == 1 {
-				mctsBase, evalBase = mctsNs, evalNs
+				evalBase = evalNs
 			}
 			p := SweepPoint{
-				Workers:            workers,
-				Gomaxprocs:         procs,
-				MctsP50Ns:          p50,
-				MctsP99Ns:          p99,
-				MctsAllocsPerRound: allocs,
-				MutexWaitNs:        after.mutexWaitNs - probe.mutexWaitNs,
-				GCPauseNs:          int64(after.gcPauseNs - probe.gcPauseNs),
-			}
-			if mctsNs > 0 {
-				p.MctsRoundsPerSec = float64(env.rounds) / mctsNs.Seconds()
+				Workers:     workers,
+				Gomaxprocs:  procs,
+				MutexWaitNs: after.mutexWaitNs - probe.mutexWaitNs,
+				GCPauseNs:   int64(after.gcPauseNs - probe.gcPauseNs),
 			}
 			if evalNs > 0 {
 				p.EvalRowsPerSec = float64(res.Rows) / evalNs.Seconds()
-			}
-			if mctsBase > 0 && mctsNs > 0 {
-				p.MctsSpeedup = float64(mctsBase) / float64(mctsNs)
-				p.MctsEfficiency = p.MctsSpeedup / float64(workers)
 			}
 			if evalBase > 0 && evalNs > 0 {
 				p.EvalSpeedup = float64(evalBase) / float64(evalNs)
@@ -398,19 +238,17 @@ func (r *ScalingResult) WriteJSON(w io.Writer) error {
 
 // PrintScalingSweep prints the human-readable scaling table.
 func PrintScalingSweep(w io.Writer, r *ScalingResult) {
-	fmt.Fprintf(w, "Multicore scaling — %d rows, %d MCTS rounds/point (%d CPUs, base GOMAXPROCS %d), query %s\n",
-		r.Rows, r.Rounds, r.NumCPU, r.Gomaxprocs, r.Query)
-	fmt.Fprintf(w, "  1-worker parallel paths byte-identical to sequential: %v\n", r.OneWorkerIdentical)
+	fmt.Fprintf(w, "Multicore scaling — %d rows (%d CPUs, base GOMAXPROCS %d), query %s\n",
+		r.Rows, r.NumCPU, r.Gomaxprocs, r.Query)
+	fmt.Fprintf(w, "  1-worker evaluation byte-identical to sequential: %v\n", r.OneWorkerIdentical)
 	if len(r.Points) > 0 {
-		fmt.Fprintf(w, "  %5s %5s %14s %8s %6s %14s %8s %12s %10s\n",
-			"procs", "wrk", "mcts rnd/s", "speedup", "eff", "eval rows/s", "speedup", "mutex wait", "allocs/rnd")
+		fmt.Fprintf(w, "  %5s %5s %14s %8s %6s %12s\n",
+			"procs", "wrk", "eval rows/s", "speedup", "eff", "mutex wait")
 		for _, p := range r.Points {
-			fmt.Fprintf(w, "  %5d %5d %14.0f %7.2fx %6.2f %14.0f %7.2fx %12s %10.1f\n",
+			fmt.Fprintf(w, "  %5d %5d %14.0f %7.2fx %6.2f %12s\n",
 				p.Gomaxprocs, p.Workers,
-				p.MctsRoundsPerSec, p.MctsSpeedup, p.MctsEfficiency,
-				p.EvalRowsPerSec, p.EvalSpeedup,
-				time.Duration(p.MutexWaitNs).Round(time.Microsecond),
-				p.MctsAllocsPerRound)
+				p.EvalRowsPerSec, p.EvalSpeedup, p.EvalEfficiency,
+				time.Duration(p.MutexWaitNs).Round(time.Microsecond))
 		}
 	}
 	for _, note := range r.SkipNotes {

@@ -7,7 +7,6 @@
 package faults
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -72,16 +71,6 @@ func (s *SlowScanner) Next() (int, bool) {
 
 // Reset implements table.Scanner.
 func (s *SlowScanner) Reset() { s.Inner.Reset() }
-
-// Remaining passes the inner stream's count through, so a slowed scan
-// still tells sampling.Sampler.Exhausted when it has run dry; an inner
-// stream that does not count is taken to have plenty left.
-func (s *SlowScanner) Remaining() int {
-	if r, ok := s.Inner.(interface{ Remaining() int }); ok {
-		return r.Remaining()
-	}
-	return math.MaxInt
-}
 
 // StallingScanner delivers After rows normally, then blocks every Next
 // until Release is called — a hung storage backend. Every consumer reads

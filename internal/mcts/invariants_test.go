@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,18 +20,14 @@ func visitedChildren(t *Tree, n *Node) []*Node {
 // childAt returns the i-th enumerated child of n, making it a node.
 func childAt(t *Tree, n *Node, i int) *Node { return t.child(n, selectBit(n.fan.valid(), i)) }
 
-// TestVisitAccountingInvariant: after any number of samples, a parent's
-// visit count equals the sum of its children's visits (every sample path
-// traverses from root to a leaf), and accumulated rewards are consistent.
-func TestVisitAccountingInvariant(t *testing.T) {
-	e := newEnv(t)
-	rng := rand.New(rand.NewSource(21))
-	tree, err := NewTree(e.gen, e.result.GrandValue(), e.exactEval(), rng)
-	if err != nil {
-		t.Fatalf("NewTree: %v", err)
-	}
-	for i := 0; i < 500; i++ {
-		tree.Sample()
+// checkAccounting walks the tree after done reward-producing rounds: the
+// root's visits equal done, a parent's visit count equals the sum of its
+// children's visits (every sample path traverses from root to a leaf), and
+// accumulated rewards are consistent.
+func checkAccounting(t *testing.T, tree *Tree, done int) {
+	t.Helper()
+	if got := tree.Root().Visits; got != int64(done) {
+		t.Errorf("root visits = %d, want done rounds %d", got, done)
 	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -54,6 +51,53 @@ func TestVisitAccountingInvariant(t *testing.T) {
 		}
 	}
 	walk(tree.Root())
+}
+
+// TestVisitAccountingInvariant: the accounting holds after any number of
+// samples.
+func TestVisitAccountingInvariant(t *testing.T) {
+	e := newEnv(t)
+	rng := rand.New(rand.NewSource(21))
+	tree, err := NewTree(e.gen, e.result.GrandValue(), e.exactEval(), rng)
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
+	}
+	done := 0
+	for i := 0; i < 500; i++ {
+		if tree.Sample() {
+			done++
+		}
+	}
+	checkAccounting(t, tree, done)
+}
+
+// TestSampleBatchCancellation cancels from inside the 20th evaluation: the
+// batch stops before the next round, reports the context's error, and
+// leaves the accounting of the rounds it did finish intact.
+func TestSampleBatchCancellation(t *testing.T) {
+	e := newEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	eval := func(s *speech.Speech) (float64, bool) {
+		if calls++; calls == 20 {
+			cancel()
+		}
+		return e.model.Quality(s, e.result), true
+	}
+	tree, err := NewTree(e.gen, e.result.GrandValue(), eval, rand.New(rand.NewSource(16)))
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
+	}
+	const rounds = 1 << 20 // would take far too long without cancellation
+	done, err := tree.SampleBatch(ctx, rounds)
+	if err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if done != 20 {
+		t.Errorf("done = %d, want the 20 rounds evaluated before the cancel was seen", done)
+	}
+	checkAccounting(t, tree, done)
 }
 
 // TestRewardBoundsInvariant: with an evaluator bounded in [0,1], every

@@ -32,8 +32,7 @@
 // fixed-size blocks owned by the tree. A leaf is never made into a speech:
 // the sequential sampler evaluates it through one scratch speech it rewrites
 // in place, and Speech builds a real one for the few nodes a caller asks
-// about. Nothing here is safe for concurrent use except SampleParallelBatch,
-// which takes the tree's lock around every descent and back-up.
+// about. Nothing here is safe for concurrent use.
 package mcts
 
 import (
@@ -42,7 +41,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync"
 
 	"repro/internal/speech"
 )
@@ -170,17 +168,6 @@ type Tree struct {
 	// picks. It exists for the ablation benchmarks quantifying what the
 	// exploration/exploitation balance buys.
 	UniformPolicy bool
-	// SeededEval, when set, is used by SampleParallelBatch instead of the
-	// sequential evaluator: each worker passes its own RNG, so evaluation
-	// needs no shared mutable state. When nil, parallel workers serialize
-	// calls to the sequential evaluator behind evalMu.
-	SeededEval SeededEvalFunc
-	// SeededEvalFactory, when set, takes precedence over SeededEval in
-	// SampleParallelBatch: each worker calls it once at batch start and
-	// evaluates through its private instance for the whole batch. It lets
-	// evaluators keep per-worker mutable scratch (e.g. a belief reward
-	// kernel with hoisted constants) without any cross-worker sharing.
-	SeededEvalFactory func() SeededEvalFunc
 
 	// menu and baselines are what child ordinals index: the generator's
 	// shared refinement menu and the baseline ladder around the scale
@@ -216,12 +203,6 @@ type Tree struct {
 	pathScratch []*Node
 	scratch     speech.Speech
 	scratchRefs []*speech.Refinement
-
-	// mu serialises the workers of SampleParallelBatch on the tree; evalMu
-	// serialises their calls to the sequential evaluator when no seeded one
-	// is set.
-	mu     sync.Mutex
-	evalMu sync.Mutex
 }
 
 // DefaultMaxNodes bounds eager tree construction. The paper's queries stay
@@ -264,17 +245,10 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 	t.menuWords = (len(t.menu) + 63) / 64
 	t.validScratch = make([]uint64, t.menuWords)
 	t.scratch.Preamble = t.preamble
-	// Render every fragment now: candidate fragments are shared across the
-	// whole tree, and lazy expansion during a parallel batch must never be
-	// the first caller of an unsynchronized memoization.
 	t.textLen = make([]int32, len(t.menu))
 	for o, r := range t.menu {
 		t.textLen[o] = int32(len(r.Text()))
 	}
-	for _, b := range t.baselines {
-		b.Text()
-	}
-	t.preamble.Text()
 	t.root = t.newNode()
 	t.prebuild(t.root)
 	return t, nil
@@ -494,11 +468,11 @@ func (t *Tree) prebuild(n *Node) {
 // maxUCTChild returns the child to descend into (ST.MAXUCTCHILD):
 // unvisited children first (random pick), otherwise the maximizer of the
 // UCT upper confidence bound. n must have children.
-func (t *Tree) maxUCTChild(n *Node, rng *rand.Rand) *Node {
+func (t *Tree) maxUCTChild(n *Node) *Node {
 	f := n.fan
 	valid := f.valid()
 	if t.UniformPolicy {
-		return t.child(n, selectBit(valid, rng.Intn(popcount(valid))))
+		return t.child(n, selectBit(valid, t.rng.Intn(popcount(valid))))
 	}
 	// A child without its seen bit has no visit, made or not. One draw picks
 	// among them by position (the RNG stream is pinned by golden tests).
@@ -508,7 +482,7 @@ func (t *Tree) maxUCTChild(n *Node, rng *rand.Rand) *Node {
 		unvisited += bits.OnesCount64(w &^ seen[j])
 	}
 	if unvisited > 0 {
-		k := rng.Intn(unvisited)
+		k := t.rng.Intn(unvisited)
 		for j, w := range valid {
 			w &^= seen[j]
 			c := bits.OnesCount64(w)
@@ -543,9 +517,9 @@ func (n *Node) visit() {
 	n.Visits++
 }
 
-// descend walks from the root to a leaf, choosing children with rng and
-// expanding on first visit, and returns the path appended to path.
-func (t *Tree) descend(path []*Node, rng *rand.Rand) []*Node {
+// descend walks from the root to a leaf, expanding on first visit, and
+// returns the path appended to path.
+func (t *Tree) descend(path []*Node) []*Node {
 	n := t.root
 	for {
 		path = append(path, n)
@@ -555,7 +529,7 @@ func (t *Tree) descend(path []*Node, rng *rand.Rand) []*Node {
 		if n.fan == nil {
 			return path
 		}
-		n = t.maxUCTChild(n, rng)
+		n = t.maxUCTChild(n)
 	}
 }
 
@@ -569,7 +543,7 @@ func (t *Tree) Sample() bool {
 	// the fragment limit, and one slice per round was the planner loop's
 	// dominant allocation. So is the speech: a leaf is read once, by this
 	// call, and keeping one per leaf was most of what an answer allocated.
-	path := t.descend(t.pathScratch[:0], t.rng)
+	path := t.descend(t.pathScratch[:0])
 	t.pathScratch = path
 	leaf := path[len(path)-1]
 	for int(leaf.depth) > len(t.scratchRefs) {

@@ -63,11 +63,3 @@ func (s *Sampler) ReadRowsContext(ctx context.Context, n int) int {
 	}
 	return read
 }
-
-// Exhausted reports whether the scan has consumed the whole table. A
-// scanner that cannot say how much is left (no Remaining method) is never
-// reported exhausted.
-func (s *Sampler) Exhausted() bool {
-	r, ok := s.scanner.(interface{ Remaining() int })
-	return ok && r.Remaining() == 0
-}

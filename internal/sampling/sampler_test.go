@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/olap"
-	"repro/internal/table"
 )
 
 func TestSamplerReadRows(t *testing.T) {
@@ -23,9 +21,6 @@ func TestSamplerReadRows(t *testing.T) {
 	if smp.Cache().NrRead() != 500 {
 		t.Errorf("cache NrRead = %d", smp.Cache().NrRead())
 	}
-	if smp.Exhausted() {
-		t.Error("sampler should not be exhausted after 500 of 20000 rows")
-	}
 }
 
 func TestSamplerExhaustion(t *testing.T) {
@@ -33,12 +28,9 @@ func TestSamplerExhaustion(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	smp, _ := NewSampler(s, rng)
 	n := s.Dataset().Table().NumRows()
-	read := smp.ReadRows(n + 1000)
-	if read != n {
-		t.Errorf("read %d rows, want %d", read, n)
-	}
-	if !smp.Exhausted() {
-		t.Error("sampler should be exhausted")
+	smp.ReadRows(500)
+	if read := smp.ReadRows(n + 1000); read != n-500 {
+		t.Errorf("read %d rows, want the remaining %d", read, n-500)
 	}
 	if smp.ReadRows(10) != 0 {
 		t.Error("exhausted sampler should read nothing")
@@ -73,31 +65,3 @@ func TestSamplerEstimateConvergence(t *testing.T) {
 		t.Error("expected populated aggregates after 10000 reads")
 	}
 }
-
-// A wrapped scanner is still asked how much is left: Exhausted goes through
-// the optional Remaining method, not through the concrete scanner type.
-func TestSamplerExhaustionThroughWrapper(t *testing.T) {
-	s := flightsSpace(t, olap.Avg)
-	tab := s.Dataset().Table()
-	inner := table.NewRandomScanner(tab, rand.New(rand.NewSource(6)))
-	smp, err := NewSamplerWithScanner(s, &faults.SlowScanner{Inner: inner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smp.ReadRows(500); smp.Exhausted() {
-		t.Error("exhausted after 500 rows")
-	}
-	if read := smp.ReadRows(tab.NumRows()); read != tab.NumRows()-500 || !smp.Exhausted() {
-		t.Errorf("read %d more rows, exhausted = %v; want the rest of the table and true", read, smp.Exhausted())
-	}
-	// A stream that cannot say how much is left is never called exhausted.
-	smp, _ = NewSamplerWithScanner(s, &nextOnly{inner})
-	inner.Reset()
-	smp.ReadRows(tab.NumRows())
-	if smp.Exhausted() {
-		t.Error("a scanner without Remaining reported exhausted")
-	}
-}
-
-// nextOnly hides every optional method of a scanner.
-type nextOnly struct{ table.Scanner }

@@ -1,5 +1,9 @@
 package sampling
 
+// Nothing in the repository builds a view: the cache tier that planned over
+// them is gone. This file stays because benchmark/probes.go:142 times
+// BuildView; ROADMAP item 1 removes it, and the Estimator interface with it.
+
 import (
 	"errors"
 	"math/rand"

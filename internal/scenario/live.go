@@ -118,8 +118,6 @@ func (p *ServerPool) boot(key profileKey) (*poolServer, error) {
 		MaxConcurrent:   key.live.MaxConcurrent,
 		QueueDepth:      key.live.QueueDepth,
 		SemCacheEntries: key.live.SemCacheEntries,
-		SemCacheViews:   key.live.SemCacheViews,
-		PoolSize:        key.live.PoolSize,
 		Logf:            func(string, ...any) {}, // scenario noise stays out of reports
 	}
 	if opts.RequestTimeout <= 0 {
@@ -404,7 +402,7 @@ func (sr *sessionRun) checkLiveStep(s *Spec, step Step, method string, code int,
 	vocalizer := payload.ServedBy
 	switch payload.ServedBy {
 	case "this", "prior":
-		if payload.Cache != "" && payload.Cache != "warm" {
+		if payload.Cache != "" {
 			vs.addf("cache", "input %q: servedBy %q with cache tag %q", rec.Input, payload.ServedBy, payload.Cache)
 		}
 		if payload.Fallback != "" && !(method == "this" && payload.ServedBy == "prior") {

@@ -99,13 +99,10 @@ type LiveSpec struct {
 	// violations — the overload contract is "refuse cleanly", not "never
 	// refuse".
 	AllowShed bool
-	// SemCacheEntries, SemCacheViews and PoolSize tune the server's
-	// semantic answer cache, warmed-view cache and session pools (zero
-	// keeps the server defaults, negative disables — the same contract as
+	// SemCacheEntries sizes the server's semantic answer cache (zero keeps
+	// the server default, negative disables — the same contract as
 	// web.Options).
 	SemCacheEntries int
-	SemCacheViews   int
-	PoolSize        int
 }
 
 // IngestSpec appends generated rows to the scenario's dataset mid-script

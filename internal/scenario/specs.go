@@ -242,7 +242,7 @@ func init() {
 		Desc:    "An equivalent rephrase of an answered query — dimensions reordered, \"carrier\" for \"airline\" — replays the finished speech from the semantic cache instead of re-running the planner.",
 		Attrs:   []string{AttrCache, AttrLiveTuned},
 		Dataset: flights5k,
-		Live:    LiveSpec{SemCacheEntries: 64, SemCacheViews: 16, PoolSize: 2},
+		Live:    LiveSpec{SemCacheEntries: 64},
 		Script: []Step{
 			{Input: "how does cancellation depend on region and carrier", Expect: Expect{Action: "query", Speech: true, ServedBy: "this"}},
 			{Input: "how does cancellation depend on airline and region", Expect: Expect{Action: "query", Speech: true, ServedBy: "cache"}},
@@ -255,7 +255,7 @@ func init() {
 		Desc:    "Reloading a dataset bumps its cache epoch: the question that replayed from the cache a step earlier must be recomputed against the new data, never served stale.",
 		Attrs:   []string{AttrCache, AttrLiveTuned},
 		Dataset: flights5k,
-		Live:    LiveSpec{SemCacheEntries: 128, SemCacheViews: 16, PoolSize: 2},
+		Live:    LiveSpec{SemCacheEntries: 128},
 		Script: []Step{
 			{Input: "how does cancellation depend on region and season", Expect: Expect{Action: "query", Speech: true, ServedBy: "this"}},
 			{Input: "how does cancellation depend on season and region", Expect: Expect{Action: "query", Speech: true, ServedBy: "cache"}},
@@ -297,7 +297,7 @@ func init() {
 		Desc:    "A streaming append between two identical questions makes the cached answer unreachable: the post-ingest ask recomputes at the bumped epoch (never replays stale), and the recomputed answer caches again at the new epoch.",
 		Attrs:   []string{AttrStream, AttrLiveTuned},
 		Dataset: flights5k,
-		Live:    LiveSpec{SemCacheEntries: 64, SemCacheViews: 16, PoolSize: 2},
+		Live:    LiveSpec{SemCacheEntries: 64},
 		Script: []Step{
 			{Input: "how does cancellation depend on region and season", Expect: Expect{Action: "query", Speech: true, ServedBy: "this"}},
 			{Input: "how does cancellation depend on season and region", Expect: Expect{Action: "query", Speech: true, ServedBy: "cache"}},
@@ -313,7 +313,7 @@ func init() {
 		Attrs:   []string{AttrStream, AttrFault, AttrLiveTuned},
 		Dataset: flights5k,
 		Faults:  faults.InjectorOptions{StallEvery: 1, StallAfter: 32, StallRelease: 100 * time.Millisecond},
-		Live:    LiveSpec{SemCacheEntries: 64, SemCacheViews: 16, PoolSize: 2},
+		Live:    LiveSpec{SemCacheEntries: 64},
 		Script: []Step{
 			{Input: "how does cancellation depend on region", Expect: Expect{Action: "query", Speech: true}},
 			{Ingest: &IngestSpec{Rows: 40, Seed: 41}},

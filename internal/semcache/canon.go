@@ -1,9 +1,7 @@
 // Package semcache makes repeated voice queries near-free: a canonical
 // key equates semantically equivalent OLAP queries (scope order and
-// spoken synonyms don't matter, structure does), a bounded two-tier LRU
-// memoizes finished speeches (tier A) and warmed sample views (tier B)
-// under singleflight, and prewarmed pools hand out cloned per-dataset
-// session state so no request pays cold-start. This is the structural
+// spoken synonyms don't matter, structure does) and a bounded LRU
+// memoizes finished speeches under singleflight. This is the structural
 // analogue of LLM-based semantic OLAP caching: internal/nlq already
 // resolves synonyms and hierarchies, so canonicalization is a sort plus a
 // synonym map instead of a model call.
@@ -11,9 +9,9 @@
 // Soundness contract (see DESIGN.md): callers must vocalize the
 // Normalize'd query, never the raw one. Then key equality implies an
 // identical planner input, and with the deterministic planner
-// configuration the web layer uses (fixed seed, simulated clock, one
-// planner worker) an identical spoken answer — which is what lets tier A
-// replay cached speech bit-for-bit.
+// configuration the web layer uses (fixed seed, simulated clock) an
+// identical spoken answer — which is what lets the cache replay speech
+// bit-for-bit.
 package semcache
 
 import (

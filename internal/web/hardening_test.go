@@ -311,7 +311,7 @@ func TestConcurrentQueriesAndLogReads(t *testing.T) {
 func TestConcurrentPlansSpeakWhatTheySpeakAlone(t *testing.T) {
 	// The round cap is out of reach, so playback alone ends each planning
 	// window, as it does for short sentences under the daemon's cap.
-	_, ts := newHardenedServerRounds(t, 1<<20, Options{SemCacheEntries: -1, SemCacheViews: -1})
+	_, ts := newHardenedServerRounds(t, 1<<20, Options{SemCacheEntries: -1})
 	inputs := []string{"break down by region and season", "break down by state"}
 	ask := func(session, input string) string {
 		b, _ := json.Marshal(map[string]string{"session": session, "dataset": "flights", "input": input, "method": "this"})

@@ -113,9 +113,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.answers != nil {
 		s.answers.PurgePrefix(req.Dataset + "\x00")
 	}
-	if s.views != nil {
-		s.views.PurgePrefix(req.Dataset + "\x00")
-	}
 	s.ingestBatches.Add(1)
 	s.ingestRows.Add(int64(len(req.Rows)))
 	writeJSON(w, http.StatusOK, ingestResponse{

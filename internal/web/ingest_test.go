@@ -55,7 +55,7 @@ func getDatasets(t *testing.T, ts *httptest.Server, name string) map[string]any 
 // (one epoch bump), and the append must make every cached answer from the
 // old epoch unreachable — the next equivalent query recomputes.
 func TestIngestVisibilityAndInvalidation(t *testing.T) {
-	_, ts := newCacheServer(t, Options{SemCacheViews: -1})
+	_, ts := newCacheServer(t, Options{})
 	const input = "how does cancellation depend on region and season"
 
 	ask := func(session string) map[string]any {
@@ -130,7 +130,7 @@ func TestIngestVisibilityAndInvalidation(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	_, ts := newCacheServer(t, Options{SemCacheViews: -1})
+	_, ts := newCacheServer(t, Options{})
 	rows := datagen.FlightRows(5, 3)
 
 	if _, code := postIngest(t, ts, "nope", rows); code != http.StatusNotFound {
@@ -155,7 +155,7 @@ func TestIngestValidation(t *testing.T) {
 // contract: an answer whose dataset accepts a batch between query commit
 // and reply is served anyway, flagged stale, with the spoken caveat.
 func TestStaleFlagOnMidAnswerIngest(t *testing.T) {
-	srv, ts := newCacheServer(t, Options{SemCacheViews: -1})
+	srv, ts := newCacheServer(t, Options{})
 	hold := make(chan struct{})
 	parked := make(chan struct{})
 	srv.holdVocalize = hold
@@ -204,7 +204,7 @@ func TestStaleFlagOnMidAnswerIngest(t *testing.T) {
 // and windowed), and whole-dataset reloads; run under -race. Queries must
 // always answer 200 and ingests either land or report the reload conflict.
 func TestConcurrentIngestQueryReload(t *testing.T) {
-	srv, ts := newCacheServer(t, Options{SemCacheViews: -1, MaxConcurrent: 64})
+	srv, ts := newCacheServer(t, Options{MaxConcurrent: 64})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

@@ -7,12 +7,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/nlq"
 	"repro/internal/olap"
+	"repro/internal/speech"
 )
 
 // queryReq builds one in-memory /api/query call on the flights dataset.
@@ -28,7 +32,7 @@ func serve(h http.Handler, session, input, method string) *httptest.ResponseReco
 	return rec
 }
 
-// TestCacheHitAllocBudget pins what a tier-A hit costs in front of the
+// TestCacheHitAllocBudget pins what a cache hit costs in front of the
 // cache: one clone, one parse, one commit, one response. Sessions are five
 // turns long, as in the repeat_zipf workload, and the measured request is
 // the fifth turn, a hit like the four before it. Staging every command
@@ -36,7 +40,7 @@ func serve(h http.Handler, session, input, method string) *httptest.ResponseReco
 // staging costs about 220.
 func TestCacheHitAllocBudget(t *testing.T) {
 	const budget = 300
-	srv, _ := newCacheServer(t, Options{SemCacheViews: -1})
+	srv, _ := newCacheServer(t, Options{})
 	h := srv.Handler()
 	turns := []string{
 		"how does cancellation depend on region and carrier",
@@ -91,7 +95,7 @@ func TestCacheHitAllocBudget(t *testing.T) {
 // and end in the state the table holds. A command applied twice, in part,
 // after a refusal, or not at all breaks one of the three.
 func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
-	srv, _ := newCacheServer(t, Options{MaxConcurrent: 1, QueueDepth: 1, SemCacheViews: -1})
+	srv, _ := newCacheServer(t, Options{MaxConcurrent: 1, QueueDepth: 1})
 	h := srv.Handler()
 	type commit struct {
 		input string
@@ -203,4 +207,47 @@ func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
 			t.Errorf("session %s ends at\n  %q\nreplay of its commits at\n  %q", session, got, want)
 		}
 	}
+}
+
+// TestServerStartsNoGoroutine: a server is its handler and nothing else.
+// Built with the options the benchmark passes, it runs no goroutine after
+// construction, after ten first commands have each opened a session, or
+// after Close. Requests go through the handler in memory, so the only
+// goroutine a failure can count is one the server started.
+func TestServerStartsNoGoroutine(t *testing.T) {
+	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
+	if err != nil {
+		t.Fatalf("Flights: %v", err)
+	}
+	// Goroutines of earlier tests may still be on their way out, so the
+	// count can fall below base while this runs; it must not stay above.
+	base := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines, %d before the server existed", when, n, base)
+		}
+	}
+	srv, err := NewServerWith(core.Config{Seed: 7, MaxRoundsPerSentence: 100, Percents: []int{50, 100}},
+		Options{SemCacheViews: 64, PoolSize: 4},
+		DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
+			MeasureDesc: "average cancellation probability", Format: speech.PercentFormat},
+	)
+	if err != nil {
+		t.Fatalf("NewServerWith: %v", err)
+	}
+	settled("after NewServerWith")
+	h := srv.Handler()
+	for i := 0; i < 10; i++ {
+		if rec := serve(h, fmt.Sprintf("g%d", i), "break down by season", "this"); rec.Code != http.StatusOK {
+			t.Fatalf("session %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	settled("after ten new sessions")
+	srv.Close()
+	settled("after Close")
 }

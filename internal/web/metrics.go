@@ -62,7 +62,7 @@ func (w *latencyWindow) quantiles() (p50, p99 time.Duration, count int64, ok boo
 // handleMetrics serves the serving counters in the Prometheus text
 // exposition format (version 0.0.4): everything /api/stats.serving
 // reports, flattened into scrapeable gauges and counters, plus the
-// semantic-cache and warm-pool counters.
+// semantic-cache counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -141,38 +141,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if sc := s.semCacheStats(); sc != nil {
-		writeMetricHeader(w, "voiceolap_semcache_answers_total", "counter", "Tier-A semantic answer cache outcomes.")
+		writeMetricHeader(w, "voiceolap_semcache_answers_total", "counter", "Semantic answer cache outcomes.")
 		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"hit\"} %d\n", sc.Answers.Hits)
 		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"miss\"} %d\n", sc.Answers.Misses)
 		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"coalesced\"} %d\n", sc.Answers.Coalesced)
 		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"aborted\"} %d\n", sc.Answers.Aborted)
-		writeMetricHeader(w, "voiceolap_semcache_stores_total", "counter", "Tier-A stores, rejections (uncacheable answers), evictions, and purges.")
+		writeMetricHeader(w, "voiceolap_semcache_stores_total", "counter", "Answer stores, rejections (uncacheable answers), evictions, and purges.")
 		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"stored\"} %d\n", sc.Answers.Stores)
 		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"rejected\"} %d\n", sc.Answers.Rejected)
 		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"evicted\"} %d\n", sc.Answers.Evictions)
 		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"purged\"} %d\n", sc.Answers.Purged)
-		writeMetricHeader(w, "voiceolap_semcache_entries", "gauge", "Stored tier-A answers.")
+		writeMetricHeader(w, "voiceolap_semcache_entries", "gauge", "Stored answers.")
 		fmt.Fprintf(w, "voiceolap_semcache_entries %d\n", sc.AnswerEntries)
-		writeMetricHeader(w, "voiceolap_semcache_views_total", "counter", "Tier-B warmed-view cache outcomes.")
-		fmt.Fprintf(w, "voiceolap_semcache_views_total{outcome=\"hit\"} %d\n", sc.Views.Hits)
-		fmt.Fprintf(w, "voiceolap_semcache_views_total{outcome=\"miss\"} %d\n", sc.Views.Misses)
-		fmt.Fprintf(w, "voiceolap_semcache_views_total{event=\"stored\"} %d\n", sc.Views.Stores)
-		writeMetricHeader(w, "voiceolap_semcache_view_entries", "gauge", "Stored tier-B views.")
-		fmt.Fprintf(w, "voiceolap_semcache_view_entries %d\n", sc.ViewEntries)
-		writeMetricHeader(w, "voiceolap_semcache_served_total", "counter", "Requests answered via the semantic caches, by path.")
+		writeMetricHeader(w, "voiceolap_semcache_served_total", "counter", "Requests answered via the semantic cache, by path.")
 		fmt.Fprintf(w, "voiceolap_semcache_served_total{path=\"hit\"} %d\n", sc.HitsServed)
 		fmt.Fprintf(w, "voiceolap_semcache_served_total{path=\"coalesced\"} %d\n", sc.CoalescedServed)
-		fmt.Fprintf(w, "voiceolap_semcache_served_total{path=\"warm\"} %d\n", sc.WarmServed)
-		writeMetricHeader(w, "voiceolap_session_pool_checkouts_total", "counter", "Warm session pool checkouts per dataset.")
-		for _, name := range sortedKeys(sc.Pools) {
-			p := sc.Pools[name]
-			fmt.Fprintf(w, "voiceolap_session_pool_checkouts_total{dataset=%q,kind=\"warm\"} %d\n", name, p.Warm)
-			fmt.Fprintf(w, "voiceolap_session_pool_checkouts_total{dataset=%q,kind=\"cold\"} %d\n", name, p.Cold)
-		}
-		writeMetricHeader(w, "voiceolap_session_pool_free", "gauge", "Warm sessions ready per dataset.")
-		for _, name := range sortedKeys(sc.Pools) {
-			fmt.Fprintf(w, "voiceolap_session_pool_free{dataset=%q} %d\n", name, sc.Pools[name].Free)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package web
 import (
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -75,11 +74,10 @@ type servingCounters struct {
 	mu           sync.Mutex
 	tenants      map[string]*tenantCounters
 	ladderServed [admission.NumSteps]int64
-	// cacheHits / cacheCoalesced count requests answered from the tier-A
-	// answer cache; cacheWarm requests planned over a tier-B view.
+	// cacheHits / cacheCoalesced count requests answered from the answer
+	// cache.
 	cacheHits      int64
 	cacheCoalesced int64
-	cacheWarm      int64
 }
 
 // tenant returns name's counters, folding new tenants into the overflow
@@ -130,13 +128,6 @@ func (c *servingCounters) cached(tenant string, oc semcache.Outcome) {
 	} else {
 		c.cacheHits++
 	}
-}
-
-// warmServed records a query planned over a tier-B warmed view.
-func (c *servingCounters) warmServed() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cacheWarm++
 }
 
 // shed records a refused query by reason.
@@ -190,28 +181,12 @@ type ServingStats struct {
 	Breakers map[string]string `json:"breakers"`
 	// Tenants lists per-tenant outcomes sorted by tenant name.
 	Tenants []TenantServingStats `json:"tenants,omitempty"`
-	// SemCache reports the semantic answer cache, warmed-view cache, and
-	// session-pool counters; nil when caching is disabled.
+	// SemCache reports the semantic answer cache's counters; nil when
+	// caching is disabled.
 	SemCache *SemCacheStats `json:"semcache,omitempty"`
 	// VocalizeLatencyMS reports sliding-window wall-latency quantiles for
 	// real vocalizer runs ("p50", "p99"); absent before the first run.
 	VocalizeLatencyMS map[string]float64 `json:"vocalizeLatencyMs,omitempty"`
-	// Planner reports the parallel-planning configuration in effect.
-	Planner PlannerServingStats `json:"planner"`
-}
-
-// PlannerServingStats reports the parallel-planning configuration: the
-// configured worker counts against the machine's capacity, and whether the
-// brownout ladder is currently forcing queries back to one worker.
-type PlannerServingStats struct {
-	// Workers is the configured tree-sampling worker count per planning
-	// round (1 = sequential planner).
-	Workers    int `json:"workers"`
-	NumCPU     int `json:"numCpu"`
-	Gomaxprocs int `json:"gomaxprocs"`
-	// BrownoutCapped reports that the current ladder step runs every
-	// query with a single sampling worker despite Workers > 1.
-	BrownoutCapped bool `json:"brownoutCapped,omitempty"`
 }
 
 // servingStats snapshots the overload-resilience state.
@@ -222,16 +197,6 @@ func (s *Server) servingStats() ServingStats {
 		Brownout: s.brown.Snapshot(),
 		Breakers: make(map[string]string, len(s.breakers)),
 		SemCache: s.semCacheStats(),
-	}
-	workers := s.cfg.PlannerWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	out.Planner = PlannerServingStats{
-		Workers:        workers,
-		NumCPU:         runtime.NumCPU(),
-		Gomaxprocs:     runtime.GOMAXPROCS(0),
-		BrownoutCapped: workers > 1 && out.Brownout.Step >= admission.StepReduced,
 	}
 	if p50, p99, _, ok := s.latw.quantiles(); ok {
 		out.VocalizeLatencyMS = map[string]float64{

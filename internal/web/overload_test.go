@@ -32,7 +32,7 @@ func waitInFlight(t *testing.T, srv *Server) {
 func TestShedLeavesSessionUntouched(t *testing.T) {
 	// Semantic caching off: repeated queries must reach admission here
 	// (cache hits are served pre-admission by design).
-	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 1, SemCacheEntries: -1, SemCacheViews: -1})
+	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 1, SemCacheEntries: -1})
 	// Establish a session with one applied breakdown.
 	out, code := postQuery(t, ts, map[string]string{
 		"session": "shed", "dataset": "flights",
@@ -179,7 +179,6 @@ func TestBrownoutLadderEngagesUnderSlowTraffic(t *testing.T) {
 		// Caching off: the ladder only observes real vocalizer runs, so a
 		// repeated query must not short-circuit to a cache hit here.
 		SemCacheEntries: -1,
-		SemCacheViews:   -1,
 	})
 	sawPriorFallback := false
 	deadline := time.Now().Add(30 * time.Second)
@@ -306,7 +305,7 @@ func TestBreakerTripsToPriorFallback(t *testing.T) {
 func TestTenantRateLimit429(t *testing.T) {
 	// Caching off: a cache hit is served before the rate limiter (replays
 	// are nearly free), which would turn the expected 429s into 200s.
-	_, ts := newHardenedServer(t, Options{TenantRate: 0.0001, TenantBurst: 1, SemCacheEntries: -1, SemCacheViews: -1})
+	_, ts := newHardenedServer(t, Options{TenantRate: 0.0001, TenantBurst: 1, SemCacheEntries: -1})
 	out, code := postQuery(t, ts, map[string]string{
 		"session": "ratey", "dataset": "flights",
 		"input": "break down by season", "method": "prior",

@@ -34,7 +34,6 @@ import (
 	"repro/internal/encode"
 	"repro/internal/nlq"
 	"repro/internal/olap"
-	"repro/internal/sampling"
 	"repro/internal/semcache"
 	"repro/internal/speech"
 	"repro/internal/voice"
@@ -72,8 +71,8 @@ type QueryLogEntry struct {
 	// Origin names the vocalizer that originally produced a cache-served
 	// speech.
 	Origin string `json:"origin,omitempty"`
-	// Cache classifies the semantic-cache path ("hit", "coalesced",
-	// "warm"); empty for cold answers.
+	// Cache classifies the semantic-cache path ("hit", "coalesced"); empty
+	// for cold answers.
 	Cache string `json:"cache,omitempty"`
 	// DataEpoch is the dataset epoch the answer was computed against.
 	DataEpoch int64 `json:"dataEpoch"`
@@ -139,18 +138,18 @@ type Options struct {
 	MaxSessions int
 	// SessionTTL evicts sessions idle longer than this (default 1h).
 	SessionTTL time.Duration
-	// SemCacheEntries caps the tier-A semantic answer cache: finished
+	// SemCacheEntries caps the semantic answer cache: finished
 	// full-quality speeches memoized by (dataset epoch, canonical query)
 	// and replayed bit-identically for equivalent queries (default 1024;
-	// negative disables the semantic cache entirely).
+	// negative disables the semantic cache).
 	SemCacheEntries int
-	// SemCacheViews caps the tier-B cache of warmed sample views, which
-	// let equivalent queries skip scan/sample cost even after their
-	// tier-A entry is evicted (default 64; negative disables tier B).
+	// SemCacheViews is read by nothing: there is no second cache tier. It
+	// stays because benchmark/server.go:47 sets it; ROADMAP item 1 removes
+	// both.
 	SemCacheViews int
-	// PoolSize is the per-dataset warm session pool: pristine cloned nlq
-	// sessions checked out on first use so no new voice session pays
-	// cold-start (default 4; negative disables pooling).
+	// PoolSize is read by nothing: a new session is built when it is first
+	// used. It stays because benchmark/server.go:48 sets it; ROADMAP item 1
+	// removes both.
 	PoolSize int
 	// Logf receives operational messages such as panic stacks (default
 	// log.Printf).
@@ -182,12 +181,6 @@ func (o Options) normalize() Options {
 	}
 	if o.SemCacheEntries == 0 {
 		o.SemCacheEntries = 1024
-	}
-	if o.SemCacheViews == 0 {
-		o.SemCacheViews = 64
-	}
-	if o.PoolSize == 0 {
-		o.PoolSize = 4
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -259,17 +252,10 @@ type Server struct {
 	breakers map[string]*admission.Breaker
 	// serving counts per-tenant admission outcomes for /api/stats.
 	serving servingCounters
-	// answers is the tier-A semantic cache: finished full-quality
-	// speeches keyed by (dataset epoch, vocalizer, canonical query).
-	// nil disables semantic caching.
+	// answers is the semantic cache: finished full-quality speeches keyed
+	// by (dataset epoch, vocalizer, canonical query). nil disables semantic
+	// caching.
 	answers *semcache.Cache[cachedAnswer]
-	// views is the tier-B cache of warmed sample views; nil disables
-	// warm starts.
-	views *semcache.Cache[*sampling.View]
-	// viewJobs feeds the background view builder; quit stops it.
-	viewJobs  chan viewJob
-	quit      chan struct{}
-	closeOnce sync.Once
 	// ingestBatches / ingestRows count accepted append batches and rows;
 	// staleAnswers counts replies flagged stale (epoch moved mid-answer).
 	ingestBatches atomic.Int64
@@ -319,12 +305,6 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 	if opts.SemCacheEntries > 0 {
 		s.answers = semcache.New[cachedAnswer](opts.SemCacheEntries)
 	}
-	if opts.SemCacheViews > 0 {
-		s.views = semcache.New[*sampling.View](opts.SemCacheViews)
-		s.viewJobs = make(chan viewJob, 16)
-		s.quit = make(chan struct{})
-		go s.viewBuilder()
-	}
 	s.adm = admission.NewController(admission.Config{
 		Slots:      opts.MaxConcurrent,
 		QueueDepth: opts.QueueDepth,
@@ -344,11 +324,7 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 		if _, dup := s.datasets[info.Name]; dup {
 			return nil, fmt.Errorf("web: duplicate dataset %q", info.Name)
 		}
-		st, err := newDatasetState(info, opts.PoolSize)
-		if err != nil {
-			return nil, err
-		}
-		s.datasets[info.Name] = st
+		s.datasets[info.Name] = &datasetState{info: info}
 		s.order = append(s.order, info.Name)
 		s.breakers[info.Name] = admission.NewBreaker(admission.BreakerConfig{
 			Threshold: opts.BreakerThreshold,
@@ -452,8 +428,7 @@ type queryResponse struct {
 	Origin string `json:"origin,omitempty"`
 	// Cache classifies the semantic-cache path: "hit" for a replayed
 	// answer, "coalesced" when this request shared another request's
-	// in-flight computation of the same canonical query, "warm" when the
-	// planner started from a prebuilt tier-B sample view. Empty for cold
+	// in-flight computation of the same canonical query. Empty for cold
 	// answers.
 	Cache string `json:"cache,omitempty"`
 	// Fallback explains a ServedBy/method mismatch: "brownout" or
@@ -510,9 +485,9 @@ func (s *Server) dataset(name string) (*datasetState, error) {
 }
 
 // session returns key's row of the session table, creating it on first use
-// (from the dataset's warm pool) and moving it to the hot end. Sessions
-// idle past the TTL, and the least recently used ones beyond MaxSessions,
-// drop off the cold end of the recency list. Caller holds s.mu.
+// and moving it to the hot end. Sessions idle past the TTL, and the least
+// recently used ones beyond MaxSessions, drop off the cold end of the
+// recency list. Caller holds s.mu.
 func (s *Server) session(key string, st *datasetState) (*sessionEntry, error) {
 	now := s.now()
 	for el := s.recency.Back(); el != nil && now.Sub(el.Value.(*sessionEntry).lastUsed) > s.opts.SessionTTL; el = s.recency.Back() {
@@ -702,8 +677,8 @@ func (s *Server) stage(req *request) error {
 	return req.stageOn(base)
 }
 
-// lookup is the cache-lookup stage: the tier-A answer stored for the staged
-// query at the staged epoch, if any.
+// lookup is the cache-lookup stage: the answer stored for the staged query
+// at the staged epoch, if any.
 func (s *Server) lookup(req *request) (cachedAnswer, bool) {
 	if s.answers == nil {
 		return cachedAnswer{}, false
@@ -779,7 +754,7 @@ func (s *Server) commit(req *request, restage bool) error {
 }
 
 // plan is the plan stage: it picks the vocalizer the ladder and the breaker
-// allow and gets the committed query's answer from it or from the caches.
+// allow and gets the committed query's answer from it or from the cache.
 func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 	if s.holdVocalize != nil {
 		if s.vocalizeParked != nil {
@@ -820,10 +795,6 @@ func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 		s.serving.cached(req.tenant, outcome)
 	default:
 		s.serving.served(req.tenant, req.queued, step, fallback)
-		if cached.warm {
-			ans.cache = "warm"
-			s.serving.warmServed()
-		}
 	}
 	return ans, nil
 }
@@ -929,9 +900,8 @@ type vocOut struct {
 
 // vocalize runs the chosen vocalizer on the query under ctx. At
 // StepReduced the holistic planner runs with quartered budgets: cheaper
-// and rougher answers, same grammar. A non-nil view warm-starts the
-// holistic planner from the materialized sample instead of scanning.
-func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, method string, step admission.Step, view *sampling.View) (vocOut, error) {
+// and rougher answers, same grammar.
+func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, method string, step admission.Step) (vocOut, error) {
 	if method == "prior" {
 		out, err := baseline.NewPrior(info.Dataset, q, baseline.Config{
 			Format:      info.Format,
@@ -964,25 +934,6 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 	if step == admission.StepReduced {
 		cfg.MaxRoundsPerSentence = reducedBudget(cfg.MaxRoundsPerSentence, 32)
 		cfg.MaxTreeNodes = reducedBudget(cfg.MaxTreeNodes, 1024)
-		// Parallel planning multiplies per-query CPU demand exactly when
-		// the ladder says the machine is saturated: browned-out queries
-		// keep a single sampling worker.
-		cfg.PlannerWorkers = 1
-	}
-	if view != nil {
-		out, err := core.NewWarm(info.Dataset, view, cfg).VocalizeContext(ctx)
-		if err == nil {
-			return vocOut{
-				text:       out.Text(),
-				structured: out.Speech,
-				latency:    out.Latency,
-				degraded:   out.Degraded,
-				reason:     out.DegradeReason,
-				tableRows:  out.TableRows,
-			}, nil
-		}
-		// A view the warm vocalizer rejects (uncertainty mode turned on
-		// since the build, foreign dataset) falls back to the cold path.
 	}
 	out, err := core.NewHolistic(info.Dataset, q, cfg).VocalizeContext(ctx)
 	if err != nil {
