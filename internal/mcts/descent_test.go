@@ -100,9 +100,10 @@ func (r *slotRef) pick(rng *rand.Rand, uniform bool) int {
 // checkDescent samples a tree and a slot-table mirror of it from the same
 // seed and requires the same child at every level of every descent,
 // identical statistics on every node afterwards, and a node count equal to
-// what the generator's public filter enumerates. Half way through it commits
-// to the best child, as the planner does between sentences.
-func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples int, seed int64, uniform bool) {
+// what the generator's public filter enumerates. It commits to the best
+// child commits times at equal distances, as the planner does between
+// sentences; every seventh evaluation fails.
+func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits int, seed int64, uniform bool) {
 	t.Helper()
 	var last float64
 	tree, err := NewTreeWithCap(gen, 0.02, hashEval(7, &last), rand.New(rand.NewSource(seed)), nodeCap)
@@ -115,8 +116,9 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples int, see
 	root := top
 	index := func(c *Node) int { return rank(c.Parent.fan.valid(), int(c.ord)) }
 	var refPath []*slotRef
+	window := samples/(commits+1) + 1
 	for s := 0; s < samples; s++ {
-		if s == samples/2 {
+		if s > 0 && s%window == 0 {
 			if best := tree.BestChild(); best != nil && best.Visits > 0 {
 				tree.Advance(best)
 				root = root.slots[index(best)]
@@ -152,6 +154,14 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples int, see
 		if n.Visits != r.visits || math.Float64bits(n.Reward) != math.Float64bits(r.reward) {
 			t.Fatalf("%q: visits %d reward %x, the slot scan has %d and %x", tree.Speech(n).MainText(),
 				n.Visits, math.Float64bits(n.Reward), r.visits, math.Float64bits(r.reward))
+		}
+		mean := 0.0
+		if n.Visits > 0 {
+			mean = n.Reward / float64(n.Visits)
+		}
+		if math.Float64bits(n.mean) != math.Float64bits(mean) {
+			t.Fatalf("%q: cached mean %x, reward over visits is %x", tree.Speech(n).MainText(),
+				math.Float64bits(n.mean), math.Float64bits(mean))
 		}
 		for i := 0; i < tree.NumChildren(n); i++ {
 			c := tree.Child(n, i)
@@ -249,21 +259,33 @@ func smallGen(t testing.TB, dataSeed int64, airportLevel, dateLevel, maxChars, m
 	return gen
 }
 
-// TestDescentMatchesSlotScan holds the bitset descent to the slot scan it
-// replaced: on random small spaces and on the 480-wide city-by-month menu,
-// 10 000 samples from a shared seed choose the same child at every
-// level and leave bit-identical statistics.
+// TestDescentMatchesSlotScan holds the descent to the slot scan it replaced,
+// whose score is the expression the cached mean and the memoised exploration
+// term stand for: on random small spaces and on the 480-wide city-by-month
+// menu, samples from a shared seed choose the same child at every level and
+// leave bit-identical statistics.
 func TestDescentMatchesSlotScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 12; trial++ {
 		gen := smallGen(t, 5, rng.Intn(2), rng.Intn(3), rng.Intn(250), rng.Intn(3), rng.Intn(3), rng.Intn(8), rng.Intn(3) == 0)
 		nodeCap := []int{1, 40, 1 << 30}[trial%3]
-		checkDescent(t, gen, nodeCap, 10000, int64(trial), trial%4 == 3)
+		checkDescent(t, gen, nodeCap, 10000, 1, int64(trial), trial%4 == 3)
 	}
+	// Eight refinements by region and 60 000 samples: every level is
+	// saturated almost from the start and the visit counts run far past the
+	// memo's slots, so counts collide and evict each other.
+	narrow := smallGen(t, 5, 0, 0, 200, 1, 0, 0, false)
+	if m := len(narrow.Refinements(nil)); m > 8 {
+		t.Fatalf("the narrow menu has %d refinements, want at most 8", m)
+	}
+	checkDescent(t, narrow, 1<<30, 60000, 1, 3, false)
 	if testing.Short() {
 		return
 	}
-	checkDescent(t, fineGen(t), 100000, 10000, 1, false)
+	checkDescent(t, fineGen(t), 100000, 10000, 1, 1, false)
+	// Three windows, as in an answer: after the second commit a second
+	// 480-wide level is saturated too.
+	checkDescent(t, fineGen(t), 100000, 40000, 2, 2, false)
 }
 
 // FuzzDescentMatchesReference is TestDescentMatchesSlotScan on inputs
@@ -274,10 +296,12 @@ func FuzzDescentMatchesReference(f *testing.F) {
 	f.Add(int64(5), uint8(0), uint8(1), uint16(200), uint8(1), uint8(1), uint8(3), false, uint16(40), uint16(600), false)
 	f.Add(int64(9), uint8(1), uint8(2), uint16(20), uint8(2), uint8(2), uint8(7), true, uint16(0), uint16(900), false)
 	f.Add(int64(2), uint8(1), uint8(0), uint16(249), uint8(0), uint8(0), uint8(0), false, uint16(5000), uint16(300), true)
+	// The narrow menu at the sample cap: saturated levels with counts in the hundreds.
+	f.Add(int64(5), uint8(0), uint8(0), uint16(200), uint8(1), uint8(0), uint8(0), false, uint16(65535), uint16(1999), false)
 	f.Fuzz(func(t *testing.T, dataSeed int64, airportLevel, dateLevel uint8, maxChars uint16, maxFragments, percents, maxPreds uint8,
 		disjoint bool, nodeCap, samples uint16, uniform bool) {
 		gen := smallGen(t, dataSeed, int(airportLevel), int(dateLevel), int(maxChars), int(maxFragments), int(percents), int(maxPreds), disjoint)
-		checkDescent(t, gen, 1+int(nodeCap), int(samples)%2000, dataSeed, uniform)
+		checkDescent(t, gen, 1+int(nodeCap), int(samples)%2000, 1, dataSeed, uniform)
 	})
 }
 

@@ -142,8 +142,8 @@ func TestLazyChildrenMatchEager(t *testing.T) {
 					t.Fatalf("trial %d: child %d of %q is %q, want %q (eager %q)",
 						trial, i, sp.MainText(), ref.Text(), want[i].Text(), eager.Refinement(ca).Text())
 				}
-				if ca.depth != cb.depth || ca.mainLen != cb.mainLen || int(cb.mainLen) != lazy.Speech(cb).MainLen() {
-					t.Fatalf("trial %d: child %d of %q carries the wrong running state", trial, i, sp.MainText())
+				if ca.depth != cb.depth || int(cb.depth) != len(lazy.Speech(cb).Refinements) {
+					t.Fatalf("trial %d: child %d of %q carries the wrong depth", trial, i, sp.MainText())
 				}
 				walk(ca, cb)
 			}

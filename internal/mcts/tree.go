@@ -25,8 +25,11 @@
 //
 // What that buys per level of a descent, with m the menu size: counting the
 // unvisited children and selecting the k-th is O(m/64) words; only when
-// every child has a visit does the level score all of them by UCT, which is
-// the O(m) of the paper's Theorem A.3 and stays.
+// every child has a visit does the level score all of them by UCT, the O(m)
+// of the paper's Theorem A.3. A scored child costs a load and an add: its
+// mean is kept where it changes (the back-up), and the exploration term,
+// which is the same float for every child with the same visit count, is
+// computed once per distinct count of the level.
 //
 // Nodes store only the ordinal of the fragment they add and come from
 // fixed-size blocks owned by the tree. A leaf is never made into a speech:
@@ -59,6 +62,10 @@ type Node struct {
 	Visits int64
 	// Reward accumulates sampled rewards over those visits.
 	Reward float64
+	// mean is Reward/float64(Visits) as of the last back-up, 0 before the
+	// first: a saturated level reads it once per child and descent, the
+	// back-up divides once per sample and path node.
+	mean float64
 	// Parent is nil for the root.
 	Parent *Node
 	// fan is the child table; nil until the node is expanded, and for a
@@ -67,10 +74,9 @@ type Node struct {
 	// ord is the ordinal of the node's fragment: in the tree's baseline
 	// ladder for a child of the root, in the refinement menu elsewhere.
 	ord int32
-	// mainLen is the running MainText length for O(1) validity checks.
-	mainLen int32
-	// depth counts refinements on the path (0 for root and baselines).
-	depth int32
+	// depth counts refinements on the path (0 for root and baselines), at
+	// most the tree's maxDepth.
+	depth int16
 	// expanded is set once fan is final. A node at the fragment limit is
 	// born expanded.
 	expanded bool
@@ -142,17 +148,23 @@ type block [blockSize]Node
 // fanChunk is the number of fan-outs allocated at a time.
 const fanChunk = 32
 
+// term is one memoised exploration term, sqrt(2 ln N / v), under the key of
+// its level and v. termSlots of them are 4 KB of a tree, not a table sized by
+// the largest count; a 450-child level a few thousand samples old has a few
+// dozen distinct counts.
+type term struct {
+	key  uint64
+	sqrt float64
+}
+
+const termSlots = 256
+
 // IsLeaf reports whether the node has no children: no fragment can follow
 // its speech, or no sample has reached it yet.
 func (n *Node) IsLeaf() bool { return n.fan == nil }
 
 // MeanReward returns the node's average sampled reward (0 when unvisited).
-func (n *Node) MeanReward() float64 {
-	if n.Visits == 0 {
-		return 0
-	}
-	return n.Reward / float64(n.Visits)
-}
+func (n *Node) MeanReward() float64 { return n.mean }
 
 // Tree is the speech search tree with its generator and evaluator.
 type Tree struct {
@@ -178,7 +190,7 @@ type Tree struct {
 	// maxChars and maxDepth are the generator's limits, resolved once: zero
 	// means no character limit; no node at maxDepth has children.
 	maxChars int
-	maxDepth int32
+	maxDepth int16
 	// compat holds one row of menuWords words per menu ordinal o, bit i set
 	// when menu[i] may follow a speech containing menu[o]; compatMade marks
 	// the rows built so far.
@@ -197,6 +209,14 @@ type Tree struct {
 	fanSets []uint64
 	// nodeCount counts enumerated children plus the root.
 	nodeCount int
+
+	// terms memoises the exploration term of a saturated level by visit
+	// count, direct-mapped on the count's low bits; an evicted count is
+	// computed again. A level with parent visits N looks up count v under the
+	// key termKeys+v and then raises termKeys by N >= v, so no entry of an
+	// earlier level (another N) is ever taken for this one's.
+	terms    [termSlots]term
+	termKeys uint64
 
 	// pathScratch is the pooled descent path of the sequential Sample, and
 	// scratch the speech it evaluates every leaf through.
@@ -236,11 +256,11 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		menu:      gen.Refinements(nil),
 		baselines: gen.BaselineCandidates(speech.SpeechScale(scale)),
 		maxChars:  gen.Prefs.MaxCharsEffective(),
-		maxDepth:  math.MaxInt32,
+		maxDepth:  math.MaxInt16,
 		nodeCount: 1,
 	}
-	if mf := gen.Prefs.MaxFragments; mf > 0 {
-		t.maxDepth = int32(mf)
+	if mf := gen.Prefs.MaxFragments; mf > 0 && mf < math.MaxInt16 {
+		t.maxDepth = int16(mf)
 	}
 	t.menuWords = (len(t.menu) + 63) / 64
 	t.validScratch = make([]uint64, t.menuWords)
@@ -325,15 +345,17 @@ func (t *Tree) child(n *Node, o int) *Node {
 	c := t.newNode()
 	c.Parent = n
 	c.ord = int32(o)
-	if n.Parent == nil {
-		c.mainLen = int32(len(t.baselines[o].Text()))
-	} else {
+	if n.Parent != nil {
 		c.depth = n.depth + 1
-		c.mainLen = n.mainLen + 1 + t.textLen[o]
 		c.expanded = c.depth >= t.maxDepth
 	}
 	put(made, o)
-	f.kids = append(f.kids, 0)
+	if k := len(f.kids); k == cap(f.kids) {
+		// Four to start with, doubling, and never room for more children
+		// than the fan-out lists.
+		f.kids = append(make([]int32, 0, min(max(4, 2*k), popcount(f.valid()))), f.kids...)
+	}
+	f.kids = f.kids[:len(f.kids)+1]
 	copy(f.kids[r+1:], f.kids[r:])
 	f.kids[r] = t.made - 1
 	return c
@@ -395,7 +417,10 @@ func (t *Tree) expand(n *Node) {
 	n.expanded = true
 	valid := t.validScratch
 	if n.Parent == nil {
-		valid = make([]uint64, (len(t.baselines)+63)/64)
+		// The root's sets, over the baseline ladder, are allocated alone and
+		// its valid set is built in place at their head.
+		w := (len(t.baselines) + 63) / 64
+		valid = make([]uint64, w, 3*w)
 		for i, b := range t.baselines {
 			if t.maxChars <= 0 || len(b.Text()) <= t.maxChars {
 				put(valid, i)
@@ -408,12 +433,17 @@ func (t *Tree) expand(n *Node) {
 		if tail := len(t.menu) & 63; tail != 0 {
 			valid[len(valid)-1] = 1<<tail - 1
 		}
-		for cur := n; cur.depth > 0; cur = cur.Parent {
+		// One walk up the path ANDs the ancestors' rows and adds up the main
+		// text so far: a space and a refinement per level, then the baseline.
+		cur, mainLen := n, int32(0)
+		for ; cur.depth > 0; cur = cur.Parent {
 			for j, w := range t.compatRow(int(cur.ord)) {
 				valid[j] &= w
 			}
+			mainLen += 1 + t.textLen[cur.ord]
 		}
-		if room := int32(t.maxChars) - n.mainLen - 1; t.maxChars > 0 {
+		mainLen += int32(len(t.baselines[cur.ord].Text()))
+		if room := int32(t.maxChars) - mainLen - 1; t.maxChars > 0 {
 			for o, l := range t.textLen {
 				if l > room {
 					drop(valid, o)
@@ -426,18 +456,18 @@ func (t *Tree) expand(n *Node) {
 		return
 	}
 	if n.Parent == nil {
-		n.fan = &fanout{sets: make([]uint64, 3*len(valid))}
+		n.fan = &fanout{sets: valid[:cap(valid)]}
 	} else {
 		n.fan = t.newFanout()
+		copy(n.fan.sets, valid)
 	}
-	copy(n.fan.sets, valid)
 	t.nodeCount += count
 }
 
 // newFanout hands out an empty fan-out over the refinement menu. They come
 // in chunks, like nodes: an answer expands a couple of thousand nodes, and a
 // table and its bitsets apiece made expansion two thirds of the planning
-// loop's mallocs. (The root's, over the baseline ladder, is allocated alone.)
+// loop's mallocs.
 func (t *Tree) newFanout() *fanout {
 	w := 3 * t.menuWords
 	if len(t.fans) == 0 {
@@ -493,13 +523,25 @@ func (t *Tree) maxUCTChild(n *Node) *Node {
 		}
 	}
 	// Every child has a visit, so every child is a node: score them all,
-	// first maximum in ordinal order.
-	logN := math.Log(float64(n.Visits))
-	var best *Node
+	// first maximum in ordinal order. The score is Reward/Visits +
+	// sqrt(2 ln N / Visits) to the bit: the quotient is the child's cached
+	// mean, and the root is looked up by visit count, since equal counts
+	// have the same term.
+	twoLogN := 2 * math.Log(float64(n.Visits))
+	key := t.termKeys
+	if key > math.MaxUint64-uint64(n.Visits) {
+		t.terms, key = [termSlots]term{}, 0
+	}
+	t.termKeys = key + uint64(n.Visits)
 	bestScore := math.Inf(-1)
+	var best *Node
 	for _, id := range f.kids {
 		c := t.node(id)
-		score := c.Reward/float64(c.Visits) + math.Sqrt(2*logN/float64(c.Visits))
+		e := &t.terms[c.Visits&(termSlots-1)]
+		if k := key + uint64(c.Visits); e.key != k {
+			e.key, e.sqrt = k, math.Sqrt(twoLogN/float64(c.Visits))
+		}
+		score := c.mean + e.sqrt
 		if score > bestScore {
 			bestScore = score
 			best = c
@@ -508,13 +550,18 @@ func (t *Tree) maxUCTChild(n *Node) *Node {
 	return best
 }
 
-// visit counts one traversal of n, flipping its seen bit in the parent's
-// fan-out on the first.
-func (n *Node) visit() {
-	if n.Visits == 0 && n.Parent != nil {
-		put(n.Parent.fan.seen(), int(n.ord))
+// backUp books one sample of reward r on every node of path: a visit, which
+// flips the node's seen bit in its parent's fan-out when it is the first, the
+// reward, and the mean the next descent through the parent reads.
+func backUp(path []*Node, r float64) {
+	for _, n := range path {
+		if n.Visits == 0 && n.Parent != nil {
+			put(n.Parent.fan.seen(), int(n.ord))
+		}
+		n.Visits++
+		n.Reward += r
+		n.mean = n.Reward / float64(n.Visits)
 	}
-	n.Visits++
 }
 
 // descend walks from the root to a leaf, expanding on first visit, and
@@ -554,10 +601,7 @@ func (t *Tree) Sample() bool {
 	if !ok {
 		return false
 	}
-	for _, p := range path {
-		p.visit()
-		p.Reward += r
-	}
+	backUp(path, r)
 	return true
 }
 

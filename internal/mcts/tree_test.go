@@ -312,3 +312,39 @@ func TestLazyExpansionUnderNodeCap(t *testing.T) {
 		t.Errorf("root visits = %d, want 200", capped.Root().Visits)
 	}
 }
+
+// TestTerminal pins what stops the planner's loop: a root no sample has
+// reached is expanded on demand and is not terminal while a fragment can
+// follow it; a root at the fragment limit is terminal without being expanded,
+// so it lists no children and takes no fan-out.
+func TestTerminal(t *testing.T) {
+	e := newEnv(t)
+	e.gen.Prefs.MaxFragments = 1
+	tree, err := NewTreeWithCap(e.gen, e.result.GrandValue(), e.exactEval(), rand.New(rand.NewSource(13)), 1)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	if tree.Terminal() {
+		t.Fatal("a root with baselines below it is terminal")
+	}
+	base := tree.BestChild() // no visits yet: the first baseline, not expanded under a cap of 1
+	tree.Advance(base)
+	if base.expanded || tree.NumChildren(base) != 0 {
+		t.Fatal("a cap of 1 should leave the baselines unexpanded")
+	}
+	if tree.Terminal() {
+		t.Fatal("a baseline that refinements can follow is terminal")
+	}
+	if !base.expanded || tree.NumChildren(base) == 0 {
+		t.Fatal("Terminal did not enumerate the children of an unexpanded root")
+	}
+	last := tree.BestChild()
+	tree.Advance(last)
+	fans, nodes := len(tree.fans), tree.NodeCount()
+	if !tree.Terminal() {
+		t.Fatal("a root at the fragment limit is not terminal")
+	}
+	if last.fan != nil || len(tree.fans) != fans || tree.NodeCount() != nodes || tree.BestChild() != nil {
+		t.Fatal("a terminal root was given a fan-out")
+	}
+}
