@@ -195,6 +195,10 @@ type flightModel struct {
 	airportFactor []float64
 	airlineFactor []float64
 	months        []monthEntry
+	// base is TableTwelve by catalog indices, base[a*len(months)+m] for
+	// airport a's region and month m's season: a row draws its probability
+	// without hashing two strings.
+	base []float64
 }
 
 // newFlightModel normalizes the catalog factors.
@@ -231,7 +235,13 @@ func newFlightModel() *flightModel {
 			months = append(months, monthEntry{season, m.month, norm[i]})
 		}
 	}
-	return &flightModel{airportFactor: airportFactor, airlineFactor: airlineFactor, months: months}
+	base := make([]float64, 0, len(airportCatalog)*len(months))
+	for _, a := range airportCatalog {
+		for _, m := range months {
+			base = append(base, TableTwelve[a.region][m.season])
+		}
+	}
+	return &flightModel{airportFactor: airportFactor, airlineFactor: airlineFactor, months: months, base: base}
 }
 
 // genRow draws one flight row: catalog indices for airport, month, and
@@ -241,8 +251,7 @@ func (fm *flightModel) genRow(rng *rand.Rand) (a, m, l int, cancelled float64) {
 	a = rng.Intn(len(airportCatalog))
 	m = rng.Intn(len(fm.months))
 	l = rng.Intn(len(airlineCatalog))
-	base := TableTwelve[airportCatalog[a].region][fm.months[m].season]
-	p := base * fm.airportFactor[a] * fm.airlineFactor[l] * fm.months[m].factor
+	p := fm.base[a*len(fm.months)+m] * fm.airportFactor[a] * fm.airlineFactor[l] * fm.months[m].factor
 	if p > 0.95 {
 		p = 0.95
 	}

@@ -77,3 +77,46 @@ func TestFlightsSequentialMatchesAppendReference(t *testing.T) {
 		}
 	}
 }
+
+// genRowReference is genRow as it was first written: the planted probability
+// looked up in TableTwelve by region and season name for every row.
+func genRowReference(fm *flightModel, rng *rand.Rand) (a, m, l int, cancelled float64) {
+	a = rng.Intn(len(airportCatalog))
+	m = rng.Intn(len(fm.months))
+	l = rng.Intn(len(airlineCatalog))
+	base := TableTwelve[airportCatalog[a].region][fm.months[m].season]
+	p := base * fm.airportFactor[a] * fm.airlineFactor[l] * fm.months[m].factor
+	if p > 0.95 {
+		p = 0.95
+	}
+	if rng.Float64() < p {
+		cancelled = 1.0
+	}
+	return a, m, l, cancelled
+}
+
+// TestGenRowMatchesTableTwelveLookup holds genRow's precomputed table to the
+// map lookups it replaced, which TestFlightsSequentialMatchesAppendReference
+// cannot see (its reference calls genRow too): the same float for every
+// airport and month, and the same row, draw for draw, from the same seed.
+func TestGenRowMatchesTableTwelveLookup(t *testing.T) {
+	model := newFlightModel()
+	for a, airport := range airportCatalog {
+		for m, month := range model.months {
+			got, want := model.base[a*len(model.months)+m], TableTwelve[airport.region][month.season]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("base of %s in %s is %v, TableTwelve has %v", airport.code, month.month, got, want)
+			}
+		}
+	}
+	for _, seed := range []int64{1, 11, 2019} {
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 100000; i++ {
+			a, m, l, c := model.genRow(rng)
+			ra, rm, rl, rc := genRowReference(model, ref)
+			if a != ra || m != rm || l != rl || math.Float64bits(c) != math.Float64bits(rc) {
+				t.Fatalf("seed %d row %d: (%d, %d, %d, %v), the map lookup draws (%d, %d, %d, %v)", seed, i, a, m, l, c, ra, rm, rl, rc)
+			}
+		}
+	}
+}
