@@ -533,8 +533,8 @@ func (t *Tree) maxUCTChild(n *Node) *Node {
 		t.terms, key = [termSlots]term{}, 0
 	}
 	t.termKeys = key + uint64(n.Visits)
-	bestScore := math.Inf(-1)
 	var best *Node
+	bestScore := math.Inf(-1)
 	for _, id := range f.kids {
 		c := t.node(id)
 		e := &t.terms[c.Visits&(termSlots-1)]
