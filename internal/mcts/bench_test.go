@@ -43,7 +43,7 @@ const (
 func BenchmarkSampleBatch(b *testing.B) {
 	gen := fineGen(b)
 	newTree := func() *Tree {
-		tree, err := NewTreeWithCap(gen, 0.02, hashEval(0, new(float64)), rand.New(rand.NewSource(7)), 100000)
+		tree, err := NewTreeWithCap(gen, 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(7)), 100000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,6 +84,7 @@ func BenchmarkSampleBatch(b *testing.B) {
 	b.ReportMetric(float64(ph.evaluate.Nanoseconds())/samples, "evaluate-ns/sample")
 	b.ReportMetric(float64(ph.backUp.Nanoseconds())/samples, "backup-ns/sample")
 	b.ReportMetric(float64(ph.scored)/samples, "scored/sample")
+	b.ReportMetric(float64(ph.heads)/samples, "heads/sample")
 }
 
 // phaseClock adds up the time of Tree.Sample's phases over many samples.
@@ -92,6 +93,9 @@ type phaseClock struct {
 	// scored counts the children ranked by UCT bound: the fan-out of every
 	// level that had no unvisited child left.
 	scored int
+	// heads counts the bounds computed to rank them: a head per run of equal
+	// visit count and the children after a head that might share its score.
+	heads int
 }
 
 // sample is Tree.Sample and Tree.descend copied out with a clock read between
@@ -111,10 +115,11 @@ func (ph *phaseClock) sample(t *Tree) {
 		if n.fan == nil {
 			break
 		}
-		c := t.maxUCTChild(n)
+		c, heads := t.maxUCTChild(n)
 		if c.Visits > 0 { // an unvisited child would have been drawn first
 			ph.scored += len(n.fan.kids)
 		}
+		ph.heads += heads
 		n = c
 	}
 	t.pathScratch = path

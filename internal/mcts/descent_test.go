@@ -34,11 +34,23 @@ func fineGen(t testing.TB) *speech.Generator {
 	return speech.NewGenerator(s, speech.DefaultPrefs(), speech.PercentFormat)
 }
 
+// quant says how coarse hashEval's rewards are. Continuous rewards never
+// give two children the same UCT score; quarters add up exactly, so children
+// with equal counts often have equal means; a constant ties every child of
+// every level, and the lowest ordinal has to win each time.
+type quant uint8
+
+const (
+	continuous quant = iota
+	quarters
+	constant
+)
+
 // hashEval is a stand-in evaluator that needs no data: a reward in [0,1)
-// computed from the speech's length and deltas, stored in *last, and no
-// reward on every failEvery-th call (0 for never), which leaves the nodes of
-// that descent made but unvisited.
-func hashEval(failEvery int, last *float64) EvalFunc {
+// computed from the speech's length and deltas and coarsened by q, stored in
+// *last, and no reward on every failEvery-th call (0 for never), which leaves
+// the nodes of that descent made but no more visited than before.
+func hashEval(failEvery int, q quant, last *float64) EvalFunc {
 	calls := 0
 	return func(s *speech.Speech) (float64, bool) {
 		calls++
@@ -49,8 +61,14 @@ func hashEval(failEvery int, last *float64) EvalFunc {
 		for _, d := range s.Deltas() {
 			x += d * 1000
 		}
-		*last = x - math.Floor(x)
-		return *last, true
+		switch x -= math.Floor(x); q {
+		case quarters:
+			x = math.Floor(4*x) / 4
+		case constant:
+			x = 0.5
+		}
+		*last = x
+		return x, true
 	}
 }
 
@@ -102,11 +120,13 @@ func (r *slotRef) pick(rng *rand.Rand, uniform bool) int {
 // identical statistics on every node afterwards, and a node count equal to
 // what the generator's public filter enumerates. It commits to the best
 // child commits times at equal distances, as the planner does between
-// sentences; every seventh evaluation fails.
-func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits int, seed int64, uniform bool) {
+// sentences; every seventh evaluation fails, so the child a saturated level
+// took last is sometimes one whose count did not move. Rewards are as coarse
+// as q says.
+func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits int, seed int64, uniform bool, q quant) {
 	t.Helper()
 	var last float64
-	tree, err := NewTreeWithCap(gen, 0.02, hashEval(7, &last), rand.New(rand.NewSource(seed)), nodeCap)
+	tree, err := NewTreeWithCap(gen, 0.02, hashEval(7, q, &last), rand.New(rand.NewSource(seed)), nodeCap)
 	if err != nil {
 		t.Fatalf("NewTreeWithCap: %v", err)
 	}
@@ -147,10 +167,20 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 				p.reward += last
 			}
 		}
+		// The runs along the path, after every sample of a short run and a
+		// sample in 61 of a long one (a failed evaluation comes round every 7).
+		if samples <= 2000 || s%61 == 0 {
+			for _, n := range tree.pathScratch {
+				checkRuns(t, tree, n)
+			}
+		}
 	}
 
-	var compare func(n *Node, r *slotRef)
-	compare = func(n *Node, r *slotRef) {
+	// A fan-out above the root is no longer descended through, so its runs
+	// are as the last commit left them and the committed child has moved on.
+	var compare func(n *Node, r *slotRef, live bool)
+	compare = func(n *Node, r *slotRef, live bool) {
+		live = live || n == tree.Root()
 		if n.Visits != r.visits || math.Float64bits(n.Reward) != math.Float64bits(r.reward) {
 			t.Fatalf("%q: visits %d reward %x, the slot scan has %d and %x", tree.Speech(n).MainText(),
 				n.Visits, math.Float64bits(n.Reward), r.visits, math.Float64bits(r.reward))
@@ -163,6 +193,12 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 			t.Fatalf("%q: cached mean %x, reward over visits is %x", tree.Speech(n).MainText(),
 				math.Float64bits(n.mean), math.Float64bits(mean))
 		}
+		if live {
+			checkRuns(t, tree, n)
+		}
+		if uniform && n.fan != nil && n.fan.runs != nil {
+			t.Fatalf("%q: a uniform tree built runs", tree.Speech(n).MainText())
+		}
 		for i := 0; i < tree.NumChildren(n); i++ {
 			c := tree.Child(n, i)
 			switch {
@@ -170,7 +206,7 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 				if c == nil {
 					t.Fatalf("%q: child %d was descended into and is not a node", tree.Speech(n).MainText(), i)
 				}
-				compare(c, r.slots[i])
+				compare(c, r.slots[i], live)
 			case c != nil && (c.Visits != 0 || c.Reward != 0):
 				t.Fatalf("%q: child %d has statistics and was never descended into", tree.Speech(n).MainText(), i)
 			}
@@ -180,7 +216,7 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 	for first.Parent != nil {
 		first = first.Parent
 	}
-	compare(first, top)
+	compare(first, top, false)
 	if got, want := tree.NodeCount(), enumerate(t, tree, gen); got != want {
 		t.Fatalf("NodeCount is %d, the generator enumerates %d", got, want)
 	}
@@ -260,48 +296,170 @@ func smallGen(t testing.TB, dataSeed int64, airportLevel, dateLevel, maxChars, m
 }
 
 // TestDescentMatchesSlotScan holds the descent to the slot scan it replaced,
-// whose score is the expression the cached mean and the memoised exploration
-// term stand for: on random small spaces and on the 480-wide city-by-month
-// menu, samples from a shared seed choose the same child at every level and
-// leave bit-identical statistics.
+// which scores every child of a saturated level where the tree scores a head
+// per run of equal visit count: on random small spaces and on the 480-wide
+// city-by-month menu, samples from a shared seed choose the same child at
+// every level and leave bit-identical statistics.
 func TestDescentMatchesSlotScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 12; trial++ {
 		gen := smallGen(t, 5, rng.Intn(2), rng.Intn(3), rng.Intn(250), rng.Intn(3), rng.Intn(3), rng.Intn(8), rng.Intn(3) == 0)
 		nodeCap := []int{1, 40, 1 << 30}[trial%3]
-		checkDescent(t, gen, nodeCap, 10000, 1, int64(trial), trial%4 == 3)
+		checkDescent(t, gen, nodeCap, 10000, 1, int64(trial), trial%4 == 3, continuous)
 	}
 	// Eight refinements by region and 60 000 samples: every level is
-	// saturated almost from the start and the visit counts run far past the
-	// memo's slots, so counts collide and evict each other.
+	// saturated almost from the start and the counts run into the thousands,
+	// each child in a run of its own. With two commits the root advances
+	// twice into a child whose fan-out has been saturated for a long time.
+	narrow := narrowGen(t)
+	checkDescent(t, narrow, 1<<30, 60000, 1, 3, false, continuous)
+	checkDescent(t, narrow, 1<<30, 60000, 2, 4, false, continuous)
+	if testing.Short() {
+		return
+	}
+	checkDescent(t, fineGen(t), 100000, 10000, 1, 1, false, continuous)
+	// Three windows, as in an answer: after the second commit a second
+	// 480-wide level is saturated too.
+	checkDescent(t, fineGen(t), 100000, 40000, 2, 2, false, continuous)
+}
+
+// narrowGen is the generator of a menu of at most eight refinements, by
+// region, two fragments deep.
+func narrowGen(t testing.TB) *speech.Generator {
+	t.Helper()
 	narrow := smallGen(t, 5, 0, 0, 200, 1, 0, 0, false)
 	if m := len(narrow.Refinements(nil)); m > 8 {
 		t.Fatalf("the narrow menu has %d refinements, want at most 8", m)
 	}
-	checkDescent(t, narrow, 1<<30, 60000, 1, 3, false)
+	return narrow
+}
+
+// TestDescentTiesTakeLowestOrdinal is TestDescentMatchesSlotScan with
+// rewards that tie. The slot scan keeps the first maximum it meets in
+// ordinal order; the tree has to find that child among the equal scores at
+// the head of one run (quarters: equal counts, equal sums) and across runs
+// (a constant reward: every child of every level scores the same whenever
+// the counts are level, and the scan is the O(m) it was).
+func TestDescentTiesTakeLowestOrdinal(t *testing.T) {
+	tiesAcrossRuns(t)
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 8; trial++ {
+		gen := smallGen(t, 5, rng.Intn(2), rng.Intn(3), rng.Intn(250), rng.Intn(3), rng.Intn(3), rng.Intn(8), rng.Intn(3) == 0)
+		nodeCap := []int{1, 40, 1 << 30}[trial%3]
+		checkDescent(t, gen, nodeCap, 10000, 1, int64(trial), false, []quant{quarters, constant}[trial%2])
+	}
+	narrow := narrowGen(t)
+	checkDescent(t, narrow, 1<<30, 20000, 2, 5, false, quarters)
+	checkDescent(t, narrow, 1<<30, 20000, 2, 6, false, constant)
 	if testing.Short() {
 		return
 	}
-	checkDescent(t, fineGen(t), 100000, 10000, 1, 1, false)
-	// Three windows, as in an answer: after the second commit a second
-	// 480-wide level is saturated too.
-	checkDescent(t, fineGen(t), 100000, 40000, 2, 2, false)
+	checkDescent(t, fineGen(t), 100000, 40000, 2, 2, false, quarters)
+	checkDescent(t, fineGen(t), 100000, 40000, 2, 2, false, constant)
+}
+
+// tiesAcrossRuns gives one fan-out what sampling does not produce: children
+// of different visit counts whose scores are equal to the bit. For every
+// subset of the children as the tied winners, the rest a tenth below, the
+// tree must take the subset's lowest ordinal, as a scan of all children does.
+func tiesAcrossRuns(t *testing.T) {
+	tree, err := NewTreeWithCap(narrowGen(t), 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(1)), 1<<30)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	n := childAt(tree, tree.Root(), 0)
+	m := tree.NumChildren(n)
+	if m < 4 {
+		t.Fatalf("the first baseline has %d children, want at least 4", m)
+	}
+	kids := make([]*Node, m)
+	for k := range kids {
+		kids[k] = childAt(tree, n, k)
+		kids[k].Visits = []int64{3, 1, 2}[k%3]
+		put(n.fan.seen(), int(kids[k].ord))
+		n.Visits += kids[k].Visits
+	}
+	twoLogN := 2 * math.Log(float64(n.Visits))
+	const top = 1.75
+	for winners := 1; winners < 1<<m; winners++ {
+		for k, c := range kids {
+			term := math.Sqrt(twoLogN / float64(c.Visits))
+			c.mean = top - term
+			for c.mean+term != top { // the difference may be an ulp off
+				c.mean = math.Nextafter(c.mean, c.mean+top-(c.mean+term))
+			}
+			if winners&(1<<k) == 0 {
+				c.mean -= 0.1
+			}
+		}
+		want, wantScore := -1, math.Inf(-1)
+		for k, c := range kids {
+			if score := c.mean + math.Sqrt(twoLogN/float64(c.Visits)); score > wantScore {
+				want, wantScore = k, score
+			}
+		}
+		if wantScore != top || winners&(1<<want) == 0 || winners&(1<<want-1) != 0 {
+			t.Fatalf("winners %b: the scan takes child %d at %v, the case is not the tie it was built to be", winners, want, wantScore)
+		}
+		n.fan.runs = nil
+		if got, _ := tree.maxUCTChild(n); got != kids[want] {
+			t.Fatalf("winners %b: the tree took ordinal %d, the scan child %d with ordinal %d", winners, got.ord, want, kids[want].ord)
+		}
+		checkRuns(t, tree, n)
+	}
+}
+
+// TestUniformPolicyBuildsNoRuns: the ablation's uniform descent never ranks
+// children, so it orders none and allocates nothing to order them in, however
+// long every level has been saturated.
+func TestUniformPolicyBuildsNoRuns(t *testing.T) {
+	tree, err := NewTreeWithCap(narrowGen(t), 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(8)), 1<<30)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	tree.UniformPolicy = true
+	for i := 0; i < 5000; i++ {
+		tree.Sample()
+	}
+	saturated := 0
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.fan == nil {
+			return
+		}
+		if popcount(n.fan.seen()) == tree.NumChildren(n) {
+			saturated++
+		}
+		if n.fan.runs != nil {
+			t.Fatalf("%q has runs", tree.Speech(n).MainText())
+		}
+		tree.Kids(n, walk)
+	}
+	walk(tree.Root())
+	if saturated < 10 {
+		t.Fatalf("%d fan-outs have every child visited: the run exercised nothing", saturated)
+	}
+	if tree.runTabs != nil || tree.ints != nil {
+		t.Fatalf("a uniform tree allocated run storage: %d tables and %d int32s left of a chunk", len(tree.runTabs), len(tree.ints))
+	}
 }
 
 // FuzzDescentMatchesReference is TestDescentMatchesSlotScan on inputs
-// nobody chose: whatever the space, the limits, the node cap and the number
-// of samples, the tree never panics, descends like the slot scan and counts
-// the nodes the generator enumerates.
+// nobody chose: whatever the space, the limits, the node cap, the number of
+// samples and the coarseness of the rewards, the tree never panics, descends
+// like the slot scan and counts the nodes the generator enumerates.
 func FuzzDescentMatchesReference(f *testing.F) {
-	f.Add(int64(5), uint8(0), uint8(1), uint16(200), uint8(1), uint8(1), uint8(3), false, uint16(40), uint16(600), false)
-	f.Add(int64(9), uint8(1), uint8(2), uint16(20), uint8(2), uint8(2), uint8(7), true, uint16(0), uint16(900), false)
-	f.Add(int64(2), uint8(1), uint8(0), uint16(249), uint8(0), uint8(0), uint8(0), false, uint16(5000), uint16(300), true)
+	f.Add(int64(5), uint8(0), uint8(1), uint16(200), uint8(1), uint8(1), uint8(3), false, uint16(40), uint16(600), false, uint8(0))
+	f.Add(int64(9), uint8(1), uint8(2), uint16(20), uint8(2), uint8(2), uint8(7), true, uint16(0), uint16(900), false, uint8(0))
+	f.Add(int64(2), uint8(1), uint8(0), uint16(249), uint8(0), uint8(0), uint8(0), false, uint16(5000), uint16(300), true, uint8(0))
 	// The narrow menu at the sample cap: saturated levels with counts in the hundreds.
-	f.Add(int64(5), uint8(0), uint8(0), uint16(200), uint8(1), uint8(0), uint8(0), false, uint16(65535), uint16(1999), false)
+	f.Add(int64(5), uint8(0), uint8(0), uint16(200), uint8(1), uint8(0), uint8(0), false, uint16(65535), uint16(1999), false, uint8(0))
+	// The same with rewards in quarters: runs of several children whose heads tie.
+	f.Add(int64(5), uint8(0), uint8(0), uint16(200), uint8(1), uint8(0), uint8(0), false, uint16(65535), uint16(1999), false, uint8(1))
 	f.Fuzz(func(t *testing.T, dataSeed int64, airportLevel, dateLevel uint8, maxChars uint16, maxFragments, percents, maxPreds uint8,
-		disjoint bool, nodeCap, samples uint16, uniform bool) {
+		disjoint bool, nodeCap, samples uint16, uniform bool, q uint8) {
 		gen := smallGen(t, dataSeed, int(airportLevel), int(dateLevel), int(maxChars), int(maxFragments), int(percents), int(maxPreds), disjoint)
-		checkDescent(t, gen, 1+int(nodeCap), int(samples)%2000, 1, dataSeed, uniform)
+		checkDescent(t, gen, 1+int(nodeCap), int(samples)%2000, 1, dataSeed, uniform, quant(q%3))
 	})
 }
 

@@ -2,7 +2,9 @@ package mcts
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/speech"
@@ -20,10 +22,73 @@ func visitedChildren(t *Tree, n *Node) []*Node {
 // childAt returns the i-th enumerated child of n, making it a node.
 func childAt(t *Tree, n *Node, i int) *Node { return t.child(n, selectBit(n.fan.valid(), i)) }
 
+// checkRuns holds the run order of n's fan-out, if it has one, to what the
+// UCT scan relies on: every child is in it once; the runs partition it, each
+// of one visit count, the counts strictly ascending, each run by mean
+// descending; and the only child that may sit elsewhere is the one the last
+// descent took, one visit past the count it was filed under.
+func checkRuns(t testing.TB, tree *Tree, n *Node) {
+	t.Helper()
+	if n.fan == nil || n.fan.runs == nil {
+		return
+	}
+	r, name := n.fan.runs, tree.Speech(n).MainText()
+	listed := append([]int32(nil), r.order...)
+	slices.Sort(listed)
+	byNumber := append([]int32(nil), n.fan.kids...)
+	slices.Sort(byNumber)
+	if len(r.order) != tree.NumChildren(n) || !slices.Equal(listed, byNumber) {
+		t.Fatalf("%q: the runs list %d children, the fan-out has %d, or not the same ones", name, len(r.order), tree.NumChildren(n))
+	}
+	if len(r.starts) == 0 || r.starts[0] != 0 {
+		t.Fatalf("%q: run starts %v, want the first at 0", name, r.starts)
+	}
+	stale := tree.node(r.order[r.last])
+	switch stale.Visits {
+	case r.lastVisits:
+		stale = nil
+	case r.lastVisits + 1:
+	default:
+		t.Fatalf("%q: the child taken last had %d visits then and has %d", name, r.lastVisits, stale.Visits)
+	}
+	if got := r.starts[r.lastRun]; r.last < got || r.last >= r.end(int(r.lastRun)) {
+		t.Fatalf("%q: the child taken last is at %d, outside its run %d", name, r.last, r.lastRun)
+	}
+	prevCount := int64(0)
+	for i, s := range r.starts {
+		if s >= r.end(i) {
+			t.Fatalf("%q: run %d of %v is empty", name, i, r.starts)
+		}
+		// The stale child counts as what it was filed under and its mean, which
+		// has moved, is not compared.
+		count, mean := int64(0), math.Inf(1)
+		for _, id := range r.order[s:r.end(i)] {
+			c := tree.node(id)
+			v := c.Visits
+			if c == stale {
+				v = r.lastVisits
+			}
+			switch {
+			case count == 0 && v <= prevCount:
+				t.Fatalf("%q: run %d has count %d after a run of %d", name, i, v, prevCount)
+			case count != 0 && v != count:
+				t.Fatalf("%q: run %d holds counts %d and %d", name, i, count, v)
+			case c != stale && c.mean > mean:
+				t.Fatalf("%q: run %d has mean %v after %v", name, i, c.mean, mean)
+			}
+			if count = v; c != stale {
+				mean = c.mean
+			}
+		}
+		prevCount = count
+	}
+}
+
 // checkAccounting walks the tree after done reward-producing rounds: the
 // root's visits equal done, a parent's visit count equals the sum of its
-// children's visits (every sample path traverses from root to a leaf), and
-// accumulated rewards are consistent.
+// children's visits (every sample path traverses from root to a leaf),
+// accumulated rewards are consistent, and every saturated fan-out's runs are
+// in order.
 func checkAccounting(t *testing.T, tree *Tree, done int) {
 	t.Helper()
 	if got := tree.Root().Visits; got != int64(done) {
@@ -34,6 +99,7 @@ func checkAccounting(t *testing.T, tree *Tree, done int) {
 		if n.IsLeaf() {
 			return
 		}
+		checkRuns(t, tree, n)
 		var childVisits int64
 		var childReward float64
 		for _, c := range visitedChildren(tree, n) {

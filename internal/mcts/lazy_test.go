@@ -19,7 +19,7 @@ func TestNodeSize(t *testing.T) {
 	if sz := unsafe.Sizeof(Node{}); sz > 48 {
 		t.Errorf("Node is %d bytes, want <= 48", sz)
 	}
-	tree, err := NewTreeWithCap(fineGen(t), 0.02, hashEval(0, new(float64)), rand.New(rand.NewSource(1)), 1)
+	tree, err := NewTreeWithCap(fineGen(t), 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(1)), 1)
 	if err != nil {
 		t.Fatalf("NewTreeWithCap: %v", err)
 	}

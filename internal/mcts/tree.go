@@ -24,12 +24,19 @@
 // enumerated children.
 //
 // What that buys per level of a descent, with m the menu size: counting the
-// unvisited children and selecting the k-th is O(m/64) words; only when
-// every child has a visit does the level score all of them by UCT, the O(m)
-// of the paper's Theorem A.3. A scored child costs a load and an add: its
-// mean is kept where it changes (the back-up), and the exploration term,
-// which is the same float for every child with the same visit count, is
-// computed once per distinct count of the level.
+// unvisited children and selecting the k-th is O(m/64) words. Once every
+// child has a visit the level is ranked by UCT bound, which the paper's
+// Theorem A.3 counts as O(m); here it scores one child per distinct visit
+// count. The exploration term sqrt(2 ln N / v) is one float for all children
+// with v visits and adding it to a mean is monotone, so among them only the
+// highest mean can hold the maximum: the fan-out keeps its children in runs
+// of equal count, each run by mean descending, scores the head of each run
+// and, where heads tie, walks the run's prefix of equal scores for the lowest
+// ordinal. That is the child a scan of all m returns, to the bit, since every
+// score is the same expression on the same operands. A level a few thousand
+// samples old has around ten runs; only a level whose children all tie costs
+// O(m) again. Keeping the runs costs one move per descent: the child the
+// previous descent took has one visit more and goes to the next run.
 //
 // Nodes store only the ordinal of the fragment they add and come from
 // fixed-size blocks owned by the tree. A leaf is never made into a speech:
@@ -39,11 +46,13 @@
 package mcts
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/speech"
 )
@@ -90,6 +99,26 @@ type fanout struct {
 	// kids are the numbers of the made children, in ordinal order: the
 	// child with ordinal o is kids[popcount of made below o].
 	kids []int32
+	// runs ranks the children for the UCT scan; nil until a descent finds
+	// every child visited.
+	runs *runs
+}
+
+// runs is the children of a saturated fan-out in the order the UCT scan
+// reads them. Between two descents through the fan-out only the child the
+// first one took can change, by one visit, so one child at most is out of
+// place and the next descent moves it before it scans.
+type runs struct {
+	// order holds the children's numbers in runs of equal Visits, counts
+	// ascending, each run by mean descending.
+	order []int32
+	// starts[i] is where run i begins in order; it ends where the next begins.
+	starts []int32
+	// last is the position in order of the child the previous descent took,
+	// lastRun its run and lastVisits its count at the time: the child is out of
+	// place if its sample was booked, which its count tells.
+	last, lastRun int32
+	lastVisits    int64
 }
 
 func (f *fanout) valid() []uint64 { return f.sets[:len(f.sets)/3] }
@@ -148,16 +177,17 @@ type block [blockSize]Node
 // fanChunk is the number of fan-outs allocated at a time.
 const fanChunk = 32
 
-// term is one memoised exploration term, sqrt(2 ln N / v), under the key of
-// its level and v. termSlots of them are 4 KB of a tree, not a table sized by
-// the largest count; a 450-child level a few thousand samples old has a few
-// dozen distinct counts.
-type term struct {
-	key  uint64
-	sqrt float64
-}
-
-const termSlots = 256
+// The runs of saturated fan-outs are carved from chunks too: runsChunk
+// tables and intChunk int32s of order and run starts at a time (a fine answer
+// saturates under ten fan-outs of 400 to 480 children, a coarse one about a
+// hundred of 40 to 90). A run directory starts with room for dirRuns runs and
+// doubles: most saturated fan-outs are deep, reached by a few hundred samples,
+// and never hold more, while a root's holds a few dozen.
+const (
+	runsChunk = 8
+	intChunk  = 1024
+	dirRuns   = 4
+)
 
 // IsLeaf reports whether the node has no children: no fragment can follow
 // its speech, or no sample has reached it yet.
@@ -210,13 +240,10 @@ type Tree struct {
 	// nodeCount counts enumerated children plus the root.
 	nodeCount int
 
-	// terms memoises the exploration term of a saturated level by visit
-	// count, direct-mapped on the count's low bits; an evicted count is
-	// computed again. A level with parent visits N looks up count v under the
-	// key termKeys+v and then raises termKeys by N >= v, so no entry of an
-	// earlier level (another N) is ever taken for this one's.
-	terms    [termSlots]term
-	termKeys uint64
+	// runTabs and ints are what is left of the current chunks of run tables
+	// and of the int32s their order and starts are carved from.
+	runTabs []runs
+	ints    []int32
 
 	// pathScratch is the pooled descent path of the sequential Sample, and
 	// scratch the speech it evaluates every leaf through.
@@ -497,12 +524,13 @@ func (t *Tree) prebuild(n *Node) {
 
 // maxUCTChild returns the child to descend into (ST.MAXUCTCHILD):
 // unvisited children first (random pick), otherwise the maximizer of the
-// UCT upper confidence bound. n must have children.
-func (t *Tree) maxUCTChild(n *Node) *Node {
+// UCT upper confidence bound, and how many bounds it computed to find it.
+// n must have children.
+func (t *Tree) maxUCTChild(n *Node) (*Node, int) {
 	f := n.fan
 	valid := f.valid()
 	if t.UniformPolicy {
-		return t.child(n, selectBit(valid, t.rng.Intn(popcount(valid))))
+		return t.child(n, selectBit(valid, t.rng.Intn(popcount(valid)))), 0
 	}
 	// A child without its seen bit has no visit, made or not. One draw picks
 	// among them by position (the RNG stream is pinned by golden tests).
@@ -517,37 +545,141 @@ func (t *Tree) maxUCTChild(n *Node) *Node {
 			w &^= seen[j]
 			c := bits.OnesCount64(w)
 			if k < c {
-				return t.child(n, j<<6+nth(w, k))
+				return t.child(n, j<<6+nth(w, k)), 0
 			}
 			k -= c
 		}
 	}
-	// Every child has a visit, so every child is a node: score them all,
-	// first maximum in ordinal order. The score is Reward/Visits +
-	// sqrt(2 ln N / Visits) to the bit: the quotient is the child's cached
-	// mean, and the root is looked up by visit count, since equal counts
-	// have the same term.
+	// Every child has a visit, so every child is a node, and the one to take
+	// is the first in ordinal order whose Reward/Visits + sqrt(2 ln N / Visits)
+	// is the maximum. The quotient is the child's cached mean and the square
+	// root is one float for a whole run, so no child of a run scores above its
+	// head, and those that score the same follow the head directly.
+	r := f.runs
+	if r == nil {
+		r = t.newRuns(f)
+	} else if c := t.node(r.order[r.last]); c.Visits != r.lastVisits {
+		t.refile(r, c)
+	}
 	twoLogN := 2 * math.Log(float64(n.Visits))
-	key := t.termKeys
-	if key > math.MaxUint64-uint64(n.Visits) {
-		t.terms, key = [termSlots]term{}, 0
-	}
-	t.termKeys = key + uint64(n.Visits)
 	var best *Node
-	bestScore := math.Inf(-1)
-	for _, id := range f.kids {
-		c := t.node(id)
-		e := &t.terms[c.Visits&(termSlots-1)]
-		if k := key + uint64(c.Visits); e.key != k {
-			e.key, e.sqrt = k, math.Sqrt(twoLogN/float64(c.Visits))
+	bestScore, scored := math.Inf(-1), 0
+	for i, s := range r.starts {
+		c := t.node(r.order[s])
+		term := math.Sqrt(twoLogN / float64(c.Visits))
+		score := c.mean + term
+		scored++
+		if score < bestScore {
+			continue
 		}
-		score := c.mean + e.sqrt
 		if score > bestScore {
-			bestScore = score
-			best = c
+			bestScore, best = score, nil
+		}
+		for j, end := s, r.end(i); ; {
+			if best == nil || c.ord < best.ord {
+				best, r.last, r.lastRun = c, j, int32(i)
+			}
+			if j++; j == end {
+				break
+			}
+			c = t.node(r.order[j])
+			scored++
+			if c.mean+term != score {
+				break
+			}
 		}
 	}
-	return best
+	r.lastVisits = best.Visits
+	return best, scored
+}
+
+// end returns where run i ends in order.
+func (r *runs) end(i int) int32 {
+	if i+1 < len(r.starts) {
+		return r.starts[i+1]
+	}
+	return int32(len(r.order))
+}
+
+// carve hands out n int32s of the tree's current chunk, with no room to grow.
+func (t *Tree) carve(n int) []int32 {
+	if len(t.ints) < n {
+		t.ints = make([]int32, max(n, intChunk))
+	}
+	s := t.ints[:n:n]
+	t.ints = t.ints[n:]
+	return s
+}
+
+// newRuns orders the children of f, all of them visited, into runs. Each was
+// drawn once while it was unvisited, so as a rule they have one visit apiece
+// and form one run.
+func (t *Tree) newRuns(f *fanout) *runs {
+	if len(t.runTabs) == 0 {
+		t.runTabs = make([]runs, runsChunk)
+	}
+	r := &t.runTabs[0]
+	t.runTabs = t.runTabs[1:]
+	f.runs = r
+	r.order = t.carve(len(f.kids))
+	copy(r.order, f.kids)
+	slices.SortFunc(r.order, func(a, b int32) int {
+		x, y := t.node(a), t.node(b)
+		if x.Visits != y.Visits {
+			return cmp.Compare(x.Visits, y.Visits)
+		}
+		return cmp.Compare(y.mean, x.mean)
+	})
+	r.starts = t.carve(min(dirRuns, len(r.order)))[:0]
+	for j, id := range r.order {
+		if j == 0 || t.node(id).Visits != t.node(r.order[j-1]).Visits {
+			t.addRun(r, len(r.starts), int32(j))
+		}
+	}
+	r.lastVisits = t.node(r.order[0]).Visits
+	return r
+}
+
+// addRun makes start the beginning of a new run i. A full directory moves to
+// one twice the size; there are never more runs than children.
+func (t *Tree) addRun(r *runs, i int, start int32) {
+	if k := len(r.starts); k == cap(r.starts) {
+		r.starts = append(t.carve(min(2*k, len(r.order)))[:0], r.starts...)
+	}
+	r.starts = r.starts[:len(r.starts)+1]
+	copy(r.starts[i+1:], r.starts[i:])
+	r.starts[i] = start
+}
+
+// refile moves c, the child at r.last, whose count went up by one since it
+// was put there, to the run of its new count: the next run if that is its
+// count, where c's new mean decides the place, or a run of c alone.
+func (t *Tree) refile(r *runs, c *Node) {
+	order, p, i := r.order, r.last, int(r.lastRun)
+	id, end := order[p], r.end(i)
+	// c goes to to-1 and what lies between moves down one.
+	to := end
+	joins := i+1 < len(r.starts) && t.node(order[end]).Visits == c.Visits
+	if joins {
+		for hi := r.end(i + 1); to < hi; {
+			if mid := (to + hi) / 2; t.node(order[mid]).mean >= c.mean {
+				to = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+	}
+	copy(order[p:to-1], order[p+1:to])
+	order[to-1] = id
+	switch alone := end-r.starts[i] == 1; {
+	case joins && alone:
+		// c's old run is empty: the next one takes its place and its start.
+		r.starts = append(r.starts[:i+1], r.starts[i+2:]...)
+	case joins:
+		r.starts[i+1]--
+	case !alone:
+		t.addRun(r, i+1, end-1)
+	}
 }
 
 // backUp books one sample of reward r on every node of path: a visit, which
@@ -576,7 +708,7 @@ func (t *Tree) descend(path []*Node) []*Node {
 		if n.fan == nil {
 			return path
 		}
-		n = t.maxUCTChild(n)
+		n, _ = t.maxUCTChild(n)
 	}
 }
 
