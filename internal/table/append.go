@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -75,13 +76,19 @@ func (b *RowBatch) Len() int {
 	return b.cols[0].len()
 }
 
-// AppendableCopy returns a live deep copy of t: column payloads move into
-// fresh backing arrays so appends never mutate memory reachable from t or
-// from snapshots of other copies, the watermark starts at t's current row
-// count, and loadedAt stamps the base rows for trailing-window resolution
-// (see RowsInLast). Tables with virtual accessors cannot stream: a join
-// view reads the fact foreign-key column at access time, which would race
-// with appends, so star schemas stay frozen.
+// AppendableCopy returns a live table that starts as t's rows and copies
+// none of them: each column is t's payload clipped to its length, capacity
+// included, and string columns share t's dictionary and index, which
+// AppendBatch only reads (it rejects values outside the dictionary). A
+// clipped slice has no room, so the first AppendBatch moves every column to
+// an array of the live table's own, with append's growth headroom, before it
+// writes a row: nothing reachable from t, from a snapshot or from another
+// live copy of t is ever written, and the one copy a stream costs is paid
+// by its first batch, under the live table's lock and nobody else's. The
+// watermark starts at t's current row count, and loadedAt stamps the base
+// rows for trailing-window resolution (see RowsInLast). Tables with virtual
+// accessors cannot stream: a join view reads the fact foreign-key column at
+// access time, which would race with appends, so star schemas stay frozen.
 func (t *Table) AppendableCopy(loadedAt time.Time) (*Table, error) {
 	if len(t.virtuals) > 0 {
 		return nil, fmt.Errorf("table %q: tables with virtual join columns cannot accept appends", t.name)
@@ -92,19 +99,11 @@ func (t *Table) AppendableCopy(loadedAt time.Time) (*Table, error) {
 		var cp Column
 		switch col := c.(type) {
 		case *Float64Column:
-			cp = &Float64Column{name: col.name, values: append([]float64(nil), col.values...)}
+			cp = &Float64Column{name: col.name, values: slices.Clip(col.values)}
 		case *Int64Column:
-			cp = &Int64Column{name: col.name, values: append([]int64(nil), col.values...)}
+			cp = &Int64Column{name: col.name, values: slices.Clip(col.values)}
 		case *StringColumn:
-			// The dictionary is copied once and then frozen: AppendBatch
-			// rejects values outside it, so snapshots can share dict and
-			// index with the live column without synchronization.
-			dict := append([]string(nil), col.dict...)
-			index := make(map[string]int32, len(dict))
-			for i, v := range dict {
-				index[v] = int32(i)
-			}
-			cp = &StringColumn{name: col.name, codes: append([]int32(nil), col.codes...), dict: dict, index: index}
+			cp = &StringColumn{name: col.name, codes: slices.Clip(col.codes), dict: col.dict, index: col.index}
 		default:
 			return nil, fmt.Errorf("table %q: column %q has unsupported type %v for appends", src.name, c.Name(), c.Type())
 		}
@@ -230,8 +229,9 @@ func (t *Table) AppendBatch(b *RowBatch, at time.Time) (AppendMark, error) {
 		plan = append(plan, p)
 	}
 	// Write the payload past the watermark. Readers only ever touch
-	// indices below it, so even when an append lands in the shared backing
-	// array (no reallocation) it writes memory no snapshot can see.
+	// indices below it, so when an append lands in the array snapshots share
+	// (no reallocation) it writes memory none of them can see. The first
+	// batch always reallocates: AppendableCopy left the columns no room.
 	for _, p := range plan {
 		switch dst := p.dst.(type) {
 		case *Float64Column:

@@ -1,7 +1,10 @@
 package table
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +76,93 @@ func TestAppendBatchSnapshotIsolation(t *testing.T) {
 	// Base table never sees the append.
 	if base.NumRows() != 4 {
 		t.Fatalf("base table grew to %d rows", base.NumRows())
+	}
+}
+
+// TestAppendableCopyWritesNothingShared: a live copy starts on its source's
+// arrays and must never write one. The base's columns are given spare
+// capacity, the room an unclipped share would append into, and two live
+// copies of it take different batches. Every column of a fresh copy has no
+// room; afterwards the base, its spare capacity, and a snapshot of each copy
+// cut before its second batch hold bit for bit what they should.
+func TestAppendableCopyWritesNothingShared(t *testing.T) {
+	const n, spare = 4, 60
+	codes := append(make([]int32, 0, n+spare), 0, 1, 2, 0)
+	floats := append(make([]float64, 0, n+spare), 1, 2, 3, 4)
+	ints := append(make([]int64, 0, n+spare), 10, 20, 30, 40)
+	dim, err := NewStringColumnFromCodes("dim", []string{"a", "b", "c"}, codes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := MustNew("facts", dim, NewFloat64ColumnFromValues("m", floats), &Int64Column{name: "k", values: ints})
+
+	// rows renders every row of a table, floats by their bits.
+	rows := func(tab *Table) []string {
+		out := make([]string, tab.NumRows())
+		for i := range out {
+			out[i] = fmt.Sprintf("%s %x %d", tab.Column("dim").StringAt(i), math.Float64bits(tab.Column("m").Float(i)), tab.Column("k").(*Int64Column).Int(i))
+		}
+		return out
+	}
+	baseRows := rows(base)
+	grow := func(live *Table, dims []string, m []float64, k []int64, at int) {
+		t.Helper()
+		if _, err := live.AppendBatch(NewRowBatch().Strings("dim", dims...).Float64s("m", m...).Int64s("k", k...), streamTime(at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lives, firsts [2]*Table
+	for i := range lives {
+		live, err := base.AppendableCopy(streamTime(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range live.columns {
+			var length, room int
+			switch col := c.(type) {
+			case *Float64Column:
+				length, room = len(col.values), cap(col.values)
+			case *Int64Column:
+				length, room = len(col.values), cap(col.values)
+			case *StringColumn:
+				length, room = len(col.codes), cap(col.codes)
+			}
+			if length != n || room != n {
+				t.Fatalf("copy %d column %q: len %d cap %d, want %d and no room", i, c.Name(), length, room, n)
+			}
+		}
+		lives[i] = live
+	}
+	grow(lives[0], []string{"b", "c"}, []float64{-1, -2}, []int64{-10, -20}, 1)
+	grow(lives[1], []string{"c"}, []float64{7.5}, []int64{75}, 1)
+	for i, live := range lives {
+		firsts[i] = live.Snapshot()
+	}
+	grow(lives[0], []string{"a"}, []float64{-3}, []int64{-30}, 2)
+	grow(lives[1], []string{"a", "a", "b"}, []float64{8.5, 9.5, 10.5}, []int64{85, 95, 105}, 2)
+
+	want := [2][]string{
+		append(append([]string(nil), baseRows...), "b bff0000000000000 -10", "c c000000000000000 -20"),
+		append(append([]string(nil), baseRows...), "c 401e000000000000 75"),
+	}
+	if got := rows(base); !slices.Equal(got, baseRows) {
+		t.Fatalf("the base changed: %v, was %v", got, baseRows)
+	}
+	for i, snap := range firsts {
+		if got := rows(snap); !slices.Equal(got, want[i]) {
+			t.Fatalf("copy %d after its first batch: %v, want %v", i, got, want[i])
+		}
+	}
+	if got, want0 := rows(lives[0].Snapshot()), append(want[0], "a c008000000000000 -30"); !slices.Equal(got, want0) {
+		t.Fatalf("copy 0 after its second batch: %v, want %v", got, want0)
+	}
+	if got := lives[1].Snapshot().NumRows(); got != n+4 {
+		t.Fatalf("copy 1 has %d rows after two batches, want %d", got, n+4)
+	}
+	for j := n; j < n+spare; j++ {
+		if c, f, k := codes[:n+spare][j], floats[:n+spare][j], ints[:n+spare][j]; c != 0 || f != 0 || k != 0 {
+			t.Fatalf("an append wrote the base's spare capacity at %d: %d %v %d", j, c, f, k)
+		}
 	}
 }
 

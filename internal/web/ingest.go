@@ -1,11 +1,12 @@
 // Streaming ingest: POST /api/ingest appends rows to a registered dataset
-// while queries keep running. The first batch lazily converts the dataset
-// to a live appendable table (copy-on-first-ingest, so the originally
-// registered dataset object is never mutated); every accepted batch bumps
-// the dataset's cache epoch, which makes all earlier semantic-cache
-// answers structurally unreachable before the new rows become visible —
-// the same invalidation discipline ReloadDataset uses, at append-batch
-// granularity.
+// while queries keep running. The first batch lazily gives the dataset a
+// live appendable table. It starts on the registered table's column arrays,
+// clipped, and moves to arrays of its own when that batch is appended,
+// outside s.mu: the originally registered dataset object is never mutated
+// and only that ingest waits for the copy. Every accepted batch bumps the
+// dataset's cache epoch, which makes all earlier semantic-cache answers
+// structurally unreachable before the new rows become visible — the same
+// invalidation discipline ReloadDataset uses, at append-batch granularity.
 
 package web
 
@@ -48,8 +49,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Copy-on-first-ingest: materialize the appendable table under s.mu so
-	// concurrent first batches agree on one copy.
+	// The first ingest makes the live table, under s.mu so concurrent first
+	// batches agree on one. Making it copies no rows: it shares the base
+	// table's arrays until AppendBatch below, which holds only the live
+	// table's own lock, moves the columns off them.
 	s.mu.Lock()
 	st, err := s.dataset(req.Dataset)
 	if err != nil {

@@ -35,10 +35,12 @@ type datasetState struct {
 	// epoch counts data changes — whole-dataset reloads and streaming
 	// ingest batches; guarded by Server.mu.
 	epoch int64
-	// live is the appendable copy of the base table, created lazily on
-	// the first ingest (copy-on-first-ingest keeps the registered dataset
-	// object immutable for whoever else holds it). The pointer is guarded
-	// by Server.mu; the table itself synchronizes appends internally.
+	// live is the appendable table over the base table's rows, created
+	// lazily on the first ingest. It reads the base's column arrays until
+	// its first append copies them and writes only its own, so the
+	// registered dataset object stays immutable for whoever else holds it.
+	// The pointer is guarded by Server.mu; the table itself synchronizes
+	// appends internally.
 	live *table.Table
 }
 
