@@ -353,9 +353,14 @@ func microSetup(b *testing.B) *microEnv {
 	return microVal
 }
 
-// BenchmarkMCTSSampleComplexity measures one tree-sampling round — the
-// O(k·m) inner-loop operation of Theorem A.3 that must stay far below
-// sentence playback time.
+// BenchmarkMCTSSampleComplexity measures one tree-sampling round, the
+// inner-loop operation that must stay far below sentence playback time.
+// Theorem A.3 bounds it by O(k·m): k levels, each scoring its m children. A
+// round here costs less on every level: O(m/64) words while a level still
+// has an unvisited child, and once it has none one UCT bound per distinct
+// visit count among the m, a few more where bounds tie (internal/mcts;
+// BenchmarkSampleBatch there reports both as heads/sample and
+// scored/sample).
 func BenchmarkMCTSSampleComplexity(b *testing.B) {
 	e := microSetup(b)
 	rng := rand.New(rand.NewSource(1))
