@@ -222,7 +222,8 @@ func answerAlloc(t *testing.T, airport, date int) uint64 {
 // TestFineAnswerAllocBudget keeps the cost of a fine-grained answer inside
 // tier 1: one state-by-month answer (an explore_fine shape, 410 refinement
 // candidates per node) must allocate under 2.25 MiB, 1.25x the 1.74 MiB
-// measured, most of it the 20 000 nodes its samples reach. Materialising
+// measured before saturated levels kept their children in runs (1.76 with
+// them), most of it the 20 000 nodes its samples reach. Materialising
 // every enumerated child allocated ~198 MiB; a 4-byte slot per enumerated
 // child and a memoized speech per leaf, 7.2 MiB.
 func TestFineAnswerAllocBudget(t *testing.T) {
@@ -237,9 +238,11 @@ func TestFineAnswerAllocBudget(t *testing.T) {
 
 // TestCoarseAnswerAllocBudget does the same for the explore_coarse shape:
 // one region-by-season answer must allocate under 1.125 MiB, 1.25x the
-// 0.89 MiB measured. With 16 aggregates the tree is small and eagerly
-// built, so what is left is its nodes; a speech per leaf added 1.8 MiB, and
-// storing every row read 6.4 MiB more.
+// 0.89 MiB measured before saturated levels kept their children in runs
+// (0.92 with them: its 90-wide menu saturates some ninety fan-outs). With 16
+// aggregates the tree is small and eagerly built, so what is left is its
+// nodes; a speech per leaf added 1.8 MiB, and storing every row read 6.4 MiB
+// more.
 func TestCoarseAnswerAllocBudget(t *testing.T) {
 	const budget = 9 << 17
 	got := answerAlloc(t, 1, 1)

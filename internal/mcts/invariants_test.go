@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/speech"
@@ -32,16 +31,24 @@ func checkRuns(t testing.TB, tree *Tree, n *Node) {
 	if n.fan == nil || n.fan.runs == nil {
 		return
 	}
-	r, name := n.fan.runs, tree.Speech(n).MainText()
-	listed := append([]int32(nil), r.order...)
-	slices.Sort(listed)
-	byNumber := append([]int32(nil), n.fan.kids...)
-	slices.Sort(byNumber)
-	if len(r.order) != tree.NumChildren(n) || !slices.Equal(listed, byNumber) {
-		t.Fatalf("%q: the runs list %d children, the fan-out has %d, or not the same ones", name, len(r.order), tree.NumChildren(n))
+	r := n.fan.runs
+	fatalf := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%q: "+format, append([]any{tree.Speech(n).MainText()}, args...)...)
+	}
+	if len(r.order) != tree.NumChildren(n) {
+		fatalf("the runs list %d children, the fan-out has %d", len(r.order), tree.NumChildren(n))
+	}
+	listed := make([]uint64, len(n.fan.valid()))
+	for _, id := range r.order {
+		c := tree.node(id)
+		if c.Parent != n || has(listed, int(c.ord)) {
+			fatalf("the runs list node %d, which is another node's child or listed twice", id)
+		}
+		put(listed, int(c.ord))
 	}
 	if len(r.starts) == 0 || r.starts[0] != 0 {
-		t.Fatalf("%q: run starts %v, want the first at 0", name, r.starts)
+		fatalf("run starts %v, want the first at 0", r.starts)
 	}
 	stale := tree.node(r.order[r.last])
 	switch stale.Visits {
@@ -49,15 +56,15 @@ func checkRuns(t testing.TB, tree *Tree, n *Node) {
 		stale = nil
 	case r.lastVisits + 1:
 	default:
-		t.Fatalf("%q: the child taken last had %d visits then and has %d", name, r.lastVisits, stale.Visits)
+		fatalf("the child taken last had %d visits then and has %d", r.lastVisits, stale.Visits)
 	}
 	if got := r.starts[r.lastRun]; r.last < got || r.last >= r.end(int(r.lastRun)) {
-		t.Fatalf("%q: the child taken last is at %d, outside its run %d", name, r.last, r.lastRun)
+		fatalf("the child taken last is at %d, outside its run %d", r.last, r.lastRun)
 	}
 	prevCount := int64(0)
 	for i, s := range r.starts {
 		if s >= r.end(i) {
-			t.Fatalf("%q: run %d of %v is empty", name, i, r.starts)
+			fatalf("run %d of %v is empty", i, r.starts)
 		}
 		// The stale child counts as what it was filed under and its mean, which
 		// has moved, is not compared.
@@ -70,11 +77,11 @@ func checkRuns(t testing.TB, tree *Tree, n *Node) {
 			}
 			switch {
 			case count == 0 && v <= prevCount:
-				t.Fatalf("%q: run %d has count %d after a run of %d", name, i, v, prevCount)
+				fatalf("run %d has count %d after a run of %d", i, v, prevCount)
 			case count != 0 && v != count:
-				t.Fatalf("%q: run %d holds counts %d and %d", name, i, count, v)
+				fatalf("run %d holds counts %d and %d", i, count, v)
 			case c != stale && c.mean > mean:
-				t.Fatalf("%q: run %d has mean %v after %v", name, i, c.mean, mean)
+				fatalf("run %d has mean %v after %v", i, c.mean, mean)
 			}
 			if count = v; c != stale {
 				mean = c.mean

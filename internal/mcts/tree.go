@@ -646,9 +646,7 @@ func (t *Tree) addRun(r *runs, i int, start int32) {
 	if k := len(r.starts); k == cap(r.starts) {
 		r.starts = append(t.carve(min(2*k, len(r.order)))[:0], r.starts...)
 	}
-	r.starts = r.starts[:len(r.starts)+1]
-	copy(r.starts[i+1:], r.starts[i:])
-	r.starts[i] = start
+	r.starts = slices.Insert(r.starts, i, start)
 }
 
 // refile moves c, the child at r.last, whose count went up by one since it
@@ -674,7 +672,7 @@ func (t *Tree) refile(r *runs, c *Node) {
 	switch alone := end-r.starts[i] == 1; {
 	case joins && alone:
 		// c's old run is empty: the next one takes its place and its start.
-		r.starts = append(r.starts[:i+1], r.starts[i+2:]...)
+		r.starts = slices.Delete(r.starts, i+1, i+2)
 	case joins:
 		r.starts[i+1]--
 	case !alone:
