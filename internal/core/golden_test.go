@@ -221,13 +221,13 @@ func answerAlloc(t *testing.T, airport, date int) uint64 {
 
 // TestFineAnswerAllocBudget keeps the cost of a fine-grained answer inside
 // tier 1: one state-by-month answer (an explore_fine shape, 410 refinement
-// candidates per node) must allocate under 2.25 MiB, 1.25x the 1.74 MiB
-// measured before saturated levels kept their children in runs (1.76 with
-// them), most of it the 20 000 nodes its samples reach. Materialising
-// every enumerated child allocated ~198 MiB; a 4-byte slot per enumerated
-// child and a memoized speech per leaf, 7.2 MiB.
+// candidates per node) must allocate under 1.67 MiB, 1.25x the 1.337 MiB
+// measured with 32-byte nodes and numbered fan-outs (1.757 with 48-byte nodes
+// and a budget of 2.25), most of it the 20 000 nodes its samples reach.
+// Materialising every enumerated child allocated ~198 MiB; a 4-byte slot per
+// enumerated child and a memoized speech per leaf, 7.2 MiB.
 func TestFineAnswerAllocBudget(t *testing.T) {
-	const budget = 9 << 18
+	const budget = 1671 << 20 / 1000
 	got := answerAlloc(t, 2, 2)
 	t.Logf("one state x month answer allocated %.2f MiB", float64(got)/(1<<20))
 	if got > budget {
@@ -237,14 +237,14 @@ func TestFineAnswerAllocBudget(t *testing.T) {
 }
 
 // TestCoarseAnswerAllocBudget does the same for the explore_coarse shape:
-// one region-by-season answer must allocate under 1.125 MiB, 1.25x the
-// 0.89 MiB measured before saturated levels kept their children in runs
-// (0.92 with them: its 90-wide menu saturates some ninety fan-outs). With 16
-// aggregates the tree is small and eagerly built, so what is left is its
-// nodes; a speech per leaf added 1.8 MiB, and storing every row read 6.4 MiB
-// more.
+// one region-by-season answer must allocate under 0.81 MiB, 1.25x the
+// 0.6445 MiB measured with 32-byte nodes and numbered fan-outs (0.919 with
+// 48-byte nodes and a budget of 1.125; its 90-wide menu saturates some ninety
+// fan-outs). With 16 aggregates the tree is small and eagerly built, so what
+// is left is its nodes; a speech per leaf added 1.8 MiB, and storing every
+// row read 6.4 MiB more.
 func TestCoarseAnswerAllocBudget(t *testing.T) {
-	const budget = 9 << 17
+	const budget = 806 << 20 / 1000
 	got := answerAlloc(t, 1, 1)
 	t.Logf("one region x season answer allocated %.2f MiB", float64(got)/(1<<20))
 	if got > budget {

@@ -169,7 +169,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 				RowsRead:       windowRows,
 				TreeSamples:    windowSamples,
 				BestMeanReward: best.MeanReward(),
-				BestVisits:     best.Visits,
+				BestVisits:     int64(best.Visits),
 				PlanningTime:   cfg.Clock.Now().Sub(windowStart),
 			}
 			if second := runnerUp(tree, best); second != nil {

@@ -10,6 +10,8 @@ package datagen
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -199,6 +201,33 @@ type flightModel struct {
 	// airport a's region and month m's season: a row draws its probability
 	// without hashing two strings.
 	base []float64
+	// drawAirport, drawMonth and drawAirline draw a row's catalog indices.
+	drawAirport, drawMonth, drawAirline intn
+}
+
+// intn draws what rng.Intn(n) draws for one n in [1, 1<<31), from the same
+// Int31 calls, without Int31n's two divisions: its rejection bound max is
+// computed once, and v % n is a multiply-high by m = ceil(2^64 / n), exact
+// for every 32-bit v and n (Lemire, Kaser and Kurz, "Faster remainder by
+// direct computation", 2019). For a power of two, max rejects nothing and
+// v % n is the mask Int31n takes.
+type intn struct {
+	n   uint64
+	m   uint64
+	max int32
+}
+
+func newIntn(n int) intn {
+	return intn{n: uint64(n), m: math.MaxUint64/uint64(n) + 1, max: int32(1<<31 - 1 - (1<<31)%uint32(n))}
+}
+
+func (d intn) draw(rng *rand.Rand) int {
+	v := rng.Int31()
+	for v > d.max {
+		v = rng.Int31()
+	}
+	r, _ := bits.Mul64(d.m*uint64(v), d.n)
+	return int(r)
 }
 
 // newFlightModel normalizes the catalog factors.
@@ -241,16 +270,19 @@ func newFlightModel() *flightModel {
 			base = append(base, TableTwelve[a.region][m.season])
 		}
 	}
-	return &flightModel{airportFactor: airportFactor, airlineFactor: airlineFactor, months: months, base: base}
+	return &flightModel{
+		airportFactor: airportFactor, airlineFactor: airlineFactor, months: months, base: base,
+		drawAirport: newIntn(len(airportCatalog)), drawMonth: newIntn(len(months)), drawAirline: newIntn(len(airlineCatalog)),
+	}
 }
 
 // genRow draws one flight row: catalog indices for airport, month, and
 // airline plus the cancellation flag. The rng call order is the generator's
 // wire format — changing it changes every seeded dataset.
 func (fm *flightModel) genRow(rng *rand.Rand) (a, m, l int, cancelled float64) {
-	a = rng.Intn(len(airportCatalog))
-	m = rng.Intn(len(fm.months))
-	l = rng.Intn(len(airlineCatalog))
+	a = fm.drawAirport.draw(rng)
+	m = fm.drawMonth.draw(rng)
+	l = fm.drawAirline.draw(rng)
 	p := fm.base[a*len(fm.months)+m] * fm.airportFactor[a] * fm.airlineFactor[l] * fm.months[m].factor
 	if p > 0.95 {
 		p = 0.95

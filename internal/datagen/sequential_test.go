@@ -95,6 +95,32 @@ func genRowReference(fm *flightModel, rng *rand.Rand) (a, m, l int, cancelled fl
 	return a, m, l, cancelled
 }
 
+// TestIntnMatchesRandIntn holds the flight generator's drawer to rng.Intn,
+// draw for draw and from the same stream, over several seeds: for every
+// catalog size, powers of two, random n in [2, 1<<31), and n just above 1<<30,
+// where Int31n rejects almost half of its draws.
+func TestIntnMatchesRandIntn(t *testing.T) {
+	sizes := []int{len(airportCatalog), len(newFlightModel().months), len(airlineCatalog), 1, 2, 64, 1 << 30, 1<<31 - 1}
+	pick := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		sizes = append(sizes, 2+pick.Intn(1<<31-2), 1<<30+1+pick.Intn(1<<20))
+	}
+	for _, seed := range []int64{1, 11, 2019, -7} {
+		for _, n := range sizes {
+			d := newIntn(n)
+			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				if got, want := d.draw(rng), ref.Intn(n); got != want {
+					t.Fatalf("seed %d n %d draw %d: %d, rng.Intn draws %d", seed, n, i, got, want)
+				}
+			}
+			if rng.Int63() != ref.Int63() {
+				t.Fatalf("seed %d n %d: the drawer took a different number of values from the stream", seed, n)
+			}
+		}
+	}
+}
+
 // TestGenRowMatchesTableTwelveLookup holds genRow's precomputed table to the
 // map lookups it replaced, which TestFlightsSequentialMatchesAppendReference
 // cannot see (its reference calls genRow too): the same float for every

@@ -105,22 +105,22 @@ func (ph *phaseClock) sample(t *Tree) {
 	start := time.Now()
 	var expand time.Duration
 	path := t.pathScratch[:0]
-	for n := t.root; ; {
+	for id, n := t.root, t.node(t.root); ; {
 		path = append(path, n)
-		if !n.expanded {
+		if n.fan == 0 {
 			t0 := time.Now()
 			t.expand(n)
 			expand += time.Since(t0)
 		}
-		if n.fan == nil {
+		if n.fan < 0 {
 			break
 		}
-		c, heads := t.maxUCTChild(n)
-		if c.Visits > 0 { // an unvisited child would have been drawn first
-			ph.scored += len(n.fan.kids)
+		c, cn, heads := t.maxUCTChild(n, id)
+		if cn.Visits > 0 { // an unvisited child would have been drawn first
+			ph.scored += len(t.fanout(n.fan).kids)
 		}
 		ph.heads += heads
-		n = c
+		id, n = c, cn
 	}
 	t.pathScratch = path
 	descended := time.Now()
@@ -132,7 +132,7 @@ func (ph *phaseClock) sample(t *Tree) {
 	r, ok := t.eval(&t.scratch)
 	evaluated := time.Now()
 	if ok {
-		backUp(path, r)
+		t.backUp(path, r)
 	}
 	ph.expand += expand
 	ph.descend += descended.Sub(start) - expand

@@ -134,7 +134,7 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 	rng := rand.New(rand.NewSource(seed))
 	top := &slotRef{}
 	root := top
-	index := func(c *Node) int { return rank(c.Parent.fan.valid(), int(c.ord)) }
+	index := func(c *Node) int { return rank(tree.valid(tree.node(c.parent).fan), int(c.ord)) }
 	var refPath []*slotRef
 	window := samples/(commits+1) + 1
 	for s := 0; s < samples; s++ {
@@ -181,7 +181,7 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 	var compare func(n *Node, r *slotRef, live bool)
 	compare = func(n *Node, r *slotRef, live bool) {
 		live = live || n == tree.Root()
-		if n.Visits != r.visits || math.Float64bits(n.Reward) != math.Float64bits(r.reward) {
+		if int64(n.Visits) != r.visits || math.Float64bits(n.Reward) != math.Float64bits(r.reward) {
 			t.Fatalf("%q: visits %d reward %x, the slot scan has %d and %x", tree.Speech(n).MainText(),
 				n.Visits, math.Float64bits(n.Reward), r.visits, math.Float64bits(r.reward))
 		}
@@ -196,7 +196,7 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 		if live {
 			checkRuns(t, tree, n)
 		}
-		if uniform && n.fan != nil && n.fan.runs != nil {
+		if uniform && runsOf(tree, n) != nil {
 			t.Fatalf("%q: a uniform tree built runs", tree.Speech(n).MainText())
 		}
 		for i := 0; i < tree.NumChildren(n); i++ {
@@ -213,8 +213,8 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 		}
 	}
 	first := tree.Root()
-	for first.Parent != nil {
-		first = first.Parent
+	for first.parent != 0 {
+		first = tree.node(first.parent)
 	}
 	compare(first, top, false)
 	if got, want := tree.NodeCount(), enumerate(t, tree, gen); got != want {
@@ -229,13 +229,13 @@ func checkDescent(t testing.TB, gen *speech.Generator, nodeCap, samples, commits
 func enumerate(t testing.TB, tree *Tree, gen *speech.Generator) int {
 	t.Helper()
 	root := tree.Root()
-	for root.Parent != nil {
-		root = root.Parent
+	for root.parent != 0 {
+		root = tree.node(root.parent)
 	}
 	count := 1
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if !n.expanded {
+		if n.fan == 0 {
 			return
 		}
 		sp := tree.Speech(n)
@@ -252,7 +252,7 @@ func enumerate(t testing.TB, tree *Tree, gen *speech.Generator) int {
 				if !ext.Valid(gen.Prefs) {
 					continue
 				}
-				if want < tree.NumChildren(n) && tree.menu[selectBit(n.fan.valid(), want)] != r {
+				if want < tree.NumChildren(n) && tree.menu[selectBit(tree.valid(n.fan), want)] != r {
 					t.Fatalf("%q: child %d is not %q", sp.MainText(), want, r.Text())
 				}
 				want++
@@ -375,8 +375,8 @@ func tiesAcrossRuns(t *testing.T) {
 	kids := make([]*Node, m)
 	for k := range kids {
 		kids[k] = childAt(tree, n, k)
-		kids[k].Visits = []int64{3, 1, 2}[k%3]
-		put(n.fan.seen(), int(kids[k].ord))
+		kids[k].Visits = []int32{3, 1, 2}[k%3]
+		put(tree.seen(n.fan), int(kids[k].ord))
 		n.Visits += kids[k].Visits
 	}
 	twoLogN := 2 * math.Log(float64(n.Visits))
@@ -401,8 +401,8 @@ func tiesAcrossRuns(t *testing.T) {
 		if wantScore != top || winners&(1<<want) == 0 || winners&(1<<want-1) != 0 {
 			t.Fatalf("winners %b: the scan takes child %d at %v, the case is not the tie it was built to be", winners, want, wantScore)
 		}
-		n.fan.runs = nil
-		if got, _ := tree.maxUCTChild(n); got != kids[want] {
+		tree.fanout(n.fan).runs = 0
+		if _, got, _ := tree.maxUCTChild(n, idOf(tree, n)); got != kids[want] {
 			t.Fatalf("winners %b: the tree took ordinal %d, the scan child %d with ordinal %d", winners, got.ord, want, kids[want].ord)
 		}
 		checkRuns(t, tree, n)
@@ -424,13 +424,13 @@ func TestUniformPolicyBuildsNoRuns(t *testing.T) {
 	saturated := 0
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if n.fan == nil {
+		if n.fan <= 0 {
 			return
 		}
-		if popcount(n.fan.seen()) == tree.NumChildren(n) {
+		if popcount(tree.seen(n.fan)) == tree.NumChildren(n) {
 			saturated++
 		}
-		if n.fan.runs != nil {
+		if runsOf(tree, n) != nil {
 			t.Fatalf("%q has runs", tree.Speech(n).MainText())
 		}
 		tree.Kids(n, walk)
@@ -439,8 +439,8 @@ func TestUniformPolicyBuildsNoRuns(t *testing.T) {
 	if saturated < 10 {
 		t.Fatalf("%d fan-outs have every child visited: the run exercised nothing", saturated)
 	}
-	if tree.runTabs != nil || tree.ints != nil {
-		t.Fatalf("a uniform tree allocated run storage: %d tables and %d int32s left of a chunk", len(tree.runTabs), len(tree.ints))
+	if tree.runs != nil || tree.ints != nil {
+		t.Fatalf("a uniform tree allocated run storage: %d chunks of tables and %d int32s left of a chunk", len(tree.runs), len(tree.ints))
 	}
 }
 

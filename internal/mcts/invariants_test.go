@@ -18,8 +18,28 @@ func visitedChildren(t *Tree, n *Node) []*Node {
 	return out
 }
 
+// idOf returns n's number: the root the tree was built with is node 1, and
+// any other node is listed among its parent's children.
+func idOf(t *Tree, n *Node) int32 {
+	if n.parent == 0 {
+		return 1
+	}
+	return t.kid(t.node(n.parent).fan, int(n.ord))
+}
+
 // childAt returns the i-th enumerated child of n, making it a node.
-func childAt(t *Tree, n *Node, i int) *Node { return t.child(n, selectBit(n.fan.valid(), i)) }
+func childAt(t *Tree, n *Node, i int) *Node {
+	_, c := t.child(n, idOf(t, n), selectBit(t.valid(n.fan), i))
+	return c
+}
+
+// runsOf returns the run table of n's fan-out, nil if it has none.
+func runsOf(t *Tree, n *Node) *runs {
+	if n.fan <= 0 || t.fanout(n.fan).runs == 0 {
+		return nil
+	}
+	return t.runTable(t.fanout(n.fan).runs)
+}
 
 // checkRuns holds the run order of n's fan-out, if it has one, to what the
 // UCT scan relies on: every child is in it once; the runs partition it, each
@@ -28,10 +48,10 @@ func childAt(t *Tree, n *Node, i int) *Node { return t.child(n, selectBit(n.fan.
 // descent took, one visit past the count it was filed under.
 func checkRuns(t testing.TB, tree *Tree, n *Node) {
 	t.Helper()
-	if n.fan == nil || n.fan.runs == nil {
+	r := runsOf(tree, n)
+	if r == nil {
 		return
 	}
-	r := n.fan.runs
 	fatalf := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%q: "+format, append([]any{tree.Speech(n).MainText()}, args...)...)
@@ -39,10 +59,10 @@ func checkRuns(t testing.TB, tree *Tree, n *Node) {
 	if len(r.order) != tree.NumChildren(n) {
 		fatalf("the runs list %d children, the fan-out has %d", len(r.order), tree.NumChildren(n))
 	}
-	listed := make([]uint64, len(n.fan.valid()))
+	listed := make([]uint64, len(tree.valid(n.fan)))
 	for _, id := range r.order {
 		c := tree.node(id)
-		if c.Parent != n || has(listed, int(c.ord)) {
+		if tree.node(c.parent) != n || has(listed, int(c.ord)) {
 			fatalf("the runs list node %d, which is another node's child or listed twice", id)
 		}
 		put(listed, int(c.ord))
@@ -61,14 +81,14 @@ func checkRuns(t testing.TB, tree *Tree, n *Node) {
 	if got := r.starts[r.lastRun]; r.last < got || r.last >= r.end(int(r.lastRun)) {
 		fatalf("the child taken last is at %d, outside its run %d", r.last, r.lastRun)
 	}
-	prevCount := int64(0)
+	prevCount := int32(0)
 	for i, s := range r.starts {
 		if s >= r.end(i) {
 			fatalf("run %d of %v is empty", i, r.starts)
 		}
 		// The stale child counts as what it was filed under and its mean, which
 		// has moved, is not compared.
-		count, mean := int64(0), math.Inf(1)
+		count, mean := int32(0), math.Inf(1)
 		for _, id := range r.order[s:r.end(i)] {
 			c := tree.node(id)
 			v := c.Visits
@@ -92,13 +112,14 @@ func checkRuns(t testing.TB, tree *Tree, n *Node) {
 }
 
 // checkAccounting walks the tree after done reward-producing rounds: the
-// root's visits equal done, a parent's visit count equals the sum of its
+// root's visits equal done, every child's parent number leads back to the
+// node it hangs under, a parent's visit count equals the sum of its
 // children's visits (every sample path traverses from root to a leaf),
 // accumulated rewards are consistent, and every saturated fan-out's runs are
 // in order.
 func checkAccounting(t *testing.T, tree *Tree, done int) {
 	t.Helper()
-	if got := tree.Root().Visits; got != int64(done) {
+	if got := tree.Root().Visits; int(got) != done {
 		t.Errorf("root visits = %d, want done rounds %d", got, done)
 	}
 	var walk func(n *Node)
@@ -110,10 +131,13 @@ func checkAccounting(t *testing.T, tree *Tree, done int) {
 		var childVisits int64
 		var childReward float64
 		for _, c := range visitedChildren(tree, n) {
-			childVisits += c.Visits
+			if tree.node(c.parent) != n {
+				t.Fatalf("a child of %q has parent number %d", tree.Speech(n).MainText(), c.parent)
+			}
+			childVisits += int64(c.Visits)
 			childReward += c.Reward
 		}
-		if childVisits != n.Visits {
+		if childVisits != int64(n.Visits) {
 			t.Fatalf("node visits %d != sum of child visits %d", n.Visits, childVisits)
 		}
 		if diff := childReward - n.Reward; diff > 1e-9 || diff < -1e-9 {
@@ -171,6 +195,35 @@ func TestSampleBatchCancellation(t *testing.T) {
 		t.Errorf("done = %d, want the 20 rounds evaluated before the cancel was seen", done)
 	}
 	checkAccounting(t, tree, done)
+}
+
+// TestSampleStopsAtMaxInt32 pins what the 32-bit visit count costs: a root
+// one visit short of math.MaxInt32 books one more sample and refuses the
+// next, as when no reward is available, and no count wraps.
+func TestSampleStopsAtMaxInt32(t *testing.T) {
+	e := newEnv(t)
+	tree, err := NewTree(e.gen, e.result.GrandValue(), e.exactEval(), rand.New(rand.NewSource(24)))
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
+	}
+	if !tree.Sample() {
+		t.Fatal("the first sample was refused")
+	}
+	// The one path lifted to math.MaxInt32-1 visits at its mean keeps every
+	// parent's count the sum of its children's.
+	const lift = math.MaxInt32 - 2
+	for _, n := range tree.pathScratch {
+		n.Visits += lift
+		n.Reward += lift * n.mean
+		n.mean = n.Reward / float64(n.Visits)
+	}
+	if !tree.Sample() {
+		t.Fatal("the sample that takes the root to math.MaxInt32 visits was refused")
+	}
+	if tree.Sample() {
+		t.Fatal("a sample past math.MaxInt32 visits was booked")
+	}
+	checkAccounting(t, tree, math.MaxInt32)
 }
 
 // TestRewardBoundsInvariant: with an evaluator bounded in [0,1], every

@@ -39,10 +39,15 @@
 // previous descent took has one visit more and goes to the next run.
 //
 // Nodes store only the ordinal of the fragment they add and come from
-// fixed-size blocks owned by the tree. A leaf is never made into a speech:
-// the sequential sampler evaluates it through one scratch speech it rewrites
-// in place, and Speech builds a real one for the few nodes a caller asks
-// about. Nothing here is safe for concurrent use.
+// fixed-size blocks owned by the tree, which numbers them: a node is 32 bytes,
+// its reward and cached mean, an int32 visit count, its parent's number, its
+// fan-out's number (which also says whether it is expanded) and two 16-bit
+// fields, ordinal and depth. Fan-outs are numbered the same way and come in
+// chunks whose bitsets sit at a place their number fixes, so a fan-out record
+// is its children's numbers and the number of its runs. A leaf is never made
+// into a speech: the sequential sampler evaluates it through one scratch
+// speech it rewrites in place, and Speech builds a real one for the few nodes
+// a caller asks about. Nothing here is safe for concurrent use.
 package mcts
 
 import (
@@ -67,41 +72,44 @@ type EvalFunc func(s *speech.Speech) (reward float64, ok bool)
 // Node is a materialised search tree node adding one fragment to its
 // parent's speech.
 type Node struct {
-	// Visits counts tree samples traversing this node.
-	Visits int64
-	// Reward accumulates sampled rewards over those visits.
+	// Reward accumulates sampled rewards over the node's visits.
 	Reward float64
 	// mean is Reward/float64(Visits) as of the last back-up, 0 before the
 	// first: a saturated level reads it once per child and descent, the
 	// back-up divides once per sample and path node.
 	mean float64
-	// Parent is nil for the root.
-	Parent *Node
-	// fan is the child table; nil until the node is expanded, and for a
-	// node no fragment can follow.
-	fan *fanout
+	// Visits counts tree samples traversing this node. No node has more than
+	// the root, and Sample books none that would take the root past
+	// math.MaxInt32.
+	Visits int32
+	// parent is the number of the parent node; 0, which is no node's number,
+	// for the root the tree was built with.
+	parent int32
+	// fan is 0 until the node is expanded, noFan once it is and no fragment
+	// can follow it, and otherwise the number of its fan-out. A node at the
+	// fragment limit is born expanded.
+	fan int32
 	// ord is the ordinal of the node's fragment: in the tree's baseline
 	// ladder for a child of the root, in the refinement menu elsewhere.
-	ord int32
+	ord uint16
 	// depth counts refinements on the path (0 for root and baselines), at
 	// most the tree's maxDepth.
-	depth int16
-	// expanded is set once fan is final. A node at the fragment limit is
-	// born expanded.
-	expanded bool
+	depth uint16
 }
 
-// fanout is the child table of an expanded node with at least one child.
+// noFan is Node.fan of an expanded node without children.
+const noFan = -1
+
+// fanout is the child table of an expanded node with at least one child. Its
+// three bitsets over the ordinals of the menu the children come from, valid,
+// seen and made, are where Tree.sets finds them by the fan-out's number.
 type fanout struct {
-	// sets holds three bitsets of equal length over the ordinals of the
-	// menu the children come from, back to back: valid, seen, made.
-	sets []uint64
 	// kids are the numbers of the made children, in ordinal order: the
 	// child with ordinal o is kids[popcount of made below o].
 	kids []int32
-	// runs ranks the children for the UCT scan; nil until a descent finds
-	// every child visited.
-	runs *runs
+	// runs is the number of the table that ranks the children for the UCT
+	// scan; 0 until a descent finds every child visited.
+	runs int32
 }
 
 // runs is the children of a saturated fan-out in the order the UCT scan
@@ -117,13 +125,8 @@ type runs struct {
 	// last is the position in order of the child the previous descent took,
 	// lastRun its run and lastVisits its count at the time: the child is out of
 	// place if its sample was booked, which its count tells.
-	last, lastRun int32
-	lastVisits    int64
+	last, lastRun, lastVisits int32
 }
-
-func (f *fanout) valid() []uint64 { return f.sets[:len(f.sets)/3] }
-func (f *fanout) seen() []uint64  { w := len(f.sets) / 3; return f.sets[w : 2*w] }
-func (f *fanout) made() []uint64  { return f.sets[2*len(f.sets)/3:] }
 
 // has reports whether bit o of set is set; put sets it and drop clears it.
 func has(set []uint64, o int) bool { return set[o>>6]&(1<<(o&63)) != 0 }
@@ -166,7 +169,9 @@ func selectBit(set []uint64, k int) int {
 }
 
 // Nodes are handed out from blocks of blockSize, so materialising one is a
-// bump of a counter and their addresses never move.
+// bump of a counter and their addresses never move. Node n is entry
+// n&(blockSize-1) of block n>>blockShift; fan-outs and run tables are numbered
+// and found the same way. Number 0 of each is none: its slot is never used.
 const (
 	blockShift = 8
 	blockSize  = 1 << blockShift
@@ -174,8 +179,17 @@ const (
 
 type block [blockSize]Node
 
-// fanChunk is the number of fan-outs allocated at a time.
-const fanChunk = 32
+// Fan-outs are allocated fanChunk at a time, with the bitsets of the chunk in
+// one array: fan-out f's are at (f&(fanChunk-1))*3*menuWords in its chunk's.
+// The root, the first node expanded, has fan-out rootFan, whose bitsets are
+// over the baseline ladder and allocated on their own.
+const (
+	fanShift = 5
+	fanChunk = 1 << fanShift
+	rootFan  = 1
+)
+
+type fanBlock [fanChunk]fanout
 
 // The runs of saturated fan-outs are carved from chunks too: runsChunk
 // tables and intChunk int32s of order and run starts at a time (a fine answer
@@ -184,21 +198,25 @@ const fanChunk = 32
 // doubles: most saturated fan-outs are deep, reached by a few hundred samples,
 // and never hold more, while a root's holds a few dozen.
 const (
-	runsChunk = 8
+	runsShift = 3
+	runsChunk = 1 << runsShift
 	intChunk  = 1024
 	dirRuns   = 4
 )
 
+type runsBlock [runsChunk]runs
+
 // IsLeaf reports whether the node has no children: no fragment can follow
 // its speech, or no sample has reached it yet.
-func (n *Node) IsLeaf() bool { return n.fan == nil }
+func (n *Node) IsLeaf() bool { return n.fan <= 0 }
 
 // MeanReward returns the node's average sampled reward (0 when unvisited).
 func (n *Node) MeanReward() float64 { return n.mean }
 
 // Tree is the speech search tree with its generator and evaluator.
 type Tree struct {
-	root     *Node
+	// root is the number of the current root.
+	root     int32
 	preamble *speech.Preamble
 	gen      *speech.Generator
 	eval     EvalFunc
@@ -220,7 +238,7 @@ type Tree struct {
 	// maxChars and maxDepth are the generator's limits, resolved once: zero
 	// means no character limit; no node at maxDepth has children.
 	maxChars int
-	maxDepth int16
+	maxDepth uint16
 	// compat holds one row of menuWords words per menu ordinal o, bit i set
 	// when menu[i] may follow a speech containing menu[o]; compatMade marks
 	// the rows built so far.
@@ -230,20 +248,25 @@ type Tree struct {
 	// validScratch collects the valid set of one expansion.
 	validScratch []uint64
 
-	// blocks holds every node handed out; made is their number.
-	blocks []*block
-	made   int32
-	// fans and fanSets are what is left of the current chunk of fan-outs
-	// and of the bitsets that go with them.
-	fans    []fanout
-	fanSets []uint64
+	// blocks holds every node handed out, and nextNode is the number the
+	// next one gets.
+	blocks   []*block
+	nextNode int32
+	// fans and fanSets hold the fan-outs' chunks and their bitsets, rootSets
+	// the root's, and nextFan is the number the next fan-out gets.
+	fans     []*fanBlock
+	fanSets  [][]uint64
+	rootSets []uint64
+	nextFan  int32
 	// nodeCount counts enumerated children plus the root.
 	nodeCount int
 
-	// runTabs and ints are what is left of the current chunks of run tables
-	// and of the int32s their order and starts are carved from.
-	runTabs []runs
-	ints    []int32
+	// runs holds the chunks of run tables and nextRuns is the number the next
+	// one gets; ints is what is left of the current chunk of int32s their
+	// order and starts are carved from.
+	runs     []*runsBlock
+	nextRuns int32
+	ints     []int32
 
 	// pathScratch is the pooled descent path of the sequential Sample, and
 	// scratch the speech it evaluates every leaf through.
@@ -283,11 +306,17 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		menu:      gen.Refinements(nil),
 		baselines: gen.BaselineCandidates(speech.SpeechScale(scale)),
 		maxChars:  gen.Prefs.MaxCharsEffective(),
-		maxDepth:  math.MaxInt16,
+		maxDepth:  math.MaxUint16,
 		nodeCount: 1,
+		nextNode:  1,
+		nextFan:   rootFan,
+		nextRuns:  1,
 	}
-	if mf := gen.Prefs.MaxFragments; mf > 0 && mf < math.MaxInt16 {
-		t.maxDepth = int16(mf)
+	if len(t.menu) > math.MaxUint16 || len(t.baselines) > math.MaxUint16 {
+		return nil, errors.New("mcts: a node's ordinal is 16 bits, and the menu or the baseline ladder is wider")
+	}
+	if mf := gen.Prefs.MaxFragments; mf > 0 && mf < math.MaxUint16 {
+		t.maxDepth = uint16(mf)
 	}
 	t.menuWords = (len(t.menu) + 63) / 64
 	t.validScratch = make([]uint64, t.menuWords)
@@ -297,12 +326,12 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		t.textLen[o] = int32(len(r.Text()))
 	}
 	t.root = t.newNode()
-	t.prebuild(t.root)
+	t.prebuild(t.node(t.root), t.root)
 	return t, nil
 }
 
 // Root returns the current root node.
-func (t *Tree) Root() *Node { return t.root }
+func (t *Tree) Root() *Node { return t.node(t.root) }
 
 // NodeCount returns the number of enumerated nodes: the root plus every
 // child an expansion has listed, materialised or not.
@@ -311,30 +340,28 @@ func (t *Tree) NodeCount() int { return t.nodeCount }
 // NumChildren returns the number of children expansion enumerated below n
 // (zero for a leaf and for a node no sample has reached yet).
 func (t *Tree) NumChildren(n *Node) int {
-	if n.fan == nil {
+	if n.fan <= 0 {
 		return 0
 	}
-	return popcount(n.fan.valid())
+	return popcount(t.valid(n.fan))
 }
 
 // Child returns the i-th child of n in enumeration order, or nil while no
 // sample has descended into it: such a child has zero visits and reward.
 func (t *Tree) Child(n *Node, i int) *Node {
-	f := n.fan
-	o := selectBit(f.valid(), i)
-	if !has(f.made(), o) {
-		return nil
+	if id := t.kid(n.fan, selectBit(t.valid(n.fan), i)); id != 0 {
+		return t.node(id)
 	}
-	return t.node(f.kids[rank(f.made(), o)])
+	return nil
 }
 
 // Kids calls visit for every child of n that is a node, in enumeration
 // order. The children it skips were never descended into.
 func (t *Tree) Kids(n *Node, visit func(c *Node)) {
-	if n.fan == nil {
+	if n.fan <= 0 {
 		return
 	}
-	for _, id := range n.fan.kids {
+	for _, id := range t.fanout(n.fan).kids {
 		visit(t.node(id))
 	}
 }
@@ -351,53 +378,84 @@ func (t *Tree) Refinement(n *Node) *speech.Refinement {
 // node returns the materialised node with the given number.
 func (t *Tree) node(id int32) *Node { return &t.blocks[id>>blockShift][id&(blockSize-1)] }
 
-// newNode hands out the next node.
-func (t *Tree) newNode() *Node {
-	if int(t.made>>blockShift) == len(t.blocks) {
+// newNode hands out the number of a new node.
+func (t *Tree) newNode() int32 {
+	if int(t.nextNode>>blockShift) == len(t.blocks) {
 		t.blocks = append(t.blocks, new(block))
 	}
-	t.made++
-	return t.node(t.made - 1)
+	t.nextNode++
+	return t.nextNode - 1
 }
 
-// child returns the child of n with fragment ordinal o, which must be in
-// n's valid set, materialising it on first use.
-func (t *Tree) child(n *Node, o int) *Node {
-	f := n.fan
-	made := f.made()
+// fanout returns the record of fan-out f.
+func (t *Tree) fanout(f int32) *fanout { return &t.fans[f>>fanShift][f&(fanChunk-1)] }
+
+// sets returns the three bitsets of fan-out f back to back: valid, seen and
+// made, of equal length.
+func (t *Tree) sets(f int32) []uint64 {
+	if f == rootFan {
+		return t.rootSets
+	}
+	w := 3 * t.menuWords
+	i := int(f&(fanChunk-1)) * w
+	return t.fanSets[f>>fanShift][i : i+w : i+w]
+}
+
+func (t *Tree) valid(f int32) []uint64 { s := t.sets(f); return s[:len(s)/3] }
+func (t *Tree) seen(f int32) []uint64  { s := t.sets(f); w := len(s) / 3; return s[w : 2*w] }
+func (t *Tree) made(f int32) []uint64  { s := t.sets(f); return s[2*len(s)/3:] }
+
+// kid returns the number of the child with ordinal o of fan-out f, or 0 if
+// that child is not a node.
+func (t *Tree) kid(f int32, o int) int32 {
+	made := t.made(f)
+	if !has(made, o) {
+		return 0
+	}
+	return t.fanout(f).kids[rank(made, o)]
+}
+
+// child returns the number and the node of the child of n, node id, with
+// fragment ordinal o, which must be in n's valid set, materialising it on
+// first use.
+func (t *Tree) child(n *Node, id int32, o int) (int32, *Node) {
+	f, made := t.fanout(n.fan), t.made(n.fan)
 	r := rank(made, o)
 	if has(made, o) {
-		return t.node(f.kids[r])
+		return f.kids[r], t.node(f.kids[r])
 	}
-	c := t.newNode()
-	c.Parent = n
-	c.ord = int32(o)
-	if n.Parent != nil {
+	cid := t.newNode()
+	c := t.node(cid)
+	c.parent = id
+	c.ord = uint16(o)
+	if n.parent != 0 {
 		c.depth = n.depth + 1
-		c.expanded = c.depth >= t.maxDepth
+		if c.depth >= t.maxDepth {
+			c.fan = noFan
+		}
 	}
 	put(made, o)
 	if k := len(f.kids); k == cap(f.kids) {
 		// Four to start with, doubling, and never room for more children
 		// than the fan-out lists.
-		f.kids = append(make([]int32, 0, min(max(4, 2*k), popcount(f.valid()))), f.kids...)
+		f.kids = append(make([]int32, 0, min(max(4, 2*k), popcount(t.valid(n.fan)))), f.kids...)
 	}
 	f.kids = f.kids[:len(f.kids)+1]
 	copy(f.kids[r+1:], f.kids[r:])
-	f.kids[r] = t.made - 1
-	return c
+	f.kids[r] = cid
+	return cid, c
 }
 
 // fill rewrites sp in place to the speech n represents: the path's baseline
 // and its refinements in order, stored in refs (at least n.depth long).
 func (t *Tree) fill(sp *speech.Speech, refs []*speech.Refinement, n *Node) {
 	var base *speech.Baseline
-	for cur := n; cur.Parent != nil; cur = cur.Parent {
-		if cur.depth > 0 {
-			refs[cur.depth-1] = t.menu[cur.ord]
-		} else {
+	for cur := n; cur.parent != 0; cur = t.node(cur.parent) {
+		if cur.depth == 0 {
 			base = t.baselines[cur.ord]
+			break
 		}
+		refs[cur.depth-1] = t.menu[cur.ord]
 	}
 	sp.SetFragments(base, refs[:n.depth])
 }
@@ -441,9 +499,9 @@ func (t *Tree) compatRow(o int) []uint64 {
 // ancestors' compatibility rows minus the refinements that would overflow
 // it. No candidate speech is materialised and the menu is not copied.
 func (t *Tree) expand(n *Node) {
-	n.expanded = true
+	n.fan = noFan
 	valid := t.validScratch
-	if n.Parent == nil {
+	if n.parent == 0 {
 		// The root's sets, over the baseline ladder, are allocated alone and
 		// its valid set is built in place at their head.
 		w := (len(t.baselines) + 63) / 64
@@ -463,7 +521,7 @@ func (t *Tree) expand(n *Node) {
 		// One walk up the path ANDs the ancestors' rows and adds up the main
 		// text so far: a space and a refinement per level, then the baseline.
 		cur, mainLen := n, int32(0)
-		for ; cur.depth > 0; cur = cur.Parent {
+		for ; cur.depth > 0; cur = t.node(cur.parent) {
 			for j, w := range t.compatRow(int(cur.ord)) {
 				valid[j] &= w
 			}
@@ -482,59 +540,61 @@ func (t *Tree) expand(n *Node) {
 	if count == 0 {
 		return
 	}
-	if n.Parent == nil {
-		n.fan = &fanout{sets: valid[:cap(valid)]}
+	// The root is the first node expanded, so its fan-out is rootFan, and its
+	// sets stay where they were built.
+	n.fan = t.newFanout()
+	if n.parent == 0 {
+		t.rootSets = valid[:cap(valid)]
 	} else {
-		n.fan = t.newFanout()
-		copy(n.fan.sets, valid)
+		copy(t.sets(n.fan), valid)
 	}
 	t.nodeCount += count
 }
 
-// newFanout hands out an empty fan-out over the refinement menu. They come
-// in chunks, like nodes: an answer expands a couple of thousand nodes, and a
-// table and its bitsets apiece made expansion two thirds of the planning
-// loop's mallocs.
-func (t *Tree) newFanout() *fanout {
-	w := 3 * t.menuWords
-	if len(t.fans) == 0 {
-		t.fans = make([]fanout, fanChunk)
-		t.fanSets = make([]uint64, fanChunk*w)
+// newFanout hands out the number of an empty fan-out. They come in chunks,
+// like nodes: an answer expands a couple of thousand nodes, and a table and
+// its bitsets apiece made expansion two thirds of the planning loop's
+// mallocs.
+func (t *Tree) newFanout() int32 {
+	if int(t.nextFan>>fanShift) == len(t.fans) {
+		t.fans = append(t.fans, new(fanBlock))
+		t.fanSets = append(t.fanSets, make([]uint64, fanChunk*3*t.menuWords))
 	}
-	f := &t.fans[0]
-	f.sets = t.fanSets[:w:w]
-	t.fans, t.fanSets = t.fans[1:], t.fanSets[w:]
-	return f
+	t.nextFan++
+	return t.nextFan - 1
 }
 
-// prebuild expands n and its descendants depth-first while the node budget
-// lasts; past the budget, descendants expand lazily. Children at the
-// fragment limit cannot have children of their own and stay bits.
-func (t *Tree) prebuild(n *Node) {
+// prebuild expands n, node id, and its descendants depth-first while the
+// node budget lasts; past the budget, descendants expand lazily. Children at
+// the fragment limit cannot have children of their own and stay bits.
+func (t *Tree) prebuild(n *Node, id int32) {
 	t.expand(n)
-	if n.fan == nil || (n.Parent != nil && n.depth+1 >= t.maxDepth) {
+	if n.fan < 0 || (n.parent != 0 && n.depth+1 >= t.maxDepth) {
 		return
 	}
-	for j, w := range n.fan.valid() {
+	for j, w := range t.valid(n.fan) {
 		for ; w != 0 && t.nodeCount < t.MaxNodes; w &= w - 1 {
-			t.prebuild(t.child(n, j<<6+bits.TrailingZeros64(w)))
+			c, cn := t.child(n, id, j<<6+bits.TrailingZeros64(w))
+			t.prebuild(cn, c)
 		}
 	}
 }
 
-// maxUCTChild returns the child to descend into (ST.MAXUCTCHILD):
-// unvisited children first (random pick), otherwise the maximizer of the
-// UCT upper confidence bound, and how many bounds it computed to find it.
-// n must have children.
-func (t *Tree) maxUCTChild(n *Node) (*Node, int) {
-	f := n.fan
-	valid := f.valid()
+// maxUCTChild returns the number and the node of the child of n, node id, to
+// descend into (ST.MAXUCTCHILD): unvisited children first (random pick),
+// otherwise the maximizer of the UCT upper confidence bound, and how many
+// bounds it computed to find it. n must have children.
+func (t *Tree) maxUCTChild(n *Node, id int32) (int32, *Node, int) {
+	sets := t.sets(n.fan)
+	w := len(sets) / 3
+	valid := sets[:w]
 	if t.UniformPolicy {
-		return t.child(n, selectBit(valid, t.rng.Intn(popcount(valid)))), 0
+		c, cn := t.child(n, id, selectBit(valid, t.rng.Intn(popcount(valid))))
+		return c, cn, 0
 	}
 	// A child without its seen bit has no visit, made or not. One draw picks
 	// among them by position (the RNG stream is pinned by golden tests).
-	seen := f.seen()
+	seen := sets[w : 2*w]
 	unvisited := 0
 	for j, w := range valid {
 		unvisited += bits.OnesCount64(w &^ seen[j])
@@ -545,7 +605,8 @@ func (t *Tree) maxUCTChild(n *Node) (*Node, int) {
 			w &^= seen[j]
 			c := bits.OnesCount64(w)
 			if k < c {
-				return t.child(n, j<<6+nth(w, k)), 0
+				c, cn := t.child(n, id, j<<6+nth(w, k))
+				return c, cn, 0
 			}
 			k -= c
 		}
@@ -555,11 +616,14 @@ func (t *Tree) maxUCTChild(n *Node) (*Node, int) {
 	// is the maximum. The quotient is the child's cached mean and the square
 	// root is one float for a whole run, so no child of a run scores above its
 	// head, and those that score the same follow the head directly.
-	r := f.runs
-	if r == nil {
+	var r *runs
+	if f := t.fanout(n.fan); f.runs == 0 {
 		r = t.newRuns(f)
-	} else if c := t.node(r.order[r.last]); c.Visits != r.lastVisits {
-		t.refile(r, c)
+	} else {
+		r = t.runTable(f.runs)
+		if c := t.node(r.order[r.last]); c.Visits != r.lastVisits {
+			t.refile(r, c)
+		}
 	}
 	twoLogN := 2 * math.Log(float64(n.Visits))
 	var best *Node
@@ -590,8 +654,11 @@ func (t *Tree) maxUCTChild(n *Node) (*Node, int) {
 		}
 	}
 	r.lastVisits = best.Visits
-	return best, scored
+	return r.order[r.last], best, scored
 }
+
+// runTable returns run table k.
+func (t *Tree) runTable(k int32) *runs { return &t.runs[k>>runsShift][k&(runsChunk-1)] }
 
 // end returns where run i ends in order.
 func (r *runs) end(i int) int32 {
@@ -615,12 +682,12 @@ func (t *Tree) carve(n int) []int32 {
 // drawn once while it was unvisited, so as a rule they have one visit apiece
 // and form one run.
 func (t *Tree) newRuns(f *fanout) *runs {
-	if len(t.runTabs) == 0 {
-		t.runTabs = make([]runs, runsChunk)
+	if int(t.nextRuns>>runsShift) == len(t.runs) {
+		t.runs = append(t.runs, new(runsBlock))
 	}
-	r := &t.runTabs[0]
-	t.runTabs = t.runTabs[1:]
-	f.runs = r
+	f.runs = t.nextRuns
+	t.nextRuns++
+	r := t.runTable(f.runs)
 	r.order = t.carve(len(f.kids))
 	copy(r.order, f.kids)
 	slices.SortFunc(r.order, func(a, b int32) int {
@@ -681,12 +748,14 @@ func (t *Tree) refile(r *runs, c *Node) {
 }
 
 // backUp books one sample of reward r on every node of path: a visit, which
-// flips the node's seen bit in its parent's fan-out when it is the first, the
-// reward, and the mean the next descent through the parent reads.
-func backUp(path []*Node, r float64) {
-	for _, n := range path {
-		if n.Visits == 0 && n.Parent != nil {
-			put(n.Parent.fan.seen(), int(n.ord))
+// flips the node's seen bit in the fan-out of the node before it on the path
+// when it is the first, the reward, and the mean the next descent through the
+// parent reads. The root heads the path; if it has no visit, the tree advanced
+// to it unvisited, and its parent is never descended through again.
+func (t *Tree) backUp(path []*Node, r float64) {
+	for i, n := range path {
+		if n.Visits == 0 && i > 0 {
+			put(t.seen(path[i-1].fan), int(n.ord))
 		}
 		n.Visits++
 		n.Reward += r
@@ -697,25 +766,28 @@ func backUp(path []*Node, r float64) {
 // descend walks from the root to a leaf, expanding on first visit, and
 // returns the path appended to path.
 func (t *Tree) descend(path []*Node) []*Node {
-	n := t.root
-	for {
+	for id, n := t.root, t.node(t.root); ; {
 		path = append(path, n)
-		if !n.expanded {
+		if n.fan == 0 {
 			t.expand(n)
 		}
-		if n.fan == nil {
+		if n.fan < 0 {
 			return path
 		}
-		n, _ = t.maxUCTChild(n)
+		id, n, _ = t.maxUCTChild(n, id)
 	}
 }
 
 // Sample performs one MCTS round (Algorithm 2's SAMPLE): descend from the
 // current root to a leaf via UCT, evaluate the leaf's complete speech
 // against a database sample, and update statistics along the path. It
-// returns false when the evaluator could not produce a reward (nothing is
-// updated then).
+// returns false when the evaluator could not produce a reward, and when the
+// root has math.MaxInt32 visits, more than any answer's planning comes near
+// (nothing is updated then).
 func (t *Tree) Sample() bool {
+	if t.node(t.root).Visits == math.MaxInt32 {
+		return false
+	}
 	// The descent path is pooled across rounds: its length is bounded by
 	// the fragment limit, and one slice per round was the planner loop's
 	// dominant allocation. So is the speech: a leaf is read once, by this
@@ -731,7 +803,7 @@ func (t *Tree) Sample() bool {
 	if !ok {
 		return false
 	}
-	backUp(path, r)
+	t.backUp(path, r)
 	return true
 }
 
@@ -760,12 +832,13 @@ func (t *Tree) SampleBatch(ctx context.Context, n int) (int, error) {
 // below any visited child; among equally unvisited children the first is
 // returned.
 func (t *Tree) BestChild() *Node {
-	if t.root.IsLeaf() {
+	root := t.node(t.root)
+	if root.IsLeaf() {
 		return nil
 	}
 	var best *Node
 	var bestScore float64
-	t.Kids(t.root, func(c *Node) {
+	t.Kids(root, func(c *Node) {
 		if c.Visits > 0 {
 			if score := c.MeanReward(); best == nil || score > bestScore {
 				best = c
@@ -774,7 +847,8 @@ func (t *Tree) BestChild() *Node {
 		}
 	})
 	if best == nil {
-		return t.child(t.root, selectBit(t.root.fan.valid(), 0))
+		_, c := t.child(root, t.root, selectBit(t.valid(root.fan), 0))
+		return c
 	}
 	return best
 }
@@ -782,20 +856,24 @@ func (t *Tree) BestChild() *Node {
 // Terminal reports whether no fragment can follow the current root's
 // speech, enumerating its children if no sample has yet.
 func (t *Tree) Terminal() bool {
-	if !t.root.expanded {
-		t.expand(t.root)
+	root := t.node(t.root)
+	if root.fan == 0 {
+		t.expand(root)
 	}
-	return t.root.fan == nil
+	return root.fan < 0
 }
 
 // Advance makes child the new root, retaining its subtree statistics so
 // planning never restarts from scratch (the paper's root-reuse).
 // It panics if child is not a child of the current root.
 func (t *Tree) Advance(child *Node) {
-	if child.Parent != t.root {
-		panic("mcts: Advance target is not a child of the root")
+	if child.parent == t.root {
+		if id := t.kid(t.node(t.root).fan, int(child.ord)); id != 0 && t.node(id) == child {
+			t.root = id
+			return
+		}
 	}
-	t.root = child
+	panic("mcts: Advance target is not a child of the root")
 }
 
 // Depth returns the height of the tree below the current root (leaf speech
@@ -804,7 +882,7 @@ func (t *Tree) Advance(child *Node) {
 func (t *Tree) Depth() int {
 	var walk func(n *Node) int
 	walk = func(n *Node) int {
-		if n.fan == nil {
+		if n.fan <= 0 {
 			return 0
 		}
 		max := 1
@@ -815,5 +893,5 @@ func (t *Tree) Depth() int {
 		})
 		return max
 	}
-	return walk(t.root)
+	return walk(t.node(t.root))
 }

@@ -100,7 +100,7 @@ func TestTreeStructure(t *testing.T) {
 		if tree.Speech(c).Baseline == nil {
 			t.Error("first level should set baselines")
 		}
-		if c.Parent != root {
+		if tree.node(c.parent) != root {
 			t.Error("parent link broken")
 		}
 	}
@@ -329,22 +329,22 @@ func TestTerminal(t *testing.T) {
 	}
 	base := tree.BestChild() // no visits yet: the first baseline, not expanded under a cap of 1
 	tree.Advance(base)
-	if base.expanded || tree.NumChildren(base) != 0 {
+	if base.fan != 0 || tree.NumChildren(base) != 0 {
 		t.Fatal("a cap of 1 should leave the baselines unexpanded")
 	}
 	if tree.Terminal() {
 		t.Fatal("a baseline that refinements can follow is terminal")
 	}
-	if !base.expanded || tree.NumChildren(base) == 0 {
+	if base.fan <= 0 || tree.NumChildren(base) == 0 {
 		t.Fatal("Terminal did not enumerate the children of an unexpanded root")
 	}
 	last := tree.BestChild()
 	tree.Advance(last)
-	fans, nodes := len(tree.fans), tree.NodeCount()
+	fans, nodes := tree.nextFan, tree.NodeCount()
 	if !tree.Terminal() {
 		t.Fatal("a root at the fragment limit is not terminal")
 	}
-	if last.fan != nil || len(tree.fans) != fans || tree.NodeCount() != nodes || tree.BestChild() != nil {
+	if last.fan != noFan || tree.nextFan != fans || tree.NodeCount() != nodes || tree.BestChild() != nil {
 		t.Fatal("a terminal root was given a fan-out")
 	}
 }
