@@ -11,7 +11,6 @@ package repro_bench
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -452,118 +451,6 @@ func BenchmarkExactEvaluate(b *testing.B) {
 		if _, err := olap.EvaluateSpace(e.space); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Vectorized row pipeline ---
-
-// BenchmarkClassifyRow measures dense per-row classification (array loads
-// into the precompiled position tables) against the batch variant.
-func BenchmarkClassifyRow(b *testing.B) {
-	e := microSetup(b)
-	n := e.space.Dataset().Table().NumRows()
-	start := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.space.ClassifyRow(i % n)
-	}
-	b.StopTimer()
-	if d := time.Since(start).Seconds(); d > 0 {
-		b.ReportMetric(float64(b.N)/d, "rows/s")
-	}
-}
-
-// BenchmarkClassifyRange measures the batch classifier the parallel scan
-// and InsertBatch run on.
-func BenchmarkClassifyRange(b *testing.B) {
-	e := microSetup(b)
-	n := e.space.Dataset().Table().NumRows()
-	idxs := make([]int32, n)
-	start := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.space.ClassifyRange(0, n, idxs)
-	}
-	b.StopTimer()
-	if d := time.Since(start).Seconds(); d > 0 {
-		b.ReportMetric(float64(b.N)*float64(n)/d, "rows/s")
-	}
-}
-
-// BenchmarkInsertBatch measures batched cache insertion — the sampling
-// pipeline's per-row cost with classification amortized over a batch.
-func BenchmarkInsertBatch(b *testing.B) {
-	e := microSetup(b)
-	cache, err := sampling.NewCache(e.space)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := e.space.Dataset().Table().NumRows()
-	const batchLen = 1024
-	rows := make([]int, batchLen)
-	start := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := (i * batchLen) % n
-		for j := range rows {
-			rows[j] = (base + j) % n
-		}
-		cache.InsertBatch(rows)
-	}
-	b.StopTimer()
-	if d := time.Since(start).Seconds(); d > 0 {
-		b.ReportMetric(float64(b.N)*batchLen/d, "rows/s")
-	}
-}
-
-// BenchmarkEvaluateParallel measures the multicore exact scan against the
-// sequential reference, reporting rows/s and the speedup. On a multicore
-// machine (4+ cores) the speedup should exceed 3x at benchRows scale; on a
-// single core the parallel path degenerates to the sequential one.
-func BenchmarkEvaluateParallel(b *testing.B) {
-	e := microSetup(b)
-	n := e.space.Dataset().Table().NumRows()
-	seqStart := time.Now()
-	const seqReps = 3
-	for i := 0; i < seqReps; i++ {
-		if _, err := olap.EvaluateSpaceSequential(e.space); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seqSec := time.Since(seqStart).Seconds() / seqReps
-	workers := runtime.GOMAXPROCS(0)
-	start := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := olap.EvaluateSpaceWorkers(e.space, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if d := time.Since(start).Seconds(); d > 0 {
-		parSec := d / float64(b.N)
-		b.ReportMetric(float64(n)/parSec, "rows/s")
-		if parSec > 0 && seqSec > 0 {
-			b.ReportMetric(seqSec/parSec, "speedup")
-		}
-	}
-}
-
-// BenchmarkEvaluateSequential is the single-threaded reference scan for
-// the speedup reported by BenchmarkEvaluateParallel.
-func BenchmarkEvaluateSequential(b *testing.B) {
-	e := microSetup(b)
-	n := e.space.Dataset().Table().NumRows()
-	start := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := olap.EvaluateSpaceSequential(e.space); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if d := time.Since(start).Seconds(); d > 0 {
-		b.ReportMetric(float64(b.N)*float64(n)/d, "rows/s")
 	}
 }
 

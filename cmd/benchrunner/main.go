@@ -3,10 +3,8 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling|scaling|planner]
+//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling]
 //	            [-flight-rows N] [-sessions N] [-seed S]
-//	            [-planner-rounds N]  (planner)
-//	            [-bench-out FILE]  (planner, scaling)
 //
 // Pass -flight-rows 5300000 for paper-scale runs (slower; the default
 // 200000 preserves the published shapes at a fraction of the time).
@@ -15,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -30,64 +27,11 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling, scaling, planner)")
+	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling)")
 	flightRows := flag.Int("flight-rows", experiments.DefaultBenchFlightRows, "flight dataset rows (paper: 5300000)")
 	sessions := flag.Int("sessions", 20, "exploratory study sessions per dataset")
 	seed := flag.Int64("seed", 1, "random seed")
-	plannerRounds := flag.Int("planner-rounds", 0, "planner: tree-sampling rounds per measurement (0 = 20000)")
-	benchOut := flag.String("bench-out", "", "planner/scaling: machine-readable output file (default BENCH_<exp>.json, \"-\" to skip)")
 	flag.Parse()
-
-	// writeBench persists a machine-readable result to the per-experiment
-	// default file, an explicit override, or nowhere ("-").
-	writeBench := func(def string, write func(w io.Writer) error) error {
-		out := *benchOut
-		if out == "" {
-			out = def
-		}
-		if out == "-" {
-			return nil
-		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-		return nil
-	}
-
-	// The multicore scaling sweep owns its dataset and changes GOMAXPROCS
-	// per column, so it runs alone, before the shared setup.
-	if *exp == "scaling" {
-		res, err := experiments.ScalingSweep(experiments.ScalingConfig{
-			Rows: *flightRows, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintScalingSweep(os.Stdout, res)
-		return writeBench("BENCH_scaling.json", res.WriteJSON)
-	}
-
-	// The planner experiment likewise owns its dataset and skips the
-	// shared setup.
-	if *exp == "planner" {
-		res, err := experiments.Planner(experiments.PlannerConfig{
-			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintPlanner(os.Stdout, res)
-		return writeBench("BENCH_planner.json", res.WriteJSON)
-	}
 
 	fmt.Printf("generating datasets (flights: %d rows)...\n", *flightRows)
 	setup, err := experiments.NewSetup(*flightRows, *seed)
@@ -217,7 +161,7 @@ func run() error {
 		fmt.Fprintln(w)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling scaling planner",
+		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling",
 			strings.TrimSpace(*exp))
 	}
 	return nil

@@ -15,7 +15,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/nlq"
-	"repro/internal/speech"
+	"repro/internal/olap"
 	"repro/internal/web"
 )
 
@@ -123,12 +123,12 @@ func (p *ServerPool) boot(key profileKey) (*poolServer, error) {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = p.cfg.RequestTimeout
 	}
-	srv, err := web.NewServerWith(cfg, opts,
-		web.DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
-			MeasureDesc: "average cancellation probability", Format: speech.PercentFormat},
-		web.DatasetInfo{Name: "salaries", Dataset: salaries, MeasureCol: "midCareerSalary",
-			MeasureDesc: "average mid-career salary", Format: speech.ThousandsFormat},
-	)
+	info := func(name string, d *olap.Dataset) web.DatasetInfo {
+		prof := profiles[name]
+		return web.DatasetInfo{Name: name, Dataset: d, MeasureCol: prof.col,
+			MeasureDesc: prof.desc, Format: prof.format}
+	}
+	srv, err := web.NewServerWith(cfg, opts, info("flights", flights), info("salaries", salaries))
 	if err != nil {
 		return nil, err
 	}

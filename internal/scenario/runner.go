@@ -22,7 +22,8 @@ type datasetProfile struct {
 	format    speech.ValueFormat
 }
 
-// profiles mirrors the live server's dataset registrations.
+// profiles mirrors the live server's dataset registrations; Run speaks with
+// it and ServerPool.boot registers from it.
 var profiles = map[string]datasetProfile{
 	"flights":  {col: "cancelled", desc: "average cancellation probability", format: speech.PercentFormat},
 	"salaries": {col: "midCareerSalary", desc: "average mid-career salary", format: speech.ThousandsFormat},
@@ -126,8 +127,13 @@ func (r *Result) Passed() bool { return len(r.Violations) == 0 }
 // Run executes a spec in-process: real nlq sessions and vocalizers, no
 // HTTP. Parallel > 1 runs that many independent sessions concurrently over
 // the shared dataset (the race detector then covers the planner and scan
-// paths under contention). Checks that need structured output — tendency,
-// bounds, warnings — run here and only here.
+// paths under contention).
+//
+// Run stays beside RunLive because it checks what an HTTP reply cannot
+// show: the tendency rate over tendencySeeds planner seeds, spoken bounds
+// and the low-confidence warning (Uncertainty), MinRefinements, staged/live
+// Clone isolation on every step, and the spec's Planner overrides, which
+// the pool's servers ignore (they all serve core.Config{Seed}).
 func Run(ctx context.Context, s *Spec) (*Result, error) {
 	d, err := dataset(s.Dataset)
 	if err != nil {
