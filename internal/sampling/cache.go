@@ -216,8 +216,9 @@ func (c *Cache) InsertBatch(rows []int) {
 // the measure gather take their misses one column after another, about
 // 200 ns each at 5.3 M rows; issued together here they overlap. The pass is
 // not free where there is nothing to overlap: a sequential drain of the
-// table (experiments/planner.go) pays about a tenth more per row for it,
-// 14-15.6 ns against 12.5-14.3 (EXPERIMENTS.md, "Blocks, not rows").
+// table (the "sequential" leg of internal/table's BenchmarkSamplerReadRows)
+// pays about a tenth more per row for it, 14-15.6 ns against 12.5-14.3
+// (EXPERIMENTS.md, "Blocks, not rows").
 func (c *Cache) touch(rows []int) {
 	lo, hi := c.space.RowBounds()
 	c.lines = c.lines[:0]

@@ -39,7 +39,7 @@ func (vs *violations) addf(check, format string, args ...any) {
 // validSpeechText checks an answer's text against the grammar of the
 // vocalizer that served it: holistic answers must parse under the speech
 // grammar; the prior baseline's enumeration just needs well-formed
-// sentences (the same contract cmd/loadgen asserts under chaos).
+// sentences (the same contract internal/web's chaos test asserts).
 func validSpeechText(text, servedBy string) bool {
 	if servedBy == "prior" {
 		t := strings.TrimSpace(text)

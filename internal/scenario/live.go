@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/faults"
-	"repro/internal/nlq"
 	"repro/internal/olap"
 	"repro/internal/web"
 )
@@ -22,17 +21,6 @@ import (
 // statusClientClosedRequest is nginx's 499, which the server uses for
 // requests whose client hung up while queued.
 const statusClientClosedRequest = 499
-
-// PoolConfig sizes the in-process live servers the pool boots.
-type PoolConfig struct {
-	// FlightRows sizes the flights dataset (zero selects 5000).
-	FlightRows int
-	// Seed drives dataset generation and the planner.
-	Seed int64
-	// RequestTimeout is the default per-request deadline for specs that
-	// do not pin a StepTimeout (zero selects 10s).
-	RequestTimeout time.Duration
-}
 
 // profileKey identifies a live-server configuration. Specs sharing a key
 // share one server; the zero key is the clean default profile.
@@ -46,11 +34,9 @@ type profileKey struct {
 // for Reload steps, which swap datasets (and bump cache epochs) without
 // going through HTTP.
 type poolServer struct {
-	base     string
-	injector *faults.Injector
-	web      *web.Server
-	hs       *http.Server
-	ln       net.Listener
+	base string
+	web  *web.Server
+	hs   *http.Server
 }
 
 // ServerPool boots one in-process voice-OLAP server per distinct scenario
@@ -59,69 +45,59 @@ type poolServer struct {
 // servers across specs with equal profiles. Datasets are shared through
 // the package cache.
 type ServerPool struct {
-	cfg     PoolConfig
 	mu      sync.Mutex
 	servers map[profileKey]*poolServer
 }
 
 // NewServerPool returns an empty pool.
-func NewServerPool(cfg PoolConfig) *ServerPool {
-	if cfg.FlightRows <= 0 {
-		cfg.FlightRows = 5000
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
-	return &ServerPool{cfg: cfg, servers: make(map[profileKey]*poolServer)}
+func NewServerPool() *ServerPool {
+	return &ServerPool{servers: make(map[profileKey]*poolServer)}
 }
 
-// Server returns the base URL of a server matching the spec's profile,
-// booting it on first use.
-func (p *ServerPool) Server(s *Spec) (string, error) {
+// server returns the server matching the spec's profile, booting it on
+// first use.
+func (p *ServerPool) server(s *Spec) (*poolServer, error) {
 	key := profileKey{faults: s.Faults, timeout: s.StepTimeout, live: s.Live}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if srv, ok := p.servers[key]; ok {
-		return srv.base, nil
+		return srv, nil
 	}
-	srv, err := p.boot(key)
-	if err != nil {
-		return "", err
-	}
-	p.servers[key] = srv
-	return srv.base, nil
-}
-
-// boot builds the datasets and serves the web API on a loopback listener.
-func (p *ServerPool) boot(key profileKey) (*poolServer, error) {
-	flights, err := dataset(DatasetSpec{Name: "flights", Rows: p.cfg.FlightRows, Seed: p.cfg.Seed})
+	srv, err := boot(key)
 	if err != nil {
 		return nil, err
 	}
-	salaries, err := dataset(DatasetSpec{Name: "salaries", Seed: p.cfg.Seed + 1})
+	p.servers[key] = srv
+	return srv, nil
+}
+
+// boot builds the datasets and serves the web API on a loopback listener.
+func boot(key profileKey) (*poolServer, error) {
+	// The specs' own datasets, so the in-process runner and the live one
+	// share the cached tables.
+	flights, err := dataset(flights5k)
+	if err != nil {
+		return nil, err
+	}
+	salaries, err := dataset(salariesStd)
 	if err != nil {
 		return nil, err
 	}
 	// Clock stays nil: the server gives every request its own simulated
 	// clock, so concurrent vocalizations never share timing state.
-	cfg := core.Config{Seed: p.cfg.Seed}
-	ps := &poolServer{}
+	cfg := core.Config{Seed: 1}
 	if key.faults.Enabled() {
-		ps.injector = faults.NewInjector(key.faults)
-		cfg.Scanner = ps.injector.Scanner
+		cfg.Scanner = faults.NewInjector(key.faults).Scanner
 	}
 	opts := web.Options{
 		RequestTimeout:  key.timeout,
 		MaxConcurrent:   key.live.MaxConcurrent,
 		QueueDepth:      key.live.QueueDepth,
 		SemCacheEntries: key.live.SemCacheEntries,
-		Logf:            func(string, ...any) {}, // scenario noise stays out of reports
+		Logf:            func(string, ...any) {}, // scenario noise stays out of test output
 	}
 	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = p.cfg.RequestTimeout
+		opts.RequestTimeout = 10 * time.Second // specs that pin no StepTimeout
 	}
 	info := func(name string, d *olap.Dataset) web.DatasetInfo {
 		prof := profiles[name]
@@ -136,70 +112,37 @@ func (p *ServerPool) boot(key profileKey) (*poolServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps.web = srv
-	ps.ln = ln
-	ps.hs = &http.Server{Handler: srv.Handler()}
+	ps := &poolServer{base: "http://" + ln.Addr().String(), web: srv, hs: &http.Server{Handler: srv.Handler()}}
 	go ps.hs.Serve(ln)
-	ps.base = "http://" + ln.Addr().String()
 	return ps, nil
 }
 
-// Reloader swaps a dataset on the serving side mid-scenario, bumping the
-// server's cache epoch. The pool implements it for in-process servers;
-// external targets cannot be reloaded, which is one reason reload specs
-// are live-tuned and skipped in -target mode.
-type Reloader interface {
-	Reload(s *Spec, ds DatasetSpec) error
-}
-
-// Ingester appends a generated batch to the spec's dataset through the
-// serving side's streaming path. The pool implements it; runners discover
-// it on their Reloader via type assertion, so external targets (which
-// support neither) keep working unchanged.
-type Ingester interface {
-	Ingest(s *Spec, ing IngestSpec) error
-}
-
-// Reload regenerates ds (through the shared dataset cache) and swaps it
-// into the pooled server serving the spec's profile.
-func (p *ServerPool) Reload(s *Spec, ds DatasetSpec) error {
-	key := profileKey{faults: s.Faults, timeout: s.StepTimeout, live: s.Live}
-	p.mu.Lock()
-	srv, ok := p.servers[key]
-	p.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("no pooled server for %q's profile", s.Name)
-	}
+// reload regenerates ds (through the shared dataset cache) and swaps it
+// into the server, bumping its cache epoch.
+func (ps *poolServer) reload(ds DatasetSpec) error {
 	d, err := dataset(ds)
 	if err != nil {
 		return err
 	}
-	return srv.web.ReloadDataset(ds.Name, d)
+	return ps.web.ReloadDataset(ds.Name, d)
 }
 
-// Ingest ships a generated flights batch to the pooled server serving the
-// spec's profile via its streaming ingest endpoint — the same HTTP path a
-// real feed uses, so epoch bumps and cache purges are exercised for real.
-func (p *ServerPool) Ingest(s *Spec, ing IngestSpec) error {
-	key := profileKey{faults: s.Faults, timeout: s.StepTimeout, live: s.Live}
-	p.mu.Lock()
-	srv, ok := p.servers[key]
-	p.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("no pooled server for %q's profile", s.Name)
-	}
+// ingest ships a generated flights batch to the server's streaming ingest
+// endpoint — the same HTTP path a real feed uses, so epoch bumps and cache
+// purges are exercised for real.
+func (ps *poolServer) ingest(dataset string, ing IngestSpec) error {
 	n := ing.Rows
 	if n <= 0 {
 		n = 50
 	}
 	body, err := json.Marshal(map[string]any{
-		"dataset": s.Dataset.Name,
+		"dataset": dataset,
 		"rows":    datagen.FlightRows(ing.Seed, n),
 	})
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(srv.base+"/api/ingest", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ps.base+"/api/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -209,24 +152,6 @@ func (p *ServerPool) Ingest(s *Spec, ing IngestSpec) error {
 		return fmt.Errorf("ingest status %d: %s", resp.StatusCode, b)
 	}
 	return nil
-}
-
-// InjectorStats sums fault counts over all booted servers.
-func (p *ServerPool) InjectorStats() faults.InjectorStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total faults.InjectorStats
-	for _, srv := range p.servers {
-		if srv.injector == nil {
-			continue
-		}
-		st := srv.injector.Stats()
-		total.Scans += st.Scans
-		total.Slowed += st.Slowed
-		total.Stalled += st.Stalled
-		total.Failed += st.Failed
-	}
-	return total
 }
 
 // Close shuts every booted server down.
@@ -254,97 +179,58 @@ type queryPayload struct {
 	Error     string `json:"error"`
 }
 
-// RunLive executes a spec over HTTP against base. The spec's in-process-
-// only expectations (tendency, bounds, warnings) are skipped — they need
-// the structured planner output — while the admission-layer contracts the
+// RunLive executes a spec over HTTP against the pool's server for the
+// spec's profile and returns its violations. The spec's in-process-only
+// expectations (tendency, bounds, warnings) are skipped — they need the
+// structured planner output — while the admission-layer contracts the
 // in-process runner cannot see (status codes, servedBy, fallback,
-// Retry-After on sheds, semantic-cache replays) are enforced here. runID
-// namespaces sessions so repeated runs against one server never share
-// exploration state. rel executes Reload steps; it may be nil when the
-// spec has none (external targets skip reload specs as live-tuned).
-func RunLive(ctx context.Context, client *http.Client, base string, s *Spec, runID string, rel Reloader) (*Result, error) {
-	workers := s.Parallel
-	if workers < 1 {
-		workers = 1
+// Retry-After on sheds, semantic-cache replays) are enforced here.
+func RunLive(ctx context.Context, client *http.Client, pool *ServerPool, s *Spec) ([]Violation, error) {
+	srv, err := pool.server(s)
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	results := make([]*sessionRun, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w] = runLiveSession(ctx, client, base, s, runID, rel, w)
-		}(w)
-	}
-	wg.Wait()
-	res := &Result{Spec: s, Wall: time.Since(start)}
-	for _, sr := range results {
-		res.Steps = append(res.Steps, sr.steps...)
-		res.Violations = append(res.Violations, sr.violations.list...)
-	}
-	return res, nil
+	return perSession(s, func(worker int) []Violation {
+		return runLiveSession(ctx, client, srv, s, worker)
+	}), nil
 }
 
 // runLiveSession walks one HTTP session through the script.
-func runLiveSession(ctx context.Context, client *http.Client, base string, s *Spec, runID string, rel Reloader, worker int) *sessionRun {
-	sr := &sessionRun{}
-	session := fmt.Sprintf("scn-%s-%s-%d", runID, s.Name, worker)
+func runLiveSession(ctx context.Context, client *http.Client, srv *poolServer, s *Spec, worker int) []Violation {
+	var vs violations
+	session := fmt.Sprintf("scn-%s-%d", s.Name, worker)
 	for i, step := range s.Script {
-		sr.violations.step = i
+		vs.step = i
 		if step.Reload != nil {
-			rec := StepResult{Step: i, Session: worker, Input: "(reload " + step.Reload.Name + ")"}
-			if rel == nil {
-				sr.violations.addf("reload", "scenario swaps a dataset but the runner has no reload control over this server")
-			} else if err := rel.Reload(s, *step.Reload); err != nil {
-				sr.violations.addf("reload", "reload %s: %v", step.Reload.Name, err)
+			if err := srv.reload(*step.Reload); err != nil {
+				vs.addf("reload", "reload %s: %v", step.Reload.Name, err)
 			}
-			sr.steps = append(sr.steps, rec)
 			continue
 		}
 		if step.Ingest != nil {
-			rec := StepResult{Step: i, Session: worker, Input: "(ingest " + s.Dataset.Name + ")"}
-			if ing, ok := rel.(Ingester); !ok {
-				sr.violations.addf("ingest", "scenario appends rows but the runner has no ingest control over this server")
-			} else if err := ing.Ingest(s, *step.Ingest); err != nil {
-				sr.violations.addf("ingest", "ingest %s: %v", s.Dataset.Name, err)
+			if err := srv.ingest(s.Dataset.Name, *step.Ingest); err != nil {
+				vs.addf("ingest", "ingest %s: %v", s.Dataset.Name, err)
 			}
-			sr.steps = append(sr.steps, rec)
 			continue
 		}
-		input := step.Input
-		if c := step.Corrupt; c != nil {
-			input = nlq.NewCorrupter(nlq.CorruptConfig{
-				Seed: c.Seed + int64(worker), Rate: c.Rate, Homophones: c.Homophones,
-			}).Corrupt(input)
-		}
-		method := step.Method
-		if method == "" {
-			method = "this"
-		}
-		rec := StepResult{Step: i, Session: worker, Input: input}
-		callStart := time.Now()
-		code, hdr, payload, err := postQuery(ctx, client, base, session, s.Dataset.Name, input, method)
-		rec.Latency = time.Since(callStart)
+		input, method := step.input(worker), step.method()
+		code, hdr, payload, err := postQuery(ctx, client, srv.base, session, s.Dataset.Name, input, method)
 		if err != nil {
-			sr.violations.addf("transport", "step %q: %v", input, err)
-			sr.steps = append(sr.steps, rec)
+			vs.addf("transport", "step %q: %v", input, err)
 			continue
 		}
-		sr.checkLiveStep(s, step, method, code, hdr, payload, &rec)
-		sr.steps = append(sr.steps, rec)
+		vs.checkLiveStep(s, step, input, method, code, hdr, payload)
 	}
-	return sr
+	return vs.list
 }
 
 // checkLiveStep applies the live-transport expectations to one response.
-func (sr *sessionRun) checkLiveStep(s *Spec, step Step, method string, code int, hdr http.Header, payload queryPayload, rec *StepResult) {
-	vs := &sr.violations
+func (vs *violations) checkLiveStep(s *Spec, step Step, input, method string, code int, hdr http.Header, payload queryPayload) {
 	e := step.Expect
 
 	if e.ParseError {
 		if code != http.StatusUnprocessableEntity {
-			vs.addf("status", "input %q: status %d, want 422 for a parse error", rec.Input, code)
+			vs.addf("status", "input %q: status %d, want 422 for a parse error", input, code)
 		}
 		return
 	}
@@ -353,36 +239,30 @@ func (sr *sessionRun) checkLiveStep(s *Spec, step Step, method string, code int,
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		// A clean shed: acceptable only in overload scenarios, and only
 		// with the Retry-After hint the admission layer promises.
-		rec.Shed = true
 		if !s.Live.AllowShed {
-			vs.addf("status", "input %q: shed with %d but the scenario does not allow sheds", rec.Input, code)
+			vs.addf("status", "input %q: shed with %d but the scenario does not allow sheds", input, code)
 		}
 		if hdr.Get("Retry-After") == "" {
-			vs.addf("status", "input %q: shed with %d but no Retry-After header", rec.Input, code)
+			vs.addf("status", "input %q: shed with %d but no Retry-After header", input, code)
 		}
 		return
 	case statusClientClosedRequest, http.StatusRequestTimeout:
-		vs.addf("status", "input %q: status %d (client gave up) — raise the client timeout", rec.Input, code)
+		vs.addf("status", "input %q: status %d (client gave up) — raise the client timeout", input, code)
 		return
 	default:
-		vs.addf("status", "input %q: unexpected status %d (%s)", rec.Input, code, payload.Error)
+		vs.addf("status", "input %q: unexpected status %d (%s)", input, code, payload.Error)
 		return
 	}
 
-	rec.Action = payload.Action
 	if e.Action != "" && payload.Action != e.Action {
-		vs.addf("action", "input %q: action %q, want %q", rec.Input, payload.Action, e.Action)
+		vs.addf("action", "input %q: action %q, want %q", input, payload.Action, e.Action)
 	}
 	if !e.Speech {
 		return
 	}
-	rec.Spoke = payload.Speech != ""
-	rec.Degraded = payload.Degraded
-	rec.ServedBy = payload.ServedBy
-	rec.Fallback = payload.Fallback
 
 	if e.ServedBy != "" && payload.ServedBy != e.ServedBy {
-		vs.addf("servedBy", "input %q: served by %q, want %q", rec.Input, payload.ServedBy, e.ServedBy)
+		vs.addf("servedBy", "input %q: served by %q, want %q", input, payload.ServedBy, e.ServedBy)
 	}
 	// Freshness: the answer must have been computed at (or after) the
 	// epoch the script's earlier Ingest/Reload steps established — a lower
@@ -390,7 +270,7 @@ func (sr *sessionRun) checkLiveStep(s *Spec, step Step, method string, code int,
 	// answer (epoch moved mid-answer) is not a replay and stays legal.
 	if e.MinEpoch > 0 && payload.DataEpoch < e.MinEpoch && !payload.Stale {
 		vs.addf("freshness", "input %q: answer computed at data epoch %d, want >= %d",
-			rec.Input, payload.DataEpoch, e.MinEpoch)
+			input, payload.DataEpoch, e.MinEpoch)
 	}
 
 	// Admission-layer contracts: servedBy names a real vocalizer or the
@@ -403,36 +283,36 @@ func (sr *sessionRun) checkLiveStep(s *Spec, step Step, method string, code int,
 	switch payload.ServedBy {
 	case "this", "prior":
 		if payload.Cache != "" {
-			vs.addf("cache", "input %q: servedBy %q with cache tag %q", rec.Input, payload.ServedBy, payload.Cache)
+			vs.addf("cache", "input %q: servedBy %q with cache tag %q", input, payload.ServedBy, payload.Cache)
 		}
 		if payload.Fallback != "" && !(method == "this" && payload.ServedBy == "prior") {
 			vs.addf("fallback", "input %q: fallback %q with method %q served by %q",
-				rec.Input, payload.Fallback, method, payload.ServedBy)
+				input, payload.Fallback, method, payload.ServedBy)
 		}
 		if payload.Fallback == "" && payload.ServedBy != method {
-			vs.addf("fallback", "input %q: served by %q without a fallback reason", rec.Input, payload.ServedBy)
+			vs.addf("fallback", "input %q: served by %q without a fallback reason", input, payload.ServedBy)
 		}
 	case "cache":
 		vocalizer = payload.Origin
 		if payload.Origin != "this" && payload.Origin != "prior" {
-			vs.addf("cache", "input %q: cache replay with origin %q", rec.Input, payload.Origin)
+			vs.addf("cache", "input %q: cache replay with origin %q", input, payload.Origin)
 		}
 		if payload.Cache != "hit" && payload.Cache != "coalesced" {
-			vs.addf("cache", "input %q: cache replay with cache tag %q", rec.Input, payload.Cache)
+			vs.addf("cache", "input %q: cache replay with cache tag %q", input, payload.Cache)
 		}
 		if payload.Degraded {
-			vs.addf("cache", "input %q: a degraded answer was served from the cache", rec.Input)
+			vs.addf("cache", "input %q: a degraded answer was served from the cache", input)
 		}
 		if payload.Fallback != "" {
-			vs.addf("cache", "input %q: cache replay carries fallback %q", rec.Input, payload.Fallback)
+			vs.addf("cache", "input %q: cache replay carries fallback %q", input, payload.Fallback)
 		}
 	default:
-		vs.addf("servedBy", "input %q: servedBy %q", rec.Input, payload.ServedBy)
+		vs.addf("servedBy", "input %q: servedBy %q", input, payload.ServedBy)
 	}
 	switch payload.Fallback {
 	case "", "brownout", "breaker":
 	default:
-		vs.addf("fallback", "input %q: unknown fallback %q", rec.Input, payload.Fallback)
+		vs.addf("fallback", "input %q: unknown fallback %q", input, payload.Fallback)
 	}
 	vs.checkSpeechText(payload.Speech, vocalizer, e)
 	vs.checkDegraded(payload.Degraded, e)

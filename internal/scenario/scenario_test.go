@@ -19,11 +19,11 @@ func TestRegistryCoverage(t *testing.T) {
 	}
 	classes := map[string]int{}
 	for _, s := range specs {
-		classes[s.Class()]++
+		classes[s.Class]++
 	}
 	for _, class := range []string{
-		scenario.AttrNominal, scenario.AttrASR, scenario.AttrMultiTurn, scenario.AttrFault,
-		scenario.AttrCache,
+		scenario.ClassNominal, scenario.ClassASR, scenario.ClassMultiTurn, scenario.ClassFault,
+		scenario.ClassCache,
 	} {
 		if classes[class] == 0 {
 			t.Errorf("no scenario in required class %q (have %v)", class, classes)
@@ -42,16 +42,12 @@ func TestScenariosInProcess(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := scenario.Run(context.Background(), spec)
+			violations, err := scenario.Run(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			for _, v := range res.Violations {
+			for _, v := range violations {
 				t.Error(v.String())
-			}
-			rep := scenario.Summarize(res)
-			if rep.Pass != res.Passed() {
-				t.Error("report pass flag disagrees with the result")
 			}
 		})
 	}
@@ -59,27 +55,24 @@ func TestScenariosInProcess(t *testing.T) {
 
 // TestScenariosLive executes every registered scenario through the live
 // runner against pooled in-process servers — the same specs, now checking
-// the HTTP admission contracts. Skipped in -short mode: the fault profiles
-// sleep real milliseconds per row.
+// the HTTP admission contracts. It is the live runner's only driver.
+// Skipped in -short mode: the fault profiles sleep real milliseconds per
+// row.
 func TestScenariosLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live scenario pool skipped in -short mode")
 	}
-	pool := scenario.NewServerPool(scenario.PoolConfig{FlightRows: 5000, Seed: 1})
+	pool := scenario.NewServerPool()
 	defer pool.Close()
 	client := &http.Client{Timeout: 30 * time.Second}
 	for _, spec := range scenario.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			base, err := pool.Server(spec)
-			if err != nil {
-				t.Fatalf("pool: %v", err)
-			}
-			res, err := scenario.RunLive(context.Background(), client, base, spec, "test", pool)
+			violations, err := scenario.RunLive(context.Background(), client, pool, spec)
 			if err != nil {
 				t.Fatalf("run live: %v", err)
 			}
-			for _, v := range res.Violations {
+			for _, v := range violations {
 				t.Error(v.String())
 			}
 		})

@@ -5,9 +5,9 @@
 // same spec. The in-process runner (see Run) drives nlq sessions and the
 // core vocalizers directly and is what `go test ./internal/scenario/...`
 // executes, race-detector clean and in parallel. The live runner (see
-// RunLive and cmd/scenarios) drives the identical specs over HTTP against
-// a voiceolapd-style server and additionally checks the admission layer's
-// servedBy/fallback/status-code contracts.
+// RunLive, driven by TestScenariosLive) runs the identical specs over HTTP
+// against in-process voiceolapd-style servers and additionally checks the
+// admission layer's servedBy/fallback/status-code contracts.
 //
 // The registry converts the paper's implicit correctness knowledge —
 // grammar-valid speech, truthful refinement tendencies, confidence-
@@ -26,33 +26,27 @@ import (
 	"repro/internal/faults"
 )
 
-// Well-known Attrs tags. Every spec carries exactly one class tag plus any
-// number of free-form tags; runners and CI filter on them.
+// Scenario classes; every spec belongs to exactly one.
 const (
-	// AttrNominal marks clean-path workloads ported from examples/.
-	AttrNominal = "nominal"
-	// AttrASR marks scripts with injected speech-recognition noise.
-	AttrASR = "asr"
-	// AttrMultiTurn marks anaphora-heavy multi-turn scripts.
-	AttrMultiTurn = "multiturn"
-	// AttrFault marks scripts run against injected storage faults.
-	AttrFault = "fault"
-	// AttrOverload marks concurrent scripts that probe admission control.
-	AttrOverload = "overload"
-	// AttrUncertainty marks scripts checking the Section 4.4 extension.
-	AttrUncertainty = "uncertainty"
-	// AttrCache marks scripts that probe the semantic answer cache's
+	// ClassNominal marks clean-path workloads ported from examples/.
+	ClassNominal = "nominal"
+	// ClassASR marks scripts with injected speech-recognition noise.
+	ClassASR = "asr"
+	// ClassMultiTurn marks anaphora-heavy multi-turn scripts.
+	ClassMultiTurn = "multiturn"
+	// ClassFault marks scripts run against injected storage faults.
+	ClassFault = "fault"
+	// ClassOverload marks concurrent scripts that probe admission control.
+	ClassOverload = "overload"
+	// ClassUncertainty marks scripts checking the Section 4.4 extension.
+	ClassUncertainty = "uncertainty"
+	// ClassCache marks scripts that probe the semantic answer cache's
 	// serving contract (replays, epoch invalidation, degraded exclusion).
-	AttrCache = "cache"
-	// AttrStream marks scripts that append rows mid-conversation and
+	ClassCache = "cache"
+	// ClassStream marks scripts that append rows mid-conversation and
 	// check the freshness contract (epoch bumps, windowed scopes, zero
 	// stale cache replays).
-	AttrStream = "stream"
-	// AttrLiveTuned marks specs whose expectations depend on the live
-	// server profile (timeouts, queue depths, injected faults). The live
-	// runner skips them in -target mode, where it cannot control the
-	// server's configuration.
-	AttrLiveTuned = "live-tuned"
+	ClassStream = "stream"
 )
 
 // DatasetSpec selects and sizes the generated dataset a scenario runs on.
@@ -85,10 +79,8 @@ type PlannerSpec struct {
 	WarnRelativeWidth float64
 }
 
-// LiveSpec tunes the live server profile a scenario needs. Specs with a
-// non-zero LiveSpec must also carry AttrLiveTuned: the live runner boots a
-// dedicated server with these options, and skips the spec when pointed at
-// an externally managed server.
+// LiveSpec tunes the live server profile a scenario needs: the live runner
+// boots a dedicated server with these options.
 type LiveSpec struct {
 	// MaxConcurrent bounds vocalization slots (zero keeps the default).
 	MaxConcurrent int
@@ -194,10 +186,10 @@ type Step struct {
 type Spec struct {
 	// Name uniquely identifies the scenario ("nominal/regions-seasons").
 	Name string
-	// Desc says what the scenario proves, for humans and reports.
+	// Desc says what the scenario proves, for humans.
 	Desc string
-	// Attrs tag the scenario for filtering; the first entry is the class.
-	Attrs []string
+	// Class is the scenario's workload class (one of the Class constants).
+	Class string
 	// Dataset selects the generated dataset.
 	Dataset DatasetSpec
 	// Planner overrides in-process planner knobs.
@@ -215,31 +207,6 @@ type Spec struct {
 	Parallel int
 	// Script is the utterance sequence every session walks through.
 	Script []Step
-}
-
-// Class returns the scenario's class tag (the first attribute).
-func (s *Spec) Class() string {
-	if len(s.Attrs) == 0 {
-		return ""
-	}
-	return s.Attrs[0]
-}
-
-// HasAttr reports whether the spec carries the tag.
-func (s *Spec) HasAttr(tag string) bool {
-	for _, a := range s.Attrs {
-		if a == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// LiveTuned reports whether the spec depends on a controlled server
-// profile and must be skipped against external targets.
-func (s *Spec) LiveTuned() bool {
-	return s.HasAttr(AttrLiveTuned) || s.Faults.Enabled() ||
-		s.Live != (LiveSpec{}) || s.StepTimeout != 0 || s.mutatesServer()
 }
 
 // mutatesServer reports whether any step swaps or appends to a dataset
@@ -283,8 +250,8 @@ func (s *Spec) validate() error {
 	if s.Desc == "" {
 		return fmt.Errorf("desc required")
 	}
-	if len(s.Attrs) == 0 {
-		return fmt.Errorf("at least one attr (the class) required")
+	if s.Class == "" {
+		return fmt.Errorf("class required")
 	}
 	switch s.Dataset.Name {
 	case "flights", "salaries":
@@ -351,9 +318,6 @@ func (s *Spec) validate() error {
 			// later spec.
 			return fmt.Errorf("reload/ingest steps require a dedicated live profile (non-zero Live)")
 		}
-	}
-	if s.LiveTuned() && !s.HasAttr(AttrLiveTuned) {
-		return fmt.Errorf("faults/live/timeout profile requires the %q attr", AttrLiveTuned)
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ func init() {
 	Register(&Spec{
 		Name:    "nominal/flights-region-season",
 		Desc:    "The paper's flagship query speaks a grammar-valid answer whose refinement tendencies match the exact result (examples/quickstart, examples/flights).",
-		Attrs:   []string{AttrNominal},
+		Class:   ClassNominal,
 		Dataset: flights5k,
 		Script: []Step{{
 			Input: "how does cancellation depend on region and season",
@@ -38,7 +38,7 @@ func init() {
 	Register(&Spec{
 		Name:    "nominal/salaries-exploration",
 		Desc:    "Drill-down and roll-up over the college-salary dataset keep every answer in-grammar (examples/exploration).",
-		Attrs:   []string{AttrNominal},
+		Class:   ClassNominal,
 		Dataset: salariesStd,
 		Script: []Step{
 			{Input: "drill down", Expect: Expect{Action: "drill down", Speech: true, Tendency: true}},
@@ -50,7 +50,7 @@ func init() {
 	Register(&Spec{
 		Name:    "nominal/prior-baseline",
 		Desc:    "The prior enumeration baseline answers the flagship query with well-formed sentences (the study's second arm).",
-		Attrs:   []string{AttrNominal},
+		Class:   ClassNominal,
 		Dataset: flights5k,
 		Script: []Step{{
 			Input:  "how does cancellation depend on region and season",
@@ -62,7 +62,7 @@ func init() {
 	Register(&Spec{
 		Name:    "nominal/navigation-and-help",
 		Desc:    "Navigation commands behave: undo with no history is a clean rejection, help lists the vocabulary, reset restores the initial breakdown.",
-		Attrs:   []string{AttrNominal},
+		Class:   ClassNominal,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "back", Expect: Expect{ParseError: true}},
@@ -77,7 +77,7 @@ func init() {
 	Register(&Spec{
 		Name:    "uncertainty/bounds-sane",
 		Desc:    "Bounds mode speaks at least one confidence interval and every bound sentence is well-formed.",
-		Attrs:   []string{AttrUncertainty},
+		Class:   ClassUncertainty,
 		Dataset: flights5k,
 		Planner: PlannerSpec{Uncertainty: core.UncertaintyBounds},
 		Script: []Step{{
@@ -89,7 +89,7 @@ func init() {
 	Register(&Spec{
 		Name:    "uncertainty/warn-when-starved",
 		Desc:    "Warn mode raises the low-confidence warning when sampling is starved against a strict width threshold.",
-		Attrs:   []string{AttrUncertainty},
+		Class:   ClassUncertainty,
 		Dataset: flights5k,
 		Planner: PlannerSpec{
 			Uncertainty: core.UncertaintyWarn,
@@ -107,7 +107,7 @@ func init() {
 	Register(&Spec{
 		Name:    "asr/edit-noise-member-recovers",
 		Desc:    "A member mention with phoneme-level typos still resolves through fuzzy matching and vocalizes (Speech-to-SQL's graceful-recovery workload).",
-		Attrs:   []string{AttrASR},
+		Class:   ClassASR,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "how does cancellation depend on region and season", Expect: Expect{Action: "query"}},
@@ -122,7 +122,7 @@ func init() {
 	Register(&Spec{
 		Name:    "asr/homophone-followup",
 		Desc:    "A homophone-mangled follow-up (\"an four winner\") still narrows the established breakdown to winter.",
-		Attrs:   []string{AttrASR},
+		Class:   ClassASR,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "how does cancellation depend on region and season", Expect: Expect{Action: "query"}},
@@ -137,7 +137,7 @@ func init() {
 	Register(&Spec{
 		Name:    "asr/garbled-rejected",
 		Desc:    "Input beyond fuzzy repair is rejected cleanly (HTTP 422 live), never answered with a made-up query.",
-		Attrs:   []string{AttrASR},
+		Class:   ClassASR,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "xyzzy plugh qwrt", Expect: Expect{ParseError: true}},
@@ -150,7 +150,7 @@ func init() {
 	Register(&Spec{
 		Name:    "multiturn/anaphora-winter",
 		Desc:    "\"And for winter?\" keeps the established region-season breakdown and narrows the scope; a second season replaces the first.",
-		Attrs:   []string{AttrMultiTurn},
+		Class:   ClassMultiTurn,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "how does cancellation depend on region and season", Expect: Expect{Action: "query", Speech: true, Tendency: true}},
@@ -162,7 +162,7 @@ func init() {
 	Register(&Spec{
 		Name:    "multiturn/same-but-carrier",
 		Desc:    "\"Same but by carrier\" adds the airline dimension through the spoken-synonym table; \"drop the carrier\" removes it again.",
-		Attrs:   []string{AttrMultiTurn},
+		Class:   ClassMultiTurn,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "break down by region", Expect: Expect{Action: "query", Speech: true}},
@@ -174,7 +174,7 @@ func init() {
 	Register(&Spec{
 		Name:    "multiturn/undo-reset",
 		Desc:    "The undo stack and reset restore earlier exploration states mid-conversation.",
-		Attrs:   []string{AttrMultiTurn},
+		Class:   ClassMultiTurn,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "break down by season", Expect: Expect{Action: "query"}},
@@ -187,7 +187,7 @@ func init() {
 	Register(&Spec{
 		Name:    "multiturn/aggregate-switch",
 		Desc:    "\"How many flights\" switches the aggregate mid-exploration without dropping the breakdown, and the count answer stays in-grammar.",
-		Attrs:   []string{AttrMultiTurn},
+		Class:   ClassMultiTurn,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "break down by region", Expect: Expect{Action: "query", Speech: true}},
@@ -196,12 +196,12 @@ func init() {
 		},
 	})
 
-	// --- fault: storage faults on the scan path (live-tuned) -----------
+	// --- fault: storage faults on the scan path ------------------------
 
 	Register(&Spec{
 		Name:    "fault/failing-scan-valid-speech",
 		Desc:    "A backend that dies mid-stream on every scan still yields a grammar-valid answer — faults degrade, never error.",
-		Attrs:   []string{AttrFault, AttrLiveTuned},
+		Class:   ClassFault,
 		Dataset: flights5k,
 		Faults:  faults.InjectorOptions{FailEvery: 1, FailAfter: 128},
 		Script: []Step{{
@@ -213,7 +213,7 @@ func init() {
 	Register(&Spec{
 		Name:        "fault/slow-scan-deadline-degrades",
 		Desc:        "A 1 ms/row scan against a 40 ms deadline must mark the answer degraded while keeping it in-grammar (the breaker's blowout signal).",
-		Attrs:       []string{AttrFault, AttrLiveTuned},
+		Class:       ClassFault,
 		Dataset:     flights5k,
 		Faults:      faults.InjectorOptions{SlowEvery: 1, SlowDelay: time.Millisecond},
 		StepTimeout: 40 * time.Millisecond,
@@ -226,7 +226,7 @@ func init() {
 	Register(&Spec{
 		Name:    "fault/stalling-scan-recovers",
 		Desc:    "A scan that hangs and heals (storage hiccup) delays the answer but never wedges or breaks the grammar.",
-		Attrs:   []string{AttrFault, AttrLiveTuned},
+		Class:   ClassFault,
 		Dataset: flights5k,
 		Faults:  faults.InjectorOptions{StallEvery: 1, StallAfter: 32, StallRelease: 100 * time.Millisecond},
 		Script: []Step{{
@@ -240,7 +240,7 @@ func init() {
 	Register(&Spec{
 		Name:    "cache/semantic-hit",
 		Desc:    "An equivalent rephrase of an answered query — dimensions reordered, \"carrier\" for \"airline\" — replays the finished speech from the semantic cache instead of re-running the planner.",
-		Attrs:   []string{AttrCache, AttrLiveTuned},
+		Class:   ClassCache,
 		Dataset: flights5k,
 		Live:    LiveSpec{SemCacheEntries: 64},
 		Script: []Step{
@@ -253,7 +253,7 @@ func init() {
 	Register(&Spec{
 		Name:    "cache/epoch-invalidation",
 		Desc:    "Reloading a dataset bumps its cache epoch: the question that replayed from the cache a step earlier must be recomputed against the new data, never served stale.",
-		Attrs:   []string{AttrCache, AttrLiveTuned},
+		Class:   ClassCache,
 		Dataset: flights5k,
 		Live:    LiveSpec{SemCacheEntries: 128},
 		Script: []Step{
@@ -267,7 +267,7 @@ func init() {
 	Register(&Spec{
 		Name:        "cache/degraded-never-cached",
 		Desc:        "Deadline-degraded answers are never stored: equivalent rephrases after a degraded answer run the vocalizer again (and degrade again) instead of replaying the cut speech.",
-		Attrs:       []string{AttrCache, AttrLiveTuned},
+		Class:       ClassCache,
 		Dataset:     flights5k,
 		Faults:      faults.InjectorOptions{SlowEvery: 1, SlowDelay: time.Millisecond},
 		StepTimeout: 40 * time.Millisecond,
@@ -283,7 +283,7 @@ func init() {
 	Register(&Spec{
 		Name:    "stream/windowed-last-hour",
 		Desc:    "Time-windowed phrasings parse, vocalize in-grammar, and widen back out with \"all time\" — the query scope layer for freshly ingested rows.",
-		Attrs:   []string{AttrStream},
+		Class:   ClassStream,
 		Dataset: flights5k,
 		Script: []Step{
 			{Input: "how does cancellation depend on region in the last hour", Expect: Expect{Action: "query", Speech: true}},
@@ -295,7 +295,7 @@ func init() {
 	Register(&Spec{
 		Name:    "stream/ingest-invalidates-cache",
 		Desc:    "A streaming append between two identical questions makes the cached answer unreachable: the post-ingest ask recomputes at the bumped epoch (never replays stale), and the recomputed answer caches again at the new epoch.",
-		Attrs:   []string{AttrStream, AttrLiveTuned},
+		Class:   ClassStream,
 		Dataset: flights5k,
 		Live:    LiveSpec{SemCacheEntries: 64},
 		Script: []Step{
@@ -310,7 +310,7 @@ func init() {
 	Register(&Spec{
 		Name:    "stream/ingest-under-faults",
 		Desc:    "Appends keep landing while a stalling backend delays every scan: the post-ingest answer is computed at the new epoch and stays in-grammar — streaming degrades with the storage, never errors.",
-		Attrs:   []string{AttrStream, AttrFault, AttrLiveTuned},
+		Class:   ClassStream,
 		Dataset: flights5k,
 		Faults:  faults.InjectorOptions{StallEvery: 1, StallAfter: 32, StallRelease: 100 * time.Millisecond},
 		Live:    LiveSpec{SemCacheEntries: 64},
@@ -326,7 +326,7 @@ func init() {
 	Register(&Spec{
 		Name:     "overload/parallel-sessions-shed-clean",
 		Desc:     "Eight concurrent sessions against two vocalization slots: answers stay in-grammar, refusals are clean 429/503 with Retry-After, and nothing 500s (in-process, the same script races the planner under -race).",
-		Attrs:    []string{AttrOverload, AttrLiveTuned},
+		Class:    ClassOverload,
 		Dataset:  flights5k,
 		Parallel: 8,
 		Live:     LiveSpec{MaxConcurrent: 2, QueueDepth: 2, AllowShed: true},

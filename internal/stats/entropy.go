@@ -36,11 +36,3 @@ func NormalizedEntropy(p []float64) float64 {
 	}
 	return Entropy(p) / math.Log(float64(len(p)))
 }
-
-// ValueEntropy measures the "uniformity" of a set of non-negative values by
-// normalizing them into a distribution and computing normalized entropy.
-// It is the uniformity measure referenced by the maximum-entropy-principle
-// hypothesis of the user model.
-func ValueEntropy(values []float64) float64 {
-	return NormalizedEntropy(values)
-}

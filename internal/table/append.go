@@ -263,13 +263,6 @@ func (t *Table) Epoch() int64 { return t.epoch.Load() }
 // Live reports whether the table accepts appends.
 func (t *Table) Live() bool { return t.live.Load() }
 
-// Marks returns a copy of the committed append marks in commit order.
-func (t *Table) Marks() []AppendMark {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]AppendMark(nil), t.marks...)
-}
-
 // RowsInLast resolves a trailing stream-time window of width d to a row
 // bound: it returns the index of the first row whose arrival stamp falls
 // within d of the newest append mark. Time here is stream time — the

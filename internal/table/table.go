@@ -16,7 +16,7 @@ import (
 // never change and every method is safe for concurrent use. AppendableCopy
 // returns a live table that accepts AppendBatch while concurrent readers
 // keep working against immutable Snapshot views; on a live table only
-// AppendBatch, Snapshot, NumRows, CommittedRows, Epoch, Live, Marks, and
+// AppendBatch, Snapshot, NumRows, CommittedRows, Epoch, Live, and
 // RowsInLast are safe to call concurrently — everything else must go
 // through a Snapshot.
 type Table struct {

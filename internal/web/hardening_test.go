@@ -28,16 +28,22 @@ func newHardenedServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 // per sentence chosen by the caller.
 func newHardenedServerRounds(t *testing.T, maxRounds int, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
-	if err != nil {
-		t.Fatalf("Flights: %v", err)
-	}
-	cfg := core.Config{
+	return newFlightsServer(t, core.Config{
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: maxRounds,
 		Percents:             []int{50, 100},
+	}, opts)
+}
+
+// newFlightsServer serves 5 000 generated flights under cfg and opts on a
+// test listener.
+func newFlightsServer(t *testing.T, cfg core.Config, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
+	if err != nil {
+		t.Fatalf("Flights: %v", err)
 	}
 	srv, err := NewServerWith(cfg, opts,
 		DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",

@@ -7,24 +7,30 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/speech"
 )
 
-// postIngest ships rows to /api/ingest and decodes the reply.
+// postIngest ships rows to /api/ingest and decodes the reply. It reports a
+// transport or decode failure with t.Errorf, so ingesters may run on
+// goroutines of their own; a transport failure returns status -1.
 func postIngest(t *testing.T, ts *httptest.Server, dataset string, rows []datagen.FlightRow) (map[string]any, int) {
 	t.Helper()
 	b, _ := json.Marshal(map[string]any{"dataset": dataset, "rows": rows})
 	resp, err := http.Post(ts.URL+"/api/ingest", "application/json", bytes.NewReader(b))
 	if err != nil {
-		t.Fatalf("POST /api/ingest: %v", err)
+		t.Errorf("POST /api/ingest: %v", err)
+		return nil, -1
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Errorf("decode: %v", err)
 	}
 	return out, resp.StatusCode
 }
@@ -254,4 +260,108 @@ func TestConcurrentIngestQueryReload(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// streamScript is the cycle every freshness session walks while ingest
+// runs: equivalent phrasings (cache pressure), a window that narrows to
+// recent data, a windowed re-ask, and the widening back out. Every session
+// starts at index 0, so equivalent questions collide in the cache.
+var streamScript = []string{
+	"how does cancellation depend on region and season",
+	"how does cancellation depend on season and region",
+	"in the last hour",
+	"how does cancellation depend on region and season",
+	"all time",
+	"how does cancellation depend on airline",
+}
+
+// TestIngestFreshnessUnderQueries races six 40-row ingest batches against
+// eight sessions of twelve questions with the cache on. Every answer, hit
+// or fresh, is computed at or above the highest epoch acknowledged before
+// it was asked, over exactly the rows of the epoch it reports; every batch
+// lands; and once ingest is quiet an equivalent rephrase replays from the
+// cache at the final epoch.
+func TestIngestFreshnessUnderQueries(t *testing.T) {
+	const sessions, queries, batches, batchRows, baseRows = 8, 12, 6, 40, 5000
+	// The server's own planner budget (500 rounds a sentence): a plan is
+	// still running when the next batch lands.
+	_, ts := newFlightsServer(t, core.Config{Seed: 7, SimRoundCost: time.Millisecond}, Options{})
+	client := &http.Client{Timeout: 15 * time.Second}
+
+	// acked is the highest acknowledged epoch. The server bumps the epoch
+	// before it acknowledges, so a query that read acked before it was sent
+	// must be answered at that epoch or a later one.
+	var acked, hits atomic.Int64
+	check := func(r reply, want int64, input string) {
+		if r.code != http.StatusOK {
+			t.Errorf("%q: status %d, want 200", input, r.code)
+			return
+		}
+		if r.dataEpoch < want {
+			t.Errorf("%q (cache %q): answered at epoch %d after epoch %d was acknowledged",
+				input, r.cache, r.dataEpoch, want)
+		}
+		if rows := baseRows + batchRows*r.dataEpoch; r.tableRows != rows {
+			t.Errorf("%q (cache %q): an epoch-%d answer computed over %d rows, want %d",
+				input, r.cache, r.dataEpoch, r.tableRows, rows)
+		}
+		if !inGrammar(r.speech, r.servedBy, r.origin) {
+			t.Errorf("%q: speech served by %q (origin %q) out of grammar: %q", input, r.servedBy, r.origin, r.speech)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := range batches {
+			ack, code := postIngest(t, ts, "flights", datagen.FlightRows(int64(b)*1009+8, batchRows))
+			epoch, ok := ack["epoch"].(float64)
+			if code != http.StatusOK || !ok {
+				t.Errorf("batch %d: status %d: %v", b, code, ack)
+				continue
+			}
+			acked.Store(int64(epoch))
+		}
+	}()
+	for w := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tenant, session := fmt.Sprintf("tenant-%d", w%4), fmt.Sprintf("stream-%d", w)
+			for q := range queries {
+				input := streamScript[q%len(streamScript)]
+				want := acked.Load()
+				r := ask(t, client, ts, tenant, session, input, "this")
+				check(r, want, input)
+				if r.cache == "hit" || r.cache == "coalesced" {
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Nothing else bumps the epoch, so the last acknowledged one counts the
+	// batches that landed.
+	final := acked.Load()
+	if final != batches {
+		t.Errorf("%d of %d batches acknowledged", final, batches)
+	}
+	if hits.Load() == 0 {
+		t.Error("no cache hit while streaming")
+	}
+	if rows := getDatasets(t, ts, "flights")["rows"].(float64); rows != baseRows+batches*batchRows {
+		t.Errorf("/api/datasets lists %v rows, want %d", rows, baseRows+batches*batchRows)
+	}
+
+	// Settle: with ingest quiet, a fresh session's equivalent rephrase
+	// replays from the cache at the final epoch.
+	for i, input := range streamScript[:2] {
+		r := ask(t, client, ts, "settle", "stream-settle", input, "this")
+		check(r, final, input)
+		if i == 1 && (r.cache != "hit" || r.dataEpoch != final) {
+			t.Errorf("settle rephrase: cache %q at epoch %d, want a hit at epoch %d", r.cache, r.dataEpoch, final)
+		}
+	}
 }

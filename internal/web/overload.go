@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/semcache"
@@ -240,14 +239,4 @@ func (s *Server) servingStats() ServingStats {
 		return out.Tenants[i].Tenant < out.Tenants[j].Tenant
 	})
 	return out
-}
-
-// RetryAfterHint exposes the load-derived Retry-After for operational
-// probes (loadgen validates hints grow with queue depth).
-func (s *Server) RetryAfterHint() time.Duration {
-	ra := s.adm.RetryAfter()
-	if o := s.opts.RetryAfter; o > ra {
-		ra = o
-	}
-	return ra
 }

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/speech"
+	"repro/internal/voice"
 )
 
 // waitInFlight blocks until srv holds at least one admission slot.
@@ -419,5 +424,181 @@ func TestDrainUnderOverload(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-drain status = %d, want 503", resp.StatusCode)
+	}
+}
+
+// inGrammar checks a speech against the grammar of the vocalizer that
+// produced it (origin, for a cache replay): holistic answers parse under the
+// speech grammar, the prior's enumeration is well-formed sentences.
+func inGrammar(text, servedBy, origin string) bool {
+	if servedBy == "cache" {
+		servedBy = origin
+	}
+	if servedBy == "prior" {
+		t := strings.TrimSpace(text)
+		return t != "" && strings.HasSuffix(t, ".")
+	}
+	return (speech.Parser{}).Conforms(text)
+}
+
+// reply is what a load test keeps of one /api/query call.
+type reply struct {
+	code       int
+	retryAfter string
+	speech     string
+	servedBy   string
+	origin     string
+	cache      string
+	dataEpoch  int64
+	tableRows  int64
+}
+
+// ask posts one query as tenant; a transport or decode failure fails the
+// test.
+func ask(t *testing.T, client *http.Client, ts *httptest.Server, tenant, session, input, method string) reply {
+	b, _ := json.Marshal(map[string]string{
+		"session": session, "dataset": "flights", "input": input, "method": method,
+	})
+	req, _ := http.NewRequest("POST", ts.URL+"/api/query", bytes.NewReader(b))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Errorf("%s %q: transport error: %v", session, input, err)
+		return reply{code: -1}
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Speech    string `json:"speech"`
+		ServedBy  string `json:"servedBy"`
+		Origin    string `json:"origin"`
+		Cache     string `json:"cache"`
+		DataEpoch int64  `json:"dataEpoch"`
+		TableRows int64  `json:"tableRows"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Errorf("%s %q: status %d, decode: %v", session, input, resp.StatusCode, err)
+	}
+	return reply{
+		code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"),
+		speech: out.Speech, servedBy: out.ServedBy, origin: out.Origin, cache: out.Cache,
+		dataEpoch: out.DataEpoch, tableRows: out.TableRows,
+	}
+}
+
+// chaosScript is the command cycle every chaos session walks, offset by its
+// worker index: breakdowns and drills that vocalize, and navigation that
+// takes the non-query path.
+var chaosScript = []string{
+	"break down by season",
+	"drill down",
+	"how does cancellation depend on region and season",
+	"back",
+	"break down by airline",
+	"clear",
+}
+
+// TestChaosDegradesNeverErrors is the overload contract under storage
+// faults: 32 sessions over 8 tenants against four slots and a 16-deep
+// queue (more sessions than both hold, so every run sheds), with every 3rd
+// scan slowed, every 17th stalled and every 5th cut short, a 1 s deadline,
+// a 500 ms brownout target, an armed breaker and no cache to hide behind.
+// Every reply is an answer, a parse error, a late request or a refusal
+// that says when to retry — never a 5xx — no more than 90% are refused,
+// and every speech is in the grammar of the vocalizer that spoke it.
+func TestChaosDegradesNeverErrors(t *testing.T) {
+	const sessions, tenants = 32, 8
+	injector := faults.NewInjector(faults.InjectorOptions{
+		SlowEvery: 3, SlowDelay: 200 * time.Microsecond,
+		StallEvery: 17, StallRelease: 300 * time.Millisecond,
+		FailEvery: 5,
+	})
+	_, ts := newFlightsServer(t, core.Config{
+		Seed:                 1,
+		Clock:                voice.NewSimClock(),
+		SimRoundCost:         time.Millisecond,
+		MaxRoundsPerSentence: 100,
+		Percents:             []int{50, 100},
+		Scanner:              injector.Scanner,
+	}, Options{
+		RequestTimeout:   time.Second,
+		MaxConcurrent:    4,
+		QueueDepth:       16,
+		BrownoutTarget:   500 * time.Millisecond,
+		BreakerThreshold: 3,
+		// The first wave's deadlines pass together and trip the breaker; a
+		// short cooldown sends probes at once, so holistic answers keep
+		// reading faulted scans for the rest of the run.
+		BreakerCooldown: time.Millisecond,
+		// A cache hit would skip admission, the ladder and the faulted scan.
+		SemCacheEntries: -1,
+		Logf:            func(string, ...any) {},
+	})
+	client := &http.Client{Timeout: 15 * time.Second}
+
+	replies := make([][]reply, sessions)
+	var wg sync.WaitGroup
+	for w := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tenant, session := fmt.Sprintf("tenant-%d", w%tenants), fmt.Sprintf("chaos-%d", w)
+			for q := range chaosScript {
+				method := "this"
+				if (w+q)%2 == 1 {
+					method = "prior"
+				}
+				replies[w] = append(replies[w], ask(t, client, ts, tenant, session, chaosScript[(w+q)%len(chaosScript)], method))
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Shedding is how overload is refused, but a server that sheds nearly
+	// everything has stopped serving: at most this share of the requests
+	// that reach admission (all but parse errors) may be shed.
+	const maxShedRate = 0.9
+	status := map[int]int{}
+	admitted, spoke, sheds, bare := 0, 0, 0, 0
+	for _, rs := range replies {
+		for _, r := range rs {
+			status[r.code]++
+			switch r.code {
+			case -1: // a transport error, reported by ask
+			case http.StatusUnprocessableEntity:
+			case http.StatusOK, http.StatusRequestTimeout:
+				admitted++
+			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+				sheds++
+				if r.retryAfter == "" {
+					bare++
+				}
+			default:
+				t.Errorf("status %d: overload must answer, degrade or shed", r.code)
+			}
+			if r.speech == "" {
+				continue
+			}
+			spoke++
+			if !inGrammar(r.speech, r.servedBy, r.origin) {
+				t.Errorf("speech served by %q (origin %q) out of grammar: %q", r.servedBy, r.origin, r.speech)
+			}
+		}
+	}
+	st := injector.Stats()
+	t.Logf("statuses %v, %d spoken, faults %+v", status, spoke, st)
+	if sheds == 0 {
+		t.Error("nothing was shed, so Retry-After went unchecked")
+	} else if bare > 0 {
+		t.Errorf("%d of %d sheds carry no Retry-After", bare, sheds)
+	}
+	if n := admitted + sheds; float64(sheds) > maxShedRate*float64(n) {
+		t.Errorf("%d of %d requests shed, more than %.0f%%", sheds, n, 100*maxShedRate)
+	}
+	if spoke == 0 {
+		t.Error("no speech answer under chaos")
+	}
+	if st.Slowed == 0 || st.Stalled == 0 || st.Failed == 0 {
+		t.Errorf("faults %+v: want at least one slowed, stalled and truncated scan", st)
 	}
 }

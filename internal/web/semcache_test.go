@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/speech"
 )
 
 // newCacheServer builds a server with a fully deterministic vocalizer
@@ -21,26 +20,12 @@ import (
 // property the semantic cache's soundness rests on.
 func newCacheServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
-	if err != nil {
-		t.Fatalf("Flights: %v", err)
-	}
-	cfg := core.Config{
+	return newFlightsServer(t, core.Config{
 		Seed:                 7,
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},
-	}
-	srv, err := NewServerWith(cfg, opts,
-		DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
-			MeasureDesc: "average cancellation probability", Format: speech.PercentFormat},
-	)
-	if err != nil {
-		t.Fatalf("NewServerWith: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	}, opts)
 }
 
 // equivalentPhrasings are distinct voice inputs that parse to the same
