@@ -115,6 +115,8 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// The answer keeps no node: the speech is built before the tree goes.
+	defer tree.Release()
 	tree.UniformPolicy = cfg.UniformTreePolicy
 	// Tree construction overlaps preamble playback: on a simulated
 	// substrate its cost consumes playback time, never answer latency.

@@ -69,6 +69,7 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	defer tree.Release()
 	tree.UniformPolicy = cfg.UniformTreePolicy
 	// Without pipelining there is nothing to overlap tree construction
 	// with: its cost comes straight out of the interactivity budget.

@@ -33,7 +33,9 @@ const (
 // refinements below every node), the daemon's 100 000-node eager cap, and
 // answerWindows windows through SampleBatch with BestChild and Advance
 // between them, so each level saturates as far as an answer's samples take it
-// and no further. One op is one answer, tree build excluded.
+// and no further. One op is one answer, tree build excluded and the release
+// of its tree included: the tree is built on the arena the previous op's
+// released, so B/op is what a recycled fine answer's planning allocates.
 //
 // Beside the time of the real loop it reports where a sample's time goes, from
 // a second tree on the same seed sampled through phaseClock.sample: ns per
@@ -63,6 +65,8 @@ func BenchmarkSampleBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		nodes, reward := tree.NodeCount(), tree.Root().Reward
+		tree.Release()
 		b.StopTimer()
 		for w := 0; w < answerWindows; w++ {
 			if w > 0 {
@@ -72,10 +76,11 @@ func BenchmarkSampleBatch(b *testing.B) {
 				ph.sample(timed)
 			}
 		}
-		if tree.NodeCount() != timed.NodeCount() || tree.Root().Reward != timed.Root().Reward {
+		if nodes != timed.NodeCount() || reward != timed.Root().Reward {
 			b.Fatalf("phaseClock.sample no longer follows Tree.Sample: %d nodes and reward %v against %d and %v",
-				timed.NodeCount(), timed.Root().Reward, tree.NodeCount(), tree.Root().Reward)
+				timed.NodeCount(), timed.Root().Reward, nodes, reward)
 		}
+		timed.Release()
 	}
 	samples := float64(b.N * answerWindows * samplesPerWindow)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/samples, "ns/sample")

@@ -439,8 +439,8 @@ func TestUniformPolicyBuildsNoRuns(t *testing.T) {
 	if saturated < 10 {
 		t.Fatalf("%d fan-outs have every child visited: the run exercised nothing", saturated)
 	}
-	if tree.runs != nil || tree.ints != nil {
-		t.Fatalf("a uniform tree allocated run storage: %d chunks of tables and %d int32s left of a chunk", len(tree.runs), len(tree.ints))
+	if tree.nextRuns != 1 || tree.nextInts != 0 {
+		t.Fatalf("a uniform tree took run storage: %d run tables and %d chunks of int32s", tree.nextRuns-1, tree.nextInts)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // enumerated, at most 32 bytes once a sample has made it a node, and under
 // 289 bytes for the table of a 470-child expansion, whose record is at most
 // 32 bytes: 1.25x the 231 measured with numbered fan-outs (256 with a 56-byte
-// record and a bound of 400).
+// record and a bound of 400). The tree is cold, its chunks all new: on a
+// recycled arena the expansions would allocate nothing and prove nothing.
 func TestNodeSize(t *testing.T) {
 	if sz := unsafe.Sizeof(Node{}); sz > 32 {
 		t.Errorf("Node is %d bytes, want <= 32", sz)
@@ -24,7 +25,9 @@ func TestNodeSize(t *testing.T) {
 	if sz := unsafe.Sizeof(fanout{}); sz > 32 {
 		t.Errorf("a fan-out record is %d bytes, want <= 32", sz)
 	}
-	tree, err := NewTreeWithCap(fineGen(t), 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(1)), 1)
+	gen := fineGen(t)
+	drainArenas()
+	tree, err := NewTreeWithCap(gen, 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(1)), 1)
 	if err != nil {
 		t.Fatalf("NewTreeWithCap: %v", err)
 	}

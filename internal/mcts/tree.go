@@ -48,6 +48,14 @@
 // into a speech: the sequential sampler evaluates it through one scratch
 // speech it rewrites in place, and Speech builds a real one for the few nodes
 // a caller asks about. Nothing here is safe for concurrent use.
+//
+// The blocks, the fan-out chunks with their bitsets, the run chunks and the
+// compatibility matrix are the tree's arena, and the tree owns it alone. An
+// answer's tree is garbage once its speech is built, so Release ends the tree
+// and hands its arena to the next tree built, which zeroes each chunk as it
+// reaches it: a recycled tree is step for step the fresh one. The pool the
+// arenas wait in is the only state the package shares between trees, and it
+// starts no goroutine.
 package mcts
 
 import (
@@ -58,6 +66,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/speech"
 )
@@ -206,6 +215,52 @@ const (
 
 type runsBlock [runsChunk]runs
 
+// arena is the memory a tree numbers its nodes, fan-outs and run tables in:
+// the directories of their chunks, the int32 chunks run tables are carved
+// from, and the compatibility matrix. The chunks past what the tree has
+// reached are a released tree's, waiting to be zeroed and reused.
+type arena struct {
+	blocks    []*block
+	fans      []*fanBlock
+	fanSets   [][]uint64
+	runs      []*runsBlock
+	intChunks [][]int32
+	// compat holds one row of menuWords words per menu ordinal o, bit i set
+	// when menu[i] may follow a speech containing menu[o]; compatMade marks
+	// the rows built so far. Both are empty until the first row is asked for.
+	compat     []uint64
+	compatMade []uint64
+}
+
+// arenas holds the arenas of released trees.
+var arenas sync.Pool
+
+// firstOf reports whether number id is the first a tree hands out in its
+// chunk: the chunk's first entry, or 1, since number 0 is none.
+func firstOf(id int32, shift uint) bool { return id&(1<<shift-1) == 0 || id == 1 }
+
+// reuse makes chunk c of dir, which a tree has just reached, an empty one: the
+// recycled chunk there, zeroed, or a new one.
+func reuse[T any](dir []*T, c int) []*T {
+	if c < len(dir) {
+		var zero T
+		*dir[c] = zero
+		return dir
+	}
+	return append(dir, new(T))
+}
+
+// zeroed returns s cut to n zeroed elements if it has the capacity, and a new
+// slice of n otherwise.
+func zeroed[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // IsLeaf reports whether the node has no children: no fragment can follow
 // its speech, or no sample has reached it yet.
 func (n *Node) IsLeaf() bool { return n.fan <= 0 }
@@ -239,34 +294,24 @@ type Tree struct {
 	// means no character limit; no node at maxDepth has children.
 	maxChars int
 	maxDepth uint16
-	// compat holds one row of menuWords words per menu ordinal o, bit i set
-	// when menu[i] may follow a speech containing menu[o]; compatMade marks
-	// the rows built so far.
-	menuWords  int
-	compat     []uint64
-	compatMade []uint64
+	// menuWords is the length of a bitset over the menu.
+	menuWords int
 	// validScratch collects the valid set of one expansion.
 	validScratch []uint64
 
-	// blocks holds every node handed out, and nextNode is the number the
-	// next one gets.
-	blocks   []*block
+	arena
+	// nextNode, nextFan and nextRuns are the numbers the next node, fan-out
+	// and run table get; rootSets are the root fan-out's bitsets.
 	nextNode int32
-	// fans and fanSets hold the fan-outs' chunks and their bitsets, rootSets
-	// the root's, and nextFan is the number the next fan-out gets.
-	fans     []*fanBlock
-	fanSets  [][]uint64
-	rootSets []uint64
 	nextFan  int32
+	nextRuns int32
+	rootSets []uint64
 	// nodeCount counts enumerated children plus the root.
 	nodeCount int
-
-	// runs holds the chunks of run tables and nextRuns is the number the next
-	// one gets; ints is what is left of the current chunk of int32s their
-	// order and starts are carved from.
-	runs     []*runsBlock
-	nextRuns int32
+	// ints is what is left of the current chunk of int32s that run tables'
+	// order and starts are carved from, and nextInts the index of the next.
 	ints     []int32
+	nextInts int
 
 	// pathScratch is the pooled descent path of the sequential Sample, and
 	// scratch the speech it evaluates every leaf through.
@@ -289,8 +334,18 @@ func NewTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 
 // NewTreeWithCap is NewTree with an explicit eager-expansion node cap
 // (maxNodes <= 0 selects DefaultMaxNodes). Nodes beyond the cap expand
-// lazily when sampling first reaches them.
+// lazily when sampling first reaches them. The tree is built on the arena of
+// a released tree if the pool holds one.
 func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand, maxNodes int) (*Tree, error) {
+	a, _ := arenas.Get().(*arena)
+	if a == nil {
+		a = new(arena)
+	}
+	return newTree(gen, scale, eval, rng, maxNodes, a)
+}
+
+// newTree is NewTreeWithCap on arena a.
+func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand, maxNodes int, a *arena) (*Tree, error) {
 	if gen == nil || eval == nil || rng == nil {
 		return nil, errors.New("mcts: generator, evaluator and rng are required")
 	}
@@ -325,9 +380,29 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 	for o, r := range t.menu {
 		t.textLen[o] = int32(len(r.Text()))
 	}
+	t.arena = *a
+	t.compat = t.compat[:0]
 	t.root = t.newNode()
 	t.prebuild(t.node(t.root), t.root)
 	return t, nil
+}
+
+// Release ends the tree and hands its arena to the next tree built. Nothing
+// the tree handed out may be used after it: its nodes become another tree's.
+// The tree itself is zeroed, so a call on it panics; a second Release does
+// nothing.
+func (t *Tree) Release() {
+	if t.blocks != nil {
+		arenas.Put(t.detach())
+	}
+}
+
+// detach ends the tree and returns its arena.
+func (t *Tree) detach() *arena {
+	a := new(arena)
+	*a = t.arena
+	*t = Tree{}
+	return a
 }
 
 // Root returns the current root node.
@@ -380,8 +455,8 @@ func (t *Tree) node(id int32) *Node { return &t.blocks[id>>blockShift][id&(block
 
 // newNode hands out the number of a new node.
 func (t *Tree) newNode() int32 {
-	if int(t.nextNode>>blockShift) == len(t.blocks) {
-		t.blocks = append(t.blocks, new(block))
+	if firstOf(t.nextNode, blockShift) {
+		t.blocks = reuse(t.blocks, int(t.nextNode>>blockShift))
 	}
 	t.nextNode++
 	return t.nextNode - 1
@@ -478,9 +553,9 @@ func (t *Tree) Speech(n *Node) *speech.Speech {
 // scope or, under the generator's disjoint-scopes rule, an overlapping one).
 func (t *Tree) compatRow(o int) []uint64 {
 	w := t.menuWords
-	if t.compat == nil {
-		t.compat = make([]uint64, len(t.menu)*w)
-		t.compatMade = make([]uint64, w)
+	if len(t.compat) == 0 {
+		t.compat = zeroed(t.compat, len(t.menu)*w)
+		t.compatMade = zeroed(t.compatMade, w)
 	}
 	row := t.compat[o*w : (o+1)*w]
 	if !has(t.compatMade, o) {
@@ -556,9 +631,22 @@ func (t *Tree) expand(n *Node) {
 // its bitsets apiece made expansion two thirds of the planning loop's
 // mallocs.
 func (t *Tree) newFanout() int32 {
-	if int(t.nextFan>>fanShift) == len(t.fans) {
-		t.fans = append(t.fans, new(fanBlock))
-		t.fanSets = append(t.fanSets, make([]uint64, fanChunk*3*t.menuWords))
+	if firstOf(t.nextFan, fanShift) {
+		c := int(t.nextFan >> fanShift)
+		// A recycled fan-out keeps the room of its child list: growing the
+		// lists again was most of what a warm fine answer allocated.
+		if c < len(t.fans) {
+			for i := range t.fans[c] {
+				f := &t.fans[c][i]
+				*f = fanout{kids: f.kids[:0]}
+			}
+		} else {
+			t.fans = append(t.fans, new(fanBlock))
+		}
+		if c == len(t.fanSets) {
+			t.fanSets = append(t.fanSets, nil)
+		}
+		t.fanSets[c] = zeroed(t.fanSets[c], fanChunk*3*t.menuWords)
 	}
 	t.nextFan++
 	return t.nextFan - 1
@@ -671,7 +759,12 @@ func (r *runs) end(i int) int32 {
 // carve hands out n int32s of the tree's current chunk, with no room to grow.
 func (t *Tree) carve(n int) []int32 {
 	if len(t.ints) < n {
-		t.ints = make([]int32, max(n, intChunk))
+		if t.nextInts == len(t.intChunks) {
+			t.intChunks = append(t.intChunks, nil)
+		}
+		t.ints = zeroed(t.intChunks[t.nextInts], max(n, intChunk))
+		t.intChunks[t.nextInts] = t.ints
+		t.nextInts++
 	}
 	s := t.ints[:n:n]
 	t.ints = t.ints[n:]
@@ -682,8 +775,8 @@ func (t *Tree) carve(n int) []int32 {
 // drawn once while it was unvisited, so as a rule they have one visit apiece
 // and form one run.
 func (t *Tree) newRuns(f *fanout) *runs {
-	if int(t.nextRuns>>runsShift) == len(t.runs) {
-		t.runs = append(t.runs, new(runsBlock))
+	if firstOf(t.nextRuns, runsShift) {
+		t.runs = reuse(t.runs, int(t.nextRuns>>runsShift))
 	}
 	f.runs = t.nextRuns
 	t.nextRuns++
