@@ -341,9 +341,11 @@ func microSetup(b *testing.B) *microEnv {
 			microErr = err
 			return
 		}
-		for row := 0; row < 20000; row++ {
-			cache.Insert(row)
+		rows := make([]int, 20000)
+		for i := range rows {
+			rows[i] = i
 		}
+		cache.InsertBatch(rows)
 		microVal = &microEnv{space: space, gen: speech.NewGenerator(space, speech.DefaultPrefs(), speech.PercentFormat), model: model, cache: cache, result: result}
 	})
 	if microErr != nil {
@@ -424,21 +426,6 @@ func BenchmarkExactQuality(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.model.Quality(sp, e.result)
-	}
-}
-
-// BenchmarkCacheInsert measures row classification and cache insertion —
-// the per-row cost of the sampling pipeline.
-func BenchmarkCacheInsert(b *testing.B) {
-	e := microSetup(b)
-	cache, err := sampling.NewCache(e.space)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := e.space.Dataset().Table().NumRows()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Insert(i % n)
 	}
 }
 

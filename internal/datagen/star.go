@@ -10,11 +10,10 @@ import (
 
 // StarFlights generates the flight dataset as a star schema: a fact table
 // holding integer foreign keys plus the cancelled measure, with separate
-// airport, month, and airline dimension tables joined in through virtual
-// columns. The bound dataset behaves identically to the denormalized
-// Flights dataset (the paper: "our system can handle queries on star
-// schemata as well"), exercising the fact-to-dimension join path during
-// every scan.
+// airport, month, and airline dimension tables whose attributes table.Join
+// materializes into the fact table at load. The bound dataset behaves
+// identically to the denormalized Flights dataset (the paper: "our system
+// can handle queries on star schemata as well").
 func StarFlights(cfg FlightsConfig) (*olap.Dataset, error) {
 	rows := cfg.Rows
 	if rows <= 0 {
@@ -102,7 +101,7 @@ func StarFlights(cfg FlightsConfig) (*olap.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("datagen: %w", err)
 	}
-	// Join views give the fact table the dimension source columns the
+	// The joins give the fact table the dimension source columns the
 	// hierarchies bind against.
 	for _, join := range []struct {
 		name string
@@ -113,11 +112,11 @@ func StarFlights(cfg FlightsConfig) (*olap.Dataset, error) {
 		{"month", monthFK, monthAttr},
 		{"airline", airlineFK, airlineAttr},
 	} {
-		jc, err := table.NewJoinColumn(join.name, join.fk, join.attr)
+		col, err := table.Join(join.name, join.fk, join.attr)
 		if err != nil {
 			return nil, fmt.Errorf("datagen: %w", err)
 		}
-		if err := fact.AddVirtual(jc); err != nil {
+		if err := fact.AddColumn(col); err != nil {
 			return nil, fmt.Errorf("datagen: %w", err)
 		}
 	}

@@ -105,14 +105,14 @@ func TestStarFlightsFactSchema(t *testing.T) {
 		t.Fatalf("StarFlights: %v", err)
 	}
 	tab := star.Table()
-	// The fact table stores only FKs and the measure; dimension values
-	// come in through virtuals.
-	if tab.NumColumns() != 4 {
-		t.Errorf("fact columns = %d, want 4", tab.NumColumns())
+	// The fact table stores the FKs, the measure, and the three joined
+	// dimension columns.
+	if tab.NumColumns() != 7 {
+		t.Errorf("fact columns = %d, want 7", tab.NumColumns())
 	}
 	for _, v := range []string{"airport", "month", "airline"} {
-		if _, err := tab.Accessor(v); err != nil {
-			t.Errorf("virtual %q missing: %v", v, err)
+		if _, err := tab.StringColumn(v); err != nil {
+			t.Errorf("joined column %q missing: %v", v, err)
 		}
 	}
 }

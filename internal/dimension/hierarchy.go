@@ -173,16 +173,6 @@ func (h *Hierarchy) LevelName(level int) string {
 	return fmt.Sprintf("level %d", level)
 }
 
-// LevelByName returns the level index with the given display name, or -1.
-func (h *Hierarchy) LevelByName(name string) int {
-	for i, n := range h.LevelNames {
-		if strings.EqualFold(n, name) {
-			return i + 1
-		}
-	}
-	return -1
-}
-
 // AddPath inserts (or reuses) the chain of members named by path, one name
 // per level from level 1 down to the finest level. The finest name is also
 // registered as the source-column value for row classification. It returns
@@ -257,22 +247,23 @@ func (h *Hierarchy) Phrase(m *Member) string {
 	return h.Context + " " + m.Name
 }
 
-// Binding maps the dictionary codes of a bound string accessor to member
+// Binding maps the dictionary codes of a bound string column to member
 // IDs at every level, enabling O(1) per-row classification during scans.
-// The accessor may be a stored column or a star-schema join view.
+// A star schema binds the same way: table.Join materializes its
+// dimension attributes as string columns of the fact table.
 type Binding struct {
 	hierarchy *Hierarchy
-	column    table.StringAccessor
+	column    *table.StringColumn
 	// memberAt[level][code] is the member at that level for rows whose
 	// column code is code, or nil for values absent from the hierarchy.
 	memberAt [][]*Member
 }
 
-// Bind resolves the hierarchy against a table's source column or virtual
-// accessor. Every value occurring in the column must be a registered leaf;
-// unknown values are reported as an error listing the first offender.
+// Bind resolves the hierarchy against a table's source column. Every value
+// occurring in the column must be a registered leaf; unknown values are
+// reported as an error listing the first offender.
 func (h *Hierarchy) Bind(t *table.Table) (*Binding, error) {
-	col, err := t.Accessor(h.Column)
+	col, err := t.StringColumn(h.Column)
 	if err != nil {
 		return nil, fmt.Errorf("dimension %q: %w", h.Name, err)
 	}
@@ -296,8 +287,8 @@ func (h *Hierarchy) Bind(t *table.Table) (*Binding, error) {
 // Hierarchy returns the bound hierarchy.
 func (b *Binding) Hierarchy() *Hierarchy { return b.hierarchy }
 
-// Accessor returns the bound column accessor.
-func (b *Binding) Accessor() table.StringAccessor { return b.column }
+// Column returns the bound column.
+func (b *Binding) Column() *table.StringColumn { return b.column }
 
 // DictSize returns the number of distinct codes in the bound column.
 func (b *Binding) DictSize() int { return len(b.memberAt[0]) }

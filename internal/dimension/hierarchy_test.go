@@ -131,12 +131,6 @@ func TestLevelNames(t *testing.T) {
 	if h.LevelName(2) != "state" {
 		t.Errorf("level 2 name = %q", h.LevelName(2))
 	}
-	if h.LevelByName("STATE") != 2 {
-		t.Error("LevelByName should be case-insensitive")
-	}
-	if h.LevelByName("nope") != -1 {
-		t.Error("unknown level should be -1")
-	}
 }
 
 func TestFindMember(t *testing.T) {

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dimension"
@@ -101,67 +102,85 @@ func TestClassifyBatchesMatchClassifyRow(t *testing.T) {
 	}
 }
 
-// TestClassifyThroughJoinView covers the accessor fallback: a star-schema
-// join view has no raw code slice, so classification goes through Code
-// calls but must agree with direct evaluation on a denormalized copy.
-func TestClassifyThroughJoinView(t *testing.T) {
+// TestClassifyJoinedMatchesFlat checks the star-schema path: a column that
+// table.Join materialized from a dimension table classifies every row as
+// the denormalized column holding the same values does, through ClassifyRow,
+// ClassifyRows and ClassifyRange, as a group-by and as a filter.
+func TestClassifyJoinedMatchesFlat(t *testing.T) {
 	cities := []string{"Boston", "Chicago", "Los Angeles"}
 	attr := table.NewStringColumn("city")
-	for _, c := range cities {
+	for _, c := range []string{"Los Angeles", "Boston", "Chicago", "Boston"} {
 		attr.Append(c)
 	}
+	const n = 60
 	fk := table.NewInt64Column("cityID")
 	flat := table.NewStringColumn("cityFlat")
 	cancelled := table.NewFloat64Column("cancelled")
-	for i := 0; i < 60; i++ {
-		k := i % 3
+	for i := 0; i < n; i++ {
+		k := (i * 7) % attr.Len()
 		fk.Append(int64(k))
-		flat.Append(cities[k])
+		flat.Append(attr.StringAt(k))
 		cancelled.Append(float64(i % 2))
 	}
 	tab := table.MustNew("facts", fk, flat, cancelled)
-	join, err := table.NewJoinColumn("city", fk, attr)
+	join, err := table.Join("city", fk, attr)
 	if err != nil {
-		t.Fatalf("NewJoinColumn: %v", err)
+		t.Fatalf("Join: %v", err)
 	}
-	if err := tab.AddVirtual(join); err != nil {
-		t.Fatalf("AddVirtual: %v", err)
+	if err := tab.AddColumn(join); err != nil {
+		t.Fatalf("AddColumn: %v", err)
 	}
 
-	mkHierarchy := func(col string) *dimension.Hierarchy {
-		h := dimension.MustNewHierarchy("city", col, "flights from", "any city", []string{"city"})
+	mkHierarchy := func(name, col string) *dimension.Hierarchy {
+		h := dimension.MustNewHierarchy(name, col, "flights from", "any city", []string{"city"})
 		for _, c := range cities {
 			h.MustAddPath(c)
 		}
 		return h
 	}
-	viaJoin := mkHierarchy("city")
-	viaFlat := mkHierarchy("cityFlat")
+	viaJoin := mkHierarchy("joined city", "city")
+	viaFlat := mkHierarchy("flat city", "cityFlat")
 	d, err := NewDataset(tab, viaJoin, viaFlat)
 	if err != nil {
 		t.Fatalf("NewDataset: %v", err)
 	}
-	mkSpace := func(h *dimension.Hierarchy) *Space {
+	// A space groups by one column and keeps the rows whose other column
+	// holds filter, so a row is in scope exactly when it holds filter.
+	mkSpace := func(group, other *dimension.Hierarchy, filter string) *Space {
 		s, err := NewSpace(d, Query{
 			Fct: Avg, Col: "cancelled",
-			GroupBy: []GroupBy{{Hierarchy: h, Level: 1}},
+			Filters: []*dimension.Member{other.FindMember(filter)},
+			GroupBy: []GroupBy{{Hierarchy: group, Level: 1}},
 		})
 		if err != nil {
 			t.Fatalf("NewSpace: %v", err)
 		}
 		return s
 	}
-	sJoin, sFlat := mkSpace(viaJoin), mkSpace(viaFlat)
-	idxs := make([]int32, 60)
-	sJoin.ClassifyRange(0, 60, idxs)
-	for row := 0; row < 60; row++ {
-		jIdx, jOK := sJoin.ClassifyRow(row)
-		fIdx, fOK := sFlat.ClassifyRow(row)
-		if jOK != fOK || jIdx != fIdx {
-			t.Errorf("row %d: join view (%d,%v) != flat column (%d,%v)", row, jIdx, jOK, fIdx, fOK)
-		}
-		if idxs[row] != int32(jIdx) {
-			t.Errorf("row %d: join-view ClassifyRange %d, want %d", row, idxs[row], jIdx)
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = n - 1 - i
+	}
+	for _, filter := range cities {
+		for _, s := range []*Space{mkSpace(viaJoin, viaFlat, filter), mkSpace(viaFlat, viaJoin, filter)} {
+			byRange := make([]int32, n)
+			s.ClassifyRange(0, n, byRange)
+			byRows := make([]int32, n)
+			s.ClassifyRows(rows, byRows)
+			for row := 0; row < n; row++ {
+				want := int32(-1)
+				if flat.StringAt(row) == filter {
+					want = int32(slices.Index(cities, filter))
+				}
+				got := int32(-1)
+				if idx, ok := s.ClassifyRow(row); ok {
+					got = int32(idx)
+				}
+				if got != want || byRange[row] != want || byRows[n-1-row] != want {
+					t.Errorf("filter %s row %d: ClassifyRow %d, ClassifyRange %d, ClassifyRows %d, want %d",
+						filter, row, got, byRange[row], byRows[n-1-row], want)
+				}
+			}
 		}
 	}
 }

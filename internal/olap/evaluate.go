@@ -36,8 +36,10 @@ func EvaluateSpace(space *Space) (*Result, error) {
 }
 
 // EvaluateSpaceSequential evaluates the query with a single-threaded
-// row-at-a-time scan: the reference the parallel path is checked (and
-// benchmarked) against.
+// row-at-a-time scan: the reference EvaluateSpaceWorkers is checked (and
+// benchmarked) against. Its counts match exactly; its sums group the
+// additions row by row rather than chunk by chunk, so they match to
+// rounding only.
 func EvaluateSpaceSequential(space *Space) (*Result, error) {
 	measure, err := evalMeasure(space)
 	if err != nil {
@@ -62,25 +64,23 @@ func EvaluateSpaceSequential(space *Space) (*Result, error) {
 	return r, nil
 }
 
-// evalChunkRows is the fixed work grain of the parallel scan. Chunk
+// evalChunkRows is the fixed work grain of the exact scan. Chunk
 // boundaries depend only on the table size — never on the worker count —
 // so per-chunk partial sums always merge in the same order and the result
-// is bit-for-bit identical for any number of workers. Counts are integer
-// and match the sequential scan exactly; sums are reassociated only at
-// chunk boundaries.
+// is bit-for-bit identical for any number of workers, one included.
 const evalChunkRows = 8192
 
-// evalParallelMinRows is the smallest table for which the parallel scan
-// pays for its goroutine fan-out and grid merge. Below it (or with a
-// single usable CPU) the "parallel" path was measurably slower than the
-// sequential scan — a 0.985x speedup was recorded on a one-CPU machine —
-// so EvaluateSpaceWorkers falls back to the sequential scan instead.
+// evalParallelMinRows is the smallest table for which starting scan
+// goroutines pays for itself. Below it (or with a single usable CPU) the
+// goroutines were measurably slower than one loop — a 0.985x speedup was
+// recorded on a one-CPU machine — so EvaluateSpaceWorkers runs the chunk
+// loop on the calling goroutine instead.
 const evalParallelMinRows = 4 * evalChunkRows
 
-// evalWorkers returns the effective worker count for an n-row scan: 1
-// (the sequential path) when the caller asked for one worker, when the
-// table is below evalParallelMinRows, or when only one CPU can run; the
-// requested count capped by GOMAXPROCS and the chunk count otherwise.
+// evalWorkers returns the number of goroutines an n-row scan starts: none
+// (1, the calling goroutine) when the caller asked for one worker, when
+// the table is below evalParallelMinRows, or when only one CPU can run;
+// the requested count capped by GOMAXPROCS and the chunk count otherwise.
 func evalWorkers(n, workers int) int {
 	if workers <= 1 || n < evalParallelMinRows {
 		return 1
@@ -97,15 +97,10 @@ func evalWorkers(n, workers int) int {
 // EvaluateSpaceWorkers evaluates the query with the given number of scan
 // workers. Workers classify fixed-size row chunks into private
 // accumulator grids through the dense batch classifier; the grids merge
-// in chunk order at the end. Requests that cannot win from parallelism
-// (one worker, one CPU, or a small table — see evalWorkers) take the
-// sequential path; the result is bit-for-bit identical either way.
+// in chunk order at the end. When parallelism cannot win (one worker, one
+// CPU, or a small table — see evalWorkers) the calling goroutine runs the
+// same chunk loop alone, so the result is bit-for-bit identical either way.
 func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
-	n := space.Dataset().Table().NumRows()
-	workers = evalWorkers(n, workers)
-	if workers <= 1 {
-		return EvaluateSpaceSequential(space)
-	}
 	measure, err := evalMeasure(space)
 	if err != nil {
 		return nil, err
@@ -114,18 +109,14 @@ func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
 	if measure != nil {
 		vals = measure.Values()
 	}
+	n := space.Dataset().Table().NumRows()
 	chunks := (n + evalChunkRows - 1) / evalChunkRows
-	if workers > chunks {
-		workers = chunks
-	}
 	size := space.Size()
 	// Per-chunk grids live in two shared slabs (one allocation each instead
 	// of two per chunk), with the per-chunk stride rounded up to a whole
 	// number of 64-byte cache lines: adjacent chunks are usually processed
 	// by different workers, and an unpadded boundary would false-share the
 	// last aggregates of chunk c with the first aggregates of chunk c+1.
-	// Merge order stays chunk order, so the result remains bit-identical to
-	// the sequential scan for any worker count.
 	stride := (size + 7) &^ 7
 	countSlab := make([]int64, chunks*stride)
 	var sumSlab []float64
@@ -133,44 +124,48 @@ func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
 		sumSlab = make([]float64, chunks*stride)
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idxs := make([]int32, evalChunkRows)
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * evalChunkRows
-				hi := lo + evalChunkRows
-				if hi > n {
-					hi = n
-				}
-				counts := countSlab[c*stride : c*stride+size]
-				space.ClassifyRange(lo, hi, idxs)
-				if vals != nil {
-					sums := sumSlab[c*stride : c*stride+size]
-					chunkVals := vals[lo:hi]
-					for i, idx := range idxs[:hi-lo] {
-						if idx >= 0 {
-							counts[idx]++
-							sums[idx] += chunkVals[i]
-						}
+	scan := func() {
+		idxs := make([]int32, min(n, evalChunkRows))
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= chunks {
+				return
+			}
+			lo := c * evalChunkRows
+			hi := min(lo+evalChunkRows, n)
+			counts := countSlab[c*stride : c*stride+size]
+			space.ClassifyRange(lo, hi, idxs)
+			if vals != nil {
+				sums := sumSlab[c*stride : c*stride+size]
+				chunkVals := vals[lo:hi]
+				for i, idx := range idxs[:hi-lo] {
+					if idx >= 0 {
+						counts[idx]++
+						sums[idx] += chunkVals[i]
 					}
-				} else {
-					for _, idx := range idxs[:hi-lo] {
-						if idx >= 0 {
-							counts[idx]++
-						}
+				}
+			} else {
+				for _, idx := range idxs[:hi-lo] {
+					if idx >= 0 {
+						counts[idx]++
 					}
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
+	if workers = evalWorkers(n, workers); workers <= 1 {
+		scan()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scan()
+			}()
+		}
+		wg.Wait()
+	}
 	r := &Result{
 		space:  space,
 		counts: make([]int64, size),
@@ -259,22 +254,4 @@ func (r *Result) GrandValue() float64 {
 	default:
 		panic(fmt.Sprintf("olap: unknown aggregation function %v", r.space.Query().Fct))
 	}
-}
-
-// DefinedMean returns the mean over aggregates with at least one row,
-// which for sparse averages is the natural "typical value" baseline.
-func (r *Result) DefinedMean() float64 {
-	var sum float64
-	var n int
-	for i := range r.counts {
-		v := r.Value(i)
-		if !math.IsNaN(v) {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestEvalWorkersFallback pins the sequential-fallback policy that fixed
-// the 0.985x "speedup" once recorded on a one-CPU machine:
-// small tables and single-worker requests must resolve to exactly one
-// worker, and larger requests are capped by GOMAXPROCS and chunk count.
+// TestEvalWorkersFallback pins the policy that fixed the 0.985x "speedup"
+// once recorded on a one-CPU machine: small tables and single-worker
+// requests must resolve to exactly one worker (the calling goroutine), and
+// larger requests are capped by GOMAXPROCS and chunk count.
 func TestEvalWorkersFallback(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -38,7 +38,8 @@ func TestEvalWorkersFallback(t *testing.T) {
 
 // TestEvaluateSmallTableFallsBackToSequential verifies that a small table
 // evaluated "in parallel" produces a result bit-identical to the
-// sequential scan — because it IS the sequential scan.
+// sequential scan: it is one chunk, scanned on the calling goroutine in
+// row order, and its one partial grid adds to zeros.
 func TestEvaluateSmallTableFallsBackToSequential(t *testing.T) {
 	f := newFixture(t)
 	space, err := NewSpace(f.dataset, f.regionSeasonQuery())

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/dimension"
-	"repro/internal/table"
 )
 
 // Space is the enumerated aggregate space of a query: the cross product of
@@ -53,9 +52,7 @@ type filterCheck struct {
 
 // denseDim classifies one group-by dimension by dictionary code.
 type denseDim struct {
-	col table.StringAccessor
-	// codes is the raw code slice when the accessor is a stored column
-	// (nil for join views, which fall back to one Code call per row).
+	// codes is the bound column's code slice.
 	codes []int32
 	// posStride[code] is the member position times the dimension stride,
 	// ready to add into the aggregate index, or -1 when the code's member
@@ -65,17 +62,8 @@ type denseDim struct {
 
 // denseFilter answers "does this code match the filter member" per code.
 type denseFilter struct {
-	col   table.StringAccessor
 	codes []int32
 	ok    []bool
-}
-
-// rawCodes returns the backing code slice of an accessor when it has one.
-func rawCodes(col table.StringAccessor) []int32 {
-	if sc, ok := col.(interface{ Codes() []int32 }); ok {
-		return sc.Codes()
-	}
-	return nil
 }
 
 // NewSpace enumerates the aggregate space for q over d.
@@ -144,10 +132,8 @@ func NewSpace(d *Dataset, q Query) (*Space, error) {
 func (s *Space) compileDense() {
 	s.denseDims = make([]denseDim, len(s.bindings))
 	for d, b := range s.bindings {
-		col := b.Accessor()
 		dd := denseDim{
-			col:       col,
-			codes:     rawCodes(col),
+			codes:     b.Column().Codes(),
 			posStride: make([]int32, b.DictSize()),
 		}
 		for code := range dd.posStride {
@@ -162,10 +148,8 @@ func (s *Space) compileDense() {
 	}
 	s.denseFilters = make([]denseFilter, len(s.extraFilters))
 	for i, f := range s.extraFilters {
-		col := f.binding.Accessor()
 		df := denseFilter{
-			col:   col,
-			codes: rawCodes(col),
+			codes: f.binding.Column().Codes(),
 			ok:    make([]bool, f.binding.DictSize()),
 		}
 		for code := range df.ok {
@@ -230,25 +214,13 @@ func (s *Space) ClassifyRow(row int) (idx int, ok bool) {
 	}
 	for i := range s.denseFilters {
 		f := &s.denseFilters[i]
-		var code int32
-		if f.codes != nil {
-			code = f.codes[row]
-		} else {
-			code = f.col.Code(row)
-		}
-		if !f.ok[code] {
+		if !f.ok[f.codes[row]] {
 			return 0, false
 		}
 	}
 	for d := range s.denseDims {
 		dd := &s.denseDims[d]
-		var code int32
-		if dd.codes != nil {
-			code = dd.codes[row]
-		} else {
-			code = dd.col.Code(row)
-		}
-		v := dd.posStride[code]
+		v := dd.posStride[dd.codes[row]]
 		if v < 0 {
 			return 0, false
 		}
@@ -257,7 +229,7 @@ func (s *Space) ClassifyRow(row int) (idx int, ok bool) {
 	return idx, true
 }
 
-// TouchRows loads the code of every given row in each stored column that
+// TouchRows loads the code of every given row in each column that
 // ClassifyRows reads and returns their sum, which the caller must keep (Go
 // has no prefetch intrinsic, and a load whose result is dropped is deleted).
 // The loads do not depend on one another, so the cache and TLB misses of all
@@ -265,17 +237,15 @@ func (s *Space) ClassifyRow(row int) (idx int, ok bool) {
 // one dimension after another. One row per cache line is enough.
 func (s *Space) TouchRows(rows []int) (sink int32) {
 	for i := range s.denseFilters {
-		if codes := s.denseFilters[i].codes; codes != nil {
-			for _, r := range rows {
-				sink += codes[r]
-			}
+		codes := s.denseFilters[i].codes
+		for _, r := range rows {
+			sink += codes[r]
 		}
 	}
 	for d := range s.denseDims {
-		if codes := s.denseDims[d].codes; codes != nil {
-			for _, r := range rows {
-				sink += codes[r]
-			}
+		codes := s.denseDims[d].codes
+		for _, r := range rows {
+			sink += codes[r]
 		}
 	}
 	return sink
@@ -301,52 +271,30 @@ func (s *Space) ClassifyRows(rows []int, out []int32) {
 	}
 	for fi := range s.denseFilters {
 		f := &s.denseFilters[fi]
-		if f.codes != nil {
-			for i, r := range rows {
-				if out[i] >= 0 && !f.ok[f.codes[r]] {
-					out[i] = -1
-				}
-			}
-		} else {
-			for i, r := range rows {
-				if out[i] >= 0 && !f.ok[f.col.Code(r)] {
-					out[i] = -1
-				}
+		for i, r := range rows {
+			if out[i] >= 0 && !f.ok[f.codes[r]] {
+				out[i] = -1
 			}
 		}
 	}
 	for d := range s.denseDims {
 		dd := &s.denseDims[d]
-		if dd.codes != nil {
-			for i, r := range rows {
-				if out[i] < 0 {
-					continue
-				}
-				if v := dd.posStride[dd.codes[r]]; v < 0 {
-					out[i] = -1
-				} else {
-					out[i] += v
-				}
+		for i, r := range rows {
+			if out[i] < 0 {
+				continue
 			}
-		} else {
-			for i, r := range rows {
-				if out[i] < 0 {
-					continue
-				}
-				if v := dd.posStride[dd.col.Code(r)]; v < 0 {
-					out[i] = -1
-				} else {
-					out[i] += v
-				}
+			if v := dd.posStride[dd.codes[r]]; v < 0 {
+				out[i] = -1
+			} else {
+				out[i] += v
 			}
 		}
 	}
 }
 
 // ClassifyRange classifies the contiguous rows [lo, hi) into out (length at
-// least hi-lo), writing the aggregate index or -1 per row. For stored
-// columns the inner loop slices the raw code array directly, which is what
-// the multicore exact scan runs per chunk.
+// least hi-lo), writing the aggregate index or -1 per row. The inner loop
+// slices the code arrays directly; it is what the exact scan runs per chunk.
 func (s *Space) ClassifyRange(lo, hi int, out []int32) {
 	n := hi - lo
 	if s.windowed {
@@ -364,45 +312,22 @@ func (s *Space) ClassifyRange(lo, hi int, out []int32) {
 	}
 	for fi := range s.denseFilters {
 		f := &s.denseFilters[fi]
-		if f.codes != nil {
-			codes := f.codes[lo:hi]
-			for i, code := range codes {
-				if out[i] >= 0 && !f.ok[code] {
-					out[i] = -1
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if out[i] >= 0 && !f.ok[f.col.Code(lo+i)] {
-					out[i] = -1
-				}
+		for i, code := range f.codes[lo:hi] {
+			if out[i] >= 0 && !f.ok[code] {
+				out[i] = -1
 			}
 		}
 	}
 	for d := range s.denseDims {
 		dd := &s.denseDims[d]
-		if dd.codes != nil {
-			codes := dd.codes[lo:hi]
-			for i, code := range codes {
-				if out[i] < 0 {
-					continue
-				}
-				if v := dd.posStride[code]; v < 0 {
-					out[i] = -1
-				} else {
-					out[i] += v
-				}
+		for i, code := range dd.codes[lo:hi] {
+			if out[i] < 0 {
+				continue
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				if out[i] < 0 {
-					continue
-				}
-				if v := dd.posStride[dd.col.Code(lo+i)]; v < 0 {
-					out[i] = -1
-				} else {
-					out[i] += v
-				}
+			if v := dd.posStride[code]; v < 0 {
+				out[i] = -1
+			} else {
+				out[i] += v
 			}
 		}
 	}

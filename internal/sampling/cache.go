@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/olap"
 	"repro/internal/stats"
-	"repro/internal/table"
 )
 
 // DefaultResampleSize is the fixed subsample size used to derive estimates
@@ -28,10 +27,9 @@ const DefaultResampleSize = 10
 // which is all the default estimators and the confidence bounds read; the
 // rows themselves are retained only in resample mode (EnableResample).
 type Cache struct {
-	space   *olap.Space
-	measure *table.Float64Column // nil for count queries
+	space *olap.Space
 	// measureVals is the measure's backing slice, letting batch inserts
-	// gather measures with direct array loads.
+	// gather measures with direct array loads; nil for count queries.
 	measureVals []float64
 	// accs[a] maintains running moments of the measures of the rows cached
 	// for aggregate a (for count queries a placeholder 1 per row), giving
@@ -78,7 +76,6 @@ func NewCache(space *olap.Space) (*Cache, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sampling: %w", err)
 		}
-		c.measure = m
 		c.measureVals = m.Values()
 	}
 	return c, nil
@@ -121,14 +118,13 @@ func (c *Cache) AbsorbAppend(next *olap.Space) error {
 	if newTotal < c.totalRows {
 		return fmt.Errorf("sampling: absorb target has %d rows, cache was built over %d", newTotal, c.totalRows)
 	}
-	var measure *table.Float64Column
 	var measureVals []float64
 	if newQ.Fct != olap.Count {
 		m, err := next.Dataset().Measure(newQ.Col)
 		if err != nil {
 			return fmt.Errorf("sampling: %w", err)
 		}
-		measure, measureVals = m, m.Values()
+		measureVals = m.Values()
 	}
 	lo, hi := int(c.totalRows), int(newTotal)
 	if n := hi - lo; n > 0 {
@@ -150,32 +146,16 @@ func (c *Cache) AbsorbAppend(next *olap.Space) error {
 		}
 	}
 	c.space = next
-	c.measure = measure
 	c.measureVals = measureVals
 	c.totalRows = newTotal
 	return nil
 }
 
-// Insert considers table row for caching. Rows outside the query scope are
-// counted in NrRead but not stored; in-scope rows are appended to their
-// aggregate's entry list.
-func (c *Cache) Insert(row int) {
-	c.nrRead++
-	idx, ok := c.space.ClassifyRow(row)
-	if !ok {
-		return
-	}
-	v := 1.0
-	if c.measure != nil {
-		v = c.measure.Float(row)
-	}
-	c.add(idx, v)
-}
-
 // InsertBatch considers a batch of rows for caching: one dense batch
-// classification followed by a tight accumulate loop, amortizing the
-// per-row call overhead of Insert. Semantically identical to calling
-// Insert for each row in order.
+// classification followed by a tight accumulate loop. Rows outside the
+// query scope are counted in NrRead but not cached; in-scope rows fold into
+// their aggregate's moments in row order, so one batch and one-row batches
+// of the same rows leave the same cache.
 func (c *Cache) InsertBatch(rows []int) {
 	if len(rows) == 0 {
 		return

@@ -32,15 +32,22 @@ func flightsSpace(t *testing.T, fct olap.AggFunc) *olap.Space {
 	return s
 }
 
+// insertRows inserts rows 0..n-1 into c in one batch.
+func insertRows(c *Cache, n int) {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	c.InsertBatch(rows)
+}
+
 func TestCacheInsertAndSize(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	c, err := NewCache(s)
 	if err != nil {
 		t.Fatalf("NewCache: %v", err)
 	}
-	for row := 0; row < 100; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, 100)
 	if c.NrRead() != 100 {
 		t.Errorf("NrRead = %d, want 100", c.NrRead())
 	}
@@ -80,9 +87,7 @@ func TestCacheScopeFilter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCache: %v", err)
 	}
-	for row := 0; row < 5000; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, 5000)
 	if c.NrRead() != 5000 {
 		t.Errorf("NrRead = %d", c.NrRead())
 	}
@@ -98,7 +103,7 @@ func TestPickAggregateAvgRequiresData(t *testing.T) {
 	if _, ok := c.PickAggregate(rng); ok {
 		t.Error("empty cache should have no eligible aggregate for avg")
 	}
-	c.Insert(0)
+	c.InsertBatch([]int{0})
 	a, ok := c.PickAggregate(rng)
 	if !ok {
 		t.Fatal("expected eligible aggregate")
@@ -115,7 +120,7 @@ func TestPickAggregateCountAllEligible(t *testing.T) {
 	if _, ok := c.PickAggregate(rng); ok {
 		t.Error("count query should need at least one read")
 	}
-	c.Insert(0)
+	c.InsertBatch([]int{0})
 	// With one row read, any aggregate (even empty ones) is eligible.
 	sawEmpty := false
 	for i := 0; i < 200; i++ {
@@ -142,9 +147,7 @@ func TestEstimateUnbiasedness(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Insert every row: estimates should be close to exact values.
 	n := s.Dataset().Table().NumRows()
-	for row := 0; row < n; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, n)
 	for a := 0; a < s.Size(); a++ {
 		want := exact.Value(a)
 		if math.IsNaN(want) {
@@ -166,9 +169,7 @@ func TestEstimateCountScaling(t *testing.T) {
 	c, _ := NewCache(s)
 	rng := rand.New(rand.NewSource(4))
 	n := s.Dataset().Table().NumRows()
-	for row := 0; row < n; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, n)
 	for a := 0; a < s.Size(); a++ {
 		got, ok := c.Estimate(a, rng)
 		if !ok {
@@ -186,9 +187,7 @@ func TestEstimateSum(t *testing.T) {
 	c, _ := NewCache(s)
 	rng := rand.New(rand.NewSource(4))
 	n := s.Dataset().Table().NumRows()
-	for row := 0; row < n; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, n)
 	for a := 0; a < s.Size(); a++ {
 		got, ok := c.Estimate(a, rng)
 		if !ok {
@@ -218,9 +217,7 @@ func TestGrandEstimateMatchesExact(t *testing.T) {
 		exact, _ := olap.EvaluateSpace(s)
 		c, _ := NewCache(s)
 		n := s.Dataset().Table().NumRows()
-		for row := 0; row < n; row++ {
-			c.Insert(row)
-		}
+		insertRows(c, n)
 		got, ok := c.GrandEstimate()
 		if !ok {
 			t.Fatalf("%v: grand estimate unavailable", fct)
@@ -236,9 +233,7 @@ func TestGrandEstimateConvergesFromSample(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
 	exact, _ := olap.EvaluateSpace(s)
 	c, _ := NewCache(s)
-	for row := 0; row < 4000; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, 4000)
 	got, ok := c.GrandEstimate()
 	if !ok {
 		t.Fatal("grand estimate unavailable")
@@ -256,9 +251,7 @@ func TestConfidenceIntervalAvg(t *testing.T) {
 		t.Error("empty aggregate should have no interval")
 	}
 	n := s.Dataset().Table().NumRows()
-	for row := 0; row < n; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, n)
 	exact, _ := olap.EvaluateSpace(s)
 	covered := 0
 	defined := 0
@@ -292,9 +285,7 @@ func TestConfidenceIntervalCountAndSum(t *testing.T) {
 		if _, ok := c.ConfidenceInterval(0, 0.95); ok {
 			t.Errorf("%v: empty cache should have no interval", fct)
 		}
-		for row := 0; row < 8000; row++ {
-			c.Insert(row)
-		}
+		insertRows(c, 8000)
 		exact, _ := olap.EvaluateSpace(s)
 		hits, total := 0, 0
 		for a := 0; a < s.Size(); a++ {

@@ -18,9 +18,7 @@ func TestPooledConfidenceIntervalAvg(t *testing.T) {
 		t.Error("empty cache should have no pooled interval")
 	}
 	n := s.Dataset().Table().NumRows()
-	for row := 0; row < n; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, n)
 	iv, ok := c.PooledConfidenceInterval(all, 0.95)
 	if !ok {
 		t.Fatal("pooled interval unavailable with full cache")
@@ -56,9 +54,7 @@ func TestPooledConfidenceIntervalCountAndSum(t *testing.T) {
 		if _, ok := c.PooledConfidenceInterval(all, 0.95); ok {
 			t.Errorf("%v: empty cache should have no interval", fct)
 		}
-		for row := 0; row < 10000; row++ {
-			c.Insert(row)
-		}
+		insertRows(c, 10000)
 		iv, ok := c.PooledConfidenceInterval(all, 0.99)
 		if !ok {
 			t.Fatalf("%v: interval unavailable", fct)
@@ -81,7 +77,7 @@ func TestPooledIntervalDegenerateZeroVariance(t *testing.T) {
 	inserted := 0
 	for row := 0; row < s.Dataset().Table().NumRows() && inserted < 5; row++ {
 		if measure.Float(row) == 0 {
-			c.Insert(row)
+			c.InsertBatch([]int{row})
 			inserted++
 		}
 	}

@@ -274,7 +274,7 @@ func (sc *scenario) snapshotSpace(t *testing.T) *olap.Space {
 }
 
 // drive feeds c and ref the same rows through the same writers: batches of
-// random size, each through InsertBatch or row-by-row Insert, with one
+// random size, each in one InsertBatch or in one-row batches, with one
 // AbsorbAppend of freshly appended rows in the middle. check runs after
 // the absorb and at the end.
 func (sc *scenario) drive(t *testing.T, c *Cache, ref *refCache, check func(stage string)) {
@@ -290,8 +290,8 @@ func (sc *scenario) drive(t *testing.T, c *Cache, ref *refCache, check func(stag
 				c.InsertBatch(rows)
 				ref.InsertBatch(rows)
 			} else {
-				for _, row := range rows {
-					c.Insert(row)
+				for i, row := range rows {
+					c.InsertBatch(rows[i : i+1])
 					ref.Insert(row)
 				}
 			}

@@ -15,9 +15,7 @@ func TestResampleFixedSize(t *testing.T) {
 		t.Fatalf("EnableResample: %v", err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	for row := 0; row < 10000; row++ {
-		c.Insert(row)
-	}
+	insertRows(c, 10000)
 	// Find an aggregate with plenty of entries.
 	big := -1
 	for a := 0; a < s.Size(); a++ {
@@ -38,7 +36,7 @@ func TestResampleFixedSize(t *testing.T) {
 	if err := c2.EnableResample(0); err != nil {
 		t.Fatalf("EnableResample: %v", err)
 	}
-	c2.Insert(0)
+	c2.InsertBatch([]int{0})
 	idx, ok := c2.PickAggregate(rng)
 	if !ok {
 		t.Fatal("one cached row should make one aggregate eligible")
@@ -52,7 +50,7 @@ func TestResampleFixedSize(t *testing.T) {
 // folded into moments and cannot be handed back.
 func TestEnableResampleAfterInsertFails(t *testing.T) {
 	c, _ := NewCache(flightsSpace(t, olap.Avg))
-	c.Insert(0)
+	c.InsertBatch([]int{0})
 	if err := c.EnableResample(10); err == nil {
 		t.Fatal("EnableResample after an insert should fail")
 	}

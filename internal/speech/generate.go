@@ -274,13 +274,6 @@ func (g *Generator) scopeOf(r *Refinement) *olap.ScopeSet {
 	return g.Space.ScopeSet(r.Preds)
 }
 
-// BranchingFactor returns the maximum number of children any search node
-// can have (the constant m of the complexity analysis): the number of
-// distinct refinement candidates from an empty prefix.
-func (g *Generator) BranchingFactor() int {
-	return len(g.Refinements(nil))
-}
-
 // SpeechScale derives a robust positive scale from a grand estimate,
 // guarding against zero and NaN so baseline ladders stay well formed.
 func SpeechScale(grand float64) float64 {

@@ -241,13 +241,6 @@ func TestRefinementCandidatesPairs(t *testing.T) {
 	}
 }
 
-func TestBranchingFactor(t *testing.T) {
-	g := flightsGenerator(t)
-	if got := g.BranchingFactor(); got != len(g.Refinements(nil)) {
-		t.Error("BranchingFactor should match candidate count")
-	}
-}
-
 func TestRefinementCandidatesWithFilterScope(t *testing.T) {
 	d, err := datagen.Flights(datagen.FlightsConfig{Rows: 2000, Seed: 5})
 	if err != nil {

@@ -302,15 +302,6 @@ type Prefs struct {
 	CharsPerSecond float64
 }
 
-// SpeakingSeconds returns the playback time of n characters under p.
-func (p Prefs) SpeakingSeconds(n int) float64 {
-	rate := p.CharsPerSecond
-	if rate <= 0 {
-		rate = 15
-	}
-	return float64(n) / rate
-}
-
 // MaxCharsEffective folds the time bound into a character bound: the
 // tighter of MaxChars and MaxSeconds·CharsPerSecond (either may be
 // disabled by zero).

@@ -1,23 +1,10 @@
 package speech
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dimension"
 )
-
-func TestSpeakingSeconds(t *testing.T) {
-	p := Prefs{CharsPerSecond: 10}
-	if got := p.SpeakingSeconds(50); got != 5 {
-		t.Errorf("SpeakingSeconds = %v, want 5", got)
-	}
-	// Default rate.
-	p = Prefs{}
-	if got := p.SpeakingSeconds(30); math.Abs(got-2) > 1e-12 {
-		t.Errorf("default rate SpeakingSeconds = %v, want 2", got)
-	}
-}
 
 func TestMaxCharsEffective(t *testing.T) {
 	cases := []struct {

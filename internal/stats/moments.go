@@ -20,13 +20,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN incorporates x with integer weight w >= 0.
-func (a *Accumulator) AddN(x float64, w int64) {
-	for i := int64(0); i < w; i++ {
-		a.Add(x)
-	}
-}
-
 // Count returns the number of observations.
 func (a *Accumulator) Count() int64 { return a.n }
 

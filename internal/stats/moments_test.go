@@ -41,17 +41,6 @@ func TestAccumulatorSingleValue(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddN(t *testing.T) {
-	var a, b Accumulator
-	a.AddN(2, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(2)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() {
-		t.Error("AddN should match repeated Add")
-	}
-}
-
 func TestAccumulatorMergeMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var whole, left, right Accumulator

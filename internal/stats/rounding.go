@@ -16,31 +16,3 @@ func RoundSig(x float64, digits int) float64 {
 	scale := math.Pow(10, float64(digits-1)-mag)
 	return math.Round(x*scale) / scale
 }
-
-// SigBucket returns the half-open interval [lo, hi) of values that round to
-// the same digits-significant-digit representative as x. It is the rounding
-// bucket used by the sampling reward: the reward for a speech is the belief
-// probability of the bucket containing the sample estimate.
-func SigBucket(x float64, digits int) Interval {
-	if x == 0 {
-		return Interval{Lo: 0, Hi: 0}
-	}
-	if digits < 1 {
-		digits = 1
-	}
-	r := RoundSig(x, digits)
-	mag := math.Floor(math.Log10(math.Abs(r)))
-	step := math.Pow(10, mag-float64(digits-1))
-	return Interval{Lo: r - step/2, Hi: r + step/2}
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRoundSig(t *testing.T) {
@@ -40,45 +39,5 @@ func TestRoundSigSpecials(t *testing.T) {
 	}
 	if got := RoundSig(123, 0); got != 100 {
 		t.Errorf("digits<1 should clamp to 1, got %v", got)
-	}
-}
-
-func TestSigBucket(t *testing.T) {
-	// 90 K at one significant digit buckets [85 K, 95 K) — the paper's
-	// Example 4.3 reward bucket.
-	iv := SigBucket(90000, 1)
-	if math.Abs(iv.Lo-85000) > 1e-6 || math.Abs(iv.Hi-95000) > 1e-6 {
-		t.Errorf("SigBucket(90000,1) = %+v, want [85000, 95000)", iv)
-	}
-	iv = SigBucket(0.02, 1)
-	if math.Abs(iv.Lo-0.015) > 1e-12 || math.Abs(iv.Hi-0.025) > 1e-12 {
-		t.Errorf("SigBucket(0.02,1) = %+v, want [0.015, 0.025)", iv)
-	}
-	iv = SigBucket(0, 1)
-	if iv.Lo != 0 || iv.Hi != 0 {
-		t.Errorf("SigBucket(0,1) = %+v, want degenerate", iv)
-	}
-}
-
-// Property: x always lies within its own significant-digit bucket
-// (up to the half-open boundary) and the bucket contains the rounded value.
-func TestSigBucketContainsProperty(t *testing.T) {
-	f := func(seed float64) bool {
-		x := seed
-		if math.IsNaN(x) || math.IsInf(x, 0) || x == 0 || math.Abs(x) > 1e15 || math.Abs(x) < 1e-15 {
-			return true
-		}
-		iv := SigBucket(x, 1)
-		r := RoundSig(x, 1)
-		return x >= iv.Lo-math.Abs(x)*1e-9 && x <= iv.Hi+math.Abs(x)*1e-9 && iv.Contains(r)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
 	}
 }

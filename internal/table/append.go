@@ -86,13 +86,8 @@ func (b *RowBatch) Len() int {
 // live copy of t is ever written, and the one copy a stream costs is paid
 // by its first batch, under the live table's lock and nobody else's. The
 // watermark starts at t's current row count, and loadedAt stamps the base
-// rows for trailing-window resolution (see RowsInLast). Tables with virtual
-// accessors cannot stream: a join view reads the fact foreign-key column at
-// access time, which would race with appends, so star schemas stay frozen.
+// rows for trailing-window resolution (see RowsInLast).
 func (t *Table) AppendableCopy(loadedAt time.Time) (*Table, error) {
-	if len(t.virtuals) > 0 {
-		return nil, fmt.Errorf("table %q: tables with virtual join columns cannot accept appends", t.name)
-	}
 	src := t.Snapshot()
 	nt := &Table{name: src.name, byName: make(map[string]int, len(src.columns))}
 	for _, c := range src.columns {

@@ -198,26 +198,6 @@ func TestAppendBatchValidation(t *testing.T) {
 	}
 }
 
-func TestAppendableCopyRejectsVirtuals(t *testing.T) {
-	fk := NewInt64Column("fk")
-	fk.Append(0)
-	tab := MustNew("star", fk)
-	attr, err := NewStringColumnFromCodes("attr", []string{"x"}, []int32{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jc, err := NewJoinColumn("joined", fk, attr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddVirtual(jc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.AppendableCopy(streamTime(0)); err == nil {
-		t.Fatal("AppendableCopy accepted a table with virtual join columns")
-	}
-}
-
 // TestScannerPinnedUnderAppend is the regression test for the stale-read
 // bug: scanners used to capture NumRows at construction and then read
 // column data live, so a scan over a growing table could mix an old row

@@ -3,73 +3,30 @@ package table
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
-// StringAccessor is the read interface over dictionary-encoded string data
-// that dimension bindings classify rows through. StringColumn implements
-// it directly; JoinColumn implements it for star schemas by resolving a
-// fact-table foreign key into a dimension-table attribute at access time —
-// the paper's "joining fact table entries with indexed dimension tables".
-type StringAccessor interface {
-	// Name returns the accessor name.
-	Name() string
-	// Len returns the number of rows.
-	Len() int
-	// Code returns the dictionary code for row i.
-	Code(i int) int32
-	// Dict returns the dictionary of distinct values.
-	Dict() []string
-	// StringAt returns the decoded value at row i.
-	StringAt(i int) string
-}
-
-// Compile-time check: the plain column satisfies the interface.
-var _ StringAccessor = (*StringColumn)(nil)
-
-// JoinColumn exposes a dimension-table attribute as if it were a column of
-// the fact table: row i's value is attr[fk[i]]. The join is precomputed
-// into a code lookup, so per-row access stays O(1) with no hashing — an
-// indexed foreign-key join.
-type JoinColumn struct {
-	name string
-	fk   *Int64Column
-	attr *StringColumn
-	// codeOf[k] is the attribute's dictionary code for dimension row k.
-	codeOf []int32
-}
-
-// NewJoinColumn joins fact.fk (0-based row ids into the dimension table)
-// with the dimension attribute column. Foreign keys out of range are an
-// error, reported with the first offending fact row.
-func NewJoinColumn(name string, fk *Int64Column, attr *StringColumn) (*JoinColumn, error) {
+// Join materializes a dimension-table attribute as a string column of the
+// fact table, the paper's "joining fact table entries with indexed dimension
+// tables" done once at load: row i of the result holds attr's value for
+// dimension row fk[i]. fk holds 0-based row ids into the dimension table;
+// a key out of range is an error naming the first offending fact row.
+//
+// The result shares attr's dictionary, clipped to its length, so a value
+// appended to the joined column moves it to a dictionary of its own and
+// never writes into attr's; the value index is copied for the same reason.
+func Join(name string, fk *Int64Column, attr *StringColumn) (*StringColumn, error) {
 	if fk == nil || attr == nil {
 		return nil, errors.New("table: join needs fact and dimension columns")
 	}
-	codeOf := make([]int32, attr.Len())
-	for k := 0; k < attr.Len(); k++ {
-		codeOf[k] = attr.Code(k)
-	}
-	for i := 0; i < fk.Len(); i++ {
-		key := fk.Int(i)
-		if key < 0 || key >= int64(len(codeOf)) {
+	codes := make([]int32, len(fk.values))
+	for i, key := range fk.values {
+		if key < 0 || key >= int64(len(attr.codes)) {
 			return nil, fmt.Errorf("table: join %q: fact row %d references dimension row %d of %d",
-				name, i, key, len(codeOf))
+				name, i, key, len(attr.codes))
 		}
+		codes[i] = attr.codes[key]
 	}
-	return &JoinColumn{name: name, fk: fk, attr: attr, codeOf: codeOf}, nil
+	return &StringColumn{name: name, codes: codes, dict: slices.Clip(attr.dict), index: maps.Clone(attr.index)}, nil
 }
-
-// Name implements StringAccessor.
-func (j *JoinColumn) Name() string { return j.name }
-
-// Len implements StringAccessor (the fact table's row count).
-func (j *JoinColumn) Len() int { return j.fk.Len() }
-
-// Code implements StringAccessor.
-func (j *JoinColumn) Code(i int) int32 { return j.codeOf[j.fk.Int(i)] }
-
-// Dict implements StringAccessor (the dimension attribute's dictionary).
-func (j *JoinColumn) Dict() []string { return j.attr.Dict() }
-
-// StringAt implements StringAccessor.
-func (j *JoinColumn) StringAt(i int) string { return j.attr.Dict()[j.Code(i)] }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -28,11 +29,11 @@ func starFixture(t *testing.T) (fact *Table, fk *Int64Column, city *StringColumn
 	return fact, fk, city
 }
 
-func TestJoinColumnBasics(t *testing.T) {
+func TestJoinBasics(t *testing.T) {
 	fact, fk, city := starFixture(t)
-	j, err := NewJoinColumn("city", fk, city)
+	j, err := Join("city", fk, city)
 	if err != nil {
-		t.Fatalf("NewJoinColumn: %v", err)
+		t.Fatalf("Join: %v", err)
 	}
 	if j.Name() != "city" {
 		t.Errorf("name = %q", j.Name())
@@ -47,76 +48,80 @@ func TestJoinColumnBasics(t *testing.T) {
 		}
 	}
 	// Codes follow the dimension attribute's dictionary.
-	if j.Code(0) != j.Code(3) {
-		t.Error("equal values should share codes")
+	if j.Code(0) != j.Code(3) || j.CodeOf("Chicago") != city.CodeOf("Chicago") {
+		t.Error("joined codes should be the attribute's codes")
 	}
 	if len(j.Dict()) != 3 {
 		t.Errorf("dict = %d entries", len(j.Dict()))
 	}
+	if err := fact.AddColumn(j); err != nil {
+		t.Fatalf("AddColumn: %v", err)
+	}
+	if sc, err := fact.StringColumn("city"); err != nil || sc != j {
+		t.Errorf("StringColumn(city) = %v, %v; want the joined column", sc, err)
+	}
 }
 
-func TestJoinColumnValidation(t *testing.T) {
+func TestJoinValidation(t *testing.T) {
 	_, fk, city := starFixture(t)
-	if _, err := NewJoinColumn("x", nil, city); err == nil {
+	if _, err := Join("x", nil, city); err == nil {
 		t.Error("nil fact column should fail")
 	}
-	if _, err := NewJoinColumn("x", fk, nil); err == nil {
+	if _, err := Join("x", fk, nil); err == nil {
 		t.Error("nil dimension column should fail")
 	}
 	// Out-of-range foreign key.
 	bad := NewInt64Column("airportID")
 	bad.Append(99)
-	if _, err := NewJoinColumn("x", bad, city); err == nil {
+	if _, err := Join("x", bad, city); err == nil {
 		t.Error("out-of-range FK should fail")
 	}
 	neg := NewInt64Column("airportID")
 	neg.Append(-1)
-	if _, err := NewJoinColumn("x", neg, city); err == nil {
+	if _, err := Join("x", neg, city); err == nil {
 		t.Error("negative FK should fail")
 	}
 }
 
-func TestTableVirtualAccessors(t *testing.T) {
+// TestJoinLeavesAttributeUntouched guards the clipped dictionary and the
+// copied index: a new value appended to the joined column, while the
+// attribute grows too, lands in neither the attribute's dictionary nor its
+// index, and the attribute's own append does not overwrite the joined one.
+// A star table also streams like any other: its live copy takes a batch,
+// which leaves the frozen table's joined column as it was.
+func TestJoinLeavesAttributeUntouched(t *testing.T) {
 	fact, fk, city := starFixture(t)
-	j, err := NewJoinColumn("city", fk, city)
+	j, err := Join("city", fk, city)
 	if err != nil {
-		t.Fatalf("NewJoinColumn: %v", err)
+		t.Fatalf("Join: %v", err)
 	}
-	if err := fact.AddVirtual(j); err != nil {
-		t.Fatalf("AddVirtual: %v", err)
+	if err := fact.AddColumn(j); err != nil {
+		t.Fatalf("AddColumn: %v", err)
 	}
-	acc, err := fact.Accessor("city")
+	live, err := fact.AppendableCopy(streamTime(0))
 	if err != nil {
-		t.Fatalf("Accessor: %v", err)
+		t.Fatalf("AppendableCopy: %v", err)
 	}
-	if acc.StringAt(0) != "Boston" {
-		t.Errorf("virtual access = %q", acc.StringAt(0))
+	b := NewRowBatch().Int64s("airportID", 2).Float64s("cancelled", 1).Strings("city", "Chicago")
+	if _, err := live.AppendBatch(b, streamTime(1)); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
 	}
-	// Duplicates and collisions rejected.
-	if err := fact.AddVirtual(j); err == nil {
-		t.Error("duplicate virtual should fail")
+	if got := live.Snapshot().Column("city").StringAt(5); got != "Chicago" {
+		t.Errorf("appended row = %q, want Chicago", got)
 	}
-	collide, _ := NewJoinColumn("airportID", fk, city)
-	if err := fact.AddVirtual(collide); err == nil {
-		t.Error("virtual colliding with a column should fail")
+	if j.Len() != fact.NumRows() {
+		t.Errorf("the live batch grew the frozen joined column to %d rows", j.Len())
 	}
-	// Wrong length.
-	shortFK := NewInt64Column("f")
-	shortFK.Append(0)
-	shortJoin, _ := NewJoinColumn("short", shortFK, city)
-	if err := fact.AddVirtual(shortJoin); err == nil {
-		t.Error("ragged virtual should fail")
+	before := slices.Clone(city.Dict())
+	j.Append("Denver")
+	city.Append("Seattle")
+	if got, want := city.Dict(), append(before, "Seattle"); !slices.Equal(got, want) {
+		t.Errorf("attribute dict = %v, want %v", got, want)
 	}
-}
-
-func TestAccessorResolution(t *testing.T) {
-	fact, _, _ := starFixture(t)
-	// Unknown name.
-	if _, err := fact.Accessor("ghost"); err == nil {
-		t.Error("unknown accessor should fail")
+	if city.CodeOf("Denver") != -1 {
+		t.Error("a value appended to the joined column entered the attribute's index")
 	}
-	// Non-string stored column.
-	if _, err := fact.Accessor("cancelled"); err == nil {
-		t.Error("float column should not resolve as string accessor")
+	if got := j.StringAt(j.Len() - 1); got != "Denver" {
+		t.Errorf("joined column's last row = %q, want Denver", got)
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"time"
 )
 
-// Table is a named collection of equally sized columns, plus optional
-// virtual string accessors (star-schema join views) that behave like
-// dictionary-encoded columns for row classification but are not stored.
+// Table is a named collection of equally sized columns.
 //
 // Tables come in two flavors. A table built by New is frozen: its contents
 // never change and every method is safe for concurrent use. AppendableCopy
@@ -20,10 +18,9 @@ import (
 // RowsInLast are safe to call concurrently — everything else must go
 // through a Snapshot.
 type Table struct {
-	name     string
-	columns  []Column
-	byName   map[string]int
-	virtuals map[string]StringAccessor
+	name    string
+	columns []Column
+	byName  map[string]int
 
 	// Streaming state. wm is the committed row watermark: rows at indices
 	// < wm are immutable and visible; appends write only indices >= wm, so
@@ -125,42 +122,6 @@ func (t *Table) Float64Column(name string) (*Float64Column, error) {
 		return nil, fmt.Errorf("table %q: column %q is %v, want float64", t.name, name, c.Type())
 	}
 	return fc, nil
-}
-
-// AddVirtual registers a virtual string accessor (e.g. a star-schema
-// JoinColumn) under its name. The accessor must be as long as the table
-// and must not collide with an existing column or virtual.
-func (t *Table) AddVirtual(acc StringAccessor) error {
-	if acc.Len() != t.NumRows() {
-		return fmt.Errorf("%w: table %q virtual %q has %d rows, want %d",
-			ErrRaggedColumns, t.name, acc.Name(), acc.Len(), t.NumRows())
-	}
-	if _, dup := t.byName[acc.Name()]; dup {
-		return fmt.Errorf("table %q: virtual %q collides with a column", t.name, acc.Name())
-	}
-	if _, dup := t.virtuals[acc.Name()]; dup {
-		return fmt.Errorf("table %q: duplicate virtual %q", t.name, acc.Name())
-	}
-	if t.virtuals == nil {
-		t.virtuals = make(map[string]StringAccessor)
-	}
-	t.virtuals[acc.Name()] = acc
-	return nil
-}
-
-// Accessor returns the string accessor with the given name: a stored
-// string column if one exists, else a registered virtual.
-func (t *Table) Accessor(name string) (StringAccessor, error) {
-	if c := t.Column(name); c != nil {
-		if sc, ok := c.(*StringColumn); ok {
-			return sc, nil
-		}
-		return nil, fmt.Errorf("table %q: column %q is %v, want string", t.name, name, c.Type())
-	}
-	if acc, ok := t.virtuals[name]; ok {
-		return acc, nil
-	}
-	return nil, fmt.Errorf("table %q: no string column or virtual %q", t.name, name)
 }
 
 // StringColumn returns the named column as *StringColumn.

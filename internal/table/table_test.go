@@ -94,6 +94,9 @@ func TestTypedColumnAccessors(t *testing.T) {
 	if _, err := tab.StringColumn("salary"); err == nil {
 		t.Error("expected type mismatch error")
 	}
+	if _, err := tab.StringColumn("nope"); err == nil {
+		t.Error("expected missing column error")
+	}
 }
 
 func TestStringColumnDictEncoding(t *testing.T) {

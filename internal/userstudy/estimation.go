@@ -1,7 +1,6 @@
 package userstudy
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -174,9 +173,4 @@ func tendencyAccuracy(est, actual []float64) float64 {
 		}
 	}
 	return float64(correct) / float64(total)
-}
-
-// FormatPercent renders a probability error as Table 6's percent value.
-func FormatPercent(v float64) string {
-	return fmt.Sprintf("%.2g", v*100)
 }

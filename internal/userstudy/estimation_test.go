@@ -175,9 +175,3 @@ func TestTendencyAccuracy(t *testing.T) {
 		t.Errorf("single field = %v, want 1", got)
 	}
 }
-
-func TestFormatPercent(t *testing.T) {
-	if FormatPercent(0.012) != "1.2" {
-		t.Errorf("FormatPercent(0.012) = %q", FormatPercent(0.012))
-	}
-}

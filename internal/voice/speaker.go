@@ -109,17 +109,6 @@ func (s *Speaker) IsPlaying() bool {
 	return s.busyUntil.After(s.clock.Now())
 }
 
-// RemainingTime returns how much playback time is left (zero when idle).
-func (s *Speaker) RemainingTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	if !s.busyUntil.After(now) {
-		return 0
-	}
-	return s.busyUntil.Sub(now)
-}
-
 // Transcript returns the utterances spoken so far, in order.
 func (s *Speaker) Transcript() []Utterance {
 	s.mu.Lock()
@@ -127,15 +116,4 @@ func (s *Speaker) Transcript() []Utterance {
 	out := make([]Utterance, len(s.transcript))
 	copy(out, s.transcript)
 	return out
-}
-
-// TotalSpeakingTime sums the playback durations of the whole transcript.
-func (s *Speaker) TotalSpeakingTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total time.Duration
-	for _, u := range s.transcript {
-		total += u.Duration()
-	}
-	return total
 }

@@ -40,15 +40,9 @@ func TestStartAndIsPlaying(t *testing.T) {
 	if !s.IsPlaying() {
 		t.Error("should still be playing at 0.5s")
 	}
-	if got := s.RemainingTime(); got != 500*time.Millisecond {
-		t.Errorf("remaining = %v, want 500ms", got)
-	}
 	clock.Advance(500 * time.Millisecond)
 	if s.IsPlaying() {
 		t.Error("should be idle at exactly 1s")
-	}
-	if got := s.RemainingTime(); got != 0 {
-		t.Errorf("remaining = %v, want 0", got)
 	}
 }
 
@@ -85,11 +79,8 @@ func TestTranscriptAndTotals(t *testing.T) {
 	if len(tr) != 2 || tr[0].Text != "aaaaaaaaaa" || tr[1].Text != "bbbbb" {
 		t.Fatalf("transcript = %+v", tr)
 	}
-	if got := s.TotalSpeakingTime(); got != 1500*time.Millisecond {
-		t.Errorf("total speaking time = %v, want 1.5s", got)
-	}
-	if tr[0].Duration() != time.Second {
-		t.Errorf("utterance duration = %v", tr[0].Duration())
+	if tr[0].Duration() != time.Second || tr[1].Duration() != 500*time.Millisecond {
+		t.Errorf("utterance durations = %v, %v, want 1s, 0.5s", tr[0].Duration(), tr[1].Duration())
 	}
 	// Transcript is a copy: mutations must not leak.
 	tr[0].Text = "mutated"
@@ -129,7 +120,7 @@ func TestSpeakerConcurrentAccess(t *testing.T) {
 	}()
 	for i := 0; i < 1000; i++ {
 		clock.Advance(time.Millisecond)
-		s.TotalSpeakingTime()
+		s.Transcript()
 	}
 	<-done
 	if len(s.Transcript()) != 1000 {
