@@ -83,6 +83,31 @@ func TestJoinValidation(t *testing.T) {
 	}
 }
 
+// TestAccessorResolution resolves names on a star fact table: a joined
+// column resolves as a string column, an unknown name or a stored numeric
+// column does not.
+func TestAccessorResolution(t *testing.T) {
+	fact, fk, city := starFixture(t)
+	j, err := Join("city", fk, city)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if err := fact.AddColumn(j); err != nil {
+		t.Fatalf("AddColumn: %v", err)
+	}
+	if sc, err := fact.StringColumn("city"); err != nil || sc != j {
+		t.Errorf("StringColumn(city) = %v, %v; want the joined column", sc, err)
+	}
+	// Unknown name.
+	if _, err := fact.StringColumn("ghost"); err == nil {
+		t.Error("unknown column should fail")
+	}
+	// Non-string stored column.
+	if _, err := fact.StringColumn("cancelled"); err == nil {
+		t.Error("float column should not resolve as string column")
+	}
+}
+
 // TestJoinLeavesAttributeUntouched guards the clipped dictionary and the
 // copied index: a new value appended to the joined column, while the
 // attribute grows too, lands in neither the attribute's dictionary nor its
