@@ -49,6 +49,19 @@ func TestFlightsDefaultRows(t *testing.T) {
 	}
 }
 
+// TestFlightsNegativeRows: only zero means the default row count; a
+// negative one is an error, not 200 000 rows.
+func TestFlightsNegativeRows(t *testing.T) {
+	for _, rows := range []int{-1, -5} {
+		if d, err := Flights(FlightsConfig{Rows: rows, Seed: 1}); err == nil {
+			t.Errorf("Flights with %d rows: no error, %d rows", rows, d.Table().NumRows())
+		}
+		if d, err := StarFlights(FlightsConfig{Rows: rows, Seed: 1}); err == nil {
+			t.Errorf("StarFlights with %d rows: no error, %d rows", rows, d.Table().NumRows())
+		}
+	}
+}
+
 func TestFlightsDeterministic(t *testing.T) {
 	a, _ := Flights(FlightsConfig{Rows: 1000, Seed: 7})
 	b, _ := Flights(FlightsConfig{Rows: 1000, Seed: 7})

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
+	"runtime"
 	"sync"
 
 	"repro/internal/dimension"
@@ -23,18 +23,22 @@ import (
 // FlightsConfig parameterizes the flight dataset.
 type FlightsConfig struct {
 	// Rows is the number of flight rows; the paper's dataset has 5.3
-	// million. Defaults to 200 000 when zero.
+	// million. Defaults to 200 000 when zero; a negative count is an error.
 	Rows int
-	// Seed drives the deterministic generator.
+	// Seed drives the deterministic generator: a fixed Seed gives the same
+	// table at every GOMAXPROCS.
 	Seed int64
-	// Workers splits row generation across that many goroutines writing
-	// disjoint row ranges. <= 1 keeps the sequential generator, whose
-	// output for a fixed Seed is unchanged from earlier versions. Parallel
-	// output is deterministic for a fixed (Seed, Workers) pair — each
-	// worker derives its own seed from Seed and its range index — but is a
-	// different, statistically equivalent, sample than the sequential
-	// stream.
-	Workers int
+}
+
+// rows returns the configured row count, DefaultFlightRows for zero.
+func (cfg FlightsConfig) rows() (int, error) {
+	switch {
+	case cfg.Rows < 0:
+		return 0, fmt.Errorf("datagen: negative flight row count %d", cfg.Rows)
+	case cfg.Rows == 0:
+		return DefaultFlightRows, nil
+	}
+	return cfg.Rows, nil
 }
 
 // DefaultFlightRows is the row count used when FlightsConfig.Rows is zero,
@@ -205,12 +209,13 @@ type flightModel struct {
 	drawAirport, drawMonth, drawAirline intn
 }
 
-// intn draws what rng.Intn(n) draws for one n in [1, 1<<31), from the same
-// Int31 calls, without Int31n's two divisions: its rejection bound max is
-// computed once, and v % n is a multiply-high by m = ceil(2^64 / n), exact
-// for every 32-bit v and n (Lemire, Kaser and Kurz, "Faster remainder by
-// direct computation", 2019). For a power of two, max rejects nothing and
-// v % n is the mask Int31n takes.
+// intn is rand.Intn(n) for one n in [1, 1<<31), in two halves: limit
+// tells which Int63 values Int31n keeps, and index maps a kept value to
+// what Int31n returns for it, without Int31n's two divisions. The
+// rejection bound max is computed once, and v % n is a multiply-high by
+// m = ceil(2^64 / n), exact for every 32-bit v and n (Lemire, Kaser and
+// Kurz, "Faster remainder by direct computation", 2019). For a power of
+// two, max rejects nothing and v % n is the mask Int31n takes.
 type intn struct {
 	n   uint64
 	m   uint64
@@ -221,14 +226,23 @@ func newIntn(n int) intn {
 	return intn{n: uint64(n), m: math.MaxUint64/uint64(n) + 1, max: int32(1<<31 - 1 - (1<<31)%uint32(n))}
 }
 
-func (d intn) draw(rng *rand.Rand) int {
-	v := rng.Int31()
-	for v > d.max {
-		v = rng.Int31()
-	}
-	r, _ := bits.Mul64(d.m*uint64(v), d.n)
+// limit is the largest Int63 whose Int31, its top 31 bits, Int31n keeps;
+// it draws again for any value above.
+func (d intn) limit() int64 { return int64(d.max)<<32 | (1<<32 - 1) }
+
+// index returns what Int31n returns for the Int63 v it keeps.
+func (d intn) index(v int64) int {
+	r, _ := bits.Mul64(d.m*uint64(v>>32), d.n)
 	return int(r)
 }
+
+// unitFloat is what rand.Float64 makes of the Int63 v.
+func unitFloat(v int64) float64 { return float64(v) / (1 << 63) }
+
+// unitFloatLimit is the largest Int63 that rand.Float64 keeps: from
+// 1<<63 - 512 on, the conversion to float64 rounds up to 1<<63, the
+// quotient is 1, and Float64 draws again.
+const unitFloatLimit = 1<<63 - 513
 
 // newFlightModel normalizes the catalog factors.
 func newFlightModel() *flightModel {
@@ -276,49 +290,61 @@ func newFlightModel() *flightModel {
 	}
 }
 
-// genRow draws one flight row: catalog indices for airport, month, and
-// airline plus the cancellation flag. The rng call order is the generator's
-// wire format — changing it changes every seeded dataset.
-func (fm *flightModel) genRow(rng *rand.Rand) (a, m, l int, cancelled float64) {
-	a = fm.drawAirport.draw(rng)
-	m = fm.drawMonth.draw(rng)
-	l = fm.drawAirline.draw(rng)
+// drawsPerRow is how many accepted draws make one row: the airport, month
+// and airline indices, then the cancellation draw. They are what
+// rand.Rand's Intn, Intn, Intn and Float64 take from the stream, in that
+// order; the order is the generator's wire format — changing it changes
+// every seeded dataset.
+const drawsPerRow = 4
+
+// cut fills draws, a whole number of rows, with the next rows' accepted
+// draws from src: a value above its field's limit is dropped and the
+// draws after it move up one place, as Intn and Float64 draw again. It is
+// the only code that needs to see the stream in order.
+func (fm *flightModel) cut(src *int63Stream, draws []int64) {
+	limits := [drawsPerRow]int64{fm.drawAirport.limit(), fm.drawMonth.limit(), fm.drawAirline.limit(), unitFloatLimit}
+	src.read(draws)
+	for i := 0; i < len(draws); {
+		if draws[i] <= limits[uint(i)%drawsPerRow] {
+			i++
+			continue
+		}
+		copy(draws[i:], draws[i+1:])
+		src.read(draws[len(draws)-1:])
+	}
+}
+
+// decode turns one row's accepted draws into its catalog indices for
+// airport, month and airline and its cancellation flag.
+func (fm *flightModel) decode(row []int64) (a, m, l int, cancelled float64) {
+	_ = row[drawsPerRow-1]
+	a = fm.drawAirport.index(row[0])
+	m = fm.drawMonth.index(row[1])
+	l = fm.drawAirline.index(row[2])
 	p := fm.base[a*len(fm.months)+m] * fm.airportFactor[a] * fm.airlineFactor[l] * fm.months[m].factor
 	if p > 0.95 {
 		p = 0.95
 	}
-	if rng.Float64() < p {
+	if unitFloat(row[3]) < p {
 		cancelled = 1.0
 	}
 	return a, m, l, cancelled
 }
 
-// splitSeed derives the seed of worker w from the base seed; the golden
-// gamma decorrelates the derived streams (splitmix-style).
-func splitSeed(seed int64, w int) int64 {
-	const gamma = uint64(0x9E3779B97F4A7C15)
-	return seed ^ int64(uint64(w+1)*gamma)
-}
+// flightBlockRows is how many rows one block of the stream holds.
+const flightBlockRows = 1 << 15
 
 // Flights generates the synthetic flight-cancellation dataset.
 func Flights(cfg FlightsConfig) (*olap.Dataset, error) {
-	rows := cfg.Rows
-	if rows <= 0 {
-		rows = DefaultFlightRows
+	rows, err := cfg.rows()
+	if err != nil {
+		return nil, err
 	}
-	model := newFlightModel()
-	airportH, dateH, airlineH := FlightHierarchies()
-
-	var tab *table.Table
-	var err error
-	if cfg.Workers > 1 {
-		tab, err = flightsParallel(cfg.Seed, rows, cfg.Workers, model)
-	} else {
-		tab, err = flightsSequential(cfg.Seed, rows, model)
-	}
+	tab, err := flightsFrom(seededStream(cfg.Seed), rows, newFlightModel())
 	if err != nil {
 		return nil, fmt.Errorf("datagen: %w", err)
 	}
+	airportH, dateH, airlineH := FlightHierarchies()
 	d, err := olap.NewDataset(tab, airportH, dateH, airlineH)
 	if err != nil {
 		return nil, fmt.Errorf("datagen: %w", err)
@@ -326,41 +352,143 @@ func Flights(cfg FlightsConfig) (*olap.Dataset, error) {
 	return d, nil
 }
 
-// flightsSequential is the original single-stream generator; its output for
-// a fixed seed is frozen (tests pin exact aggregate values against it),
-// including the dictionary order of appending each row's strings one by
-// one: codes are handed out in first-appearance order.
-func flightsSequential(seed int64, rows int, model *flightModel) (*table.Table, error) {
-	rng := rand.New(rand.NewSource(seed))
-	airports := newFirstSeen(len(airportCatalog))
-	months := newFirstSeen(len(model.months))
-	airlines := newFirstSeen(len(airlineCatalog))
-	airportCodes := make([]int32, rows)
-	monthCodes := make([]int32, rows)
-	airlineCodes := make([]int32, rows)
-	cancelled := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		a, m, l, c := model.genRow(rng)
-		airportCodes[i] = airports.code(a)
-		monthCodes[i] = months.code(m)
-		airlineCodes[i] = airlines.code(l)
+// flightsFrom generates rows flight rows from src: byte for byte the table
+// that drawing row after row from rand.New over src's source gives, at
+// every GOMAXPROCS.
+// Dictionary codes are handed out in first-appearance order, the order
+// appending each row's strings to a StringColumn would intern them in.
+//
+// Rows come in blocks of flightBlockRows. The caller decodes blocks in
+// order until every catalog entry has been seen, which fixes the codes;
+// that is the first block unless the table is tiny. The remaining blocks
+// may then be decoded in any order: one goroutine owns src and cuts its
+// stream into blocks, and GOMAXPROCS workers, the caller among them,
+// decode them into disjoint row ranges. At GOMAXPROCS 1, or with one
+// block left, the caller runs the same block loop alone.
+func flightsFrom(src *int63Stream, rows int, fm *flightModel) (*table.Table, error) {
+	fc := newFlightColumns(fm, rows)
+	workers := runtime.GOMAXPROCS(0)
+	draws := make([]int64, drawsPerRow*min(rows, flightBlockRows))
+	lo := 0
+	// The caller decodes in row order until the codes are settled, and
+	// alone with one proc or one block left.
+	for ; lo < rows && (workers <= 1 || !fc.settled() || rows-lo <= flightBlockRows); lo += flightBlockRows {
+		block := draws[:drawsPerRow*min(flightBlockRows, rows-lo)]
+		fm.cut(src, block)
+		fc.fill(lo, block)
+	}
+	if lo < rows {
+		fc.fillParallel(src, lo, workers)
+	}
+	return fc.table()
+}
+
+// flightColumns is a table being generated: the three dimensions'
+// dictionary codes and the measure, one entry per row.
+type flightColumns struct {
+	fm                                     *flightModel
+	airports, months, airlines             *firstSeen
+	airportCodes, monthCodes, airlineCodes []int32
+	cancelled                              []float64
+}
+
+func newFlightColumns(fm *flightModel, rows int) *flightColumns {
+	return &flightColumns{
+		fm:           fm,
+		airports:     newFirstSeen(len(airportCatalog)),
+		months:       newFirstSeen(len(fm.months)),
+		airlines:     newFirstSeen(len(airlineCatalog)),
+		airportCodes: make([]int32, rows),
+		monthCodes:   make([]int32, rows),
+		airlineCodes: make([]int32, rows),
+		cancelled:    make([]float64, rows),
+	}
+}
+
+// fill decodes draws, the accepted draws of the rows from row lo on.
+// Before settled it must see the blocks in row order; after, it only
+// reads the shared dictionaries, and blocks may be filled concurrently.
+func (fc *flightColumns) fill(lo int, draws []int64) {
+	n := len(draws) / drawsPerRow
+	airports, months, airlines := fc.airportCodes[lo:lo+n], fc.monthCodes[lo:lo+n], fc.airlineCodes[lo:lo+n]
+	cancelled := fc.cancelled[lo : lo+n]
+	for i := range cancelled {
+		a, m, l, c := fc.fm.decode(draws[i*drawsPerRow : (i+1)*drawsPerRow])
+		airports[i] = fc.airports.code(a)
+		months[i] = fc.months.code(m)
+		airlines[i] = fc.airlines.code(l)
 		cancelled[i] = c
 	}
-	airportNames, monthNames, airlineNames := model.catalogNames()
-	airportCol, err := airports.column("airport", airportCodes, airportNames)
+}
+
+// settled reports whether every catalog entry has its code.
+func (fc *flightColumns) settled() bool {
+	return fc.airports.complete() && fc.months.complete() && fc.airlines.complete()
+}
+
+// fillParallel fills the rows from lo on, once settled: one goroutine cuts
+// src into blocks, and up to workers goroutines, the caller among them and
+// no more than there are blocks, fill them.
+func (fc *flightColumns) fillParallel(src *int63Stream, lo, workers int) {
+	type block struct {
+		lo    int
+		draws []int64
+	}
+	rows := len(fc.cancelled)
+	workers = min(workers, (rows-lo+flightBlockRows-1)/flightBlockRows)
+	// The draw buffers are recycled: one per worker, one for the owner to
+	// cut into and one cut ahead, since the owner is the slower side. Both
+	// channels can hold every buffer, so only an empty free list makes the
+	// owner wait.
+	free := make(chan []int64, workers+2)
+	for i := 0; i < cap(free); i++ {
+		free <- make([]int64, drawsPerRow*flightBlockRows)
+	}
+	full := make(chan block, cap(free))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	go func() {
+		defer wg.Done()
+		defer close(full)
+		for ; lo < rows; lo += flightBlockRows {
+			draws := (<-free)[:drawsPerRow*min(flightBlockRows, rows-lo)]
+			fc.fm.cut(src, draws)
+			full <- block{lo, draws}
+		}
+	}()
+	decode := func() {
+		for b := range full {
+			fc.fill(b.lo, b.draws)
+			free <- b.draws
+		}
+	}
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			decode()
+		}()
+	}
+	decode()
+	wg.Wait()
+}
+
+// table assembles the generated columns.
+func (fc *flightColumns) table() (*table.Table, error) {
+	airportNames, monthNames, airlineNames := fc.fm.catalogNames()
+	airportCol, err := fc.airports.column("airport", fc.airportCodes, airportNames)
 	if err != nil {
 		return nil, err
 	}
-	monthCol, err := months.column("month", monthCodes, monthNames)
+	monthCol, err := fc.months.column("month", fc.monthCodes, monthNames)
 	if err != nil {
 		return nil, err
 	}
-	airlineCol, err := airlines.column("airline", airlineCodes, airlineNames)
+	airlineCol, err := fc.airlines.column("airline", fc.airlineCodes, airlineNames)
 	if err != nil {
 		return nil, err
 	}
 	return table.New("flights", airportCol, monthCol, airlineCol,
-		table.NewFloat64ColumnFromValues("cancelled", cancelled))
+		table.NewFloat64ColumnFromValues("cancelled", fc.cancelled))
 }
 
 // firstSeen hands out dictionary codes to catalog indices in the order they
@@ -379,6 +507,8 @@ func newFirstSeen(catalog int) *firstSeen {
 	return f
 }
 
+// code returns catalog index i's code, handing out the next one if i is
+// new. Once complete, it only reads.
 func (f *firstSeen) code(i int) int32 {
 	if f.codes[i] < 0 {
 		f.codes[i] = int32(len(f.order))
@@ -386,6 +516,9 @@ func (f *firstSeen) code(i int) int32 {
 	}
 	return f.codes[i]
 }
+
+// complete reports whether every catalog index has its code.
+func (f *firstSeen) complete() bool { return len(f.order) == len(f.codes) }
 
 // column builds the string column of the rows coded so far; names lists
 // the catalog's strings in catalog order.
@@ -398,7 +531,7 @@ func (f *firstSeen) column(col string, codes []int32, names []string) (*table.St
 }
 
 // catalogNames lists the column strings of the three dimensions in catalog
-// order, the order genRow's indices refer to.
+// order, the order decode's indices refer to.
 func (fm *flightModel) catalogNames() (airports, months, airlines []string) {
 	airports = make([]string, len(airportCatalog))
 	for i, a := range airportCatalog {
@@ -413,53 +546,4 @@ func (fm *flightModel) catalogNames() (airports, months, airlines []string) {
 		airlines[i] = a.name
 	}
 	return airports, months, airlines
-}
-
-// flightsParallel generates rows with the given number of workers, each
-// filling a disjoint contiguous row range of shared code and measure slices
-// from its own derived seed. Dictionaries are laid out in catalog order so
-// the drawn catalog indices are the dictionary codes — no string interning
-// on the hot path and no cross-worker coordination at all.
-func flightsParallel(seed int64, rows, workers int, model *flightModel) (*table.Table, error) {
-	if workers > rows {
-		workers = rows
-	}
-	airportCodes := make([]int32, rows)
-	monthCodes := make([]int32, rows)
-	airlineCodes := make([]int32, rows)
-	cancelled := make([]float64, rows)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * rows / workers
-		hi := (w + 1) * rows / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(splitSeed(seed, w)))
-			for i := lo; i < hi; i++ {
-				a, m, l, c := model.genRow(rng)
-				airportCodes[i] = int32(a)
-				monthCodes[i] = int32(m)
-				airlineCodes[i] = int32(l)
-				cancelled[i] = c
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	airportDict, monthDict, airlineDict := model.catalogNames()
-	airportCol, err := table.NewStringColumnFromCodes("airport", airportDict, airportCodes)
-	if err != nil {
-		return nil, err
-	}
-	monthCol, err := table.NewStringColumnFromCodes("month", monthDict, monthCodes)
-	if err != nil {
-		return nil, err
-	}
-	airlineCol, err := table.NewStringColumnFromCodes("airline", airlineDict, airlineCodes)
-	if err != nil {
-		return nil, err
-	}
-	return table.New("flights", airportCol, monthCol, airlineCol,
-		table.NewFloat64ColumnFromValues("cancelled", cancelled))
 }

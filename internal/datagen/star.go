@@ -2,7 +2,6 @@ package datagen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/olap"
 	"repro/internal/table"
@@ -15,82 +14,38 @@ import (
 // identically to the denormalized Flights dataset (the paper: "our system
 // can handle queries on star schemata as well").
 func StarFlights(cfg FlightsConfig) (*olap.Dataset, error) {
-	rows := cfg.Rows
-	if rows <= 0 {
-		rows = DefaultFlightRows
+	rows, err := cfg.rows()
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	fm := newFlightModel()
 	airportH, dateH, airlineH := FlightHierarchies()
 
-	// Dimension tables: one row per leaf member.
-	airportAttr := table.NewStringColumn("airport")
-	for _, a := range airportCatalog {
-		airportAttr.Append(a.code)
-	}
-	type monthEntry struct {
-		season, month string
-		factor        float64
-	}
-	var months []monthEntry
-	for _, season := range seasonOrder {
-		raw := make([]float64, len(seasonMonths[season]))
-		for i, m := range seasonMonths[season] {
-			raw[i] = m.factor
+	// Dimension tables: one row per leaf member, in catalog order, so a
+	// catalog index is a foreign key.
+	attr := func(name string, values []string) *table.StringColumn {
+		col := table.NewStringColumn(name)
+		for _, v := range values {
+			col.Append(v)
 		}
-		norm := normalizeFactors(raw)
-		for i, m := range seasonMonths[season] {
-			months = append(months, monthEntry{season, m.month, norm[i]})
-		}
+		return col
 	}
-	monthAttr := table.NewStringColumn("month")
-	for _, m := range months {
-		monthAttr.Append(m.month)
-	}
-	airlineAttr := table.NewStringColumn("airline")
-	for _, a := range airlineCatalog {
-		airlineAttr.Append(a.name)
-	}
+	airportNames, monthNames, airlineNames := fm.catalogNames()
+	airportAttr := attr("airport", airportNames)
+	monthAttr := attr("month", monthNames)
+	airlineAttr := attr("airline", airlineNames)
 
-	// Factor normalization identical to the denormalized generator.
-	regionAirports := make(map[string][]int)
-	for i, a := range airportCatalog {
-		regionAirports[a.region] = append(regionAirports[a.region], i)
-	}
-	airportFactor := make([]float64, len(airportCatalog))
-	for _, idxs := range regionAirports {
-		raw := make([]float64, len(idxs))
-		for j, i := range idxs {
-			raw[j] = airportCatalog[i].factor
-		}
-		norm := normalizeFactors(raw)
-		for j, i := range idxs {
-			airportFactor[i] = norm[j]
-		}
-	}
-	rawAirline := make([]float64, len(airlineCatalog))
-	for i, a := range airlineCatalog {
-		rawAirline[i] = a.factor
-	}
-	airlineFactor := normalizeFactors(rawAirline)
-
-	// Fact table: foreign keys plus the measure.
+	// Fact table: foreign keys plus the measure, drawn row by row through
+	// the same row model as Flights.
 	airportFK := table.NewInt64Column("airportID")
 	monthFK := table.NewInt64Column("monthID")
 	airlineFK := table.NewInt64Column("airlineID")
 	cancelledCol := table.NewFloat64Column("cancelled")
+	src := seededStream(cfg.Seed)
+	var draws [drawsPerRow]int64
 	for i := 0; i < rows; i++ {
-		a := rng.Intn(len(airportCatalog))
-		m := rng.Intn(len(months))
-		l := rng.Intn(len(airlineCatalog))
-		base := TableTwelve[airportCatalog[a].region][months[m].season]
-		p := base * airportFactor[a] * airlineFactor[l] * months[m].factor
-		if p > 0.95 {
-			p = 0.95
-		}
-		cancelled := 0.0
-		if rng.Float64() < p {
-			cancelled = 1.0
-		}
+		fm.cut(src, draws[:])
+		a, m, l, cancelled := fm.decode(draws[:])
 		airportFK.Append(int64(a))
 		monthFK.Append(int64(m))
 		airlineFK.Append(int64(l))

@@ -14,13 +14,18 @@ type FlightRow struct {
 // FlightRows draws n rows from the same statistical model the Flights
 // generator uses, with every dimension value taken from the generator's
 // catalogs — so the rows always pass the streaming append's dictionary
-// check against any Flights-built table. Deterministic in seed.
+// check against any Flights-built table. Deterministic in seed: the rows
+// are the first n of the Flights table of the same seed, as strings.
 func FlightRows(seed int64, n int) []FlightRow {
 	model := newFlightModel()
-	rng := rand.New(rand.NewSource(seed))
+	// An ingest batch is a few hundred rows: calling the source costs less
+	// than a seeded stream's 37 KB buffer.
+	src := sourceStream(rand.NewSource(seed))
 	rows := make([]FlightRow, n)
+	var draws [drawsPerRow]int64
 	for i := range rows {
-		a, m, l, cancelled := model.genRow(rng)
+		model.cut(src, draws[:])
+		a, m, l, cancelled := model.decode(draws[:])
 		rows[i] = FlightRow{
 			Airport:   airportCatalog[a].code,
 			Month:     model.months[m].month,

@@ -163,9 +163,9 @@ func NewStringColumn(name string) *StringColumn {
 
 // NewStringColumnFromCodes builds a column from a pre-built dictionary and
 // code slice without re-hashing every row. The dictionary must list
-// distinct values and every code must index into it; parallel generators
-// use this to assemble columns from per-worker code regions. The column
-// takes ownership of both slices.
+// distinct values and every code must index into it; generators that code
+// rows themselves, possibly from several goroutines, hand their codes
+// over this way. The column takes ownership of both slices.
 func NewStringColumnFromCodes(name string, dict []string, codes []int32) (*StringColumn, error) {
 	index := make(map[string]int32, len(dict))
 	for i, v := range dict {
