@@ -1,25 +1,18 @@
-// Package admission is the overload-resilience layer between the HTTP
-// handlers and the vocalizers. Voice OLAP is only usable if speech starts
-// within an interactive deadline, so under overload the serving tier must
-// choose *which* work to do and *how well* to do it rather than letting
-// every request crawl past its deadline together:
+// Package admission is the overload gate between the HTTP handlers and
+// the vocalizers. Voice OLAP is only usable if speech starts within an
+// interactive deadline, so under overload the server refuses work early
+// rather than letting every request crawl past its deadline together.
 //
-//   - Controller — per-tenant token buckets in front of a weighted-fair
-//     bounded queue over a fixed number of execution slots. One chatty
-//     tenant can saturate only its own fair share; requests whose
-//     predicted queue wait already exceeds their remaining deadline are
-//     shed immediately (better a fast 503 than a slow one), and the
-//     load-derived RetryAfter tells clients when capacity is expected.
-//   - Brownout — a sliding-p99 latency watcher that steps through an
-//     explicit degradation ladder (full holistic planning → reduced
-//     planner budget → prior-baseline fallback → shed) and climbs back
-//     down as latency recovers.
-//   - Breaker — a per-dataset circuit breaker that trips the holistic
-//     vocalizer to the cheap prior baseline after consecutive deadline
-//     blowouts, with half-open probing to detect recovery.
+// A Controller bounds concurrent work to a fixed number of execution
+// slots. Requests beyond them wait in a bounded queue that grants freed
+// slots round-robin across tenants, so one chatty tenant cannot starve
+// the others. A request whose predicted queue wait already exceeds its
+// remaining deadline is shed at once (better a fast 503 than a slow one),
+// Drain sheds the queue for a graceful shutdown, and the load-derived
+// RetryAfter tells shed clients when capacity is expected.
 //
-// All three are clock-injectable and free of HTTP types, so they unit
-// test deterministically and could front any bounded-latency service.
+// The Controller is clock-injectable and free of HTTP types, so it unit
+// tests deterministically.
 package admission
 
 import (
@@ -34,9 +27,6 @@ type ShedReason int
 const (
 	// ShedNone means the request was admitted.
 	ShedNone ShedReason = iota
-	// ShedRate means the tenant's token bucket was empty (per-tenant rate
-	// limit; maps to 429).
-	ShedRate
 	// ShedQueueFull means the fair queue was at capacity.
 	ShedQueueFull
 	// ShedDeadline means the predicted queue wait exceeded the request's
@@ -55,8 +45,6 @@ func (r ShedReason) String() string {
 	switch r {
 	case ShedNone:
 		return "none"
-	case ShedRate:
-		return "rate"
 	case ShedQueueFull:
 		return "queue-full"
 	case ShedDeadline:
@@ -71,23 +59,13 @@ func (r ShedReason) String() string {
 }
 
 // Config tunes a Controller. The zero value admits 32 concurrent requests
-// with no queue and no rate limit.
+// with no queue.
 type Config struct {
 	// Slots bounds concurrently admitted requests (default 32).
 	Slots int
 	// QueueDepth bounds waiters beyond the slots; 0 sheds immediately
 	// once every slot is busy.
 	QueueDepth int
-	// Rate is the per-tenant token refill rate in requests per second;
-	// <= 0 disables per-tenant rate limiting.
-	Rate float64
-	// Burst is the per-tenant bucket capacity (default: one second of
-	// Rate, at least 1).
-	Burst float64
-	// Weights gives named tenants a larger fair share of queue grants
-	// (default weight 1). A weight-3 tenant drains three queued requests
-	// for every one of a weight-1 tenant under contention.
-	Weights map[string]int
 	// Now is the clock, stubbed in tests (default time.Now).
 	Now func() time.Time
 }
@@ -99,12 +77,6 @@ func (c Config) normalize() Config {
 	}
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 0
-	}
-	if c.Rate > 0 && c.Burst < 1 {
-		c.Burst = c.Rate
-		if c.Burst < 1 {
-			c.Burst = 1
-		}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -119,16 +91,13 @@ type waiter struct {
 	granted bool
 }
 
-// tenantState is the per-tenant queue and rate state.
+// tenantState is one tenant's queue.
 type tenantState struct {
-	bucket  bucket
 	waiters []*waiter
-	// pass is the stride-scheduler virtual time: the waiting tenant with
-	// the lowest pass receives the next freed slot, and each grant
-	// advances pass by stride = 1/weight — so a weight-w tenant is
-	// granted w slots for every one of a weight-1 tenant.
-	pass     float64
-	stride   float64
+	// pass counts the grants the tenant has received: the waiting tenant
+	// with the lowest pass receives the next freed slot, so queued tenants
+	// are served round-robin.
+	pass     int
 	lastSeen time.Time
 }
 
@@ -190,10 +159,6 @@ func (c *Controller) Acquire(ctx context.Context, tenant string) Result {
 		return Result{Shed: ShedDraining}
 	}
 	t := c.tenantLocked(tenant, now)
-	if c.cfg.Rate > 0 && !t.bucket.take(now, c.cfg.Rate, c.cfg.Burst) {
-		c.mu.Unlock()
-		return Result{Shed: ShedRate}
-	}
 	// Fast path: a free slot and nobody queued ahead.
 	if c.inFlight < c.cfg.Slots && c.queued == 0 {
 		c.inFlight++
@@ -214,8 +179,8 @@ func (c *Controller) Acquire(ctx context.Context, tenant string) Result {
 	}
 	w := &waiter{ch: make(chan struct{})}
 	if len(t.waiters) == 0 {
-		// Stride join rule: a tenant entering the queue starts at the
-		// current minimum pass, so idling never banks credit.
+		// A tenant entering the queue starts at the current minimum pass,
+		// so idling never banks credit.
 		if min, ok := c.minActivePassLocked(); ok && min > t.pass {
 			t.pass = min
 		}
@@ -260,11 +225,7 @@ func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
 	}
 	t := c.tenants[name]
 	if t == nil {
-		weight := 1
-		if w, ok := c.cfg.Weights[name]; ok && w > 0 {
-			weight = w
-		}
-		t = &tenantState{stride: 1 / float64(weight)}
+		t = &tenantState{}
 		c.tenants[name] = t
 	}
 	t.lastSeen = now
@@ -272,8 +233,8 @@ func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
 }
 
 // minActivePassLocked returns the lowest pass among tenants with waiters.
-func (c *Controller) minActivePassLocked() (float64, bool) {
-	min, ok := 0.0, false
+func (c *Controller) minActivePassLocked() (int, bool) {
+	min, ok := 0, false
 	for _, t := range c.tenants {
 		if len(t.waiters) == 0 {
 			continue
@@ -294,7 +255,7 @@ func (c *Controller) releaseLocked() {
 }
 
 // grantLocked wakes the head waiter of the waiting tenant with the lowest
-// stride pass; false when nobody is queued. The slot count is unchanged —
+// pass; false when nobody is queued. The slot count is unchanged —
 // the grant transfers the releasing request's slot.
 func (c *Controller) grantLocked() bool {
 	var best *tenantState
@@ -312,7 +273,7 @@ func (c *Controller) grantLocked() bool {
 	w := best.waiters[0]
 	best.waiters = best.waiters[1:]
 	c.queued--
-	best.pass += best.stride
+	best.pass++
 	w.granted = true
 	close(w.ch)
 	return true

@@ -106,54 +106,34 @@ func TestAcquireFastPathAndRelease(t *testing.T) {
 	r2.Ticket.Release()
 }
 
+// TestFairQueueAlternatesTenants: every queued tenant gets one grant before
+// any gets a second, whatever order the requests queued in.
 func TestFairQueueAlternatesTenants(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, QueueDepth: 16, Now: clk.Now})
-	// Tenant a floods the queue with 4 requests before b's single one.
-	hold, grants := fillQueue(t, c, []string{"a", "a", "a", "a", "b"})
-
-	hold.Release()
-	g1 := nextGrant(t, grants)
-	g1.res.Ticket.Release()
-	g2 := nextGrant(t, grants)
-	g2.res.Ticket.Release()
-	// Fair sharing: the first two grants cover both tenants even though a
-	// queued four requests before b's one.
-	if g1.tenant == g2.tenant {
-		t.Errorf("first two grants both went to %s; want one per tenant", g1.tenant)
-	}
-	for i := 0; i < 3; i++ {
-		nextGrant(t, grants).res.Ticket.Release()
-	}
-}
-
-func TestWeightedFairSharing(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{
-		Slots: 1, QueueDepth: 16,
-		Weights: map[string]int{"big": 2},
-		Now:     clk.Now,
-	})
-	hold, grants := fillQueue(t, c, []string{"big", "big", "big", "big", "small", "small"})
-
-	counts := map[string]int{}
-	firstFour := map[string]int{}
-	hold.Release()
-	for i := 0; i < 6; i++ {
-		g := nextGrant(t, grants)
-		counts[g.tenant]++
-		if i < 4 {
-			firstFour[g.tenant]++
+	for _, tc := range []struct {
+		queued []string
+		rounds []string
+	}{
+		// Tenant a floods the queue with 4 requests before b's single one.
+		{[]string{"a", "a", "a", "a", "b"}, []string{"ab", "a", "a", "a"}},
+		{[]string{"a", "a", "a", "b", "b", "c"}, []string{"abc", "ab", "a"}},
+	} {
+		clk := newFakeClock()
+		c := NewController(Config{Slots: 1, QueueDepth: 16, Now: clk.Now})
+		hold, grants := fillQueue(t, c, tc.queued)
+		hold.Release()
+		for _, round := range tc.rounds {
+			got := map[string]bool{}
+			for range round {
+				g := nextGrant(t, grants)
+				got[g.tenant] = true
+				g.res.Ticket.Release()
+			}
+			for _, tenant := range round {
+				if !got[string(tenant)] {
+					t.Errorf("queue %v: round %q granted %v, missing %c", tc.queued, round, got, tenant)
+				}
+			}
 		}
-		g.res.Ticket.Release()
-	}
-	if counts["big"] != 4 || counts["small"] != 2 {
-		t.Fatalf("grants = %v, want big:4 small:2", counts)
-	}
-	// Weight 2 means big drains two requests for every one of small's
-	// within the contended window, not just eventually.
-	if firstFour["big"] < 2 || firstFour["small"] < 1 {
-		t.Errorf("first four grants = %v; want big >= 2 and small >= 1", firstFour)
 	}
 }
 
@@ -193,7 +173,7 @@ func TestDeadlineAwareShed(t *testing.T) {
 	go func() { done <- c.Acquire(ctx2, "patient") }()
 	waitFor(t, func() bool { return c.QueueLen() == 2 })
 
-	// Drain both waiters; the tied stride passes make their order
+	// Drain both waiters; the tied passes make their order
 	// nondeterministic, so accept grants from either.
 	hold.Release()
 	for i := 0; i < 2; i++ {
@@ -211,31 +191,6 @@ func TestDeadlineAwareShed(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("waiter never granted")
 		}
-	}
-}
-
-func TestRateLimitSheds(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 4, Rate: 1, Burst: 1, Now: clk.Now})
-	r1 := c.Acquire(context.Background(), "a")
-	if r1.Ticket == nil {
-		t.Fatalf("burst request shed: %v", r1.Shed)
-	}
-	r1.Ticket.Release()
-	if r2 := c.Acquire(context.Background(), "a"); r2.Shed != ShedRate {
-		t.Errorf("drained bucket shed = %v, want ShedRate", r2.Shed)
-	}
-	// Another tenant has its own bucket.
-	if r3 := c.Acquire(context.Background(), "b"); r3.Ticket == nil {
-		t.Errorf("tenant b shed with %v despite fresh bucket", r3.Shed)
-	} else {
-		r3.Ticket.Release()
-	}
-	clk.Advance(time.Second)
-	if r4 := c.Acquire(context.Background(), "a"); r4.Ticket == nil {
-		t.Errorf("refilled bucket shed with %v", r4.Shed)
-	} else {
-		r4.Ticket.Release()
 	}
 }
 
@@ -309,7 +264,7 @@ func TestRetryAfterGrowsWithLoad(t *testing.T) {
 
 func TestShedReasonStrings(t *testing.T) {
 	want := map[ShedReason]string{
-		ShedNone: "none", ShedRate: "rate", ShedQueueFull: "queue-full",
+		ShedNone: "none", ShedQueueFull: "queue-full",
 		ShedDeadline: "deadline", ShedDraining: "draining", ShedCanceled: "canceled",
 	}
 	for r, name := range want {

@@ -173,7 +173,6 @@ type queryPayload struct {
 	ServedBy  string `json:"servedBy"`
 	Origin    string `json:"origin"`
 	Cache     string `json:"cache"`
-	Fallback  string `json:"fallback"`
 	DataEpoch int64  `json:"dataEpoch"`
 	Stale     bool   `json:"stale"`
 	Error     string `json:"error"`
@@ -183,8 +182,8 @@ type queryPayload struct {
 // spec's profile and returns its violations. The spec's in-process-only
 // expectations (tendency, bounds, warnings) are skipped — they need the
 // structured planner output — while the admission-layer contracts the
-// in-process runner cannot see (status codes, servedBy, fallback,
-// Retry-After on sheds, semantic-cache replays) are enforced here.
+// in-process runner cannot see (status codes, servedBy, Retry-After on
+// sheds, semantic-cache replays) are enforced here.
 func RunLive(ctx context.Context, client *http.Client, pool *ServerPool, s *Spec) ([]Violation, error) {
 	srv, err := pool.server(s)
 	if err != nil {
@@ -236,7 +235,7 @@ func (vs *violations) checkLiveStep(s *Spec, step Step, input, method string, co
 	}
 	switch code {
 	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+	case http.StatusServiceUnavailable:
 		// A clean shed: acceptable only in overload scenarios, and only
 		// with the Retry-After hint the admission layer promises.
 		if !s.Live.AllowShed {
@@ -273,24 +272,16 @@ func (vs *violations) checkLiveStep(s *Spec, step Step, input, method string, co
 			input, payload.DataEpoch, e.MinEpoch)
 	}
 
-	// Admission-layer contracts: servedBy names a real vocalizer or the
-	// semantic cache, and a fallback always means a holistic request
-	// answered by the prior. A cache replay is validated against the
-	// vocalizer that originally produced the entry (the origin field) and
-	// must uphold the cache's own guarantees: only full-quality answers
-	// are stored, so a replay is never degraded and never a fallback.
+	// Serving contracts: servedBy is the requested vocalizer or the
+	// semantic cache. A cache replay is validated against the vocalizer
+	// that originally produced the entry (the origin field) and must
+	// uphold the cache's own guarantee: a deadline-degraded answer is
+	// never stored, so a replay is never degraded.
 	vocalizer := payload.ServedBy
 	switch payload.ServedBy {
-	case "this", "prior":
+	case method:
 		if payload.Cache != "" {
 			vs.addf("cache", "input %q: servedBy %q with cache tag %q", input, payload.ServedBy, payload.Cache)
-		}
-		if payload.Fallback != "" && !(method == "this" && payload.ServedBy == "prior") {
-			vs.addf("fallback", "input %q: fallback %q with method %q served by %q",
-				input, payload.Fallback, method, payload.ServedBy)
-		}
-		if payload.Fallback == "" && payload.ServedBy != method {
-			vs.addf("fallback", "input %q: served by %q without a fallback reason", input, payload.ServedBy)
 		}
 	case "cache":
 		vocalizer = payload.Origin
@@ -303,16 +294,8 @@ func (vs *violations) checkLiveStep(s *Spec, step Step, input, method string, co
 		if payload.Degraded {
 			vs.addf("cache", "input %q: a degraded answer was served from the cache", input)
 		}
-		if payload.Fallback != "" {
-			vs.addf("cache", "input %q: cache replay carries fallback %q", input, payload.Fallback)
-		}
 	default:
-		vs.addf("servedBy", "input %q: servedBy %q", input, payload.ServedBy)
-	}
-	switch payload.Fallback {
-	case "", "brownout", "breaker":
-	default:
-		vs.addf("fallback", "input %q: unknown fallback %q", input, payload.Fallback)
+		vs.addf("servedBy", "input %q: served by %q, want %q or \"cache\"", input, payload.ServedBy, method)
 	}
 	vs.checkSpeechText(payload.Speech, vocalizer, e)
 	vs.checkDegraded(payload.Degraded, e)

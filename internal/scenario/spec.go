@@ -7,7 +7,7 @@
 // executes, race-detector clean and in parallel. The live runner (see
 // RunLive, driven by TestScenariosLive) runs the identical specs over HTTP
 // against in-process voiceolapd-style servers and additionally checks the
-// admission layer's servedBy/fallback/status-code contracts.
+// admission layer's servedBy and status-code contracts.
 //
 // The registry converts the paper's implicit correctness knowledge —
 // grammar-valid speech, truthful refinement tendencies, confidence-
@@ -87,7 +87,7 @@ type LiveSpec struct {
 	// QueueDepth bounds the admission queue (meaningful with
 	// MaxConcurrent; zero sheds at saturation).
 	QueueDepth int
-	// AllowShed accepts clean 429/503 sheds as step outcomes instead of
+	// AllowShed accepts clean 503 sheds as step outcomes instead of
 	// violations — the overload contract is "refuse cleanly", not "never
 	// refuse".
 	AllowShed bool

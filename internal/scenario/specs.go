@@ -212,7 +212,7 @@ func init() {
 
 	Register(&Spec{
 		Name:        "fault/slow-scan-deadline-degrades",
-		Desc:        "A 1 ms/row scan against a 40 ms deadline must mark the answer degraded while keeping it in-grammar (the breaker's blowout signal).",
+		Desc:        "A 1 ms/row scan against a 40 ms deadline must mark the answer degraded while keeping it in-grammar.",
 		Class:       ClassFault,
 		Dataset:     flights5k,
 		Faults:      faults.InjectorOptions{SlowEvery: 1, SlowDelay: time.Millisecond},
@@ -325,7 +325,7 @@ func init() {
 
 	Register(&Spec{
 		Name:     "overload/parallel-sessions-shed-clean",
-		Desc:     "Eight concurrent sessions against two vocalization slots: answers stay in-grammar, refusals are clean 429/503 with Retry-After, and nothing 500s (in-process, the same script races the planner under -race).",
+		Desc:     "Eight concurrent sessions against two vocalization slots: answers stay in-grammar, refusals are clean 503s with Retry-After, and nothing 500s (in-process, the same script races the planner under -race).",
 		Class:    ClassOverload,
 		Dataset:  flights5k,
 		Parallel: 8,

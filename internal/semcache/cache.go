@@ -50,8 +50,8 @@ type Stats struct {
 	// computation they were coalesced onto finished.
 	Aborted int64 `json:"aborted"`
 	// Stores counts accepted Put/Do stores; Rejected computations whose
-	// result was not cacheable (degraded, fallback, reduced quality);
-	// Evictions LRU drops; Purged epoch-invalidation drops.
+	// result was not cacheable (a degraded answer); Evictions LRU drops;
+	// Purged epoch-invalidation drops.
 	Stores    int64 `json:"stores"`
 	Rejected  int64 `json:"rejected"`
 	Evictions int64 `json:"evictions"`
@@ -155,8 +155,8 @@ func (c *Cache[V]) store(key string, val V) {
 
 // Do returns the value for key, computing it at most once across
 // concurrent callers. compute reports (value, cacheable): a non-cacheable
-// value (a degraded speech, a fallback answer) is returned to its caller
-// but never stored, so no later hit can replay it. Callers waiting on
+// value (a degraded speech) is returned to its caller but never stored,
+// so no later hit can replay it. Callers waiting on
 // another caller's flight whose result was not stored retry the loop and
 // compute for themselves — an error or uncacheable result must not poison
 // the herd. ctx bounds only the waiting, not the computation (compute

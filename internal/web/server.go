@@ -8,12 +8,12 @@
 // request runs under a deadline (vocalizers degrade rather than hang),
 // panics become 500s, the query log is a fixed-capacity ring, and idle
 // sessions are evicted by TTL and LRU. Overload is governed by the
-// internal/admission layer: per-tenant token buckets and a weighted-fair
-// bounded queue in front of the vocalizers (429/503 + load-derived
-// Retry-After beyond them), a brownout ladder that trades answer quality
-// for latency headroom, and per-dataset circuit breakers that trip the
-// holistic planner to the prior baseline after consecutive deadline
-// blowouts.
+// internal/admission layer: a fixed number of vocalization slots and a
+// bounded queue that grants them round-robin across tenants. Requests
+// beyond the queue, and queued requests that could only answer after
+// their deadline, receive 503 with a load-derived Retry-After. A request
+// whose client hangs up gets 499, one whose deadline passes while it
+// waits for a slot gets 408.
 package web
 
 import (
@@ -64,9 +64,8 @@ type QueryLogEntry struct {
 	LatencyMS float64   `json:"latencyMs"`
 	// Degraded marks answers cut short by the request deadline.
 	Degraded bool `json:"degraded,omitempty"`
-	// ServedBy is the vocalizer that actually answered; it differs from
-	// Method when the brownout ladder or a circuit breaker forced the
-	// prior fallback, and is "cache" for replayed answers.
+	// ServedBy is the vocalizer that answered: Method itself, or "cache"
+	// for replayed answers.
 	ServedBy string `json:"servedBy,omitempty"`
 	// Origin names the vocalizer that originally produced a cache-served
 	// speech.
@@ -96,39 +95,22 @@ type Options struct {
 	MaxConcurrent int
 	// RetryAfter is the floor of the Retry-After hint attached to shed
 	// responses; the hint grows with the admission queue's predicted wait
-	// and any open breaker's cooldown (default 1s).
+	// (default 1s).
 	RetryAfter time.Duration
-	// QueueDepth bounds requests waiting in the weighted-fair admission
+	// QueueDepth bounds requests waiting in the round-robin admission
 	// queue once every vocalization slot is busy. 0 (the default) sheds
-	// immediately at saturation, matching the pre-admission behavior.
+	// immediately at saturation.
 	QueueDepth int
-	// TenantRate is the per-tenant token-bucket refill rate in requests
-	// per second; 0 disables per-tenant rate limiting (the default).
-	// Over-rate requests receive 429.
-	TenantRate float64
-	// TenantBurst is the per-tenant bucket capacity (default: one second
-	// of TenantRate, at least 1).
-	TenantBurst int
-	// TenantWeights gives named tenants a larger fair share of admission
-	// grants under contention (default weight 1).
-	TenantWeights map[string]int
-	// BrownoutTarget is the p99 vocalize-latency goal for the brownout
-	// ladder; when the sliding p99 overshoots it the server steps down
-	// through reduced planner budgets, the prior baseline, and finally
-	// sheds. 0 disables the ladder (the default).
-	BrownoutTarget time.Duration
-	// BrownoutWindow is the sliding sample count the p99 is computed
-	// over (default 64).
+	// BrownoutWindow is read by nothing: there is no brownout ladder. It
+	// stays because benchmark/server.go:40 sets it; ROADMAP item 1a(i)
+	// removes it.
 	BrownoutWindow int
-	// BrownoutHold is the minimum dwell time between ladder steps
-	// (default 2s).
+	// BrownoutHold is read by nothing. It stays because
+	// benchmark/server.go:41 sets it; ROADMAP item 1a(i) removes it.
 	BrownoutHold time.Duration
-	// BreakerThreshold trips a dataset's circuit breaker — holistic
-	// requests fall back to the prior baseline — after this many
-	// consecutive deadline blowouts. 0 disables breakers (the default).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// half-open probe (default 10s).
+	// BreakerCooldown is read by nothing: there is no circuit breaker. It
+	// stays because benchmark/server.go:42 sets it; ROADMAP item 1a(i)
+	// removes it.
 	BreakerCooldown time.Duration
 	// LogCap is the query-log ring capacity; the oldest entries are
 	// dropped beyond it (default 10000).
@@ -243,13 +225,9 @@ type Server struct {
 	log      queryLog
 	cfg      core.Config
 	opts     Options
-	// adm bounds and fair-queues concurrent vocalizations.
+	// adm bounds concurrent vocalizations and queues the rest round-robin
+	// by tenant.
 	adm *admission.Controller
-	// brown walks the degradation ladder from vocalize latencies.
-	brown *admission.Brownout
-	// breakers guards the holistic path per dataset; the map is fixed at
-	// construction and read without s.mu.
-	breakers map[string]*admission.Breaker
 	// serving counts per-tenant admission outcomes for /api/stats.
 	serving servingCounters
 	// answers is the semantic cache: finished full-quality speeches keyed
@@ -298,7 +276,6 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 		log:      queryLog{cap: opts.LogCap},
 		cfg:      cfg,
 		opts:     opts,
-		breakers: make(map[string]*admission.Breaker, len(infos)),
 		latw:     newLatencyWindow(512),
 		now:      time.Now,
 	}
@@ -308,14 +285,6 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 	s.adm = admission.NewController(admission.Config{
 		Slots:      opts.MaxConcurrent,
 		QueueDepth: opts.QueueDepth,
-		Rate:       opts.TenantRate,
-		Burst:      float64(opts.TenantBurst),
-		Weights:    opts.TenantWeights,
-	})
-	s.brown = admission.NewBrownout(admission.BrownoutConfig{
-		Target: opts.BrownoutTarget,
-		Window: opts.BrownoutWindow,
-		Hold:   opts.BrownoutHold,
 	})
 	for _, info := range infos {
 		if info.Dataset == nil || info.Name == "" {
@@ -326,10 +295,6 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 		}
 		s.datasets[info.Name] = &datasetState{info: info}
 		s.order = append(s.order, info.Name)
-		s.breakers[info.Name] = admission.NewBreaker(admission.BreakerConfig{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
-		})
 	}
 	return s, nil
 }
@@ -415,12 +380,10 @@ type queryResponse struct {
 	Structured *encode.Speech `json:"structured,omitempty"`
 	// SSML carries speech markup for TTS engines that accept it.
 	SSML string `json:"ssml,omitempty"`
-	// ServedBy names the vocalizer that answered ("this" or "prior");
-	// it differs from the requested method when the brownout ladder or a
-	// breaker forced the prior fallback, and is "cache" when the speech
-	// was replayed from the semantic answer cache. Clients validating
-	// grammar must check this field (and Origin for cache-served
-	// answers), not the method they asked for.
+	// ServedBy names the vocalizer that answered: the requested method
+	// ("this" or "prior"), or "cache" when the speech was replayed from
+	// the semantic answer cache. Clients validating grammar follow Origin
+	// for cache-served answers.
 	ServedBy string `json:"servedBy,omitempty"`
 	// Origin names the vocalizer that originally produced a cache-served
 	// speech ("this" or "prior"); grammar conformance follows Origin when
@@ -431,9 +394,6 @@ type queryResponse struct {
 	// in-flight computation of the same canonical query. Empty for cold
 	// answers.
 	Cache string `json:"cache,omitempty"`
-	// Fallback explains a ServedBy/method mismatch: "brownout" or
-	// "breaker".
-	Fallback string `json:"fallback,omitempty"`
 	// DataEpoch is the dataset epoch the answer's data snapshot belonged
 	// to. Streaming clients compare it with ingest acknowledgements: any
 	// answer with DataEpoch at or above the client's last acked epoch
@@ -554,10 +514,10 @@ func (req *request) stageOn(base *nlq.Session) (err error) {
 // served.
 type answer struct {
 	voc vocOut
-	// servedBy, origin, cache and fallback fill the response fields of the
-	// same names.
-	servedBy, origin, cache, fallback string
-	latencyMS                         float64
+	// servedBy, origin and cache fill the response fields of the same
+	// names.
+	servedBy, origin, cache string
+	latencyMS               float64
 }
 
 // handleQuery applies the command to the caller's session and vocalizes
@@ -686,16 +646,10 @@ func (s *Server) lookup(req *request) (cachedAnswer, bool) {
 	return s.answers.Get(answerKey(req.Dataset, req.epoch, req.method, req.staged.Query()))
 }
 
-// admit is the admission stage: the brownout ladder's last rung, then the
-// per-tenant bucket and the fair queue. It returns the request's
-// vocalization slot, or nil after writing the refusal.
+// admit is the admission stage: a free slot, or a place in the tenant
+// round-robin queue. It returns the request's vocalization slot, or nil
+// after writing the refusal.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *request) *admission.Ticket {
-	if s.brown.Step() == admission.StepShed {
-		s.serving.shed(req.tenant, "brownout")
-		s.writeShed(w, req.Dataset, http.StatusServiceUnavailable,
-			errors.New("server browned out, retry shortly"))
-		return nil
-	}
 	res := s.adm.Acquire(r.Context(), req.tenant)
 	req.queued = res.Waited > 0
 	switch {
@@ -705,14 +659,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *request) *ad
 		// Nobody may be left to read the reply, but the status keeps the
 		// log honest (499 or 408, not 5xx).
 		s.writeAborted(w, r, req.tenant, r.Context().Err(), " while queued")
-	case res.Shed == admission.ShedRate:
-		s.serving.shed(req.tenant, res.Shed.String())
-		s.writeShed(w, req.Dataset, http.StatusTooManyRequests,
-			errors.New("tenant rate limit exceeded, retry shortly"))
 	default:
 		s.serving.shed(req.tenant, res.Shed.String())
-		s.writeShed(w, req.Dataset, http.StatusServiceUnavailable,
-			errors.New("server saturated, retry shortly"))
+		s.writeShed(w, errors.New("server saturated, retry shortly"))
 	}
 	return nil
 }
@@ -753,8 +702,8 @@ func (s *Server) commit(req *request, restage bool) error {
 	return nil
 }
 
-// plan is the plan stage: it picks the vocalizer the ladder and the breaker
-// allow and gets the committed query's answer from it or from the cache.
+// plan is the plan stage: it gets the committed query's answer from the
+// requested vocalizer or from the cache.
 func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 	if s.holdVocalize != nil {
 		if s.vocalizeParked != nil {
@@ -763,38 +712,19 @@ func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 		}
 		<-s.holdVocalize
 	}
-	step := s.brown.Step()
-	if step == admission.StepShed {
-		// The ladder topped out while we queued; we already hold a slot,
-		// so serve the cheap fallback instead of wasting the wait.
-		step = admission.StepPrior
-	}
-	servedBy, fallback := req.method, ""
-	if req.method == "this" {
-		if step >= admission.StepPrior {
-			servedBy, fallback = "prior", "brownout"
-		} else if !s.breakers[req.Dataset].Allow() {
-			servedBy, fallback = "prior", "breaker"
-		}
-	}
 	start := time.Now()
-	cached, outcome, err := s.answerQuery(ctx, req, servedBy, step, fallback)
+	cached, outcome, err := s.answerQuery(ctx, req)
 	if err != nil {
 		return answer{}, err
 	}
-	ans := answer{
-		voc: cached.voc, servedBy: servedBy, fallback: fallback,
-		latencyMS: ms(cached.voc.latency),
-	}
+	ans := answer{voc: cached.voc, servedBy: req.method, latencyMS: ms(cached.voc.latency)}
 	switch outcome {
 	case semcache.Hit, semcache.Coalesced:
-		// The stored answer is always clean and full-quality, whatever
-		// ladder step this request happened to arrive at.
-		ans.servedBy, ans.origin, ans.cache, ans.fallback = "cache", cached.origin, outcome.String(), ""
+		ans.servedBy, ans.origin, ans.cache = "cache", cached.origin, outcome.String()
 		ans.latencyMS = ms(time.Since(start))
 		s.serving.cached(req.tenant, outcome)
 	default:
-		s.serving.served(req.tenant, req.queued, step, fallback)
+		s.serving.served(req.tenant, req.queued)
 	}
 	return ans, nil
 }
@@ -813,7 +743,6 @@ func (s *Server) respondSpeech(w http.ResponseWriter, req *request, ans answer) 
 		ServedBy:  ans.servedBy,
 		Origin:    ans.origin,
 		Cache:     ans.cache,
-		Fallback:  ans.fallback,
 		DataEpoch: req.epoch,
 		TableRows: ans.voc.tableRows,
 	}
@@ -891,17 +820,13 @@ type vocOut struct {
 	structured *speech.Speech
 	latency    time.Duration
 	degraded   bool
-	// reason explains a degraded answer (the context error text).
-	reason string
 	// tableRows is the committed row count of the data snapshot the
 	// answer was computed over.
 	tableRows int64
 }
 
-// vocalize runs the chosen vocalizer on the query under ctx. At
-// StepReduced the holistic planner runs with quartered budgets: cheaper
-// and rougher answers, same grammar.
-func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, method string, step admission.Step) (vocOut, error) {
+// vocalize runs the chosen vocalizer on the query under ctx.
+func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, method string) (vocOut, error) {
 	if method == "prior" {
 		out, err := baseline.NewPrior(info.Dataset, q, baseline.Config{
 			Format:      info.Format,
@@ -931,10 +856,6 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 	if cfg.MaxTreeNodes == 0 {
 		cfg.MaxTreeNodes = 50000
 	}
-	if step == admission.StepReduced {
-		cfg.MaxRoundsPerSentence = reducedBudget(cfg.MaxRoundsPerSentence, 32)
-		cfg.MaxTreeNodes = reducedBudget(cfg.MaxTreeNodes, 1024)
-	}
 	out, err := core.NewHolistic(info.Dataset, q, cfg).VocalizeContext(ctx)
 	if err != nil {
 		return vocOut{}, err
@@ -944,17 +865,8 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 		structured: out.Speech,
 		latency:    out.Latency,
 		degraded:   out.Degraded,
-		reason:     out.DegradeReason,
 		tableRows:  out.TableRows,
 	}, nil
-}
-
-// reducedBudget quarters a planner budget with a floor.
-func reducedBudget(v, floor int) int {
-	if v /= 4; v < floor {
-		v = floor
-	}
-	return v
 }
 
 // handleLog returns the query log (newest LogCap entries).

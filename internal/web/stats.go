@@ -29,9 +29,9 @@ type SessionStats struct {
 type LogAnalysis struct {
 	Methods  []MethodStats  `json:"methods"`
 	Sessions []SessionStats `json:"sessions"`
-	// Serving reports the overload-resilience state (admission gauges,
-	// brownout ladder, breakers, per-tenant outcomes); nil when the
-	// analysis was built from raw log entries outside a live server.
+	// Serving reports the overload state (admission gauges and
+	// per-tenant outcomes); nil when the analysis was built from raw log
+	// entries outside a live server.
 	Serving *ServingStats `json:"serving,omitempty"`
 }
 
