@@ -99,7 +99,9 @@ type Config struct {
 	// Scanner overrides how table rows are streamed into the sampler;
 	// nil selects the pseudo-random full-table scan. Fault-injection
 	// tests wrap the scan with failing, slow, or stalling variants here.
-	// It is called once per answer.
+	// It is called once per answer, with the answer's random stream, which
+	// the next answer reuses: neither it nor its scanner may use rng once
+	// the answer is returned.
 	Scanner func(t *table.Table, rng *rand.Rand) table.Scanner
 
 	// Trace, when non-nil, records the planner's per-sentence decisions
@@ -165,7 +167,8 @@ type Output struct {
 	Latency time.Duration
 	// PlanningTime is the total compute time of the run.
 	PlanningTime time.Duration
-	// RowsRead counts table rows consumed by sampling (0 for exact scans).
+	// RowsRead counts the table rows the answer read: those sampling
+	// consumed, or every row an exact scan classified (Optimal).
 	RowsRead int64
 	// TreeSamples counts MCTS rounds performed.
 	TreeSamples int64

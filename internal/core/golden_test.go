@@ -324,29 +324,35 @@ func checkAnswerAlloc(t *testing.T, shape string, airport, date int, warm bool, 
 
 // TestFineAnswerAllocBudget keeps the cost of a fine-grained answer inside
 // tier 1: one state-by-month answer (an explore_fine shape, 410 refinement
-// candidates per node). A warm answer must allocate under 0.1685 MiB, 1.25x
-// the 0.1348 MiB measured on a recycled arena (0.293 while the fan-outs' child
-// lists were not recycled): what is left is mostly the generator's menu and
-// its texts, the session and its sample cache. A cold one, whose tree
-// allocates its arena, must stay under 1.67 MiB, 1.25x the 1.337 MiB measured
-// with 32-byte nodes and numbered fan-outs (1.757 with 48-byte nodes and a
-// budget of 2.25), most of it the 20 000 nodes its samples reach.
-// Materialising every enumerated child allocated ~198 MiB; a 4-byte slot per
-// enumerated child and a memoized speech per leaf, 7.2 MiB.
+// candidates per node). A warm answer must allocate under 0.0275 MiB, 1.25x
+// the 0.0220 MiB measured once the menu, the sample cache's buffers and the
+// random stream are recycled with the tree and only spoken refinements are
+// rendered (0.1348 before, most of it the menu's structs and texts; 0.293
+// while the fan-outs' child lists were not recycled). What is left is about
+// half the space's scope sets, then the space itself, the baseline ladder,
+// the preambles, the speaker's transcript and the spoken refinements'
+// copies. A cold one, whose tree allocates its arena, must stay under
+// 1.67 MiB, 1.25x the 1.337 MiB measured with 32-byte nodes and numbered
+// fan-outs (1.757 with 48-byte nodes and a budget of 2.25), most of it the
+// 20 000 nodes its samples reach. Materialising every enumerated child
+// allocated ~198 MiB; a 4-byte slot per enumerated child and a memoized
+// speech per leaf, 7.2 MiB.
 func TestFineAnswerAllocBudget(t *testing.T) {
-	checkAnswerAlloc(t, "state x month", 2, 2, true, 1685<<20/10000)
+	checkAnswerAlloc(t, "state x month", 2, 2, true, 275<<20/10000)
 	checkAnswerAlloc(t, "state x month", 2, 2, false, 1671<<20/1000)
 }
 
 // TestCoarseAnswerAllocBudget does the same for the explore_coarse shape,
-// one region-by-season answer: under 0.0475 MiB warm, 1.25x the 0.038
-// measured (0.158 without recycled child lists), and under 0.81 MiB cold,
-// 1.25x the 0.6445 MiB measured with 32-byte nodes and numbered fan-outs
-// (0.919 with 48-byte nodes and a budget of 1.125; its 90-wide menu saturates
-// some ninety fan-outs). With 16 aggregates the tree is small and eagerly
-// built, so what is left of a cold answer is its nodes; a speech per leaf
-// added 1.8 MiB, and storing every row read 6.4 MiB more.
+// one region-by-season answer: under 0.0125 MiB warm, 1.25x the 0.0100
+// measured with the menu, the cache's buffers and the random stream recycled
+// (0.038 before, 0.158 without recycled child lists), and under 0.81 MiB
+// cold, 1.25x the 0.6445 MiB measured with 32-byte nodes and numbered
+// fan-outs (0.919 with 48-byte nodes and a budget of 1.125; its 90-wide menu
+// saturates some ninety fan-outs). With 16 aggregates the tree is small and
+// eagerly built, so what is left of a cold answer is its nodes, and of a
+// warm one the same small things as of a fine one; a speech per leaf added
+// 1.8 MiB, and storing every row read 6.4 MiB more.
 func TestCoarseAnswerAllocBudget(t *testing.T) {
-	checkAnswerAlloc(t, "region x season", 1, 1, true, 475<<20/10000)
+	checkAnswerAlloc(t, "region x season", 1, 1, true, 125<<20/10000)
 	checkAnswerAlloc(t, "region x season", 1, 1, false, 806<<20/1000)
 }

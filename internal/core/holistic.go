@@ -71,6 +71,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
 
@@ -115,7 +116,8 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The answer keeps no node: the speech is built before the tree goes.
+	// The answer keeps no node and no menu refinement: the speech is built,
+	// its refinements detached, before the tree and the session go.
 	defer tree.Release()
 	tree.UniformPolicy = cfg.UniformTreePolicy
 	// Tree construction overlaps preamble playback: on a simulated

@@ -77,6 +77,7 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 		Speech:         best,
 		Latency:        latency,
 		PlanningTime:   latency,
+		RowsRead:       result.RowsRead(),
 		SpeechesScored: scored,
 		Transcript:     s.speaker.Transcript(),
 	}, ctx, o.dataset), nil

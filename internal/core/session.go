@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/belief"
@@ -40,7 +41,12 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 		gen.Percents = cfg.Percents
 	}
 	gen.DisjointScopes = cfg.DisjointScopes
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng, _ := rngs.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		rng.Seed(cfg.Seed)
+	}
 	sampler, err := sampling.NewSamplerWithScanner(space, newScanner(cfg, space, rng))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -58,6 +64,23 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 		speaker: voice.NewSpeaker(cfg.Clock, cfg.SpeakingRate),
 		rng:     rng,
 	}, nil
+}
+
+// rngs holds the random streams of released sessions. Re-seeding one makes
+// it the stream rand.New(rand.NewSource(seed)) starts, without the 4.9 KB
+// of a new source.
+var rngs sync.Pool
+
+// release ends an answer's session once its speech is built: the
+// generator's menu, the sample cache's buffers and the random stream go to
+// the next answer's session. The speech keeps none of them (mcts.Tree.Speech
+// detaches its refinements), and nothing of the session may be used after
+// it. The vocalizers that plan on a tree release it beside the tree.
+func (s *session) release() {
+	s.gen.Release()
+	s.sampler.Cache().Release()
+	rngs.Put(s.rng)
+	*s = session{}
 }
 
 // newScanner builds the session's row stream: the configured override

@@ -44,6 +44,7 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
 

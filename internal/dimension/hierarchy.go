@@ -247,6 +247,14 @@ func (h *Hierarchy) Phrase(m *Member) string {
 	return h.Context + " " + m.Name
 }
 
+// PhraseLen returns len(h.Phrase(m)) without building the phrase.
+func (h *Hierarchy) PhraseLen(m *Member) int {
+	if h.Context == "" {
+		return len(m.Name)
+	}
+	return len(h.Context) + 1 + len(m.Name)
+}
+
 // Binding maps the dictionary codes of a bound string column to member
 // IDs at every level, enabling O(1) per-row classification during scans.
 // A star schema binds the same way: table.Join materializes its

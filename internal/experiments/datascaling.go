@@ -18,6 +18,10 @@ type DataScalingRow struct {
 	OptimalLatency   time.Duration
 	HolisticLatency  time.Duration
 	OptimalViolation bool // above the 500 ms interactivity threshold
+	// OptimalRowsRead is the rows the optimal baseline's exact scan read:
+	// the work that grows with the table, where its latency is that work
+	// plus a plan-space search of constant size and run-to-run noise.
+	OptimalRowsRead int64
 }
 
 // DataScaling measures how time-to-first-output grows with data volume — the
@@ -65,11 +69,13 @@ func DataScaling(seed int64, sizes []int) ([]DataScalingRow, error) {
 		// swamps the scan term on small tables.
 		const reps = 3
 		var oLat, hLat time.Duration
+		var oRows int64
 		for i := 0; i < reps; i++ {
 			oOut, err := core.NewOptimal(d, q, cfg).Vocalize()
 			if err != nil {
 				return nil, err
 			}
+			oRows = oOut.RowsRead
 			hOut, err := core.NewHolistic(d, q, cfg).Vocalize()
 			if err != nil {
 				return nil, err
@@ -86,6 +92,7 @@ func DataScaling(seed int64, sizes []int) ([]DataScalingRow, error) {
 			OptimalLatency:   oLat,
 			HolisticLatency:  hLat,
 			OptimalViolation: oLat > core.InteractivityThreshold,
+			OptimalRowsRead:  oRows,
 		})
 	}
 	return out, nil

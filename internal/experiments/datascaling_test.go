@@ -17,13 +17,14 @@ func TestDataScalingShape(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Optimal latency grows with the table; holistic stays immediate. The
-	// plan-space search costs ~45 ms at either size, so the scan term has to
-	// clear that term's run-to-run noise (a few ms on a shared 2-vCPU VM):
-	// a 200x size gap makes it ~10 ms, where a 50x gap left ~2 ms.
-	if rows[1].OptimalLatency <= rows[0].OptimalLatency {
-		t.Errorf("optimal latency should grow: %v then %v",
-			rows[0].OptimalLatency, rows[1].OptimalLatency)
+	// Optimal's work grows with the table, holistic stays immediate. The
+	// work is asserted, not the time: the plan-space search costs ~45 ms at
+	// either size, and the scan term's ~10 ms at a 200x size gap lost to
+	// that term's run-to-run noise on a shared 2-vCPU VM in 3 runs of 15.
+	for _, r := range rows {
+		if r.OptimalRowsRead != int64(r.Rows) {
+			t.Errorf("%d rows: the optimal scan read %d", r.Rows, r.OptimalRowsRead)
+		}
 	}
 	for _, r := range rows {
 		if r.HolisticLatency >= r.OptimalLatency {

@@ -230,6 +230,9 @@ type arena struct {
 	// the rows built so far. Both are empty until the first row is asked for.
 	compat     []uint64
 	compatMade []uint64
+	// textLen[o] is menu[o].TextLen(): the menu's texts are rendered only
+	// for the sentences spoken.
+	textLen []int32
 }
 
 // arenas holds the arenas of released trees.
@@ -286,10 +289,9 @@ type Tree struct {
 
 	// menu and baselines are what child ordinals index: the generator's
 	// shared refinement menu and the baseline ladder around the scale
-	// estimate. textLen[o] is len(menu[o].Text()).
+	// estimate.
 	menu      []*speech.Refinement
 	baselines []*speech.Baseline
-	textLen   []int32
 	// maxChars and maxDepth are the generator's limits, resolved once: zero
 	// means no character limit; no node at maxDepth has children.
 	maxChars int
@@ -376,11 +378,11 @@ func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 	t.menuWords = (len(t.menu) + 63) / 64
 	t.validScratch = make([]uint64, t.menuWords)
 	t.scratch.Preamble = t.preamble
-	t.textLen = make([]int32, len(t.menu))
-	for o, r := range t.menu {
-		t.textLen[o] = int32(len(r.Text()))
-	}
 	t.arena = *a
+	t.textLen = t.textLen[:0]
+	for _, r := range t.menu {
+		t.textLen = append(t.textLen, int32(r.TextLen()))
+	}
 	t.compat = t.compat[:0]
 	t.root = t.newNode()
 	t.prebuild(t.node(t.root), t.root)
@@ -537,7 +539,10 @@ func (t *Tree) fill(sp *speech.Speech, refs []*speech.Refinement, n *Node) {
 
 // Speech materializes the speech represented by node n (which must belong
 // to this tree): the preamble, the path's baseline, and its refinements in
-// order. Every call builds a speech of its own.
+// order. Every call builds a speech of its own, which holds copies of the
+// refinements with their text rendered (speech.Detach): it stays as it is
+// after the tree and the generator's menu are released, and goroutines may
+// render it at once.
 func (t *Tree) Speech(n *Node) *speech.Speech {
 	sp := &speech.Speech{Preamble: t.preamble}
 	var refs []*speech.Refinement
@@ -545,6 +550,7 @@ func (t *Tree) Speech(n *Node) *speech.Speech {
 		refs = make([]*speech.Refinement, n.depth)
 	}
 	t.fill(sp, refs, n)
+	speech.Detach(refs)
 	return sp
 }
 

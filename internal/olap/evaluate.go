@@ -16,6 +16,8 @@ type Result struct {
 	space  *Space
 	counts []int64
 	sums   []float64
+	// rows is the number of table rows the scan classified.
+	rows int64
 }
 
 // Evaluate computes the exact query result with a full scan of the base
@@ -52,6 +54,7 @@ func EvaluateSpaceSequential(space *Space) (*Result, error) {
 	}
 	n := space.Dataset().Table().NumRows()
 	for row := 0; row < n; row++ {
+		r.rows++
 		idx, ok := space.ClassifyRow(row)
 		if !ok {
 			continue
@@ -123,9 +126,11 @@ func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
 	if vals != nil {
 		sumSlab = make([]float64, chunks*stride)
 	}
-	var next atomic.Int64
+	var next, read atomic.Int64
 	scan := func() {
 		idxs := make([]int32, min(n, evalChunkRows))
+		rows := 0
+		defer func() { read.Add(int64(rows)) }()
 		for {
 			c := int(next.Add(1)) - 1
 			if c >= chunks {
@@ -133,6 +138,7 @@ func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
 			}
 			lo := c * evalChunkRows
 			hi := min(lo+evalChunkRows, n)
+			rows += hi - lo
 			counts := countSlab[c*stride : c*stride+size]
 			space.ClassifyRange(lo, hi, idxs)
 			if vals != nil {
@@ -170,6 +176,7 @@ func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
 		space:  space,
 		counts: make([]int64, size),
 		sums:   make([]float64, size),
+		rows:   read.Load(),
 	}
 	for c := 0; c < chunks; c++ {
 		counts := countSlab[c*stride : c*stride+size]
@@ -198,6 +205,10 @@ func evalMeasure(space *Space) (*table.Float64Column, error) {
 
 // Space returns the aggregate space of the result.
 func (r *Result) Space() *Space { return r.space }
+
+// RowsRead returns the number of table rows the scan classified: every
+// row of the table, including those outside the query's scope or window.
+func (r *Result) RowsRead() int64 { return r.rows }
 
 // Count returns the row count of aggregate idx.
 func (r *Result) Count(idx int) int64 { return r.counts[idx] }

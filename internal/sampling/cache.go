@@ -12,6 +12,7 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/olap"
 	"repro/internal/stats"
@@ -63,11 +64,39 @@ type Cache struct {
 	resampleSize int
 }
 
-// NewCache creates an empty cache for the query of space.
+// buffers are the slices of a cache that Release recycles: the
+// accumulators, the non-empty list, the classification scratch and the
+// touch pass's lines.
+type buffers struct {
+	accs     []stats.Accumulator
+	nonEmpty []int
+	scratch  []int32
+	lines    []int
+}
+
+// pool holds the buffers of released caches.
+var pool sync.Pool
+
+// NewCache creates an empty cache for the query of space, on the buffers
+// of a released cache if the pool holds them.
 func NewCache(space *olap.Space) (*Cache, error) {
+	b, _ := pool.Get().(*buffers)
+	if b == nil {
+		b = new(buffers)
+	}
+	accs := b.accs[:0]
+	if cap(accs) < space.Size() {
+		accs = make([]stats.Accumulator, space.Size())
+	} else {
+		accs = accs[:space.Size()]
+		clear(accs)
+	}
 	c := &Cache{
 		space:     space,
-		accs:      make([]stats.Accumulator, space.Size()),
+		accs:      accs,
+		nonEmpty:  b.nonEmpty[:0],
+		scratch:   b.scratch,
+		lines:     b.lines[:0],
 		totalRows: int64(space.Dataset().Table().NumRows()),
 	}
 	q := space.Query()
@@ -79,6 +108,17 @@ func NewCache(space *olap.Space) (*Cache, error) {
 		c.measureVals = m.Values()
 	}
 	return c, nil
+}
+
+// Release ends the cache and hands its buffers to the next cache built.
+// The cache itself is zeroed, so a call on it panics; a second Release does
+// nothing.
+func (c *Cache) Release() {
+	if c.accs == nil {
+		return
+	}
+	pool.Put(&buffers{accs: c.accs, nonEmpty: c.nonEmpty, scratch: c.scratch, lines: c.lines})
+	*c = Cache{}
 }
 
 // Space returns the aggregate space the cache is classified against.

@@ -3,6 +3,7 @@ package speech
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/dimension"
 	"repro/internal/olap"
@@ -48,10 +49,23 @@ type Generator struct {
 	// without contradiction) and exists for the ablation benchmarks.
 	DisjointScopes bool
 
-	// menu caches the full candidate set; tree expansion filters it per
-	// node, sharing the (immutable) refinement structs across the tree.
-	menu []*Refinement
+	// menu holds the full candidate set once built; tree expansion filters
+	// it per node, sharing the refinement structs across the tree.
+	menu *menuSlab
 }
+
+// menuSlab is the storage of a generator's refinement menu: the
+// refinements, the pointers the menu hands out and the predicate lists, one
+// slice each. Release hands it to the next generator's menu, which rewrites
+// it.
+type menuSlab struct {
+	refs  []Refinement
+	ptrs  []*Refinement
+	preds []*dimension.Member
+}
+
+// slabs holds the menus of released generators.
+var slabs sync.Pool
 
 // NewGenerator returns a generator with the paper's default configuration.
 func NewGenerator(space *olap.Space, prefs Prefs, format ValueFormat) *Generator {
@@ -176,36 +190,47 @@ func (g *Generator) predicates() []*dimension.Member {
 
 // fullMenu builds (once) every admissible refinement candidate: predicate
 // combinations crossed with the change menu. The structs are shared across
-// all speeches derived from this generator, so their rendered text is
-// memoized exactly once.
+// all speeches derived from this generator, and their text is rendered only
+// for the few that are spoken. They are built in a released generator's
+// menu if the pool holds one.
 func (g *Generator) fullMenu() []*Refinement {
 	if g.menu != nil {
-		return g.menu
+		return g.menu.ptrs
 	}
 	preds := g.predicates()
 	percents := g.Percents
 	if percents == nil {
 		percents = DefaultPercents
 	}
-	var out []*Refinement
-	emit := func(ps []*dimension.Member) {
-		ss := g.Space.ScopeSet(ps)
+	slab, _ := slabs.Get().(*menuSlab)
+	if slab == nil {
+		slab = new(menuSlab)
+	}
+	ps, refs := slab.preds[:0], slab.refs[:0]
+	// emit adds the refinements over the last n predicates of ps, or takes
+	// those predicates back when their scope is empty or everything. A list
+	// that ps outgrows stays where it was, in the array before.
+	emit := func(n int) {
+		scope := ps[len(ps)-n : len(ps) : len(ps)]
+		ss := g.Space.ScopeSet(scope)
 		m := ss.Size()
 		if m == 0 || m >= g.Space.Size() {
+			ps = ps[:len(ps)-n]
 			return
 		}
 		for _, pct := range percents {
-			out = append(out, &Refinement{Preds: ps, Dir: Increase, Percent: pct, ScopeSize: m, Scope: ss})
+			refs = append(refs, Refinement{Preds: scope, Dir: Increase, Percent: pct, ScopeSize: m, Scope: ss})
 			// "Values decrease by 100 percent" would claim zero (and
 			// beyond 100, negative) values; natural speech caps decreases
 			// below that.
 			if pct < 100 {
-				out = append(out, &Refinement{Preds: ps, Dir: Decrease, Percent: pct, ScopeSize: m, Scope: ss})
+				refs = append(refs, Refinement{Preds: scope, Dir: Decrease, Percent: pct, ScopeSize: m, Scope: ss})
 			}
 		}
 	}
 	for _, p := range preds {
-		emit([]*dimension.Member{p})
+		ps = append(ps, p)
+		emit(1)
 	}
 	if g.MaxPredsPerRefinement > 1 {
 		for i, p := range preds {
@@ -213,12 +238,35 @@ func (g *Generator) fullMenu() []*Refinement {
 				if p.Hierarchy() == q.Hierarchy() {
 					continue
 				}
-				emit([]*dimension.Member{p, q})
+				ps = append(ps, p, q)
+				emit(2)
 			}
 		}
 	}
-	g.menu = out
-	return out
+	// The pointers are taken once refs has stopped growing.
+	ptrs := slab.ptrs[:0]
+	for i := range refs {
+		ptrs = append(ptrs, &refs[i])
+	}
+	slab.refs, slab.ptrs, slab.preds = refs, ptrs, ps
+	g.menu = slab
+	return ptrs
+}
+
+// Release hands the generator's menu to the next generator built. Nothing
+// the menu handed out may be used after it, since another answer's menu
+// overwrites it: a speech that outlives its answer holds copies (Detach). A
+// later call on the generator builds a new menu.
+func (g *Generator) Release() {
+	if g.menu == nil {
+		return
+	}
+	slab := g.menu
+	g.menu = nil
+	// A released menu keeps nothing of its answer alive.
+	clear(slab.refs)
+	clear(slab.preds)
+	slabs.Put(slab)
 }
 
 // Refinements returns the candidate next refinements for a speech with the
@@ -227,7 +275,7 @@ func (g *Generator) fullMenu() []*Refinement {
 // refinements it is the shared menu itself, uncopied. Validity against
 // length constraints is checked separately by the caller via Speech.Valid
 // (ST.IsValid in the paper's pseudo-code). The returned refinements are
-// shared; callers must not mutate them.
+// shared; callers must not mutate them, nor use them after Release.
 func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	menu := g.fullMenu()
 	if len(prev) == 0 {

@@ -2,6 +2,7 @@ package speech
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -110,6 +111,55 @@ func (r *Refinement) Text() string {
 		r.text = fmt.Sprintf("Values %s by %d percent for %s.", r.Dir, r.Percent, joinPhrases(phrases))
 	}
 	return r.text
+}
+
+// TextLen returns len(r.Text()) without rendering the text: the member
+// phrases' lengths plus the sentence frame's. The planner checks every
+// menu refinement against the character limit and speaks at most
+// Prefs.MaxFragments of them, so only those are ever rendered.
+func (r *Refinement) TextLen() int {
+	n := len("Values ") + len(r.Dir.String()) + len(" by ") + intLen(r.Percent) + len(" percent for ") + len(".")
+	for i, p := range r.Preds {
+		n += p.Hierarchy().PhraseLen(p)
+		switch {
+		case i == 0:
+		case i == len(r.Preds)-1:
+			n += len(" and ")
+		default:
+			n += len(", ")
+		}
+	}
+	return n
+}
+
+// intLen returns len(strconv.Itoa(v)).
+func intLen(v int) int {
+	n := 1
+	if v < 0 {
+		n++
+	}
+	for ; v >= 10 || v <= -10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// Detach points every entry of refs at a copy of the refinement it holds,
+// with its own predicate slice and its text rendered. A generator's menu is
+// reused once its answer is released (Generator.Release), and a refinement
+// renders its text on first use; a detached copy shares neither, so nothing
+// writes it again and goroutines may read it at once.
+func Detach(refs []*Refinement) {
+	if len(refs) == 0 {
+		return
+	}
+	own := make([]Refinement, len(refs))
+	for i, r := range refs {
+		r.Text()
+		own[i] = *r
+		own[i].Preds = slices.Clone(r.Preds)
+		refs[i] = &own[i]
+	}
 }
 
 // SameScope reports whether two refinements address the identical predicate
@@ -326,7 +376,8 @@ func DefaultPrefs() Prefs {
 }
 
 // MainLen returns the character length of MainText without building the
-// string; validity checks run once per candidate node during expansion.
+// string or rendering a refinement: validity checks run once per candidate
+// speech, and the exhaustive search checks every one.
 func (s *Speech) MainLen() int {
 	n := 0
 	if s.Baseline != nil {
@@ -336,7 +387,7 @@ func (s *Speech) MainLen() int {
 		if n > 0 {
 			n++ // joining space
 		}
-		n += len(r.Text())
+		n += r.TextLen()
 	}
 	return n
 }
