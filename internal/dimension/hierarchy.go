@@ -17,6 +17,7 @@ import (
 // is the entire dimension domain.
 type Member struct {
 	// Name is the display name used in speech output, e.g. "the North East".
+	// It is fixed once the member is built: LowerName is derived from it.
 	Name string
 	// Level is the depth of this member: 0 for the root.
 	Level int
@@ -26,7 +27,8 @@ type Member struct {
 	Children []*Member
 
 	hierarchy *Hierarchy
-	id        int // index within levels[Level]
+	id        int    // index within levels[Level]
+	lower     string // strings.ToLower(Name)
 }
 
 // Hierarchy returns the hierarchy this member belongs to.
@@ -34,6 +36,10 @@ func (m *Member) Hierarchy() *Hierarchy { return m.hierarchy }
 
 // ID returns the member's index within its level.
 func (m *Member) ID() int { return m.id }
+
+// LowerName returns the member's name lowercased, computed once when the
+// member was built, for matching against lowercased utterances.
+func (m *Member) LowerName() string { return m.lower }
 
 // IsRoot reports whether m is the hierarchy root.
 func (m *Member) IsRoot() bool { return m.Level == 0 }
@@ -132,7 +138,7 @@ func NewHierarchy(name, column, context, rootName string, levelNames []string) (
 		LevelNames:  levelNames,
 		leafByValue: make(map[string]*Member),
 	}
-	h.root = &Member{Name: rootName, Level: 0, hierarchy: h}
+	h.root = &Member{Name: rootName, Level: 0, hierarchy: h, lower: strings.ToLower(rootName)}
 	h.levels = make([][]*Member, len(levelNames)+1)
 	h.levels[0] = []*Member{h.root}
 	return h, nil
@@ -199,6 +205,7 @@ func (h *Hierarchy) AddPath(path ...string) (*Member, error) {
 				Parent:    cur,
 				hierarchy: h,
 				id:        len(h.levels[level]),
+				lower:     strings.ToLower(name),
 			}
 			cur.Children = append(cur.Children, next)
 			h.levels[level] = append(h.levels[level], next)

@@ -2,6 +2,7 @@ package nlq
 
 import (
 	"strings"
+	"unicode"
 
 	"repro/internal/dimension"
 )
@@ -81,12 +82,12 @@ func (s *Session) fuzzyMatchMembers(text string) []*dimension.Member {
 	}
 	best := make(map[*dimension.Hierarchy]hit)
 	consider := func(m *dimension.Member) {
-		name := strings.ToLower(m.Name)
+		name := m.LowerName()
 		bound := maxEditDistance(len(name))
 		if bound == 0 {
 			return
 		}
-		nWords := len(strings.Fields(name))
+		nWords := countFields(name)
 		for i := 0; i+nWords <= len(words); i++ {
 			window := strings.Join(words[i:i+nWords], " ")
 			d := levenshtein(window, name, bound)
@@ -112,6 +113,20 @@ func (s *Session) fuzzyMatchMembers(text string) []*dimension.Member {
 	}
 	sortMembers(out)
 	return out
+}
+
+// countFields returns len(strings.Fields(s)) without building the slice.
+func countFields(s string) int {
+	n, inField := 0, false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			inField = false
+		} else if !inField {
+			inField = true
+			n++
+		}
+	}
+	return n
 }
 
 // sortMembers orders members deterministically by hierarchy name.

@@ -527,7 +527,7 @@ func (s *Session) matchMembers(text string) []*dimension.Member {
 	for _, h := range s.dataset.Hierarchies() {
 		for level := 1; level <= h.Depth(); level++ {
 			for _, m := range h.MembersAt(level) {
-				if containsWord(text, strings.ToLower(m.Name)) {
+				if containsWord(text, m.LowerName()) {
 					if cur, ok := best[h]; !ok || m.Level > cur.Level {
 						best[h] = m
 					}

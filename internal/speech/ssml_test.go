@@ -108,9 +108,10 @@ func threeSentenceSpeech(tb testing.TB) *Speech {
 
 var ssmlSink string
 
-// TestSSMLAllocs bounds what rendering costs per response: the daemon
-// renders SSML on every answer, cache hits included, and a Replacer built
-// per escaped string used to put about 36 KiB behind each call.
+// TestSSMLAllocs bounds what rendering one answer's SSML costs: the daemon
+// renders it once per planned answer, and cache hits and coalesced replies
+// reuse that string. A Replacer built per escaped string used to put about
+// 36 KiB behind each call.
 func TestSSMLAllocs(t *testing.T) {
 	sp := threeSentenceSpeech(t)
 	opts := DefaultSSMLOptions()

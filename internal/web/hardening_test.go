@@ -39,7 +39,7 @@ func newHardenedServerRounds(t *testing.T, maxRounds int, opts Options) (*Server
 
 // newFlightsServer serves 5 000 generated flights under cfg and opts on a
 // test listener.
-func newFlightsServer(t *testing.T, cfg core.Config, opts Options) (*Server, *httptest.Server) {
+func newFlightsServer(t testing.TB, cfg core.Config, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
 	if err != nil {

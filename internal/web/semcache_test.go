@@ -19,7 +19,7 @@ import (
 // config (per-request sim clock, fixed seed) so cold answers for equal
 // canonical queries are bit-identical across sessions and servers — the
 // property the semantic cache's soundness rests on.
-func newCacheServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newCacheServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	return newFlightsServer(t, core.Config{
 		Seed:                 7,

@@ -735,21 +735,18 @@ func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 // don't error) with the spoken caveat attached.
 func (s *Server) respondSpeech(w http.ResponseWriter, req *request, ans answer) {
 	out := queryResponse{
-		Action:    req.resp.Action,
-		Message:   req.resp.Message,
-		Speech:    ans.voc.text,
-		LatencyMS: ans.latencyMS,
-		Degraded:  ans.voc.degraded,
-		ServedBy:  ans.servedBy,
-		Origin:    ans.origin,
-		Cache:     ans.cache,
-		DataEpoch: req.epoch,
-		TableRows: ans.voc.tableRows,
-	}
-	if ans.voc.structured != nil {
-		enc := encode.EncodeSpeech(ans.voc.structured)
-		out.Structured = &enc
-		out.SSML = ans.voc.structured.SSML(speech.DefaultSSMLOptions())
+		Action:     req.resp.Action,
+		Message:    req.resp.Message,
+		Speech:     ans.voc.text,
+		LatencyMS:  ans.latencyMS,
+		Degraded:   ans.voc.degraded,
+		Structured: ans.voc.structured,
+		SSML:       ans.voc.ssml,
+		ServedBy:   ans.servedBy,
+		Origin:     ans.origin,
+		Cache:      ans.cache,
+		DataEpoch:  req.epoch,
+		TableRows:  ans.voc.tableRows,
 	}
 	s.mu.Lock()
 	if req.st.epoch != req.epoch {
@@ -813,11 +810,15 @@ func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant str
 // ms renders a duration as the fractional milliseconds the API reports.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// vocOut is one vocalizer run's result.
+// vocOut is one vocalizer run's result, rendered for the reply once, when
+// the answer is made. The cache entry, coalesced waiters and the cold reply
+// all share it, so nothing may write to it afterwards.
 type vocOut struct {
 	text string
-	// structured is non-nil for the holistic grammar only.
-	structured *speech.Speech
+	// structured and ssml are the holistic grammar's decomposition and
+	// markup; nil and empty for the prior baseline.
+	structured *encode.Speech
+	ssml       string
 	latency    time.Duration
 	degraded   bool
 	// tableRows is the committed row count of the data snapshot the
@@ -842,8 +843,26 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 			tableRows: int64(info.Dataset.Table().NumRows()),
 		}, nil
 	}
+	out, err := core.NewHolistic(info.Dataset, q, s.holisticConfig(info.Format)).VocalizeContext(ctx)
+	if err != nil {
+		return vocOut{}, err
+	}
+	enc := encode.EncodeSpeech(out.Speech)
+	return vocOut{
+		text:       enc.Text,
+		structured: &enc,
+		ssml:       out.Speech.SSML(speech.DefaultSSMLOptions()),
+		latency:    out.Latency,
+		degraded:   out.Degraded,
+		tableRows:  out.TableRows,
+	}, nil
+}
+
+// holisticConfig is the planner configuration of one holistic answer in
+// the given value format.
+func (s *Server) holisticConfig(format speech.ValueFormat) core.Config {
 	cfg := s.cfg
-	cfg.Format = info.Format
+	cfg.Format = format
 	// A simulated clock is one answer's playback timeline: every request
 	// gets its own, or concurrent plans would advance each other's playback
 	// and cut each other's planning windows short.
@@ -856,17 +875,7 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 	if cfg.MaxTreeNodes == 0 {
 		cfg.MaxTreeNodes = 50000
 	}
-	out, err := core.NewHolistic(info.Dataset, q, cfg).VocalizeContext(ctx)
-	if err != nil {
-		return vocOut{}, err
-	}
-	return vocOut{
-		text:       out.Text(),
-		structured: out.Speech,
-		latency:    out.Latency,
-		degraded:   out.Degraded,
-		tableRows:  out.TableRows,
-	}, nil
+	return cfg
 }
 
 // handleLog returns the query log (newest LogCap entries).
