@@ -3,6 +3,5 @@
 package core
 
 // raceDetector reports whether the tests run under the race detector, whose
-// runtime allocates beside the code under test and has sync.Pool drop one
-// Put in four.
+// runtime allocates beside the code under test.
 const raceDetector = true

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/belief"
+	"repro/internal/freelist"
 	"repro/internal/mcts"
 	"repro/internal/olap"
 	"repro/internal/sampling"
@@ -41,7 +41,7 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 		gen.Percents = cfg.Percents
 	}
 	gen.DisjointScopes = cfg.DisjointScopes
-	rng, _ := rngs.Get().(*rand.Rand)
+	rng := rngs.Get()
 	if rng == nil {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	} else {
@@ -69,7 +69,7 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 // rngs holds the random streams of released sessions. Re-seeding one makes
 // it the stream rand.New(rand.NewSource(seed)) starts, without the 4.9 KB
 // of a new source.
-var rngs sync.Pool
+var rngs = freelist.New[rand.Rand]()
 
 // release ends an answer's session once its speech is built: the
 // generator's menu, the sample cache's buffers and the random stream go to

@@ -16,8 +16,9 @@ import (
 // enumerated, at most 32 bytes once a sample has made it a node, and under
 // 289 bytes for the table of a 470-child expansion, whose record is at most
 // 32 bytes: 1.25x the 231 measured with numbered fan-outs (256 with a 56-byte
-// record and a bound of 400). The tree is cold, its chunks all new: on a
-// recycled arena the expansions would allocate nothing and prove nothing.
+// record and a bound of 400; 243 once bitsets came from word chunks). The
+// tree is cold, its chunks all new: on a recycled arena the expansions would
+// allocate nothing and prove nothing.
 func TestNodeSize(t *testing.T) {
 	if sz := unsafe.Sizeof(Node{}); sz > 32 {
 		t.Errorf("Node is %d bytes, want <= 32", sz)
@@ -25,23 +26,21 @@ func TestNodeSize(t *testing.T) {
 	if sz := unsafe.Sizeof(fanout{}); sz > 32 {
 		t.Errorf("a fan-out record is %d bytes, want <= 32", sz)
 	}
-	gen := fineGen(t)
-	drainArenas()
-	tree, err := NewTreeWithCap(gen, 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(1)), 1)
-	if err != nil {
-		t.Fatalf("NewTreeWithCap: %v", err)
-	}
+	tree := coldTree(t, fineGen(t), 1, 1)
 	base := childAt(tree, tree.Root(), 0)
 	tree.expand(base)
 	tree.expand(childAt(tree, base, 0)) // allocates the tree's compatibility rows
-	// Fan-outs come in chunks, so the cost of one is the mean over whole
-	// chunks, from the first number of a new one on; the nodes are made
-	// first, outside the measurement.
-	nodes := make([]*Node, 2*fanChunk)
+	// Fan-outs come in chunks, and their bitsets in word chunks that hold
+	// several fan-out chunks' worth, so the cost of one is the mean over a
+	// whole word chunk, from the first number of a new fan-out chunk and the
+	// first word of a new word chunk on; the nodes are made first, outside
+	// the measurement.
+	nodes := make([]*Node, wordChunk/(fanChunk*3*tree.menuWords)*fanChunk)
 	for i := range nodes {
 		nodes[i] = childAt(tree, base, 1+i)
 	}
 	tree.nextFan = int32(len(tree.fans)) << fanShift
+	tree.words = nil
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, n := range nodes {

@@ -4,7 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datagen"
 	"repro/internal/olap"
@@ -34,11 +38,32 @@ func coarseGen(t testing.TB) *speech.Generator {
 	return speech.NewGenerator(s, speech.DefaultPrefs(), speech.PercentFormat)
 }
 
-// drainArenas empties the pool of released arenas: a collection moves what
-// the pool holds to its victim cache, and a second drops it.
-func drainArenas() {
-	runtime.GC()
-	runtime.GC()
+// drainArenas empties the free list of released arenas, so the next tree
+// builds its arena new. A collection does not: the list ignores the
+// collector.
+func drainArenas() { arenas.Drain() }
+
+// coldTree builds a tree the way NewTreeWithCap does after the free list is
+// drained, and fails t unless the tree built its arena new. The free list
+// holds a released tree's arena first, so a drain that does nothing is
+// caught whatever ran before.
+func coldTree(t *testing.T, gen *speech.Generator, seed int64, maxNodes int) *Tree {
+	t.Helper()
+	warm, err := NewTreeWithCap(narrowGen(t), 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(seed)), 1<<30)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	warm.Release()
+	drainArenas()
+	misses := arenas.Misses()
+	tree, err := NewTreeWithCap(gen, 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(seed)), maxNodes)
+	if err != nil {
+		t.Fatalf("NewTreeWithCap: %v", err)
+	}
+	if arenas.Misses() != misses+1 {
+		t.Fatal("the tree was built on a released arena: the drain left it in the free list")
+	}
+	return tree
 }
 
 // planned is what a planned tree is compared on: its enumerated size, the
@@ -166,16 +191,234 @@ func TestReleasedTreePanics(t *testing.T) {
 // TestDoubleReleasePutsOneArena: a second Release does nothing, so two trees
 // built afterwards never share an arena.
 func TestDoubleReleasePutsOneArena(t *testing.T) {
-	drainArenas()
-	tree, err := NewTreeWithCap(narrowGen(t), 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(4)), 1<<30)
-	if err != nil {
-		t.Fatalf("NewTreeWithCap: %v", err)
+	tree := coldTree(t, narrowGen(t), 4, 1<<30)
+	tree.Release()
+	tree.Release()
+	if arenas.Get() == nil || arenas.Get() != nil {
+		t.Fatal("two Releases of one tree did not leave its arena in the free list once")
 	}
-	tree.Release()
-	tree.Release()
-	a, _ := arenas.Get().(*arena)
-	b, _ := arenas.Get().(*arena)
-	if a != nil && a == b {
-		t.Fatal("two Releases of one tree put its arena in the pool twice")
+}
+
+// TestReleasedArenaReachesAnotherGoroutine: the arena a tree released on one
+// goroutine is the one the next tree built gets on another goroutine, which
+// spins on a processor of its own while the first plans and releases. A
+// per-processor pool missed these: a Put fills the releasing processor's
+// slot, which a Get on another processor cannot take.
+func TestReleasedArenaReachesAnotherGoroutine(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	gen := narrowGen(t)
+	// plan builds a tree, samples it, releases it and returns the first node
+	// block of the arena it was built on, which a recycled arena keeps; a
+	// block of its own if the build fails, so the spinning goroutine below
+	// stops all the same.
+	plan := func() *block {
+		tree, err := NewTreeWithCap(gen, 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(5)), 1<<30)
+		if err != nil {
+			t.Error(err)
+			return new(block)
+		}
+		for i := 0; i < 50; i++ {
+			tree.Sample()
+		}
+		b := tree.blocks[0]
+		tree.Release()
+		return b
+	}
+	drainArenas()
+	for i := 0; i < 100; i++ {
+		var released atomic.Pointer[block]
+		next := make(chan *block)
+		go func() {
+			for released.Load() == nil {
+			}
+			next <- plan()
+		}()
+		go func() { released.Store(plan()) }()
+		if got := <-next; got != released.Load() {
+			t.Fatalf("repeat %d: the tree was built on another arena than the one released just before", i)
+		}
+	}
+}
+
+// fineShapes are generators of the explore_fine shapes the planner sees
+// most, at least 50 aggregates each: state by month, city by season, city
+// by month, month by airline and state by airline, with menus 300 to 480
+// refinements wide.
+func fineShapes(t testing.TB) []*speech.Generator {
+	t.Helper()
+	d, err := datagen.Flights(datagen.FlightsConfig{Rows: 20000, Seed: 1})
+	if err != nil {
+		t.Fatalf("Flights: %v", err)
+	}
+	var gens []*speech.Generator
+	for _, shape := range [][2]string{
+		{"start airport/2", "flight date/2"},
+		{"start airport/3", "flight date/1"},
+		{"start airport/3", "flight date/2"},
+		{"flight date/2", "airline/1"},
+		{"start airport/2", "airline/1"},
+	} {
+		q := olap.Query{Fct: olap.Avg, Col: "cancelled", ColDescription: "average cancellation probability"}
+		for _, level := range shape {
+			name, l, _ := strings.Cut(level, "/")
+			q.GroupBy = append(q.GroupBy, olap.GroupBy{Hierarchy: d.HierarchyByName(name), Level: int(l[0] - '0')})
+		}
+		s, err := olap.NewSpace(d, q)
+		if err != nil {
+			t.Fatalf("NewSpace: %v", err)
+		}
+		if s.Size() < 50 {
+			t.Fatalf("%v has %d aggregates, want at least 50", shape, s.Size())
+		}
+		gens = append(gens, speech.NewGenerator(s, speech.DefaultPrefs(), speech.PercentFormat))
+	}
+	return gens
+}
+
+// arenaMemory returns the address of every chunk and directory of a, and
+// fails t if a child list, a fan-out chunk's bitsets or a run table's
+// slices lie outside the chunks of their slab: memory the arena holds that
+// its slabs did not hand out.
+func arenaMemory(t *testing.T, a *arena) map[unsafe.Pointer]bool {
+	t.Helper()
+	m := make(map[unsafe.Pointer]bool)
+	add := func(p unsafe.Pointer) {
+		if p != nil {
+			m[p] = true
+		}
+	}
+	add(unsafe.Pointer(unsafe.SliceData(a.blocks)))
+	add(unsafe.Pointer(unsafe.SliceData(a.fans)))
+	add(unsafe.Pointer(unsafe.SliceData(a.fanSets)))
+	add(unsafe.Pointer(unsafe.SliceData(a.runs)))
+	add(unsafe.Pointer(unsafe.SliceData(a.intChunks)))
+	add(unsafe.Pointer(unsafe.SliceData(a.kidChunks)))
+	add(unsafe.Pointer(unsafe.SliceData(a.wordChunks)))
+	add(unsafe.Pointer(unsafe.SliceData(a.compat)))
+	add(unsafe.Pointer(unsafe.SliceData(a.compatMade)))
+	add(unsafe.Pointer(unsafe.SliceData(a.textLen)))
+	for _, b := range a.blocks {
+		add(unsafe.Pointer(b))
+	}
+	for _, r := range a.runs {
+		add(unsafe.Pointer(r))
+		for _, r := range r {
+			if !carved(r.order, a.intChunks) || !carved(r.starts, a.intChunks) {
+				t.Fatal("a run table lies outside the run slab")
+			}
+		}
+	}
+	for _, f := range a.fans {
+		add(unsafe.Pointer(f))
+		for _, f := range f {
+			if !carved(f.kids, a.kidChunks) {
+				t.Fatal("a child list lies outside the child-list slab")
+			}
+		}
+	}
+	for _, s := range a.fanSets {
+		if !carved(s, a.wordChunks) {
+			t.Fatal("a fan-out chunk's bitsets lie outside the word slab")
+		}
+	}
+	for _, c := range a.intChunks {
+		add(unsafe.Pointer(unsafe.SliceData(c)))
+	}
+	for _, c := range a.kidChunks {
+		add(unsafe.Pointer(unsafe.SliceData(c)))
+	}
+	for _, c := range a.wordChunks {
+		add(unsafe.Pointer(unsafe.SliceData(c)))
+	}
+	return m
+}
+
+// carved reports whether s, if it has room for anything, lies in one of
+// chunks.
+func carved[E any](s []E, chunks [][]E) bool {
+	if cap(s) == 0 {
+		return true
+	}
+	size := unsafe.Sizeof(s[:1][0])
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	for _, c := range chunks {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(c)))
+		if lo >= base && lo+uintptr(cap(s))*size <= base+uintptr(cap(c))*size {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSecondPassAllocatesNoArena: two goroutines plan the explore_fine shapes
+// one after the other, the same tree on both at each step (on generators of
+// their own, which build their menus on first use), so both arenas host
+// every shape, in whichever order the free list hands them out. A second
+// pass plans the same shapes on other seeds, so every tree and every
+// fan-out's children differ from the first pass's. It builds no arena, and
+// no chunk or directory of either arena is new: whatever the menu's width
+// and whichever children a fan-out makes, a tree carves its bitsets and
+// child lists from chunks an earlier tree left, where child lists grown slot
+// by slot and bitsets sized per fan-out chunk were regrown whenever a tree
+// needed more in one place than the arena's earlier trees had.
+func TestSecondPassAllocatesNoArena(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	gens := [2][]*speech.Generator{fineShapes(t), fineShapes(t)}
+	pass := func(seed int64) {
+		for i := range gens[0] {
+			var wg sync.WaitGroup
+			for g := range gens {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tree, err := NewTreeWithCap(gens[g][i], 0.02, hashEval(0, continuous, new(float64)), rand.New(rand.NewSource(seed+int64(i))), 20000)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for w := 0; w < 2; w++ {
+						for s := 0; s < 3000; s++ {
+							tree.Sample()
+						}
+						tree.Advance(tree.BestChild())
+					}
+					tree.Release()
+				}()
+			}
+			wg.Wait()
+		}
+	}
+	// memory takes both arenas out of the free list, lists their memory and
+	// puts them back.
+	memory := func() map[unsafe.Pointer]bool {
+		a, b := arenas.Get(), arenas.Get()
+		if a == nil || b == nil {
+			t.Fatal("the free list does not hold the two arenas of the pass")
+		}
+		m := arenaMemory(t, a)
+		for p := range arenaMemory(t, b) {
+			m[p] = true
+		}
+		arenas.Put(b)
+		arenas.Put(a)
+		return m
+	}
+	drainArenas()
+	pass(0)
+	first := memory()
+	misses := arenas.Misses()
+	pass(100)
+	if n := arenas.Misses() - misses; n != 0 {
+		t.Fatalf("the second pass built %d arenas", n)
+	}
+	second := memory()
+	for p := range second {
+		if !first[p] {
+			t.Fatalf("the second pass allocated arena memory: %d chunks and directories after the first pass, %d after the second", len(first), len(second))
+		}
 	}
 }

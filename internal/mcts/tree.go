@@ -49,13 +49,15 @@
 // speech it rewrites in place, and Speech builds a real one for the few nodes
 // a caller asks about. Nothing here is safe for concurrent use.
 //
-// The blocks, the fan-out chunks with their bitsets, the run chunks and the
-// compatibility matrix are the tree's arena, and the tree owns it alone. An
-// answer's tree is garbage once its speech is built, so Release ends the tree
-// and hands its arena to the next tree built, which zeroes each chunk as it
-// reaches it: a recycled tree is step for step the fresh one. The pool the
-// arenas wait in is the only state the package shares between trees, and it
-// starts no goroutine.
+// The blocks, the fan-out chunks, the slabs that bitsets, child lists and run
+// tables are carved from, and the compatibility matrix are the tree's arena,
+// and the tree owns it alone. An answer's tree is garbage once its speech is
+// built, so Release ends the tree and hands its arena to the next tree built,
+// which zeroes each chunk as it reaches it: a recycled tree is step for step
+// the fresh one. Nothing in the arena is sized for one tree's menu or one
+// fan-out's children, so any tree reuses it whole. The free list the arenas
+// wait in is the only state the package shares between trees, and it starts
+// no goroutine.
 package mcts
 
 import (
@@ -66,8 +68,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/speech"
 )
 
@@ -114,7 +116,9 @@ const noFan = -1
 // seen and made, are where Tree.sets finds them by the fan-out's number.
 type fanout struct {
 	// kids are the numbers of the made children, in ordinal order: the
-	// child with ordinal o is kids[popcount of made below o].
+	// child with ordinal o is kids[popcount of made below o]. The list is
+	// carved from the tree's child-list slab and moves to a piece twice the
+	// size when it is full.
 	kids []int32
 	// runs is the number of the table that ranks the children for the UCT
 	// scan; 0 until a descent finds every child visited.
@@ -189,9 +193,9 @@ const (
 type block [blockSize]Node
 
 // Fan-outs are allocated fanChunk at a time, with the bitsets of the chunk in
-// one array: fan-out f's are at (f&(fanChunk-1))*3*menuWords in its chunk's.
-// The root, the first node expanded, has fan-out rootFan, whose bitsets are
-// over the baseline ladder and allocated on their own.
+// one piece of the word slab: fan-out f's are at (f&(fanChunk-1))*3*menuWords
+// in its chunk's. The root, the first node expanded, has fan-out rootFan,
+// whose bitsets are over the baseline ladder and carved on their own.
 const (
 	fanShift = 5
 	fanChunk = 1 << fanShift
@@ -205,26 +209,34 @@ type fanBlock [fanChunk]fanout
 // saturates under ten fan-outs of 400 to 480 children, a coarse one about a
 // hundred of 40 to 90). A run directory starts with room for dirRuns runs and
 // doubles: most saturated fan-outs are deep, reached by a few hundred samples,
-// and never hold more, while a root's holds a few dozen.
+// and never hold more, while a root's holds a few dozen. Child lists come from
+// int32 chunks of the same size, and bitsets from chunks of wordChunk words,
+// five fan-out chunks' worth on a fine menu.
 const (
 	runsShift = 3
 	runsChunk = 1 << runsShift
 	intChunk  = 1024
+	wordChunk = 1 << 12
 	dirRuns   = 4
 )
 
 type runsBlock [runsChunk]runs
 
 // arena is the memory a tree numbers its nodes, fan-outs and run tables in:
-// the directories of their chunks, the int32 chunks run tables are carved
-// from, and the compatibility matrix. The chunks past what the tree has
-// reached are a released tree's, waiting to be zeroed and reused.
+// the directories of their chunks, the slabs of chunks that bitsets, child
+// lists and run tables are carved from, and the compatibility matrix. The
+// chunks past what the tree has reached are a released tree's, waiting to be
+// zeroed and reused.
 type arena struct {
-	blocks    []*block
-	fans      []*fanBlock
-	fanSets   [][]uint64
-	runs      []*runsBlock
-	intChunks [][]int32
+	blocks  []*block
+	fans    []*fanBlock
+	fanSets [][]uint64
+	runs    []*runsBlock
+	// intChunks are what run tables are carved from, kidChunks child lists
+	// and wordChunks bitsets.
+	intChunks  [][]int32
+	kidChunks  [][]int32
+	wordChunks [][]uint64
 	// compat holds one row of menuWords words per menu ordinal o, bit i set
 	// when menu[i] may follow a speech containing menu[o]; compatMade marks
 	// the rows built so far. Both are empty until the first row is asked for.
@@ -236,7 +248,7 @@ type arena struct {
 }
 
 // arenas holds the arenas of released trees.
-var arenas sync.Pool
+var arenas = freelist.New[arena]()
 
 // firstOf reports whether number id is the first a tree hands out in its
 // chunk: the chunk's first entry, or 1, since number 0 is none.
@@ -261,6 +273,28 @@ func zeroed[E any](s []E, n int) []E {
 	}
 	s = s[:n]
 	clear(s)
+	return s
+}
+
+// carve hands out n zeroed elements of a slab, with no room to grow: from
+// *free, what is left of the chunk the slab's tree reached last, or else from
+// chunk *next of chunks, which it moves on to. A recycled chunk is zeroed and
+// used whole, whatever size an earlier tree made it; one too small for n is
+// replaced by a new one of max(n, size) elements. A tree starts every slab
+// with *next at 0, on the chunks a released tree left.
+func carve[E any](chunks *[][]E, free *[]E, next *int, n, size int) []E {
+	if len(*free) < n {
+		if *next == len(*chunks) {
+			*chunks = append(*chunks, nil)
+		}
+		c := (*chunks)[*next]
+		c = zeroed(c, max(n, size, cap(c)))
+		(*chunks)[*next] = c
+		*free = c
+		*next++
+	}
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
 	return s
 }
 
@@ -311,9 +345,15 @@ type Tree struct {
 	// nodeCount counts enumerated children plus the root.
 	nodeCount int
 	// ints is what is left of the current chunk of int32s that run tables'
-	// order and starts are carved from, and nextInts the index of the next.
-	ints     []int32
-	nextInts int
+	// order and starts are carved from, and nextInts the index of the next;
+	// kidInts and nextKids are the same for child lists, words and nextWords
+	// for bitsets.
+	ints      []int32
+	nextInts  int
+	kidInts   []int32
+	nextKids  int
+	words     []uint64
+	nextWords int
 
 	// pathScratch is the pooled descent path of the sequential Sample, and
 	// scratch the speech it evaluates every leaf through.
@@ -337,9 +377,9 @@ func NewTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 // NewTreeWithCap is NewTree with an explicit eager-expansion node cap
 // (maxNodes <= 0 selects DefaultMaxNodes). Nodes beyond the cap expand
 // lazily when sampling first reaches them. The tree is built on the arena of
-// a released tree if the pool holds one.
+// the tree released last if one is waiting.
 func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand, maxNodes int) (*Tree, error) {
-	a, _ := arenas.Get().(*arena)
+	a := arenas.Get()
 	if a == nil {
 		a = new(arena)
 	}
@@ -376,9 +416,9 @@ func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 		t.maxDepth = uint16(mf)
 	}
 	t.menuWords = (len(t.menu) + 63) / 64
-	t.validScratch = make([]uint64, t.menuWords)
 	t.scratch.Preamble = t.preamble
 	t.arena = *a
+	t.validScratch = t.carveWords(t.menuWords)
 	t.textLen = t.textLen[:0]
 	for _, r := range t.menu {
 		t.textLen = append(t.textLen, int32(r.TextLen()))
@@ -515,7 +555,7 @@ func (t *Tree) child(n *Node, id int32, o int) (int32, *Node) {
 	if k := len(f.kids); k == cap(f.kids) {
 		// Four to start with, doubling, and never room for more children
 		// than the fan-out lists.
-		f.kids = append(make([]int32, 0, min(max(4, 2*k), popcount(t.valid(n.fan)))), f.kids...)
+		f.kids = append(t.carveKids(min(max(4, 2*k), popcount(t.valid(n.fan))))[:0], f.kids...)
 	}
 	f.kids = f.kids[:len(f.kids)+1]
 	copy(f.kids[r+1:], f.kids[r:])
@@ -583,10 +623,10 @@ func (t *Tree) expand(n *Node) {
 	n.fan = noFan
 	valid := t.validScratch
 	if n.parent == 0 {
-		// The root's sets, over the baseline ladder, are allocated alone and
-		// its valid set is built in place at their head.
+		// The root's sets, over the baseline ladder, are carved alone and its
+		// valid set is built in place at their head.
 		w := (len(t.baselines) + 63) / 64
-		valid = make([]uint64, w, 3*w)
+		valid = t.carveWords(3 * w)[:w]
 		for i, b := range t.baselines {
 			if t.maxChars <= 0 || len(b.Text()) <= t.maxChars {
 				put(valid, i)
@@ -635,24 +675,17 @@ func (t *Tree) expand(n *Node) {
 // newFanout hands out the number of an empty fan-out. They come in chunks,
 // like nodes: an answer expands a couple of thousand nodes, and a table and
 // its bitsets apiece made expansion two thirds of the planning loop's
-// mallocs.
+// mallocs. A chunk's bitsets are carved from the word slab, so a recycled
+// arena serves a wider menu than its last tree's with the words that tree's
+// extra fan-outs used.
 func (t *Tree) newFanout() int32 {
 	if firstOf(t.nextFan, fanShift) {
 		c := int(t.nextFan >> fanShift)
-		// A recycled fan-out keeps the room of its child list: growing the
-		// lists again was most of what a warm fine answer allocated.
-		if c < len(t.fans) {
-			for i := range t.fans[c] {
-				f := &t.fans[c][i]
-				*f = fanout{kids: f.kids[:0]}
-			}
-		} else {
-			t.fans = append(t.fans, new(fanBlock))
-		}
+		t.fans = reuse(t.fans, c)
 		if c == len(t.fanSets) {
 			t.fanSets = append(t.fanSets, nil)
 		}
-		t.fanSets[c] = zeroed(t.fanSets[c], fanChunk*3*t.menuWords)
+		t.fanSets[c] = t.carveWords(fanChunk * 3 * t.menuWords)
 	}
 	t.nextFan++
 	return t.nextFan - 1
@@ -762,19 +795,21 @@ func (r *runs) end(i int) int32 {
 	return int32(len(r.order))
 }
 
-// carve hands out n int32s of the tree's current chunk, with no room to grow.
-func (t *Tree) carve(n int) []int32 {
-	if len(t.ints) < n {
-		if t.nextInts == len(t.intChunks) {
-			t.intChunks = append(t.intChunks, nil)
-		}
-		t.ints = zeroed(t.intChunks[t.nextInts], max(n, intChunk))
-		t.intChunks[t.nextInts] = t.ints
-		t.nextInts++
-	}
-	s := t.ints[:n:n]
-	t.ints = t.ints[n:]
-	return s
+// carveInts hands out n zeroed int32s for a run table, with no room to grow.
+func (t *Tree) carveInts(n int) []int32 {
+	return carve(&t.intChunks, &t.ints, &t.nextInts, n, intChunk)
+}
+
+// carveKids hands out n zeroed int32s for a child list, with no room to grow.
+func (t *Tree) carveKids(n int) []int32 {
+	return carve(&t.kidChunks, &t.kidInts, &t.nextKids, n, intChunk)
+}
+
+// carveWords hands out n zeroed bitset words, with no room to grow. A new
+// chunk holds as many pieces of n as fit in wordChunk words, so a fan-out
+// chunk's bitsets waste none of it.
+func (t *Tree) carveWords(n int) []uint64 {
+	return carve(&t.wordChunks, &t.words, &t.nextWords, n, wordChunk/max(n, 1)*n)
 }
 
 // newRuns orders the children of f, all of them visited, into runs. Each was
@@ -787,7 +822,7 @@ func (t *Tree) newRuns(f *fanout) *runs {
 	f.runs = t.nextRuns
 	t.nextRuns++
 	r := t.runTable(f.runs)
-	r.order = t.carve(len(f.kids))
+	r.order = t.carveInts(len(f.kids))
 	copy(r.order, f.kids)
 	slices.SortFunc(r.order, func(a, b int32) int {
 		x, y := t.node(a), t.node(b)
@@ -796,7 +831,7 @@ func (t *Tree) newRuns(f *fanout) *runs {
 		}
 		return cmp.Compare(y.mean, x.mean)
 	})
-	r.starts = t.carve(min(dirRuns, len(r.order)))[:0]
+	r.starts = t.carveInts(min(dirRuns, len(r.order)))[:0]
 	for j, id := range r.order {
 		if j == 0 || t.node(id).Visits != t.node(r.order[j-1]).Visits {
 			t.addRun(r, len(r.starts), int32(j))
@@ -810,7 +845,7 @@ func (t *Tree) newRuns(f *fanout) *runs {
 // one twice the size; there are never more runs than children.
 func (t *Tree) addRun(r *runs, i int, start int32) {
 	if k := len(r.starts); k == cap(r.starts) {
-		r.starts = append(t.carve(min(2*k, len(r.order)))[:0], r.starts...)
+		r.starts = append(t.carveInts(min(2*k, len(r.order)))[:0], r.starts...)
 	}
 	r.starts = slices.Insert(r.starts, i, start)
 }

@@ -12,8 +12,8 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/olap"
 	"repro/internal/stats"
 )
@@ -75,12 +75,12 @@ type buffers struct {
 }
 
 // pool holds the buffers of released caches.
-var pool sync.Pool
+var pool = freelist.New[buffers]()
 
 // NewCache creates an empty cache for the query of space, on the buffers
-// of a released cache if the pool holds them.
+// of the cache released last if some are waiting.
 func NewCache(space *olap.Space) (*Cache, error) {
-	b, _ := pool.Get().(*buffers)
+	b := pool.Get()
 	if b == nil {
 		b = new(buffers)
 	}

@@ -3,9 +3,9 @@ package speech
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/dimension"
+	"repro/internal/freelist"
 	"repro/internal/olap"
 	"repro/internal/stats"
 )
@@ -65,7 +65,7 @@ type menuSlab struct {
 }
 
 // slabs holds the menus of released generators.
-var slabs sync.Pool
+var slabs = freelist.New[menuSlab]()
 
 // NewGenerator returns a generator with the paper's default configuration.
 func NewGenerator(space *olap.Space, prefs Prefs, format ValueFormat) *Generator {
@@ -192,7 +192,7 @@ func (g *Generator) predicates() []*dimension.Member {
 // combinations crossed with the change menu. The structs are shared across
 // all speeches derived from this generator, and their text is rendered only
 // for the few that are spoken. They are built in a released generator's
-// menu if the pool holds one.
+// menu if one is waiting.
 func (g *Generator) fullMenu() []*Refinement {
 	if g.menu != nil {
 		return g.menu.ptrs
@@ -202,7 +202,7 @@ func (g *Generator) fullMenu() []*Refinement {
 	if percents == nil {
 		percents = DefaultPercents
 	}
-	slab, _ := slabs.Get().(*menuSlab)
+	slab := slabs.Get()
 	if slab == nil {
 		slab = new(menuSlab)
 	}
