@@ -20,8 +20,10 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/mcts"
+	"repro/internal/nlq"
 	"repro/internal/olap"
 	"repro/internal/sampling"
+	"repro/internal/semcache"
 	"repro/internal/speech"
 	"repro/internal/voice"
 )
@@ -358,10 +360,10 @@ func microSetup(b *testing.B) *microEnv {
 // inner-loop operation that must stay far below sentence playback time.
 // Theorem A.3 bounds it by O(k·m): k levels, each scoring its m children. A
 // round here costs less on every level: O(m/64) words while a level still
-// has an unvisited child, and once it has none one UCT bound per distinct
-// visit count among the m, a few more where bounds tie (internal/mcts;
-// BenchmarkSampleBatch there reports both as heads/sample and
-// scored/sample).
+// has an unvisited child, and once it has none at most one UCT bound per
+// distinct visit count among the m, a few more where bounds tie
+// (internal/mcts; BenchmarkSampleBatch there reports both as
+// children/sample and scored/sample).
 func BenchmarkMCTSSampleComplexity(b *testing.B) {
 	e := microSetup(b)
 	rng := rand.New(rand.NewSource(1))
@@ -483,4 +485,83 @@ func BenchmarkHolisticEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// coldRows is the benchmark's flights table: the paper's 5.3 M rows.
+const coldRows = 5300000
+
+// coldQueries are the 17 canonical queries of the benchmark's repeat_zipf
+// workload, each as the utterances that reach it from a fresh session
+// (which groups by region): six single dimensions, then every pair of
+// dimensions from different hierarchies.
+func coldQueries() [][]string {
+	const depend = "how does cancellation depend on "
+	type dim struct{ hierarchy, alias string }
+	dims := []dim{
+		{"start airport", "region"}, {"flight date", "season"}, {"airline", "airline"},
+		{"start airport", "state"}, {"flight date", "month"}, {"start airport", "city"},
+	}
+	from := func(d ...dim) []string {
+		for _, x := range d {
+			if x.hierarchy == "start airport" {
+				return nil
+			}
+		}
+		return []string{"remove start airport"}
+	}
+	var qs [][]string
+	for _, d := range dims {
+		qs = append(qs, append(from(d), depend+d.alias))
+	}
+	for i, a := range dims {
+		for _, b := range dims[i+1:] {
+			if a.hierarchy != b.hierarchy {
+				qs = append(qs, append(from(a, b), depend+a.alias+" and "+b.alias))
+			}
+		}
+	}
+	return qs
+}
+
+// BenchmarkColdAnswers plans the 17 repeat_zipf canonical queries over
+// 5.3 M flights with the daemon's planner configuration, one after another
+// as the benchmark's warm-up does to fill the answer cache, and reports ms
+// per set: the planning share of that workload's setup_s without the boot,
+// the HTTP round trips or the other processes of a whole run. Compare
+// commits at -cpu 1 and -cpu 2, alternating the binaries.
+func BenchmarkColdAnswers(b *testing.B) {
+	d, err := datagen.Flights(datagen.FlightsConfig{Rows: coldRows, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries []olap.Query
+	for _, utterances := range coldQueries() {
+		sess, err := nlq.NewSession(d, olap.Avg, "cancelled", "average cancellation probability")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, u := range utterances {
+			if _, err := sess.Parse(u); err != nil {
+				b.Fatalf("%q: %v", u, err)
+			}
+		}
+		queries = append(queries, semcache.Normalize(sess.Query()))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			cfg := core.Config{
+				Format:               speech.PercentFormat,
+				Seed:                 1,
+				Clock:                voice.NewSimClock(),
+				SimRoundCost:         time.Millisecond,
+				MaxRoundsPerSentence: 2000,
+				MaxTreeNodes:         100000,
+			}
+			if _, err := core.NewHolistic(d, q, cfg).Vocalize(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/set")
 }

@@ -266,9 +266,9 @@ func TestHolisticGoldenRecycled(t *testing.T) {
 }
 
 // recycledKinds is the number of stores an answer takes from free lists:
-// the tree's arena, the generator's menu, the sample cache's buffers and the
-// session's random stream.
-const recycledKinds = 4
+// the tree's arena, the generator's menu, the sample cache's buffers, the
+// row worker's ring and the session's random stream.
+const recycledKinds = 5
 
 // answerAlloc plans one answer over the golden flights table with daemon
 // budgets (which read all 200 000 rows) and returns the bytes it allocated.

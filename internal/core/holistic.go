@@ -72,6 +72,9 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, err
 	}
 	defer s.release()
+	// Rows are classified on a second goroutine from here on, while the
+	// preamble plays and the tree is built and sampled.
+	s.sampler.Start()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
 

@@ -71,12 +71,15 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 // of a new source.
 var rngs = freelist.New[rand.Rand]()
 
-// release ends an answer's session once its speech is built: the
-// generator's menu, the sample cache's buffers and the random stream go to
-// the next answer's session. The speech keeps none of them (mcts.Tree.Speech
-// detaches its refinements), and nothing of the session may be used after
-// it. The vocalizers that plan on a tree release it beside the tree.
+// release ends an answer's session once its speech is built: it stops and
+// joins the sampler's row worker if one was started, and the generator's
+// menu, the worker's ring, the sample cache's buffers and the random stream
+// go to the next answer's session. The speech keeps none of them
+// (mcts.Tree.Speech detaches its refinements), and nothing of the session
+// may be used after it. The vocalizers that plan on a tree start the worker
+// right after newSession and release the session beside the tree.
 func (s *session) release() {
+	s.sampler.Stop()
 	s.gen.Release()
 	s.sampler.Cache().Release()
 	rngs.Put(s.rng)

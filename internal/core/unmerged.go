@@ -45,6 +45,9 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, err
 	}
 	defer s.release()
+	// Rows are classified on a second goroutine from here on, while the
+	// tree is built and sampled.
+	s.sampler.Start()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
 

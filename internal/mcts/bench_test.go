@@ -40,8 +40,8 @@ const (
 // Beside the time of the real loop it reports where a sample's time goes, from
 // a second tree on the same seed sampled through phaseClock.sample: ns per
 // sample spent expanding, descending, evaluating (the scratch speech and the
-// stand-in evaluator, not a belief reward) and backing up, and the children a
-// sample scores on saturated levels.
+// stand-in evaluator, not a belief reward) and backing up, and per sample the
+// children on saturated levels and the UCT bounds computed to rank them.
 func BenchmarkSampleBatch(b *testing.B) {
 	gen := fineGen(b)
 	newTree := func() *Tree {
@@ -88,19 +88,20 @@ func BenchmarkSampleBatch(b *testing.B) {
 	b.ReportMetric(float64(ph.descend.Nanoseconds())/samples, "descend-ns/sample")
 	b.ReportMetric(float64(ph.evaluate.Nanoseconds())/samples, "evaluate-ns/sample")
 	b.ReportMetric(float64(ph.backUp.Nanoseconds())/samples, "backup-ns/sample")
+	b.ReportMetric(float64(ph.children)/samples, "children/sample")
 	b.ReportMetric(float64(ph.scored)/samples, "scored/sample")
-	b.ReportMetric(float64(ph.heads)/samples, "heads/sample")
 }
 
 // phaseClock adds up the time of Tree.Sample's phases over many samples.
 type phaseClock struct {
 	expand, descend, evaluate, backUp time.Duration
-	// scored counts the children ranked by UCT bound: the fan-out of every
+	// children counts the children ranked by UCT bound: the fan-out of every
 	// level that had no unvisited child left.
+	children int
+	// scored counts the bounds computed to rank them, maxUCTChild's third
+	// result: a head per run of equal visit count that might beat the best
+	// so far, and the children after a head that might share its score.
 	scored int
-	// heads counts the bounds computed to rank them: a head per run of equal
-	// visit count and the children after a head that might share its score.
-	heads int
 }
 
 // sample is Tree.Sample and Tree.descend copied out with a clock read between
@@ -120,11 +121,11 @@ func (ph *phaseClock) sample(t *Tree) {
 		if n.fan < 0 {
 			break
 		}
-		c, cn, heads := t.maxUCTChild(n, id)
+		c, cn, scored := t.maxUCTChild(n, id)
 		if cn.Visits > 0 { // an unvisited child would have been drawn first
-			ph.scored += len(t.fanout(n.fan).kids)
+			ph.children += len(t.fanout(n.fan).kids)
 		}
-		ph.heads += heads
+		ph.scored += scored
 		id, n = c, cn
 	}
 	t.pathScratch = path

@@ -330,6 +330,9 @@ type Tree struct {
 	// means no character limit; no node at maxDepth has children.
 	maxChars int
 	maxDepth uint16
+	// maxTextLen is the longest refinement text of the menu: an expansion
+	// with that much room left drops nothing for length.
+	maxTextLen int32
 	// menuWords is the length of a bitset over the menu.
 	menuWords int
 	// validScratch collects the valid set of one expansion.
@@ -422,6 +425,9 @@ func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 	t.textLen = t.textLen[:0]
 	for _, r := range t.menu {
 		t.textLen = append(t.textLen, int32(r.TextLen()))
+	}
+	if len(t.textLen) > 0 {
+		t.maxTextLen = slices.Max(t.textLen)
 	}
 	t.compat = t.compat[:0]
 	t.root = t.newNode()
@@ -649,7 +655,7 @@ func (t *Tree) expand(n *Node) {
 			mainLen += 1 + t.textLen[cur.ord]
 		}
 		mainLen += int32(len(t.baselines[cur.ord].Text()))
-		if room := int32(t.maxChars) - mainLen - 1; t.maxChars > 0 {
+		if room := int32(t.maxChars) - mainLen - 1; t.maxChars > 0 && room < t.maxTextLen {
 			for o, l := range t.textLen {
 				if l > room {
 					drop(valid, o)
@@ -742,7 +748,10 @@ func (t *Tree) maxUCTChild(n *Node, id int32) (int32, *Node, int) {
 	// is the first in ordinal order whose Reward/Visits + sqrt(2 ln N / Visits)
 	// is the maximum. The quotient is the child's cached mean and the square
 	// root is one float for a whole run, so no child of a run scores above its
-	// head, and those that score the same follow the head directly.
+	// head, and those that score the same follow the head directly. Runs
+	// ascend in visits, so a run's square root is at most the last one taken,
+	// and a head whose mean plus that one is below the best score cannot
+	// reach it: float addition is monotone, so skipping it changes nothing.
 	var r *runs
 	if f := t.fanout(n.fan); f.runs == 0 {
 		r = t.newRuns(f)
@@ -752,12 +761,16 @@ func (t *Tree) maxUCTChild(n *Node, id int32) (int32, *Node, int) {
 			t.refile(r, c)
 		}
 	}
-	twoLogN := 2 * math.Log(float64(n.Visits))
+	twoLogN := twoLog(n.Visits)
 	var best *Node
-	bestScore, scored := math.Inf(-1), 0
+	bestScore, prevTerm, scored := math.Inf(-1), math.Inf(1), 0
 	for i, s := range r.starts {
 		c := t.node(r.order[s])
+		if c.mean+prevTerm < bestScore {
+			continue
+		}
 		term := math.Sqrt(twoLogN / float64(c.Visits))
+		prevTerm = term
 		score := c.mean + term
 		scored++
 		if score < bestScore {
@@ -782,6 +795,22 @@ func (t *Tree) maxUCTChild(n *Node, id int32) (int32, *Node, int) {
 	}
 	r.lastVisits = best.Visits
 	return r.order[r.last], best, scored
+}
+
+// twoLogTable holds 2 ln n for the visit counts most nodes have.
+var twoLogTable = func() (tab [1 << 10]float64) {
+	for n := range tab {
+		tab[n] = 2 * math.Log(float64(n))
+	}
+	return tab
+}()
+
+// twoLog returns 2 ln n, the same float whether from the table or computed.
+func twoLog(n int32) float64 {
+	if uint32(n) < uint32(len(twoLogTable)) {
+		return twoLogTable[n]
+	}
+	return 2 * math.Log(float64(n))
 }
 
 // runTable returns run table k.

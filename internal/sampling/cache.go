@@ -4,9 +4,15 @@
 // its literal resampling estimator needs them, see Cache.EnableResample),
 // unbiased count/sum/average estimators derived from the cache, the
 // PickAggregate selection rule, and confidence bounds for the uncertainty
-// extensions. The cache is filled from a pseudo-random row stream and is
-// deliberately single-goroutine: the holistic planner interleaves cache
-// fills, tree sampling, and voice output in one loop.
+// extensions. The cache is filled from a pseudo-random row stream in two
+// halves: classify (touch, classification, measure gather and the grand
+// moments) and fold (the per-aggregate moments). A started Sampler runs
+// classify on a row worker, one goroutine that reads the stream a ring of
+// chunks ahead, while the planner folds one chunk per round between tree
+// samples; the worker lives from Sampler.Start to Sampler.Stop, which joins
+// it. Both halves update in row order, so the cache is bit for bit the one
+// a single goroutine would fill. Everything else in the package, and every
+// cache method, is single-goroutine.
 package sampling
 
 import (
@@ -28,10 +34,9 @@ const DefaultResampleSize = 10
 // which is all the default estimators and the confidence bounds read; the
 // rows themselves are retained only in resample mode (EnableResample).
 type Cache struct {
-	space *olap.Space
-	// measureVals is the measure's backing slice, letting batch inserts
-	// gather measures with direct array loads; nil for count queries.
-	measureVals []float64
+	// classifier is the cache's own first half of an insert, which
+	// InsertBatch runs on the caller.
+	classifier
 	// accs[a] maintains running moments of the measures of the rows cached
 	// for aggregate a (for count queries a placeholder 1 per row), giving
 	// O(1) full-cache estimates.
@@ -39,12 +44,10 @@ type Cache struct {
 	// grand maintains running moments over all in-scope rows, giving O(1)
 	// grand estimates regardless of cache size.
 	grand stats.Accumulator
-	// scratch is the classification buffer reused across InsertBatch calls.
+	// scratch and vals are the classification and measure buffers reused
+	// across InsertBatch calls.
 	scratch []int32
-	// lines is the touch pass's buffer, the first row of each cache line of
-	// a batch; sink keeps its loads alive.
-	lines []int
-	sink  float64
+	vals    []float64
 	// totalRows is the table row count the cache's estimates scale
 	// against, captured when the cache is created (and advanced by
 	// AbsorbAppend). Reading it live from the dataset would silently
@@ -64,13 +67,29 @@ type Cache struct {
 	resampleSize int
 }
 
+// classifier is the first half of an insert, classify. It reads only what
+// no insert changes, the space and the measure, so a sampler's row worker
+// (Sampler.Start) runs one of its own on another goroutine while the cache
+// folds what it classified.
+type classifier struct {
+	space *olap.Space
+	// measureVals is the measure's backing slice, letting batch inserts
+	// gather measures with direct array loads; nil for count queries.
+	measureVals []float64
+	// lines is the touch pass's buffer, the first row of each cache line of
+	// a batch; sink keeps its loads alive.
+	lines []int
+	sink  float64
+}
+
 // buffers are the slices of a cache that Release recycles: the
-// accumulators, the non-empty list, the classification scratch and the
-// touch pass's lines.
+// accumulators, the non-empty list, the classification and measure scratch
+// and the touch pass's lines.
 type buffers struct {
 	accs     []stats.Accumulator
 	nonEmpty []int
 	scratch  []int32
+	vals     []float64
 	lines    []int
 }
 
@@ -92,12 +111,12 @@ func NewCache(space *olap.Space) (*Cache, error) {
 		clear(accs)
 	}
 	c := &Cache{
-		space:     space,
-		accs:      accs,
-		nonEmpty:  b.nonEmpty[:0],
-		scratch:   b.scratch,
-		lines:     b.lines[:0],
-		totalRows: int64(space.Dataset().Table().NumRows()),
+		classifier: classifier{space: space, lines: b.lines[:0]},
+		accs:       accs,
+		nonEmpty:   b.nonEmpty[:0],
+		scratch:    b.scratch,
+		vals:       b.vals,
+		totalRows:  int64(space.Dataset().Table().NumRows()),
 	}
 	q := space.Query()
 	if q.Fct != olap.Count {
@@ -117,7 +136,7 @@ func (c *Cache) Release() {
 	if c.accs == nil {
 		return
 	}
-	pool.Put(&buffers{accs: c.accs, nonEmpty: c.nonEmpty, scratch: c.scratch, lines: c.lines})
+	pool.Put(&buffers{accs: c.accs, nonEmpty: c.nonEmpty, scratch: c.scratch, vals: c.vals, lines: c.lines})
 	*c = Cache{}
 }
 
@@ -191,11 +210,11 @@ func (c *Cache) AbsorbAppend(next *olap.Space) error {
 	return nil
 }
 
-// InsertBatch considers a batch of rows for caching: one dense batch
-// classification followed by a tight accumulate loop. Rows outside the
-// query scope are counted in NrRead but not cached; in-scope rows fold into
-// their aggregate's moments in row order, so one batch and one-row batches
-// of the same rows leave the same cache.
+// InsertBatch considers a batch of rows for caching: classify, then fold,
+// both on the caller. Rows outside the query scope are counted in NrRead but
+// not cached; in-scope rows fold into their aggregate's moments in row
+// order, so one batch and one-row batches of the same rows leave the same
+// cache, and so does a sampler's row worker reading the same rows.
 func (c *Cache) InsertBatch(rows []int) {
 	if len(rows) == 0 {
 		return
@@ -203,34 +222,57 @@ func (c *Cache) InsertBatch(rows []int) {
 	if cap(c.scratch) < len(rows) {
 		c.scratch = make([]int32, len(rows))
 	}
-	idxs := c.scratch[:len(rows)]
-	c.touch(rows)
-	c.space.ClassifyRows(rows, idxs)
-	c.nrRead += int64(len(rows))
-	for i, idx := range idxs {
-		if idx < 0 {
+	if cap(c.vals) < len(rows) {
+		c.vals = make([]float64, len(rows))
+	}
+	idx, vals := c.scratch[:len(rows)], c.vals[:len(rows)]
+	c.classify(rows, idx, vals, &c.grand)
+	c.fold(idx, vals)
+}
+
+// classify is the first half of an insert: the touch pass, one dense batch
+// classification of rows into idx (-1 for a row out of scope), the gather
+// of each in-scope row's measure into vals (1 for count queries; vals of
+// rows out of scope are left as they were), and the grand moments' updates
+// in row order. It writes nothing of the cache's but grand.
+func (k *classifier) classify(rows []int, idx []int32, vals []float64, grand *stats.Accumulator) {
+	k.touch(rows)
+	k.space.ClassifyRows(rows, idx)
+	for i, x := range idx {
+		if x < 0 {
 			continue
 		}
 		v := 1.0
-		if c.measureVals != nil {
-			v = c.measureVals[rows[i]]
+		if k.measureVals != nil {
+			v = k.measureVals[rows[i]]
 		}
-		// add, spelled out: it is over the inlining budget and the call
-		// costs this loop a tenth of its throughput.
+		vals[i] = v
+		grand.Add(v)
+	}
+}
+
+// fold is the second half of an insert: it counts the rows classify
+// classified as read and folds each in-scope one into its aggregate's
+// moments in row order. The grand moments are classify's.
+func (c *Cache) fold(idx []int32, vals []float64) {
+	c.nrRead += int64(len(idx))
+	for i, x := range idx {
+		if x < 0 {
+			continue
+		}
 		c.inScope++
-		acc := &c.accs[idx]
+		acc := &c.accs[x]
 		if acc.Count() == 0 {
-			c.nonEmpty = append(c.nonEmpty, int(idx))
+			c.nonEmpty = append(c.nonEmpty, int(x))
 		}
-		acc.Add(v)
-		c.grand.Add(v)
+		acc.Add(vals[i])
 		if c.values != nil {
-			c.values[idx] = append(c.values[idx], v)
+			c.values[x] = append(c.values[x], vals[i])
 		}
 	}
 }
 
-// touch is the first-touch pass of InsertBatch: it loads one value per
+// touch is the first-touch pass of classify: it loads one value per
 // cache line the batch will read, in the measure and (olap.Space.TouchRows)
 // in every code column, before anything depends on them. Classification and
 // the measure gather take their misses one column after another, about
@@ -239,9 +281,9 @@ func (c *Cache) InsertBatch(rows []int) {
 // table (the "sequential" leg of internal/table's BenchmarkSamplerReadRows)
 // pays about a tenth more per row for it, 14-15.6 ns against 12.5-14.3
 // (EXPERIMENTS.md, "Blocks, not rows").
-func (c *Cache) touch(rows []int) {
-	lo, hi := c.space.RowBounds()
-	c.lines = c.lines[:0]
+func (k *classifier) touch(rows []int) {
+	lo, hi := k.space.RowBounds()
+	k.lines = k.lines[:0]
 	line := -1
 	for _, r := range rows {
 		// 8 float64 measures share a 64-byte line (16 int32 codes do, and
@@ -249,13 +291,13 @@ func (c *Cache) touch(rows []int) {
 		// window are never loaded, so they are not touched either.
 		if r>>3 != line && r >= lo && r < hi {
 			line = r >> 3
-			c.lines = append(c.lines, r)
+			k.lines = append(k.lines, r)
 		}
 	}
-	c.sink += float64(c.space.TouchRows(c.lines))
-	if c.measureVals != nil {
-		for _, r := range c.lines {
-			c.sink += c.measureVals[r]
+	k.sink += float64(k.space.TouchRows(k.lines))
+	if k.measureVals != nil {
+		for _, r := range k.lines {
+			k.sink += k.measureVals[r]
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -313,11 +314,8 @@ func (sc *scenario) drive(t *testing.T, c *Cache, ref *refCache, check func(stag
 
 // TestCacheMatchesStoredRowsReference drives the moment-only cache and the
 // row-storing reference through random scenarios and requires every
-// readout the planner uses to agree to the last bit; only the pooled
-// bound, which merges moments where the reference re-accumulates rows, is
-// allowed floating-point rounding.
+// readout the planner uses to agree (checkMatchesReference).
 func TestCacheMatchesStoredRowsReference(t *testing.T) {
-	const pooledTol = 1e-9
 	for _, fct := range []olap.AggFunc{olap.Avg, olap.Sum, olap.Count} {
 		for seed := int64(1); seed <= 25; seed++ {
 			sc := newScenario(t, seed, fct)
@@ -327,53 +325,62 @@ func TestCacheMatchesStoredRowsReference(t *testing.T) {
 			}
 			ref := newRefCache(t, sc.space)
 			sc.drive(t, c, ref, func(stage string) {
-				at := fmt.Sprintf("%v seed %d %s", fct, seed, stage)
-				if c.NrRead() != ref.nrRead || c.NrInScope() != ref.inScope || c.NonEmpty() != len(ref.nonEmpty) {
-					t.Fatalf("%s: read/in-scope/non-empty %d/%d/%d, reference %d/%d/%d", at,
-						c.NrRead(), c.NrInScope(), c.NonEmpty(), ref.nrRead, ref.inScope, len(ref.nonEmpty))
-				}
-				grand, ok := c.GrandEstimate()
-				wantGrand, wantOK := ref.grandEstimate()
-				if ok != wantOK || math.Float64bits(grand) != math.Float64bits(wantGrand) {
-					t.Fatalf("%s: grand estimate %v/%v, reference %v/%v", at, grand, ok, wantGrand, wantOK)
-				}
-				size := c.Space().Size()
-				for a := 0; a < size; a++ {
-					if c.Size(a) != len(ref.values[a]) {
-						t.Fatalf("%s: Size(%d) = %d, reference %d", at, a, c.Size(a), len(ref.values[a]))
-					}
-					est, ok := c.Estimate(a, nil)
-					wantEst, wantOK := ref.estimate(a)
-					if ok != wantOK || math.Float64bits(est) != math.Float64bits(wantEst) {
-						t.Fatalf("%s: estimate %d = %v/%v, reference %v/%v", at, a, est, ok, wantEst, wantOK)
-					}
-					iv, ok := c.ConfidenceInterval(a, 0.95)
-					wantIv, wantOK := ref.confidenceInterval(a, 0.95)
-					if ok != wantOK || math.Float64bits(iv.Lo) != math.Float64bits(wantIv.Lo) ||
-						math.Float64bits(iv.Hi) != math.Float64bits(wantIv.Hi) {
-						t.Fatalf("%s: interval %d = %v/%v, reference %v/%v", at, a, iv, ok, wantIv, wantOK)
-					}
-				}
-				// The same draws pick the same aggregates: nonEmpty keeps its order.
-				rc, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				for i := 0; i < 20; i++ {
-					got, ok := c.PickAggregate(rc)
-					want, wantOK := ref.pickAggregate(rr)
-					if got != want || ok != wantOK {
-						t.Fatalf("%s: pick %d = %d/%v, reference %d/%v", at, i, got, ok, want, wantOK)
-					}
-				}
-				for i := 0; i < 8; i++ {
-					scope := sc.rng.Perm(size)[:1+sc.rng.Intn(size)]
-					got, ok := c.PooledConfidenceInterval(scope, 0.95)
-					want, wantOK := ref.pooledConfidenceInterval(scope, 0.95)
-					tol := pooledTol * math.Max(math.Abs(want.Lo), math.Abs(want.Hi))
-					if ok != wantOK || math.Abs(got.Lo-want.Lo) > tol || math.Abs(got.Hi-want.Hi) > tol {
-						t.Fatalf("%s: pooled interval over %d aggregates = %v/%v, reference %v/%v",
-							at, len(scope), got, ok, want, wantOK)
-					}
-				}
+				checkMatchesReference(t, fmt.Sprintf("%v seed %d %s", fct, seed, stage), c, ref, seed, sc.rng)
 			})
+		}
+	}
+}
+
+// checkMatchesReference fails t unless every readout the planner uses agrees
+// between c and ref to the last bit; only the pooled bound, which merges
+// moments where the reference re-accumulates rows, is allowed floating-point
+// rounding. rng draws the pooled scopes.
+func checkMatchesReference(t *testing.T, at string, c *Cache, ref *refCache, seed int64, rng *rand.Rand) {
+	t.Helper()
+	const pooledTol = 1e-9
+	if c.NrRead() != ref.nrRead || c.NrInScope() != ref.inScope || c.NonEmpty() != len(ref.nonEmpty) {
+		t.Fatalf("%s: read/in-scope/non-empty %d/%d/%d, reference %d/%d/%d", at,
+			c.NrRead(), c.NrInScope(), c.NonEmpty(), ref.nrRead, ref.inScope, len(ref.nonEmpty))
+	}
+	grand, ok := c.GrandEstimate()
+	wantGrand, wantOK := ref.grandEstimate()
+	if ok != wantOK || math.Float64bits(grand) != math.Float64bits(wantGrand) {
+		t.Fatalf("%s: grand estimate %v/%v, reference %v/%v", at, grand, ok, wantGrand, wantOK)
+	}
+	size := c.Space().Size()
+	for a := 0; a < size; a++ {
+		if c.Size(a) != len(ref.values[a]) {
+			t.Fatalf("%s: Size(%d) = %d, reference %d", at, a, c.Size(a), len(ref.values[a]))
+		}
+		est, ok := c.Estimate(a, nil)
+		wantEst, wantOK := ref.estimate(a)
+		if ok != wantOK || math.Float64bits(est) != math.Float64bits(wantEst) {
+			t.Fatalf("%s: estimate %d = %v/%v, reference %v/%v", at, a, est, ok, wantEst, wantOK)
+		}
+		iv, ok := c.ConfidenceInterval(a, 0.95)
+		wantIv, wantOK := ref.confidenceInterval(a, 0.95)
+		if ok != wantOK || math.Float64bits(iv.Lo) != math.Float64bits(wantIv.Lo) ||
+			math.Float64bits(iv.Hi) != math.Float64bits(wantIv.Hi) {
+			t.Fatalf("%s: interval %d = %v/%v, reference %v/%v", at, a, iv, ok, wantIv, wantOK)
+		}
+	}
+	// The same draws pick the same aggregates: nonEmpty keeps its order.
+	rc, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	for i := 0; i < 20; i++ {
+		got, ok := c.PickAggregate(rc)
+		want, wantOK := ref.pickAggregate(rr)
+		if got != want || ok != wantOK {
+			t.Fatalf("%s: pick %d = %d/%v, reference %d/%v", at, i, got, ok, want, wantOK)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		scope := rng.Perm(size)[:1+rng.Intn(size)]
+		got, ok := c.PooledConfidenceInterval(scope, 0.95)
+		want, wantOK := ref.pooledConfidenceInterval(scope, 0.95)
+		tol := pooledTol * math.Max(math.Abs(want.Lo), math.Abs(want.Hi))
+		if ok != wantOK || math.Abs(got.Lo-want.Lo) > tol || math.Abs(got.Hi-want.Hi) > tol {
+			t.Fatalf("%s: pooled interval over %d aggregates = %v/%v, reference %v/%v",
+				at, len(scope), got, ok, want, wantOK)
 		}
 	}
 }
@@ -404,4 +411,86 @@ func TestInsertBatchSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("200 64-row InsertBatch calls on a warmed cache allocate %v times, want 0", allocs)
 	}
+}
+
+// TestWorkerMatchesStoredRowsReference: a started sampler's cache, which
+// folds what its row worker classified, matches the reference, and a cache
+// that InsertBatch filled with the same rows bit for bit, after every read.
+// The reads cycle through sizes that end inside a chunk, at its end and past
+// it, and the last runs the stream dry, so its final chunk is a short one.
+func TestWorkerMatchesStoredRowsReference(t *testing.T) {
+	sizes := []int{1, 63, 64, 65, 4096}
+	windowed, filtered := 0, 0
+	for _, fct := range []olap.AggFunc{olap.Avg, olap.Sum, olap.Count} {
+		for seed := int64(1); seed <= 25; seed++ {
+			sc := newScenario(t, seed, fct)
+			if sc.query.Window.Last > 0 {
+				windowed++
+			}
+			if len(sc.query.Filters) > 0 {
+				filtered++
+			}
+			tab := sc.space.Dataset().Table()
+			smp, err := NewSamplerWithScanner(sc.space, table.NewRandomScanner(tab, rand.New(rand.NewSource(seed))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewCache(sc.space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefCache(t, sc.space)
+			rows := table.NewRandomScanner(tab, rand.New(rand.NewSource(seed)))
+			buf := make([]int, slices.Max(sizes))
+			func() {
+				smp.Start()
+				defer smp.Stop()
+				for i := int(seed); ; i++ {
+					n := sizes[i%len(sizes)]
+					got, want := smp.ReadRows(n), table.FillBatch(rows, buf[:n])
+					at := fmt.Sprintf("%v seed %d read %d of %d", fct, seed, i-int(seed), n)
+					if got != want {
+						t.Fatalf("%s: the worker read %d rows, the stream had %d", at, got, want)
+					}
+					twin.InsertBatch(buf[:got])
+					ref.InsertBatch(buf[:got])
+					checkSameCache(t, at, smp.Cache(), twin)
+					checkMatchesReference(t, at, smp.Cache(), ref, seed, sc.rng)
+					if got < n {
+						return
+					}
+				}
+			}()
+		}
+	}
+	if windowed == 0 || filtered == 0 {
+		t.Errorf("%d windowed and %d filtered scenarios, want some of each", windowed, filtered)
+	}
+}
+
+// checkSameCache fails t unless got and want hold the same moments bit for
+// bit, count the same rows and list their non-empty aggregates in the same
+// order.
+func checkSameCache(t *testing.T, at string, got, want *Cache) {
+	t.Helper()
+	if got.nrRead != want.nrRead || got.inScope != want.inScope || !slices.Equal(got.nonEmpty, want.nonEmpty) {
+		t.Fatalf("%s: read/in-scope/non-empty %d/%d/%v, InsertBatch %d/%d/%v", at,
+			got.nrRead, got.inScope, got.nonEmpty, want.nrRead, want.inScope, want.nonEmpty)
+	}
+	if !sameMoments(&got.grand, &want.grand) {
+		t.Fatalf("%s: grand moments %+v, InsertBatch %+v", at, got.grand, want.grand)
+	}
+	for a := range got.accs {
+		if !sameMoments(&got.accs[a], &want.accs[a]) {
+			t.Fatalf("%s: aggregate %d moments %+v, InsertBatch %+v", at, a, got.accs[a], want.accs[a])
+		}
+	}
+}
+
+// sameMoments reports whether a and b agree to the bit in every moment.
+func sameMoments(a, b *stats.Accumulator) bool {
+	return a.Count() == b.Count() &&
+		math.Float64bits(a.Mean()) == math.Float64bits(b.Mean()) &&
+		math.Float64bits(a.Sum()) == math.Float64bits(b.Sum()) &&
+		math.Float64bits(a.Variance()) == math.Float64bits(b.Variance())
 }

@@ -11,11 +11,15 @@ import (
 // Sampler pulls rows from a pseudo-random scan of the base table into a
 // cache. The holistic planner calls ReadRowsContext once per planning
 // round, between search-tree samples, so data access shares each
-// sentence's playback window with planning.
+// sentence's playback window with planning. Once started (Start), a row
+// worker classifies the stream ahead on another goroutine and a read only
+// folds; until then a read runs both halves of an insert on the caller.
 type Sampler struct {
 	scanner table.Scanner
 	cache   *Cache
 	buf     []int
+	// ring is the row worker's, nil unless started.
+	ring *ring
 }
 
 // NewSampler creates a cache for the query of space and a pseudo-random
@@ -47,7 +51,12 @@ func (s *Sampler) ReadRows(n int) int {
 // stops early and returns the rows read so far once ctx is done, so a
 // planning loop under a deadline never overshoots it by a whole batch. Rows
 // move in batches through the dense classifier rather than one at a time.
+// With the row worker started, a read that finds nothing classified waits
+// for the worker or for ctx, whichever comes first.
 func (s *Sampler) ReadRowsContext(ctx context.Context, n int) int {
+	if s.ring != nil {
+		return s.ring.read(ctx, s.cache, n)
+	}
 	const checkEvery = 64
 	if s.buf == nil {
 		s.buf = make([]int, checkEvery)

@@ -3,11 +3,13 @@ package web
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"repro/internal/olap"
 	"repro/internal/semcache"
 	"repro/internal/speech"
+	"repro/internal/table"
 )
 
 // renderedReply is the part of a /api/query reply rendered from the speech.
@@ -34,7 +37,21 @@ type renderedReply struct {
 // covers cold replies, cache hits and replies that coalesced onto another
 // request's plan; prior replies carry neither part.
 func TestReplyPartsMatchFreshRender(t *testing.T) {
-	srv, _ := newCacheServer(t, Options{MaxConcurrent: 8})
+	// A herd below coalesces only if its followers reach the leader's flight
+	// before the leader's plan lands, which on a loaded machine a plan of a
+	// few milliseconds does not wait for. So while a herd runs, every scan
+	// waits at a gate the herd opens once its followers have had time to
+	// get there; the rows, and so the speeches, stay the same.
+	var gate atomic.Pointer[chan struct{}]
+	srv, _ := newFlightsServer(t, core.Config{
+		Seed:                 7,
+		SimRoundCost:         time.Millisecond,
+		MaxRoundsPerSentence: 100,
+		Percents:             []int{50, 100},
+		Scanner: func(tab *table.Table, rng *rand.Rand) table.Scanner {
+			return &gatedScanner{Scanner: table.NewRandomScanner(tab, rng), gate: gate.Load()}
+		},
+	}, Options{MaxConcurrent: 8})
 	h := srv.Handler()
 	info := srv.datasets["flights"].info
 	committed := map[string]olap.Query{} // by session, written under srv.mu
@@ -129,8 +146,13 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 		for srv.adm.InFlight() < workers && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
+		open := make(chan struct{})
+		gate.Store(&open)
 		close(hold)
+		time.Sleep(50 * time.Millisecond)
+		close(open)
 		wg.Wait()
+		gate.Store(nil)
 		hold = make(chan struct{}) // a closed hold stays open: one per herd
 		srv.holdVocalize = hold
 		for w, rec := range recs {
@@ -144,6 +166,22 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 			t.Errorf("no reply with cache outcome %q among %v", o, outcomes)
 		}
 	}
+}
+
+// gatedScanner is a scan whose first row waits until gate, if any, is
+// closed.
+type gatedScanner struct {
+	table.Scanner
+	gate *chan struct{}
+}
+
+// Next implements table.Scanner.
+func (g *gatedScanner) Next() (int, bool) {
+	if g.gate != nil {
+		<-*g.gate
+		g.gate = nil
+	}
+	return g.Scanner.Next()
 }
 
 // cloneEncoded deep-copies an encoded speech.
