@@ -297,6 +297,10 @@ func newFlightModel() *flightModel {
 // every seeded dataset.
 const drawsPerRow = 4
 
+// cutChunkRows is how many rows cut clears of rejected draws with one
+// compare.
+const cutChunkRows = 16
+
 // cut fills draws, a whole number of rows, with the next rows' accepted
 // draws from src: a value above its field's limit is dropped and the
 // draws after it move up one place, as Intn and Float64 draw again. It is
@@ -304,31 +308,58 @@ const drawsPerRow = 4
 func (fm *flightModel) cut(src *int63Stream, draws []int64) {
 	limits := [drawsPerRow]int64{fm.drawAirport.limit(), fm.drawMonth.limit(), fm.drawAirline.limit(), unitFloatLimit}
 	src.read(draws)
-	for i := 0; i < len(draws); {
-		if draws[i] <= limits[uint(i)%drawsPerRow] {
-			i++
+	for lo := 0; lo < len(draws); lo += drawsPerRow * cutChunkRows {
+		hi := min(lo+drawsPerRow*cutChunkRows, len(draws))
+		// A draw and its limit are both in [0, 1<<63), so limit - draw is
+		// negative, without overflow, exactly when the draw is rejected,
+		// and the chunk's differences ORed together are negative when any
+		// of its draws is.
+		var diffs int64
+		for r := lo; r < hi; r += drawsPerRow {
+			row := draws[r : r+drawsPerRow : r+drawsPerRow]
+			diffs |= (limits[0] - row[0]) | (limits[1] - row[1]) | (limits[2] - row[2]) | (limits[3] - row[3])
+		}
+		if diffs >= 0 {
 			continue
 		}
-		copy(draws[i:], draws[i+1:])
-		src.read(draws[len(draws)-1:])
+		for i := lo; i < hi; {
+			if draws[i] <= limits[uint(i)%drawsPerRow] {
+				i++
+				continue
+			}
+			copy(draws[i:], draws[i+1:])
+			src.read(draws[len(draws)-1:])
+		}
 	}
 }
 
 // decode turns one row's accepted draws into its catalog indices for
-// airport, month and airline and its cancellation flag.
+// airport, month and airline and its cancellation flag. It is indices,
+// then cancels: two halves the compiler inlines into a row loop, where
+// decode, over the inlining budget, would be a call per row.
 func (fm *flightModel) decode(row []int64) (a, m, l int, cancelled float64) {
-	_ = row[drawsPerRow-1]
-	a = fm.drawAirport.index(row[0])
-	m = fm.drawMonth.index(row[1])
-	l = fm.drawAirline.index(row[2])
+	a, m, l = fm.indices(row)
+	if fm.cancels(row[3], a, m, l) {
+		cancelled = 1.0
+	}
+	return a, m, l, cancelled
+}
+
+// indices returns a row's catalog indices for airport, month and airline.
+func (fm *flightModel) indices(row []int64) (a, m, l int) {
+	return fm.drawAirport.index(row[0]), fm.drawMonth.index(row[1]), fm.drawAirline.index(row[2])
+}
+
+// cancels reports whether the row with catalog indices a, m and l and
+// cancellation draw v is cancelled: whether the Float64 falls below the
+// row's probability, base * airport factor * airline factor * month
+// factor, capped at 0.95.
+func (fm *flightModel) cancels(v int64, a, m, l int) bool {
 	p := fm.base[a*len(fm.months)+m] * fm.airportFactor[a] * fm.airlineFactor[l] * fm.months[m].factor
 	if p > 0.95 {
 		p = 0.95
 	}
-	if unitFloat(row[3]) < p {
-		cancelled = 1.0
-	}
-	return a, m, l, cancelled
+	return unitFloat(v) < p
 }
 
 // flightBlockRows is how many rows one block of the stream holds.
@@ -358,29 +389,60 @@ func Flights(cfg FlightsConfig) (*olap.Dataset, error) {
 // Dictionary codes are handed out in first-appearance order, the order
 // appending each row's strings to a StringColumn would intern them in.
 //
-// Rows come in blocks of flightBlockRows. The caller decodes blocks in
-// order until every catalog entry has been seen, which fixes the codes;
-// that is the first block unless the table is tiny. The remaining blocks
-// may then be decoded in any order: one goroutine owns src and cuts its
-// stream into blocks, and GOMAXPROCS workers, the caller among them,
-// decode them into disjoint row ranges. At GOMAXPROCS 1, or with one
-// block left, the caller runs the same block loop alone.
+// Rows come in blocks of flightBlockRows, cut from src one at a time, in
+// stream order, under a blockCutter's lock: the only serial stage. The
+// caller decodes blocks in order until every catalog entry has been seen,
+// which fixes the codes; that is the first block unless the table is tiny.
+// The remaining blocks may then be decoded in any order: up to GOMAXPROCS
+// workers, the caller among them, each cut a block and decode it into its
+// own row range. At GOMAXPROCS 1, or with one block, the caller runs the
+// same loop alone.
 func flightsFrom(src *int63Stream, rows int, fm *flightModel) (*table.Table, error) {
+	workers := min(runtime.GOMAXPROCS(0), (rows+flightBlockRows-1)/flightBlockRows)
 	fc := newFlightColumns(fm, rows)
-	workers := runtime.GOMAXPROCS(0)
+	blocks := &blockCutter{src: src, fm: fm, rows: rows}
 	draws := make([]int64, drawsPerRow*min(rows, flightBlockRows))
-	lo := 0
-	// The caller decodes in row order until the codes are settled, and
-	// alone with one proc or one block left.
-	for ; lo < rows && (workers <= 1 || !fc.settled() || rows-lo <= flightBlockRows); lo += flightBlockRows {
-		block := draws[:drawsPerRow*min(flightBlockRows, rows-lo)]
-		fm.cut(src, block)
+	for !fc.settled() {
+		lo, block := blocks.next(draws)
+		if block == nil {
+			break
+		}
 		fc.fill(lo, block)
 	}
-	if lo < rows {
-		fc.fillParallel(src, lo, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fc.fillFrom(blocks, make([]int64, drawsPerRow*flightBlockRows))
+		}()
 	}
+	fc.fillFrom(blocks, draws)
+	wg.Wait()
 	return fc.table()
+}
+
+// blockCutter hands out the stream's blocks in row order.
+type blockCutter struct {
+	mu       sync.Mutex
+	src      *int63Stream
+	fm       *flightModel
+	lo, rows int // the next block's first row, and the table's rows
+}
+
+// next cuts the next block into buf and returns its first row and its
+// draws, or nil draws once every row has been cut.
+func (c *blockCutter) next(buf []int64) (int, []int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lo := c.lo
+	if lo >= c.rows {
+		return lo, nil
+	}
+	block := buf[:drawsPerRow*min(flightBlockRows, c.rows-lo)]
+	c.fm.cut(c.src, block)
+	c.lo += flightBlockRows
+	return lo, block
 }
 
 // flightColumns is a table being generated: the three dimensions'
@@ -392,16 +454,36 @@ type flightColumns struct {
 	cancelled                              []float64
 }
 
+// newFlightColumns allocates the columns of a rows-row table. Zeroing them
+// is the longest step no block can start before, so a second goroutine
+// zeroes the measure column while the caller zeroes the codes.
 func newFlightColumns(fm *flightModel, rows int) *flightColumns {
-	return &flightColumns{
-		fm:           fm,
-		airports:     newFirstSeen(len(airportCatalog)),
-		months:       newFirstSeen(len(fm.months)),
-		airlines:     newFirstSeen(len(airlineCatalog)),
-		airportCodes: make([]int32, rows),
-		monthCodes:   make([]int32, rows),
-		airlineCodes: make([]int32, rows),
-		cancelled:    make([]float64, rows),
+	fc := &flightColumns{
+		fm:       fm,
+		airports: newFirstSeen(len(airportCatalog)),
+		months:   newFirstSeen(len(fm.months)),
+		airlines: newFirstSeen(len(airlineCatalog)),
+	}
+	done := make(chan struct{})
+	go func() {
+		fc.cancelled = make([]float64, rows)
+		close(done)
+	}()
+	fc.airportCodes = make([]int32, rows)
+	fc.monthCodes = make([]int32, rows)
+	fc.airlineCodes = make([]int32, rows)
+	<-done
+	return fc
+}
+
+// fillFrom cuts blocks into buf and fills them until every row is cut.
+func (fc *flightColumns) fillFrom(blocks *blockCutter, buf []int64) {
+	for {
+		lo, block := blocks.next(buf)
+		if block == nil {
+			return
+		}
+		fc.fill(lo, block)
 	}
 }
 
@@ -412,12 +494,36 @@ func (fc *flightColumns) fill(lo int, draws []int64) {
 	n := len(draws) / drawsPerRow
 	airports, months, airlines := fc.airportCodes[lo:lo+n], fc.monthCodes[lo:lo+n], fc.airlineCodes[lo:lo+n]
 	cancelled := fc.cancelled[lo : lo+n]
+	if !fc.settled() {
+		for i := range cancelled {
+			a, m, l, c := fc.fm.decode(draws[i*drawsPerRow : (i+1)*drawsPerRow])
+			airports[i] = fc.airports.code(a)
+			months[i] = fc.months.code(m)
+			airlines[i] = fc.airlines.code(l)
+			cancelled[i] = c
+		}
+		return
+	}
+	// Settled codes are a lookup by catalog index, and decode's halves
+	// inline here. The lookup tables are local arrays, which leaves the
+	// loop few enough slices to keep them in registers; an index of 256
+	// or more fails the arrays' bounds check rather than reading a wrong
+	// code. The measure column starts zeroed, so only a cancelled row
+	// writes its measure.
+	fm := fc.fm
+	var airportCode, monthCode, airlineCode [256]int32
+	copy(airportCode[:], fc.airports.codes)
+	copy(monthCode[:], fc.months.codes)
+	copy(airlineCode[:], fc.airlines.codes)
 	for i := range cancelled {
-		a, m, l, c := fc.fm.decode(draws[i*drawsPerRow : (i+1)*drawsPerRow])
-		airports[i] = fc.airports.code(a)
-		months[i] = fc.months.code(m)
-		airlines[i] = fc.airlines.code(l)
-		cancelled[i] = c
+		row := draws[i*drawsPerRow : (i+1)*drawsPerRow]
+		a, m, l := fm.indices(row)
+		airports[i] = airportCode[a]
+		months[i] = monthCode[m]
+		airlines[i] = airlineCode[l]
+		if fm.cancels(row[3], a, m, l) {
+			cancelled[i] = 1.0
+		}
 	}
 }
 
@@ -426,68 +532,42 @@ func (fc *flightColumns) settled() bool {
 	return fc.airports.complete() && fc.months.complete() && fc.airlines.complete()
 }
 
-// fillParallel fills the rows from lo on, once settled: one goroutine cuts
-// src into blocks, and up to workers goroutines, the caller among them and
-// no more than there are blocks, fill them.
-func (fc *flightColumns) fillParallel(src *int63Stream, lo, workers int) {
-	type block struct {
-		lo    int
-		draws []int64
-	}
-	rows := len(fc.cancelled)
-	workers = min(workers, (rows-lo+flightBlockRows-1)/flightBlockRows)
-	// The draw buffers are recycled: one per worker, one for the owner to
-	// cut into and one cut ahead, since the owner is the slower side. Both
-	// channels can hold every buffer, so only an empty free list makes the
-	// owner wait.
-	free := make(chan []int64, workers+2)
-	for i := 0; i < cap(free); i++ {
-		free <- make([]int64, drawsPerRow*flightBlockRows)
-	}
-	full := make(chan block, cap(free))
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	go func() {
-		defer wg.Done()
-		defer close(full)
-		for ; lo < rows; lo += flightBlockRows {
-			draws := (<-free)[:drawsPerRow*min(flightBlockRows, rows-lo)]
-			fc.fm.cut(src, draws)
-			full <- block{lo, draws}
-		}
-	}()
-	decode := func() {
-		for b := range full {
-			fc.fill(b.lo, b.draws)
-			free <- b.draws
-		}
-	}
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			decode()
-		}()
-	}
-	decode()
-	wg.Wait()
-}
-
-// table assembles the generated columns.
+// table assembles the generated columns. The three string columns check
+// their codes against their dictionaries concurrently, the caller taking
+// the last.
 func (fc *flightColumns) table() (*table.Table, error) {
 	airportNames, monthNames, airlineNames := fc.fm.catalogNames()
-	airportCol, err := fc.airports.column("airport", fc.airportCodes, airportNames)
-	if err != nil {
-		return nil, err
+	specs := [...]struct {
+		name  string
+		seen  *firstSeen
+		codes []int32
+		names []string
+	}{
+		{"airport", fc.airports, fc.airportCodes, airportNames},
+		{"month", fc.months, fc.monthCodes, monthNames},
+		{"airline", fc.airlines, fc.airlineCodes, airlineNames},
 	}
-	monthCol, err := fc.months.column("month", fc.monthCodes, monthNames)
-	if err != nil {
-		return nil, err
+	var cols [len(specs)]table.Column
+	var errs [len(specs)]error
+	check := func(i int) {
+		cols[i], errs[i] = specs[i].seen.column(specs[i].name, specs[i].codes, specs[i].names)
 	}
-	airlineCol, err := fc.airlines.column("airline", fc.airlineCodes, airlineNames)
-	if err != nil {
-		return nil, err
+	var wg sync.WaitGroup
+	for i := range len(specs) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(i)
+		}()
 	}
-	return table.New("flights", airportCol, monthCol, airlineCol,
+	check(len(specs) - 1)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return table.New("flights", cols[0], cols[1], cols[2],
 		table.NewFloat64ColumnFromValues("cancelled", fc.cancelled))
 }
 

@@ -107,8 +107,8 @@ func TestStarFlightsFactSchema(t *testing.T) {
 	tab := star.Table()
 	// The fact table stores the FKs, the measure, and the three joined
 	// dimension columns.
-	if tab.NumColumns() != 7 {
-		t.Errorf("fact columns = %d, want 7", tab.NumColumns())
+	if n := len(tab.Columns()); n != 7 {
+		t.Errorf("fact columns = %d, want 7", n)
 	}
 	for _, v := range []string{"airport", "month", "airline"} {
 		if _, err := tab.StringColumn(v); err != nil {

@@ -19,7 +19,7 @@ type FlightRow struct {
 func FlightRows(seed int64, n int) []FlightRow {
 	model := newFlightModel()
 	// An ingest batch is a few hundred rows: calling the source costs less
-	// than a seeded stream's 37 KB buffer.
+	// than starting a seeded stream's 607-value history.
 	src := sourceStream(rand.NewSource(seed))
 	rows := make([]FlightRow, n)
 	var draws [drawsPerRow]int64

@@ -178,7 +178,11 @@ func buildCityTable(t *testing.T, values []string) *table.Table {
 		c.Append(s)
 		v.Append(float64(i % 2))
 	}
-	return table.MustNew("flights", c, v)
+	tab, err := table.New("flights", c, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func TestBinding(t *testing.T) {
@@ -219,7 +223,10 @@ func TestBindingErrors(t *testing.T) {
 		t.Error("expected error for unregistered value")
 	}
 	// Missing column.
-	other := table.MustNew("t", table.NewFloat64Column("x"))
+	other, err := table.New("t", table.NewFloat64Column("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := h.Bind(other); err == nil {
 		t.Error("expected error for missing column")
 	}

@@ -8,16 +8,21 @@ import (
 	"repro/internal/voice"
 )
 
-func testScanner(n int) table.Scanner {
+func testScanner(t *testing.T, n int) table.Scanner {
+	t.Helper()
 	col := table.NewFloat64Column("v")
 	for i := 0; i < n; i++ {
 		col.Append(float64(i))
 	}
-	return table.NewSequentialScanner(table.MustNew("t", col))
+	tab, err := table.New("t", col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table.NewSequentialScanner(tab)
 }
 
 func TestFailingScannerCutsStream(t *testing.T) {
-	f := &FailingScanner{Inner: testScanner(10), Limit: 3}
+	f := &FailingScanner{Inner: testScanner(t, 10), Limit: 3}
 	var rows []int
 	for {
 		r, ok := f.Next()
@@ -46,7 +51,7 @@ func TestFailingScannerCutsStream(t *testing.T) {
 }
 
 func TestFailingScannerImmediate(t *testing.T) {
-	f := &FailingScanner{Inner: testScanner(10), Limit: 0}
+	f := &FailingScanner{Inner: testScanner(t, 10), Limit: 0}
 	if _, ok := f.Next(); ok {
 		t.Fatal("limit 0 should fail immediately")
 	}
@@ -56,7 +61,7 @@ func TestFailingScannerImmediate(t *testing.T) {
 }
 
 func TestStallingScannerBlocksUntilRelease(t *testing.T) {
-	s := NewStallingScanner(testScanner(10), 2)
+	s := NewStallingScanner(testScanner(t, 10), 2)
 	for i := 0; i < 2; i++ {
 		if _, ok := s.Next(); !ok {
 			t.Fatalf("row %d should pass through", i)
@@ -85,7 +90,7 @@ func TestStallingScannerBlocksUntilRelease(t *testing.T) {
 }
 
 func TestSlowScannerDelivers(t *testing.T) {
-	s := &SlowScanner{Inner: testScanner(3), Delay: time.Millisecond}
+	s := &SlowScanner{Inner: testScanner(t, 3), Delay: time.Millisecond}
 	n := 0
 	for {
 		if _, ok := s.Next(); !ok {

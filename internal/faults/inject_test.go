@@ -16,7 +16,11 @@ func newTestTable(t *testing.T) *table.Table {
 	for i := range col {
 		col[i] = float64(i)
 	}
-	return table.MustNew("t", table.NewFloat64ColumnFromValues("v", col))
+	tab, err := table.New("t", table.NewFloat64ColumnFromValues("v", col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func TestInjectorWrapsEveryNthScan(t *testing.T) {

@@ -122,7 +122,10 @@ func TestClassifyJoinedMatchesFlat(t *testing.T) {
 		flat.Append(attr.StringAt(k))
 		cancelled.Append(float64(i % 2))
 	}
-	tab := table.MustNew("facts", fk, flat, cancelled)
+	tab, err := table.New("facts", fk, flat, cancelled)
+	if err != nil {
+		t.Fatal(err)
+	}
 	join, err := table.Join("city", fk, attr)
 	if err != nil {
 		t.Fatalf("Join: %v", err)

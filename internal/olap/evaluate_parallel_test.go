@@ -41,7 +41,10 @@ func bigFixture(t testing.TB, rows int) *fixture {
 		// in floating point, not masked by exactly representable values.
 		cancelled.Append(rng.Float64() / 3)
 	}
-	tab := table.MustNew("flights", city, month, cancelled)
+	tab, err := table.New("flights", city, month, cancelled)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDataset(tab, airport, date)
 	if err != nil {
 		t.Fatalf("NewDataset: %v", err)

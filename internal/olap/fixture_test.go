@@ -66,7 +66,10 @@ func newFixture(t *testing.T) *fixture {
 		month.Append(r.month)
 		cancelled.Append(r.cancelled)
 	}
-	tab := table.MustNew("flights", city, month, cancelled)
+	tab, err := table.New("flights", city, month, cancelled)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDataset(tab, airport, date)
 	if err != nil {
 		t.Fatalf("NewDataset: %v", err)

@@ -61,7 +61,11 @@ func staticSuffix(t *testing.T, snap *table.Table, lo int) *table.Table {
 		month.Append(monthCol.StringAt(row))
 		cancelled.Append(measure.Float(row))
 	}
-	return table.MustNew("flights", city, month, cancelled)
+	tab, err := table.New("flights", city, month, cancelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 // TestWindowedQueryMatchesStaticRecompute is the streaming-correctness

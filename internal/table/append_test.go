@@ -94,7 +94,10 @@ func TestAppendableCopyWritesNothingShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := MustNew("facts", dim, NewFloat64ColumnFromValues("m", floats), &Int64Column{name: "k", values: ints})
+	base, err := New("facts", dim, NewFloat64ColumnFromValues("m", floats), &Int64Column{name: "k", values: ints})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// rows renders every row of a table, floats by their bits.
 	rows := func(tab *Table) []string {

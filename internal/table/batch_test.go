@@ -20,7 +20,10 @@ func drainBatched(s Scanner, batch int) []int {
 }
 
 func TestSequentialNextBatch(t *testing.T) {
-	tab := MustNew("t", makeFloatColumn("v", 100))
+	tab, err := New("t", makeFloatColumn("v", 100))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSequentialScanner(tab)
 	rows := drainBatched(s, 7)
 	if len(rows) != 100 {
@@ -37,7 +40,10 @@ func TestSequentialNextBatch(t *testing.T) {
 }
 
 func TestRandomNextBatchMatchesNext(t *testing.T) {
-	tab := MustNew("t", makeFloatColumn("v", 251))
+	tab, err := New("t", makeFloatColumn("v", 251))
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := NewRandomScanner(tab, rand.New(rand.NewSource(9)))
 	b := NewRandomScanner(tab, rand.New(rand.NewSource(9)))
 	var viaNext []int
@@ -121,8 +127,8 @@ func TestStringColumnFromCodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStringColumnFromCodes: %v", err)
 	}
-	if c.Len() != 4 || c.StringAt(0) != "c" || c.CodeOf("b") != 1 {
-		t.Errorf("column misbuilt: len %d, row0 %q, codeOf(b) %d", c.Len(), c.StringAt(0), c.CodeOf("b"))
+	if c.Len() != 4 || c.StringAt(0) != "c" || c.index["b"] != 1 {
+		t.Errorf("column misbuilt: len %d, row0 %q, index(b) %d", c.Len(), c.StringAt(0), c.index["b"])
 	}
 	if _, err := NewStringColumnFromCodes("s", []string{"a", "a"}, nil); err == nil {
 		t.Error("duplicate dictionary value should be rejected")

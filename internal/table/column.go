@@ -221,14 +221,6 @@ func (c *StringColumn) Append(v string) {
 // Dict returns the dictionary (callers must not modify it).
 func (c *StringColumn) Dict() []string { return c.dict }
 
-// CodeOf returns the dictionary code for v, or -1 if v never occurred.
-func (c *StringColumn) CodeOf(v string) int32 {
-	if code, ok := c.index[v]; ok {
-		return code
-	}
-	return -1
-}
-
 func (c *StringColumn) appendParsed(raw string) error {
 	c.Append(raw)
 	return nil

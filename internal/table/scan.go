@@ -208,6 +208,3 @@ func (s *RandomScanner) Reset() {
 	s.block = s.offset
 	s.row = s.offset * s.b
 }
-
-// Remaining returns how many rows are left in the stream.
-func (s *RandomScanner) Remaining() int { return s.n - s.emitted }

@@ -7,16 +7,21 @@ import (
 	"testing/quick"
 )
 
-func tableWithNRows(n int) *Table {
+func tableWithNRows(t testing.TB, n int) *Table {
+	t.Helper()
 	c := NewFloat64Column("v")
 	for i := 0; i < n; i++ {
 		c.Append(float64(i))
 	}
-	return MustNew("t", c)
+	tab, err := New("t", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func TestSequentialScanner(t *testing.T) {
-	s := NewSequentialScanner(tableWithNRows(3))
+	s := NewSequentialScanner(tableWithNRows(t, 3))
 	var got []int
 	for {
 		r, ok := s.Next()
@@ -38,7 +43,7 @@ func TestSequentialScanner(t *testing.T) {
 }
 
 func TestSequentialScannerEmpty(t *testing.T) {
-	s := NewSequentialScanner(tableWithNRows(0))
+	s := NewSequentialScanner(tableWithNRows(t, 0))
 	if _, ok := s.Next(); ok {
 		t.Error("empty table scan should be exhausted immediately")
 	}
@@ -47,7 +52,7 @@ func TestSequentialScannerEmpty(t *testing.T) {
 func TestRandomScannerCoversAllRows(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 100, 1000} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		s := NewRandomScanner(tableWithNRows(n), rng)
+		s := NewRandomScanner(tableWithNRows(t, n), rng)
 		seen := make([]bool, n)
 		count := 0
 		for {
@@ -72,7 +77,7 @@ func TestRandomScannerCoversAllRows(t *testing.T) {
 
 func TestRandomScannerEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s := NewRandomScanner(tableWithNRows(0), rng)
+	s := NewRandomScanner(tableWithNRows(t, 0), rng)
 	if _, ok := s.Next(); ok {
 		t.Error("empty random scan should be exhausted")
 	}
@@ -80,7 +85,7 @@ func TestRandomScannerEmpty(t *testing.T) {
 
 func TestRandomScannerResetReplaysOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := NewRandomScanner(tableWithNRows(20), rng)
+	s := NewRandomScanner(tableWithNRows(t, 20), rng)
 	var first []int
 	for {
 		r, ok := s.Next()
@@ -100,14 +105,15 @@ func TestRandomScannerResetReplaysOrder(t *testing.T) {
 
 func TestRandomScannerRemaining(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := NewRandomScanner(tableWithNRows(5), rng)
-	if s.Remaining() != 5 {
-		t.Errorf("remaining = %d, want 5", s.Remaining())
+	s := NewRandomScanner(tableWithNRows(t, 5), rng)
+	s.Next()
+	s.Next()
+	left := 0
+	for _, ok := s.Next(); ok; _, ok = s.Next() {
+		left++
 	}
-	s.Next()
-	s.Next()
-	if s.Remaining() != 3 {
-		t.Errorf("remaining = %d, want 3", s.Remaining())
+	if left != 3 {
+		t.Errorf("%d rows after the first two, want 3", left)
 	}
 }
 
@@ -117,7 +123,7 @@ func TestRandomScannerNotSequentialForLargeN(t *testing.T) {
 	// the blocks equals the sequential one is negligible unless stride==1
 	// and offset==0; detect obviously broken shuffling.
 	rng := rand.New(rand.NewSource(99))
-	s := NewRandomScanner(tableWithNRows(1000), rng)
+	s := NewRandomScanner(tableWithNRows(t, 1000), rng)
 	inOrder := true
 	for i := 0; i < 10*blockRows; i++ {
 		if r, _ := s.Next(); r != i {
@@ -131,16 +137,17 @@ func TestRandomScannerNotSequentialForLargeN(t *testing.T) {
 
 // drainMixed empties s through Next and NextBatch calls interleaved at
 // random, with buffers from one row to three blocks, checking that every
-// row of [lo, lo+n) comes exactly once and that Remaining counts down.
+// row of [lo, lo+n) comes exactly once and that the scanner's count of
+// rows left counts down.
 func drainMixed(t *testing.T, s *RandomScanner, rng *rand.Rand, lo, n int) []int {
 	t.Helper()
 	seen := make([]bool, n)
 	order := make([]int, 0, n)
 	buf := make([]int, 3*blockRows)
 	for {
-		left := s.Remaining()
+		left := s.n - s.emitted
 		if left != n-len(order) {
-			t.Fatalf("n=%d: Remaining = %d after %d rows", n, left, len(order))
+			t.Fatalf("n=%d: %d rows left after %d rows", n, left, len(order))
 		}
 		var got []int
 		if rng.Intn(2) == 0 {
@@ -198,7 +205,11 @@ func TestBlockWalkProperty(t *testing.T) {
 func TestBlockWalkPinnedUnderAppend(t *testing.T) {
 	const B = blockRows
 	for _, n := range []int{1, B - 1, B, B + 1, 5*B + 3} {
-		live, err := MustNew("t", makeFloatColumn("v", n)).AppendableCopy(streamTime(0))
+		tab, err := New("t", makeFloatColumn("v", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := tab.AppendableCopy(streamTime(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +229,7 @@ func TestBlockWalkPinnedUnderAppend(t *testing.T) {
 // construction and carry no extra degrees of freedom).
 func TestBlockWalkUniformInclusion(t *testing.T) {
 	const n, first, seeds = 4096, 256, 2000
-	tab := tableWithNRows(n)
+	tab := tableWithNRows(t, n)
 	rowHits := make([]int, n)
 	buf := make([]int, first)
 	for seed := int64(0); seed < seeds; seed++ {
@@ -256,7 +267,7 @@ func TestRandomScannerPermutationProperty(t *testing.T) {
 	f := func(seed int64, nSeed uint16) bool {
 		n := int(nSeed)%500 + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := NewRandomScanner(tableWithNRows(n), rng)
+		s := NewRandomScanner(tableWithNRows(t, n), rng)
 		seen := make(map[int]bool, n)
 		for {
 			r, ok := s.Next()

@@ -3,6 +3,7 @@ package table_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,7 +28,7 @@ func dateSortedFlights(tb testing.TB, rows int) *olap.Dataset {
 	month := src.Column("month").(*table.StringColumn)
 	rank := make([]int, len(month.Dict()))
 	for i, m := range dateH.Root().DescendantsAt(2) {
-		rank[month.CodeOf(m.Name)] = i
+		rank[slices.Index(month.Dict(), m.Name)] = i
 	}
 	// A stable counting sort: perm[i] is the source row of sorted row i.
 	next := make([]int, len(rank)+1)
@@ -61,7 +62,11 @@ func dateSortedFlights(tb testing.TB, rows int) *olap.Dataset {
 		cancelled[i] = src.Column("cancelled").Float(p)
 	}
 	cols = append(cols, table.NewFloat64ColumnFromValues("cancelled", cancelled))
-	sortedDataset, err := olap.NewDataset(table.MustNew("flights by date", cols...), airportH, dateH, airlineH)
+	sortedTable, err := table.New("flights by date", cols...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sortedDataset, err := olap.NewDataset(sortedTable, airportH, dateH, airlineH)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -52,16 +52,6 @@ func New(name string, cols ...Column) (*Table, error) {
 	return t, nil
 }
 
-// MustNew is like New but panics on error; intended for tests and
-// programmatically constructed schemas that cannot collide.
-func MustNew(name string, cols ...Column) *Table {
-	t, err := New(name, cols...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // AddColumn appends a column to the table. The column must be as long as the
 // existing columns and its name must be unused. Live tables reject schema
 // changes: snapshots share the column set.
@@ -96,9 +86,6 @@ func (t *Table) NumRows() int {
 	}
 	return t.columns[0].Len()
 }
-
-// NumColumns returns the number of columns.
-func (t *Table) NumColumns() int { return len(t.columns) }
 
 // Columns returns the columns in declaration order.
 func (t *Table) Columns() []Column { return t.columns }

@@ -41,8 +41,8 @@ func TestTableBasics(t *testing.T) {
 	if tab.NumRows() != 4 {
 		t.Errorf("rows = %d, want 4", tab.NumRows())
 	}
-	if tab.NumColumns() != 3 {
-		t.Errorf("cols = %d, want 3", tab.NumColumns())
+	if n := len(tab.Columns()); n != 3 {
+		t.Errorf("cols = %d, want 3", n)
 	}
 	if tab.Column("salary") == nil || tab.Column("missing") != nil {
 		t.Error("Column lookup misbehaves")
@@ -110,11 +110,11 @@ func TestStringColumnDictEncoding(t *testing.T) {
 	if c.Code(0) != c.Code(2) {
 		t.Error("equal strings should share a code")
 	}
-	if c.CodeOf("b") != c.Code(1) {
-		t.Error("CodeOf should match stored code")
+	if c.Dict()[c.Code(1)] != "b" {
+		t.Error("a stored code should decode to its string")
 	}
-	if c.CodeOf("zzz") != -1 {
-		t.Error("CodeOf unknown should be -1")
+	if _, ok := c.index["zzz"]; ok {
+		t.Error("an unknown string should have no code")
 	}
 }
 
@@ -143,7 +143,10 @@ func TestApproxBytes(t *testing.T) {
 	if tab.ApproxBytes() <= 0 {
 		t.Error("ApproxBytes should be positive for non-empty table")
 	}
-	empty := MustNew("e")
+	empty, err := New("e")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if empty.ApproxBytes() != 0 {
 		t.Error("empty table should have zero bytes")
 	}
