@@ -22,7 +22,7 @@ import (
 	"repro/internal/voice"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/holistic_golden.json from the current planner")
+var update = flag.Bool("update", false, "rewrite the golden files in testdata from the current planner")
 
 // daemonTestConfig is the planner configuration cmd/voiceolapd ships (and
 // the benchmark copies): full percent menu, simulated clock, 2000 rounds
@@ -263,6 +263,93 @@ func TestHolisticGoldenRecycled(t *testing.T) {
 	}
 	wg.Wait()
 	checkGolden(t, pinned, got)
+}
+
+// unmergedAnswer is everything one Unmerged run is pinned on: the speech
+// its descent committed, what planning read and sampled for it, and the
+// latency its budget left.
+type unmergedAnswer struct {
+	Query       string `json:"query"`
+	Budget      string `json:"budget"`
+	Seed        int64  `json:"seed"`
+	Text        string `json:"text"`
+	TreeSamples int64  `json:"treeSamples"`
+	RowsRead    int64  `json:"rowsRead"`
+	LatencyNs   int64  `json:"latencyNs"`
+}
+
+// unmergedBudgets are the schedules the Unmerged golden replays: the
+// daemon configuration's 500 ms budget, and a starved one whose 40 ms pay
+// for building the tree at 350 ns a node too, which leaves a 100 000-node
+// tree five rounds and commits a thin descent.
+var unmergedBudgets = []struct {
+	name string
+	cfg  func(seed int64) Config
+}{
+	{"daemon", daemonTestConfig},
+	{"starved", func(seed int64) Config {
+		cfg := daemonTestConfig(seed)
+		cfg.Budget = 40 * time.Millisecond
+		cfg.SimNodeCost = 350 * time.Nanosecond
+		return cfg
+	}},
+}
+
+// TestUnmergedGolden pins the Unmerged ablation bit for bit on the golden
+// query shapes and three seeds, at the daemon budget and at a starved one:
+// the spoken text, sample and row counts, and the latency. Regenerate with
+// `go test ./internal/core -run TestUnmergedGolden -update` only when a
+// behaviour change is intended.
+func TestUnmergedGolden(t *testing.T) {
+	d, err := goldenFlights()
+	if err != nil {
+		t.Fatalf("Flights: %v", err)
+	}
+	var got []unmergedAnswer
+	for _, b := range unmergedBudgets {
+		for i, qc := range goldenQueries {
+			for seed := int64(1); seed <= 3; seed++ {
+				q := goldenQuery(t, d, qc.airport, qc.date, qc.airline, qc.filter)
+				out, err := NewUnmerged(d, q, b.cfg(seed)).Vocalize()
+				if err != nil {
+					t.Fatalf("%s %s seed %d: %v", b.name, goldenQueries[i].name, seed, err)
+				}
+				got = append(got, unmergedAnswer{
+					Query: qc.name, Budget: b.name, Seed: seed, Text: out.Text(),
+					TreeSamples: out.TreeSamples, RowsRead: out.RowsRead,
+					LatencyNs: out.Latency.Nanoseconds(),
+				})
+			}
+		}
+	}
+	path := filepath.Join("testdata", "unmerged_golden.json")
+	if *update {
+		buf, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (generate with -update): %v", err)
+	}
+	var want []unmergedAnswer
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("decode golden: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("golden has %d answers, want %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s %s seed %d diverged from the golden:\n got %+v\nwant %+v",
+				got[i].Budget, got[i].Query, got[i].Seed, got[i], want[i])
+		}
+	}
 }
 
 // recycledKinds is the number of stores an answer takes from free lists:
