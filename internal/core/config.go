@@ -60,16 +60,16 @@ type Config struct {
 	// goroutine. The field stays because benchmark/server.go:34 sets it;
 	// ROADMAP item 1 removes both.
 	PlannerWorkers int
-	// MinRounds is the minimum number of planning rounds before a sentence
-	// is committed, guarding quality when playback outpaces planning.
+	// MinRounds is the minimum number of planning rounds before Holistic
+	// commits a sentence, guarding quality when playback outpaces planning.
 	MinRounds int
 	// MaxTreeNodes caps eager search-tree expansion; zero keeps the mcts
 	// package default. Lower values bound planning memory on fine-grained
 	// queries (deeper nodes expand lazily during sampling).
 	MaxTreeNodes int
-	// MaxRoundsPerSentence caps rounds per sentence so simulated-clock
-	// runs terminate even with very slow speech; zero means no cap beyond
-	// playback.
+	// MaxRoundsPerSentence caps the rounds of every planning window (a
+	// sentence's, or Unmerged's one) so simulated-clock runs terminate even
+	// with very slow speech; zero means no cap beyond the window's own end.
 	MaxRoundsPerSentence int
 	// SimRoundCost advances a simulated clock by this much per planning
 	// round; ignored on the real clock.
@@ -80,7 +80,8 @@ type Config struct {
 	// preamble playback; the unmerged baseline pays it out of its fixed
 	// budget — which is exactly why its quality collapses in Figure 3.
 	SimNodeCost time.Duration
-	// Budget is the planning budget of the unmerged baseline.
+	// Budget is the planning budget of the unmerged baseline: its one
+	// planning window closes this long after the answer starts.
 	Budget time.Duration
 
 	// DisjointScopes forbids overlapping refinement scopes, emulating a

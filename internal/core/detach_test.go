@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/encode"
+	"repro/internal/freelist"
 	"repro/internal/speech"
 )
 
@@ -129,5 +130,35 @@ func TestFinishedAnswerRendersConcurrently(t *testing.T) {
 		if s != ssml[0] || !strings.HasPrefix(s, "<speak>") {
 			t.Errorf("reader %d rendered %q, reader 0 %q", g, s, ssml[0])
 		}
+	}
+}
+
+// TestOptimalReturnsItsStores: an Optimal answer returns its session's
+// stores (the random stream, the sample cache's buffers and the menu) as
+// the planners do, so the Holistic answer after it makes none new, and the
+// Optimal answer still says what it said.
+func TestOptimalReturnsItsStores(t *testing.T) {
+	d, q := flightsQuery(t, 5000, 51)
+	freelist.DrainAll()
+	if _, err := NewHolistic(d, q, testConfig(1)).Vocalize(); err != nil {
+		t.Fatalf("Holistic: %v", err)
+	}
+	opt, err := NewOptimal(d, q, testConfig(1)).Vocalize()
+	if err != nil {
+		t.Fatalf("Optimal: %v", err)
+	}
+	if len(opt.Speech.Refinements) == 0 {
+		t.Fatalf("Optimal answer has no refinements: %q", opt.Text())
+	}
+	before := snapshotAnswer(t, opt.Speech)
+	misses := freelist.Misses()
+	if _, err := NewHolistic(d, q, testConfig(2)).Vocalize(); err != nil {
+		t.Fatalf("Holistic: %v", err)
+	}
+	if made := freelist.Misses() - misses; made != 0 {
+		t.Errorf("the Holistic answer after an Optimal one made %d stores new, want 0", made)
+	}
+	if after := snapshotAnswer(t, opt.Speech); !reflect.DeepEqual(after, before) {
+		t.Errorf("the Optimal answer changed under a later answer:\n got %+v\nwant %+v", after, before)
 	}
 }

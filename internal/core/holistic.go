@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/mcts"
 	"repro/internal/olap"
-	"repro/internal/speech"
 )
 
 // Holistic is the paper's combined query evaluation and vocalization
@@ -41,17 +39,6 @@ func runnerUp(tree *mcts.Tree, best *mcts.Node) *mcts.Node {
 	return second
 }
 
-// markDegraded stamps the context's failure reason on the output and
-// records the size of the data snapshot the answer was computed over.
-func markDegraded(out *Output, ctx context.Context, d *olap.Dataset) *Output {
-	out.TableRows = int64(d.Table().NumRows())
-	if err := ctx.Err(); err != nil {
-		out.Degraded = true
-		out.DegradeReason = err.Error()
-	}
-	return out
-}
-
 // Name identifies the approach in experiment output.
 func (h *Holistic) Name() string { return "holistic" }
 
@@ -72,60 +59,31 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, err
 	}
 	defer s.release()
-	// Rows are classified on a second goroutine from here on, while the
-	// preamble plays and the tree is built and sampled.
-	s.sampler.Start()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
 
 	// Start voice output of the preamble immediately; everything else
 	// overlaps with its playback.
-	preamble := s.gen.NewPreamble()
-	s.speaker.Start(preamble.Text())
-	latency := cfg.Clock.Now().Sub(start)
-
+	preamble, latency := s.speakPreamble(start)
 	// A deadline that expired before planning even started still yields a
 	// valid (if minimal) spoken answer: the preamble alone.
 	if ctx.Err() != nil {
-		return markDegraded(&Output{
-			Speech:     &speech.Speech{Preamble: preamble},
-			Latency:    latency,
-			Transcript: s.speaker.Transcript(),
-		}, ctx, h.dataset), nil
+		return s.preambleOnly(ctx, preamble, latency, 0), nil
 	}
-
-	// Initial sample batch: enough rows to estimate the value scale that
-	// seeds baseline candidates and the belief σ.
-	cache := s.sampler.Cache()
-	rowsRead := int64(s.sampler.ReadRowsContext(ctx, cfg.InitialRows))
-	scale, ok := cache.GrandEstimate()
-	if !ok {
-		scale = 0
-	}
-	if err := s.buildModel(scale); err != nil {
+	rowsRead, scale, err := s.readInitialRows(ctx)
+	if err != nil {
 		return nil, err
 	}
 	if ctx.Err() != nil {
-		return markDegraded(&Output{
-			Speech:     &speech.Speech{Preamble: preamble},
-			Latency:    latency,
-			RowsRead:   rowsRead,
-			Transcript: s.speaker.Transcript(),
-		}, ctx, h.dataset), nil
+		return s.preambleOnly(ctx, preamble, latency, rowsRead), nil
 	}
-
-	// Initialize the search tree for speech output (ST.NEWNODE/ST.EXPAND).
-	tree, err := mcts.NewTreeWithCap(s.gen, speech.SpeechScale(scale), s.evalFunc(cache), s.rng, cfg.MaxTreeNodes)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// The answer keeps no node and no menu refinement: the speech is built,
-	// its refinements detached, before the tree and the session go.
-	defer tree.Release()
-	tree.UniformPolicy = cfg.UniformTreePolicy
 	// Tree construction overlaps preamble playback: on a simulated
 	// substrate its cost consumes playback time, never answer latency.
-	s.simCharge(tree.NodeCount())
+	tree, err := s.newTree(scale)
+	if err != nil {
+		return nil, err
+	}
+	defer tree.Release()
 	if cfg.Trace != nil {
 		cfg.Trace.TreeNodes = tree.NodeCount()
 		cfg.Trace.ScaleEstimate = scale
@@ -133,37 +91,18 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 
 	var treeSamples int64
 	var boundsSpoken []string
-	cancelled := false
+	var w window
 	// The speech is finished once nothing can follow the committed sentence:
 	// what would be planned while that sentence plays, nobody would hear.
-	for !cancelled && !tree.Terminal() {
+	for !tree.Terminal() {
 		// Refine quality estimates while the current sentence plays.
-		rounds := 0
 		windowStart := cfg.Clock.Now()
-		windowRows := int64(0)
-		windowSamples := int64(0)
-		for s.speaker.IsPlaying() || rounds < cfg.MinRounds {
-			if ctx.Err() != nil {
-				cancelled = true
-				break
-			}
-			if cfg.MaxRoundsPerSentence > 0 && rounds >= cfg.MaxRoundsPerSentence {
-				break
-			}
-			n := int64(s.sampler.ReadRowsContext(ctx, cfg.RowsPerRound))
-			rowsRead += n
-			windowRows += n
-			done, sampleErr := tree.SampleBatch(ctx, cfg.SamplesPerRound)
-			treeSamples += int64(done)
-			windowSamples += int64(done)
-			if sampleErr != nil {
-				cancelled = true
-				break
-			}
-			rounds++
-			s.simAdvance()
-		}
-		if cancelled {
+		w = s.plan(ctx, tree, func(rounds int) bool {
+			return s.speaker.IsPlaying() || rounds < s.cfg.MinRounds
+		})
+		rowsRead += w.rows
+		treeSamples += w.samples
+		if w.cancelled {
 			// Never commit a sentence the deadline left no time to
 			// evaluate: the committed prefix is the degraded answer.
 			break
@@ -172,9 +111,9 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		if cfg.Trace != nil {
 			st := SentenceTrace{
 				Sentence:       tree.Speech(best).LastSentence(),
-				Rounds:         rounds,
-				RowsRead:       windowRows,
-				TreeSamples:    windowSamples,
+				Rounds:         w.rounds,
+				RowsRead:       w.rows,
+				TreeSamples:    w.samples,
 				BestMeanReward: best.MeanReward(),
 				BestVisits:     int64(best.Visits),
 				PlanningTime:   cfg.Clock.Now().Sub(windowStart),
@@ -197,7 +136,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	}
 
 	var warning string
-	if !cancelled && cfg.Uncertainty == UncertaintyWarn && s.lowConfidence() {
+	if !w.cancelled && cfg.Uncertainty == UncertaintyWarn && s.lowConfidence() {
 		warning = uncertaintyWarning
 		s.speaker.Start(warning)
 	}

@@ -44,18 +44,12 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
-
-	preamble := s.gen.NewPreamble()
 	if ctx.Err() != nil {
-		sp := &speech.Speech{Preamble: preamble}
-		s.speaker.Start(sp.Text())
-		return markDegraded(&Output{
-			Speech:     sp,
-			Latency:    cfg.Clock.Now().Sub(start),
-			Transcript: s.speaker.Transcript(),
-		}, ctx, o.dataset), nil
+		preamble, latency := s.speakPreamble(start)
+		return s.preambleOnly(ctx, preamble, latency, 0), nil
 	}
 
 	// Exact query evaluation: the full scan the holistic approach avoids.
@@ -68,7 +62,10 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, err
 	}
 
-	best, scored := o.searchBest(ctx, s, result, scale, preamble)
+	best, scored := o.searchBest(ctx, s, result, scale, s.gen.NewPreamble())
+	// The menu goes to the next answer with the session: the speech keeps
+	// copies of its refinements.
+	speech.Detach(best.Refinements)
 
 	s.speaker.Start(best.Text())
 	latency := cfg.Clock.Now().Sub(start)

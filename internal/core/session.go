@@ -74,10 +74,9 @@ var rngs = freelist.New[rand.Rand]()
 // release ends an answer's session once its speech is built: it stops and
 // joins the sampler's row worker if one was started, and the generator's
 // menu, the worker's ring, the sample cache's buffers and the random stream
-// go to the next answer's session. The speech keeps none of them
-// (mcts.Tree.Speech detaches its refinements), and nothing of the session
-// may be used after it. The vocalizers that plan on a tree start the worker
-// right after newSession and release the session beside the tree.
+// go to the next answer's session. The speech keeps none of them (its
+// refinements are detached copies), and nothing of the session may be used
+// after it. Every vocalizer defers it right after newSession.
 func (s *session) release() {
 	s.sampler.Stop()
 	s.gen.Release()
@@ -96,22 +95,21 @@ func newScanner(cfg Config, space *olap.Space, rng *rand.Rand) table.Scanner {
 	return table.NewRandomScanner(space.Dataset().Table(), rng)
 }
 
-// sigmaFor derives the belief σ from the configured value or a scale
-// estimate, guarding against degenerate scales.
-func (s *session) sigmaFor(scale float64) float64 {
-	if s.cfg.Sigma > 0 {
-		return s.cfg.Sigma
+// sigmaFor is the belief σ: sigma when it is positive, else one derived
+// from a scale estimate, guarding against degenerate scales.
+func sigmaFor(sigma, scale float64) float64 {
+	if sigma > 0 {
+		return sigma
 	}
-	sigma := belief.SigmaFromScale(scale)
-	if sigma <= 0 {
-		sigma = 1
+	if sigma = belief.SigmaFromScale(scale); sigma <= 0 {
+		return 1
 	}
 	return sigma
 }
 
 // buildModel instantiates the belief model for the given scale.
 func (s *session) buildModel(scale float64) error {
-	m, err := belief.NewModel(s.space, s.sigmaFor(scale))
+	m, err := belief.NewModel(s.space, sigmaFor(s.cfg.Sigma, scale))
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/mcts"
 	"repro/internal/olap"
 	"repro/internal/speech"
 )
@@ -45,61 +43,27 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, err
 	}
 	defer s.release()
-	// Rows are classified on a second goroutine from here on, while the
-	// tree is built and sampled.
-	s.sampler.Start()
 	cfg := s.cfg
 	start := cfg.Clock.Now()
-
 	if ctx.Err() != nil {
-		sp := &speech.Speech{Preamble: s.gen.NewPreamble()}
-		s.speaker.Start(sp.Text())
-		return markDegraded(&Output{
-			Speech:     sp,
-			Latency:    cfg.Clock.Now().Sub(start),
-			Transcript: s.speaker.Transcript(),
-		}, ctx, u.dataset), nil
+		preamble, latency := s.speakPreamble(start)
+		return s.preambleOnly(ctx, preamble, latency, 0), nil
 	}
-
-	rowsRead := int64(s.sampler.ReadRowsContext(ctx, cfg.InitialRows))
-	scale, ok := s.sampler.Cache().GrandEstimate()
-	if !ok {
-		scale = 0
-	}
-	if err := s.buildModel(scale); err != nil {
+	rowsRead, scale, err := s.readInitialRows(ctx)
+	if err != nil {
 		return nil, err
 	}
-	tree, err := mcts.NewTreeWithCap(s.gen, speech.SpeechScale(scale), s.evalFunc(s.sampler.Cache()), s.rng, cfg.MaxTreeNodes)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	defer tree.Release()
-	tree.UniformPolicy = cfg.UniformTreePolicy
 	// Without pipelining there is nothing to overlap tree construction
 	// with: its cost comes straight out of the interactivity budget.
-	s.simCharge(tree.NodeCount())
-
-	// Sample within the fixed budget; on a simulated clock each round
-	// costs SimRoundCost, mirroring the holistic loop's accounting.
-	var treeSamples int64
-	deadline := start.Add(cfg.Budget)
-	rounds := 0
-	for cfg.Clock.Now().Before(deadline) {
-		if ctx.Err() != nil {
-			break
-		}
-		if cfg.MaxRoundsPerSentence > 0 && rounds >= cfg.MaxRoundsPerSentence {
-			break
-		}
-		rowsRead += int64(s.sampler.ReadRowsContext(ctx, cfg.RowsPerRound))
-		done, sampleErr := tree.SampleBatch(ctx, cfg.SamplesPerRound)
-		treeSamples += int64(done)
-		if sampleErr != nil {
-			break
-		}
-		rounds++
-		s.simAdvance()
+	tree, err := s.newTree(scale)
+	if err != nil {
+		return nil, err
 	}
+	defer tree.Release()
+	// One planning window, open until the budget is spent.
+	deadline := start.Add(cfg.Budget)
+	w := s.plan(ctx, tree, func(int) bool { return s.cfg.Clock.Now().Before(deadline) })
+	rowsRead += w.rows
 
 	// Commit to the whole speech at once: greedy best-mean-reward descent.
 	for {
@@ -126,7 +90,7 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 		Latency:      latency,
 		PlanningTime: latency,
 		RowsRead:     rowsRead,
-		TreeSamples:  treeSamples,
+		TreeSamples:  w.samples,
 		Transcript:   s.speaker.Transcript(),
 	}, ctx, u.dataset), nil
 }

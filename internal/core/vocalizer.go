@@ -10,30 +10,24 @@ import (
 )
 
 // Vocalizer answers a query with voice output. Holistic, Optimal and
-// Unmerged implement it.
+// Unmerged implement it. They degrade instead of erroring when the context
+// expires mid-run: the returned Output carries a grammar-valid speech (at
+// minimum the preamble) with Degraded set.
 type Vocalizer interface {
 	// Name identifies the approach in experiment output.
 	Name() string
 	// Vocalize runs the approach and returns the spoken speech with
 	// timing statistics.
 	Vocalize() (*Output, error)
-}
-
-// ContextVocalizer is a Vocalizer that honors context cancellation and
-// deadlines. Implementations degrade instead of erroring when the context
-// expires mid-run: the returned Output carries a grammar-valid speech (at
-// minimum the preamble) with Degraded set.
-type ContextVocalizer interface {
-	Vocalizer
-	// VocalizeContext runs the approach under ctx.
+	// VocalizeContext is Vocalize under ctx.
 	VocalizeContext(ctx context.Context) (*Output, error)
 }
 
 // Compile-time interface checks.
 var (
-	_ ContextVocalizer = (*Holistic)(nil)
-	_ ContextVocalizer = (*Optimal)(nil)
-	_ ContextVocalizer = (*Unmerged)(nil)
+	_ Vocalizer = (*Holistic)(nil)
+	_ Vocalizer = (*Optimal)(nil)
+	_ Vocalizer = (*Unmerged)(nil)
 )
 
 // ExactQuality scores an output's speech against the exact query result
@@ -50,14 +44,7 @@ func ExactQuality(d *olap.Dataset, q olap.Query, out *Output, cfg Config) (float
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	sigma := cfg.Sigma
-	if sigma <= 0 {
-		sigma = belief.SigmaFromScale(result.GrandValue())
-		if sigma <= 0 {
-			sigma = 1
-		}
-	}
-	model, err := belief.NewModel(space, sigma)
+	model, err := belief.NewModel(space, sigmaFor(cfg.Sigma, result.GrandValue()))
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}

@@ -58,32 +58,3 @@ func FromCSVFile(name, column, context, rootName, path string) (*Hierarchy, erro
 	defer f.Close()
 	return FromCSV(name, column, context, rootName, f)
 }
-
-// ToCSV writes the hierarchy's leaf paths as a definition file that
-// FromCSV round-trips.
-func (h *Hierarchy) ToCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(h.LevelNames); err != nil {
-		return fmt.Errorf("dimension %q: writing header: %w", h.Name, err)
-	}
-	var walk func(m *Member, path []string) error
-	walk = func(m *Member, path []string) error {
-		if m.Level > 0 {
-			path = append(path, m.Name)
-		}
-		if m.Level == h.Depth() {
-			return cw.Write(path)
-		}
-		for _, c := range m.Children {
-			if err := walk(c, path); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(h.root, nil); err != nil {
-		return fmt.Errorf("dimension %q: writing paths: %w", h.Name, err)
-	}
-	cw.Flush()
-	return cw.Error()
-}

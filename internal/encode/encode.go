@@ -1,8 +1,7 @@
-// Package encode provides JSON-stable representations of queries and
-// speeches. Members are referenced by (dimension, level, name) triples and
+// Package encode provides a JSON-stable representation of speeches.
+// Members are referenced by (dimension, level, name) triples and
 // re-resolved against a dataset on decode, so payloads survive process
-// boundaries: the web API can return structured speeches, and query logs
-// can be replayed.
+// boundaries: the web API returns structured speeches.
 package encode
 
 import (
@@ -18,21 +17,6 @@ type MemberRef struct {
 	Dimension string `json:"dimension"`
 	Level     int    `json:"level"`
 	Name      string `json:"name"`
-}
-
-// GroupByRef references a breakdown dimension and level.
-type GroupByRef struct {
-	Dimension string `json:"dimension"`
-	Level     int    `json:"level"`
-}
-
-// Query is the JSON form of olap.Query.
-type Query struct {
-	Fct            string       `json:"fct"`
-	Col            string       `json:"col,omitempty"`
-	ColDescription string       `json:"colDescription,omitempty"`
-	Filters        []MemberRef  `json:"filters,omitempty"`
-	GroupBy        []GroupByRef `json:"groupBy"`
 }
 
 // memberRef encodes a member.
@@ -52,55 +36,6 @@ func resolveMember(d *olap.Dataset, ref MemberRef) (*dimension.Member, error) {
 		}
 	}
 	return nil, fmt.Errorf("encode: no member %q at level %d of %q", ref.Name, ref.Level, ref.Dimension)
-}
-
-// EncodeQuery converts a query to its JSON form.
-func EncodeQuery(q olap.Query) Query {
-	out := Query{
-		Fct:            q.Fct.String(),
-		Col:            q.Col,
-		ColDescription: q.ColDescription,
-	}
-	for _, f := range q.Filters {
-		out.Filters = append(out.Filters, memberRef(f))
-	}
-	for _, g := range q.GroupBy {
-		out.GroupBy = append(out.GroupBy, GroupByRef{Dimension: g.Hierarchy.Name, Level: g.Level})
-	}
-	return out
-}
-
-// DecodeQuery resolves a JSON query against a dataset.
-func DecodeQuery(d *olap.Dataset, j Query) (olap.Query, error) {
-	q := olap.Query{Col: j.Col, ColDescription: j.ColDescription}
-	switch j.Fct {
-	case "count":
-		q.Fct = olap.Count
-	case "sum":
-		q.Fct = olap.Sum
-	case "average", "avg", "":
-		q.Fct = olap.Avg
-	default:
-		return q, fmt.Errorf("encode: unknown aggregation function %q", j.Fct)
-	}
-	for _, ref := range j.Filters {
-		m, err := resolveMember(d, ref)
-		if err != nil {
-			return q, err
-		}
-		q.Filters = append(q.Filters, m)
-	}
-	for _, g := range j.GroupBy {
-		h := d.HierarchyByName(g.Dimension)
-		if h == nil {
-			return q, fmt.Errorf("encode: unknown dimension %q", g.Dimension)
-		}
-		q.GroupBy = append(q.GroupBy, olap.GroupBy{Hierarchy: h, Level: g.Level})
-	}
-	if err := d.ValidateQuery(q); err != nil {
-		return q, fmt.Errorf("encode: %w", err)
-	}
-	return q, nil
 }
 
 // Refinement is the JSON form of speech.Refinement.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/belief"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/dimension"
 	"repro/internal/olap"
 	"repro/internal/speech"
 	"repro/internal/voice"
@@ -22,83 +21,6 @@ func testDataset(t *testing.T) *olap.Dataset {
 		t.Fatalf("Flights: %v", err)
 	}
 	return d
-}
-
-func testQuery(t *testing.T, d *olap.Dataset) olap.Query {
-	t.Helper()
-	airport := d.HierarchyByName("start airport")
-	return olap.Query{
-		Fct: olap.Avg, Col: "cancelled",
-		ColDescription: "average cancellation probability",
-		Filters:        []*dimension.Member{airport.FindMember("the North East")},
-		GroupBy: []olap.GroupBy{
-			{Hierarchy: airport, Level: 2},
-			{Hierarchy: d.HierarchyByName("flight date"), Level: 1},
-		},
-	}
-}
-
-func TestQueryRoundTrip(t *testing.T) {
-	d := testDataset(t)
-	q := testQuery(t, d)
-	j := EncodeQuery(q)
-	// Through actual JSON bytes.
-	raw, err := json.Marshal(j)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var back Query
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	q2, err := DecodeQuery(d, back)
-	if err != nil {
-		t.Fatalf("DecodeQuery: %v", err)
-	}
-	if q2.Fct != q.Fct || q2.Col != q.Col || q2.ColDescription != q.ColDescription {
-		t.Error("scalar fields lost")
-	}
-	if len(q2.Filters) != 1 || q2.Filters[0] != q.Filters[0] {
-		t.Error("filter member not re-resolved to the identical member")
-	}
-	if len(q2.GroupBy) != 2 || q2.GroupBy[0].Hierarchy != q.GroupBy[0].Hierarchy || q2.GroupBy[0].Level != 2 {
-		t.Error("group-by lost")
-	}
-}
-
-func TestDecodeQueryErrors(t *testing.T) {
-	d := testDataset(t)
-	base := EncodeQuery(testQuery(t, d))
-
-	bad := base
-	bad.Fct = "median"
-	if _, err := DecodeQuery(d, bad); err == nil {
-		t.Error("unknown function should fail")
-	}
-
-	bad = base
-	bad.Filters = []MemberRef{{Dimension: "nope", Level: 1, Name: "x"}}
-	if _, err := DecodeQuery(d, bad); err == nil {
-		t.Error("unknown dimension should fail")
-	}
-
-	bad = base
-	bad.Filters = []MemberRef{{Dimension: "start airport", Level: 1, Name: "Atlantis"}}
-	if _, err := DecodeQuery(d, bad); err == nil {
-		t.Error("unknown member should fail")
-	}
-
-	bad = base
-	bad.GroupBy = []GroupByRef{{Dimension: "nope", Level: 1}}
-	if _, err := DecodeQuery(d, bad); err == nil {
-		t.Error("unknown group-by dimension should fail")
-	}
-
-	bad = base
-	bad.GroupBy = []GroupByRef{{Dimension: "start airport", Level: 99}}
-	if _, err := DecodeQuery(d, bad); err == nil {
-		t.Error("invalid level should fail dataset validation")
-	}
 }
 
 func TestSpeechRoundTripPreservesSemantics(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-
-	"repro/internal/dimension"
 )
 
 // ParsedSpeech is the structural decomposition of a rendered speech,
@@ -169,36 +167,4 @@ func splitConjunction(s string) []string {
 		}
 	}
 	return out
-}
-
-// MatchRefinement resolves a parsed refinement's predicate phrases back to
-// dimension members using the hierarchies' phrase templates. It returns an
-// error if any phrase is not producible by the given hierarchies.
-func MatchRefinement(pr ParsedRefinement, hierarchies []*dimension.Hierarchy) (*Refinement, error) {
-	r := &Refinement{Dir: pr.Dir, Percent: pr.Percent}
-	for _, phrase := range pr.PredPhrases {
-		m, err := matchPhrase(phrase, hierarchies)
-		if err != nil {
-			return nil, err
-		}
-		r.Preds = append(r.Preds, m)
-	}
-	return r, nil
-}
-
-// matchPhrase finds the member whose rendered phrase equals the input.
-func matchPhrase(phrase string, hierarchies []*dimension.Hierarchy) (*dimension.Member, error) {
-	for _, h := range hierarchies {
-		name := phrase
-		if h.Context != "" {
-			if !strings.HasPrefix(phrase, h.Context+" ") {
-				continue
-			}
-			name = strings.TrimPrefix(phrase, h.Context+" ")
-		}
-		if m := h.FindMember(name); m != nil {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("speech: phrase %q matches no dimension member", phrase)
 }

@@ -182,32 +182,6 @@ func TestRandomSpeechesRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestMatchRefinement(t *testing.T) {
-	airport, date := testDims(t)
-	hs := []*dimension.Hierarchy{airport, date}
-	pr := ParsedRefinement{
-		Dir: Increase, Percent: 50,
-		PredPhrases: []string{"flights starting from the North East", "flights scheduled in Winter"},
-	}
-	r, err := MatchRefinement(pr, hs)
-	if err != nil {
-		t.Fatalf("MatchRefinement: %v", err)
-	}
-	if len(r.Preds) != 2 || r.Preds[0].Name != "the North East" || r.Preds[1].Name != "Winter" {
-		t.Errorf("preds = %v", r.Preds)
-	}
-	// Unknown phrase.
-	pr.PredPhrases = []string{"flights starting from Atlantis"}
-	if _, err := MatchRefinement(pr, hs); err == nil {
-		t.Error("unknown phrase should fail")
-	}
-	// Wrong context template.
-	pr.PredPhrases = []string{"trains departing from Boston"}
-	if _, err := MatchRefinement(pr, hs); err == nil {
-		t.Error("foreign context should fail")
-	}
-}
-
 func TestSplitHelpers(t *testing.T) {
 	if got := splitConjunction("a, b and c"); len(got) != 3 {
 		t.Errorf("splitConjunction = %v", got)

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,22 +13,10 @@ import (
 
 // Normal is a normal (Gaussian) distribution with mean Mu and standard
 // deviation Sigma. Sigma must be positive for the density functions to be
-// well defined; constructors validate this.
+// well defined.
 type Normal struct {
 	Mu    float64
 	Sigma float64
-}
-
-// ErrBadSigma reports a non-positive standard deviation.
-var ErrBadSigma = errors.New("stats: standard deviation must be positive")
-
-// NewNormal returns a normal distribution with the given mean and standard
-// deviation. It returns ErrBadSigma if sigma <= 0 or either argument is NaN.
-func NewNormal(mu, sigma float64) (Normal, error) {
-	if math.IsNaN(mu) || math.IsNaN(sigma) || sigma <= 0 {
-		return Normal{}, fmt.Errorf("%w: sigma=%v", ErrBadSigma, sigma)
-	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
 }
 
 // PDF returns the probability density at x.

@@ -7,25 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewNormalValidation(t *testing.T) {
-	if _, err := NewNormal(0, 0); err == nil {
-		t.Fatal("expected error for sigma=0")
-	}
-	if _, err := NewNormal(0, -1); err == nil {
-		t.Fatal("expected error for negative sigma")
-	}
-	if _, err := NewNormal(math.NaN(), 1); err == nil {
-		t.Fatal("expected error for NaN mean")
-	}
-	n, err := NewNormal(3, 2)
-	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if n.Mu != 3 || n.Sigma != 2 {
-		t.Fatalf("got %v, want N(3, 2)", n)
-	}
-}
-
 func TestNormalPDFPeak(t *testing.T) {
 	n := Normal{Mu: 5, Sigma: 1}
 	want := 1 / math.Sqrt(2*math.Pi)
