@@ -9,8 +9,8 @@ import (
 	"repro/internal/speech"
 )
 
-// Vocalizer answers a query with voice output. Holistic, Optimal and
-// Unmerged implement it. They degrade instead of erroring when the context
+// Vocalizer answers a query with voice output. Holistic (on either of its
+// schedules) and Optimal implement it. They degrade instead of erroring when the context
 // expires mid-run: the returned Output carries a grammar-valid speech (at
 // minimum the preamble) with Degraded set.
 type Vocalizer interface {
@@ -27,7 +27,6 @@ type Vocalizer interface {
 var (
 	_ Vocalizer = (*Holistic)(nil)
 	_ Vocalizer = (*Optimal)(nil)
-	_ Vocalizer = (*Unmerged)(nil)
 )
 
 // ExactQuality scores an output's speech against the exact query result
