@@ -550,14 +550,8 @@ func BenchmarkColdAnswers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			cfg := core.Config{
-				Format:               speech.PercentFormat,
-				Seed:                 1,
-				Clock:                voice.NewSimClock(),
-				SimRoundCost:         time.Millisecond,
-				MaxRoundsPerSentence: 2000,
-				MaxTreeNodes:         100000,
-			}
+			cfg := core.DaemonConfig(1)
+			cfg.Format = speech.PercentFormat
 			if _, err := core.NewHolistic(d, q, cfg).Vocalize(); err != nil {
 				b.Fatal(err)
 			}

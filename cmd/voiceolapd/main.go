@@ -46,7 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/speech"
-	"repro/internal/voice"
 	"repro/internal/web"
 )
 
@@ -86,13 +85,7 @@ func run() error {
 		return err
 	}
 
-	cfg := core.Config{
-		Seed:                 *seed,
-		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
-		MaxRoundsPerSentence: 2000,
-		MaxTreeNodes:         100000,
-	}
+	cfg := core.DaemonConfig(*seed)
 	opts := web.Options{
 		RequestTimeout:  *requestTimeout,
 		MaxBodyBytes:    *maxBodyBytes,

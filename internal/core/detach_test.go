@@ -21,7 +21,7 @@ func plannedAnswer(t *testing.T, i int, seed int64) (*Output, string) {
 		t.Fatalf("Flights: %v", err)
 	}
 	qc := goldenQueries[i]
-	cfg := daemonTestConfig(seed)
+	cfg := goldenConfig(seed)
 	cfg.Trace = &Trace{}
 	out, err := NewHolistic(d, goldenQuery(t, d, qc.airport, qc.date, qc.airline, qc.filter), cfg).Vocalize()
 	if err != nil {

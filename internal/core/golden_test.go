@@ -19,23 +19,16 @@ import (
 	"repro/internal/freelist"
 	"repro/internal/olap"
 	"repro/internal/speech"
-	"repro/internal/voice"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files in testdata from the current planner")
 
-// daemonTestConfig is the planner configuration cmd/voiceolapd ships (and
-// the benchmark copies): full percent menu, simulated clock, 2000 rounds
-// per sentence, a 100 000-node eager cap.
-func daemonTestConfig(seed int64) Config {
-	return Config{
-		Format:               speech.PercentFormat,
-		Seed:                 seed,
-		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
-		MaxRoundsPerSentence: 2000,
-		MaxTreeNodes:         100000,
-	}
+// goldenConfig is DaemonConfig as the daemon's server completes it for the
+// flights measure: in percent format.
+func goldenConfig(seed int64) Config {
+	cfg := DaemonConfig(seed)
+	cfg.Format = speech.PercentFormat
+	return cfg
 }
 
 // goldenRows sizes the flights table shared by the golden and allocation
@@ -132,7 +125,7 @@ func goldenSeeds() int64 {
 func answerGolden(t *testing.T, d *olap.Dataset, i int, seed int64) goldenAnswer {
 	qc := goldenQueries[i]
 	q := goldenQuery(t, d, qc.airport, qc.date, qc.airline, qc.filter)
-	cfg := daemonTestConfig(seed)
+	cfg := goldenConfig(seed)
 	cfg.Trace = &Trace{}
 	out, err := NewHolistic(d, q, cfg).Vocalize()
 	if err != nil {
@@ -286,9 +279,9 @@ var unmergedBudgets = []struct {
 	name string
 	cfg  func(seed int64) Config
 }{
-	{"daemon", daemonTestConfig},
+	{"daemon", goldenConfig},
 	{"starved", func(seed int64) Config {
-		cfg := daemonTestConfig(seed)
+		cfg := goldenConfig(seed)
 		cfg.Budget = 40 * time.Millisecond
 		cfg.SimNodeCost = 350 * time.Nanosecond
 		return cfg
@@ -371,7 +364,7 @@ func answerAlloc(t *testing.T, airport, date int, warm bool) uint64 {
 	}
 	q := goldenQuery(t, d, airport, date, false, "")
 	answer := func() uint64 {
-		h := NewHolistic(d, q, daemonTestConfig(1))
+		h := NewHolistic(d, q, goldenConfig(1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		out, err := h.Vocalize()

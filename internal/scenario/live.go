@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/olap"
@@ -83,12 +82,15 @@ func boot(key profileKey) (*poolServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Clock stays nil: the server gives every request its own simulated
-	// clock, so concurrent vocalizations never share timing state.
-	cfg := core.Config{Seed: 1}
+	// The in-process runner's configuration for a spec without Planner
+	// overrides, which every spec on this server shares. The server gives
+	// every request its own simulated clock, so concurrent vocalizations
+	// never share timing state.
+	var inj *faults.Injector
 	if key.faults.Enabled() {
-		cfg.Scanner = faults.NewInjector(key.faults).Scanner
+		inj = faults.NewInjector(key.faults)
 	}
+	cfg := plannerConfig(&Spec{}, inj)
 	opts := web.Options{
 		RequestTimeout:  key.timeout,
 		MaxConcurrent:   key.live.MaxConcurrent,

@@ -256,14 +256,11 @@ type Server struct {
 	committed func(*request)
 }
 
-// NewServer registers the datasets and returns a server with default
-// Options. cfg configures the holistic vocalizer (a simulated clock makes
-// responses immediate — the browser performs actual playback).
-func NewServer(cfg core.Config, infos ...DatasetInfo) (*Server, error) {
-	return NewServerWith(cfg, Options{}, infos...)
-}
-
-// NewServerWith is NewServer with explicit robustness Options.
+// NewServerWith registers the datasets and returns a server with the given
+// robustness Options (zero fields take their defaults). cfg configures the
+// holistic vocalizer as it is, caps included (core.DaemonConfig is the
+// daemon's); a simulated clock makes responses immediate — the browser
+// performs actual playback.
 func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server, error) {
 	if len(infos) == 0 {
 		return nil, errors.New("web: at least one dataset required")
@@ -868,12 +865,6 @@ func (s *Server) holisticConfig(format speech.ValueFormat) core.Config {
 	// and cut each other's planning windows short.
 	if _, sim := cfg.Clock.(*voice.SimClock); sim || cfg.Clock == nil {
 		cfg.Clock = voice.NewSimClock()
-	}
-	if cfg.MaxRoundsPerSentence == 0 {
-		cfg.MaxRoundsPerSentence = 500
-	}
-	if cfg.MaxTreeNodes == 0 {
-		cfg.MaxTreeNodes = 50000
 	}
 	return cfg
 }

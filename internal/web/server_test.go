@@ -32,14 +32,14 @@ func newTestServer(t *testing.T) *httptest.Server {
 		MaxRoundsPerSentence: 200,
 		Percents:             []int{50, 100},
 	}
-	srv, err := NewServer(cfg,
+	srv, err := NewServerWith(cfg, Options{},
 		DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
 			MeasureDesc: "average cancellation probability", Format: speech.PercentFormat},
 		DatasetInfo{Name: "salaries", Dataset: salaries, MeasureCol: "midCareerSalary",
 			MeasureDesc: "average mid-career salary", Format: speech.ThousandsFormat},
 	)
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("NewServerWith: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -62,15 +62,15 @@ func postQuery(t *testing.T, ts *httptest.Server, body map[string]string) (map[s
 }
 
 func TestServerValidation(t *testing.T) {
-	if _, err := NewServer(core.Config{}); err == nil {
+	if _, err := NewServerWith(core.Config{}, Options{}); err == nil {
 		t.Error("empty server should fail")
 	}
-	if _, err := NewServer(core.Config{}, DatasetInfo{Name: "x"}); err == nil {
+	if _, err := NewServerWith(core.Config{}, Options{}, DatasetInfo{Name: "x"}); err == nil {
 		t.Error("nil dataset should fail")
 	}
 	flights, _ := datagen.Flights(datagen.FlightsConfig{Rows: 100, Seed: 1})
 	info := DatasetInfo{Name: "a", Dataset: flights, MeasureCol: "cancelled"}
-	if _, err := NewServer(core.Config{}, info, info); err == nil {
+	if _, err := NewServerWith(core.Config{}, Options{}, info, info); err == nil {
 		t.Error("duplicate name should fail")
 	}
 }
