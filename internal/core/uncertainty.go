@@ -36,6 +36,10 @@ func (m UncertaintyMode) String() string {
 	}
 }
 
+// confidenceLevel is the level of spoken bounds and of the warning's
+// interval.
+const confidenceLevel = 0.95
+
 // uncertaintyWarning is the general low-confidence warning sentence.
 const uncertaintyWarning = "Please note that confidence in the spoken values is still low."
 
@@ -55,14 +59,14 @@ func (s *session) scopeAggs(r *speech.Refinement) []int {
 // boundsSentence renders the confidence bounds for the scope of a sentence,
 // e.g. "Between one percent and three percent with 95 percent confidence.".
 func (s *session) boundsSentence(r *speech.Refinement) (string, bool) {
-	iv, ok := s.sampler.Cache().PooledConfidenceInterval(s.scopeAggs(r), s.cfg.Confidence)
+	iv, ok := s.sampler.Cache().PooledConfidenceInterval(s.scopeAggs(r), confidenceLevel)
 	if !ok {
 		return "", false
 	}
 	return fmt.Sprintf("Between %s and %s with %d percent confidence.",
 		speech.FormatValue(iv.Lo, s.cfg.Format),
 		speech.FormatValue(iv.Hi, s.cfg.Format),
-		int(s.cfg.Confidence*100+0.5)), true
+		int(confidenceLevel*100)), true
 }
 
 // minConfidentSample is the minimum in-scope sample size below which the
@@ -78,7 +82,7 @@ func (s *session) lowConfidence() bool {
 	if cache.NrInScope() < minConfidentSample {
 		return true
 	}
-	iv, ok := cache.PooledConfidenceInterval(s.scopeAggs(nil), s.cfg.Confidence)
+	iv, ok := cache.PooledConfidenceInterval(s.scopeAggs(nil), confidenceLevel)
 	if !ok {
 		return true
 	}

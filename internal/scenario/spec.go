@@ -73,8 +73,6 @@ type PlannerSpec struct {
 	MaxRoundsPerSentence int
 	// Uncertainty selects the confidence extension for holistic answers.
 	Uncertainty core.UncertaintyMode
-	// Confidence is the level for bounds and warnings (default 0.95).
-	Confidence float64
 	// WarnRelativeWidth is the warning trigger width (default 0.5).
 	WarnRelativeWidth float64
 }
