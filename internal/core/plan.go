@@ -79,9 +79,9 @@ type window struct {
 // after the rounds so far, and stops after MaxRoundsPerSentence of them.
 // A round reads RowsPerRound rows into the sample cache and samples the
 // tree SamplesPerRound times; on a simulated clock it costs SimRoundCost.
-// The two sampled vocalizers differ only in their windows: Holistic's stays
-// open while its sentence plays or MinRounds are not done, Unmerged's until
-// its Budget is spent.
+// Holistic's two schedules differ only in their windows: Algorithm 1's
+// stays open while its sentence plays or MinRounds are not done, the
+// unmerged one's until its Budget is spent.
 func (s *session) plan(ctx context.Context, tree *mcts.Tree, open func(rounds int) bool) window {
 	var w window
 	for open(w.rounds) {
