@@ -177,7 +177,7 @@ func loadCustom(tablePath, schemaSpec, measureCol, measureDesc, formatName strin
 // vocalize runs the chosen approach and prints the answer with its latency.
 func vocalize(d *olap.Dataset, q olap.Query, method string, format speech.ValueFormat, seed int64, speak bool) error {
 	if method == "prior" {
-		out, err := baseline.NewPrior(d, q, baseline.Config{Format: format, MergeValues: true}).Vocalize()
+		out, err := baseline.NewPrior(d, q, baseline.Config{Format: format}).Vocalize()
 		if err != nil {
 			return err
 		}

@@ -70,22 +70,6 @@ func TestPriorSingleDimension(t *testing.T) {
 	}
 }
 
-func TestPriorMergingShortensOutput(t *testing.T) {
-	d, q := flightsSetup(t)
-	plain, err := NewPrior(d, q, Config{Format: speech.PercentFormat}).Vocalize()
-	if err != nil {
-		t.Fatalf("Vocalize: %v", err)
-	}
-	merged, err := NewPrior(d, q, Config{Format: speech.PercentFormat, MergeValues: true}).Vocalize()
-	if err != nil {
-		t.Fatalf("Vocalize: %v", err)
-	}
-	if len(merged.Text) > len(plain.Text) {
-		t.Errorf("merged output (%d chars) should not exceed plain (%d chars)",
-			len(merged.Text), len(plain.Text))
-	}
-}
-
 func TestPriorLengthGrowsWithDimensions(t *testing.T) {
 	d, _ := flightsSetup(t)
 	q2 := olap.Query{

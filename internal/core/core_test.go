@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -84,6 +85,60 @@ func TestHolisticDeterministicWithSeed(t *testing.T) {
 	}
 	if a.Text() != b.Text() {
 		t.Errorf("same seed should reproduce the speech:\n%s\nvs\n%s", a.Text(), b.Text())
+	}
+}
+
+// TestConcurrentAnswersOnOneSimClock plans eight answers at once from one
+// Config, and so one *voice.SimClock: each must speak what its seed speaks
+// planned alone, after as many tree samples. An answer that shared the
+// configured clock would have its playback advanced by the others' rounds,
+// and its planning windows cut short.
+func TestConcurrentAnswersOnOneSimClock(t *testing.T) {
+	d, q := flightsQuery(t, 20000, 52)
+	const answers = 8
+	shared := testConfig(0)
+	type plan struct {
+		text    string
+		samples int64
+	}
+	run := func(seed int64) (plan, error) {
+		cfg := shared
+		cfg.Seed = seed
+		out, err := NewHolistic(d, q, cfg).Vocalize()
+		if err != nil {
+			return plan{}, err
+		}
+		return plan{out.Text(), out.TreeSamples}, nil
+	}
+	alone := make([]plan, answers)
+	for i := range alone {
+		var err error
+		if alone[i], err = run(int64(i)); err != nil {
+			t.Fatalf("seed %d alone: %v", i, err)
+		}
+	}
+	together := make([]plan, answers)
+	errs := make([]error, answers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			together[i], errs[i] = run(int64(i))
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range together {
+		if errs[i] != nil {
+			t.Fatalf("seed %d together: %v", i, errs[i])
+		}
+		if together[i] != alone[i] {
+			t.Errorf("seed %d planned with %d others spoke after %d samples\n%q\nalone after %d\n%q",
+				i, answers-1, together[i].samples, together[i].text, alone[i].samples, alone[i].text)
+		}
 	}
 }
 
@@ -442,7 +497,7 @@ func TestScaleEstimateSpread(t *testing.T) {
 
 func TestConfigNormalize(t *testing.T) {
 	cfg := Config{}.Normalize()
-	if cfg.Prefs.MaxChars != 300 || cfg.SpeakingRate != voice.DefaultCharsPerSecond {
+	if cfg.Prefs.MaxChars != 300 {
 		t.Error("defaults not applied")
 	}
 	if cfg.Budget != InteractivityThreshold {

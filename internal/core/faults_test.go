@@ -73,13 +73,18 @@ func TestHolisticSurvivesSlowScannerUnderDeadline(t *testing.T) {
 func TestHolisticSurvivesJitteryClock(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 51)
 	cfg := testConfig(1)
-	// The jitter wrapper hides the simulated clock from simAdvance, so
-	// playback must be effectively instant for rounds to progress past
-	// MinRounds instead of spinning on IsPlaying.
-	cfg.Clock = faults.NewJitterClock(voice.NewSimClock(), 50*time.Millisecond, 7)
-	cfg.SpeakingRate = 1e9
+	const jitter = 50 * time.Millisecond
+	cfg.Clock = faults.NewJitterClock(voice.NewSimClock(), jitter, 7)
 	out, err := NewHolistic(d, q, cfg).Vocalize()
 	requireValidSpeech(t, out, err)
+	// Every round's cost reaches the simulated clock under the jitter: the
+	// two readings that bound the planning time are each off by at most
+	// the jitter.
+	rounds := out.TreeSamples / int64(cfg.Normalize().SamplesPerRound)
+	if want := time.Duration(rounds)*cfg.SimRoundCost - jitter; out.PlanningTime < want {
+		t.Errorf("planning time %v over %d rounds, want at least %v: rounds were not charged to the clock",
+			out.PlanningTime, rounds, want)
+	}
 }
 
 // TestScannerBuiltOncePerAnswer: an answer has one sample source, so the

@@ -20,7 +20,6 @@ func TestResampleEstimatesKnob(t *testing.T) {
 		defSum += quality
 
 		rcfg := cfg
-		rcfg.ResampleEstimates = true
 		rcfg.ResampleSize = 10
 		out, err = NewHolistic(d, q, rcfg).Vocalize()
 		if err != nil {

@@ -63,7 +63,7 @@ func (s *session) newTree(scale float64) (*mcts.Tree, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	tree.UniformPolicy = s.cfg.UniformTreePolicy
-	s.simCharge(tree.NodeCount())
+	s.cfg.Clock.Advance(time.Duration(tree.NodeCount()) * s.cfg.SimNodeCost)
 	return tree, nil
 }
 
@@ -100,7 +100,7 @@ func (s *session) plan(ctx context.Context, tree *mcts.Tree, open func(rounds in
 			break
 		}
 		w.rounds++
-		s.simAdvance()
+		s.cfg.Clock.Advance(s.cfg.SimRoundCost)
 	}
 	return w
 }

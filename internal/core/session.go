@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/belief"
 	"repro/internal/freelist"
@@ -32,6 +31,12 @@ type session struct {
 // The belief model is created lazily (its σ depends on a scale estimate).
 func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 	cfg = cfg.Normalize()
+	// A simulated clock is one answer's playback timeline: every answer gets
+	// its own, or concurrent answers would advance each other's playback and
+	// cut each other's planning windows short.
+	if _, sim := cfg.Clock.(*voice.SimClock); sim {
+		cfg.Clock = voice.NewSimClock()
+	}
 	space, err := olap.NewSpace(d, q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -51,7 +56,7 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.ResampleEstimates {
+	if cfg.ResampleSize > 0 {
 		if err := sampler.Cache().EnableResample(cfg.ResampleSize); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -61,7 +66,7 @@ func newSession(d *olap.Dataset, q olap.Query, cfg Config) (*session, error) {
 		space:   space,
 		gen:     gen,
 		sampler: sampler,
-		speaker: voice.NewSpeaker(cfg.Clock, cfg.SpeakingRate),
+		speaker: voice.NewSpeaker(cfg.Clock, voice.DefaultCharsPerSecond),
 		rng:     rng,
 	}, nil
 }
@@ -131,24 +136,5 @@ func (s *session) evalFunc(cache *sampling.Cache) mcts.EvalFunc {
 			return 0, false
 		}
 		return s.model.Reward(sp, a, e), true
-	}
-}
-
-// simAdvance moves a simulated clock forward by the per-round cost;
-// on a real clock time passes by itself.
-func (s *session) simAdvance() {
-	if sim, ok := s.cfg.Clock.(*voice.SimClock); ok {
-		sim.Advance(s.cfg.SimRoundCost)
-	}
-}
-
-// simCharge advances a simulated clock by the cost of building n tree
-// nodes (no-op on the real clock or with SimNodeCost zero).
-func (s *session) simCharge(nodes int) {
-	if s.cfg.SimNodeCost <= 0 {
-		return
-	}
-	if sim, ok := s.cfg.Clock.(*voice.SimClock); ok {
-		sim.Advance(time.Duration(nodes) * s.cfg.SimNodeCost)
 	}
 }

@@ -71,10 +71,7 @@ func AblationResample(s *Setup) ([]AblationRow, error) {
 	rows = append(rows, AblationRow{Variant: "running-mean", Quality: running})
 	for _, size := range []int{10, 100, 1000} {
 		size := size
-		q, err := s.runHolisticQuality(func(c *core.Config) {
-			c.ResampleEstimates = true
-			c.ResampleSize = size
-		})
+		q, err := s.runHolisticQuality(func(c *core.Config) { c.ResampleSize = size })
 		if err != nil {
 			return nil, err
 		}

@@ -266,10 +266,7 @@ func PriorOnFlights(s *Setup) (PriorComparison, error) {
 	if err != nil {
 		return PriorComparison{}, err
 	}
-	out, err := baseline.NewPrior(s.Flights, q, baseline.Config{
-		Format:      speech.PercentFormat,
-		MergeValues: true,
-	}).Vocalize()
+	out, err := baseline.NewPrior(s.Flights, q, baseline.Config{Format: speech.PercentFormat}).Vocalize()
 	if err != nil {
 		return PriorComparison{}, err
 	}

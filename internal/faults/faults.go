@@ -153,3 +153,6 @@ func (c *JitterClock) Now() time.Time {
 	c.last = t
 	return t
 }
+
+// Advance implements voice.Clock by advancing the base clock.
+func (c *JitterClock) Advance(d time.Duration) { c.base.Advance(d) }

@@ -224,10 +224,7 @@ func vocalizeStep(ctx context.Context, s *Spec, d *olap.Dataset, prof datasetPro
 	}
 	switch step.method() {
 	case "prior":
-		out, err := baseline.NewPrior(d, q, baseline.Config{
-			Format:      prof.format,
-			MergeValues: true,
-		}).VocalizeContext(ctx)
+		out, err := baseline.NewPrior(d, q, baseline.Config{Format: prof.format}).VocalizeContext(ctx)
 		if err != nil {
 			vs.addf("vocalize", "prior: %v (faults must degrade, not error)", err)
 			return

@@ -203,11 +203,7 @@ func vocalizeBoth(d *olap.Dataset, q olap.Query, format speech.ValueFormat, seed
 	if err != nil {
 		return 0, 0, fmt.Errorf("userstudy: holistic: %w", err)
 	}
-	pOut, err := baseline.NewPrior(d, q, baseline.Config{
-		Format:      format,
-		MergeValues: true,
-		Clock:       voice.NewSimClock(),
-	}).Vocalize()
+	pOut, err := baseline.NewPrior(d, q, baseline.Config{Format: format}).Vocalize()
 	if err != nil {
 		return 0, 0, fmt.Errorf("userstudy: prior: %w", err)
 	}

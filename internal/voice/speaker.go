@@ -12,9 +12,12 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the speaker.
+// Clock abstracts time for the speaker and the planner. Advance charges
+// simulated work to the clock: a simulated clock moves forward by d, and
+// the real one ignores it, because real work takes real time.
 type Clock interface {
 	Now() time.Time
+	Advance(d time.Duration)
 }
 
 // RealClock reads the system time.
@@ -22,6 +25,9 @@ type RealClock struct{}
 
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
+
+// Advance implements Clock; it does nothing.
+func (RealClock) Advance(time.Duration) {}
 
 // SimClock is a manually advanced clock for deterministic tests.
 type SimClock struct {

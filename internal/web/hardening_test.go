@@ -94,7 +94,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 func TestSaturatedServerReturns503(t *testing.T) {
-	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 1, RetryAfter: 2 * time.Second})
+	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 1})
 	hold := make(chan struct{})
 	srv.holdVocalize = hold
 
@@ -127,8 +127,8 @@ func TestSaturatedServerReturns503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("saturated status = %d, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 
 	close(hold)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/speech"
+	"repro/internal/voice"
 )
 
 // postIngest ships rows to /api/ingest and decodes the reply. It reports a
@@ -283,9 +284,10 @@ var streamScript = []string{
 // cache at the final epoch.
 func TestIngestFreshnessUnderQueries(t *testing.T) {
 	const sessions, queries, batches, batchRows, baseRows = 8, 12, 6, 40, 5000
-	// The server's own planner budget (500 rounds a sentence): a plan is
-	// still running when the next batch lands.
-	_, ts := newFlightsServer(t, core.Config{Seed: 7, SimRoundCost: time.Millisecond}, Options{})
+	// No round cap: each window runs while its sentence plays on the
+	// answer's simulated clock, so a plan is still running when the next
+	// batch lands.
+	_, ts := newFlightsServer(t, core.Config{Seed: 7, Clock: voice.NewSimClock(), SimRoundCost: time.Millisecond}, Options{})
 	client := &http.Client{Timeout: 15 * time.Second}
 
 	// acked is the highest acknowledged epoch. The server bumps the epoch

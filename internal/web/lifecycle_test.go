@@ -17,6 +17,7 @@ import (
 	"repro/internal/nlq"
 	"repro/internal/olap"
 	"repro/internal/speech"
+	"repro/internal/voice"
 )
 
 // queryReq builds one in-memory /api/query call on the flights dataset.
@@ -300,7 +301,7 @@ func TestServerStartsNoGoroutine(t *testing.T) {
 			t.Errorf("%s: %d goroutines, %d before the server existed", when, n, base)
 		}
 	}
-	srv, err := NewServerWith(core.Config{Seed: 7, MaxRoundsPerSentence: 100, Percents: []int{50, 100}},
+	srv, err := NewServerWith(core.Config{Seed: 7, Clock: voice.NewSimClock(), MaxRoundsPerSentence: 100, Percents: []int{50, 100}},
 		Options{SemCacheViews: 64, PoolSize: 4},
 		DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
 			MeasureDesc: "average cancellation probability", Format: speech.PercentFormat},

@@ -31,14 +31,10 @@ func tenantOf(r *http.Request, session string) string {
 	return session
 }
 
-// writeShed refuses a query with 503 and a load-derived Retry-After hint:
-// the larger of the configured floor and the admission queue's predicted
-// wait.
+// writeShed refuses a query with 503 and the admission queue's Retry-After
+// hint: its predicted wait, clamped to [1s, 60s].
 func (s *Server) writeShed(w http.ResponseWriter, err error) {
 	ra := s.adm.RetryAfter()
-	if o := s.opts.RetryAfter; o > ra {
-		ra = o
-	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(ra.Seconds()+0.5)))
 	writeError(w, http.StatusServiceUnavailable, err)
 }

@@ -154,17 +154,17 @@ func TestClientDisconnectIs499(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHonorsFloor: on an idle queue the hint is the configured
-// floor, rounded to whole seconds.
+// TestRetryAfterHonorsFloor: on an idle queue the hint is the admission
+// controller's 1 s floor, in whole seconds.
 func TestRetryAfterHonorsFloor(t *testing.T) {
-	srv, _ := newHardenedServer(t, Options{RetryAfter: 30 * time.Second})
+	srv, _ := newHardenedServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.writeShed(rec, errInternal)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("status = %d, want 503", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "30" {
-		t.Errorf("Retry-After = %q, want the 30s floor", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want the 1s floor", ra)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/semcache"
 	"repro/internal/speech"
 	"repro/internal/table"
+	"repro/internal/voice"
 )
 
 // renderedReply is the part of a /api/query reply rendered from the speech.
@@ -45,6 +46,7 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 	var gate atomic.Pointer[chan struct{}]
 	srv, _ := newFlightsServer(t, core.Config{
 		Seed:                 7,
+		Clock:                voice.NewSimClock(),
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},
@@ -63,7 +65,9 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 		if sp, ok := fresh[key]; ok {
 			return sp
 		}
-		out, err := core.NewHolistic(info.Dataset, semcache.Normalize(q), srv.holisticConfig(info.Format)).Vocalize()
+		cfg := srv.cfg
+		cfg.Format = info.Format
+		out, err := core.NewHolistic(info.Dataset, semcache.Normalize(q), cfg).Vocalize()
 		if err != nil {
 			t.Fatalf("fresh plan: %v", err)
 		}

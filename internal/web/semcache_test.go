@@ -13,16 +13,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/voice"
 )
 
 // newCacheServer builds a server with a fully deterministic vocalizer
-// config (per-request sim clock, fixed seed) so cold answers for equal
+// config (simulated clock, fixed seed) so cold answers for equal
 // canonical queries are bit-identical across sessions and servers — the
 // property the semantic cache's soundness rests on.
 func newCacheServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	return newFlightsServer(t, core.Config{
 		Seed:                 7,
+		Clock:                voice.NewSimClock(),
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},

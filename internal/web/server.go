@@ -36,7 +36,6 @@ import (
 	"repro/internal/olap"
 	"repro/internal/semcache"
 	"repro/internal/speech"
-	"repro/internal/voice"
 )
 
 // DatasetInfo registers one dataset with its spoken measure.
@@ -93,10 +92,6 @@ type Options struct {
 	// (and beyond QueueDepth) receive 503 with a Retry-After hint
 	// (default 32).
 	MaxConcurrent int
-	// RetryAfter is the floor of the Retry-After hint attached to shed
-	// responses; the hint grows with the admission queue's predicted wait
-	// (default 1s).
-	RetryAfter time.Duration
 	// QueueDepth bounds requests waiting in the round-robin admission
 	// queue once every vocalization slot is busy. 0 (the default) sheds
 	// immediately at saturation.
@@ -148,9 +143,6 @@ func (o Options) normalize() Options {
 	}
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 32
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.LogCap <= 0 {
 		o.LogCap = 10000
@@ -258,9 +250,9 @@ type Server struct {
 
 // NewServerWith registers the datasets and returns a server with the given
 // robustness Options (zero fields take their defaults). cfg configures the
-// holistic vocalizer as it is, caps included (core.DaemonConfig is the
-// daemon's); a simulated clock makes responses immediate — the browser
-// performs actual playback.
+// holistic vocalizer as it is, clock and caps included (core.DaemonConfig
+// is the daemon's), with each dataset's value format; a simulated clock
+// makes responses immediate — the browser performs actual playback.
 func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server, error) {
 	if len(infos) == 0 {
 		return nil, errors.New("web: at least one dataset required")
@@ -826,10 +818,7 @@ type vocOut struct {
 // vocalize runs the chosen vocalizer on the query under ctx.
 func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, method string) (vocOut, error) {
 	if method == "prior" {
-		out, err := baseline.NewPrior(info.Dataset, q, baseline.Config{
-			Format:      info.Format,
-			MergeValues: true,
-		}).VocalizeContext(ctx)
+		out, err := baseline.NewPrior(info.Dataset, q, baseline.Config{Format: info.Format}).VocalizeContext(ctx)
 		if err != nil {
 			return vocOut{}, err
 		}
@@ -840,7 +829,9 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 			tableRows: int64(info.Dataset.Table().NumRows()),
 		}, nil
 	}
-	out, err := core.NewHolistic(info.Dataset, q, s.holisticConfig(info.Format)).VocalizeContext(ctx)
+	cfg := s.cfg
+	cfg.Format = info.Format
+	out, err := core.NewHolistic(info.Dataset, q, cfg).VocalizeContext(ctx)
 	if err != nil {
 		return vocOut{}, err
 	}
@@ -853,20 +844,6 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 		degraded:   out.Degraded,
 		tableRows:  out.TableRows,
 	}, nil
-}
-
-// holisticConfig is the planner configuration of one holistic answer in
-// the given value format.
-func (s *Server) holisticConfig(format speech.ValueFormat) core.Config {
-	cfg := s.cfg
-	cfg.Format = format
-	// A simulated clock is one answer's playback timeline: every request
-	// gets its own, or concurrent plans would advance each other's playback
-	// and cut each other's planning windows short.
-	if _, sim := cfg.Clock.(*voice.SimClock); sim || cfg.Clock == nil {
-		cfg.Clock = voice.NewSimClock()
-	}
-	return cfg
 }
 
 // handleLog returns the query log (newest LogCap entries).
