@@ -176,8 +176,7 @@ func pinDegraded(t *testing.T, out *Output, err error) degradedPin {
 // ends with no row read and the context cancelled.
 type cancellingScanner struct{ cancel context.CancelFunc }
 
-func (s cancellingScanner) Next() (int, bool) { s.cancel(); return 0, false }
-func (s cancellingScanner) Reset()            {}
+func (s cancellingScanner) NextBatch([]int) int { s.cancel(); return 0 }
 
 // tickClock is a simulated clock that also moves a millisecond on every
 // read, so a latency counts the clock reads before it.

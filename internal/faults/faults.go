@@ -15,10 +15,10 @@ import (
 	"repro/internal/voice"
 )
 
-// FailingScanner passes rows through until Limit rows have been emitted,
-// then reports exhaustion forever, simulating a scan whose backend died
-// mid-stream. The consumer sees a short table; Failed reports whether the
-// injected failure actually triggered.
+// FailingScanner passes exactly Limit rows through, then reports the stream
+// exhausted forever, simulating a scan whose backend died mid-stream. The
+// consumer sees a short table; Failed reports whether the injected failure
+// actually triggered.
 type FailingScanner struct {
 	// Inner is the wrapped stream.
 	Inner table.Scanner
@@ -30,32 +30,22 @@ type FailingScanner struct {
 	failed  bool
 }
 
-// Next implements table.Scanner.
-func (f *FailingScanner) Next() (int, bool) {
+// NextBatch implements table.Scanner.
+func (f *FailingScanner) NextBatch(buf []int) int {
 	if f.emitted >= f.Limit {
 		f.failed = true
-		return 0, false
+		return 0
 	}
-	r, ok := f.Inner.Next()
-	if !ok {
-		return 0, false
-	}
-	f.emitted++
-	return r, true
-}
-
-// Reset implements table.Scanner, rearming the failure.
-func (f *FailingScanner) Reset() {
-	f.Inner.Reset()
-	f.emitted = 0
-	f.failed = false
+	n := f.Inner.NextBatch(buf[:min(len(buf), f.Limit-f.emitted)])
+	f.emitted += n
+	return n
 }
 
 // Failed reports whether the injected failure triggered.
 func (f *FailingScanner) Failed() bool { return f.failed }
 
-// SlowScanner delays every row by Delay, simulating a saturated or
-// throttled storage backend.
+// SlowScanner delays every row it delivers by Delay, simulating a saturated
+// or throttled storage backend.
 type SlowScanner struct {
 	// Inner is the wrapped stream.
 	Inner table.Scanner
@@ -63,17 +53,16 @@ type SlowScanner struct {
 	Delay time.Duration
 }
 
-// Next implements table.Scanner.
-func (s *SlowScanner) Next() (int, bool) {
-	time.Sleep(s.Delay)
-	return s.Inner.Next()
+// NextBatch implements table.Scanner, sleeping Delay for each row read
+// before it hands the batch over.
+func (s *SlowScanner) NextBatch(buf []int) int {
+	n := s.Inner.NextBatch(buf)
+	time.Sleep(time.Duration(n) * s.Delay)
+	return n
 }
 
-// Reset implements table.Scanner.
-func (s *SlowScanner) Reset() { s.Inner.Reset() }
-
-// StallingScanner delivers After rows normally, then blocks every Next
-// until Release is called — a hung storage backend. Every consumer reads
+// StallingScanner delivers exactly After rows, then blocks every read until
+// Release is called — a hung storage backend. Every consumer reads
 // synchronously and hangs with it until the release (that is the point).
 type StallingScanner struct {
 	// Inner is the wrapped stream.
@@ -91,29 +80,20 @@ func NewStallingScanner(inner table.Scanner, after int) *StallingScanner {
 	return &StallingScanner{Inner: inner, After: after, release: make(chan struct{})}
 }
 
-// Next implements table.Scanner, blocking once the stall point is reached.
-func (s *StallingScanner) Next() (int, bool) {
+// NextBatch implements table.Scanner, blocking once the stall point is
+// reached.
+func (s *StallingScanner) NextBatch(buf []int) int {
 	if s.emitted >= s.After {
 		<-s.release
-		return 0, false
+		return 0
 	}
-	r, ok := s.Inner.Next()
-	if !ok {
-		return 0, false
-	}
-	s.emitted++
-	return r, true
+	n := s.Inner.NextBatch(buf[:min(len(buf), s.After-s.emitted)])
+	s.emitted += n
+	return n
 }
 
-// Reset implements table.Scanner. The stall point is rearmed but a
-// released stall stays released.
-func (s *StallingScanner) Reset() {
-	s.Inner.Reset()
-	s.emitted = 0
-}
-
-// Release unblocks all present and future stalled Next calls, which then
-// report exhaustion. Safe to call multiple times.
+// Release unblocks all present and future stalled reads, which then report
+// exhaustion. Safe to call multiple times.
 func (s *StallingScanner) Release() {
 	s.once.Do(func() { close(s.release) })
 }

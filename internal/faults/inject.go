@@ -85,8 +85,8 @@ func (in *Injector) Scanner(t *table.Table, rng *rand.Rand) table.Scanner {
 	if e := int64(in.opts.StallEvery); e > 0 && n%e == 0 {
 		in.staled.Add(1)
 		st := NewStallingScanner(s, in.opts.StallAfter)
-		// A synchronous consumer blocks inside Next until the release —
-		// a storage hang that heals — then sees exhaustion and degrades.
+		// A synchronous consumer blocks inside NextBatch until the release
+		// — a storage hang that heals — then sees exhaustion and degrades.
 		time.AfterFunc(in.opts.StallRelease, st.Release)
 		s = st
 	}

@@ -48,22 +48,17 @@ func TestInjectorStallAutoReleases(t *testing.T) {
 		StallEvery: 1, StallAfter: 2, StallRelease: 20 * time.Millisecond,
 	})
 	s := in.Scanner(tb, rand.New(rand.NewSource(1)))
-	for i := 0; i < 2; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("row %d: scan ended before the stall point", i)
-		}
+	if n := s.NextBatch(make([]int, 4)); n != 2 {
+		t.Fatalf("%d rows before the stall point, want 2", n)
 	}
-	// The third Next stalls, then the auto-release turns it into
+	// The next read stalls, then the auto-release turns it into
 	// exhaustion: delayed, never wedged.
 	start := time.Now()
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := s.Next()
-		done <- ok
-	}()
+	done := make(chan int, 1)
+	go func() { done <- s.NextBatch(make([]int, 4)) }()
 	select {
-	case ok := <-done:
-		if ok {
+	case n := <-done:
+		if n != 0 {
 			t.Error("released stall must report exhaustion")
 		}
 		if time.Since(start) < 10*time.Millisecond {
@@ -97,8 +92,7 @@ func TestInjectorConcurrentConstruction(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
-				s := in.Scanner(tb, rng)
-				s.Next()
+				in.Scanner(tb, rng).NextBatch(make([]int, 1))
 			}
 		}(int64(w))
 	}

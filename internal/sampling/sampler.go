@@ -63,7 +63,7 @@ func (s *Sampler) ReadRowsContext(ctx context.Context, n int) int {
 	}
 	read := 0
 	for read < n && ctx.Err() == nil {
-		got := table.FillBatch(s.scanner, s.buf[:min(n-read, checkEvery)])
+		got := s.scanner.NextBatch(s.buf[:min(n-read, checkEvery)])
 		if got == 0 {
 			break
 		}

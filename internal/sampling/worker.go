@@ -139,7 +139,7 @@ func (r *ring) run(scanner table.Scanner) {
 		if h-r.tail.Load() == ringChunks && !r.waitFree(h) {
 			return
 		}
-		n := table.FillBatch(scanner, r.rows[:])
+		n := scanner.NextBatch(r.rows[:])
 		if n == 0 {
 			return
 		}

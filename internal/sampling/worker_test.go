@@ -47,11 +47,10 @@ func TestParkedReadReturnsOnCancel(t *testing.T) {
 	<-stopped
 }
 
-// panicScanner panics on its first row.
+// panicScanner panics on its first read.
 type panicScanner struct{}
 
-func (panicScanner) Next() (int, bool) { panic("scan failed") }
-func (panicScanner) Reset()            {}
+func (panicScanner) NextBatch([]int) int { panic("scan failed") }
 
 // TestWorkerPanicReachesReader: a scanner that panics on the worker's
 // goroutine panics the read that waits for it, where the caller can recover

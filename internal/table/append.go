@@ -247,10 +247,6 @@ func (t *Table) AppendBatch(b *RowBatch, at time.Time) (AppendMark, error) {
 	return mark, nil
 }
 
-// CommittedRows returns the number of rows visible to new readers: the
-// watermark on a live table, the plain row count on a frozen one.
-func (t *Table) CommittedRows() int { return t.NumRows() }
-
 // Epoch returns the number of committed append batches. Snapshots carry
 // the epoch they were cut at; frozen tables that never streamed report 0.
 func (t *Table) Epoch() int64 { return t.epoch.Load() }

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// drainBatched consumes a scanner through FillBatch with an awkward batch
-// size (not a divisor of typical row counts) to exercise partial batches.
+// drainBatched empties a scanner in reads of batch rows; an awkward size
+// (not a divisor of typical row counts) exercises partial batches.
 func drainBatched(s Scanner, batch int) []int {
 	buf := make([]int, batch)
 	var out []int
 	for {
-		n := FillBatch(s, buf)
+		n := s.NextBatch(buf)
 		if n == 0 {
 			return out
 		}
@@ -34,68 +34,16 @@ func TestSequentialNextBatch(t *testing.T) {
 			t.Fatalf("row %d = %d, want %d", i, r, i)
 		}
 	}
-	if n := FillBatch(s, make([]int, 4)); n != 0 {
+	if n := s.NextBatch(make([]int, 4)); n != 0 {
 		t.Errorf("exhausted scanner returned %d rows", n)
 	}
 }
-
-func TestRandomNextBatchMatchesNext(t *testing.T) {
-	tab, err := New("t", makeFloatColumn("v", 251))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewRandomScanner(tab, rand.New(rand.NewSource(9)))
-	b := NewRandomScanner(tab, rand.New(rand.NewSource(9)))
-	var viaNext []int
-	for {
-		r, ok := a.Next()
-		if !ok {
-			break
-		}
-		viaNext = append(viaNext, r)
-	}
-	viaBatch := drainBatched(b, 17)
-	if len(viaNext) != len(viaBatch) {
-		t.Fatalf("Next emitted %d rows, NextBatch %d", len(viaNext), len(viaBatch))
-	}
-	for i := range viaNext {
-		if viaNext[i] != viaBatch[i] {
-			t.Fatalf("row %d: Next %d, NextBatch %d", i, viaNext[i], viaBatch[i])
-		}
-	}
-}
-
-func TestFillBatchFallsBackToNext(t *testing.T) {
-	// A bare Scanner without the BatchScanner extension still works.
-	s := &nextOnlyScanner{n: 10}
-	rows := drainBatched(s, 3)
-	if len(rows) != 10 {
-		t.Fatalf("emitted %d rows, want 10", len(rows))
-	}
-}
-
-type nextOnlyScanner struct{ n, pos int }
-
-func (s *nextOnlyScanner) Next() (int, bool) {
-	if s.pos >= s.n {
-		return 0, false
-	}
-	r := s.pos
-	s.pos++
-	return r, true
-}
-
-func (s *nextOnlyScanner) Reset() { s.pos = 0 }
 
 func TestRandomRangeScannerCoversPartition(t *testing.T) {
 	for _, tc := range []struct{ lo, hi int }{{0, 1}, {5, 6}, {10, 137}, {0, 64}} {
 		s := NewRandomRangeScanner(tc.lo, tc.hi, rand.New(rand.NewSource(3)))
 		seen := make(map[int]bool)
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, r := range drainBatched(s, 3) {
 			if r < tc.lo || r >= tc.hi {
 				t.Fatalf("[%d,%d): row %d out of range", tc.lo, tc.hi, r)
 			}
@@ -112,9 +60,6 @@ func TestRandomRangeScannerCoversPartition(t *testing.T) {
 
 func TestRandomRangeScannerEmpty(t *testing.T) {
 	s := NewRandomRangeScanner(4, 4, rand.New(rand.NewSource(1)))
-	if _, ok := s.Next(); ok {
-		t.Error("empty range should be exhausted")
-	}
 	if n := s.NextBatch(make([]int, 8)); n != 0 {
 		t.Errorf("empty range NextBatch = %d", n)
 	}

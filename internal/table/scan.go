@@ -4,72 +4,31 @@ import (
 	"math/rand"
 )
 
-// Scanner produces a stream of row indices from a table. Next returns the
-// next row index and true, or 0 and false when the stream is exhausted.
+// Scanner produces a stream of row indices from a table. NextBatch fills
+// buf with the next row indices and returns how many it wrote, which may be
+// fewer than len(buf); it returns 0 once the stream is exhausted.
 type Scanner interface {
-	Next() (row int, ok bool)
-	// Reset restarts the stream from the beginning.
-	Reset()
-}
-
-// BatchScanner is an optional Scanner extension: NextBatch fills buf with
-// the next row indices and returns how many were written (0 when the
-// stream is exhausted). Native implementations amortize the per-row
-// interface dispatch of Next into one call per batch.
-type BatchScanner interface {
 	NextBatch(buf []int) int
 }
 
-// FillBatch pulls up to len(buf) rows from s into buf, using the native
-// batch implementation when the scanner provides one and falling back to
-// repeated Next calls otherwise. It returns the number of rows written.
-func FillBatch(s Scanner, buf []int) int {
-	if bs, ok := s.(BatchScanner); ok {
-		return bs.NextBatch(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
-	}
-	return n
-}
+// FillBatch is s.NextBatch(buf). It stays only because benchmark/probes.go
+// calls it (lines 87 and 124); ROADMAP item 1a(i) removes both.
+func FillBatch(s Scanner, buf []int) int { return s.NextBatch(buf) }
 
 // SequentialScanner yields rows 0..n-1 in order.
 type SequentialScanner struct {
 	n, pos int
-	epoch  int64
 }
 
 // NewSequentialScanner scans the table front to back. The scanner is
-// pinned at construction to the table's committed watermark and epoch:
-// rows appended after construction are never emitted, so an in-flight
-// scan over a growing table cannot mix an old row bound with new data.
+// pinned at construction to the table's committed watermark: rows appended
+// after construction are never emitted, so an in-flight scan over a growing
+// table cannot mix an old row bound with new data.
 func NewSequentialScanner(t *Table) *SequentialScanner {
-	return &SequentialScanner{n: t.CommittedRows(), epoch: t.Epoch()}
+	return &SequentialScanner{n: t.NumRows()}
 }
 
-// Epoch returns the table epoch the scanner was pinned to at construction.
-func (s *SequentialScanner) Epoch() int64 { return s.epoch }
-
-// Next implements Scanner.
-func (s *SequentialScanner) Next() (int, bool) {
-	if s.pos >= s.n {
-		return 0, false
-	}
-	r := s.pos
-	s.pos++
-	return r, true
-}
-
-// Reset implements Scanner.
-func (s *SequentialScanner) Reset() { s.pos = 0 }
-
-// NextBatch implements BatchScanner.
+// NextBatch implements Scanner.
 func (s *SequentialScanner) NextBatch(buf []int) int {
 	n := 0
 	for n < len(buf) && s.pos < s.n {
@@ -101,28 +60,20 @@ const blockRows = 16
 // permutation, and makes it pay for cache lines instead of rows. The stream
 // is a cluster sample: rows of one block arrive together.
 type RandomScanner struct {
-	n, base            int // rows [base, base+n)
-	b                  int // rows per block
-	nb, stride, offset int // the affine walk over ceil(n/b) blocks
-	emitted            int
-	block, row         int // block being emitted; its next row, relative to base
-	epoch              int64
+	n, base    int // rows [base, base+n)
+	b          int // rows per block
+	nb, stride int // the affine walk over ceil(n/b) blocks
+	emitted    int
+	block, row int // block being emitted; its next row, relative to base
 }
 
 // NewRandomScanner returns a scanner over all rows of t in pseudo-random
 // order derived from rng. An empty table yields an exhausted scanner. Like
 // NewSequentialScanner, the scanner is pinned to the table's committed
-// watermark and epoch at construction: rows appended later are never
-// emitted.
+// watermark at construction: rows appended later are never emitted.
 func NewRandomScanner(t *Table, rng *rand.Rand) *RandomScanner {
-	s := NewRandomRangeScanner(0, t.CommittedRows(), rng)
-	s.epoch = t.Epoch()
-	return s
+	return NewRandomRangeScanner(0, t.NumRows(), rng)
 }
-
-// Epoch returns the table epoch the scanner was pinned to at construction
-// (0 for range scanners built without a table).
-func (s *RandomScanner) Epoch() int64 { return s.epoch }
 
 // NewRandomRangeScanner returns a scanner over rows [lo, hi) in
 // pseudo-random order derived from rng: the same block walk as
@@ -143,9 +94,9 @@ func newBlockScanner(lo, hi, b int, rng *rand.Rand) *RandomScanner {
 	if n == 0 {
 		return s
 	}
-	s.offset = rng.Intn(s.nb)
+	s.block = rng.Intn(s.nb) // the walk's offset
 	s.stride = coprimeStride(s.nb, rng)
-	s.Reset()
+	s.row = s.block * b
 	return s
 }
 
@@ -170,18 +121,9 @@ func gcd(a, b int) int {
 	return a
 }
 
-// Next implements Scanner.
-func (s *RandomScanner) Next() (int, bool) {
-	var one [1]int
-	if s.NextBatch(one[:]) == 0 {
-		return 0, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements BatchScanner with no interface dispatch: each block
-// is a run of consecutive integers, and a block cut short by the end of buf
-// resumes on the next call.
+// NextBatch implements Scanner: each block is a run of consecutive
+// integers, and a block cut short by the end of buf resumes on the next
+// call.
 func (s *RandomScanner) NextBatch(buf []int) int {
 	want := min(s.n-s.emitted, len(buf))
 	for i := 0; i < want; {
@@ -200,11 +142,4 @@ func (s *RandomScanner) NextBatch(buf []int) int {
 	}
 	s.emitted += want
 	return want
-}
-
-// Reset implements Scanner. The same pseudo-random order is replayed.
-func (s *RandomScanner) Reset() {
-	s.emitted = 0
-	s.block = s.offset
-	s.row = s.offset * s.b
 }

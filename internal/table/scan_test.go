@@ -22,29 +22,18 @@ func tableWithNRows(t testing.TB, n int) *Table {
 
 func TestSequentialScanner(t *testing.T) {
 	s := NewSequentialScanner(tableWithNRows(t, 3))
-	var got []int
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
+	got := drainBatched(s, 2)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("sequential scan = %v", got)
 	}
-	if _, ok := s.Next(); ok {
+	if s.NextBatch(make([]int, 4)) != 0 {
 		t.Error("exhausted scanner should stay exhausted")
-	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r != 0 {
-		t.Error("reset should restart the stream")
 	}
 }
 
 func TestSequentialScannerEmpty(t *testing.T) {
 	s := NewSequentialScanner(tableWithNRows(t, 0))
-	if _, ok := s.Next(); ok {
+	if s.NextBatch(make([]int, 4)) != 0 {
 		t.Error("empty table scan should be exhausted immediately")
 	}
 }
@@ -55,11 +44,7 @@ func TestRandomScannerCoversAllRows(t *testing.T) {
 		s := NewRandomScanner(tableWithNRows(t, n), rng)
 		seen := make([]bool, n)
 		count := 0
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, r := range drainBatched(s, 5) {
 			if r < 0 || r >= n {
 				t.Fatalf("n=%d: row %d out of range", n, r)
 			}
@@ -78,41 +63,18 @@ func TestRandomScannerCoversAllRows(t *testing.T) {
 func TestRandomScannerEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewRandomScanner(tableWithNRows(t, 0), rng)
-	if _, ok := s.Next(); ok {
+	if s.NextBatch(make([]int, 4)) != 0 {
 		t.Error("empty random scan should be exhausted")
-	}
-}
-
-func TestRandomScannerResetReplaysOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := NewRandomScanner(tableWithNRows(t, 20), rng)
-	var first []int
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		first = append(first, r)
-	}
-	s.Reset()
-	for i := range first {
-		r, ok := s.Next()
-		if !ok || r != first[i] {
-			t.Fatal("reset should replay the same order")
-		}
 	}
 }
 
 func TestRandomScannerRemaining(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := NewRandomScanner(tableWithNRows(t, 5), rng)
-	s.Next()
-	s.Next()
-	left := 0
-	for _, ok := s.Next(); ok; _, ok = s.Next() {
-		left++
+	if n := s.NextBatch(make([]int, 2)); n != 2 {
+		t.Fatalf("first read delivered %d rows, want 2", n)
 	}
-	if left != 3 {
+	if left := len(drainBatched(s, 1)); left != 3 {
 		t.Errorf("%d rows after the first two, want 3", left)
 	}
 }
@@ -124,9 +86,11 @@ func TestRandomScannerNotSequentialForLargeN(t *testing.T) {
 	// and offset==0; detect obviously broken shuffling.
 	rng := rand.New(rand.NewSource(99))
 	s := NewRandomScanner(tableWithNRows(t, 1000), rng)
+	buf := make([]int, 10*blockRows)
+	s.NextBatch(buf)
 	inOrder := true
-	for i := 0; i < 10*blockRows; i++ {
-		if r, _ := s.Next(); r != i {
+	for i, r := range buf {
+		if r != i {
 			inOrder = false
 		}
 	}
@@ -135,10 +99,10 @@ func TestRandomScannerNotSequentialForLargeN(t *testing.T) {
 	}
 }
 
-// drainMixed empties s through Next and NextBatch calls interleaved at
-// random, with buffers from one row to three blocks, checking that every
-// row of [lo, lo+n) comes exactly once and that the scanner's count of
-// rows left counts down.
+// drainMixed empties s through NextBatch calls with buffers of random
+// length, from one row to three blocks, checking that every row of
+// [lo, lo+n) comes exactly once and that the scanner's count of rows left
+// counts down.
 func drainMixed(t *testing.T, s *RandomScanner, rng *rand.Rand, lo, n int) []int {
 	t.Helper()
 	seen := make([]bool, n)
@@ -149,15 +113,8 @@ func drainMixed(t *testing.T, s *RandomScanner, rng *rand.Rand, lo, n int) []int
 		if left != n-len(order) {
 			t.Fatalf("n=%d: %d rows left after %d rows", n, left, len(order))
 		}
-		var got []int
-		if rng.Intn(2) == 0 {
-			if r, ok := s.Next(); ok {
-				got = []int{r}
-			}
-		} else {
-			b := buf[:1+rng.Intn(len(buf))]
-			got = b[:s.NextBatch(b)]
-		}
+		b := buf[:1+rng.Intn(len(buf))]
+		got := b[:s.NextBatch(b)]
 		if len(got) == 0 {
 			if left != 0 {
 				t.Fatalf("n=%d: stream ended with %d rows remaining", n, left)
@@ -175,23 +132,22 @@ func drainMixed(t *testing.T, s *RandomScanner, rng *rand.Rand, lo, n int) []int
 }
 
 // Property: over any range, however the stream is pulled, every row comes
-// exactly once, blocks come whole and ascending, and Reset replays the
-// order.
+// exactly once, blocks come whole and ascending, and a scanner built from
+// the same seed replays the order.
 func TestBlockWalkProperty(t *testing.T) {
 	const B = blockRows
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, B - 1, B, B + 1, 5*B + 3, 200000} {
 		for seed := int64(0); seed < 4; seed++ {
 			lo := rng.Intn(1000)
-			s := NewRandomRangeScanner(lo, lo+n, rand.New(rand.NewSource(seed)))
-			order := drainMixed(t, s, rng, lo, n)
+			order := drainMixed(t, NewRandomRangeScanner(lo, lo+n, rand.New(rand.NewSource(seed))), rng, lo, n)
 			for i := 1; i < len(order); i++ {
 				if (order[i]-lo)%B != 0 && order[i] != order[i-1]+1 {
 					t.Fatalf("n=%d: row %d follows %d inside a block", n, order[i], order[i-1])
 				}
 			}
-			s.Reset()
-			for i, r := range drainMixed(t, s, rng, lo, n) {
+			replay := NewRandomRangeScanner(lo, lo+n, rand.New(rand.NewSource(seed)))
+			for i, r := range drainMixed(t, replay, rng, lo, n) {
 				if r != order[i] {
 					t.Fatalf("n=%d: replay row %d = %d, first pass %d", n, i, r, order[i])
 				}
@@ -269,11 +225,7 @@ func TestRandomScannerPermutationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewRandomScanner(tableWithNRows(t, n), rng)
 		seen := make(map[int]bool, n)
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, r := range drainBatched(s, 7) {
 			if seen[r] {
 				return false
 			}

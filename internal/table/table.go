@@ -14,9 +14,8 @@ import (
 // never change and every method is safe for concurrent use. AppendableCopy
 // returns a live table that accepts AppendBatch while concurrent readers
 // keep working against immutable Snapshot views; on a live table only
-// AppendBatch, Snapshot, NumRows, CommittedRows, Epoch, Live, and
-// RowsInLast are safe to call concurrently — everything else must go
-// through a Snapshot.
+// AppendBatch, Snapshot, NumRows, Epoch, Live, and RowsInLast are safe to
+// call concurrently — everything else must go through a Snapshot.
 type Table struct {
 	name    string
 	columns []Column

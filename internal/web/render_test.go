@@ -172,20 +172,20 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 	}
 }
 
-// gatedScanner is a scan whose first row waits until gate, if any, is
+// gatedScanner is a scan whose first read waits until gate, if any, is
 // closed.
 type gatedScanner struct {
 	table.Scanner
 	gate *chan struct{}
 }
 
-// Next implements table.Scanner.
-func (g *gatedScanner) Next() (int, bool) {
+// NextBatch implements table.Scanner.
+func (g *gatedScanner) NextBatch(buf []int) int {
 	if g.gate != nil {
 		<-*g.gate
 		g.gate = nil
 	}
-	return g.Scanner.Next()
+	return g.Scanner.NextBatch(buf)
 }
 
 // cloneEncoded deep-copies an encoded speech.
