@@ -58,8 +58,8 @@ func TestNoGoroutineOutlivesAnswer(t *testing.T) {
 	if took := time.Since(start); took < hold {
 		t.Errorf("the answer returned after %v, before its hung scan was released at %v", took, hold)
 	}
-	if out.RowsRead != 64 {
-		t.Errorf("the answer read %d rows, want the one chunk classified before the hang", out.RowsRead)
+	if out.RowsRead != 100 {
+		t.Errorf("the answer read %d rows, want the 100 delivered before the hang", out.RowsRead)
 	}
 	settled("after an answer whose scan hung")
 }

@@ -26,9 +26,10 @@ func TestParkedReadReturnsOnCancel(t *testing.T) {
 	const wait = 30 * time.Millisecond
 	time.AfterFunc(wait, cancel)
 	start := time.Now()
-	// The worker publishes one chunk of the 100 rows and hangs in the next.
-	if got := smp.ReadRowsContext(ctx, 4096); got != chunkRows {
-		t.Errorf("read %d rows before the cancel, want %d", got, chunkRows)
+	// The worker publishes all 100 rows, a full chunk and a short one, and
+	// hangs on its next read.
+	if got := smp.ReadRowsContext(ctx, 4096); got != 100 {
+		t.Errorf("read %d rows before the cancel, want the 100 before the stall", got)
 	}
 	if took := time.Since(start); took > wait+time.Second {
 		t.Errorf("the read returned %v after a cancel at %v", took, wait)
