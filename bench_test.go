@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/belief"
 	"repro/internal/core"
@@ -478,7 +477,6 @@ func BenchmarkHolisticEndToEnd(b *testing.B) {
 			Format:               speech.PercentFormat,
 			Seed:                 int64(i),
 			Clock:                voice.NewSimClock(),
-			SimRoundCost:         time.Millisecond,
 			MaxRoundsPerSentence: 2000,
 		}
 		if _, err := core.NewHolistic(s.Flights, q, cfg).Vocalize(); err != nil {

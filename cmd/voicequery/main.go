@@ -189,7 +189,6 @@ func vocalize(d *olap.Dataset, q olap.Query, method string, format speech.ValueF
 		Format:               format,
 		Seed:                 seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 3000,
 		MaxTreeNodes:         100000,
 	}

@@ -13,7 +13,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
@@ -82,7 +81,6 @@ func main() {
 		Format:               speech.ThousandsFormat,
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 1500,
 	}
 	for _, input := range []string{

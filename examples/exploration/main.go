@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -47,7 +46,6 @@ func main() {
 		Format:               speech.PercentFormat,
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 1500,
 		MaxTreeNodes:         50000,
 	}

@@ -45,7 +45,6 @@ func main() {
 		Format:               speech.ThousandsFormat,
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 	}
 	out, err := core.NewHolistic(dataset, query, cfg).Vocalize()

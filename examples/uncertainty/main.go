@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -40,7 +39,6 @@ func main() {
 		Format:               speech.PercentFormat,
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 	}
 

@@ -43,8 +43,8 @@ type Config struct {
 	Seed int64
 
 	// Clock drives playback timing; nil means the real clock. Planning
-	// work is charged to it (SimRoundCost, SimNodeCost), which moves only a
-	// simulated clock. A *voice.SimClock is a template: every answer plays
+	// work is charged to it (1 ms a round, SimNodeCost a tree node), which
+	// moves only a simulated clock. A *voice.SimClock is a template: every answer plays
 	// on a fresh one of its own.
 	Clock voice.Clock
 
@@ -72,8 +72,9 @@ type Config struct {
 	// sentence's, or Unmerged's one) so simulated-clock runs terminate even
 	// with very slow speech; zero means no cap beyond the window's own end.
 	MaxRoundsPerSentence int
-	// SimRoundCost advances a simulated clock by this much per planning
-	// round (default 1 ms); ignored on the real clock.
+	// SimRoundCost is read by nothing: a planning round costs simRoundCost
+	// on a simulated clock. The field stays because benchmark/server.go:31
+	// sets it; ROADMAP item 1 removes both.
 	SimRoundCost time.Duration
 	// SimNodeCost advances a simulated clock by this much per search-tree
 	// node built, modeling the O(m^k) pre-processing cost of the paper's
@@ -125,7 +126,6 @@ func DaemonConfig(seed int64) Config {
 	return Config{
 		Seed:                 seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 		MaxTreeNodes:         100000,
 	}
@@ -154,9 +154,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.MaxRoundsPerSentence < 0 {
 		c.MaxRoundsPerSentence = 0
-	}
-	if c.SimRoundCost <= 0 {
-		c.SimRoundCost = time.Millisecond
 	}
 	if c.Budget <= 0 {
 		c.Budget = InteractivityThreshold

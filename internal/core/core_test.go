@@ -23,7 +23,6 @@ func testConfig(seed int64) Config {
 		Percents:             []int{50, 100},
 		Seed:                 seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 	}
 }
@@ -508,8 +507,5 @@ func TestConfigNormalize(t *testing.T) {
 	}
 	if _, ok := cfg.Clock.(voice.RealClock); !ok {
 		t.Error("default clock should be real")
-	}
-	if math.Abs(float64(cfg.SimRoundCost)-float64(time.Millisecond)) > 0 {
-		t.Error("default sim round cost wrong")
 	}
 }

@@ -81,7 +81,7 @@ func TestHolisticSurvivesJitteryClock(t *testing.T) {
 	// two readings that bound the planning time are each off by at most
 	// the jitter.
 	rounds := out.TreeSamples / int64(cfg.Normalize().SamplesPerRound)
-	if want := time.Duration(rounds)*cfg.SimRoundCost - jitter; out.PlanningTime < want {
+	if want := time.Duration(rounds)*simRoundCost - jitter; out.PlanningTime < want {
 		t.Errorf("planning time %v over %d rounds, want at least %v: rounds were not charged to the clock",
 			out.PlanningTime, rounds, want)
 	}

@@ -75,10 +75,13 @@ type window struct {
 	cancelled bool
 }
 
+// simRoundCost is what a planning round costs on a simulated clock.
+const simRoundCost = time.Millisecond
+
 // plan runs planning rounds on tree while open reports the window open
 // after the rounds so far, and stops after MaxRoundsPerSentence of them.
 // A round reads RowsPerRound rows into the sample cache and samples the
-// tree SamplesPerRound times; on a simulated clock it costs SimRoundCost.
+// tree SamplesPerRound times; on a simulated clock it costs simRoundCost.
 // Holistic's two schedules differ only in their windows: Algorithm 1's
 // stays open while its sentence plays or MinRounds are not done, the
 // unmerged one's until its Budget is spent.
@@ -100,7 +103,7 @@ func (s *session) plan(ctx context.Context, tree *mcts.Tree, open func(rounds in
 			break
 		}
 		w.rounds++
-		s.cfg.Clock.Advance(s.cfg.SimRoundCost)
+		s.cfg.Clock.Advance(simRoundCost)
 	}
 	return w
 }

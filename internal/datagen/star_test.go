@@ -3,7 +3,6 @@ package datagen
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/olap"
@@ -79,7 +78,6 @@ func TestStarFlightsVocalizes(t *testing.T) {
 		Format:               speech.PercentFormat,
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 1000,
 		Percents:             []int{50, 100},
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/belief"
 	"repro/internal/core"
@@ -37,7 +36,6 @@ func TestSpeechRoundTripPreservesSemantics(t *testing.T) {
 		Percents:             []int{50, 100},
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 800,
 	}
 	out, err := core.NewHolistic(d, q, cfg).Vocalize()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/belief"
 	"repro/internal/core"
@@ -86,7 +85,6 @@ func AblationPlanningBudget(s *Setup) ([]AblationRow, error) {
 		quality, err := s.runHolisticQuality(func(c *core.Config) {
 			c.MaxRoundsPerSentence = rounds
 			c.MinRounds = rounds
-			c.SimRoundCost = time.Millisecond
 		})
 		if err != nil {
 			return nil, err

@@ -106,7 +106,6 @@ func (s *Setup) substrateConfig(seed int64) core.Config {
 		Format:       speech.PercentFormat,
 		Seed:         seed,
 		Clock:        voice.NewSimClock(),
-		SimRoundCost: time.Millisecond,
 		SimNodeCost:  10 * time.Microsecond,
 		MaxTreeNodes: 100000,
 	}
@@ -130,7 +129,6 @@ func (s *Setup) simConfig(seed int64) core.Config {
 		Format:               speech.PercentFormat,
 		Seed:                 seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 5000,
 		SamplesPerRound:      8,
 		MaxTreeNodes:         100000,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -69,7 +68,6 @@ func plannerConfig(s *Spec, inj *faults.Injector) core.Config {
 	cfg := core.Config{
 		Seed:                 pl.Seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 500,
 		MaxTreeNodes:         50000,
 		InitialRows:          pl.InitialRows,

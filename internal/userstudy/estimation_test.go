@@ -2,7 +2,6 @@ package userstudy
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/belief"
 	"repro/internal/core"
@@ -62,7 +61,6 @@ func estCfg(seed int64) core.Config {
 		Percents:             []int{50, 100},
 		Seed:                 seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 1500,
 	}
 }

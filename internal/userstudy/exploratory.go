@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -194,7 +193,6 @@ func vocalizeBoth(d *olap.Dataset, q olap.Query, format speech.ValueFormat, seed
 		Format:               format,
 		Seed:                 seed,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 300,
 		Percents:             []int{20, 50, 100, 200},
 		MaxTreeNodes:         maxNodes,

@@ -201,7 +201,6 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 	cfg := core.Config{
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},
 		Scanner:              injector.Scanner,

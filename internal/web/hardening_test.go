@@ -31,7 +31,6 @@ func newHardenedServerRounds(t *testing.T, maxRounds int, opts Options) (*Server
 	return newFlightsServer(t, core.Config{
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: maxRounds,
 		Percents:             []int{50, 100},
 	}, opts)

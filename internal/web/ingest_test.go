@@ -287,7 +287,7 @@ func TestIngestFreshnessUnderQueries(t *testing.T) {
 	// No round cap: each window runs while its sentence plays on the
 	// answer's simulated clock, so a plan is still running when the next
 	// batch lands.
-	_, ts := newFlightsServer(t, core.Config{Seed: 7, Clock: voice.NewSimClock(), SimRoundCost: time.Millisecond}, Options{})
+	_, ts := newFlightsServer(t, core.Config{Seed: 7, Clock: voice.NewSimClock()}, Options{})
 	client := &http.Client{Timeout: 15 * time.Second}
 
 	// acked is the highest acknowledged epoch. The server bumps the epoch

@@ -328,7 +328,6 @@ func TestChaosDegradesNeverErrors(t *testing.T) {
 	_, ts := newFlightsServer(t, core.Config{
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},
 		Scanner:              injector.Scanner,

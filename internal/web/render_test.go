@@ -47,7 +47,6 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 	srv, _ := newFlightsServer(t, core.Config{
 		Seed:                 7,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},
 		Scanner: func(tab *table.Table, rng *rand.Rand) table.Scanner {

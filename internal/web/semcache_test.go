@@ -25,7 +25,6 @@ func newCacheServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	return newFlightsServer(t, core.Config{
 		Seed:                 7,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 100,
 		Percents:             []int{50, 100},
 	}, opts)

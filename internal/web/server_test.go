@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -28,7 +27,6 @@ func newTestServer(t *testing.T) *httptest.Server {
 	cfg := core.Config{
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
-		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 200,
 		Percents:             []int{50, 100},
 	}
