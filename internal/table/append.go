@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -89,17 +88,11 @@ func (b *RowBatch) Len() int {
 // rows for trailing-window resolution (see RowsInLast).
 func (t *Table) AppendableCopy(loadedAt time.Time) (*Table, error) {
 	src := t.Snapshot()
+	n := src.NumRows()
 	nt := &Table{name: src.name, byName: make(map[string]int, len(src.columns))}
 	for _, c := range src.columns {
-		var cp Column
-		switch col := c.(type) {
-		case *Float64Column:
-			cp = &Float64Column{name: col.name, values: slices.Clip(col.values)}
-		case *Int64Column:
-			cp = &Int64Column{name: col.name, values: slices.Clip(col.values)}
-		case *StringColumn:
-			cp = &StringColumn{name: col.name, codes: slices.Clip(col.codes), dict: col.dict, index: col.index}
-		default:
+		cp := columnView(c, n)
+		if cp == nil {
 			return nil, fmt.Errorf("table %q: column %q has unsupported type %v for appends", src.name, c.Name(), c.Type())
 		}
 		if err := nt.AddColumn(cp); err != nil {
@@ -107,9 +100,24 @@ func (t *Table) AppendableCopy(loadedAt time.Time) (*Table, error) {
 		}
 	}
 	nt.loadedAt = loadedAt
-	nt.wm.Store(int64(src.NumRows()))
+	nt.wm.Store(int64(n))
 	nt.live.Store(true)
 	return nt, nil
+}
+
+// columnView is c's first n rows on c's array, clipped to capacity n so an
+// append moves the view off it, sharing a string column's dictionary and
+// index. It is nil for a column type a live table cannot hold.
+func columnView(c Column, n int) Column {
+	switch col := c.(type) {
+	case *Float64Column:
+		return &Float64Column{name: col.name, values: col.values[:n:n]}
+	case *Int64Column:
+		return &Int64Column{name: col.name, values: col.values[:n:n]}
+	case *StringColumn:
+		return &StringColumn{name: col.name, codes: col.codes[:n:n], dict: col.dict, index: col.index}
+	}
+	return nil
 }
 
 // Snapshot returns an immutable view of the committed rows: a frozen Table
@@ -133,15 +141,8 @@ func (t *Table) Snapshot() *Table {
 	}
 	nt.epoch.Store(t.epoch.Load())
 	for _, c := range t.columns {
-		var cp Column
-		switch col := c.(type) {
-		case *Float64Column:
-			cp = &Float64Column{name: col.name, values: col.values[:wm:wm]}
-		case *Int64Column:
-			cp = &Int64Column{name: col.name, values: col.values[:wm:wm]}
-		case *StringColumn:
-			cp = &StringColumn{name: col.name, codes: col.codes[:wm:wm], dict: col.dict, index: col.index}
-		default:
+		cp := columnView(c, wm)
+		if cp == nil {
 			// AppendableCopy is the only way to go live and it rejects
 			// other column types.
 			panic(fmt.Sprintf("table %q: live table holds unsupported column type %v", t.name, c.Type()))
