@@ -61,7 +61,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st.live == nil {
-		live, err := st.info.Dataset.Table().AppendableCopy(s.now())
+		live, err := st.info.Dataset.Table().AppendableCopy(st.loadedAt)
 		if err != nil {
 			s.mu.Unlock()
 			writeError(w, http.StatusUnprocessableEntity,

@@ -136,6 +136,26 @@ func TestIngestVisibilityAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestIngestStampsBaseRowsAtLoad: the base rows arrived when the dataset
+// was registered, not with the first batch. A batch ingested two hours
+// after registration is the only thing a one-hour window holds; stamping
+// the base rows at the first ingest put them all inside it.
+func TestIngestStampsBaseRowsAtLoad(t *testing.T) {
+	srv, ts := newCacheServer(t, Options{})
+	later := time.Now().Add(2 * time.Hour)
+	srv.now = func() time.Time { return later }
+	if ack, code := postIngest(t, ts, "flights", datagen.FlightRows(3, 10)); code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %v", code, ack)
+	}
+	srv.mu.Lock()
+	st := srv.datasets["flights"]
+	base, live := st.info.Dataset.Table().NumRows()-10, st.live
+	srv.mu.Unlock()
+	if got := live.RowsInLast(time.Hour); got != base {
+		t.Errorf("the last hour starts at row %d, want %d: the base rows are older than an hour", got, base)
+	}
+}
+
 func TestIngestValidation(t *testing.T) {
 	_, ts := newCacheServer(t, Options{})
 	rows := datagen.FlightRows(5, 3)

@@ -34,6 +34,10 @@ type datasetState struct {
 	// epoch counts data changes — whole-dataset reloads and streaming
 	// ingest batches; guarded by Server.mu.
 	epoch int64
+	// loadedAt is when NewServerWith or ReloadDataset installed the data:
+	// the arrival stamp of the base rows once ingest makes the table live.
+	// Guarded by Server.mu.
+	loadedAt time.Time
 	// live is the appendable table over the base table's rows, created
 	// lazily on the first ingest. It reads the base's column arrays until
 	// its first append copies them and writes only its own, so the
@@ -111,6 +115,7 @@ func (s *Server) ReloadDataset(name string, d *olap.Dataset) error {
 	}
 	st.info.Dataset = d
 	st.live = nil
+	st.loadedAt = s.now()
 	st.epoch++
 	for key, el := range s.sessions {
 		if strings.HasSuffix(key, "\x00"+name) {

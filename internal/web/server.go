@@ -282,7 +282,7 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 		if _, dup := s.datasets[info.Name]; dup {
 			return nil, fmt.Errorf("web: duplicate dataset %q", info.Name)
 		}
-		s.datasets[info.Name] = &datasetState{info: info}
+		s.datasets[info.Name] = &datasetState{info: info, loadedAt: s.now()}
 		s.order = append(s.order, info.Name)
 	}
 	return s, nil
