@@ -44,8 +44,8 @@ type Config struct {
 
 	// Clock drives playback timing; nil means the real clock. Planning
 	// work is charged to it (1 ms a round, SimNodeCost a tree node), which
-	// moves only a simulated clock. A *voice.SimClock is a template: every answer plays
-	// on a fresh one of its own.
+	// moves only a simulated clock. A *voice.SimClock is a template: every
+	// answer plays on a fresh one of its own.
 	Clock voice.Clock
 
 	// InitialRows are read before the search tree is built, providing the

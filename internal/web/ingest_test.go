@@ -137,9 +137,8 @@ func TestIngestVisibilityAndInvalidation(t *testing.T) {
 }
 
 // TestIngestStampsBaseRowsAtLoad: the base rows arrived when the dataset
-// was registered, not with the first batch. A batch ingested two hours
-// after registration is the only thing a one-hour window holds; stamping
-// the base rows at the first ingest put them all inside it.
+// was registered, not with the first batch, so a batch ingested two hours
+// after registration is all a one-hour window holds.
 func TestIngestStampsBaseRowsAtLoad(t *testing.T) {
 	srv, ts := newCacheServer(t, Options{})
 	later := time.Now().Add(2 * time.Hour)
