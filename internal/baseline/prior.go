@@ -60,9 +60,6 @@ func NewPrior(d *olap.Dataset, q olap.Query, cfg Config) *Prior {
 	return &Prior{dataset: d, query: q, cfg: cfg}
 }
 
-// Name identifies the approach in experiment output.
-func (p *Prior) Name() string { return "prior" }
-
 // Vocalize evaluates the query exactly and renders the full enumeration.
 func (p *Prior) Vocalize() (*Output, error) {
 	return p.VocalizeContext(context.Background())

@@ -45,7 +45,7 @@ func TestExpectedAbsErrorClosedForm(t *testing.T) {
 		var mc float64
 		const samples = 200000
 		for i := 0; i < samples; i++ {
-			mc += math.Abs(b.Sample(rng) - c.v)
+			mc += math.Abs(b.Mu + b.Sigma*rng.NormFloat64() - c.v)
 		}
 		mc /= samples
 		if math.Abs(closed-mc) > 0.02*c.sigma+0.002 {

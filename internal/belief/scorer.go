@@ -112,9 +112,6 @@ func (sc *Scorer) Reset(s *speech.Speech) {
 	}
 }
 
-// Depth returns the number of currently applied refinements.
-func (sc *Scorer) Depth() int { return len(sc.refs) }
-
 // Push applies refinement r on top of the current state: one bitset sweep
 // producing the next depth's means vector. The delta follows
 // speech.Speech.Deltas exactly — relative to the baseline adjusted by

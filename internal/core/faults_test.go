@@ -117,7 +117,15 @@ func TestInjectedStallHitsTheScannerTheAnswerReads(t *testing.T) {
 		StallRelease: 20 * time.Millisecond,
 	})
 	cfg := testConfig(7)
-	cfg.Scanner = inj.Scanner
+	var scans, stalls int
+	cfg.Scanner = func(t *table.Table, rng *rand.Rand) table.Scanner {
+		s := inj.Scanner(t, rng)
+		scans++
+		if _, ok := s.(*faults.StallingScanner); ok {
+			stalls++
+		}
+		return s
+	}
 	healthy, err := NewHolistic(d, q, cfg).Vocalize()
 	requireValidSpeech(t, healthy, err)
 	stalled, err := NewHolistic(d, q, cfg).Vocalize()
@@ -128,7 +136,7 @@ func TestInjectedStallHitsTheScannerTheAnswerReads(t *testing.T) {
 	if stalled.RowsRead != stallAfter {
 		t.Errorf("second answer read %d rows, want the %d before the stall", stalled.RowsRead, stallAfter)
 	}
-	if st := inj.Stats(); st.Scans != 2 || st.Stalled != 1 {
-		t.Errorf("injector built %d scans and stalled %d, want 2 and 1", st.Scans, st.Stalled)
+	if scans != 2 || stalls != 1 {
+		t.Errorf("injector built %d scans and stalled %d, want 2 and 1", scans, stalls)
 	}
 }

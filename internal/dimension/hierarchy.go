@@ -27,15 +27,11 @@ type Member struct {
 	Children []*Member
 
 	hierarchy *Hierarchy
-	id        int    // index within levels[Level]
 	lower     string // strings.ToLower(Name)
 }
 
 // Hierarchy returns the hierarchy this member belongs to.
 func (m *Member) Hierarchy() *Hierarchy { return m.hierarchy }
-
-// ID returns the member's index within its level.
-func (m *Member) ID() int { return m.id }
 
 // LowerName returns the member's name lowercased, computed once when the
 // member was built, for matching against lowercased utterances.
@@ -204,7 +200,6 @@ func (h *Hierarchy) AddPath(path ...string) (*Member, error) {
 				Level:     level,
 				Parent:    cur,
 				hierarchy: h,
-				id:        len(h.levels[level]),
 				lower:     strings.ToLower(name),
 			}
 			cur.Children = append(cur.Children, next)

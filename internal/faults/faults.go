@@ -17,8 +17,7 @@ import (
 
 // FailingScanner passes exactly Limit rows through, then reports the stream
 // exhausted forever, simulating a scan whose backend died mid-stream. The
-// consumer sees a short table; Failed reports whether the injected failure
-// actually triggered.
+// consumer sees a short table.
 type FailingScanner struct {
 	// Inner is the wrapped stream.
 	Inner table.Scanner
@@ -27,22 +26,17 @@ type FailingScanner struct {
 	Limit int
 
 	emitted int
-	failed  bool
 }
 
 // NextBatch implements table.Scanner.
 func (f *FailingScanner) NextBatch(buf []int) int {
 	if f.emitted >= f.Limit {
-		f.failed = true
 		return 0
 	}
 	n := f.Inner.NextBatch(buf[:min(len(buf), f.Limit-f.emitted)])
 	f.emitted += n
 	return n
 }
-
-// Failed reports whether the injected failure triggered.
-func (f *FailingScanner) Failed() bool { return f.failed }
 
 // SlowScanner delays every row it delivers by Delay, simulating a saturated
 // or throttled storage backend.

@@ -36,9 +36,6 @@ func TestFailingScannerCutsStream(t *testing.T) {
 	if n := readAll(f, 2); n != 3 {
 		t.Fatalf("got %d rows, want 3", n)
 	}
-	if !f.Failed() {
-		t.Error("failure should have triggered")
-	}
 	// Exhaustion is sticky.
 	if f.NextBatch(make([]int, 4)) != 0 {
 		t.Error("failed scanner should stay exhausted")
@@ -49,9 +46,6 @@ func TestFailingScannerImmediate(t *testing.T) {
 	f := &FailingScanner{Inner: testScanner(t, 10), Limit: 0}
 	if f.NextBatch(make([]int, 4)) != 0 {
 		t.Fatal("limit 0 should fail immediately")
-	}
-	if !f.Failed() {
-		t.Error("failure should have triggered")
 	}
 }
 

@@ -60,11 +60,8 @@ func (o InjectorOptions) Enabled() bool {
 // It is safe for concurrent use: a live server builds scanners from many
 // request goroutines at once.
 type Injector struct {
-	opts   InjectorOptions
-	scans  atomic.Int64
-	slowed atomic.Int64
-	staled atomic.Int64
-	failed atomic.Int64
+	opts  InjectorOptions
+	scans atomic.Int64
 }
 
 // NewInjector returns an injector for opts.
@@ -79,11 +76,9 @@ func (in *Injector) Scanner(t *table.Table, rng *rand.Rand) table.Scanner {
 	var s table.Scanner = table.NewRandomScanner(t, rng)
 	n := in.scans.Add(1)
 	if e := int64(in.opts.FailEvery); e > 0 && n%e == 0 {
-		in.failed.Add(1)
 		s = &FailingScanner{Inner: s, Limit: in.opts.FailAfter}
 	}
 	if e := int64(in.opts.StallEvery); e > 0 && n%e == 0 {
-		in.staled.Add(1)
 		st := NewStallingScanner(s, in.opts.StallAfter)
 		// A synchronous consumer blocks inside NextBatch until the release
 		// — a storage hang that heals — then sees exhaustion and degrades.
@@ -91,26 +86,7 @@ func (in *Injector) Scanner(t *table.Table, rng *rand.Rand) table.Scanner {
 		s = st
 	}
 	if e := int64(in.opts.SlowEvery); e > 0 && n%e == 0 {
-		in.slowed.Add(1)
 		s = &SlowScanner{Inner: s, Delay: in.opts.SlowDelay}
 	}
 	return s
-}
-
-// InjectorStats counts constructed and faulted scans.
-type InjectorStats struct {
-	Scans   int64 `json:"scans"`
-	Slowed  int64 `json:"slowed"`
-	Stalled int64 `json:"stalled"`
-	Failed  int64 `json:"failed"`
-}
-
-// Stats reports how many scans were built and how many got each fault.
-func (in *Injector) Stats() InjectorStats {
-	return InjectorStats{
-		Scans:   in.scans.Load(),
-		Slowed:  in.slowed.Load(),
-		Stalled: in.staled.Load(),
-		Failed:  in.failed.Load(),
-	}
 }

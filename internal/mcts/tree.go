@@ -1038,23 +1038,3 @@ func (t *Tree) Advance(child *Node) {
 	}
 	panic("mcts: Advance target is not a child of the root")
 }
-
-// Depth returns the height of the tree below the current root (leaf speech
-// length in fragments relative to the root). A child that is not a node is
-// of unknown height and counts as one level.
-func (t *Tree) Depth() int {
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		if n.fan <= 0 {
-			return 0
-		}
-		max := 1
-		t.Kids(n, func(c *Node) {
-			if d := 1 + walk(c); d > max {
-				max = d
-			}
-		})
-		return max
-	}
-	return walk(t.node(t.root))
-}

@@ -106,12 +106,32 @@ func TestTreeStructure(t *testing.T) {
 	}
 	// Depth = 1 baseline + MaxFragments refinements.
 	wantDepth := 1 + e.gen.Prefs.MaxFragments
-	if got := tree.Depth(); got != wantDepth {
+	if got := treeDepth(tree); got != wantDepth {
 		t.Errorf("depth = %d, want %d", got, wantDepth)
 	}
 	if tree.NodeCount() <= tree.NumChildren(root) {
 		t.Error("tree should be expanded beyond the first level")
 	}
+}
+
+// treeDepth is the height of the tree below the current root (leaf speech
+// length in fragments relative to the root). A child that is not a node is
+// of unknown height and counts as one level.
+func treeDepth(t *Tree) int {
+	var walk func(n *Node) int
+	walk = func(n *Node) int {
+		if n.fan <= 0 {
+			return 0
+		}
+		max := 1
+		t.Kids(n, func(c *Node) {
+			if d := 1 + walk(c); d > max {
+				max = d
+			}
+		})
+		return max
+	}
+	return walk(t.node(t.root))
 }
 
 func TestTreeRespectsFragmentLimit(t *testing.T) {

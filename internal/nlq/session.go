@@ -170,9 +170,6 @@ func (s *Session) Query() olap.Query {
 	return q
 }
 
-// Window returns the active trailing stream-time window (zero = whole table).
-func (s *Session) Window() time.Duration { return s.window }
-
 // Response reports how an utterance changed the session.
 type Response struct {
 	// Action names what happened ("drill down", "filter", "help", …).

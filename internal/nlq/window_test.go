@@ -23,8 +23,8 @@ func TestParseWindowPhrases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.text, err)
 		}
-		if s.Window() != c.want {
-			t.Fatalf("%q: window = %v, want %v", c.text, s.Window(), c.want)
+		if s.Query().Window.Last != c.want {
+			t.Fatalf("%q: window = %v, want %v", c.text, s.Query().Window.Last, c.want)
 		}
 		if !r.IsQuery {
 			t.Fatalf("%q: window change should re-vocalize the query", c.text)
@@ -40,15 +40,15 @@ func TestParseWindowClearAndUndo(t *testing.T) {
 	if _, err := s.Parse("in the last hour"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window() != time.Hour {
-		t.Fatalf("window = %v", s.Window())
+	if s.Query().Window.Last != time.Hour {
+		t.Fatalf("window = %v", s.Query().Window.Last)
 	}
 	// "all time" widens back out.
 	if _, err := s.Parse("show all time again"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window() != 0 {
-		t.Fatalf("window after all time = %v", s.Window())
+	if s.Query().Window.Last != 0 {
+		t.Fatalf("window after all time = %v", s.Query().Window.Last)
 	}
 	if !s.Query().Window.IsZero() {
 		t.Fatal("cleared window still reaches the query")
@@ -57,14 +57,14 @@ func TestParseWindowClearAndUndo(t *testing.T) {
 	if _, err := s.Parse("go back"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window() != time.Hour {
-		t.Fatalf("window after undo = %v", s.Window())
+	if s.Query().Window.Last != time.Hour {
+		t.Fatalf("window after undo = %v", s.Query().Window.Last)
 	}
 	if _, err := s.Parse("go back"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window() != 0 {
-		t.Fatalf("window after second undo = %v", s.Window())
+	if s.Query().Window.Last != 0 {
+		t.Fatalf("window after second undo = %v", s.Query().Window.Last)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestParseWindowWithDimensionAndFunction(t *testing.T) {
 	if !r.IsQuery {
 		t.Fatal("combined utterance should query")
 	}
-	if s.Window() != 10*time.Minute {
-		t.Fatalf("window = %v", s.Window())
+	if s.Query().Window.Last != 10*time.Minute {
+		t.Fatalf("window = %v", s.Query().Window.Last)
 	}
 	if len(s.history) != 1 {
 		t.Fatalf("history depth = %d, want 1", len(s.history))
@@ -88,8 +88,8 @@ func TestParseWindowWithDimensionAndFunction(t *testing.T) {
 	if _, err := s.Parse("go back"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window() != 0 {
-		t.Fatalf("window after undo = %v", s.Window())
+	if s.Query().Window.Last != 0 {
+		t.Fatalf("window after undo = %v", s.Query().Window.Last)
 	}
 	// A repeated identical window is not a state change on its own.
 	if _, err := s.Parse("in the last hour"); err != nil {
@@ -109,13 +109,13 @@ func TestWindowInSummaryAndClone(t *testing.T) {
 		t.Fatalf("summary missing window: %q", got)
 	}
 	c := s.Clone()
-	if c.Window() != 15*time.Minute {
-		t.Fatalf("clone window = %v", c.Window())
+	if c.Query().Window.Last != 15*time.Minute {
+		t.Fatalf("clone window = %v", c.Query().Window.Last)
 	}
 	if _, err := c.Parse("all time"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window() != 15*time.Minute {
+	if s.Query().Window.Last != 15*time.Minute {
 		t.Fatal("mutating the clone changed the original")
 	}
 }

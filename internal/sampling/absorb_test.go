@@ -66,7 +66,7 @@ func streamingFlightsSpace(t *testing.T, tab *table.Table, base *olap.Dataset, f
 
 // fillAll reads every row of the cache's table front to back.
 func fillAll(c *Cache) {
-	sc := table.NewSequentialScanner(c.Space().Dataset().Table())
+	sc := table.NewSequentialScanner(c.space.Dataset().Table())
 	buf := make([]int, 1024)
 	for {
 		n := sc.NextBatch(buf)

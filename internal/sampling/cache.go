@@ -140,9 +140,6 @@ func (c *Cache) Release() {
 	*c = Cache{}
 }
 
-// Space returns the aggregate space the cache is classified against.
-func (c *Cache) Space() *olap.Space { return c.space }
-
 // TotalRows returns the table row count the cache's estimates scale
 // against.
 func (c *Cache) TotalRows() int64 { return c.totalRows }
@@ -318,9 +315,6 @@ func (c *Cache) add(idx int, v float64) {
 		c.values[idx] = append(c.values[idx], v)
 	}
 }
-
-// Size returns the number of cached rows for aggregate a (CA.SIZE).
-func (c *Cache) Size(a int) int { return int(c.accs[a].Count()) }
 
 // NrRead returns the total number of rows considered (CA.NRREAD).
 func (c *Cache) NrRead() int64 { return c.nrRead }

@@ -57,7 +57,7 @@ func TestCacheInsertAndSize(t *testing.T) {
 	}
 	var total int
 	for a := 0; a < s.Size(); a++ {
-		total += c.Size(a)
+		total += int(c.accs[a].Count())
 	}
 	if total != 100 {
 		t.Errorf("sum of sizes = %d, want 100", total)
@@ -108,7 +108,7 @@ func TestPickAggregateAvgRequiresData(t *testing.T) {
 	if !ok {
 		t.Fatal("expected eligible aggregate")
 	}
-	if c.Size(a) == 0 {
+	if int(c.accs[a].Count()) == 0 {
 		t.Error("picked aggregate should have cached rows")
 	}
 }
@@ -128,7 +128,7 @@ func TestPickAggregateCountAllEligible(t *testing.T) {
 		if !ok {
 			t.Fatal("expected eligibility after a read")
 		}
-		if c.Size(a) == 0 {
+		if int(c.accs[a].Count()) == 0 {
 			sawEmpty = true
 		}
 	}

@@ -19,7 +19,7 @@ func TestResampleFixedSize(t *testing.T) {
 	// Find an aggregate with plenty of entries.
 	big := -1
 	for a := 0; a < s.Size(); a++ {
-		if c.Size(a) > DefaultResampleSize {
+		if int(c.accs[a].Count()) > DefaultResampleSize {
 			big = a
 			break
 		}
@@ -97,7 +97,7 @@ func TestResampleModeMatchesReference(t *testing.T) {
 			ref := newRefCache(t, sc.space)
 			sc.drive(t, c, ref, func(stage string) {
 				rc, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				for a := 0; a < c.Space().Size(); a++ {
+				for a := 0; a < c.space.Size(); a++ {
 					got, want := c.Resample(a, rc), ref.resample(a, size, rr)
 					if len(got) != len(want) {
 						t.Fatalf("%v seed %d %s: aggregate %d resamples %d rows, reference %d",

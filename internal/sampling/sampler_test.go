@@ -48,7 +48,7 @@ func TestSamplerEstimateConvergence(t *testing.T) {
 	// of a percentage point of cancellation probability.
 	checked := 0
 	for a := 0; a < s.Size(); a++ {
-		if c.Size(a) < 200 {
+		if int(c.accs[a].Count()) < 200 {
 			continue
 		}
 		got, ok := c.Estimate(a, rng)

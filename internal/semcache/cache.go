@@ -112,16 +112,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is stored, without counting a hit or miss
-// and without refreshing recency — for background probes that must not
-// skew the serving statistics.
-func (c *Cache[V]) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
 // Put stores val under key unconditionally, evicting the least recently
 // used entry beyond capacity.
 func (c *Cache[V]) Put(key string, val V) {

@@ -8,13 +8,11 @@ type Accumulator struct {
 	n    int64
 	mean float64
 	m2   float64
-	sum  float64
 }
 
 // Add incorporates x into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	a.sum += x
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
@@ -22,9 +20,6 @@ func (a *Accumulator) Add(x float64) {
 
 // Count returns the number of observations.
 func (a *Accumulator) Count() int64 { return a.n }
-
-// Sum returns the running sum of observations.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Mean returns the sample mean, or 0 if no observations were added.
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -54,11 +49,8 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	delta := b.mean - a.mean
 	mean := a.mean + delta*float64(b.n)/float64(n)
 	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.n, a.mean, a.m2, a.sum = n, mean, m2, a.sum+b.sum
+	a.n, a.mean, a.m2 = n, mean, m2
 }
-
-// Reset returns the accumulator to its empty state.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Normal is a normal (Gaussian) distribution with mean Mu and standard
@@ -49,14 +48,4 @@ func (n Normal) Quantile(p float64) float64 {
 		panic(fmt.Sprintf("stats: quantile probability %v out of (0,1)", p))
 	}
 	return n.Mu - n.Sigma*math.Sqrt2*math.Erfinv(1-2*p)
-}
-
-// Sample draws one value from the distribution using rng.
-func (n Normal) Sample(rng *rand.Rand) float64 {
-	return n.Mu + n.Sigma*rng.NormFloat64()
-}
-
-// String implements fmt.Stringer.
-func (n Normal) String() string {
-	return fmt.Sprintf("N(%g, %g)", n.Mu, n.Sigma)
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -69,21 +68,6 @@ func TestNormalQuantilePanics(t *testing.T) {
 		}
 	}()
 	Normal{Mu: 0, Sigma: 1}.Quantile(0)
-}
-
-func TestNormalSampleMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := Normal{Mu: 7, Sigma: 2}
-	var acc Accumulator
-	for i := 0; i < 50000; i++ {
-		acc.Add(n.Sample(rng))
-	}
-	if math.Abs(acc.Mean()-7) > 0.05 {
-		t.Errorf("sample mean = %v, want ~7", acc.Mean())
-	}
-	if math.Abs(acc.StdDev()-2) > 0.05 {
-		t.Errorf("sample stddev = %v, want ~2", acc.StdDev())
-	}
 }
 
 // Property: CDF is monotone non-decreasing and bounded in [0,1].

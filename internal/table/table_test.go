@@ -35,8 +35,8 @@ func sampleTable(t *testing.T) *Table {
 
 func TestTableBasics(t *testing.T) {
 	tab := sampleTable(t)
-	if tab.Name() != "salaries" {
-		t.Errorf("name = %q", tab.Name())
+	if tab.name != "salaries" {
+		t.Errorf("name = %q", tab.name)
 	}
 	if tab.NumRows() != 4 {
 		t.Errorf("rows = %d, want 4", tab.NumRows())
@@ -46,9 +46,6 @@ func TestTableBasics(t *testing.T) {
 	}
 	if tab.Column("salary") == nil || tab.Column("missing") != nil {
 		t.Error("Column lookup misbehaves")
-	}
-	if err := tab.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -121,7 +118,7 @@ func TestStringColumnDictEncoding(t *testing.T) {
 func TestInt64Column(t *testing.T) {
 	c := NewInt64Column("n")
 	c.Append(42)
-	if c.Int(0) != 42 || c.Float(0) != 42 || c.StringAt(0) != "42" {
+	if c.Float(0) != 42 || c.StringAt(0) != "42" {
 		t.Error("int column accessors misbehave")
 	}
 	if c.Type() != Int64Type {

@@ -210,24 +210,6 @@ func vocalizeBoth(d *olap.Dataset, q olap.Query, format speech.ValueFormat, seed
 	return len(hOut.Speech.MainText()), len(pOut.Text), nil
 }
 
-// medianFloat returns the median of xs (1 for empty input, keeping the
-// preference score neutral).
-func medianFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	cp := append([]float64{}, xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j-1] > cp[j]; j-- {
-			cp[j-1], cp[j] = cp[j], cp[j-1]
-		}
-	}
-	if len(cp)%2 == 1 {
-		return cp[len(cp)/2]
-	}
-	return (cp[len(cp)/2-1] + cp[len(cp)/2]) / 2
-}
-
 // Fact is an extracted insight in the style of Table 7.
 type Fact struct {
 	// Dimensions lists the dimensions the fact refers to.

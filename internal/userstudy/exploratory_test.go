@@ -130,15 +130,3 @@ func TestExtractFactsWrongDataset(t *testing.T) {
 		t.Error("facts require the flight hierarchies")
 	}
 }
-
-func TestMedianFloat(t *testing.T) {
-	if medianFloat(nil) != 1 {
-		t.Error("empty median should be neutral 1")
-	}
-	if medianFloat([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median wrong")
-	}
-	if medianFloat([]float64{1, 3}) != 2 {
-		t.Error("even median wrong")
-	}
-}

@@ -65,9 +65,6 @@ type Utterance struct {
 	End   time.Time
 }
 
-// Duration returns the playback length of the utterance.
-func (u Utterance) Duration() time.Duration { return u.End.Sub(u.Start) }
-
 // Speaker is the simulated voice output device.
 type Speaker struct {
 	clock Clock

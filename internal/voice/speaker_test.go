@@ -79,8 +79,8 @@ func TestTranscriptAndTotals(t *testing.T) {
 	if len(tr) != 2 || tr[0].Text != "aaaaaaaaaa" || tr[1].Text != "bbbbb" {
 		t.Fatalf("transcript = %+v", tr)
 	}
-	if tr[0].Duration() != time.Second || tr[1].Duration() != 500*time.Millisecond {
-		t.Errorf("utterance durations = %v, %v, want 1s, 0.5s", tr[0].Duration(), tr[1].Duration())
+	if d0, d1 := tr[0].End.Sub(tr[0].Start), tr[1].End.Sub(tr[1].Start); d0 != time.Second || d1 != 500*time.Millisecond {
+		t.Errorf("utterance durations = %v, %v, want 1s, 0.5s", d0, d1)
 	}
 	// Transcript is a copy: mutations must not leak.
 	tr[0].Text = "mutated"
