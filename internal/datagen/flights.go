@@ -456,8 +456,12 @@ type flightColumns struct {
 
 // newFlightColumns allocates the columns of a rows-row table. Zeroing them
 // is the longest step no block can start before, so a second goroutine
-// zeroes the measure column while the caller zeroes the codes.
+// zeroes the measure column while the caller zeroes the codes. Each column
+// has rows/64 rows of spare capacity, which the table's first live copy
+// appends into (table.AppendableCopy), so a stream's first batch does not
+// copy the table; pages nobody writes cost no memory.
 func newFlightColumns(fm *flightModel, rows int) *flightColumns {
+	capacity := rows + rows/64
 	fc := &flightColumns{
 		fm:       fm,
 		airports: newFirstSeen(len(airportCatalog)),
@@ -466,12 +470,12 @@ func newFlightColumns(fm *flightModel, rows int) *flightColumns {
 	}
 	done := make(chan struct{})
 	go func() {
-		fc.cancelled = make([]float64, rows)
+		fc.cancelled = make([]float64, rows, capacity)
 		close(done)
 	}()
-	fc.airportCodes = make([]int32, rows)
-	fc.monthCodes = make([]int32, rows)
-	fc.airlineCodes = make([]int32, rows)
+	fc.airportCodes = make([]int32, rows, capacity)
+	fc.monthCodes = make([]int32, rows, capacity)
+	fc.airlineCodes = make([]int32, rows, capacity)
 	<-done
 	return fc
 }
