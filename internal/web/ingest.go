@@ -1,9 +1,10 @@
 // Streaming ingest: POST /api/ingest appends rows to a registered dataset
 // while queries keep running. The first batch lazily gives the dataset a
-// live appendable table. It starts on the registered table's column arrays,
-// clipped, and moves to arrays of its own when that batch is appended,
-// outside s.mu: the originally registered dataset object is never mutated
-// and only that ingest waits for the copy. Every accepted batch bumps the
+// live appendable table. It starts on the registered table's column arrays
+// and appends past their rows, into their spare capacity if it is the
+// table's first live copy, else onto arrays of its own that its first
+// append moves it to, outside s.mu: no row of the originally registered
+// dataset object is ever written and only that ingest waits for a copy. Every accepted batch bumps the
 // dataset's cache epoch, which makes all earlier semantic-cache answers
 // structurally unreachable before the new rows become visible — the same
 // invalidation discipline ReloadDataset uses, at append-batch granularity.
@@ -51,8 +52,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	// The first ingest makes the live table, under s.mu so concurrent first
 	// batches agree on one. Making it copies no rows: it shares the base
-	// table's arrays until AppendBatch below, which holds only the live
-	// table's own lock, moves the columns off them.
+	// table's arrays, and AppendBatch below, which holds only the live
+	// table's own lock, writes past the base's rows, in the base's spare
+	// capacity or after moving the columns off its arrays.
 	s.mu.Lock()
 	st, err := s.dataset(req.Dataset)
 	if err != nil {
