@@ -144,19 +144,35 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // decl is one declaration the ratchet holds to being used.
 type decl struct {
 	name string       // pkg.Name or pkg.Type.Method
-	span [2]token.Pos // the declaration, inside which a use does not count
+	span [2]token.Pos // the declaration's source
+}
+
+// use is an identifier or selector that resolves to a tracked declaration.
+type use struct {
+	obj types.Object
+	in  types.Object // the tracked declaration it sits in, or nil
 }
 
 // ifaceCall is a call of method name through the interface iface.
 type ifaceCall struct {
 	iface *types.Interface
 	name  string
+	in    types.Object // as in use
+}
+
+// handover is a value of concrete type t passed as an interface argument.
+type handover struct {
+	t  types.Type
+	in types.Object // as in use
 }
 
 // unusedDecls type-checks pkgs, every package once in import order, and
-// returns, sorted, the declarations under repro/internal/ that no file in
-// pkgs uses outside the declaration itself: exported top-level names, and
-// functions and methods whether exported or not. A top-level name is used
+// returns, sorted, the declarations under repro/internal/ that nothing in
+// pkgs uses: exported top-level names, and functions and methods whether
+// exported or not. A reference counts only where it sits outside every such
+// declaration, or inside one that is itself used, so a chain of
+// declarations that call only each other is reported whole; the scan
+// repeats until no new declaration becomes used. A top-level name is used
 // where an identifier resolves to it, except in a method's receiver: a
 // method names its type but does not use it. A method is used where a
 // selector resolves to it (to its generic origin, for a method of an
@@ -186,15 +202,9 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 
 	decls := map[types.Object]decl{}
 	var methods []*types.Func
-	used := map[types.Object]bool{}
-	var calls []ifaceCall
-	type use struct {
-		obj types.Object
-		pos token.Pos
-	}
 	var uses []use
-	inReceiver := map[token.Pos]bool{} // the identifiers of methods' receivers
-	formatted := map[types.Type]bool{}
+	var calls []ifaceCall
+	var handovers []handover
 	for _, path := range order {
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -209,6 +219,12 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 		}
 		checked[path] = pkg
 
+		var spans []types.Object // this package's declarations, in source order
+		track := func(obj types.Object, name string, node ast.Node) {
+			decls[obj] = decl{name, [2]token.Pos{node.Pos(), node.End()}}
+			spans = append(spans, obj)
+		}
+		inReceiver := map[token.Pos]bool{} // the identifiers of methods' receivers
 		for _, f := range pkgs[path] {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -230,7 +246,7 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 						name = pkg.Name() + "." + receiverName(d.Recv.List[0].Type) + "." + d.Name.Name
 						methods = append(methods, fn)
 					}
-					decls[fn] = decl{name, [2]token.Pos{d.Pos(), d.End()}}
+					track(fn, name, d)
 				case *ast.GenDecl:
 					if !strings.HasPrefix(path, "repro/internal/") {
 						continue
@@ -245,17 +261,30 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 						}
 						for _, n := range names {
 							if n.IsExported() {
-								decls[info.Defs[n]] = decl{pkg.Name() + "." + n.Name, [2]token.Pos{spec.Pos(), spec.End()}}
+								track(info.Defs[n], pkg.Name()+"."+n.Name, spec)
 							}
 						}
 					}
 				}
 			}
 		}
+		sort.Slice(spans, func(i, j int) bool { return decls[spans[i]].span[0] < decls[spans[j]].span[0] })
+		// enclosing is the declaration of this package that pos sits in,
+		// or nil: tracked declarations are top-level, so they never nest.
+		enclosing := func(pos token.Pos) types.Object {
+			i := sort.Search(len(spans), func(i int) bool { return decls[spans[i]].span[1] > pos })
+			if i < len(spans) && decls[spans[i]].span[0] <= pos {
+				return spans[i]
+			}
+			return nil
+		}
+
 		for _, f := range pkgs[path] {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					handedOver(info, call, formatted)
+					for _, t := range handedOver(info, call) {
+						handovers = append(handovers, handover{t, enclosing(call.Pos())})
+					}
 				}
 				return true
 			})
@@ -267,40 +296,68 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 				}
 				obj = fn.Origin()
 			}
-			uses = append(uses, use{obj, id.Pos()})
+			if _, ok := decls[obj]; ok && !inReceiver[id.Pos()] {
+				uses = append(uses, use{obj, enclosing(id.Pos())})
+			}
 		}
 		for sel, s := range info.Selections {
 			fn, ok := s.Obj().(*types.Func)
 			if !ok {
 				continue // a field
 			}
+			in := enclosing(sel.Sel.Pos())
 			recv := fn.Type().(*types.Signature).Recv().Type()
 			if iface, ok := recv.Underlying().(*types.Interface); ok {
-				calls = append(calls, ifaceCall{iface, fn.Name()})
+				calls = append(calls, ifaceCall{iface, fn.Name(), in})
 				continue
 			}
-			uses = append(uses, use{fn.Origin(), sel.Sel.Pos()})
+			if _, ok := decls[fn.Origin()]; ok {
+				uses = append(uses, use{fn.Origin(), in})
+			}
 		}
 	}
 
-	within := func(pos token.Pos, span [2]token.Pos) bool { return pos >= span[0] && pos < span[1] }
-	for _, u := range uses {
-		if d, ok := decls[u.obj]; ok && !inReceiver[u.pos] && !within(u.pos, d.span) {
-			used[u.obj] = true
-		}
-	}
-	for _, c := range calls {
-		for _, m := range methods {
-			if used[m] || m.Name() != c.name {
-				continue
+	// Each pass applies the references that sit in no declaration or in one
+	// a previous pass found used, and drops them; a pass that finds nothing
+	// new ends the scan.
+	used := map[types.Object]bool{}
+	formatted := map[types.Type]bool{}
+	live := func(in types.Object) bool { return in == nil || used[in] }
+	for changed := true; changed; {
+		changed = false
+		mark := func(obj types.Object) {
+			if !used[obj] {
+				used[obj] = true
+				changed = true
 			}
-			t := recvBase(m)
-			used[m] = types.Implements(t, c.iface) || types.Implements(types.NewPointer(t), c.iface)
 		}
-	}
-	for _, m := range methods {
-		if !used[m] && isStringer(m) {
-			used[m] = formatted[recvBase(m)]
+		uses = slices.DeleteFunc(uses, func(u use) bool {
+			if live(u.in) {
+				mark(u.obj)
+			}
+			return live(u.in)
+		})
+		calls = slices.DeleteFunc(calls, func(c ifaceCall) bool {
+			if !live(c.in) {
+				return false
+			}
+			for _, m := range methods {
+				if t := recvBase(m); m.Name() == c.name && (types.Implements(t, c.iface) || types.Implements(types.NewPointer(t), c.iface)) {
+					mark(m)
+				}
+			}
+			return true
+		})
+		handovers = slices.DeleteFunc(handovers, func(h handover) bool {
+			if live(h.in) {
+				markFormatted(h.t, formatted)
+			}
+			return live(h.in)
+		})
+		for _, m := range methods {
+			if isStringer(m) && formatted[recvBase(m)] {
+				mark(m)
+			}
 		}
 	}
 
@@ -333,14 +390,15 @@ func isStringer(m *types.Func) bool {
 		sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
 }
 
-// handedOver records in types the concrete type, T for T or *T, of each
-// argument call passes as an interface, such as one of fmt's ...any: the
-// callee may call its String or Error method where the scan cannot see.
-func handedOver(info *types.Info, call *ast.CallExpr, formatted map[types.Type]bool) {
+// handedOver returns the concrete type of each argument call passes as an
+// interface, such as one of fmt's ...any: the callee may call its String or
+// Error method where the scan cannot see.
+func handedOver(info *types.Info, call *ast.CallExpr) []types.Type {
 	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
-		return // a conversion
+		return nil // a conversion
 	}
+	var handed []types.Type
 	params := sig.Params()
 	for i, arg := range call.Args {
 		var pt types.Type
@@ -356,8 +414,9 @@ func handedOver(info *types.Info, call *ast.CallExpr, formatted map[types.Type]b
 		if at == nil || !types.IsInterface(pt) || types.IsInterface(at) {
 			continue
 		}
-		markFormatted(at, formatted)
+		handed = append(handed, at)
 	}
+	return handed
 }
 
 // markFormatted records t, and what fmt reaches inside it when it prints a
@@ -412,17 +471,13 @@ func receiverName(e ast.Expr) string {
 	}
 }
 
-// readAllowlist reads the names on the allowlist, a name and its reason per
-// line, blank lines and lines starting with # skipped.
-func readAllowlist(t *testing.T) map[string]bool {
-	t.Helper()
-	f, err := os.Open(unusedAllowlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+// readAllowlist reads the allowlist, a name and its reason per line, blank
+// lines and lines starting with # skipped. A name is a declaration
+// (pkg.Name or pkg.Type.Method) or the import path of a package only tests
+// import, which stands for every declaration in it.
+func readAllowlist(r io.Reader) (map[string]bool, error) {
 	allowed := map[string]bool{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -430,27 +485,78 @@ func readAllowlist(t *testing.T) map[string]bool {
 		}
 		name, reason, _ := strings.Cut(line, " ")
 		if strings.TrimSpace(reason) == "" {
-			t.Errorf("%s: %s carries no reason", unusedAllowlist, name)
+			return nil, fmt.Errorf("%s carries no reason", name)
 		}
 		if allowed[name] {
-			t.Errorf("%s: %s is listed twice", unusedAllowlist, name)
+			return nil, fmt.Errorf("%s is listed twice", name)
 		}
 		allowed[name] = true
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	return allowed, sc.Err()
+}
+
+// ratchet holds the scan's unused declarations to the allowlist and
+// returns, sorted, every way they disagree: a declaration that is not
+// listed, a listed name that is used or gone, and a non-test file that
+// imports a package listed as test-only.
+func ratchet(pkgs map[string][]*ast.File, unused []string, allowed map[string]bool) []string {
+	var problems []string
+	testOnly := map[string]bool{} // the package names of the listed import paths
+	for name := range allowed {
+		if !strings.Contains(name, "/") {
+			continue
+		}
+		if files, ok := pkgs[name]; ok {
+			testOnly[files[0].Name.Name] = true
+		} else {
+			problems = append(problems, fmt.Sprintf("%s is listed in %s, but it has no non-test file: take it off the list", name, unusedAllowlist))
+		}
 	}
-	return allowed
+	for path, files := range pkgs {
+		for _, f := range files {
+			for _, is := range f.Imports {
+				if dep := strings.Trim(is.Path.Value, `"`); allowed[dep] {
+					problems = append(problems, fmt.Sprintf("%s imports %s, which %s lists as imported only by tests", path, dep, unusedAllowlist))
+				}
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, name := range unused {
+		if pkg, _, _ := strings.Cut(name, "."); testOnly[pkg] {
+			continue
+		}
+		if !allowed[name] {
+			problems = append(problems, fmt.Sprintf("%s is declared, but no non-test file uses it: delete it, or list it in %s with the reason it stays", name, unusedAllowlist))
+		}
+		listed[name] = true
+	}
+	for name := range allowed {
+		if !strings.Contains(name, "/") && !listed[name] {
+			problems = append(problems, fmt.Sprintf("%s is listed in %s, but it is used or gone: take it off the list", name, unusedAllowlist))
+		}
+	}
+	sort.Strings(problems)
+	return problems
 }
 
 // TestNoUnlistedUnusedExports is the ratchet on declarations nothing uses:
 // every exported name, function or method under internal/ that no non-test
 // file in internal/, cmd/, examples/ or benchmark/ uses must be on the
-// allowlist with a reason, and every name on the allowlist must still be
-// such a declaration. One only its tests call fails here until it is
-// deleted or listed.
+// allowlist with a reason, itself or through its package, and every name
+// on the allowlist must still be such a declaration or package. One only
+// its tests call, directly or through other such declarations, fails here
+// until it is deleted or listed.
 func TestNoUnlistedUnusedExports(t *testing.T) {
-	allowed := readAllowlist(t)
+	f, err := os.Open(unusedAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	allowed, err := readAllowlist(f)
+	if err != nil {
+		t.Fatalf("%s: %v", unusedAllowlist, err)
+	}
 	fset := token.NewFileSet()
 	pkgs, err := parseTrees(fset)
 	if err != nil {
@@ -460,21 +566,20 @@ func TestNoUnlistedUnusedExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range unused {
-		if !allowed[name] {
-			t.Errorf("%s is declared, but no non-test file uses it: delete it, or list it in %s with the reason it stays", name, unusedAllowlist)
-		}
-		delete(allowed, name)
-	}
-	for name := range allowed {
-		t.Errorf("%s is listed in %s, but it is used or gone: take it off the list", name, unusedAllowlist)
+	for _, p := range ratchet(pkgs, unused, allowed) {
+		t.Error(p)
 	}
 }
 
-// TestUnusedDeclsPlantedCases runs the scan on planted sources: of two
-// types with a Size method only one is called outside tests, a method is
-// reached only through an interface, and an unexported helper has no
-// caller. The first and last must be reported, the second not.
+// TestUnusedDeclsPlantedCases runs the scan and the ratchet on planted
+// sources. Of two types with a Size method only one is called outside
+// tests, a method is reached only through an interface, and an unexported
+// helper has no caller: the first and last must be reported, the second
+// not. Chain, which nothing calls, calls chained, which uses Quiet and
+// calls Count through Counter: all five must be reported, since a use
+// counts only inside a used declaration. And the allowlist names package
+// c as test-only while a command imports it, which the ratchet must
+// report.
 func TestUnusedDeclsPlantedCases(t *testing.T) {
 	sources := map[string]string{
 		"repro/internal/a": `package a
@@ -496,14 +601,31 @@ func (List) Len() int { return 0 }
 func Total(l Lener) int { return l.Len() }
 
 func helper() int { return 3 }
+
+type Counter interface{ Count() int }
+
+type Quiet struct{}
+
+func (Quiet) Count() int { return 4 }
+
+func Chain() int { return chained(Quiet{}) }
+
+func chained(c Counter) int { return c.Count() }
+`,
+		"repro/internal/c": `package c
+
+func Probe() int { return 5 }
 `,
 		"repro/cmd/b": `package main
 
-import "repro/internal/a"
+import (
+	"repro/internal/a"
+	"repro/internal/c"
+)
 
 var _ a.Small
 
-func main() { _ = a.Big{}.Size() + a.Total(a.List{}) }
+func main() { _ = a.Big{}.Size() + a.Total(a.List{}) + c.Probe() }
 `,
 	}
 	fset := token.NewFileSet()
@@ -519,7 +641,17 @@ func main() { _ = a.Big{}.Size() + a.Total(a.List{}) }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"a.Small.Size", "a.helper"}; !slices.Equal(unused, want) {
+	want := []string{"a.Chain", "a.Counter", "a.Quiet", "a.Quiet.Count", "a.Small.Size", "a.chained", "a.helper"}
+	if !slices.Equal(unused, want) {
 		t.Errorf("unused = %q, want %q", unused, want)
+	}
+
+	allowed, err := readAllowlist(strings.NewReader("repro/internal/c test-only\n" + strings.Join(want, " planted\n") + " planted\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := ratchet(pkgs, unused, allowed)
+	if len(problems) != 1 || !strings.HasPrefix(problems[0], "repro/cmd/b imports repro/internal/c,") {
+		t.Errorf("ratchet = %q, want one problem: repro/cmd/b imports repro/internal/c", problems)
 	}
 }

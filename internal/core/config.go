@@ -110,7 +110,7 @@ type Config struct {
 	Trace *Trace
 
 	// Uncertainty selects the Section 4.4 confidence extension, at the 95 %
-	// level.
+	// level; zero speaks no confidence information.
 	Uncertainty UncertaintyMode
 	// WarnRelativeWidth triggers the warning mode when the grand-scope
 	// confidence interval's width exceeds this fraction of its center.

@@ -10,31 +10,16 @@ import (
 // confidence information.
 type UncertaintyMode int
 
-// Uncertainty modes.
+// Uncertainty modes. The zero mode speaks values without confidence
+// information.
 const (
-	// UncertaintyOff speaks values without confidence information.
-	UncertaintyOff UncertaintyMode = iota
 	// UncertaintyWarn appends a general warning when confidence in the
 	// spoken values is below a threshold.
-	UncertaintyWarn
+	UncertaintyWarn UncertaintyMode = iota + 1
 	// UncertaintyBounds speaks the confidence bounds where voice rendering
 	// for the corresponding sentence starts.
 	UncertaintyBounds
 )
-
-// String implements fmt.Stringer.
-func (m UncertaintyMode) String() string {
-	switch m {
-	case UncertaintyOff:
-		return "off"
-	case UncertaintyWarn:
-		return "warn"
-	case UncertaintyBounds:
-		return "bounds"
-	default:
-		return fmt.Sprintf("UncertaintyMode(%d)", int(m))
-	}
-}
 
 // confidenceLevel is the level of spoken bounds and of the warning's
 // interval.

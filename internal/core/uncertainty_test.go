@@ -70,12 +70,3 @@ func TestUncertaintyWarnModeTriggersWhenStarved(t *testing.T) {
 		t.Error("warning should be the final utterance")
 	}
 }
-
-func TestUncertaintyModeString(t *testing.T) {
-	if UncertaintyOff.String() != "off" || UncertaintyWarn.String() != "warn" || UncertaintyBounds.String() != "bounds" {
-		t.Error("mode strings wrong")
-	}
-	if UncertaintyMode(9).String() == "" {
-		t.Error("unknown mode should render")
-	}
-}

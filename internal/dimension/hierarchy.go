@@ -313,10 +313,10 @@ func (b *Binding) MemberOfCode(code int32, level int) *Member {
 
 // MemberOfRow returns the member at the given level for table row i.
 func (b *Binding) MemberOfRow(row, level int) *Member {
-	return b.memberAt[level][b.column.Code(row)]
+	return b.memberAt[level][b.column.Codes()[row]]
 }
 
 // RowMatches reports whether table row i falls in the subtree of m.
 func (b *Binding) RowMatches(row int, m *Member) bool {
-	return b.memberAt[m.Level][b.column.Code(row)] == m
+	return b.memberAt[m.Level][b.column.Codes()[row]] == m
 }

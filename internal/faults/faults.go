@@ -1,9 +1,10 @@
-// Package faults provides fault-injection wrappers for the serving stack:
-// table scanners that die, crawl, or hang mid-stream, and a clock with
-// bounded jitter. Tests wrap the planner's row stream (via
-// core.Config.Scanner) and clock with these to prove the vocalizers still
-// emit grammar-valid speech — possibly degraded, never a hang or panic —
-// under storage and timing failures.
+// Package faults provides fault injection for the serving stack: table
+// scanners that die, crawl, or hang mid-stream, a clock with bounded
+// jitter, and ASR noise on the utterances a user speaks. Tests wrap the
+// planner's row stream (via core.Config.Scanner) and clock with these to
+// prove the vocalizers still emit grammar-valid speech — possibly degraded,
+// never a hang or panic — under storage and timing failures, and feed
+// corrupted utterances to the parser. Only tests import it.
 package faults
 
 import (

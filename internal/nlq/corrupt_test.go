@@ -5,17 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/dimension"
+	"repro/internal/faults"
 	"repro/internal/olap"
 )
 
+// The ASR-noise corrupter lives in faults; its tests live here, beside the
+// keywords it protects and the fuzzy matcher its edits are sized for.
+
 func TestCorrupterDeterministic(t *testing.T) {
 	in := "how does cancellation depend on region and season"
-	a := NewCorrupter(CorruptConfig{Seed: 7}).Corrupt(in)
-	b := NewCorrupter(CorruptConfig{Seed: 7}).Corrupt(in)
+	a := faults.NewCorrupter(faults.CorruptConfig{Seed: 7}).Corrupt(in)
+	b := faults.NewCorrupter(faults.CorruptConfig{Seed: 7}).Corrupt(in)
 	if a != b {
 		t.Errorf("same seed diverged: %q vs %q", a, b)
 	}
-	c := NewCorrupter(CorruptConfig{Seed: 8}).Corrupt(in)
+	c := faults.NewCorrupter(faults.CorruptConfig{Seed: 8}).Corrupt(in)
 	if a == c {
 		t.Errorf("different seeds should (almost surely) differ: %q", a)
 	}
@@ -23,7 +27,7 @@ func TestCorrupterDeterministic(t *testing.T) {
 
 func TestCorrupterProtectsKeywords(t *testing.T) {
 	in := "drill down into the start airport"
-	out := NewCorrupter(CorruptConfig{Seed: 3, Homophones: true}).Corrupt(in)
+	out := faults.NewCorrupter(faults.CorruptConfig{Seed: 3, Homophones: true}).Corrupt(in)
 	for _, kw := range []string{"drill", "down"} {
 		if !containsWord(out, kw) {
 			t.Errorf("keyword %q corrupted away: %q", kw, out)
@@ -36,7 +40,7 @@ func TestCorrupterProtectsKeywords(t *testing.T) {
 }
 
 func TestCorrupterHomophones(t *testing.T) {
-	out := NewCorrupter(CorruptConfig{Seed: 1, Homophones: true}).Corrupt("and for winter")
+	out := faults.NewCorrupter(faults.CorruptConfig{Seed: 1, Homophones: true}).Corrupt("and for winter")
 	if !strings.Contains(out, "winner") {
 		t.Errorf("winter should homophone to winner: %q", out)
 	}
@@ -48,14 +52,15 @@ func TestCorrupterHomophones(t *testing.T) {
 func TestCorrupterSkipsShortWords(t *testing.T) {
 	// Without homophones, words under five characters pass through: the
 	// fuzzy matcher cannot recover them, so corrupting them is pure loss.
-	out := NewCorrupter(CorruptConfig{Seed: 5}).Corrupt("may in fall")
+	out := faults.NewCorrupter(faults.CorruptConfig{Seed: 5}).Corrupt("may in fall")
 	if out != "may in fall" {
 		t.Errorf("short words corrupted: %q", out)
 	}
 }
 
 // corruptibleMembers lists the flight members the fuzzy matcher could in
-// principle recover: every word of the name at least minEditLen long.
+// principle recover: every word of the name long enough to match with an
+// edit.
 func corruptibleMembers(s *Session) []*dimension.Member {
 	var out []*dimension.Member
 	for _, h := range s.dataset.Hierarchies() {
@@ -63,7 +68,7 @@ func corruptibleMembers(s *Session) []*dimension.Member {
 			for _, m := range h.MembersAt(level) {
 				eligible := true
 				for _, w := range strings.Fields(m.Name) {
-					if len(w) < minEditLen {
+					if maxEditDistance(len(w)) == 0 {
 						eligible = false
 						break
 					}
@@ -88,7 +93,7 @@ func TestCorruptedMemberRecoveryRate(t *testing.T) {
 	if len(members) < 20 {
 		t.Fatalf("only %d corruptible members; corpus too small", len(members))
 	}
-	c := NewCorrupter(CorruptConfig{Seed: 17})
+	c := faults.NewCorrupter(faults.CorruptConfig{Seed: 17})
 	recovered, total := 0, 0
 	for _, m := range members {
 		noisy := c.Corrupt(strings.ToLower(m.Name))

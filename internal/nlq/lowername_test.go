@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dimension"
+	"repro/internal/faults"
 	"repro/internal/olap"
 )
 
@@ -165,7 +166,7 @@ func TestMemberMatchingMatchesPerCallLowercasing(t *testing.T) {
 				}
 			}
 		}
-		c := NewCorrupter(CorruptConfig{Seed: 17, Homophones: true})
+		c := faults.NewCorrupter(faults.CorruptConfig{Seed: 17, Homophones: true})
 		for _, u := range corpus[:len(corpus):len(corpus)] {
 			corpus = append(corpus, c.Corrupt(strings.ToLower(u)))
 		}

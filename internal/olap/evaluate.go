@@ -210,12 +210,6 @@ func (r *Result) Space() *Space { return r.space }
 // row of the table, including those outside the query's scope or window.
 func (r *Result) RowsRead() int64 { return r.rows }
 
-// Count returns the row count of aggregate idx.
-func (r *Result) Count(idx int) int64 { return r.counts[idx] }
-
-// Sum returns the measure sum of aggregate idx.
-func (r *Result) Sum(idx int) float64 { return r.sums[idx] }
-
 // Value returns the aggregate value of idx under the query's aggregation
 // function. Average over an empty aggregate returns NaN.
 func (r *Result) Value(idx int) float64 {

@@ -55,9 +55,9 @@ func TestEvaluateSmallTableFallsBackToSequential(t *testing.T) {
 		t.Fatalf("workers 8: %v", err)
 	}
 	for a := 0; a < space.Size(); a++ {
-		if par.Count(a) != seq.Count(a) || par.Sum(a) != seq.Sum(a) {
+		if par.counts[a] != seq.counts[a] || par.sums[a] != seq.sums[a] {
 			t.Errorf("agg %d: parallel (%v,%d) differs bitwise from sequential (%v,%d)",
-				a, par.Sum(a), par.Count(a), seq.Sum(a), seq.Count(a))
+				a, par.sums[a], par.counts[a], seq.sums[a], seq.counts[a])
 		}
 		pv, sv := par.Value(a), seq.Value(a)
 		if pv != sv && !(math.IsNaN(pv) && math.IsNaN(sv)) {

@@ -82,13 +82,13 @@ func TestEvaluateWorkersEquivalence(t *testing.T) {
 				t.Fatalf("query %d workers %d: %v", qi, w, err)
 			}
 			for a := 0; a < space.Size(); a++ {
-				if par.Count(a) != seq.Count(a) {
+				if par.counts[a] != seq.counts[a] {
 					t.Errorf("query %d workers %d agg %d: count %d, sequential %d",
-						qi, w, a, par.Count(a), seq.Count(a))
+						qi, w, a, par.counts[a], seq.counts[a])
 				}
 				// The chunked scan groups the additions by chunk, so its
 				// sums match the row-by-row scan to rounding only.
-				ps, ss := par.Sum(a), seq.Sum(a)
+				ps, ss := par.sums[a], seq.sums[a]
 				if math.Abs(ps-ss) > math.Abs(ss)*1e-9+1e-12 {
 					t.Errorf("query %d workers %d agg %d: sum %v, sequential %v",
 						qi, w, a, ps, ss)
@@ -146,9 +146,9 @@ func TestEvaluateWorkersDeterministic(t *testing.T) {
 				t.Fatalf("query %d workers %d: %v", qi, w, err)
 			}
 			for a := 0; a < space.Size(); a++ {
-				if got.Sum(a) != sums[a] || got.Count(a) != counts[a] {
+				if got.sums[a] != sums[a] || got.counts[a] != counts[a] {
 					t.Errorf("query %d workers %d agg %d: (%v,%d) differs from the chunk-order reference (%v,%d)",
-						qi, w, a, got.Sum(a), got.Count(a), sums[a], counts[a])
+						qi, w, a, got.sums[a], got.counts[a], sums[a], counts[a])
 				}
 			}
 		}

@@ -120,7 +120,7 @@ func TestEmptyAggregateIsNaN(t *testing.T) {
 	for i := 0; i < r.Space().Size(); i++ {
 		if math.IsNaN(r.Value(i)) {
 			sawNaN = true
-			if r.Count(i) != 0 {
+			if r.counts[i] != 0 {
 				t.Error("NaN value with nonzero count")
 			}
 		}

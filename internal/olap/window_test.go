@@ -130,13 +130,13 @@ func TestWindowedQueryMatchesStaticRecompute(t *testing.T) {
 					t.Fatalf("space sizes diverge: %d vs %d", space.Size(), refSpace.Size())
 				}
 				for idx := 0; idx < space.Size(); idx++ {
-					if got.Count(idx) != want.Count(idx) {
+					if got.counts[idx] != want.counts[idx] {
 						t.Fatalf("seed %d fct %v window %v agg %d: count %d, want %d",
-							seed, fct, w, idx, got.Count(idx), want.Count(idx))
+							seed, fct, w, idx, got.counts[idx], want.counts[idx])
 					}
-					if got.Sum(idx) != want.Sum(idx) {
+					if got.sums[idx] != want.sums[idx] {
 						t.Fatalf("seed %d fct %v window %v agg %d: sum %v, want %v (not bit-identical)",
-							seed, fct, w, idx, got.Sum(idx), want.Sum(idx))
+							seed, fct, w, idx, got.sums[idx], want.sums[idx])
 					}
 				}
 

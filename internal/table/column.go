@@ -198,13 +198,10 @@ func (c *StringColumn) Float(i int) float64 { return float64(c.codes[i]) }
 // StringAt returns the decoded string at row i.
 func (c *StringColumn) StringAt(i int) string { return c.dict[c.codes[i]] }
 
-// Code returns the dictionary code at row i.
-func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
-
 // Codes returns the backing code slice, clipped to its length so that an
 // append to it cannot write into a live copy's rows (callers must not
 // modify it). Scan loops use it to classify rows with direct array loads
-// instead of a Code call per row.
+// instead of a method call per row.
 func (c *StringColumn) Codes() []int32 { return c.codes[:len(c.codes):len(c.codes)] }
 
 // Append adds v to the column, extending the dictionary if needed.

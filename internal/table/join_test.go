@@ -51,7 +51,7 @@ func TestJoinBasics(t *testing.T) {
 		}
 	}
 	// Codes follow the dimension attribute's dictionary.
-	if j.Code(0) != j.Code(3) || j.Code(1) != city.Code(2) {
+	if j.codes[0] != j.codes[3] || j.codes[1] != city.codes[2] {
 		t.Error("joined codes should be the attribute's codes")
 	}
 	if len(j.Dict()) != 3 {

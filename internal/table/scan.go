@@ -15,8 +15,8 @@ type Scanner interface {
 // calls it (lines 87 and 124); ROADMAP item 1a(i) removes both.
 func FillBatch(s Scanner, buf []int) int { return s.NextBatch(buf) }
 
-// SequentialScanner yields rows 0..n-1 in order.
-type SequentialScanner struct {
+// sequentialScanner yields rows 0..n-1 in order.
+type sequentialScanner struct {
 	n, pos int
 }
 
@@ -24,12 +24,12 @@ type SequentialScanner struct {
 // pinned at construction to the table's committed watermark: rows appended
 // after construction are never emitted, so an in-flight scan over a growing
 // table cannot mix an old row bound with new data.
-func NewSequentialScanner(t *Table) *SequentialScanner {
-	return &SequentialScanner{n: t.NumRows()}
+func NewSequentialScanner(t *Table) Scanner {
+	return &sequentialScanner{n: t.NumRows()}
 }
 
 // NextBatch implements Scanner.
-func (s *SequentialScanner) NextBatch(buf []int) int {
+func (s *sequentialScanner) NextBatch(buf []int) int {
 	n := 0
 	for n < len(buf) && s.pos < s.n {
 		buf[n] = s.pos

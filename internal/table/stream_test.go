@@ -32,24 +32,25 @@ func dateSortedFlights(tb testing.TB, rows int) *olap.Dataset {
 	}
 	// A stable counting sort: perm[i] is the source row of sorted row i.
 	next := make([]int, len(rank)+1)
+	monthCodes := month.Codes()
 	for i := 0; i < rows; i++ {
-		next[rank[month.Code(i)]+1]++
+		next[rank[monthCodes[i]]+1]++
 	}
 	for r := 1; r < len(next); r++ {
 		next[r] += next[r-1]
 	}
 	perm := make([]int, rows)
 	for i := 0; i < rows; i++ {
-		r := rank[month.Code(i)]
+		r := rank[monthCodes[i]]
 		perm[next[r]] = i
 		next[r]++
 	}
 	cols := make([]table.Column, 0, 4)
 	for _, name := range []string{"airport", "month", "airline"} {
 		c := src.Column(name).(*table.StringColumn)
-		codes := make([]int32, rows)
+		from, codes := c.Codes(), make([]int32, rows)
 		for i, p := range perm {
-			codes[i] = c.Code(p)
+			codes[i] = from[p]
 		}
 		sorted, err := table.NewStringColumnFromCodes(name, c.Dict(), codes)
 		if err != nil {

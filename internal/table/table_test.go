@@ -104,10 +104,10 @@ func TestStringColumnDictEncoding(t *testing.T) {
 	if len(c.Dict()) != 3 {
 		t.Errorf("dict size = %d, want 3", len(c.Dict()))
 	}
-	if c.Code(0) != c.Code(2) {
+	if c.codes[0] != c.codes[2] {
 		t.Error("equal strings should share a code")
 	}
-	if c.Dict()[c.Code(1)] != "b" {
+	if c.Dict()[c.codes[1]] != "b" {
 		t.Error("a stored code should decode to its string")
 	}
 	if _, ok := c.index["zzz"]; ok {

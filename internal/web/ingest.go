@@ -4,10 +4,10 @@
 // and appends past their rows, into their spare capacity if it is the
 // table's first live copy, else onto arrays of its own that its first
 // append moves it to, outside s.mu: no row of the originally registered
-// dataset object is ever written and only that ingest waits for a copy. Every accepted batch bumps the
-// dataset's cache epoch, which makes all earlier semantic-cache answers
-// structurally unreachable before the new rows become visible — the same
-// invalidation discipline ReloadDataset uses, at append-batch granularity.
+// dataset object is ever written and only that ingest waits for a copy.
+// Every accepted batch bumps the dataset's cache epoch, which makes all
+// earlier semantic-cache answers structurally unreachable before the new
+// rows become visible.
 
 package web
 
@@ -89,14 +89,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// ingests can only install monotonically growing snapshots, and the
 	// epoch bump is ordered before any query can observe the new data.
 	s.mu.Lock()
-	if s.datasets[req.Dataset] != st || st.live != live {
-		// The dataset was reloaded while we appended; the copy we wrote to
-		// was discarded with it, so the batch is gone by design.
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("dataset %q was reloaded during ingest, batch dropped", req.Dataset))
-		return
-	}
 	snap := live.Snapshot()
 	ds, err := olap.NewDataset(snap, st.info.Dataset.Hierarchies()...)
 	if err != nil {

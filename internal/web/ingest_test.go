@@ -226,20 +226,22 @@ func TestStaleFlagOnMidAnswerIngest(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestQueryReload races streaming appends, queries (plain
-// and windowed), and whole-dataset reloads; run under -race. Queries must
-// always answer 200 and ingests either land or report the reload conflict.
-func TestConcurrentIngestQueryReload(t *testing.T) {
-	srv, ts := newCacheServer(t, Options{MaxConcurrent: 64})
+// TestConcurrentIngestAndQuery races streaming appends against queries,
+// plain and windowed; run under -race. Every ingest and every query must
+// answer 200, and the dataset ends at one epoch per batch with every
+// appended row.
+func TestConcurrentIngestAndQuery(t *testing.T) {
+	const ingesters, batches, batchRows = 2, 15, 20
+	_, ts := newCacheServer(t, Options{MaxConcurrent: 64})
 
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := 0; g < ingesters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 15; i++ {
-				out, code := postIngest(t, ts, "flights", datagen.FlightRows(int64(g*100+i), 20))
-				if code != http.StatusOK && code != http.StatusConflict {
+			for i := 0; i < batches; i++ {
+				out, code := postIngest(t, ts, "flights", datagen.FlightRows(int64(g*100+i), batchRows))
+				if code != http.StatusOK {
 					t.Errorf("ingest status = %d: %v", code, out)
 				}
 			}
@@ -265,21 +267,11 @@ func TestConcurrentIngestQueryReload(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3; i++ {
-			flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 3000, Seed: int64(500 + i)})
-			if err != nil {
-				t.Errorf("Flights: %v", err)
-				return
-			}
-			if err := srv.ReloadDataset("flights", flights); err != nil {
-				t.Errorf("ReloadDataset: %v", err)
-			}
-		}
-	}()
 	wg.Wait()
+	ds := getDatasets(t, ts, "flights")
+	if ds["epoch"].(float64) != ingesters*batches || ds["rows"].(float64) != 5000+ingesters*batches*batchRows {
+		t.Errorf("dataset listing = %v, want epoch %d and %d rows", ds, ingesters*batches, 5000+ingesters*batches*batchRows)
+	}
 }
 
 // streamScript is the cycle every freshness session walks while ingest

@@ -155,14 +155,16 @@ func BenchmarkCacheHit(b *testing.B) {
 // TestRacingCommandsApplyOnceInCommitOrder is the serial-equivalence
 // property of the request lifecycle. Goroutines fire random commands —
 // queries, navigation, help, nonsense — at a few shared sessions while
-// admission is tight enough to shed some and one ReloadDataset lands
+// admission is tight enough to shed some and one ingest batch lands
 // mid-run. The commit hook gives, per session, the commands in the order
 // the server published them (/api/log cannot: it lists spoken answers in
 // reply order and leaves feedback commands out). Replaying that order on a
 // fresh nlq.Session must reproduce every 200 reply — each reply carries the
 // summary of the state its command left — use every reply exactly once,
 // and end in the state the table holds. A command applied twice, in part,
-// after a refusal, or not at all breaks one of the three.
+// after a refusal, or not at all breaks one of the three. The batch bumps
+// the epoch but keeps the sessions, so commits read it in order: no
+// command commits at epoch 0 after one has committed at epoch 1.
 func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
 	srv, _ := newCacheServer(t, Options{MaxConcurrent: 1, QueueDepth: 1})
 	h := srv.Handler()
@@ -191,12 +193,8 @@ func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
 	for _, session := range sessions {
 		replies[session] = map[reply]int{}
 	}
-	reloaded, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 132})
-	if err != nil {
-		t.Fatal(err)
-	}
 	info := srv.datasets["flights"].info
-	byEpoch := []*olap.Dataset{info.Dataset, reloaded}
+	batch, _ := json.Marshal(map[string]any{"dataset": "flights", "rows": datagen.FlightRows(132, 50)})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -205,8 +203,10 @@ func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				if w == 0 && i == perWorker/2 {
-					if err := srv.ReloadDataset("flights", reloaded); err != nil {
-						t.Errorf("reload: %v", err)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/ingest", bytes.NewReader(batch)))
+					if rec.Code != http.StatusOK {
+						t.Errorf("ingest status = %d: %s", rec.Code, rec.Body)
 					}
 				}
 				session := sessions[rng.Intn(len(sessions))]
@@ -242,18 +242,21 @@ func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
 
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
+	ingested := false
 	for _, session := range sessions {
 		key := session + "\x00flights"
-		var model *nlq.Session
-		epoch := int64(-1)
+		if len(commits[key]) == 0 {
+			t.Fatalf("session %s never committed", session)
+		}
+		model, err := nlq.NewSession(info.Dataset, olap.Avg, info.MeasureCol, info.MeasureDesc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range commits[key] {
-			if c.epoch != epoch {
-				// First command, or first after the reload dropped the session.
-				if model, err = nlq.NewSession(byEpoch[c.epoch], olap.Avg, info.MeasureCol, info.MeasureDesc); err != nil {
-					t.Fatal(err)
-				}
-				epoch = c.epoch
+			if i > 0 && c.epoch < commits[key][i-1].epoch {
+				t.Errorf("session %s commit %d: epoch %d after epoch %d", session, i, c.epoch, commits[key][i-1].epoch)
 			}
+			ingested = ingested || c.epoch == 1
 			resp, err := model.Parse(c.input)
 			if err != nil {
 				t.Fatalf("session %s commit %d: %q was published but does not parse in commit order: %v", session, i, c.input, err)
@@ -269,12 +272,12 @@ func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
 				t.Errorf("session %s: %d replies %+v answer no published command", session, n, r)
 			}
 		}
-		if model == nil {
-			t.Fatalf("session %s never committed", session)
-		}
 		if got, want := srv.sessions[key].Value.(*sessionEntry).sess.Summary(), model.Summary(); got != want {
 			t.Errorf("session %s ends at\n  %q\nreplay of its commits at\n  %q", session, got, want)
 		}
+	}
+	if !ingested {
+		t.Error("no command committed after the ingest batch")
 	}
 }
 

@@ -7,17 +7,13 @@
 // semcache-normalized query, so canonical-key equality implies identical
 // planner input and therefore identical speech under the server's
 // deterministic configuration. Second, cache keys embed the dataset
-// epoch, which both ReloadDataset and every ingest batch bump before the
-// new data is visible — a stale answer can never be served, even to
-// requests already in flight.
+// epoch, which every ingest batch bumps before the new data is visible —
+// a stale answer can never be served, even to requests already in flight.
 package web
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/nlq"
@@ -27,16 +23,16 @@ import (
 )
 
 // datasetState binds a registered dataset to its cache epoch. The epoch is
-// part of every cache key, so bumping it on reload makes all earlier
+// part of every cache key, so bumping it on ingest makes all earlier
 // answers unreachable atomically.
 type datasetState struct {
 	info DatasetInfo
-	// epoch counts data changes — whole-dataset reloads and streaming
-	// ingest batches; guarded by Server.mu.
+	// epoch counts the ingest batches appended so far; guarded by
+	// Server.mu.
 	epoch int64
-	// loadedAt is when NewServerWith or ReloadDataset installed the data:
-	// the arrival stamp of the base rows once ingest makes the table live.
-	// Guarded by Server.mu.
+	// loadedAt is when NewServerWith installed the data: the arrival stamp
+	// of the base rows once ingest makes the table live. Guarded by
+	// Server.mu.
 	loadedAt time.Time
 	// live is the appendable table over the base table's rows, created
 	// lazily on the first ingest. It reads the base's column arrays until
@@ -59,9 +55,9 @@ type cachedAnswer struct {
 	origin string
 }
 
-// epochPrefix scopes cache keys to (dataset, epoch). ReloadDataset purges
-// by the dataset prefix and bumps the epoch, so entries from old data are
-// both removed and unreachable.
+// epochPrefix scopes cache keys to (dataset, epoch). Ingest bumps the
+// epoch and purges by the dataset prefix, so entries from old data are
+// both unreachable and removed.
 func epochPrefix(dataset string, epoch int64) string {
 	return dataset + "\x00" + strconv.FormatInt(epoch, 10) + "\x00"
 }
@@ -97,36 +93,6 @@ func (s *Server) answerQuery(ctx context.Context, req *request) (cachedAnswer, s
 		return ans, semcache.Miss, err
 	}
 	return s.answers.Do(ctx, answerKey(req.Dataset, req.epoch, method, nq), compute)
-}
-
-// ReloadDataset swaps name's bound data in place and bumps its cache
-// epoch: answers computed against the old data become unreachable
-// immediately (and are purged), and live sessions bound to the old dataset
-// are evicted so their next command starts fresh.
-func (s *Server) ReloadDataset(name string, d *olap.Dataset) error {
-	if d == nil {
-		return errors.New("web: reload needs a dataset")
-	}
-	s.mu.Lock()
-	st, ok := s.datasets[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("web: unknown dataset %q", name)
-	}
-	st.info.Dataset = d
-	st.live = nil
-	st.loadedAt = s.now()
-	st.epoch++
-	for key, el := range s.sessions {
-		if strings.HasSuffix(key, "\x00"+name) {
-			s.dropSession(el)
-		}
-	}
-	s.mu.Unlock()
-	if s.answers != nil {
-		s.answers.PurgePrefix(name + "\x00")
-	}
-	return nil
 }
 
 // Close does nothing: the server starts no goroutine of its own. It stays

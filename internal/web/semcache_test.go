@@ -167,9 +167,9 @@ func TestPriorAnswersCachedSeparately(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidationNeverServesStale: reloading a dataset bumps its
-// epoch, so answers computed against the old data are never replayed —
-// the repeated query recomputes against the new rows.
+// TestEpochInvalidationNeverServesStale: an ingest batch bumps the
+// dataset's epoch, so answers computed against the old rows are never
+// replayed — the repeated query recomputes against the new rows.
 func TestEpochInvalidationNeverServesStale(t *testing.T) {
 	srv, ts := newCacheServer(t, Options{})
 	ask := func(session string) map[string]any {
@@ -182,37 +182,26 @@ func TestEpochInvalidationNeverServesStale(t *testing.T) {
 		}
 		return out
 	}
-	before := ask("e1")
+	ask("e1")
 	if hit := ask("e2"); hit["servedBy"] != "cache" {
-		t.Fatalf("pre-reload rephrase not served from cache: %v", hit["servedBy"])
+		t.Fatalf("pre-ingest rephrase not served from cache: %v", hit["servedBy"])
 	}
 
-	// Reload with different data: different seed, different rows.
-	reloaded, err := datagen.Flights(datagen.FlightsConfig{Rows: 4000, Seed: 999})
-	if err != nil {
-		t.Fatalf("Flights: %v", err)
-	}
-	if err := srv.ReloadDataset("flights", reloaded); err != nil {
-		t.Fatalf("ReloadDataset: %v", err)
+	if ack, code := postIngest(t, ts, "flights", datagen.FlightRows(999, 500)); code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %v", code, ack)
 	}
 
 	after := ask("e3")
 	if after["servedBy"] == "cache" || after["cache"] != nil {
-		t.Fatalf("post-reload query served from cache: servedBy=%v cache=%v",
+		t.Fatalf("post-ingest query served from cache: servedBy=%v cache=%v",
 			after["servedBy"], after["cache"])
 	}
-	if after["speech"] == before["speech"] {
-		t.Error("post-reload speech identical to pre-reload speech; stale answer suspected")
+	if after["dataEpoch"] != 1.0 {
+		t.Errorf("post-ingest answer at epoch %v, want 1", after["dataEpoch"])
 	}
 	st := srv.servingStats()
 	if st.SemCache == nil || st.SemCache.Answers.Purged == 0 {
-		t.Error("reload purged nothing from the answer cache")
-	}
-	if err := srv.ReloadDataset("nope", reloaded); err == nil {
-		t.Error("reloading an unknown dataset should fail")
-	}
-	if err := srv.ReloadDataset("flights", nil); err == nil {
-		t.Error("reloading with a nil dataset should fail")
+		t.Error("ingest purged nothing from the answer cache")
 	}
 }
 

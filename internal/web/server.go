@@ -321,8 +321,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		Name    string `json:"name"`
 		Rows    int    `json:"rows"`
 		Measure string `json:"measure"`
-		// Epoch counts data changes (reloads and ingest batches); Live
-		// marks datasets that have accepted streaming appends.
+		// Epoch counts the ingest batches; Live marks datasets that have
+		// accepted streaming appends.
 		Epoch int64 `json:"epoch"`
 		Live  bool  `json:"live,omitempty"`
 	}
@@ -658,13 +658,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *request) *ad
 // commit is the commit stage, the only place a command becomes visible:
 // under s.mu, if the table still holds the session the command was staged
 // on, the staged clone replaces it. Otherwise another command on this
-// session committed first, or a reload or an eviction dropped the session
-// and the table now holds a fresh one — either way the command is staged
-// again on what the table holds now, inside the same lock hold, so racing
-// commands apply one after the other and the query that is planned is
-// always the one that was committed. Epoch and dataset info are read in
-// that hold too: reload and ingest swap them under s.mu, and reading them
-// later could pair an old epoch with new data.
+// session committed first, or an eviction dropped the session and the
+// table now holds a fresh one — either way the command is staged again on
+// what the table holds now, inside the same lock hold, so racing commands
+// apply one after the other and the query that is planned is always the
+// one that was committed. Epoch and dataset info are read in that hold
+// too: ingest swaps them under s.mu, and reading them later could pair an
+// old epoch with new data.
 //
 // With restage false (the cache-hit path, which must not commit anything
 // but the query its key was computed from) a moved session or epoch
