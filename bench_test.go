@@ -11,6 +11,7 @@ package repro_bench
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -525,8 +526,11 @@ func coldQueries() [][]string {
 // 5.3 M flights with the daemon's planner configuration, one after another
 // as the benchmark's warm-up does to fill the answer cache, and reports ms
 // per set: the planning share of that workload's setup_s without the boot,
-// the HTTP round trips or the other processes of a whole run. Compare
-// commits at -cpu 1 and -cpu 2, alternating the binaries.
+// the HTTP round trips or the other processes of a whole run. On Linux it
+// also reports planner-cpu-ms/set, the CPU of the goroutine that plans (it
+// is locked to its OS thread; the row workers run elsewhere), which spreads
+// far less than the wall time on a shared machine. Compare commits at
+// -cpu 1 and -cpu 2, alternating the binaries.
 func BenchmarkColdAnswers(b *testing.B) {
 	d, err := datagen.Flights(datagen.FlightsConfig{Rows: coldRows, Seed: 1})
 	if err != nil {
@@ -545,7 +549,10 @@ func BenchmarkColdAnswers(b *testing.B) {
 		}
 		queries = append(queries, semcache.Normalize(sess.Query()))
 	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	b.ResetTimer()
+	start, perThread := threadCPU()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
 			cfg := core.DaemonConfig(1)
@@ -556,4 +563,7 @@ func BenchmarkColdAnswers(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/set")
+	if end, ok := threadCPU(); perThread && ok {
+		b.ReportMetric(float64((end-start).Microseconds())/1e3/float64(b.N), "planner-cpu-ms/set")
+	}
 }

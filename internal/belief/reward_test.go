@@ -65,7 +65,7 @@ func TestRewardKernelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRewardKernelBucketStepOverride checks the kernel snapshots an
+// TestRewardKernelBucketStepOverride checks the kernel scores under an
 // explicit BucketStep the same way Model.bucket reads it.
 func TestRewardKernelBucketStepOverride(t *testing.T) {
 	e := newEnv(t)

@@ -255,6 +255,28 @@ func TestOptimalMatchesScalarSearch(t *testing.T) {
 	}
 }
 
+// TestTightMaxCharsKeepsEveryOutputValid checks that under a character
+// limit below the shortest baseline no vocalizer speaks an invalid speech:
+// Holistic's tree admits no baseline at its root, and Optimal must not
+// score one either.
+func TestTightMaxCharsKeepsEveryOutputValid(t *testing.T) {
+	d, q := flightsQuery(t, 20000, 1)
+	for _, maxChars := range []int{20, 30, 40} {
+		cfg := testConfig(1)
+		cfg.Prefs = speech.Prefs{MaxChars: maxChars, MaxFragments: 2, SigDigits: 1}
+		for _, v := range []Vocalizer{NewOptimal(d, q, cfg), NewHolistic(d, q, cfg)} {
+			out, err := v.Vocalize()
+			if err != nil {
+				t.Fatalf("%s at %d chars: %v", v.Name(), maxChars, err)
+			}
+			if !out.Speech.Valid(cfg.Prefs) {
+				t.Errorf("%s at %d chars speaks an invalid speech: %q (%d chars)",
+					v.Name(), maxChars, out.Speech.MainText(), out.Speech.MainLen())
+			}
+		}
+	}
+}
+
 func TestHolisticQualityNearOptimal(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 55)
 	cfg := testConfig(4)

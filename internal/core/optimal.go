@@ -80,11 +80,12 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 	}, ctx, o.dataset), nil
 }
 
-// searchBest exhaustively enumerates every valid speech (all baselines,
-// all refinement chains up to the limits — including shorter prefixes,
-// since an extra refinement can hurt quality) and returns the maximizer of
-// exact quality. Cancellation is checked every few hundred scored speeches
-// and cuts the enumeration short, returning the best so far.
+// searchBest exhaustively enumerates every valid speech (all baselines
+// that fit the preferences, all refinement chains up to the limits —
+// including shorter prefixes, since an extra refinement can hurt quality)
+// and returns the maximizer of exact quality. Cancellation is checked every
+// few hundred scored speeches and cuts the enumeration short, returning the
+// best so far.
 //
 // Scoring goes through belief.Scorer's incremental apply/undo API: the DFS
 // pushes each candidate refinement as one bitset sweep off its parent's
@@ -132,6 +133,9 @@ func (o *Optimal) searchBest(ctx context.Context, s *session, result *olap.Resul
 			break
 		}
 		sp := &speech.Speech{Preamble: preamble, Baseline: b}
+		if !sp.Valid(s.cfg.Prefs) {
+			continue
+		}
 		sc.Reset(sp)
 		extend(sp)
 	}

@@ -299,6 +299,6 @@ func TestTreeCountMatchesEnumeration(t *testing.T) {
 
 // overLimit applies the character constraint the tree applies.
 func overLimit(e *env, mainLen int) bool {
-	max := e.gen.Prefs.MaxCharsEffective()
+	max := e.gen.Prefs.MaxChars
 	return max > 0 && mainLen > max
 }

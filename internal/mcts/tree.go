@@ -405,7 +405,7 @@ func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 		MaxNodes:  maxNodes,
 		menu:      gen.Refinements(nil),
 		baselines: gen.BaselineCandidates(speech.SpeechScale(scale)),
-		maxChars:  gen.Prefs.MaxCharsEffective(),
+		maxChars:  gen.Prefs.MaxChars,
 		maxDepth:  math.MaxUint16,
 		nodeCount: 1,
 		nextNode:  1,

@@ -147,8 +147,8 @@ func (c *Cache) TotalRows() int64 { return c.totalRows }
 // AbsorbAppend incrementally extends the cache to a newer snapshot of the
 // same streaming table: next must be the same query's space over a
 // snapshot that appended rows past the cache's current row bound. Only the
-// delta rows [TotalRows, next.NumRows) are classified and accumulated —
-// a new batch is a delta, not a rebuild — and they are read exhaustively,
+// delta rows [TotalRows, next.NumRows) go through InsertBatch — a new
+// batch is a delta, not a rebuild — and they are read exhaustively,
 // so when the base cache also read every row (background sample views,
 // sequential full scans) the absorbed cache is bit-identical to one
 // rebuilt from scratch over the new snapshot. When the base cache only
@@ -182,30 +182,29 @@ func (c *Cache) AbsorbAppend(next *olap.Space) error {
 		}
 		measureVals = m.Values()
 	}
-	lo, hi := int(c.totalRows), int(newTotal)
-	if n := hi - lo; n > 0 {
-		if cap(c.scratch) < n {
-			c.scratch = make([]int32, n)
-		}
-		idxs := c.scratch[:n]
-		next.ClassifyRange(lo, hi, idxs)
-		c.nrRead += int64(n)
-		for i, idx := range idxs {
-			if idx < 0 {
-				continue
-			}
-			v := 1.0
-			if measureVals != nil {
-				v = measureVals[lo+i]
-			}
-			c.add(int(idx), v)
-		}
-	}
+	lo := int(c.totalRows)
 	c.space = next
 	c.measureVals = measureVals
 	c.totalRows = newTotal
+	c.insertRange(lo, int(newTotal))
 	return nil
 }
+
+// insertRange inserts the rows [lo, hi) in row order through InsertBatch,
+// rangeChunk rows at a time.
+func (c *Cache) insertRange(lo, hi int) {
+	rows := make([]int, 0, min(hi-lo, rangeChunk))
+	for ; lo < hi; lo += len(rows) {
+		rows = rows[:min(hi-lo, rangeChunk)]
+		for i := range rows {
+			rows[i] = lo + i
+		}
+		c.InsertBatch(rows)
+	}
+}
+
+// rangeChunk is insertRange's batch size.
+const rangeChunk = 4096
 
 // InsertBatch considers a batch of rows for caching: classify, then fold,
 // both on the caller. Rows outside the query scope are counted in NrRead but
@@ -296,23 +295,6 @@ func (k *classifier) touch(rows []int) {
 		for _, r := range k.lines {
 			k.sink += k.measureVals[r]
 		}
-	}
-}
-
-// add counts one in-scope row and folds its measure into aggregate idx's
-// moments and the grand moments (and, in resample mode, keeps it). Every
-// writer makes these updates in row order, which is what keeps the
-// estimates of all insert paths bit-identical.
-func (c *Cache) add(idx int, v float64) {
-	c.inScope++
-	acc := &c.accs[idx]
-	if acc.Count() == 0 {
-		c.nonEmpty = append(c.nonEmpty, idx)
-	}
-	acc.Add(v)
-	c.grand.Add(v)
-	if c.values != nil {
-		c.values[idx] = append(c.values[idx], v)
 	}
 }
 

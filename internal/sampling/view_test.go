@@ -21,22 +21,19 @@ func TestBuildViewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildView: %v", err)
 	}
-	if v.ReservoirSize != DefaultReservoirSize {
-		t.Errorf("reservoir size = %d", v.ReservoirSize)
-	}
-	if v.Space() != s {
-		t.Error("Space accessor wrong")
+	if v.cache.space != s {
+		t.Error("view cache built over another space")
 	}
 }
 
+// TestViewExactCounts checks that a view's cache read every row once: its
+// per-aggregate counts are the exact evaluation's.
 func TestViewExactCounts(t *testing.T) {
 	s := flightsSpace(t, olap.Avg)
-	rng := rand.New(rand.NewSource(2))
-	v, err := BuildView(s, 16, rng)
+	v, err := BuildView(s, 16, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatalf("BuildView: %v", err)
 	}
-	// Counts are exact: compare against the exact evaluation.
 	countQ := s.Query()
 	countQ.Fct = olap.Count
 	countQ.Col = ""
@@ -48,123 +45,44 @@ func TestViewExactCounts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
+	if got, want := v.cache.NrRead(), int64(s.Dataset().Table().NumRows()); got != want {
+		t.Errorf("view read %d rows, table has %d", got, want)
+	}
 	for a := 0; a < s.Size(); a++ {
-		if got, want := v.Count(a), int64(exact.Value(a)); got != want {
+		if got, want := v.cache.accs[a].Count(), int64(exact.Value(a)); got != want {
 			t.Errorf("aggregate %d count = %d, want %d", a, got, want)
 		}
 	}
 }
 
-func TestViewReservoirBounds(t *testing.T) {
-	s := flightsSpace(t, olap.Avg)
-	rng := rand.New(rand.NewSource(3))
-	const reservoir = 8
-	v, err := BuildView(s, reservoir, rng)
-	if err != nil {
-		t.Fatalf("BuildView: %v", err)
-	}
-	for a := 0; a < s.Size(); a++ {
-		size := v.SampleSize(a)
-		if size > reservoir {
-			t.Errorf("aggregate %d reservoir = %d > %d", a, size, reservoir)
-		}
-		if v.Count(a) > 0 && size == 0 {
-			t.Errorf("aggregate %d has rows but empty reservoir", a)
-		}
-		if v.Count(a) < int64(reservoir) && int64(size) != v.Count(a) {
-			t.Errorf("aggregate %d: small stratum should be fully sampled (%d of %d)",
-				a, size, v.Count(a))
-		}
-	}
-	if v.NonEmpty() == 0 {
-		t.Error("view should have non-empty aggregates")
-	}
-}
-
+// TestViewEstimatesApproachExact checks that a view, having read every row,
+// estimates every aggregate and the grand value of count, sum and average
+// queries as the exact evaluation does, up to rounding.
 func TestViewEstimatesApproachExact(t *testing.T) {
-	s := flightsSpace(t, olap.Avg)
-	exact, _ := olap.EvaluateSpace(s)
-	rng := rand.New(rand.NewSource(4))
-	v, err := BuildView(s, 512, rng)
-	if err != nil {
-		t.Fatalf("BuildView: %v", err)
-	}
-	for a := 0; a < s.Size(); a++ {
-		want := exact.Value(a)
-		if math.IsNaN(want) {
-			if _, ok := v.Estimate(a, rng); ok {
-				t.Errorf("empty aggregate %d should have no average estimate", a)
-			}
-			continue
-		}
-		got, ok := v.Estimate(a, rng)
-		if !ok {
-			t.Fatalf("estimate for aggregate %d unavailable", a)
-		}
-		// Reservoirs of several hundred 0/1 values: loose tolerance.
-		if math.Abs(got-want) > 0.05 {
-			t.Errorf("aggregate %s: view %v, exact %v", s.AggregateName(a), got, want)
-		}
-	}
-	grand, ok := v.GrandEstimate()
-	if !ok {
-		t.Fatal("grand estimate unavailable")
-	}
-	if math.Abs(grand-exact.GrandValue()) > 0.01 {
-		t.Errorf("grand view %v, exact %v", grand, exact.GrandValue())
-	}
-}
-
-func TestViewCountAndSumModes(t *testing.T) {
-	for _, fct := range []olap.AggFunc{olap.Count, olap.Sum} {
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
+	for _, fct := range []olap.AggFunc{olap.Avg, olap.Count, olap.Sum} {
 		s := flightsSpace(t, fct)
 		exact, _ := olap.EvaluateSpace(s)
-		rng := rand.New(rand.NewSource(5))
-		v, err := BuildView(s, 256, rng)
+		rng := rand.New(rand.NewSource(4))
+		v, err := BuildView(s, 512, rng)
 		if err != nil {
 			t.Fatalf("%v: BuildView: %v", fct, err)
 		}
 		for a := 0; a < s.Size(); a++ {
-			got, ok := v.Estimate(a, rng)
-			if !ok {
-				t.Fatalf("%v: estimate unavailable for %d", fct, a)
-			}
 			want := exact.Value(a)
-			// Counts are exact. Sums of a rare 0/1 measure carry reservoir
-			// noise of roughly count·sqrt(p/R) — a handful of cancellations
-			// per cell — so the check is statistical.
-			tol := math.Abs(want)*0.5 + 15
-			if fct == olap.Count {
-				tol = 0
+			got, ok := v.cache.Estimate(a, rng)
+			if math.IsNaN(want) {
+				if ok {
+					t.Errorf("%v: empty aggregate %d should have no average estimate", fct, a)
+				}
+				continue
 			}
-			if math.Abs(got-want) > tol {
-				t.Errorf("%v aggregate %d: view %v, exact %v", fct, a, got, want)
+			if !ok || !near(got, want) {
+				t.Errorf("%v aggregate %s: view %v (ok %v), exact %v", fct, s.AggregateName(a), got, ok, want)
 			}
 		}
-		g, ok := v.GrandEstimate()
-		if !ok {
-			t.Fatalf("%v: grand unavailable", fct)
-		}
-		want := exact.GrandValue()
-		// 0/1 measures give reservoir means ~50% relative noise per cell;
-		// the weighted grand sum is within ~2 sigma of exact at 20%.
-		if math.Abs(g-want) > math.Abs(want)*0.2+1e-9 {
-			t.Errorf("%v grand: view %v, exact %v", fct, g, want)
-		}
-	}
-}
-
-func TestViewPickAggregate(t *testing.T) {
-	s := flightsSpace(t, olap.Avg)
-	rng := rand.New(rand.NewSource(6))
-	v, _ := BuildView(s, 8, rng)
-	for i := 0; i < 100; i++ {
-		a, ok := v.PickAggregate(rng)
-		if !ok {
-			t.Fatal("pick should succeed on a populated view")
-		}
-		if v.SampleSize(a) == 0 {
-			t.Fatal("average pick must have reservoir data")
+		if grand, ok := v.cache.GrandEstimate(); !ok || !near(grand, exact.GrandValue()) {
+			t.Errorf("%v grand: view %v (ok %v), exact %v", fct, grand, ok, exact.GrandValue())
 		}
 	}
 }

@@ -343,31 +343,6 @@ type Prefs struct {
 	MaxFragments int
 	// SigDigits is the precision of spoken values (paper: 1).
 	SigDigits int
-	// MaxSeconds bounds the main speech's playback time at CharsPerSecond
-	// — the paper's alternative formulation of the length constraint.
-	// Zero disables the time bound.
-	MaxSeconds float64
-	// CharsPerSecond converts text length to speaking time for
-	// MaxSeconds; zero selects 15 (conversational TTS speed).
-	CharsPerSecond float64
-}
-
-// MaxCharsEffective folds the time bound into a character bound: the
-// tighter of MaxChars and MaxSeconds·CharsPerSecond (either may be
-// disabled by zero).
-func (p Prefs) MaxCharsEffective() int {
-	chars := p.MaxChars
-	if p.MaxSeconds > 0 {
-		rate := p.CharsPerSecond
-		if rate <= 0 {
-			rate = 15
-		}
-		timeChars := int(p.MaxSeconds * rate)
-		if chars == 0 || timeChars < chars {
-			chars = timeChars
-		}
-	}
-	return chars
 }
 
 // DefaultPrefs mirrors the paper's experimental configuration.
@@ -396,7 +371,7 @@ func (s *Speech) MainLen() int {
 // contains no duplicate refinement scopes (a repeated scope would either
 // contradict or restate an earlier sentence).
 func (s *Speech) Valid(p Prefs) bool {
-	if max := p.MaxCharsEffective(); max > 0 && s.MainLen() > max {
+	if p.MaxChars > 0 && s.MainLen() > p.MaxChars {
 		return false
 	}
 	if p.MaxFragments > 0 && len(s.Refinements) > p.MaxFragments {

@@ -6,25 +6,8 @@ import (
 	"repro/internal/dimension"
 )
 
-func TestMaxCharsEffective(t *testing.T) {
-	cases := []struct {
-		prefs Prefs
-		want  int
-	}{
-		{Prefs{MaxChars: 300}, 300},
-		{Prefs{MaxChars: 300, MaxSeconds: 10, CharsPerSecond: 15}, 150},
-		{Prefs{MaxChars: 100, MaxSeconds: 20, CharsPerSecond: 15}, 100},
-		{Prefs{MaxSeconds: 4, CharsPerSecond: 25}, 100},
-		{Prefs{MaxSeconds: 2}, 30}, // default 15 cps
-		{Prefs{}, 0},
-	}
-	for _, c := range cases {
-		if got := c.prefs.MaxCharsEffective(); got != c.want {
-			t.Errorf("MaxCharsEffective(%+v) = %d, want %d", c.prefs, got, c.want)
-		}
-	}
-}
-
+// TestTimeConstraintShortensSpeeches checks the paper's length bound, a
+// playback time at 15 characters a second, stated in characters.
 func TestTimeConstraintShortensSpeeches(t *testing.T) {
 	airport, date := testDims(t)
 	ne := airport.FindMember("the North East")
@@ -36,11 +19,11 @@ func TestTimeConstraintShortensSpeeches(t *testing.T) {
 			{Preds: []*dimension.Member{winter}, Dir: Increase, Percent: 100},
 		},
 	}
-	loose := Prefs{MaxSeconds: 60, CharsPerSecond: 15, MaxFragments: 5}
+	loose := Prefs{MaxChars: 60 * 15, MaxFragments: 5}
 	if !sp.Valid(loose) {
-		t.Error("60 seconds should admit the speech")
+		t.Error("60 seconds (900 chars) should admit the speech")
 	}
-	tight := Prefs{MaxSeconds: 5, CharsPerSecond: 15, MaxFragments: 5}
+	tight := Prefs{MaxChars: 5 * 15, MaxFragments: 5}
 	if sp.Valid(tight) {
 		t.Errorf("5 seconds (75 chars) should reject a %d-char speech", sp.MainLen())
 	}

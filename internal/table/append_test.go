@@ -70,7 +70,7 @@ func TestAppendBatchSnapshotIsolation(t *testing.T) {
 	if got := sc.StringAt(5); got != "c" {
 		t.Fatalf("appended row decoded as %q", got)
 	}
-	if got := fresh.Column("m").Float(4); got != 10 {
+	if got := fresh.Column("m").(*Float64Column).Float(4); got != 10 {
 		t.Fatalf("appended measure = %g", got)
 	}
 	// Base table never sees the append.
@@ -105,7 +105,7 @@ func TestAppendableCopyWritesNothingShared(t *testing.T) {
 	rows := func(tab *Table) []string {
 		out := make([]string, tab.NumRows())
 		for i := range out {
-			out[i] = fmt.Sprintf("%s %x %d", tab.Column("dim").StringAt(i), math.Float64bits(tab.Column("m").Float(i)), tab.Column("k").(*Int64Column).values[i])
+			out[i] = fmt.Sprintf("%s %x %d", tab.Column("dim").StringAt(i), math.Float64bits(tab.Column("m").(*Float64Column).Float(i)), tab.Column("k").(*Int64Column).values[i])
 		}
 		return out
 	}

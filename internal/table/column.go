@@ -44,8 +44,6 @@ type Column interface {
 	Type() ColumnType
 	// Len returns the number of stored values.
 	Len() int
-	// Float returns the value at row i coerced to float64.
-	Float(i int) float64
 	// StringAt returns the value at row i rendered as a string.
 	StringAt(i int) string
 	// appendParsed parses raw and appends it (CSV ingestion).
@@ -125,9 +123,6 @@ func (c *Int64Column) Type() ColumnType { return Int64Type }
 // Len returns the number of values.
 func (c *Int64Column) Len() int { return len(c.values) }
 
-// Float returns the value at row i as float64.
-func (c *Int64Column) Float(i int) float64 { return float64(c.values[i]) }
-
 // StringAt formats the value at row i.
 func (c *Int64Column) StringAt(i int) string {
 	return strconv.FormatInt(c.values[i], 10)
@@ -190,10 +185,6 @@ func (c *StringColumn) Type() ColumnType { return StringType }
 
 // Len returns the number of values.
 func (c *StringColumn) Len() int { return len(c.codes) }
-
-// Float returns the dictionary code at row i as a float64. Using codes as
-// numeric values is rarely meaningful; it exists to satisfy Column.
-func (c *StringColumn) Float(i int) float64 { return float64(c.codes[i]) }
 
 // StringAt returns the decoded string at row i.
 func (c *StringColumn) StringAt(i int) string { return c.dict[c.codes[i]] }

@@ -58,9 +58,9 @@ func dateSortedFlights(tb testing.TB, rows int) *olap.Dataset {
 		}
 		cols = append(cols, sorted)
 	}
-	cancelled := make([]float64, rows)
+	cancelled, from := make([]float64, rows), src.Column("cancelled").(*table.Float64Column).Values()
 	for i, p := range perm {
-		cancelled[i] = src.Column("cancelled").Float(p)
+		cancelled[i] = from[p]
 	}
 	cols = append(cols, table.NewFloat64ColumnFromValues("cancelled", cancelled))
 	sortedTable, err := table.New("flights by date", cols...)

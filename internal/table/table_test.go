@@ -118,7 +118,7 @@ func TestStringColumnDictEncoding(t *testing.T) {
 func TestInt64Column(t *testing.T) {
 	c := NewInt64Column("n")
 	c.Append(42)
-	if c.Float(0) != 42 || c.StringAt(0) != "42" {
+	if c.values[0] != 42 || c.StringAt(0) != "42" {
 		t.Error("int column accessors misbehave")
 	}
 	if c.Type() != Int64Type {
