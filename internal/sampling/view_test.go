@@ -55,34 +55,51 @@ func TestViewExactCounts(t *testing.T) {
 	}
 }
 
-// TestViewEstimatesApproachExact checks that a view, having read every row,
-// estimates every aggregate and the grand value of count, sum and average
-// queries as the exact evaluation does, up to rounding.
+// near reports whether got equals want up to rounding.
+func near(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
+}
+
+// checkViewMatchesExact builds a view over a space of fct and checks that it
+// estimates every aggregate and the grand value as the exact evaluation does,
+// up to rounding: the view has read every row.
+func checkViewMatchesExact(t *testing.T, fct olap.AggFunc, seed int64) {
+	t.Helper()
+	s := flightsSpace(t, fct)
+	exact, _ := olap.EvaluateSpace(s)
+	rng := rand.New(rand.NewSource(seed))
+	v, err := BuildView(s, 512, rng)
+	if err != nil {
+		t.Fatalf("%v: BuildView: %v", fct, err)
+	}
+	for a := 0; a < s.Size(); a++ {
+		want := exact.Value(a)
+		got, ok := v.cache.Estimate(a, rng)
+		if math.IsNaN(want) {
+			if ok {
+				t.Errorf("%v: empty aggregate %d should have no average estimate", fct, a)
+			}
+			continue
+		}
+		if !ok || !near(got, want) {
+			t.Errorf("%v aggregate %s: view %v (ok %v), exact %v", fct, s.AggregateName(a), got, ok, want)
+		}
+	}
+	if grand, ok := v.cache.GrandEstimate(); !ok || !near(grand, exact.GrandValue()) {
+		t.Errorf("%v grand: view %v (ok %v), exact %v", fct, grand, ok, exact.GrandValue())
+	}
+}
+
+// TestViewEstimatesApproachExact checks that a view of an average query
+// estimates every aggregate and the grand value as the exact evaluation does.
 func TestViewEstimatesApproachExact(t *testing.T) {
-	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
-	for _, fct := range []olap.AggFunc{olap.Avg, olap.Count, olap.Sum} {
-		s := flightsSpace(t, fct)
-		exact, _ := olap.EvaluateSpace(s)
-		rng := rand.New(rand.NewSource(4))
-		v, err := BuildView(s, 512, rng)
-		if err != nil {
-			t.Fatalf("%v: BuildView: %v", fct, err)
-		}
-		for a := 0; a < s.Size(); a++ {
-			want := exact.Value(a)
-			got, ok := v.cache.Estimate(a, rng)
-			if math.IsNaN(want) {
-				if ok {
-					t.Errorf("%v: empty aggregate %d should have no average estimate", fct, a)
-				}
-				continue
-			}
-			if !ok || !near(got, want) {
-				t.Errorf("%v aggregate %s: view %v (ok %v), exact %v", fct, s.AggregateName(a), got, ok, want)
-			}
-		}
-		if grand, ok := v.cache.GrandEstimate(); !ok || !near(grand, exact.GrandValue()) {
-			t.Errorf("%v grand: view %v (ok %v), exact %v", fct, grand, ok, exact.GrandValue())
-		}
+	checkViewMatchesExact(t, olap.Avg, 4)
+}
+
+// TestViewCountAndSumModes checks the same of count and sum queries: a
+// full-scan view scales no sample, so its counts and sums are exact.
+func TestViewCountAndSumModes(t *testing.T) {
+	for _, fct := range []olap.AggFunc{olap.Count, olap.Sum} {
+		checkViewMatchesExact(t, fct, 5)
 	}
 }
