@@ -2,6 +2,7 @@ package repro_bench
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -12,11 +13,13 @@ import (
 	"io/fs"
 	"os"
 	"os/exec"
-	"path/filepath"
+	pathpkg "path"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // exportUsers are the trees whose non-test files count as users of a name
@@ -24,30 +27,42 @@ import (
 // too, so what only it uses is used.
 var exportUsers = []string{"internal", "cmd", "examples", "benchmark"}
 
-// unusedAllowlist lists the declarations under internal/ that no non-test
-// file uses, one a line with the reason it stays.
-const unusedAllowlist = "testdata/unused_exports.txt"
+// The allowlists: the declarations under internal/ that no non-test file
+// uses, and the struct fields declared there that no non-test file reads,
+// one a line with the reason it stays.
+const (
+	unusedAllowlist = "testdata/unused_exports.txt"
+	unreadAllowlist = "testdata/unread_fields.txt"
+)
 
-// parseTrees parses every non-test Go file under the user trees and returns
-// them by the import path of their package.
-func parseTrees(fset *token.FileSet) (map[string][]*ast.File, error) {
+// parseTrees parses every non-test Go file under the user trees of fsys and
+// returns them by the import path of their package. A tree fsys lacks is
+// skipped.
+func parseTrees(fset *token.FileSet, fsys fs.FS) (map[string][]*ast.File, error) {
 	pkgs := map[string][]*ast.File{}
 	for _, root := range exportUsers {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if _, err := fs.Stat(fsys, root); errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		err := fs.WalkDir(fsys, root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
 			if d.IsDir() && d.Name() == "testdata" {
-				return filepath.SkipDir
+				return fs.SkipDir
 			}
 			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			src, err := fs.ReadFile(fsys, path)
 			if err != nil {
 				return err
 			}
-			imp := "repro/" + filepath.ToSlash(filepath.Dir(path))
+			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			imp := "repro/" + pathpkg.Dir(path)
 			pkgs[imp] = append(pkgs[imp], f)
 			return nil
 		})
@@ -166,11 +181,18 @@ type handover struct {
 	in types.Object // as in use
 }
 
+// field is one struct field the ratchet holds to being read.
+type field struct {
+	name  string        // pkg.Type.field; a struct nested in a declaration adds the names between
+	owner *types.Struct // the struct that declares it
+}
+
 // unusedDecls type-checks pkgs, every package once in import order, and
 // returns, sorted, the declarations under repro/internal/ that nothing in
 // pkgs uses: exported top-level names, and functions and methods whether
-// exported or not. A reference counts only where it sits outside every such
-// declaration, or inside one that is itself used, so a chain of
+// exported or not; and the named fields of the structs declared there that
+// nothing in pkgs reads. A reference counts only where it sits outside every
+// such declaration, or inside one that is itself used, so a chain of
 // declarations that call only each other is reported whole; the scan
 // repeats until no new declaration becomes used. A top-level name is used
 // where an identifier resolves to it, except in a method's receiver: a
@@ -179,15 +201,20 @@ type handover struct {
 // instantiated type), or where a method of that name is called through an
 // interface its receiver type implements. The standard library is not
 // scanned, so a String or Error method also counts as used where a value
-// of its type can reach an interface parameter, as fmt's arguments do.
-func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, error) {
+// of its type can reach an interface parameter, as fmt's arguments do, and
+// so does an exported field of such a value. A field is read where a
+// selector resolves to it other than as the left side of an assignment or
+// the operand of ++ or --: x.n += 1 only feeds x.n, and a composite-literal
+// key only writes it. A field with a json tag, and every field of a struct
+// compared as a map key, counts as read; an embedded field is not tracked.
+func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) (unused, unread []string, err error) {
 	order, err := importOrder(pkgs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	std, err := stdImporter(fset, pkgs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
@@ -201,6 +228,8 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 	})
 
 	decls := map[types.Object]decl{}
+	fields := map[types.Object]field{}
+	keyed := map[*types.Struct]bool{} // the structs compared as map keys
 	var methods []*types.Func
 	var uses []use
 	var calls []ifaceCall
@@ -215,7 +244,7 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(path, fset, pkgs[path], info)
 		if err != nil {
-			return nil, fmt.Errorf("type-check %s: %w", path, err)
+			return nil, nil, fmt.Errorf("type-check %s: %w", path, err)
 		}
 		checked[path] = pkg
 
@@ -268,6 +297,16 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 				}
 			}
 		}
+		if strings.HasPrefix(path, "repro/internal/") {
+			for _, f := range pkgs[path] {
+				trackFields(info, pkg.Name(), f, fields)
+			}
+		}
+		for _, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				markKeyed(m.Key(), keyed)
+			}
+		}
 		sort.Slice(spans, func(i, j int) bool { return decls[spans[i]].span[0] < decls[spans[j]].span[0] })
 		// enclosing is the declaration of this package that pos sits in,
 		// or nil: tracked declarations are top-level, so they never nest.
@@ -279,11 +318,23 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 			return nil
 		}
 
+		written := map[*ast.SelectorExpr]bool{} // the selectors assigned to or stepped
 		for _, f := range pkgs[path] {
 			ast.Inspect(f, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					for _, t := range handedOver(info, call) {
-						handovers = append(handovers, handover{t, enclosing(call.Pos())})
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					for _, t := range handedOver(info, n) {
+						handovers = append(handovers, handover{t, enclosing(n.Pos())})
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						written[sel] = true
 					}
 				}
 				return true
@@ -301,11 +352,14 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 			}
 		}
 		for sel, s := range info.Selections {
-			fn, ok := s.Obj().(*types.Func)
-			if !ok {
-				continue // a field
-			}
 			in := enclosing(sel.Sel.Pos())
+			if v, ok := s.Obj().(*types.Var); ok {
+				if _, ok := fields[v.Origin()]; ok && !written[sel] {
+					uses = append(uses, use{v.Origin(), in})
+				}
+				continue
+			}
+			fn := s.Obj().(*types.Func)
 			recv := fn.Type().(*types.Signature).Recv().Type()
 			if iface, ok := recv.Underlying().(*types.Interface); ok {
 				calls = append(calls, ifaceCall{iface, fn.Name(), in})
@@ -321,6 +375,11 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 	// a previous pass found used, and drops them; a pass that finds nothing
 	// new ends the scan.
 	used := map[types.Object]bool{}
+	for v, f := range fields {
+		if keyed[f.owner] {
+			used[v] = true
+		}
+	}
 	formatted := map[types.Type]bool{}
 	live := func(in types.Object) bool { return in == nil || used[in] }
 	for changed := true; changed; {
@@ -359,16 +418,97 @@ func unusedDecls(fset *token.FileSet, pkgs map[string][]*ast.File) ([]string, er
 				mark(m)
 			}
 		}
+		for v, f := range fields {
+			if v.Exported() && formatted[f.owner] {
+				mark(v)
+			}
+		}
 	}
 
-	var unused []string
 	for obj, d := range decls {
 		if !used[obj] {
 			unused = append(unused, d.name)
 		}
 	}
+	for v, f := range fields {
+		if !used[v] {
+			unread = append(unread, f.name)
+		}
+	}
 	sort.Strings(unused)
-	return unused, nil
+	sort.Strings(unread)
+	return unused, unread, nil
+}
+
+// trackFields adds to fields every named field of the structs f declares,
+// but for those with a json tag, which encoding/json reads. A field is named
+// by the package, the declarations its struct sits in and itself: a.T.n, or
+// a.T.inner.n for a struct nested in T's field inner.
+func trackFields(info *types.Info, pkg string, f *ast.File, fields map[types.Object]field) {
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		name := pkg
+		for _, outer := range stack {
+			switch o := outer.(type) {
+			case *ast.FuncDecl:
+				if o.Recv != nil {
+					name += "." + receiverName(o.Recv.List[0].Type)
+				}
+				name += "." + o.Name.Name
+			case *ast.TypeSpec:
+				name += "." + o.Name.Name
+			case *ast.ValueSpec:
+				name += "." + o.Names[0].Name
+			case *ast.Field:
+				if len(o.Names) > 0 {
+					name += "." + o.Names[0].Name
+				}
+			}
+		}
+		owner := info.Types[st].Type.(*types.Struct)
+		for _, fl := range st.Fields.List {
+			if fl.Tag != nil {
+				if _, ok := reflect.StructTag(strings.Trim(fl.Tag.Value, "`")).Lookup("json"); ok {
+					continue
+				}
+			}
+			for _, id := range fl.Names {
+				if id.Name != "_" {
+					fields[info.Defs[id]] = field{name + "." + id.Name, owner}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// markKeyed records in keyed the structs a map key of type t compares: its
+// own, and those of its struct fields and array elements.
+func markKeyed(t types.Type, keyed map[*types.Struct]bool) {
+	if n, ok := t.(*types.Named); ok {
+		t = n.Origin()
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		if keyed[u] {
+			return
+		}
+		keyed[u] = true
+		for i := 0; i < u.NumFields(); i++ {
+			markKeyed(u.Field(i).Type(), keyed)
+		}
+	case *types.Array:
+		markKeyed(u.Elem(), keyed)
+	}
 }
 
 // recvBase is the type a method is declared on: T for a receiver of T or
@@ -444,6 +584,7 @@ func markFormatted(t types.Type, formatted map[types.Type]bool) {
 		markFormatted(u.Key(), formatted)
 		markFormatted(u.Elem(), formatted)
 	case *types.Struct:
+		formatted[u] = true
 		for i := 0; i < u.NumFields(); i++ {
 			if f := u.Field(i); f.Exported() {
 				markFormatted(f.Type(), formatted)
@@ -495,11 +636,12 @@ func readAllowlist(r io.Reader) (map[string]bool, error) {
 	return allowed, sc.Err()
 }
 
-// ratchet holds the scan's unused declarations to the allowlist and
-// returns, sorted, every way they disagree: a declaration that is not
-// listed, a listed name that is used or gone, and a non-test file that
-// imports a package listed as test-only.
-func ratchet(pkgs map[string][]*ast.File, unused []string, allowed map[string]bool) []string {
+// ratchet holds the scan's unused declarations and unread fields to their
+// allowlists and returns, sorted, every way they disagree: a declaration or
+// field that is not listed, a listed name that is used or gone, and a
+// non-test file that imports a package listed as test-only. A package line
+// in the declarations' list covers the fields of that package too.
+func ratchet(pkgs map[string][]*ast.File, unused, unread []string, allowed, allowedFields map[string]bool) []string {
 	var problems []string
 	testOnly := map[string]bool{} // the package names of the listed import paths
 	for name := range allowed {
@@ -521,54 +663,90 @@ func ratchet(pkgs map[string][]*ast.File, unused []string, allowed map[string]bo
 			}
 		}
 	}
-	listed := map[string]bool{}
-	for _, name := range unused {
-		if pkg, _, _ := strings.Cut(name, "."); testOnly[pkg] {
-			continue
-		}
-		if !allowed[name] {
-			problems = append(problems, fmt.Sprintf("%s is declared, but no non-test file uses it: delete it, or list it in %s with the reason it stays", name, unusedAllowlist))
-		}
-		listed[name] = true
-	}
-	for name := range allowed {
-		if !strings.Contains(name, "/") && !listed[name] {
-			problems = append(problems, fmt.Sprintf("%s is listed in %s, but it is used or gone: take it off the list", name, unusedAllowlist))
-		}
-	}
+	problems = append(problems, unlisted(unused, allowed, testOnly, unusedAllowlist, "is declared, but no non-test file uses it")...)
+	problems = append(problems, unlisted(unread, allowedFields, testOnly, unreadAllowlist, "is a field no non-test file reads")...)
 	sort.Strings(problems)
 	return problems
 }
 
-// TestNoUnlistedUnusedExports is the ratchet on declarations nothing uses:
-// every exported name, function or method under internal/ that no non-test
-// file in internal/, cmd/, examples/ or benchmark/ uses must be on the
-// allowlist with a reason, itself or through its package, and every name
-// on the allowlist must still be such a declaration or package. One only
-// its tests call, directly or through other such declarations, fails here
-// until it is deleted or listed.
-func TestNoUnlistedUnusedExports(t *testing.T) {
-	f, err := os.Open(unusedAllowlist)
+// unlisted returns a problem for each name found outside the test-only
+// packages that the allowlist read from file lacks, and for each name the
+// allowlist holds that was not found.
+func unlisted(found []string, allowed, testOnly map[string]bool, file, what string) []string {
+	var problems []string
+	seen := map[string]bool{}
+	for _, name := range found {
+		if pkg, _, _ := strings.Cut(name, "."); testOnly[pkg] {
+			continue
+		}
+		if !allowed[name] {
+			problems = append(problems, fmt.Sprintf("%s %s: delete it, or list it in %s with the reason it stays", name, what, file))
+		}
+		seen[name] = true
+	}
+	for name := range allowed {
+		if !strings.Contains(name, "/") && !seen[name] {
+			problems = append(problems, fmt.Sprintf("%s is listed in %s, but it is used or gone: take it off the list", name, file))
+		}
+	}
+	return problems
+}
+
+// readAllowlistFile reads the allowlist in file.
+func readAllowlistFile(t *testing.T, file string) map[string]bool {
+	t.Helper()
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	allowed, err := readAllowlist(f)
 	if err != nil {
-		t.Fatalf("%s: %v", unusedAllowlist, err)
+		t.Fatalf("%s: %v", file, err)
 	}
+	return allowed
+}
+
+// TestNoUnlistedUnusedExports is the ratchet on declarations nothing uses
+// and fields nothing reads: every exported name, function or method under
+// internal/ that no non-test file in internal/, cmd/, examples/ or
+// benchmark/ uses, and every struct field declared under internal/ that
+// none of them reads, must be on its allowlist with a reason, itself or
+// through its package, and every name on an allowlist must still be such a
+// declaration, field or package. One only its tests reach, directly or
+// through other such declarations, fails here until it is deleted or
+// listed.
+func TestNoUnlistedUnusedExports(t *testing.T) {
+	allowed := readAllowlistFile(t, unusedAllowlist)
+	allowedFields := readAllowlistFile(t, unreadAllowlist)
 	fset := token.NewFileSet()
-	pkgs, err := parseTrees(fset)
+	pkgs, err := parseTrees(fset, os.DirFS("."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, err := unusedDecls(fset, pkgs)
+	unused, unread, err := unusedDecls(fset, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ratchet(pkgs, unused, allowed) {
+	for _, p := range ratchet(pkgs, unused, unread, allowed, allowedFields) {
 		t.Error(p)
 	}
+}
+
+// plant parses sources, a file's contents by its path, as parseTrees parses
+// the repository.
+func plant(t *testing.T, sources map[string]string) (*token.FileSet, map[string][]*ast.File) {
+	t.Helper()
+	fsys := fstest.MapFS{}
+	for path, src := range sources {
+		fsys[path] = &fstest.MapFile{Data: []byte(src)}
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parseTrees(fset, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, pkgs
 }
 
 // TestUnusedDeclsPlantedCases runs the scan and the ratchet on planted
@@ -581,8 +759,8 @@ func TestNoUnlistedUnusedExports(t *testing.T) {
 // c as test-only while a command imports it, which the ratchet must
 // report.
 func TestUnusedDeclsPlantedCases(t *testing.T) {
-	sources := map[string]string{
-		"repro/internal/a": `package a
+	fset, pkgs := plant(t, map[string]string{
+		"internal/a/x.go": `package a
 
 type Small struct{}
 
@@ -612,11 +790,11 @@ func Chain() int { return chained(Quiet{}) }
 
 func chained(c Counter) int { return c.Count() }
 `,
-		"repro/internal/c": `package c
+		"internal/c/x.go": `package c
 
 func Probe() int { return 5 }
 `,
-		"repro/cmd/b": `package main
+		"cmd/b/main.go": `package main
 
 import (
 	"repro/internal/a"
@@ -627,17 +805,8 @@ var _ a.Small
 
 func main() { _ = a.Big{}.Size() + a.Total(a.List{}) + c.Probe() }
 `,
-	}
-	fset := token.NewFileSet()
-	pkgs := map[string][]*ast.File{}
-	for path, src := range sources {
-		f, err := parser.ParseFile(fset, path+"/x.go", src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs[path] = []*ast.File{f}
-	}
-	unused, err := unusedDecls(fset, pkgs)
+	})
+	unused, _, err := unusedDecls(fset, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,8 +819,90 @@ func main() { _ = a.Big{}.Size() + a.Total(a.List{}) + c.Probe() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	problems := ratchet(pkgs, unused, allowed)
+	problems := ratchet(pkgs, unused, nil, allowed, nil)
 	if len(problems) != 1 || !strings.HasPrefix(problems[0], "repro/cmd/b imports repro/internal/c,") {
 		t.Errorf("ratchet = %q, want one problem: repro/cmd/b imports repro/internal/c", problems)
+	}
+}
+
+// TestUnusedFieldsPlantedCases runs the field scan on planted sources.
+// Reported: a field only a test file reads, fields non-test code only
+// writes (by assignment, ++, += and composite-literal key), one read only
+// inside a function nothing calls, and an unexported field of a value
+// handed to fmt.
+// Not reported: a field read by selection, one whose address is taken, a
+// json-tagged field, the fields of a struct used as a map key, and an
+// exported field of a value handed to fmt.
+func TestUnusedFieldsPlantedCases(t *testing.T) {
+	fset, pkgs := plant(t, map[string]string{
+		"internal/f/x.go": `package f
+
+import "fmt"
+
+type Rec struct {
+	read     int
+	testOnly int
+	written  int
+	keyed    int
+	inDead   int
+	addr     int
+	counted  int
+	summed   int
+	tagged   int ` + "`json:\"tagged\"`" + `
+}
+
+type pair struct{ lo, hi int }
+
+type Shown struct {
+	Count int
+	note  string
+}
+
+func Use() int {
+	r := Rec{keyed: 1}
+	r.written = 2
+	r.counted++
+	r.summed += 3
+	p := &r.addr
+	seen := map[pair]bool{}
+	fmt.Println(Shown{})
+	return r.read + *p + len(seen)
+}
+
+func dead(r Rec) int { return r.inDead }
+`,
+		"internal/f/x_test.go": `package f
+
+func testOnly(r Rec) int { return r.testOnly }
+`,
+		"cmd/g/main.go": `package main
+
+import "repro/internal/f"
+
+func main() { _ = f.Use() }
+`,
+	})
+	unused, unread, err := unusedDecls(fset, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"f.dead"}; !slices.Equal(unused, want) {
+		t.Errorf("unused = %q, want %q", unused, want)
+	}
+	want := []string{"f.Rec.counted", "f.Rec.inDead", "f.Rec.keyed", "f.Rec.summed", "f.Rec.testOnly", "f.Rec.written", "f.Shown.note"}
+	if !slices.Equal(unread, want) {
+		t.Errorf("unread = %q, want %q", unread, want)
+	}
+	allowedFields := map[string]bool{"f.Rec.counted": true, "f.Rec.inDead": true, "f.Rec.read": true, "f.Rec.summed": true}
+	problems := ratchet(pkgs, unused, unread, map[string]bool{"f.dead": true}, allowedFields)
+	wantProblems := []string{
+		"f.Rec.keyed is a field no non-test file reads: delete it, or list it in " + unreadAllowlist + " with the reason it stays",
+		"f.Rec.read is listed in " + unreadAllowlist + ", but it is used or gone: take it off the list",
+		"f.Rec.testOnly is a field no non-test file reads: delete it, or list it in " + unreadAllowlist + " with the reason it stays",
+		"f.Rec.written is a field no non-test file reads: delete it, or list it in " + unreadAllowlist + " with the reason it stays",
+		"f.Shown.note is a field no non-test file reads: delete it, or list it in " + unreadAllowlist + " with the reason it stays",
+	}
+	if !slices.Equal(problems, wantProblems) {
+		t.Errorf("ratchet = %q, want %q", problems, wantProblems)
 	}
 }

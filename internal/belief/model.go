@@ -22,13 +22,13 @@ import (
 type Model struct {
 	space *olap.Space
 	sigma float64
-	// BucketStep is the width of the probability bucket representing a
+	// bucketStep is the width of the probability bucket representing a
 	// value, constant across aggregates. Example 4.3 buckets a 90 K
 	// estimate as [85 K, 95 K): one significant digit of the query's
 	// value scale, i.e. step 10^floor(log10(scale)). A constant width
 	// keeps small aggregates from being drowned out by wide-bucket large
-	// ones. Derived from σ (scale = 2σ) unless set explicitly.
-	BucketStep float64
+	// ones. NewModel derives it from σ (scale = 2σ).
+	bucketStep float64
 }
 
 // SigmaFromScale derives the model's constant standard deviation from the
@@ -46,7 +46,7 @@ func NewModel(space *olap.Space, sigma float64) (*Model, error) {
 	if math.IsNaN(sigma) || sigma <= 0 {
 		return nil, fmt.Errorf("belief: sigma must be positive, got %v", sigma)
 	}
-	return &Model{space: space, sigma: sigma, BucketStep: BucketStepForScale(2 * sigma)}, nil
+	return &Model{space: space, sigma: sigma, bucketStep: BucketStepForScale(2 * sigma)}, nil
 }
 
 // BucketStepForScale returns the one-significant-digit step of a value
@@ -113,11 +113,7 @@ func (m *Model) Belief(s *speech.Speech, agg int) stats.Normal {
 // constant-width window [v - step/2, v + step/2), matching Example 4.3's
 // rounding bucket and giving every aggregate equal reward headroom.
 func (m *Model) bucket(v float64) stats.Interval {
-	step := m.BucketStep
-	if step <= 0 {
-		step = BucketStepForScale(2 * m.sigma)
-	}
-	return stats.Interval{Lo: v - step/2, Hi: v + step/2}
+	return stats.Interval{Lo: v - m.bucketStep/2, Hi: v + m.bucketStep/2}
 }
 
 // Reward scores how well speech s explains an estimate for aggregate agg:

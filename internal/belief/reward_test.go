@@ -65,11 +65,12 @@ func TestRewardKernelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRewardKernelBucketStepOverride checks the kernel scores under an
-// explicit BucketStep the same way Model.bucket reads it.
+// TestRewardKernelBucketStepOverride checks the kernel scores under a
+// bucket step other than the one NewModel derives the same way Model.bucket
+// reads it.
 func TestRewardKernelBucketStepOverride(t *testing.T) {
 	e := newEnv(t)
-	e.model.BucketStep = 0.005
+	e.model.bucketStep = 0.005
 	rng := rand.New(rand.NewSource(7))
 	k := e.model.NewRewardKernel()
 	sp := e.baselineSpeech(e.result.GrandValue())

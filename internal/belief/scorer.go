@@ -55,8 +55,6 @@ type Scorer struct {
 
 // NewScorer returns a scorer bound to result, which must be evaluated over
 // the model's aggregate space (it panics otherwise, like Model.Quality).
-// The model's BucketStep is captured at construction and must not change
-// while the scorer is in use.
 func (m *Model) NewScorer(result *olap.Result) *Scorer {
 	if result.Space() != m.space {
 		panic("belief: result evaluated over a different aggregate space")

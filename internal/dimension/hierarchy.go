@@ -109,8 +109,6 @@ type Hierarchy struct {
 	// Context is the phrase template used to embed member names in speech,
 	// e.g. "flights starting from". The member name is appended.
 	Context string
-	// RootName is the display name for the root member, e.g. "any airport".
-	RootName string
 	// LevelNames names levels 1..Depth, e.g. ["region", "state", "city",
 	// "airport"]. Level 0 (the root) is unnamed.
 	LevelNames []string
@@ -130,7 +128,6 @@ func NewHierarchy(name, column, context, rootName string, levelNames []string) (
 		Name:        name,
 		Column:      column,
 		Context:     context,
-		RootName:    rootName,
 		LevelNames:  levelNames,
 		leafByValue: make(map[string]*Member),
 	}

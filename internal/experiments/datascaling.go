@@ -101,16 +101,17 @@ func DataScaling(seed int64, sizes []int) ([]DataScalingRow, error) {
 // PrintDataScaling writes the scaling table.
 func PrintDataScaling(w io.Writer, rows []DataScalingRow) {
 	fmt.Fprintln(w, "Scaling — time to first voice output vs data volume (region x season, real clock)")
-	fmt.Fprintf(w, "%10s %16s %16s %s\n", "rows", "optimal", "holistic", "optimal interactive?")
+	fmt.Fprintf(w, "%10s %16s %16s %12s %s\n", "rows", "optimal", "holistic", "optimal read", "optimal interactive?")
 	for _, r := range rows {
 		status := "yes"
 		if r.OptimalViolation {
 			status = "NO (above 500 ms)"
 		}
-		fmt.Fprintf(w, "%10d %16s %16s %s\n",
+		fmt.Fprintf(w, "%10d %16s %16s %12d %s\n",
 			r.Rows,
 			r.OptimalLatency.Round(time.Millisecond),
 			r.HolisticLatency.Round(time.Microsecond),
+			r.OptimalRowsRead,
 			status)
 	}
 }

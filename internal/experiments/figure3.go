@@ -23,14 +23,17 @@ var Figure3Queries = []struct{ Filter, Dims string }{
 }
 
 // Figure3Row is one measurement of Figure 3: an approach's latency and
-// exact speech quality on one query.
+// exact speech quality on one query. SpeechesScored is the candidate
+// speeches Optimal scored exactly, the work behind its latency (0 for the
+// sampled approaches).
 type Figure3Row struct {
-	Query     string
-	Approach  string
-	Latency   time.Duration
-	Quality   float64
-	RowsRead  int64
-	SpeechLen int
+	Query          string
+	Approach       string
+	Latency        time.Duration
+	Quality        float64
+	RowsRead       int64
+	SpeechLen      int
+	SpeechesScored int64
 }
 
 // Figure3 runs optimal, holistic, and unmerged on the eight queries and
@@ -63,12 +66,13 @@ func Figure3(s *Setup) ([]Figure3Row, error) {
 				return nil, fmt.Errorf("experiments: quality of %s on %s: %w", v.Name(), name, err)
 			}
 			rows = append(rows, Figure3Row{
-				Query:     name,
-				Approach:  v.Name(),
-				Latency:   out.Latency,
-				Quality:   quality,
-				RowsRead:  out.RowsRead,
-				SpeechLen: len(out.Speech.MainText()),
+				Query:          name,
+				Approach:       v.Name(),
+				Latency:        out.Latency,
+				Quality:        quality,
+				RowsRead:       out.RowsRead,
+				SpeechLen:      len(out.Speech.MainText()),
+				SpeechesScored: out.SpeechesScored,
 			})
 		}
 	}

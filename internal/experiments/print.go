@@ -11,11 +11,11 @@ import (
 // PrintFigure3 writes Figure 3's two panels as text tables.
 func PrintFigure3(w io.Writer, rows []Figure3Row) {
 	fmt.Fprintln(w, "Figure 3 — latency and speech quality per query and approach")
-	fmt.Fprintf(w, "%-8s %-10s %12s %9s %10s %6s\n",
-		"query", "approach", "latency", "quality", "rows", "chars")
+	fmt.Fprintf(w, "%-8s %-10s %12s %9s %10s %6s %8s\n",
+		"query", "approach", "latency", "quality", "rows", "chars", "scored")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-10s %12s %9.3f %10d %6d\n",
-			r.Query, r.Approach, r.Latency.Round(time.Microsecond), r.Quality, r.RowsRead, r.SpeechLen)
+		fmt.Fprintf(w, "%-8s %-10s %12s %9.3f %10d %6d %8d\n",
+			r.Query, r.Approach, r.Latency.Round(time.Microsecond), r.Quality, r.RowsRead, r.SpeechLen, r.SpeechesScored)
 	}
 	sum := Summarize(rows)
 	fmt.Fprintln(w, "means:")

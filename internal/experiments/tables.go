@@ -141,7 +141,7 @@ func Table6And14(s *Setup) ([]EstimationStudy, error) {
 	}
 	var studies []EstimationStudy
 	for _, sc := range speeches {
-		est := userstudy.RunEstimation(model, result, sc.Approach, structured[sc.Approach],
+		est := userstudy.RunEstimation(model, result, structured[sc.Approach],
 			userstudy.EstimationConfig{Users: 8, MisreadUsers: 2, Seed: s.Seed + 7})
 		studies = append(studies, EstimationStudy{
 			Approach:         sc.Approach,

@@ -46,14 +46,12 @@ func (ss *ScopeSet) Words() []uint64 { return ss.words }
 // at MaxPredsPerRefinement) are built on demand without caching.
 const scopeKeyMax = 4
 
-// scopeKey is the comparable cache key of a predicate list. Predicate
-// order is part of the key: the generator emits each scope with a stable
-// ordering, so at worst a reordered alias costs one duplicate (identical)
-// bitset.
-type scopeKey struct {
-	n     int
-	preds [scopeKeyMax]*dimension.Member
-}
+// scopeKey is the comparable cache key of a predicate list, padded with
+// nil (a predicate is never nil, so the padding marks the list's end).
+// Predicate order is part of the key: the generator emits each scope with a
+// stable ordering, so at worst a reordered alias costs one duplicate
+// (identical) bitset.
+type scopeKey [scopeKeyMax]*dimension.Member
 
 // ScopeSet returns the (cached) membership bitset of preds over this
 // space. The first request for a scope builds the bitset in one pass over
@@ -63,8 +61,8 @@ func (s *Space) ScopeSet(preds []*dimension.Member) *ScopeSet {
 	if len(preds) > scopeKeyMax {
 		return s.buildScopeSet(preds)
 	}
-	key := scopeKey{n: len(preds)}
-	copy(key.preds[:], preds)
+	var key scopeKey
+	copy(key[:], preds)
 	if v, ok := s.scopeCache.Load(key); ok {
 		return v.(*ScopeSet)
 	}

@@ -60,9 +60,8 @@ type Stats struct {
 
 // entry is one cached value on the LRU list.
 type entry[V any] struct {
-	key string
 	val V
-	elt *list.Element
+	elt *list.Element // its Value is the key
 }
 
 // flight is one in-progress computation other callers can wait on.
@@ -137,7 +136,7 @@ func (c *Cache[V]) store(key string, val V) {
 		delete(c.entries, oldest.Value.(string))
 		c.stats.Evictions++
 	}
-	e := &entry[V]{key: key, val: val}
+	e := &entry[V]{val: val}
 	e.elt = c.lru.PushFront(key)
 	c.entries[key] = e
 	c.stats.Stores++

@@ -5,15 +5,12 @@ import (
 	"time"
 )
 
-// AppendMark records one committed append batch: the epoch it created, the
-// half-open row range [Start, End) it covers, and its stream-time arrival
-// stamp. Stamps are supplied by the caller (never read from the wall
-// clock), so a replayed ingest stream produces bit-identical window
-// resolutions.
+// AppendMark records one committed append batch: the first row it wrote
+// and its stream-time arrival stamp. Stamps are supplied by the caller
+// (never read from the wall clock), so a replayed ingest stream produces
+// bit-identical window resolutions.
 type AppendMark struct {
-	Epoch int64
 	Start int
-	End   int
 	At    time.Time
 }
 
@@ -134,9 +131,8 @@ func view[T any](s []T, n int, room bool) []T {
 // Snapshot returns an immutable view of the committed rows: a frozen Table
 // whose column views are clipped to the watermark but share backing arrays
 // with the live table (appends only ever write beyond the watermark, so
-// the shared prefix never changes). The snapshot carries the epoch and
-// append marks it was cut at. Snapshotting a frozen table returns the
-// table itself.
+// the shared prefix never changes). The snapshot carries the append marks
+// it was cut at. Snapshotting a frozen table returns the table itself.
 func (t *Table) Snapshot() *Table {
 	if !t.live.Load() {
 		return t
@@ -150,7 +146,6 @@ func (t *Table) Snapshot() *Table {
 		marks:    t.marks[:len(t.marks):len(t.marks)],
 		loadedAt: t.loadedAt,
 	}
-	nt.epoch.Store(t.epoch.Load())
 	for _, c := range t.columns {
 		cp := columnView(c, wm, false)
 		if cp == nil {
@@ -164,14 +159,13 @@ func (t *Table) Snapshot() *Table {
 	return nt
 }
 
-// AppendBatch appends the batch to a live table and commits it as one
-// epoch: the watermark and epoch advance together after all column data is
-// in place, so no reader can observe a torn append. The batch must cover
-// every table column exactly once with equal row counts, and string values
-// must already be in their column dictionaries (dimension catalogs are
-// fixed; facts stream in). at is the batch's stream-time stamp; stamps
-// that run backwards are clamped to the newest mark so the mark sequence
-// stays monotone.
+// AppendBatch appends the batch to a live table and commits it at once:
+// the watermark advances after all column data is in place, so no reader
+// can observe a torn append. The batch must cover every table column
+// exactly once with equal row counts, and string values must already be in
+// their column dictionaries (dimension catalogs are fixed; facts stream
+// in). at is the batch's stream-time stamp; stamps that run backwards are
+// clamped to the newest mark so the mark sequence stays monotone.
 func (t *Table) AppendBatch(b *RowBatch, at time.Time) (AppendMark, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -181,7 +175,7 @@ func (t *Table) AppendBatch(b *RowBatch, at time.Time) (AppendMark, error) {
 	n := b.Len()
 	start := int(t.wm.Load())
 	if n == 0 {
-		return AppendMark{Epoch: t.epoch.Load(), Start: start, End: start, At: at}, nil
+		return AppendMark{Start: start, At: at}, nil
 	}
 	if len(b.cols) != len(t.columns) {
 		return AppendMark{}, fmt.Errorf("table %q: batch has %d columns, want %d", t.name, len(b.cols), len(t.columns))
@@ -252,8 +246,7 @@ func (t *Table) AppendBatch(b *RowBatch, at time.Time) (AppendMark, error) {
 	if len(t.marks) > 0 && at.Before(t.marks[len(t.marks)-1].At) {
 		at = t.marks[len(t.marks)-1].At
 	}
-	epoch := t.epoch.Add(1)
-	mark := AppendMark{Epoch: epoch, Start: start, End: start + n, At: at}
+	mark := AppendMark{Start: start, At: at}
 	t.marks = append(t.marks, mark)
 	t.wm.Store(int64(start + n))
 	return mark, nil

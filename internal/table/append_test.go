@@ -39,8 +39,8 @@ func TestAppendBatchSnapshotIsolation(t *testing.T) {
 		t.Fatalf("live flags: copy=%v base=%v", live.live.Load(), base.live.Load())
 	}
 	old := live.Snapshot()
-	if old.NumRows() != 4 || old.epoch.Load() != 0 {
-		t.Fatalf("pre-append snapshot: rows=%d epoch=%d", old.NumRows(), old.epoch.Load())
+	if old.NumRows() != 4 || len(old.marks) != 0 {
+		t.Fatalf("pre-append snapshot: rows=%d marks=%d", old.NumRows(), len(old.marks))
 	}
 
 	mark, err := live.AppendBatch(NewRowBatch().
@@ -49,19 +49,19 @@ func TestAppendBatchSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mark.Epoch != 1 || mark.Start != 4 || mark.End != 6 {
+	if mark.Start != 4 {
 		t.Fatalf("mark = %+v", mark)
 	}
-	if live.NumRows() != 6 || live.epoch.Load() != 1 {
-		t.Fatalf("live: rows=%d epoch=%d", live.NumRows(), live.epoch.Load())
+	if live.NumRows() != 6 || len(live.marks) != 1 {
+		t.Fatalf("live: rows=%d marks=%d", live.NumRows(), len(live.marks))
 	}
 	// The pre-append snapshot must be unaffected.
 	if old.NumRows() != 4 {
 		t.Fatalf("old snapshot grew to %d rows", old.NumRows())
 	}
 	fresh := live.Snapshot()
-	if fresh.NumRows() != 6 || fresh.epoch.Load() != 1 {
-		t.Fatalf("fresh snapshot: rows=%d epoch=%d", fresh.NumRows(), fresh.epoch.Load())
+	if fresh.NumRows() != 6 || len(fresh.marks) != 1 {
+		t.Fatalf("fresh snapshot: rows=%d marks=%d", fresh.NumRows(), len(fresh.marks))
 	}
 	sc, err := fresh.StringColumn("dim")
 	if err != nil {
@@ -358,8 +358,8 @@ func TestAppendBatchValidation(t *testing.T) {
 		}
 	}
 	// Rejected batches leave the table untouched.
-	if live.NumRows() != 4 || live.epoch.Load() != 0 {
-		t.Fatalf("table mutated by rejected batches: rows=%d epoch=%d", live.NumRows(), live.epoch.Load())
+	if live.NumRows() != 4 || len(live.marks) != 0 {
+		t.Fatalf("table mutated by rejected batches: rows=%d marks=%d", live.NumRows(), len(live.marks))
 	}
 }
 
@@ -490,7 +490,7 @@ func TestConcurrentAppendAndScan(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if live.NumRows() != 4+2*batches || live.epoch.Load() != batches {
-		t.Fatalf("final state: rows=%d epoch=%d", live.NumRows(), live.epoch.Load())
+	if live.NumRows() != 4+2*batches || len(live.marks) != batches {
+		t.Fatalf("final state: rows=%d marks=%d", live.NumRows(), len(live.marks))
 	}
 }

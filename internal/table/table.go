@@ -23,15 +23,12 @@ type Table struct {
 
 	// Streaming state. wm is the committed row watermark: rows at indices
 	// < wm are immutable and visible; appends write only indices >= wm, so
-	// snapshot readers and writers never touch the same memory. epoch
-	// counts committed append batches (and is copied onto snapshots, so
-	// cache keys derived from it stay comparable). All structural updates
-	// happen under mu; wm/epoch are additionally atomic so the cheap
-	// accessors need no lock.
+	// snapshot readers and writers never touch the same memory. All
+	// structural updates happen under mu; wm is additionally atomic so the
+	// cheap accessors need no lock.
 	mu       sync.Mutex
 	live     atomic.Bool
 	wm       atomic.Int64
-	epoch    atomic.Int64
 	marks    []AppendMark // guarded by mu
 	loadedAt time.Time    // stream-time stamp of the pre-append base rows
 

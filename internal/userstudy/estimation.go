@@ -59,8 +59,7 @@ type UserScore struct {
 
 // EstimationResult reports the study for one speech (one approach).
 type EstimationResult struct {
-	Approach string
-	Users    []UserScore
+	Users []UserScore
 }
 
 // MedianAbsError returns the median per-user absolute error.
@@ -90,7 +89,7 @@ func (r EstimationResult) MeanTendencyAccuracy() float64 {
 // those semantics), perturbed by recall noise; misreading users replace
 // every refinement's relative change with the absolute value they thought
 // they heard.
-func RunEstimation(model *belief.Model, result *olap.Result, approach string, sp *speech.Speech, cfg EstimationConfig) EstimationResult {
+func RunEstimation(model *belief.Model, result *olap.Result, sp *speech.Speech, cfg EstimationConfig) EstimationResult {
 	cfg = cfg.normalize()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	space := model.Space()
@@ -106,7 +105,7 @@ func RunEstimation(model *belief.Model, result *olap.Result, approach string, sp
 		aggs = append(aggs, a)
 	}
 
-	res := EstimationResult{Approach: approach}
+	var res EstimationResult
 	for u := 0; u < cfg.Users; u++ {
 		misread := u < cfg.MisreadUsers
 		var absSum float64

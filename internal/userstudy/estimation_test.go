@@ -68,7 +68,7 @@ func estCfg(seed int64) core.Config {
 func TestRunEstimationBasics(t *testing.T) {
 	e := newEstEnv(t)
 	sp := e.vocalize(t, core.NewOptimal(e.dataset, e.query, estCfg(1)))
-	res := RunEstimation(e.model, e.result, "optimal", sp, EstimationConfig{Seed: 5})
+	res := RunEstimation(e.model, e.result, sp, EstimationConfig{Seed: 5})
 	if len(res.Users) != 8 {
 		t.Fatalf("users = %d, want 8", len(res.Users))
 	}
@@ -94,8 +94,8 @@ func TestEstimationRanksApproaches(t *testing.T) {
 
 	optSpeech := e.vocalize(t, core.NewOptimal(e.dataset, e.query, estCfg(2)))
 	holSpeech := e.vocalize(t, core.NewHolistic(e.dataset, e.query, estCfg(2)))
-	opt := RunEstimation(e.model, e.result, "optimal", optSpeech, cfg)
-	hol := RunEstimation(e.model, e.result, "holistic", holSpeech, cfg)
+	opt := RunEstimation(e.model, e.result, optSpeech, cfg)
+	hol := RunEstimation(e.model, e.result, holSpeech, cfg)
 
 	// A wrong baseline mimics the unmerged failure mode in Table 5
 	// ("Over ten percent" for a two-percent average).
@@ -103,7 +103,7 @@ func TestEstimationRanksApproaches(t *testing.T) {
 	wb := *optSpeech.Baseline
 	wb.Value *= 8
 	wrong.Baseline = &wb
-	unm := RunEstimation(e.model, e.result, "unmerged", wrong, cfg)
+	unm := RunEstimation(e.model, e.result, wrong, cfg)
 
 	if opt.MedianAbsError() >= unm.MedianAbsError() {
 		t.Errorf("optimal error %v should beat wrong-speech error %v",
@@ -128,7 +128,7 @@ func TestMisreadUsersAreOutliers(t *testing.T) {
 	if len(sp.Refinements) == 0 {
 		t.Skip("optimal speech has no refinements to misread")
 	}
-	res := RunEstimation(e.model, e.result, "optimal", sp, EstimationConfig{
+	res := RunEstimation(e.model, e.result, sp, EstimationConfig{
 		Users: 8, MisreadUsers: 2, Seed: 7,
 	})
 	var misreadMax, readMax float64
@@ -153,8 +153,8 @@ func TestEstimationDeterministic(t *testing.T) {
 	e := newEstEnv(t)
 	sp := e.vocalize(t, core.NewOptimal(e.dataset, e.query, estCfg(4)))
 	cfg := EstimationConfig{Seed: 9}
-	a := RunEstimation(e.model, e.result, "x", sp, cfg)
-	b := RunEstimation(e.model, e.result, "x", sp, cfg)
+	a := RunEstimation(e.model, e.result, sp, cfg)
+	b := RunEstimation(e.model, e.result, sp, cfg)
 	for i := range a.Users {
 		if a.Users[i] != b.Users[i] {
 			t.Fatal("same seed should reproduce user scores")

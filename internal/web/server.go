@@ -172,7 +172,6 @@ type queryLog struct {
 	cap     int
 	entries []QueryLogEntry
 	next    int
-	dropped int64
 }
 
 // add appends e, overwriting the oldest entry once the ring is full.
@@ -183,7 +182,6 @@ func (l *queryLog) add(e QueryLogEntry) {
 	}
 	l.entries[l.next] = e
 	l.next = (l.next + 1) % l.cap
-	l.dropped++
 }
 
 // snapshot copies the entries in chronological order.
