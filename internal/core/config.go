@@ -105,8 +105,9 @@ type Config struct {
 	// the answer is returned.
 	Scanner func(t *table.Table, rng *rand.Rand) table.Scanner
 
-	// Trace, when non-nil, records the planner's per-sentence decisions
-	// for observability.
+	// Trace, when non-nil, receives a copy of each Holistic answer's
+	// Output.Trace, which every answer carries. The field stays because
+	// benchmark/trace.go:156 sets it; ROADMAP item 1a(i) removes both.
 	Trace *Trace
 
 	// Uncertainty selects the Section 4.4 confidence extension, at the 95 %
@@ -199,6 +200,10 @@ type Output struct {
 	// DegradeReason explains a degraded run ("context deadline exceeded"
 	// or "context canceled"); empty when Degraded is false.
 	DegradeReason string
+	// Trace is the planner's record of the answer, one record per planning
+	// window on either Holistic schedule; Optimal, and an answer degraded
+	// before its tree was built, leave it empty.
+	Trace Trace
 }
 
 // Text returns the full spoken text.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -89,16 +90,24 @@ func TestHolisticDeterministicWithSeed(t *testing.T) {
 
 // TestConcurrentAnswersOnOneSimClock plans eight answers at once from one
 // Config, and so one *voice.SimClock: each must speak what its seed speaks
-// planned alone, after as many tree samples. An answer that shared the
-// configured clock would have its playback advanced by the others' rounds,
-// and its planning windows cut short.
+// planned alone, after as many tree samples, and carry the same trace:
+// every window's rounds, rows, samples and leader's reward bits. An answer
+// that shared the configured clock would have its playback advanced by the
+// others' rounds, and its planning windows cut short; answers that shared a
+// trace would record each other's windows.
 func TestConcurrentAnswersOnOneSimClock(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 52)
 	const answers = 8
 	shared := testConfig(0)
+	type window struct {
+		rounds        int
+		rows, samples int64
+		rewardBits    uint64
+	}
 	type plan struct {
 		text    string
 		samples int64
+		windows []window
 	}
 	run := func(seed int64) (plan, error) {
 		cfg := shared
@@ -107,7 +116,11 @@ func TestConcurrentAnswersOnOneSimClock(t *testing.T) {
 		if err != nil {
 			return plan{}, err
 		}
-		return plan{out.Text(), out.TreeSamples}, nil
+		p := plan{text: out.Text(), samples: out.TreeSamples}
+		for _, w := range out.Trace.Sentences {
+			p.windows = append(p.windows, window{w.Rounds, w.RowsRead, w.TreeSamples, math.Float64bits(w.BestMeanReward)})
+		}
+		return p, nil
 	}
 	alone := make([]plan, answers)
 	for i := range alone {
@@ -134,9 +147,16 @@ func TestConcurrentAnswersOnOneSimClock(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("seed %d together: %v", i, errs[i])
 		}
-		if together[i] != alone[i] {
+		if together[i].text != alone[i].text || together[i].samples != alone[i].samples {
 			t.Errorf("seed %d planned with %d others spoke after %d samples\n%q\nalone after %d\n%q",
 				i, answers-1, together[i].samples, together[i].text, alone[i].samples, alone[i].text)
+		}
+		if !slices.Equal(together[i].windows, alone[i].windows) {
+			t.Errorf("seed %d planned with %d others traced windows %+v, alone %+v",
+				i, answers-1, together[i].windows, alone[i].windows)
+		}
+		if len(alone[i].windows) == 0 {
+			t.Errorf("seed %d traced no window", i)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/speech"
 )
 
-// plannedAnswer plans golden query i at seed with a trace and returns the
-// answer with the main text its committed sentences add up to.
+// plannedAnswer plans golden query i at seed and returns the answer with
+// the main text its trace's committed sentences add up to.
 func plannedAnswer(t *testing.T, i int, seed int64) (*Output, string) {
 	t.Helper()
 	d, err := goldenFlights()
@@ -21,9 +21,7 @@ func plannedAnswer(t *testing.T, i int, seed int64) (*Output, string) {
 		t.Fatalf("Flights: %v", err)
 	}
 	qc := goldenQueries[i]
-	cfg := goldenConfig(seed)
-	cfg.Trace = &Trace{}
-	out, err := NewHolistic(d, goldenQuery(t, d, qc.airport, qc.date, qc.airline, qc.filter), cfg).Vocalize()
+	out, err := NewHolistic(d, goldenQuery(t, d, qc.airport, qc.date, qc.airline, qc.filter), goldenConfig(seed)).Vocalize()
 	if err != nil {
 		t.Fatalf("%s seed %d: %v", qc.name, seed, err)
 	}
@@ -31,7 +29,7 @@ func plannedAnswer(t *testing.T, i int, seed int64) (*Output, string) {
 		t.Fatalf("%s seed %d has no refinements: %q", qc.name, seed, out.Text())
 	}
 	var sentences []string
-	for _, s := range cfg.Trace.Sentences {
+	for _, s := range out.Trace.Sentences {
 		sentences = append(sentences, s.Sentence)
 	}
 	return out, strings.Join(sentences, " ")

@@ -125,9 +125,7 @@ func goldenSeeds() int64 {
 func answerGolden(t *testing.T, d *olap.Dataset, i int, seed int64) goldenAnswer {
 	qc := goldenQueries[i]
 	q := goldenQuery(t, d, qc.airport, qc.date, qc.airline, qc.filter)
-	cfg := goldenConfig(seed)
-	cfg.Trace = &Trace{}
-	out, err := NewHolistic(d, q, cfg).Vocalize()
+	out, err := NewHolistic(d, q, goldenConfig(seed)).Vocalize()
 	if err != nil {
 		t.Errorf("%s seed %d: %v", qc.name, seed, err)
 		return goldenAnswer{}
@@ -135,14 +133,15 @@ func answerGolden(t *testing.T, d *olap.Dataset, i int, seed int64) goldenAnswer
 	a := goldenAnswer{
 		Query: qc.name, Seed: seed, Text: out.Text(),
 		TreeSamples: out.TreeSamples, RowsRead: out.RowsRead,
-		TreeNodes: cfg.Trace.TreeNodes,
+		TreeNodes: out.Trace.TreeNodes,
 	}
-	for _, s := range cfg.Trace.Sentences {
+	for i := range out.Trace.Sentences {
+		s := &out.Trace.Sentences[i]
 		a.Sentences = append(a.Sentences, goldenSentence{
 			Sentence:   s.Sentence,
 			Visits:     s.BestVisits,
 			RewardBits: fmt.Sprintf("%016x", math.Float64bits(s.BestMeanReward)),
-			RunnerUp:   s.RunnerUp,
+			RunnerUp:   s.RunnerUp(),
 		})
 	}
 	return a

@@ -40,21 +40,6 @@ func NewUnmerged(d *olap.Dataset, q olap.Query, cfg Config) *Holistic {
 	return &Holistic{dataset: d, query: q, cfg: cfg.Normalize(), unmerged: true}
 }
 
-// runnerUp returns the visited root child with the second-best mean
-// reward, or nil if best has no competition.
-func runnerUp(tree *mcts.Tree, best *mcts.Node) *mcts.Node {
-	var second *mcts.Node
-	tree.Kids(tree.Root(), func(c *mcts.Node) {
-		if c == best || c.Visits == 0 {
-			return
-		}
-		if second == nil || c.MeanReward() > second.MeanReward() {
-			second = c
-		}
-	})
-	return second
-}
-
 // Name identifies the approach in experiment output.
 func (h *Holistic) Name() string {
 	if h.unmerged {
@@ -78,6 +63,15 @@ func (h *Holistic) Vocalize() (*Output, error) {
 // the tree learned in time. On either schedule an already-expired context
 // degrades to a preamble-only speech.
 func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
+	out, err := h.vocalize(ctx)
+	if t := h.cfg.Trace; t != nil && err == nil {
+		*t = out.Trace // for benchmark/trace.go:156 (ROADMAP item 1a(i))
+	}
+	return out, err
+}
+
+// vocalize is VocalizeContext without the copy to Config.Trace.
+func (h *Holistic) vocalize(ctx context.Context) (*Output, error) {
 	s, err := newSession(h.dataset, h.query, h.cfg)
 	if err != nil {
 		return nil, err
@@ -115,75 +109,63 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, err
 	}
 	defer tree.Release()
-	if cfg.Trace != nil {
-		cfg.Trace.TreeNodes = tree.NodeCount()
-		cfg.Trace.ScaleEstimate = scale
-	}
+	trace := Trace{TreeNodes: tree.NodeCount(), ScaleEstimate: scale}
 
 	if h.unmerged {
 		// One planning window, open until the budget is spent.
 		deadline := start.Add(cfg.Budget)
-		w := s.plan(ctx, tree, func(int) bool { return s.cfg.Clock.Now().Before(deadline) })
+		w, _ := s.plan(ctx, tree, ClosedBudget, func(now time.Time, _ int) bool { return now.Before(deadline) })
 		final := s.commitWhole(tree, scale)
+		w.Sentence = final.Text()
+		s.speaker.Start(w.Sentence)
+		trace.Sentences = []SentenceTrace{w}
 		latency = cfg.Clock.Now().Sub(start)
 		return markDegraded(&Output{
 			Speech:       final,
 			Latency:      latency,
 			PlanningTime: latency,
-			RowsRead:     rowsRead + w.rows,
-			TreeSamples:  w.samples,
+			RowsRead:     rowsRead + w.RowsRead,
+			TreeSamples:  w.TreeSamples,
 			Transcript:   s.speaker.Transcript(),
+			Trace:        trace,
 		}, ctx, h.dataset), nil
 	}
 
 	var treeSamples int64
 	var boundsSpoken []string
-	var w window
+	cancelled := false
+	// Each window commits the baseline or a refinement, or is cancelled and
+	// the last.
+	trace.Sentences = make([]SentenceTrace, 0, cfg.Prefs.MaxFragments+1)
 	// The speech is finished once nothing can follow the committed sentence:
 	// what would be planned while that sentence plays, nobody would hear.
-	for !tree.Terminal() {
+	for !cancelled && !tree.Terminal() {
 		// Refine quality estimates while the current sentence plays.
-		windowStart := cfg.Clock.Now()
-		w = s.plan(ctx, tree, func(rounds int) bool {
-			return s.speaker.IsPlaying() || rounds < s.cfg.MinRounds
+		w, best := s.plan(ctx, tree, ClosedPlayback, func(now time.Time, rounds int) bool {
+			return s.speaker.PlayingAt(now) || rounds < s.cfg.MinRounds
 		})
-		rowsRead += w.rows
-		treeSamples += w.samples
-		if w.cancelled {
-			// Never commit a sentence the deadline left no time to
-			// evaluate: the committed prefix is the degraded answer.
-			break
-		}
-		best := tree.BestChild()
-		if cfg.Trace != nil {
-			st := SentenceTrace{
-				Sentence:       tree.Speech(best).LastSentence(),
-				Rounds:         w.rounds,
-				RowsRead:       w.rows,
-				TreeSamples:    w.samples,
-				BestMeanReward: best.MeanReward(),
-				BestVisits:     int64(best.Visits),
-				PlanningTime:   cfg.Clock.Now().Sub(windowStart),
+		rowsRead += w.RowsRead
+		treeSamples += w.TreeSamples
+		// Never commit a sentence the deadline left no time to evaluate:
+		// the committed prefix is the degraded answer.
+		cancelled = w.Closed == ClosedCancelled
+		if !cancelled {
+			// Choose the next sentence (exploitation only) and start playing.
+			tree.Advance(best)
+			if cfg.Uncertainty == UncertaintyBounds {
+				if bounds, ok := s.boundsSentence(tree.Refinement(best)); ok {
+					s.speaker.Start(bounds)
+					boundsSpoken = append(boundsSpoken, bounds)
+				}
 			}
-			if second := runnerUp(tree, best); second != nil {
-				st.RunnerUp = tree.Speech(second).LastSentence()
-				st.RunnerUpReward = second.MeanReward()
-			}
-			cfg.Trace.Sentences = append(cfg.Trace.Sentences, st)
+			w.Sentence = tree.Speech(best).LastSentence()
+			s.speaker.Start(w.Sentence)
 		}
-		// Choose the next sentence (exploitation only) and start playing.
-		tree.Advance(best)
-		if cfg.Uncertainty == UncertaintyBounds {
-			if bounds, ok := s.boundsSentence(tree.Refinement(best)); ok {
-				s.speaker.Start(bounds)
-				boundsSpoken = append(boundsSpoken, bounds)
-			}
-		}
-		s.speaker.Start(tree.Speech(best).LastSentence())
+		trace.Sentences = append(trace.Sentences, w)
 	}
 
 	var warning string
-	if !w.cancelled && cfg.Uncertainty == UncertaintyWarn && s.lowConfidence() {
+	if !cancelled && cfg.Uncertainty == UncertaintyWarn && s.lowConfidence() {
 		warning = uncertaintyWarning
 		s.speaker.Start(warning)
 	}
@@ -197,12 +179,13 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		Transcript:   s.speaker.Transcript(),
 		BoundsSpoken: boundsSpoken,
 		Warning:      warning,
+		Trace:        trace,
 	}, ctx, h.dataset), nil
 }
 
 // commitWhole fixes the unmerged schedule's whole speech at once, by a
-// greedy best-mean-reward descent from the root, and speaks it in one
-// piece. When no sample landed in time it speaks the rung of the baseline
+// greedy best-mean-reward descent from the root, for the caller to speak in
+// one piece. When no sample landed in time it speaks the rung of the baseline
 // ladder nearest the grand estimate the initial rows gave.
 func (s *session) commitWhole(tree *mcts.Tree, scale float64) *speech.Speech {
 	for {
@@ -220,6 +203,5 @@ func (s *session) commitWhole(tree *mcts.Tree, scale float64) *speech.Speech {
 			}
 		}
 	}
-	s.speaker.Start(final.Text())
 	return final
 }

@@ -67,43 +67,48 @@ func (s *session) newTree(scale float64) (*mcts.Tree, error) {
 	return tree, nil
 }
 
-// window is what one planning window did.
-type window struct {
-	rounds        int
-	rows, samples int64
-	// cancelled reports that ctx ended the window.
-	cancelled bool
-}
-
 // simRoundCost is what a planning round costs on a simulated clock.
 const simRoundCost = time.Millisecond
 
-// plan runs planning rounds on tree while open reports the window open
-// after the rounds so far, and stops after MaxRoundsPerSentence of them.
+// plan runs one planning window on tree and returns its record with its
+// leader, the root child of best mean reward when the window closed (nil if
+// the root has no children). The window stays open while open reports it
+// open at the clock reading now after the rounds so far, and closes after
+// MaxRoundsPerSentence of them; end is the Closed reason of open's own end.
 // A round reads RowsPerRound rows into the sample cache and samples the
 // tree SamplesPerRound times; on a simulated clock it costs simRoundCost.
+// The window reads the clock once per open check and nowhere else.
 // Holistic's two schedules differ only in their windows: Algorithm 1's
 // stays open while its sentence plays or MinRounds are not done, the
 // unmerged one's until its Budget is spent.
-func (s *session) plan(ctx context.Context, tree *mcts.Tree, open func(rounds int) bool) window {
-	var w window
-	for open(w.rounds) {
+func (s *session) plan(ctx context.Context, tree *mcts.Tree, end string, open func(now time.Time, rounds int) bool) (SentenceTrace, *mcts.Node) {
+	w := SentenceTrace{Closed: end}
+	now := s.cfg.Clock.Now()
+	start := now
+	for open(now, w.Rounds) {
 		if ctx.Err() != nil {
-			w.cancelled = true
+			w.Closed = ClosedCancelled
 			break
 		}
-		if s.cfg.MaxRoundsPerSentence > 0 && w.rounds >= s.cfg.MaxRoundsPerSentence {
+		if s.cfg.MaxRoundsPerSentence > 0 && w.Rounds >= s.cfg.MaxRoundsPerSentence {
+			w.Closed = ClosedCap
 			break
 		}
-		w.rows += int64(s.sampler.ReadRowsContext(ctx, s.cfg.RowsPerRound))
+		w.RowsRead += int64(s.sampler.ReadRowsContext(ctx, s.cfg.RowsPerRound))
 		done, err := tree.SampleBatch(ctx, s.cfg.SamplesPerRound)
-		w.samples += int64(done)
+		w.TreeSamples += int64(done)
 		if err != nil {
-			w.cancelled = true
+			w.Closed = ClosedCancelled
 			break
 		}
-		w.rounds++
+		w.Rounds++
 		s.cfg.Clock.Advance(simRoundCost)
+		now = s.cfg.Clock.Now()
 	}
-	return w
+	w.PlanningTime = now.Sub(start)
+	best := tree.BestChild()
+	if best != nil {
+		w.setLeaders(tree, best)
+	}
+	return w, best
 }

@@ -1,20 +1,30 @@
 package core
 
 import (
-	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/voice"
 )
+
+// windowTotals sums the rows and tree samples of a trace's windows.
+func windowTotals(tr Trace) (rows, samples int64) {
+	for _, w := range tr.Sentences {
+		rows += w.RowsRead
+		samples += w.TreeSamples
+	}
+	return rows, samples
+}
 
 func TestTraceRecordsPlannerDecisions(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 91)
 	cfg := testConfig(30)
-	trace := &Trace{}
-	cfg.Trace = trace
 	out, err := NewHolistic(d, q, cfg).Vocalize()
 	if err != nil {
 		t.Fatalf("holistic: %v", err)
 	}
+	trace := out.Trace
 	if trace.TreeNodes == 0 {
 		t.Error("tree size not recorded")
 	}
@@ -25,7 +35,7 @@ func TestTraceRecordsPlannerDecisions(t *testing.T) {
 		t.Fatalf("trace sentences = %d, fragments = %d",
 			len(trace.Sentences), out.Speech.NumFragments())
 	}
-	var totalRows, totalSamples int64
+	var committed []string
 	for i, st := range trace.Sentences {
 		if st.Sentence == "" {
 			t.Errorf("sentence %d has no text", i)
@@ -36,12 +46,18 @@ func TestTraceRecordsPlannerDecisions(t *testing.T) {
 		if st.BestVisits == 0 {
 			t.Errorf("sentence %d committed without visits", i)
 		}
-		totalRows += st.RowsRead
-		totalSamples += st.TreeSamples
+		if st.Closed != ClosedPlayback && st.Closed != ClosedCap {
+			t.Errorf("sentence %d's window closed by %q, want playback or the cap", i, st.Closed)
+		}
+		committed = append(committed, st.Sentence)
+	}
+	if got, want := strings.Join(committed, " "), out.Speech.MainText(); got != want {
+		t.Errorf("the windows committed %q, the answer says %q", got, want)
 	}
 	// Every planning window ends in a sentence somebody hears: the
 	// attributed windows cover all samples, and all rows but the initial
 	// batch; nothing is planned while the last sentence plays.
+	totalRows, totalSamples := windowTotals(trace)
 	if want := out.RowsRead - int64(cfg.Normalize().InitialRows); totalRows != want {
 		t.Errorf("window rows %d, want every row after the initial batch: %d", totalRows, want)
 	}
@@ -52,15 +68,13 @@ func TestTraceRecordsPlannerDecisions(t *testing.T) {
 
 func TestTraceRunnerUp(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 92)
-	cfg := testConfig(31)
-	trace := &Trace{}
-	cfg.Trace = trace
-	if _, err := NewHolistic(d, q, cfg).Vocalize(); err != nil {
+	out, err := NewHolistic(d, q, testConfig(31)).Vocalize()
+	if err != nil {
 		t.Fatalf("holistic: %v", err)
 	}
 	// The first commit (baseline) has several visited competitors.
-	first := trace.Sentences[0]
-	if first.RunnerUp == "" {
+	first := &out.Trace.Sentences[0]
+	if first.RunnerUp() == "" {
 		t.Error("baseline commit should have a runner-up")
 	}
 	if first.RunnerUpReward > first.BestMeanReward {
@@ -70,35 +84,85 @@ func TestTraceRunnerUp(t *testing.T) {
 
 func TestTraceSummary(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 93)
-	cfg := testConfig(32)
-	trace := &Trace{}
-	cfg.Trace = trace
-	if _, err := NewHolistic(d, q, cfg).Vocalize(); err != nil {
+	out, err := NewHolistic(d, q, testConfig(32)).Vocalize()
+	if err != nil {
 		t.Fatalf("holistic: %v", err)
 	}
-	sum := trace.Summary()
-	for _, frag := range []string{"search tree:", "sentence 1:", "window:", "committed at reward"} {
+	sum := out.Trace.Summary()
+	for _, frag := range []string{"search tree:", "window 1:", "rounds", "closed by", "leader at reward", "runner-up"} {
 		if !strings.Contains(sum, frag) {
 			t.Errorf("summary missing %q:\n%s", frag, sum)
 		}
 	}
-	var buf bytes.Buffer
-	n, err := trace.WriteTo(&buf)
-	if err != nil || n == 0 {
-		t.Errorf("WriteTo = %d, %v", n, err)
+}
+
+// TestUnmergedTraceHasOneWindow: the unmerged schedule plans in one window,
+// closed by its budget, which accounts for every row but the initial batch
+// and every tree sample, and commits the whole speech.
+func TestUnmergedTraceHasOneWindow(t *testing.T) {
+	d, q := flightsQuery(t, 20000, 94)
+	cfg := testConfig(33)
+	out, err := NewUnmerged(d, q, cfg).Vocalize()
+	if err != nil {
+		t.Fatalf("unmerged: %v", err)
 	}
-	if buf.String() != sum {
-		t.Error("WriteTo should emit the summary")
+	if len(out.Trace.Sentences) != 1 {
+		t.Fatalf("unmerged answer has %d windows, want 1", len(out.Trace.Sentences))
+	}
+	w := out.Trace.Sentences[0]
+	if w.Closed != ClosedBudget {
+		t.Errorf("the window closed by %q, want %q", w.Closed, ClosedBudget)
+	}
+	if w.Sentence != out.Speech.Text() {
+		t.Errorf("the window committed %q, the answer says %q", w.Sentence, out.Speech.Text())
+	}
+	if out.Trace.TreeNodes == 0 {
+		t.Error("tree size not recorded")
+	}
+	rows, samples := windowTotals(out.Trace)
+	if want := out.RowsRead - int64(cfg.Normalize().InitialRows); rows != want {
+		t.Errorf("window rows %d, want every row after the initial batch: %d", rows, want)
+	}
+	if samples == 0 || samples != out.TreeSamples {
+		t.Errorf("window samples %d vs total %d", samples, out.TreeSamples)
 	}
 }
 
-func TestNoTraceByDefault(t *testing.T) {
-	d, q := flightsQuery(t, 10000, 94)
-	out, err := NewHolistic(d, q, testConfig(33)).Vocalize()
-	if err != nil {
-		t.Fatalf("holistic: %v", err)
+// TestTraceRecordsCancelledWindow: a Holistic answer cancelled mid-window
+// records that window, closed by the cancellation and with no sentence, after
+// the windows of the sentences it committed.
+func TestTraceRecordsCancelledWindow(t *testing.T) {
+	d, q := flightsQuery(t, 20000, 51)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := testConfig(1)
+	cfg.Clock = &cancelAfterClock{inner: voice.NewSimClock(), after: 400, cancel: cancel}
+	out, err := NewHolistic(d, q, cfg).VocalizeContext(ctx)
+	requireDegradedValid(t, out, err)
+	windows := out.Trace.Sentences
+	if len(windows) == 0 {
+		t.Fatal("the cancelled answer recorded no window")
 	}
-	if out.Speech.Baseline == nil {
-		t.Error("vocalization without trace should still work")
+	last := windows[len(windows)-1]
+	if last.Closed != ClosedCancelled || last.Sentence != "" {
+		t.Errorf("the last window closed by %q and committed %q, want %q and nothing", last.Closed, last.Sentence, ClosedCancelled)
+	}
+	if last.Rounds == 0 {
+		t.Error("the cancellation should land inside the window's rounds")
+	}
+	if got, want := len(windows)-1, out.Speech.NumFragments(); got != want {
+		t.Errorf("%d windows before the cancelled one, %d fragments spoken", got, want)
+	}
+	for i, w := range windows[:len(windows)-1] {
+		if w.Closed == ClosedCancelled || w.Sentence == "" {
+			t.Errorf("window %d closed by %q with sentence %q before the cancellation", i, w.Closed, w.Sentence)
+		}
+	}
+	rows, samples := windowTotals(out.Trace)
+	if want := out.RowsRead - int64(cfg.Normalize().InitialRows); rows != want {
+		t.Errorf("window rows %d, want every row after the initial batch: %d", rows, want)
+	}
+	if samples != out.TreeSamples {
+		t.Errorf("window samples %d vs total %d", samples, out.TreeSamples)
 	}
 }

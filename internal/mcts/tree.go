@@ -498,6 +498,15 @@ func (t *Tree) Refinement(n *Node) *speech.Refinement {
 	return t.menu[n.ord]
 }
 
+// Baseline returns the baseline fragment n adds (nil for the root the tree
+// was built with and for refinement nodes).
+func (t *Tree) Baseline(n *Node) *speech.Baseline {
+	if n.depth != 0 || n.parent == 0 {
+		return nil
+	}
+	return t.baselines[n.ord]
+}
+
 // node returns the materialised node with the given number.
 func (t *Tree) node(id int32) *Node { return &t.blocks[id>>blockShift][id&(blockSize-1)] }
 

@@ -105,11 +105,13 @@ func (s *Speaker) Start(text string) {
 	s.transcript = append(s.transcript, Utterance{Text: text, Start: start, End: end})
 }
 
-// IsPlaying reports whether output is still playing (VO.ISPLAYING).
-func (s *Speaker) IsPlaying() bool {
+// PlayingAt reports whether output is still playing at now, a reading of
+// the speaker's clock (VO.ISPLAYING). The caller reads the clock, so a
+// planner that also needs the time reads it once.
+func (s *Speaker) PlayingAt(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.busyUntil.After(s.clock.Now())
+	return s.busyUntil.After(now)
 }
 
 // Transcript returns the utterances spoken so far, in order.

@@ -29,19 +29,19 @@ func TestDefaultRate(t *testing.T) {
 func TestStartAndIsPlaying(t *testing.T) {
 	clock := NewSimClock()
 	s := NewSpeaker(clock, 10)
-	if s.IsPlaying() {
+	if s.PlayingAt(clock.Now()) {
 		t.Error("fresh speaker should be idle")
 	}
 	s.Start("1234567890") // 1 second at 10 cps
-	if !s.IsPlaying() {
+	if !s.PlayingAt(clock.Now()) {
 		t.Error("should be playing right after Start")
 	}
 	clock.Advance(500 * time.Millisecond)
-	if !s.IsPlaying() {
+	if !s.PlayingAt(clock.Now()) {
 		t.Error("should still be playing at 0.5s")
 	}
 	clock.Advance(500 * time.Millisecond)
-	if s.IsPlaying() {
+	if s.PlayingAt(clock.Now()) {
 		t.Error("should be idle at exactly 1s")
 	}
 }
@@ -52,11 +52,11 @@ func TestStartQueuesWhileBusy(t *testing.T) {
 	s.Start("1234567890") // plays [0, 1s)
 	s.Start("12345")      // queued [1s, 1.5s)
 	clock.Advance(1200 * time.Millisecond)
-	if !s.IsPlaying() {
+	if !s.PlayingAt(clock.Now()) {
 		t.Error("queued utterance should still be playing at 1.2s")
 	}
 	clock.Advance(300 * time.Millisecond)
-	if s.IsPlaying() {
+	if s.PlayingAt(clock.Now()) {
 		t.Error("queue should drain at 1.5s")
 	}
 	tr := s.Transcript()
@@ -114,7 +114,7 @@ func TestSpeakerConcurrentAccess(t *testing.T) {
 	go func() {
 		for i := 0; i < 1000; i++ {
 			s.Start("x")
-			s.IsPlaying()
+			s.PlayingAt(clock.Now())
 		}
 		close(done)
 	}()
