@@ -6,10 +6,16 @@
 // A Controller bounds concurrent work to a fixed number of execution
 // slots. Requests beyond them wait in a bounded queue that grants freed
 // slots round-robin across tenants, so one chatty tenant cannot starve
-// the others. A request whose predicted queue wait already exceeds its
-// remaining deadline is shed at once (better a fast 503 than a slow one),
-// Drain sheds the queue for a graceful shutdown, and the load-derived
-// RetryAfter tells shed clients when capacity is expected.
+// the others. The controller keeps state only for tenants that have queued
+// since the queue was last empty: a tenant entering an empty queue starts
+// fresh, and one joining a busy queue starts no lower than the waiting
+// tenant with the fewest grants, so neither idling nor a past busy period
+// banks credit. A request admitted at once or shed leaves nothing behind,
+// however many distinct tenants the callers name. A request whose
+// predicted queue wait already exceeds its remaining deadline is shed at
+// once (better a fast 503 than a slow one), Drain sheds the queue for a
+// graceful shutdown, and the load-derived RetryAfter tells shed clients
+// when capacity is expected.
 //
 // The Controller is clock-injectable and free of HTTP types, so it unit
 // tests deterministically.
@@ -91,14 +97,14 @@ type waiter struct {
 	granted bool
 }
 
-// tenantState is one tenant's queue.
+// tenantState is one tenant's queue, kept from the tenant's first queued
+// request until the queue empties.
 type tenantState struct {
 	waiters []*waiter
 	// pass counts the grants the tenant has received: the waiting tenant
 	// with the lowest pass receives the next freed slot, so queued tenants
 	// are served round-robin.
-	pass     int
-	lastSeen time.Time
+	pass int
 }
 
 // Controller is the tenant-aware admission gate. See the package comment.
@@ -109,10 +115,11 @@ type Controller struct {
 	inFlight int
 	queued   int
 	draining bool
-	tenants  map[string]*tenantState
+	// tenants holds the state of the tenants queued since the queue was last
+	// empty; it is emptied whenever the last waiter leaves.
+	tenants map[string]*tenantState
 	// ewma tracks recent service time for queue-wait prediction.
-	ewma     time.Duration
-	acquires uint64
+	ewma time.Duration
 }
 
 // NewController returns a controller for cfg.
@@ -158,7 +165,6 @@ func (c *Controller) Acquire(ctx context.Context, tenant string) Result {
 		c.mu.Unlock()
 		return Result{Shed: ShedDraining}
 	}
-	t := c.tenantLocked(tenant, now)
 	// Fast path: a free slot and nobody queued ahead.
 	if c.inFlight < c.cfg.Slots && c.queued == 0 {
 		c.inFlight++
@@ -176,6 +182,11 @@ func (c *Controller) Acquire(ctx context.Context, tenant string) Result {
 			c.mu.Unlock()
 			return Result{Shed: ShedDeadline}
 		}
+	}
+	t := c.tenants[tenant]
+	if t == nil {
+		t = &tenantState{}
+		c.tenants[tenant] = t
 	}
 	w := &waiter{ch: make(chan struct{})}
 	if len(t.waiters) == 0 {
@@ -210,26 +221,6 @@ func (c *Controller) Acquire(ctx context.Context, tenant string) Result {
 		c.mu.Unlock()
 		return Result{Shed: ShedCanceled, Waited: c.cfg.Now().Sub(now)}
 	}
-}
-
-// tenantLocked returns the tenant state, creating it on first use and
-// occasionally sweeping long-idle tenants so the map stays bounded.
-func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
-	c.acquires++
-	if c.acquires%256 == 0 {
-		for k, t := range c.tenants {
-			if len(t.waiters) == 0 && now.Sub(t.lastSeen) > 10*time.Minute {
-				delete(c.tenants, k)
-			}
-		}
-	}
-	t := c.tenants[name]
-	if t == nil {
-		t = &tenantState{}
-		c.tenants[name] = t
-	}
-	t.lastSeen = now
-	return t
 }
 
 // minActivePassLocked returns the lowest pass among tenants with waiters.
@@ -272,11 +263,20 @@ func (c *Controller) grantLocked() bool {
 	}
 	w := best.waiters[0]
 	best.waiters = best.waiters[1:]
-	c.queued--
 	best.pass++
+	c.dequeuedLocked()
 	w.granted = true
 	close(w.ch)
 	return true
+}
+
+// dequeuedLocked counts one waiter out of the queue and forgets every
+// tenant once the queue is empty.
+func (c *Controller) dequeuedLocked() {
+	c.queued--
+	if c.queued == 0 {
+		clear(c.tenants)
+	}
 }
 
 // removeWaiterLocked drops an abandoned waiter from its tenant queue.
@@ -288,7 +288,7 @@ func (c *Controller) removeWaiterLocked(tenant string, w *waiter) {
 	for i, q := range t.waiters {
 		if q == w {
 			t.waiters = append(t.waiters[:i], t.waiters[i+1:]...)
-			c.queued--
+			c.dequeuedLocked()
 			return
 		}
 	}
@@ -343,8 +343,8 @@ func (c *Controller) Drain() {
 		for _, w := range t.waiters {
 			close(w.ch) // granted stays false: the waiter sheds
 		}
-		t.waiters = nil
 	}
+	clear(c.tenants)
 	c.queued = 0
 }
 

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -271,5 +272,84 @@ func TestShedReasonStrings(t *testing.T) {
 		if r.String() != name {
 			t.Errorf("%d.String() = %q, want %q", r, r.String(), name)
 		}
+	}
+}
+
+// tenantCount reports how many tenants the controller keeps state for.
+func tenantCount(c *Controller) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.tenants)
+}
+
+// TestNoTenantStateOutlivesTheQueue: only a queued request makes tenant
+// state, and the state goes when the queue empties, whether its last waiter
+// is granted, cancelled or drained. One-shot tenants (the daemon's default
+// tenant is the session) therefore leave nothing behind.
+func TestNoTenantStateOutlivesTheQueue(t *testing.T) {
+	const oneShot = 10000
+	clk := newFakeClock()
+	c := NewController(Config{Slots: 1, Now: clk.Now})
+	for i := 0; i < oneShot; i++ {
+		r := c.Acquire(context.Background(), fmt.Sprint("fast", i))
+		if r.Ticket == nil {
+			t.Fatalf("fast-path request %d shed with %v", i, r.Shed)
+		}
+		r.Ticket.Release()
+	}
+	hold := c.Acquire(context.Background(), "holder")
+	for i := 0; i < oneShot; i++ {
+		if r := c.Acquire(context.Background(), fmt.Sprint("shed", i)); r.Shed != ShedQueueFull {
+			t.Fatalf("request %d at QueueDepth 0: got %v, want ShedQueueFull", i, r.Shed)
+		}
+	}
+	hold.Ticket.Release()
+	if n := tenantCount(c); n != 0 {
+		t.Fatalf("after %d fast-path and %d shed requests the controller holds %d tenants, want 0", oneShot, oneShot, n)
+	}
+
+	// A burst from 100 tenants, three waiters each, queued behind one
+	// held slot and served until the queue is empty.
+	c = NewController(Config{Slots: 1, QueueDepth: 300, Now: clk.Now})
+	var tenants []string
+	for i := 0; i < 300; i++ {
+		tenants = append(tenants, fmt.Sprint("burst", i%100))
+	}
+	held, grants := fillQueue(t, c, tenants)
+	if n := tenantCount(c); n != 100 {
+		t.Fatalf("the queued burst holds %d tenants, want 100", n)
+	}
+	held.Release()
+	for range tenants {
+		nextGrant(t, grants).res.Ticket.Release()
+	}
+	if n := tenantCount(c); n != 0 {
+		t.Fatalf("after the burst drained the controller holds %d tenants, want 0", n)
+	}
+
+	// The queue's last waiter cancelled, and a queue shed by Drain.
+	hold = c.Acquire(context.Background(), "holder")
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := make(chan Result, 1)
+	go func() { canceled <- c.Acquire(ctx, "a") }()
+	waitFor(t, func() bool { return c.QueueLen() == 1 })
+	cancel()
+	if r := <-canceled; r.Shed != ShedCanceled {
+		t.Fatalf("cancelled waiter: got %v, want ShedCanceled", r.Shed)
+	}
+	hold.Ticket.Release()
+	if n := tenantCount(c); n != 0 {
+		t.Fatalf("after the last waiter cancelled the controller holds %d tenants, want 0", n)
+	}
+	held, grants = fillQueue(t, c, []string{"a", "b", "c"})
+	c.Drain()
+	for range 3 {
+		if g := <-grants; g.res.Shed != ShedDraining {
+			t.Fatalf("drained waiter for %s: got %v, want ShedDraining", g.tenant, g.res.Shed)
+		}
+	}
+	held.Release()
+	if n := tenantCount(c); n != 0 {
+		t.Fatalf("after Drain the controller holds %d tenants, want 0", n)
 	}
 }

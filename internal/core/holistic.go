@@ -136,7 +136,7 @@ func (h *Holistic) vocalize(ctx context.Context) (*Output, error) {
 	cancelled := false
 	// Each window commits the baseline or a refinement, or is cancelled and
 	// the last.
-	trace.Sentences = make([]SentenceTrace, 0, cfg.Prefs.MaxFragments+1)
+	trace.Sentences = make([]SentenceTrace, 0, cfg.Prefs.RefinementLimit()+1)
 	// The speech is finished once nothing can follow the committed sentence:
 	// what would be planned while that sentence plays, nobody would hear.
 	for !cancelled && !tree.Terminal() {

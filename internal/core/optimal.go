@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/olap"
 	"repro/internal/speech"
@@ -80,32 +81,40 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 	}, ctx, o.dataset), nil
 }
 
-// searchBest exhaustively enumerates every valid speech (all baselines
-// that fit the preferences, all refinement chains up to the limits —
-// including shorter prefixes, since an extra refinement can hurt quality)
-// and returns the maximizer of exact quality. Cancellation is checked every
-// few hundred scored speeches and cuts the enumeration short, returning the
-// best so far.
+// searchBest exhaustively enumerates every speech of the grammar (every
+// baseline that may open one, then every chain of refinements the successor
+// rule allows, shorter prefixes included, since an extra refinement can hurt
+// quality) and returns the maximizer of exact quality. Cancellation is
+// checked every few hundred scored speeches and cuts the enumeration short,
+// returning the best so far.
 //
-// Scoring goes through belief.Scorer's incremental apply/undo API: the DFS
-// pushes each candidate refinement as one bitset sweep off its parent's
-// means vector instead of rebuilding every mean per candidate. The scorer
-// reproduces Model.Quality bit for bit (same additions, same order), and
-// the enumeration order and the strict ">" comparison are unchanged, so
-// the chosen speech is identical to the scalar search's — only faster.
+// The search walks the rule's successor sets (speech.Generator.Successors),
+// the sets the planner's tree lists children from, in ordinal order, so the
+// two search the same speeches, and it builds no speech per candidate: the
+// path is a stack of menu refinements. Scoring goes through belief.Scorer's
+// incremental apply/undo API: the DFS pushes each candidate refinement as one
+// bitset sweep off its parent's means vector instead of rebuilding every mean
+// per candidate. The scorer reproduces Model.Quality bit for bit (same
+// additions, same order), and with the strict ">" comparison the first
+// maximizer in enumeration order wins.
 func (o *Optimal) searchBest(ctx context.Context, s *session, result *olap.Result, scale float64, preamble *speech.Preamble) (*speech.Speech, int64) {
 	const checkEvery = 256
+	gen := s.gen
+	menu, words := gen.Menu(), gen.MenuWords()
 	sc := s.model.NewScorer(result)
-	var best *speech.Speech
-	bestQ := -1.0
-	var scored int64
-	cancelled := false
-
-	var extend func(sp *speech.Speech)
-	extend = func(sp *speech.Speech) {
-		if cancelled {
-			return
-		}
+	var (
+		base     *speech.Baseline
+		path     []*speech.Refinement
+		bestBase *speech.Baseline
+		bestRefs []*speech.Refinement
+		// sets[d] is the successor set of the path's prefix of d refinements.
+		sets      = [][]uint64{make([]uint64, words)}
+		bestQ     = -1.0
+		scored    int64
+		cancelled bool
+	)
+	var extend func(d, mainLen int)
+	extend = func(d, mainLen int) {
 		if scored%checkEvery == 0 && ctx.Err() != nil {
 			cancelled = true
 			return
@@ -113,34 +122,41 @@ func (o *Optimal) searchBest(ctx context.Context, s *session, result *olap.Resul
 		q := sc.Quality()
 		scored++
 		if q > bestQ {
-			bestQ = q
-			best = sp
+			bestQ, bestBase, bestRefs = q, base, append(bestRefs[:0], path...)
 		}
-		if len(sp.Refinements) >= s.cfg.Prefs.MaxFragments {
-			return
+		if len(sets) == d+1 {
+			sets = append(sets, make([]uint64, words))
 		}
-		for _, r := range s.gen.Refinements(sp.Refinements) {
-			ext := sp.Extend(r)
-			if ext.Valid(s.cfg.Prefs) {
-				sc.Push(r)
-				extend(ext)
+		set, next := sets[d], sets[d+1]
+		for j, w := range set {
+			for ; w != 0; w &= w - 1 {
+				r := j<<6 + bits.TrailingZeros64(w)
+				nextLen := gen.Successors(next, set, r, mainLen, d+1)
+				sc.Push(menu[r])
+				path = append(path, menu[r])
+				extend(d+1, nextLen)
+				path = path[:d]
 				sc.Pop()
+				if cancelled {
+					return
+				}
 			}
 		}
 	}
-	for _, b := range s.gen.BaselineCandidates(speech.SpeechScale(scale)) {
+	for _, b := range gen.BaselineCandidates(speech.SpeechScale(scale)) {
 		if cancelled {
 			break
 		}
-		sp := &speech.Speech{Preamble: preamble, Baseline: b}
-		if !sp.Valid(s.cfg.Prefs) {
+		if !gen.Opens(b) {
 			continue
 		}
-		sc.Reset(sp)
-		extend(sp)
+		base = b
+		sc.Reset(&speech.Speech{Baseline: b})
+		extend(0, gen.After(sets[0], b))
 	}
-	if best == nil {
-		best = &speech.Speech{Preamble: preamble}
+	best := &speech.Speech{Preamble: preamble, Baseline: bestBase}
+	if len(bestRefs) > 0 {
+		best.Refinements = bestRefs
 	}
 	return best, scored
 }

@@ -29,7 +29,7 @@ func TestNodeSize(t *testing.T) {
 	tree := coldTree(t, fineGen(t), 1, 1)
 	base := childAt(tree, tree.Root(), 0)
 	tree.expand(base)
-	tree.expand(childAt(tree, base, 0)) // allocates the tree's compatibility rows
+	tree.expand(childAt(tree, base, 0)) // builds the generator's compatibility rows
 	// Fan-outs come in chunks, and their bitsets in word chunks that hold
 	// several fan-out chunks' worth, so the cost of one is the mean over a
 	// whole word chunk, from the first number of a new fan-out chunk and the

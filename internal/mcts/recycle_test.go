@@ -104,9 +104,9 @@ func plan(t *testing.T, tree *Tree, samples int) planned {
 
 // TestRecycledTreeMatchesFresh: a tree built on a released tree's arena plans
 // bit for bit what a tree built on a fresh one does. The menus change width
-// from tree to tree, so a recycled bitset slab or compatibility matrix is too
-// small for the next menu as often as it is too large, and the fine menu
-// comes back last, on chunks a narrower tree zeroed and used.
+// from tree to tree, so a recycled bitset slab is too small for the next
+// menu as often as it is too large, and the fine menu comes back last, on
+// chunks a narrower tree zeroed and used.
 func TestRecycledTreeMatchesFresh(t *testing.T) {
 	fine := fineGen(t)
 	menus := []struct {
@@ -296,9 +296,6 @@ func arenaMemory(t *testing.T, a *arena) map[unsafe.Pointer]bool {
 	add(unsafe.Pointer(unsafe.SliceData(a.intChunks)))
 	add(unsafe.Pointer(unsafe.SliceData(a.kidChunks)))
 	add(unsafe.Pointer(unsafe.SliceData(a.wordChunks)))
-	add(unsafe.Pointer(unsafe.SliceData(a.compat)))
-	add(unsafe.Pointer(unsafe.SliceData(a.compatMade)))
-	add(unsafe.Pointer(unsafe.SliceData(a.textLen)))
 	for _, b := range a.blocks {
 		add(unsafe.Pointer(b))
 	}

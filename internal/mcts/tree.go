@@ -12,8 +12,9 @@
 // a fan-out of three bitsets over that menu's ordinals: valid (the fragment
 // may follow this speech), seen (the child has a visit) and made (the child
 // is a Node), plus the numbers of its made children in ordinal order. The
-// valid set is the AND of one compatibility row per ancestor refinement,
-// built once per tree, minus what overflows the character limit. A Node is
+// valid set is the grammar's successor set of the node's speech, which the
+// generator computes from the parent's (speech.Generator.Successors): the
+// tree keeps no rule of its own about what may follow what. A Node is
 // materialised only when a sample first descends into a child, when the
 // eager pre-build recurses into it, or when BestChild must return it. A
 // fine-grained query offers 390 to 480 children per expansion and over half
@@ -49,15 +50,15 @@
 // speech it rewrites in place, and Speech builds a real one for the few nodes
 // a caller asks about. Nothing here is safe for concurrent use.
 //
-// The blocks, the fan-out chunks, the slabs that bitsets, child lists and run
-// tables are carved from, and the compatibility matrix are the tree's arena,
-// and the tree owns it alone. An answer's tree is garbage once its speech is
-// built, so Release ends the tree and hands its arena to the next tree built,
-// which zeroes each chunk as it reaches it: a recycled tree is step for step
-// the fresh one. Nothing in the arena is sized for one tree's menu or one
-// fan-out's children, so any tree reuses it whole. The free list the arenas
-// wait in is the only state the package shares between trees, and it starts
-// no goroutine.
+// The blocks, the fan-out chunks and the slabs that bitsets, child lists and
+// run tables are carved from are the tree's arena, and the tree owns it
+// alone. An answer's tree is garbage once its speech is built, so Release
+// ends the tree and hands its arena to the next tree built, which zeroes each
+// chunk as it reaches it: a recycled tree is step for step the fresh one.
+// Nothing in the arena is sized for one tree's menu or one fan-out's
+// children, so any tree reuses it whole. The free list the arenas wait in is
+// the only state the package shares between trees, and it starts no
+// goroutine.
 package mcts
 
 import (
@@ -104,7 +105,7 @@ type Node struct {
 	// ladder for a child of the root, in the refinement menu elsewhere.
 	ord uint16
 	// depth counts refinements on the path (0 for root and baselines), at
-	// most the tree's maxDepth.
+	// most the fragment limit.
 	depth uint16
 }
 
@@ -123,6 +124,9 @@ type fanout struct {
 	// runs is the number of the table that ranks the children for the UCT
 	// scan; 0 until a descent finds every child visited.
 	runs int32
+	// mainLen is the main-text length of the node's speech, which the
+	// successor sets of its children are computed from.
+	mainLen int32
 }
 
 // runs is the children of a saturated fan-out in the order the UCT scan
@@ -141,10 +145,9 @@ type runs struct {
 	last, lastRun, lastVisits int32
 }
 
-// has reports whether bit o of set is set; put sets it and drop clears it.
+// has reports whether bit o of set is set; put sets it.
 func has(set []uint64, o int) bool { return set[o>>6]&(1<<(o&63)) != 0 }
 func put(set []uint64, o int)      { set[o>>6] |= 1 << (o & 63) }
-func drop(set []uint64, o int)     { set[o>>6] &^= 1 << (o & 63) }
 
 // popcount returns the number of set bits.
 func popcount(set []uint64) int {
@@ -223,10 +226,9 @@ const (
 type runsBlock [runsChunk]runs
 
 // arena is the memory a tree numbers its nodes, fan-outs and run tables in:
-// the directories of their chunks, the slabs of chunks that bitsets, child
-// lists and run tables are carved from, and the compatibility matrix. The
-// chunks past what the tree has reached are a released tree's, waiting to be
-// zeroed and reused.
+// the directories of their chunks and the slabs of chunks that bitsets, child
+// lists and run tables are carved from. The chunks past what the tree has
+// reached are a released tree's, waiting to be zeroed and reused.
 type arena struct {
 	blocks  []*block
 	fans    []*fanBlock
@@ -237,14 +239,6 @@ type arena struct {
 	intChunks  [][]int32
 	kidChunks  [][]int32
 	wordChunks [][]uint64
-	// compat holds one row of menuWords words per menu ordinal o, bit i set
-	// when menu[i] may follow a speech containing menu[o]; compatMade marks
-	// the rows built so far. Both are empty until the first row is asked for.
-	compat     []uint64
-	compatMade []uint64
-	// textLen[o] is menu[o].TextLen(): the menu's texts are rendered only
-	// for the sentences spoken.
-	textLen []int32
 }
 
 // arenas holds the arenas of released trees.
@@ -326,13 +320,6 @@ type Tree struct {
 	// estimate.
 	menu      []*speech.Refinement
 	baselines []*speech.Baseline
-	// maxChars and maxDepth are the generator's limits, resolved once: zero
-	// means no character limit; no node at maxDepth has children.
-	maxChars int
-	maxDepth uint16
-	// maxTextLen is the longest refinement text of the menu: an expansion
-	// with that much room left drops nothing for length.
-	maxTextLen int32
 	// menuWords is the length of a bitset over the menu.
 	menuWords int
 	// validScratch collects the valid set of one expansion.
@@ -403,10 +390,9 @@ func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 		eval:      eval,
 		rng:       rng,
 		MaxNodes:  maxNodes,
-		menu:      gen.Refinements(nil),
+		menu:      gen.Menu(),
+		menuWords: gen.MenuWords(),
 		baselines: gen.BaselineCandidates(speech.SpeechScale(scale)),
-		maxChars:  gen.Prefs.MaxChars,
-		maxDepth:  math.MaxUint16,
 		nodeCount: 1,
 		nextNode:  1,
 		nextFan:   rootFan,
@@ -415,21 +401,9 @@ func newTree(gen *speech.Generator, scale float64, eval EvalFunc, rng *rand.Rand
 	if len(t.menu) > math.MaxUint16 || len(t.baselines) > math.MaxUint16 {
 		return nil, errors.New("mcts: a node's ordinal is 16 bits, and the menu or the baseline ladder is wider")
 	}
-	if mf := gen.Prefs.MaxFragments; mf > 0 && mf < math.MaxUint16 {
-		t.maxDepth = uint16(mf)
-	}
-	t.menuWords = (len(t.menu) + 63) / 64
 	t.scratch.Preamble = t.preamble
 	t.arena = *a
 	t.validScratch = t.carveWords(t.menuWords)
-	t.textLen = t.textLen[:0]
-	for _, r := range t.menu {
-		t.textLen = append(t.textLen, int32(r.TextLen()))
-	}
-	if len(t.textLen) > 0 {
-		t.maxTextLen = slices.Max(t.textLen)
-	}
-	t.compat = t.compat[:0]
 	t.root = t.newNode()
 	t.prebuild(t.node(t.root), t.root)
 	return t, nil
@@ -562,7 +536,7 @@ func (t *Tree) child(n *Node, id int32, o int) (int32, *Node) {
 	c.ord = uint16(o)
 	if n.parent != 0 {
 		c.depth = n.depth + 1
-		if c.depth >= t.maxDepth {
+		if !t.gen.Prefs.Extensible(int(c.depth)) {
 			c.fan = noFan
 		}
 	}
@@ -609,68 +583,31 @@ func (t *Tree) Speech(n *Node) *speech.Speech {
 	return sp
 }
 
-// compatRow returns the compatibility row of menu ordinal o, building it on
-// first use: bit i is set unless menu[i] conflicts with menu[o] (the same
-// scope or, under the generator's disjoint-scopes rule, an overlapping one).
-func (t *Tree) compatRow(o int) []uint64 {
-	w := t.menuWords
-	if len(t.compat) == 0 {
-		t.compat = zeroed(t.compat, len(t.menu)*w)
-		t.compatMade = zeroed(t.compatMade, w)
-	}
-	row := t.compat[o*w : (o+1)*w]
-	if !has(t.compatMade, o) {
-		for i, c := range t.menu {
-			if !t.gen.Conflicts(t.menu[o], c) {
-				put(row, i)
-			}
-		}
-		put(t.compatMade, o)
-	}
-	return row
-}
-
-// expand enumerates the children of n (ST.EXPAND) as a valid set: below the
-// root the baselines that fit the character limit, elsewhere the AND of the
-// ancestors' compatibility rows minus the refinements that would overflow
-// it. No candidate speech is materialised and the menu is not copied.
+// expand enumerates the children of n (ST.EXPAND) as a valid set, the
+// grammar's successor set of n's speech: below the root the baselines that
+// may open a speech, below a baseline the refinements that may follow it, and
+// elsewhere what may follow once n's refinement joins its parent's speech,
+// from the parent's valid set. No candidate speech is materialised and the
+// menu is not copied.
 func (t *Tree) expand(n *Node) {
 	n.fan = noFan
-	valid := t.validScratch
-	if n.parent == 0 {
+	valid, mainLen := t.validScratch, 0
+	switch {
+	case n.parent == 0:
 		// The root's sets, over the baseline ladder, are carved alone and its
 		// valid set is built in place at their head.
 		w := (len(t.baselines) + 63) / 64
 		valid = t.carveWords(3 * w)[:w]
 		for i, b := range t.baselines {
-			if t.maxChars <= 0 || len(b.Text()) <= t.maxChars {
+			if t.gen.Opens(b) {
 				put(valid, i)
 			}
 		}
-	} else {
-		for j := range valid {
-			valid[j] = ^uint64(0)
-		}
-		if tail := len(t.menu) & 63; tail != 0 {
-			valid[len(valid)-1] = 1<<tail - 1
-		}
-		// One walk up the path ANDs the ancestors' rows and adds up the main
-		// text so far: a space and a refinement per level, then the baseline.
-		cur, mainLen := n, int32(0)
-		for ; cur.depth > 0; cur = t.node(cur.parent) {
-			for j, w := range t.compatRow(int(cur.ord)) {
-				valid[j] &= w
-			}
-			mainLen += 1 + t.textLen[cur.ord]
-		}
-		mainLen += int32(len(t.baselines[cur.ord].Text()))
-		if room := int32(t.maxChars) - mainLen - 1; t.maxChars > 0 && room < t.maxTextLen {
-			for o, l := range t.textLen {
-				if l > room {
-					drop(valid, o)
-				}
-			}
-		}
+	case n.depth == 0:
+		mainLen = t.gen.After(valid, t.baselines[n.ord])
+	default:
+		p := t.node(n.parent)
+		mainLen = t.gen.Successors(valid, t.valid(p.fan), int(n.ord), int(t.fanout(p.fan).mainLen), int(n.depth))
 	}
 	count := popcount(valid)
 	if count == 0 {
@@ -679,6 +616,7 @@ func (t *Tree) expand(n *Node) {
 	// The root is the first node expanded, so its fan-out is rootFan, and its
 	// sets stay where they were built.
 	n.fan = t.newFanout()
+	t.fanout(n.fan).mainLen = int32(mainLen)
 	if n.parent == 0 {
 		t.rootSets = valid[:cap(valid)]
 	} else {
@@ -711,7 +649,7 @@ func (t *Tree) newFanout() int32 {
 // the fragment limit cannot have children of their own and stay bits.
 func (t *Tree) prebuild(n *Node, id int32) {
 	t.expand(n)
-	if n.fan < 0 || (n.parent != 0 && n.depth+1 >= t.maxDepth) {
+	if n.fan < 0 || (n.parent != 0 && !t.gen.Prefs.Extensible(int(n.depth)+1)) {
 		return
 	}
 	for j, w := range t.valid(n.fan) {

@@ -62,6 +62,16 @@ type menuSlab struct {
 	refs  []Refinement
 	ptrs  []*Refinement
 	preds []*dimension.Member
+	// The successor rule's tables (successors.go). ruled says whether they
+	// describe this menu yet; textLen[o] is ptrs[o].TextLen() and maxTextLen
+	// the longest. compat holds one compatibility row per ordinal and
+	// compatMade marks the rows built; both stay empty until the first row
+	// is asked for.
+	ruled      bool
+	textLen    []int32
+	maxTextLen int32
+	compat     []uint64
+	compatMade []uint64
 }
 
 // slabs holds the menus of released generators.
@@ -249,6 +259,7 @@ func (g *Generator) fullMenu() []*Refinement {
 		ptrs = append(ptrs, &refs[i])
 	}
 	slab.refs, slab.ptrs, slab.preds = refs, ptrs, ps
+	slab.ruled = false
 	g.menu = slab
 	return ptrs
 }
@@ -271,11 +282,14 @@ func (g *Generator) Release() {
 
 // Refinements returns the candidate next refinements for a speech with the
 // given existing refinements (SG.Refinements): the full candidate menu
-// minus the candidates that Conflicts with one of them. With no existing
+// minus the candidates that conflict with one of them. With no existing
 // refinements it is the shared menu itself, uncopied. Validity against
 // length constraints is checked separately by the caller via Speech.Valid
 // (ST.IsValid in the paper's pseudo-code). The returned refinements are
-// shared; callers must not mutate them, nor use them after Release.
+// shared; callers must not mutate them, nor use them after Release. The
+// planner and the exact search walk Successors instead; this copying
+// filter, with Speech.Extend and Speech.Valid, is the reference the tests
+// hold Successors to.
 func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	menu := g.fullMenu()
 	if len(prev) == 0 {
@@ -285,7 +299,7 @@ func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	for _, c := range menu {
 		used := false
 		for _, r := range prev {
-			if g.Conflicts(r, c) {
+			if g.conflicts(r, c) {
 				used = true
 				break
 			}
@@ -297,13 +311,13 @@ func (g *Generator) Refinements(prev []*Refinement) []*Refinement {
 	return out
 }
 
-// Conflicts reports whether candidate c can no longer follow a speech that
+// conflicts reports whether candidate c can no longer follow a speech that
 // already contains r: the two address the same scope, or DisjointScopes is
 // set and their scopes share an aggregate. It is a pure function of the
-// pair and allocates nothing for menu refinements, so the search tree asks
-// it once per pair of menu entries instead of copying a filtered menu per
-// node.
-func (g *Generator) Conflicts(r, c *Refinement) bool {
+// pair and allocates nothing for menu refinements, so the successor rule
+// asks it once per pair of menu entries instead of copying a filtered menu
+// per prefix.
+func (g *Generator) conflicts(r, c *Refinement) bool {
 	return r.SameScope(c) || (g.DisjointScopes && g.overlaps(r, c))
 }
 

@@ -114,9 +114,9 @@ func (r *Refinement) Text() string {
 }
 
 // TextLen returns len(r.Text()) without rendering the text: the member
-// phrases' lengths plus the sentence frame's. The planner checks every
-// menu refinement against the character limit and speaks at most
-// Prefs.MaxFragments of them, so only those are ever rendered.
+// phrases' lengths plus the sentence frame's. The successor rule checks
+// every menu refinement against the character limit and a speech holds few
+// of them, so only those are ever rendered.
 func (r *Refinement) TextLen() int {
 	n := len("Values ") + len(r.Dir.String()) + len(" by ") + intLen(r.Percent) + len(" percent for ") + len(".")
 	for i, p := range r.Preds {
@@ -339,7 +339,8 @@ type Prefs struct {
 	// MaxChars bounds the length of the main speech (without preamble);
 	// the paper follows voice-interface guidance of 300 characters.
 	MaxChars int
-	// MaxFragments bounds the number of refinements.
+	// MaxFragments bounds the number of refinements; 0 or below sets no
+	// bound (RefinementLimit).
 	MaxFragments int
 	// SigDigits is the precision of spoken values (paper: 1).
 	SigDigits int
@@ -351,8 +352,7 @@ func DefaultPrefs() Prefs {
 }
 
 // MainLen returns the character length of MainText without building the
-// string or rendering a refinement: validity checks run once per candidate
-// speech, and the exhaustive search checks every one.
+// string or rendering a refinement.
 func (s *Speech) MainLen() int {
 	n := 0
 	if s.Baseline != nil {
@@ -369,7 +369,10 @@ func (s *Speech) MainLen() int {
 
 // Valid reports whether the speech respects the preference constraints and
 // contains no duplicate refinement scopes (a repeated scope would either
-// contradict or restate an earlier sentence).
+// contradict or restate an earlier sentence). It checks a whole speech; the
+// searches build speeches with the successor rule (Generator.Successors),
+// which keeps them valid one refinement at a time, and Valid is the
+// reference the tests hold the rule's speeches to.
 func (s *Speech) Valid(p Prefs) bool {
 	if p.MaxChars > 0 && s.MainLen() > p.MaxChars {
 		return false
