@@ -10,10 +10,20 @@
 package repro_bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/belief"
 	"repro/internal/core"
@@ -26,6 +36,7 @@ import (
 	"repro/internal/semcache"
 	"repro/internal/speech"
 	"repro/internal/voice"
+	"repro/internal/web"
 )
 
 // benchRows keeps benchmark dataset generation moderate; run cmd/benchrunner
@@ -489,6 +500,24 @@ func BenchmarkHolisticEndToEnd(b *testing.B) {
 // coldRows is the benchmark's flights table: the paper's 5.3 M rows.
 const coldRows = 5300000
 
+var (
+	coldOnce  sync.Once
+	coldData  *olap.Dataset
+	coldError error
+)
+
+// coldTable generates the 5.3 M-row flights table once per test binary.
+func coldTable(b *testing.B) *olap.Dataset {
+	b.Helper()
+	coldOnce.Do(func() {
+		coldData, coldError = datagen.Flights(datagen.FlightsConfig{Rows: coldRows, Seed: 1})
+	})
+	if coldError != nil {
+		b.Fatal(coldError)
+	}
+	return coldData
+}
+
 // coldQueries are the 17 canonical queries of the benchmark's repeat_zipf
 // workload, each as the utterances that reach it from a fresh session
 // (which groups by region): six single dimensions, then every pair of
@@ -532,10 +561,7 @@ func coldQueries() [][]string {
 // far less than the wall time on a shared machine. Compare commits at
 // -cpu 1 and -cpu 2, alternating the binaries.
 func BenchmarkColdAnswers(b *testing.B) {
-	d, err := datagen.Flights(datagen.FlightsConfig{Rows: coldRows, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := coldTable(b)
 	var queries []olap.Query
 	for _, utterances := range coldQueries() {
 		sess, err := nlq.NewSession(d, olap.Avg, "cancelled", "average cancellation probability")
@@ -566,4 +592,171 @@ func BenchmarkColdAnswers(b *testing.B) {
 	if end, ok := threadCPU(); perThread && ok {
 		b.ReportMetric(float64((end-start).Microseconds())/1e3/float64(b.N), "planner-cpu-ms/set")
 	}
+}
+
+// BenchmarkOverload drives a daemon-configured web.Server over loopback
+// HTTP with closed-loop clients and reports what admission does under
+// overload. The server plans the 17 coldQueries over 5.3 M flights with
+// core.DaemonConfig and the semantic cache off, so every answer is planned.
+// 2, 4 and 8 clients offer 1x, 2x and 4x the load two cores serve: each
+// sends its next utterance when its reply arrives, and after a 503 waits
+// the Retry-After it was given. An iteration is one admitted answer. Per
+// cell it reports goodput (admitted answers per second of the run), p50
+// and p99 wall of the admitted answers, the share of requests shed and the
+// share of admitted answers past the paper's 500 ms interactivity
+// threshold. Run the grid with -benchtime=100x -count=5.
+func BenchmarkOverload(b *testing.B) {
+	d := coldTable(b)
+	for _, clients := range []int{2, 4, 8} {
+		for _, slots := range []int{2, 4, 8, 32} {
+			for _, depth := range []int{0, 4, 16} {
+				name := fmt.Sprintf("clients=%d/slots=%d/depth=%d", clients, slots, depth)
+				b.Run(name, func(b *testing.B) {
+					runOverload(b, d, clients, web.Options{
+						MaxConcurrent:   slots,
+						QueueDepth:      depth,
+						SemCacheEntries: -1,
+						Logf:            func(string, ...any) {},
+					})
+				})
+			}
+		}
+	}
+}
+
+// runOverload serves d with opts and runs clients closed-loop clients until
+// b.N answers have been admitted.
+func runOverload(b *testing.B, d *olap.Dataset, clients int, opts web.Options) {
+	srv, err := web.NewServerWith(core.DaemonConfig(1), opts, web.DatasetInfo{
+		Name: "flights", Dataset: d, MeasureCol: "cancelled",
+		MeasureDesc: "average cancellation probability", Format: speech.PercentFormat,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	queries := coldQueries()
+
+	var (
+		mu       sync.Mutex
+		walls    []time.Duration
+		requests int
+		sheds    int
+	)
+	done := make(chan struct{})
+	var closeDone sync.Once
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				// Clients walk the queries from different offsets, each query
+				// from a fresh session.
+				session := fmt.Sprintf("c%d-%d", c, n)
+				for _, u := range queries[(c+n*clients)%len(queries)] {
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						t0 := time.Now()
+						code, retry, err := postUtterance(client, ts.URL, fmt.Sprint("client", c), session, u)
+						wall := time.Since(t0)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						mu.Lock()
+						requests++
+						switch code {
+						case http.StatusOK:
+							walls = append(walls, wall)
+							if len(walls) == b.N {
+								closeDone.Do(func() { close(done) })
+							}
+						case http.StatusServiceUnavailable:
+							sheds++
+						}
+						mu.Unlock()
+						if code == http.StatusOK {
+							break
+						}
+						if code != http.StatusServiceUnavailable {
+							b.Errorf("%q: status %d", u, code)
+							return
+						}
+						select {
+						case <-done:
+							return
+						case <-time.After(retry):
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	if len(walls) == 0 {
+		return
+	}
+	slices.Sort(walls)
+	late := 0
+	for _, w := range walls {
+		if w > 500*time.Millisecond {
+			late++
+		}
+	}
+	at := func(q float64) float64 {
+		i := int(math.Ceil(q*float64(len(walls)))) - 1
+		return float64(walls[max(i, 0)].Microseconds()) / 1e3
+	}
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(float64(len(walls))/elapsed.Seconds(), "answers/s")
+	b.ReportMetric(at(0.5), "p50-ms")
+	b.ReportMetric(at(0.99), "p99-ms")
+	b.ReportMetric(float64(sheds)/float64(requests), "shed-share")
+	b.ReportMetric(float64(late)/float64(len(walls)), "late-share")
+}
+
+// postUtterance sends one /api/query for the holistic vocalizer and returns
+// the status and, on a 503, the Retry-After it carries.
+func postUtterance(client *http.Client, base, tenant, session, input string) (int, time.Duration, error) {
+	body, err := json.Marshal(map[string]string{
+		"session": session, "dataset": "flights", "input": input, "method": "this",
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	req, err := http.NewRequest("POST", base+"/api/query", bytes.NewReader(body))
+	if err != nil {
+		return 0, 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return 0, 0, err
+	}
+	var retry time.Duration
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil {
+			return 0, 0, fmt.Errorf("503 without a Retry-After in seconds: %v", err)
+		}
+		retry = time.Duration(secs) * time.Second
+	}
+	return resp.StatusCode, retry, nil
 }
