@@ -600,28 +600,24 @@ func BenchmarkColdAnswers(b *testing.B) {
 // core.DaemonConfig and the semantic cache off, so every answer is planned.
 // 2, 4 and 8 clients offer 1x, 2x and 4x the load two cores serve: each
 // sends its next utterance when its reply arrives, and after a 503 waits
-// the Retry-After it was given. An iteration is one admitted answer. Per
-// cell it reports goodput (admitted answers per second of the run), p50
-// and p99 wall of the admitted answers, the share of requests shed and the
-// share of admitted answers past the paper's 500 ms interactivity
-// threshold, and the share of answered queries that waited in the
-// admission queue. Run the grid five times with -benchtime=200x, so the
-// repeats of a cell spread over the whole run.
+// the Retry-After it was given. Slots range over {2, 4, 8, 32}. An
+// iteration is one admitted answer. Per cell it reports goodput (admitted
+// answers per second of the run), p50 and p99 wall of the admitted
+// answers, the share of requests shed and the share of admitted answers
+// past the paper's 500 ms interactivity threshold. Run the grid five times
+// with -benchtime=200x, so the repeats of a cell spread over the whole run
+// (EXPERIMENTS.md, "Admission under overload").
 func BenchmarkOverload(b *testing.B) {
 	d := coldTable(b)
 	for _, clients := range []int{2, 4, 8} {
 		for _, slots := range []int{2, 4, 8, 32} {
-			for _, depth := range []int{0, 4, 16} {
-				name := fmt.Sprintf("clients=%d/slots=%d/depth=%d", clients, slots, depth)
-				b.Run(name, func(b *testing.B) {
-					runOverload(b, d, clients, web.Options{
-						MaxConcurrent:   slots,
-						QueueDepth:      depth,
-						SemCacheEntries: -1,
-						Logf:            func(string, ...any) {},
-					})
+			b.Run(fmt.Sprintf("clients=%d/slots=%d", clients, slots), func(b *testing.B) {
+				runOverload(b, d, clients, web.Options{
+					MaxConcurrent:   slots,
+					SemCacheEntries: -1,
+					Logf:            func(string, ...any) {},
 				})
-			}
+			})
 		}
 	}
 }
@@ -710,10 +706,6 @@ func runOverload(b *testing.B, d *olap.Dataset, clients int, opts web.Options) {
 	if len(walls) == 0 {
 		return
 	}
-	served, queued, err := servedQueued(client, ts.URL)
-	if err != nil {
-		b.Fatal(err)
-	}
 	slices.Sort(walls)
 	late := 0
 	for _, w := range walls {
@@ -731,28 +723,6 @@ func runOverload(b *testing.B, d *olap.Dataset, clients int, opts web.Options) {
 	b.ReportMetric(at(0.99), "p99-ms")
 	b.ReportMetric(float64(sheds)/float64(requests), "shed-share")
 	b.ReportMetric(float64(late)/float64(len(walls)), "late-share")
-	b.ReportMetric(float64(queued)/float64(served), "queued-share")
-}
-
-// servedQueued reads the server's answered queries and how many of them
-// waited in the admission queue from /api/stats.
-func servedQueued(client *http.Client, base string) (served, queued int64, err error) {
-	resp, err := client.Get(base + "/api/stats")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Serving web.ServingStats `json:"serving"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		return 0, 0, err
-	}
-	for _, t := range stats.Serving.Tenants {
-		served += t.Served
-		queued += t.Queued
-	}
-	return served, queued, nil
 }
 
 // postUtterance sends one /api/query for the holistic vocalizer and returns

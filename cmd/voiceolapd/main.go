@@ -5,17 +5,16 @@
 // The daemon is hardened for sustained multi-tenant traffic: the HTTP
 // server carries read/write/idle timeouts, every request runs under a
 // deadline (answers degrade to a shorter valid speech instead of
-// overrunning), and SIGINT/SIGTERM trigger a graceful shutdown that sheds
-// the admission queue and drains in-flight queries before exiting.
-// Overload is governed by -max-concurrent vocalization slots and a
-// -queue-depth queue served round-robin across tenants; requests beyond
-// them get 503 with a load-derived Retry-After.
+// overrunning), and SIGINT/SIGTERM trigger a graceful shutdown that
+// refuses new queries and drains in-flight ones before exiting. Overload
+// is governed by -max-concurrent vocalization slots; a request that finds
+// them all busy gets 503 with a one-second Retry-After.
 //
 // Usage:
 //
 //	voiceolapd [-addr :8080] [-flight-rows N] [-seed S]
 //	           [-request-timeout 30s] [-shutdown-grace 10s]
-//	           [-max-concurrent 32] [-queue-depth 0] [-max-body-bytes 65536]
+//	           [-max-concurrent 32] [-max-body-bytes 65536]
 //	           [-log-cap 10000] [-max-sessions 1024] [-session-ttl 1h]
 //	           [-semcache-entries 1024]
 //	           [-read-timeout 30s] [-write-timeout 60s] [-idle-timeout 2m]
@@ -62,8 +61,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "random seed")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline; answers degrade at the deadline (negative disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on SIGINT/SIGTERM")
-	maxConcurrent := flag.Int("max-concurrent", 32, "concurrent vocalizations admitted before queueing or responding 503")
-	queueDepth := flag.Int("queue-depth", 0, "round-robin admission queue depth beyond -max-concurrent (0 sheds immediately at saturation)")
+	maxConcurrent := flag.Int("max-concurrent", 32, "concurrent vocalizations admitted before responding 503")
 	maxBodyBytes := flag.Int64("max-body-bytes", 64<<10, "request body cap for /api/query")
 	logCap := flag.Int("log-cap", 10000, "query-log ring capacity")
 	maxSessions := flag.Int("max-sessions", 1024, "live session cap (LRU eviction beyond it)")
@@ -90,7 +88,6 @@ func run() error {
 		RequestTimeout:  *requestTimeout,
 		MaxBodyBytes:    *maxBodyBytes,
 		MaxConcurrent:   *maxConcurrent,
-		QueueDepth:      *queueDepth,
 		LogCap:          *logCap,
 		MaxSessions:     *maxSessions,
 		SessionTTL:      *sessionTTL,
@@ -136,8 +133,8 @@ func run() error {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
-	// On SIGINT/SIGTERM, shed every queued admission waiter immediately so
-	// the grace window is spent draining in-flight work, not the queue.
+	// On SIGINT/SIGTERM, refuse new queries at once so the grace window is
+	// spent draining in-flight work.
 	httpSrv.RegisterOnShutdown(srv.StartDrain)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -3,89 +3,14 @@ package admission
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// fakeClock is a mutex-guarded manual clock for deterministic tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// The base is the real present so context deadlines derived from fake
-// readings are not already expired in real time (ctx timers run on the
-// real clock even when the controller runs on this one).
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Now()} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never reached")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// grant is one waiter's outcome, tagged with its tenant.
-type grant struct {
-	tenant string
-	res    Result
-}
-
-// fillQueue admits one blocking ticket, then enqueues one waiter per
-// listed tenant in order. Each waiter reports its outcome on the shared
-// channel; since slots hand over one at a time (the test releases each
-// granted ticket before reading the next grant), the channel order is the
-// grant order.
-func fillQueue(t *testing.T, c *Controller, tenants []string) (*Ticket, chan grant) {
-	t.Helper()
-	hold := c.Acquire(context.Background(), "holder")
-	if hold.Ticket == nil {
-		t.Fatalf("holder not admitted: %v", hold.Shed)
-	}
-	grants := make(chan grant, len(tenants))
-	for i, tenant := range tenants {
-		tenant := tenant
-		go func() { grants <- grant{tenant, c.Acquire(context.Background(), tenant)} }()
-		waitFor(t, func() bool { return c.QueueLen() == i+1 })
-	}
-	return hold.Ticket, grants
-}
-
-// nextGrant reads one granted waiter, failing on shed or timeout.
-func nextGrant(t *testing.T, grants chan grant) grant {
-	t.Helper()
-	select {
-	case g := <-grants:
-		if g.res.Ticket == nil {
-			t.Fatalf("waiter for %s shed with %v, want grant", g.tenant, g.res.Shed)
-		}
-		return g
-	case <-time.After(5 * time.Second):
-		t.Fatal("no grant arrived")
-		return grant{}
-	}
-}
-
 func TestAcquireFastPathAndRelease(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 2, Now: clk.Now})
+	c := NewController(Config{Slots: 2})
 	r1 := c.Acquire(context.Background(), "a")
 	r2 := c.Acquire(context.Background(), "a")
 	if r1.Ticket == nil || r2.Ticket == nil {
@@ -94,10 +19,10 @@ func TestAcquireFastPathAndRelease(t *testing.T) {
 	if got := c.InFlight(); got != 2 {
 		t.Fatalf("InFlight = %d, want 2", got)
 	}
-	// No queue configured: the third request sheds immediately.
+	// Every slot is busy: the third request sheds immediately.
 	r3 := c.Acquire(context.Background(), "a")
 	if r3.Ticket != nil || r3.Shed != ShedQueueFull {
-		t.Fatalf("saturated zero-queue controller: got %v, want ShedQueueFull", r3.Shed)
+		t.Fatalf("saturated controller: got %v, want ShedQueueFull", r3.Shed)
 	}
 	r1.Ticket.Release()
 	r1.Ticket.Release() // double release must be harmless
@@ -107,128 +32,33 @@ func TestAcquireFastPathAndRelease(t *testing.T) {
 	r2.Ticket.Release()
 }
 
-// TestFairQueueAlternatesTenants: every queued tenant gets one grant before
-// any gets a second, whatever order the requests queued in.
-func TestFairQueueAlternatesTenants(t *testing.T) {
-	for _, tc := range []struct {
-		queued []string
-		rounds []string
-	}{
-		// Tenant a floods the queue with 4 requests before b's single one.
-		{[]string{"a", "a", "a", "a", "b"}, []string{"ab", "a", "a", "a"}},
-		{[]string{"a", "a", "a", "b", "b", "c"}, []string{"abc", "ab", "a"}},
-	} {
-		clk := newFakeClock()
-		c := NewController(Config{Slots: 1, QueueDepth: 16, Now: clk.Now})
-		hold, grants := fillQueue(t, c, tc.queued)
-		hold.Release()
-		for _, round := range tc.rounds {
-			got := map[string]bool{}
-			for range round {
-				g := nextGrant(t, grants)
-				got[g.tenant] = true
-				g.res.Ticket.Release()
-			}
-			for _, tenant := range round {
-				if !got[string(tenant)] {
-					t.Errorf("queue %v: round %q granted %v, missing %c", tc.queued, round, got, tenant)
-				}
-			}
-		}
-	}
-}
-
+// TestQueueFullSheds: a request that finds every slot busy is shed with the
+// saturation reason, and the slot its holder frees admits the next one.
 func TestQueueFullSheds(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, QueueDepth: 1, Now: clk.Now})
-	hold, grants := fillQueue(t, c, []string{"a"})
-	r := c.Acquire(context.Background(), "b")
-	if r.Shed != ShedQueueFull {
+	c := NewController(Config{Slots: 1})
+	hold := c.Acquire(context.Background(), "a")
+	if hold.Ticket == nil {
+		t.Fatalf("holder not admitted: %v", hold.Shed)
+	}
+	if r := c.Acquire(context.Background(), "b"); r.Shed != ShedQueueFull {
 		t.Errorf("over-capacity request shed = %v, want ShedQueueFull", r.Shed)
 	}
-	hold.Release()
-	nextGrant(t, grants).res.Ticket.Release()
-}
-
-func TestDeadlineAwareShed(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, QueueDepth: 8, Now: clk.Now})
-	// Teach the EWMA a 1s service time.
-	tk := c.Acquire(context.Background(), "warm")
-	clk.Advance(time.Second)
-	tk.Ticket.Release()
-
-	hold, grants := fillQueue(t, c, []string{"a"})
-
-	// Predicted wait is ~2s (two ahead at 1s each on one slot); a request
-	// with only 100ms of deadline left must shed immediately.
-	ctx, cancel := context.WithDeadline(context.Background(), clk.Now().Add(100*time.Millisecond))
-	defer cancel()
-	if r := c.Acquire(ctx, "late"); r.Shed != ShedDeadline {
-		t.Errorf("doomed request shed = %v, want ShedDeadline", r.Shed)
-	}
-	// A patient request still queues.
-	ctx2, cancel2 := context.WithDeadline(context.Background(), clk.Now().Add(time.Hour))
-	defer cancel2()
-	done := make(chan Result, 1)
-	go func() { done <- c.Acquire(ctx2, "patient") }()
-	waitFor(t, func() bool { return c.QueueLen() == 2 })
-
-	// Drain both waiters; the tied passes make their order
-	// nondeterministic, so accept grants from either.
-	hold.Release()
-	for i := 0; i < 2; i++ {
-		select {
-		case g := <-grants:
-			if g.res.Ticket == nil {
-				t.Fatalf("waiter %s shed with %v", g.tenant, g.res.Shed)
-			}
-			g.res.Ticket.Release()
-		case r := <-done:
-			if r.Ticket == nil {
-				t.Fatalf("patient waiter shed with %v", r.Shed)
-			}
-			r.Ticket.Release()
-		case <-time.After(5 * time.Second):
-			t.Fatal("waiter never granted")
-		}
-	}
-}
-
-func TestCanceledWaiterLeavesQueue(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, QueueDepth: 4, Now: clk.Now})
-	hold := c.Acquire(context.Background(), "holder")
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan Result, 1)
-	go func() { done <- c.Acquire(ctx, "gone") }()
-	waitFor(t, func() bool { return c.QueueLen() == 1 })
-	cancel()
-	if r := <-done; r.Shed != ShedCanceled {
-		t.Errorf("canceled waiter shed = %v, want ShedCanceled", r.Shed)
-	}
-	if got := c.QueueLen(); got != 0 {
-		t.Errorf("QueueLen after cancel = %d, want 0", got)
-	}
-	// The slot still hands over cleanly afterwards.
 	hold.Ticket.Release()
-	if r := c.Acquire(context.Background(), "next"); r.Ticket == nil {
-		t.Errorf("post-cancel acquire shed with %v", r.Shed)
-	} else {
-		r.Ticket.Release()
+	r := c.Acquire(context.Background(), "b")
+	if r.Ticket == nil {
+		t.Fatalf("request after release shed with %v", r.Shed)
 	}
+	r.Ticket.Release()
 }
 
 func TestDrainShedsQueueAndRefusesNewWork(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, QueueDepth: 8, Now: clk.Now})
-	hold, grants := fillQueue(t, c, []string{"a", "b"})
-	c.Drain()
-	for i := 0; i < 2; i++ {
-		if g := <-grants; g.res.Shed != ShedDraining {
-			t.Errorf("waiter %s shed = %v, want ShedDraining", g.tenant, g.res.Shed)
-		}
+	c := NewController(Config{Slots: 2})
+	hold := c.Acquire(context.Background(), "a")
+	if hold.Ticket == nil {
+		t.Fatalf("holder not admitted: %v", hold.Shed)
 	}
+	c.Drain()
+	// A free slot admits nothing once draining.
 	if r := c.Acquire(context.Background(), "late"); r.Shed != ShedDraining {
 		t.Errorf("post-drain acquire shed = %v, want ShedDraining", r.Shed)
 	}
@@ -236,37 +66,15 @@ func TestDrainShedsQueueAndRefusesNewWork(t *testing.T) {
 	if got := c.InFlight(); got != 1 {
 		t.Errorf("InFlight during drain = %d, want 1", got)
 	}
-	hold.Release()
+	hold.Ticket.Release()
 	if got := c.InFlight(); got != 0 {
 		t.Errorf("InFlight after drain release = %d, want 0", got)
 	}
 }
 
-func TestRetryAfterGrowsWithLoad(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, QueueDepth: 16, Now: clk.Now})
-	if got := c.RetryAfter(); got != time.Second {
-		t.Errorf("idle RetryAfter = %v, want the 1s floor", got)
-	}
-	// Teach a 4s service time, then queue three waiters: the predicted
-	// wait — and so the hint — should be far above the floor.
-	tk := c.Acquire(context.Background(), "warm")
-	clk.Advance(4 * time.Second)
-	tk.Ticket.Release()
-	hold, grants := fillQueue(t, c, []string{"a", "b", "c"})
-	if got := c.RetryAfter(); got < 10*time.Second {
-		t.Errorf("loaded RetryAfter = %v, want >= 10s (4s ewma x 4 ahead)", got)
-	}
-	hold.Release()
-	for i := 0; i < 3; i++ {
-		nextGrant(t, grants).res.Ticket.Release()
-	}
-}
-
 func TestShedReasonStrings(t *testing.T) {
 	want := map[ShedReason]string{
-		ShedNone: "none", ShedQueueFull: "queue-full",
-		ShedDeadline: "deadline", ShedDraining: "draining", ShedCanceled: "canceled",
+		ShedNone: "none", ShedQueueFull: "queue-full", ShedDraining: "draining",
 	}
 	for r, name := range want {
 		if r.String() != name {
@@ -275,21 +83,12 @@ func TestShedReasonStrings(t *testing.T) {
 	}
 }
 
-// tenantCount reports how many tenants the controller keeps state for.
-func tenantCount(c *Controller) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tenants)
-}
-
-// TestNoTenantStateOutlivesTheQueue: only a queued request makes tenant
-// state, and the state goes when the queue empties, whether its last waiter
-// is granted, cancelled or drained. One-shot tenants (the daemon's default
-// tenant is the session) therefore leave nothing behind.
+// TestNoTenantStateOutlivesTheQueue: admitting or shedding a request leaves
+// nothing behind, however many distinct tenants the callers name (the
+// daemon's default tenant is the session).
 func TestNoTenantStateOutlivesTheQueue(t *testing.T) {
 	const oneShot = 10000
-	clk := newFakeClock()
-	c := NewController(Config{Slots: 1, Now: clk.Now})
+	c := NewController(Config{Slots: 1})
 	for i := 0; i < oneShot; i++ {
 		r := c.Acquire(context.Background(), fmt.Sprint("fast", i))
 		if r.Ticket == nil {
@@ -300,56 +99,81 @@ func TestNoTenantStateOutlivesTheQueue(t *testing.T) {
 	hold := c.Acquire(context.Background(), "holder")
 	for i := 0; i < oneShot; i++ {
 		if r := c.Acquire(context.Background(), fmt.Sprint("shed", i)); r.Shed != ShedQueueFull {
-			t.Fatalf("request %d at QueueDepth 0: got %v, want ShedQueueFull", i, r.Shed)
+			t.Fatalf("request %d at a busy slot: got %v, want ShedQueueFull", i, r.Shed)
 		}
 	}
 	hold.Ticket.Release()
-	if n := tenantCount(c); n != 0 {
-		t.Fatalf("after %d fast-path and %d shed requests the controller holds %d tenants, want 0", oneShot, oneShot, n)
+	if got := c.InFlight(); got != 0 {
+		t.Fatalf("after %d fast-path and %d shed requests InFlight = %d, want 0", oneShot, oneShot, got)
 	}
+}
 
-	// A burst from 100 tenants, three waiters each, queued behind one
-	// held slot and served until the queue is empty.
-	c = NewController(Config{Slots: 1, QueueDepth: 300, Now: clk.Now})
-	var tenants []string
-	for i := 0; i < 300; i++ {
-		tenants = append(tenants, fmt.Sprint("burst", i%100))
+// TestSlotsBoundUnderConcurrentAcquire: 64 goroutines acquire and release
+// 1 000 times each against four slots, and one of them drains the
+// controller half way through. No more than four requests ever hold a slot
+// at once, a refusal before the drain began is the saturation reason, any
+// Acquire that starts after Drain returned is refused as draining, and
+// every slot is released at the end.
+func TestSlotsBoundUnderConcurrentAcquire(t *testing.T) {
+	const slots, workers, perWorker = 4, 64, 1000
+	c := NewController(Config{Slots: slots})
+	var (
+		held, highWater, ops        atomic.Int64
+		admitted, full, draining    atomic.Int64
+		drainStarted, drainReturned atomic.Bool
+	)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perWorker {
+				if ops.Add(1) == workers*perWorker/2 {
+					drainStarted.Store(true)
+					c.Drain()
+					drainReturned.Store(true)
+				}
+				afterDrain := drainReturned.Load()
+				r := c.Acquire(context.Background(), "t")
+				if r.Ticket != nil {
+					if afterDrain {
+						t.Error("Acquire admitted after Drain returned")
+					}
+					admitted.Add(1)
+					n := held.Add(1)
+					for hw := highWater.Load(); n > hw && !highWater.CompareAndSwap(hw, n); hw = highWater.Load() {
+					}
+					runtime.Gosched() // let others find the slots busy
+					held.Add(-1)
+					r.Ticket.Release()
+					continue
+				}
+				switch {
+				case r.Shed == ShedQueueFull:
+					full.Add(1)
+					if afterDrain {
+						t.Errorf("refusal after Drain returned is %v, want ShedDraining", r.Shed)
+					}
+				case r.Shed == ShedDraining:
+					draining.Add(1)
+					if !drainStarted.Load() {
+						t.Error("refused as draining before Drain was called")
+					}
+				default:
+					t.Errorf("refusal reason %v", r.Shed)
+				}
+			}
+		}()
 	}
-	held, grants := fillQueue(t, c, tenants)
-	if n := tenantCount(c); n != 100 {
-		t.Fatalf("the queued burst holds %d tenants, want 100", n)
+	wg.Wait()
+	if hw := highWater.Load(); hw > slots {
+		t.Errorf("%d requests held a slot at once, want at most %d", hw, slots)
 	}
-	held.Release()
-	for range tenants {
-		nextGrant(t, grants).res.Ticket.Release()
+	if got := c.InFlight(); got != 0 {
+		t.Errorf("InFlight at the end = %d, want 0", got)
 	}
-	if n := tenantCount(c); n != 0 {
-		t.Fatalf("after the burst drained the controller holds %d tenants, want 0", n)
-	}
-
-	// The queue's last waiter cancelled, and a queue shed by Drain.
-	hold = c.Acquire(context.Background(), "holder")
-	ctx, cancel := context.WithCancel(context.Background())
-	canceled := make(chan Result, 1)
-	go func() { canceled <- c.Acquire(ctx, "a") }()
-	waitFor(t, func() bool { return c.QueueLen() == 1 })
-	cancel()
-	if r := <-canceled; r.Shed != ShedCanceled {
-		t.Fatalf("cancelled waiter: got %v, want ShedCanceled", r.Shed)
-	}
-	hold.Ticket.Release()
-	if n := tenantCount(c); n != 0 {
-		t.Fatalf("after the last waiter cancelled the controller holds %d tenants, want 0", n)
-	}
-	held, grants = fillQueue(t, c, []string{"a", "b", "c"})
-	c.Drain()
-	for range 3 {
-		if g := <-grants; g.res.Shed != ShedDraining {
-			t.Fatalf("drained waiter for %s: got %v, want ShedDraining", g.tenant, g.res.Shed)
-		}
-	}
-	held.Release()
-	if n := tenantCount(c); n != 0 {
-		t.Fatalf("after Drain the controller holds %d tenants, want 0", n)
+	if admitted.Load() == 0 || full.Load() == 0 || draining.Load() == 0 {
+		t.Errorf("admitted %d, shed full %d, shed draining %d: want each above 0",
+			admitted.Load(), full.Load(), draining.Load())
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // statusClientClosedRequest is nginx's 499, which the server uses for
-// requests whose client hung up while queued.
+// requests whose client hung up before the answer was ready.
 const statusClientClosedRequest = 499
 
 // profileKey identifies a live-server configuration. Specs sharing a key
@@ -91,7 +91,6 @@ func boot(key profileKey) (*poolServer, error) {
 	opts := web.Options{
 		RequestTimeout:  key.timeout,
 		MaxConcurrent:   key.live.MaxConcurrent,
-		QueueDepth:      key.live.QueueDepth,
 		SemCacheEntries: key.live.SemCacheEntries,
 		Logf:            func(string, ...any) {}, // scenario noise stays out of test output
 	}

@@ -88,9 +88,6 @@ type PlannerSpec struct {
 type LiveSpec struct {
 	// MaxConcurrent bounds vocalization slots (zero keeps the default).
 	MaxConcurrent int
-	// QueueDepth bounds the admission queue (meaningful with
-	// MaxConcurrent; zero sheds at saturation).
-	QueueDepth int
 	// AllowShed accepts clean 503 sheds as step outcomes instead of
 	// violations — the overload contract is "refuse cleanly", not "never
 	// refuse".

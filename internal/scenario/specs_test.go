@@ -329,7 +329,7 @@ func init() {
 		Class:    ClassOverload,
 		Dataset:  flights5k,
 		Parallel: 8,
-		Live:     LiveSpec{MaxConcurrent: 2, QueueDepth: 2, AllowShed: true},
+		Live:     LiveSpec{MaxConcurrent: 2, AllowShed: true},
 		Script: []Step{
 			{Input: "break down by season", Expect: Expect{Action: "query", Speech: true}},
 			{Input: "drill down", Expect: Expect{Action: "drill down", Speech: true}},

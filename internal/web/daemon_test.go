@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/faults"
@@ -188,10 +189,9 @@ func TestServeGracefulExpiredGraceCutsStragglers(t *testing.T) {
 }
 
 // TestSIGTERMShedsQueueAndDrainsDegraded is the drain-under-overload
-// contract: SIGTERM with a full admission queue and injected storage
-// faults sheds every queued request cleanly (503, not a hang or 500)
-// while the in-flight request finishes with a degraded but grammar-valid
-// answer.
+// contract: with every slot busy and injected storage faults, requests are
+// shed cleanly (503, not a hang or 500), SIGTERM stops admission, and the
+// in-flight request finishes with a degraded but grammar-valid answer.
 func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
 	if err != nil {
@@ -214,7 +214,6 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 	}
 	srv, err := NewServerWith(cfg, Options{
 		MaxConcurrent:  1,
-		QueueDepth:     4,
 		RequestTimeout: time.Second,
 	}, DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
 		MeasureDesc: "average cancellation probability", Format: speech.PercentFormat})
@@ -265,31 +264,25 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 	if srv.adm.InFlight() == 0 {
 		t.Fatal("query never reached vocalization")
 	}
-	queued := make(chan int, 3)
+	// Every request beyond the busy slot is shed promptly, although the
+	// slot-holder is still mid-vocalize.
+	shed := make(chan int, 3)
 	for i := 0; i < 3; i++ {
-		go post(fmt.Sprintf("queued-%d", i), queued)
+		go post(fmt.Sprintf("shed-%d", i), shed)
 	}
-	for srv.adm.QueueLen() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.adm.QueueLen() < 3 {
-		t.Fatalf("queue depth = %d, want 3", srv.adm.QueueLen())
+	for i := 0; i < 3; i++ {
+		select {
+		case code := <-shed:
+			if code != http.StatusServiceUnavailable {
+				t.Errorf("request %d beyond the slot finished with %d, want 503", i, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("request beyond the slot never shed")
+		}
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGUSR1); err != nil {
 		t.Fatalf("kill: %v", err)
-	}
-	// The shutdown hook drains the queue: every queued request is shed
-	// promptly even though the slot-holder is still mid-vocalize.
-	for i := 0; i < 3; i++ {
-		select {
-		case code := <-queued:
-			if code != http.StatusServiceUnavailable {
-				t.Errorf("queued request %d finished with %d, want 503", i, code)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("queued request never shed during drain")
-		}
 	}
 
 	// Hold the in-flight request past its own deadline so its answer is
@@ -329,5 +322,9 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 	}
 	if scans.Load() == 0 {
 		t.Error("fault injector never saw a scan; chaos path untested")
+	}
+	// The shutdown hook drained admission: nothing is admitted any more.
+	if r := srv.adm.Acquire(context.Background(), "late"); r.Shed != admission.ShedDraining {
+		t.Errorf("admission after shutdown: got %v, want ShedDraining", r.Shed)
 	}
 }

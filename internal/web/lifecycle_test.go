@@ -166,7 +166,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // the epoch but keeps the sessions, so commits read it in order: no
 // command commits at epoch 0 after one has committed at epoch 1.
 func TestRacingCommandsApplyOnceInCommitOrder(t *testing.T) {
-	srv, _ := newCacheServer(t, Options{MaxConcurrent: 1, QueueDepth: 1})
+	srv, _ := newCacheServer(t, Options{MaxConcurrent: 1})
 	h := srv.Handler()
 	type commit struct {
 		input string

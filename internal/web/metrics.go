@@ -69,8 +69,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	writeMetricHeader(w, "voiceolap_inflight", "gauge", "Vocalizations currently holding an admission slot.")
 	writeSample(w, "voiceolap_inflight", stats.InFlight)
-	writeMetricHeader(w, "voiceolap_queue_len", "gauge", "Requests waiting in the round-robin admission queue.")
-	writeSample(w, "voiceolap_queue_len", stats.QueueLen)
 
 	writeMetricHeader(w, "voiceolap_tenant_served_total", "counter", "Answered queries per tenant.")
 	for _, t := range stats.Tenants {

@@ -1,11 +1,13 @@
 package web
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
+	"time"
 
+	"repro/internal/admission"
 	"repro/internal/semcache"
 )
 
@@ -31,26 +33,23 @@ func tenantOf(r *http.Request, session string) string {
 	return session
 }
 
-// writeShed refuses a query with 503 and the admission queue's Retry-After
-// hint: its predicted wait, clamped to [1s, 60s].
+// writeShed refuses a query with 503 and admission's Retry-After hint, in
+// whole seconds.
 func (s *Server) writeShed(w http.ResponseWriter, err error) {
-	ra := s.adm.RetryAfter()
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(ra.Seconds()+0.5)))
+	w.Header().Set("Retry-After", strconv.Itoa(int(admission.RetryAfter/time.Second)))
 	writeError(w, http.StatusServiceUnavailable, err)
 }
 
-// StartDrain stops admitting queries: every queued admission waiter is
-// shed immediately and new queries are refused with 503, while in-flight
-// vocalizations keep their slots and finish. Wire it through
-// http.Server.RegisterOnShutdown so graceful shutdown does not wait on a
-// full queue.
+// StartDrain stops admitting queries: new queries are refused with 503,
+// while in-flight vocalizations keep their slots and finish. Wire it
+// through http.Server.RegisterOnShutdown so graceful shutdown spends its
+// grace window on in-flight work only.
 func (s *Server) StartDrain() { s.adm.Drain() }
 
 // tenantCounters holds one tenant's admission outcomes.
 type tenantCounters struct {
 	served     int64
 	cached     int64
-	queued     int64
 	clientGone int64
 	shed       map[string]int64
 }
@@ -87,14 +86,10 @@ func (c *servingCounters) tenant(name string) *tenantCounters {
 }
 
 // served records a successfully answered query.
-func (c *servingCounters) served(tenant string, waited bool) {
+func (c *servingCounters) served(tenant string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.tenant(tenant)
-	t.served++
-	if waited {
-		t.queued++
-	}
+	c.tenant(tenant).served++
 }
 
 // cached records a query answered from the semantic answer cache.
@@ -126,15 +121,16 @@ func (c *servingCounters) clientGone(tenant string) {
 // TenantServingStats reports one tenant's admission outcomes.
 type TenantServingStats struct {
 	Tenant string `json:"tenant"`
-	// Served counts answered queries; Queued of those waited in the
-	// admission queue first.
+	// Served counts answered queries.
 	Served int64 `json:"served"`
 	// Cached counts queries answered from the semantic answer cache
 	// (not included in Served: no vocalizer ran).
 	Cached int64 `json:"cached,omitempty"`
+	// Queued is always 0: admission has no queue. It stays because
+	// benchmark/run.go:184 and :190 read it; ROADMAP item 1a(i) removes it.
 	Queued int64 `json:"queued,omitempty"`
-	// Shed counts refusals by reason ("queue-full", "deadline",
-	// "draining").
+	// Shed counts refusals by reason ("queue-full" when every slot was
+	// busy, "draining").
 	Shed map[string]int64 `json:"shed,omitempty"`
 	// ClientGone counts requests whose client disconnected first.
 	ClientGone int64 `json:"clientGone,omitempty"`
@@ -144,7 +140,6 @@ type TenantServingStats struct {
 // per-tenant outcomes.
 type ServingStats struct {
 	InFlight int `json:"inFlight"`
-	QueueLen int `json:"queueLen"`
 	// Tenants lists per-tenant outcomes sorted by tenant name.
 	Tenants []TenantServingStats `json:"tenants,omitempty"`
 	// SemCache reports the semantic answer cache's counters; nil when
@@ -159,7 +154,6 @@ type ServingStats struct {
 func (s *Server) servingStats() ServingStats {
 	out := ServingStats{
 		InFlight: s.adm.InFlight(),
-		QueueLen: s.adm.QueueLen(),
 		SemCache: s.semCacheStats(),
 	}
 	if p50, p99, _, ok := s.latw.quantiles(); ok {
@@ -176,7 +170,6 @@ func (s *Server) servingStats() ServingStats {
 			Tenant:     name,
 			Served:     t.served,
 			Cached:     t.cached,
-			Queued:     t.queued,
 			ClientGone: t.clientGone,
 		}
 		if len(t.shed) > 0 {

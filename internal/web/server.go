@@ -8,12 +8,10 @@
 // request runs under a deadline (vocalizers degrade rather than hang),
 // panics become 500s, the query log is a fixed-capacity ring, and idle
 // sessions are evicted by TTL and LRU. Overload is governed by the
-// internal/admission layer: a fixed number of vocalization slots and a
-// bounded queue that grants them round-robin across tenants. Requests
-// beyond the queue, and queued requests that could only answer after
-// their deadline, receive 503 with a load-derived Retry-After. A request
-// whose client hangs up gets 499, one whose deadline passes while it
-// waits for a slot gets 408.
+// internal/admission layer: a fixed number of vocalization slots. A
+// request that finds every slot busy receives 503 with a one-second
+// Retry-After. A request whose context ends while it waits on an identical
+// query's plan gets 499 if its client hung up, 408 if its deadline passed.
 package web
 
 import (
@@ -89,13 +87,8 @@ type Options struct {
 	// MaxBodyBytes caps the /api/query request body (default 64 KiB).
 	MaxBodyBytes int64
 	// MaxConcurrent bounds concurrent vocalizations; requests beyond it
-	// (and beyond QueueDepth) receive 503 with a Retry-After hint
-	// (default 32).
+	// receive 503 with a Retry-After hint (default 32).
 	MaxConcurrent int
-	// QueueDepth bounds requests waiting in the round-robin admission
-	// queue once every vocalization slot is busy. 0 (the default) sheds
-	// immediately at saturation.
-	QueueDepth int
 	// BrownoutWindow is read by nothing: there is no brownout ladder. It
 	// stays because benchmark/server.go:40 sets it; ROADMAP item 1a(i)
 	// removes it.
@@ -215,8 +208,7 @@ type Server struct {
 	log      queryLog
 	cfg      core.Config
 	opts     Options
-	// adm bounds concurrent vocalizations and queues the rest round-robin
-	// by tenant.
+	// adm bounds concurrent vocalizations and sheds the rest.
 	adm *admission.Controller
 	// serving counts per-tenant admission outcomes for /api/stats.
 	serving servingCounters
@@ -269,10 +261,7 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 	if opts.SemCacheEntries > 0 {
 		s.answers = semcache.New[cachedAnswer](opts.SemCacheEntries)
 	}
-	s.adm = admission.NewController(admission.Config{
-		Slots:      opts.MaxConcurrent,
-		QueueDepth: opts.QueueDepth,
-	})
+	s.adm = admission.NewController(admission.Config{Slots: opts.MaxConcurrent})
 	for _, info := range infos {
 		if info.Dataset == nil || info.Name == "" {
 			return nil, errors.New("web: dataset info incomplete")
@@ -485,8 +474,6 @@ type request struct {
 	st    *datasetState
 	epoch int64
 	info  DatasetInfo
-	// queued reports that admission made the request wait for its slot.
-	queued bool
 }
 
 // stageOn applies the command to a clone of base. The one place a request
@@ -556,7 +543,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ans, err := s.plan(r.Context(), req)
 	if err != nil {
-		if !s.writeAborted(w, r, req.tenant, err, "") {
+		if !s.writeAborted(w, r, req.tenant, err) {
 			s.opts.Logf("web: vocalize: %v", err)
 			writeError(w, http.StatusInternalServerError, errInternal)
 		}
@@ -633,24 +620,15 @@ func (s *Server) lookup(req *request) (cachedAnswer, bool) {
 	return s.answers.Get(answerKey(req.Dataset, req.epoch, req.method, req.staged.Query()))
 }
 
-// admit is the admission stage: a free slot, or a place in the tenant
-// round-robin queue. It returns the request's vocalization slot, or nil
-// after writing the refusal.
+// admit is the admission stage: a free slot or a shed. It returns the
+// request's vocalization slot, or nil after writing the refusal.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *request) *admission.Ticket {
 	res := s.adm.Acquire(r.Context(), req.tenant)
-	req.queued = res.Waited > 0
-	switch {
-	case res.Ticket != nil:
-		return res.Ticket
-	case res.Shed == admission.ShedCanceled:
-		// Nobody may be left to read the reply, but the status keeps the
-		// log honest (499 or 408, not 5xx).
-		s.writeAborted(w, r, req.tenant, r.Context().Err(), " while queued")
-	default:
+	if res.Ticket == nil {
 		s.serving.shed(req.tenant, res.Shed.String())
 		s.writeShed(w, errors.New("server saturated, retry shortly"))
 	}
-	return nil
+	return res.Ticket
 }
 
 // commit is the commit stage, the only place a command becomes visible:
@@ -711,7 +689,7 @@ func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 		ans.latencyMS = ms(time.Since(start))
 		s.serving.cached(req.tenant, outcome)
 	default:
-		s.serving.served(req.tenant, req.queued)
+		s.serving.served(req.tenant)
 	}
 	return ans, nil
 }
@@ -777,17 +755,16 @@ func (s *Server) writeCommandError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeAborted answers a request that its own context cut short, while
-// queued or while planning: 499 when the client hung up, 408 when the
-// request deadline passed. It reports false, writing nothing, for any other
-// error.
-func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant string, err error, where string) bool {
+// writeAborted answers a request that its own context cut short while
+// planning: 499 when the client hung up, 408 when the request deadline
+// passed. It reports false, writing nothing, for any other error.
+func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant string, err error) bool {
 	switch {
 	case errors.Is(err, context.Canceled) || r.Context().Err() == context.Canceled:
 		s.serving.clientGone(tenant)
 		writeError(w, statusClientClosedRequest, errors.New("client closed request"))
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"+where))
+		writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"))
 	default:
 		return false
 	}
