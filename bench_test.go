@@ -612,19 +612,16 @@ func BenchmarkOverload(b *testing.B) {
 	for _, clients := range []int{2, 4, 8} {
 		for _, slots := range []int{2, 4, 8, 32} {
 			b.Run(fmt.Sprintf("clients=%d/slots=%d", clients, slots), func(b *testing.B) {
-				runOverload(b, d, clients, web.Options{
-					MaxConcurrent:   slots,
-					SemCacheEntries: -1,
-					Logf:            func(string, ...any) {},
-				})
+				runOverload(b, d, clients, slots)
 			})
 		}
 	}
 }
 
-// runOverload serves d with opts and runs clients closed-loop clients until
-// b.N answers have been admitted.
-func runOverload(b *testing.B, d *olap.Dataset, clients int, opts web.Options) {
+// runOverload serves d behind slots admission slots and runs clients
+// closed-loop clients until b.N answers have been admitted.
+func runOverload(b *testing.B, d *olap.Dataset, clients, slots int) {
+	opts := web.Options{MaxConcurrent: slots, SemCacheEntries: -1, Logf: func(string, ...any) {}}
 	srv, err := web.NewServerWith(core.DaemonConfig(1), opts, web.DatasetInfo{
 		Name: "flights", Dataset: d, MeasureCol: "cancelled",
 		MeasureDesc: "average cancellation probability", Format: speech.PercentFormat,
