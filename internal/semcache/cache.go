@@ -97,7 +97,8 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// Get returns the stored value for key, refreshing its recency.
+// Get returns the stored value for key, refreshing its recency. It counts
+// hits only: the Do that computes a missing value counts the miss.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -106,7 +107,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		c.stats.Hits++
 		return e.val, true
 	}
-	c.stats.Misses++
 	var zero V
 	return zero, false
 }

@@ -61,9 +61,7 @@ func Key(q olap.Query) string {
 	b.WriteString("\x1fd=")
 	b.WriteString(n.ColDescription)
 	// Time-windowed scopes answer over different rows than unwindowed ones,
-	// so the window width is part of the key. It is only written when set:
-	// keys for unwindowed queries are byte-identical to pre-streaming keys,
-	// so existing cache entries stay addressable.
+	// so a set window width is part of the key.
 	if n.Window.Last > 0 {
 		b.WriteString("\x1fw=")
 		b.WriteString(n.Window.Last.String())

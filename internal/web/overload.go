@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/semcache"
 )
 
 // statusClientClosedRequest is nginx's 499: the client went away before
@@ -46,23 +45,17 @@ func (s *Server) writeShed(w http.ResponseWriter, err error) {
 // grace window on in-flight work only.
 func (s *Server) StartDrain() { s.adm.Drain() }
 
-// tenantCounters holds one tenant's admission outcomes.
+// tenantCounters holds one tenant's query outcomes.
 type tenantCounters struct {
-	served     int64
-	cached     int64
-	clientGone int64
-	shed       map[string]int64
+	served, hits, coalesced, clientGone int64
+	shed                                map[string]int64
 }
 
-// servingCounters aggregates admission outcomes per tenant plus the
-// semantic-cache serving paths.
+// servingCounters books every query's outcome per tenant, once, where its
+// reply is written.
 type servingCounters struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantCounters
-	// cacheHits / cacheCoalesced count requests answered from the answer
-	// cache.
-	cacheHits      int64
-	cacheCoalesced int64
 }
 
 // tenant returns name's counters, folding new tenants into the overflow
@@ -85,40 +78,28 @@ func (c *servingCounters) tenant(name string) *tenantCounters {
 	return t
 }
 
-// served records a successfully answered query.
-func (c *servingCounters) served(tenant string) {
+// book records the outcome of one reply to tenant: a semcache.Outcome name
+// for a 200 ("miss" when a vocalizer ran, "hit" or "coalesced" when the
+// cache answered), "client-gone" for a 499, a shed reason for a 503.
+func (c *servingCounters) book(tenant, outcome string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tenant(tenant).served++
-}
-
-// cached records a query answered from the semantic answer cache.
-func (c *servingCounters) cached(tenant string, oc semcache.Outcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tenant(tenant).cached++
-	if oc == semcache.Coalesced {
-		c.cacheCoalesced++
-	} else {
-		c.cacheHits++
+	t := c.tenant(tenant)
+	switch outcome {
+	case "miss":
+		t.served++
+	case "hit":
+		t.hits++
+	case "coalesced":
+		t.coalesced++
+	case "client-gone":
+		t.clientGone++
+	default:
+		t.shed[outcome]++
 	}
 }
 
-// shed records a refused query by reason.
-func (c *servingCounters) shed(tenant, reason string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tenant(tenant).shed[reason]++
-}
-
-// clientGone records a request whose client disconnected first.
-func (c *servingCounters) clientGone(tenant string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tenant(tenant).clientGone++
-}
-
-// TenantServingStats reports one tenant's admission outcomes.
+// TenantServingStats reports one tenant's query outcomes.
 type TenantServingStats struct {
 	Tenant string `json:"tenant"`
 	// Served counts answered queries.
@@ -169,7 +150,7 @@ func (s *Server) servingStats() ServingStats {
 		ts := TenantServingStats{
 			Tenant:     name,
 			Served:     t.served,
-			Cached:     t.cached,
+			Cached:     t.hits + t.coalesced,
 			ClientGone: t.clientGone,
 		}
 		if len(t.shed) > 0 {

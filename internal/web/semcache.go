@@ -108,7 +108,8 @@ type SemCacheStats struct {
 	// Views is always zero: there is no second cache tier. It stays because
 	// benchmark/run.go:173 reads it; ROADMAP item 1 removes both.
 	Views semcache.Stats `json:"views"`
-	// HitsServed / CoalescedServed count requests answered from the cache.
+	// HitsServed / CoalescedServed count requests answered from the cache:
+	// the per-tenant hits and coalesced replies, summed.
 	HitsServed      int64 `json:"hitsServed"`
 	CoalescedServed int64 `json:"coalescedServed"`
 }
@@ -122,8 +123,10 @@ func (s *Server) semCacheStats() *SemCacheStats {
 	out := &SemCacheStats{Answers: s.answers.Stats(), AnswerEntries: s.answers.Len()}
 	c := &s.serving
 	c.mu.Lock()
-	out.HitsServed = c.cacheHits
-	out.CoalescedServed = c.cacheCoalesced
+	for _, t := range c.tenants {
+		out.HitsServed += t.hits
+		out.CoalescedServed += t.coalesced
+	}
 	c.mu.Unlock()
 	return out
 }

@@ -316,17 +316,22 @@ func TestEvictedAnswerReplansCold(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics speaks the Prometheus text format and
-// carries the serving and semcache counters.
+// carries the serving and semcache counters, which count each lookup once.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newCacheServer(t, Options{})
-	postQuery(t, ts, map[string]string{
-		"session": "m1", "dataset": "flights",
-		"input": equivalentPhrasings[0], "method": "this",
-	})
-	postQuery(t, ts, map[string]string{
-		"session": "m2", "dataset": "flights",
-		"input": equivalentPhrasings[1], "method": "this",
-	})
+	srv, ts := newCacheServer(t, Options{})
+	// Two cold queries and one repeat: two misses (the two plans), one hit.
+	for _, q := range []struct{ session, input string }{
+		{"m1", equivalentPhrasings[0]},
+		{"m2", equivalentPhrasings[1]},
+		{"m3", "break down by season"},
+	} {
+		postQuery(t, ts, map[string]string{
+			"session": q.session, "dataset": "flights", "input": q.input, "method": "this",
+		})
+	}
+	if sc := srv.semCacheStats(); sc.Answers.Misses != 2 || sc.Answers.Hits != 1 || sc.HitsServed != 1 {
+		t.Errorf("Misses %d, Hits %d, HitsServed %d; want 2, 1, 1", sc.Answers.Misses, sc.Answers.Hits, sc.HitsServed)
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -346,7 +351,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE voiceolap_inflight gauge",
 		"voiceolap_semcache_served_total{path=\"hit\"} 1",
-		"voiceolap_semcache_entries 1",
+		"voiceolap_semcache_answers_total{outcome=\"miss\"} 2",
+		"voiceolap_semcache_answers_total{outcome=\"hit\"} 1",
+		"voiceolap_semcache_entries 2",
 		"voiceolap_tenant_served_total{tenant=\"m1\"} 1",
 		"voiceolap_vocalize_latency_seconds{quantile=\"0.5\"}",
 	} {

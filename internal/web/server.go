@@ -10,8 +10,10 @@
 // sessions are evicted by TTL and LRU. Overload is governed by the
 // internal/admission layer: a fixed number of vocalization slots. A
 // request that finds every slot busy receives 503 with a one-second
-// Retry-After. A request whose context ends while it waits on an identical
-// query's plan gets 499 if its client hung up, 408 if its deadline passed.
+// Retry-After. A request whose client hung up before its reply was written
+// gets 499 and no log entry; one whose deadline passed while it waited on
+// an identical query's plan gets 408. Each query's outcome is booked once,
+// by the code that writes its reply: respondSpeech, admit or writeAborted.
 package web
 
 import (
@@ -210,7 +212,7 @@ type Server struct {
 	opts     Options
 	// adm bounds concurrent vocalizations and sheds the rest.
 	adm *admission.Controller
-	// serving counts per-tenant admission outcomes for /api/stats.
+	// serving counts per-tenant query outcomes for /api/stats.
 	serving servingCounters
 	// answers is the semantic cache: finished full-quality speeches keyed
 	// by (dataset epoch, vocalizer, canonical query). nil disables semantic
@@ -484,14 +486,12 @@ func (req *request) stageOn(base *nlq.Session) (err error) {
 	return err
 }
 
-// answer is what respondSpeech speaks and logs: the speech plus how it was
-// served.
+// answer is what respondSpeech speaks, logs and books: the speech, its
+// origin, and how the cache served it.
 type answer struct {
-	voc vocOut
-	// servedBy, origin and cache fill the response fields of the same
-	// names.
-	servedBy, origin, cache string
-	latencyMS               float64
+	cachedAnswer
+	outcome   semcache.Outcome
+	latencyMS float64
 }
 
 // handleQuery applies the command to the caller's session and vocalizes
@@ -517,11 +517,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// epoch still are what the key was computed from.
 		start := time.Now()
 		if hit, ok := s.lookup(req); ok && s.commit(req, false) == nil {
-			s.serving.cached(req.tenant, semcache.Hit)
-			s.respondSpeech(w, req, answer{
-				voc: hit.voc, servedBy: "cache", origin: hit.origin,
-				cache: semcache.Hit.String(), latencyMS: ms(time.Since(start)),
-			})
+			s.respondSpeech(w, r, req, answer{hit, semcache.Hit, ms(time.Since(start))})
 			return
 		}
 		ticket := s.admit(w, r, req)
@@ -549,7 +545,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.respondSpeech(w, req, ans)
+	s.respondSpeech(w, r, req, ans)
 }
 
 // decodeBody reads a size-capped JSON body into v. On failure it has
@@ -625,7 +621,7 @@ func (s *Server) lookup(req *request) (cachedAnswer, bool) {
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *request) *admission.Ticket {
 	res := s.adm.Acquire(r.Context(), req.tenant)
 	if res.Ticket == nil {
-		s.serving.shed(req.tenant, res.Shed.String())
+		s.serving.book(req.tenant, res.Shed.String())
 		s.writeShed(w, errors.New("server saturated, retry shortly"))
 	}
 	return res.Ticket
@@ -668,7 +664,8 @@ func (s *Server) commit(req *request, restage bool) error {
 }
 
 // plan is the plan stage: it gets the committed query's answer from the
-// requested vocalizer or from the cache.
+// requested vocalizer or from the cache. It books nothing: the reply that
+// follows does.
 func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 	if s.holdVocalize != nil {
 		if s.vocalizeParked != nil {
@@ -679,26 +676,23 @@ func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 	}
 	start := time.Now()
 	cached, outcome, err := s.answerQuery(ctx, req)
-	if err != nil {
-		return answer{}, err
+	latency := cached.voc.latency
+	if outcome != semcache.Miss {
+		latency = time.Since(start)
 	}
-	ans := answer{voc: cached.voc, servedBy: req.method, latencyMS: ms(cached.voc.latency)}
-	switch outcome {
-	case semcache.Hit, semcache.Coalesced:
-		ans.servedBy, ans.origin, ans.cache = "cache", cached.origin, outcome.String()
-		ans.latencyMS = ms(time.Since(start))
-		s.serving.cached(req.tenant, outcome)
-	default:
-		s.serving.served(req.tenant)
-	}
-	return ans, nil
+	return answer{cached, outcome, ms(latency)}, err
 }
 
-// respondSpeech is the respond stage: it writes the speech response and
-// appends the query-log entry. If the dataset has moved past the epoch the
+// respondSpeech is the respond stage: it books the answer's outcome, writes
+// the speech response and appends the query-log entry. A client that hung
+// up gets a 499 through writeAborted and no log entry; a passed deadline
+// still gets its degraded 200. If the dataset has moved past the epoch the
 // answer was computed against by now, the answer is flagged stale (degrade,
 // don't error) with the spoken caveat attached.
-func (s *Server) respondSpeech(w http.ResponseWriter, req *request, ans answer) {
+func (s *Server) respondSpeech(w http.ResponseWriter, r *http.Request, req *request, ans answer) {
+	if s.writeAborted(w, r, req.tenant, nil) {
+		return
+	}
 	out := queryResponse{
 		Action:     req.resp.Action,
 		Message:    req.resp.Message,
@@ -707,12 +701,14 @@ func (s *Server) respondSpeech(w http.ResponseWriter, req *request, ans answer) 
 		Degraded:   ans.voc.degraded,
 		Structured: ans.voc.structured,
 		SSML:       ans.voc.ssml,
-		ServedBy:   ans.servedBy,
-		Origin:     ans.origin,
-		Cache:      ans.cache,
+		ServedBy:   req.method,
 		DataEpoch:  req.epoch,
 		TableRows:  ans.voc.tableRows,
 	}
+	if ans.outcome != semcache.Miss {
+		out.ServedBy, out.Origin, out.Cache = "cache", ans.origin, ans.outcome.String()
+	}
+	s.serving.book(req.tenant, ans.outcome.String())
 	s.mu.Lock()
 	if req.st.epoch != req.epoch {
 		out.Stale = true
@@ -755,13 +751,13 @@ func (s *Server) writeCommandError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeAborted answers a request that its own context cut short while
-// planning: 499 when the client hung up, 408 when the request deadline
-// passed. It reports false, writing nothing, for any other error.
+// writeAborted answers a request that its own context cut short: 499, booked
+// as gone, when the client hung up, 408 when err is the request deadline.
+// It reports false, writing nothing, otherwise (err may be nil).
 func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant string, err error) bool {
 	switch {
 	case errors.Is(err, context.Canceled) || r.Context().Err() == context.Canceled:
-		s.serving.clientGone(tenant)
+		s.serving.book(tenant, "client-gone")
 		writeError(w, statusClientClosedRequest, errors.New("client closed request"))
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"))
