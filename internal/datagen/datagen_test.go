@@ -3,9 +3,11 @@ package datagen
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dimension"
 	"repro/internal/olap"
+	"repro/internal/table"
 )
 
 func TestFlightsGeneration(t *testing.T) {
@@ -206,5 +208,67 @@ func TestSalariesRowOverride(t *testing.T) {
 	}
 	if d.Table().NumRows() != 64 {
 		t.Errorf("rows = %d, want 64", d.Table().NumRows())
+	}
+}
+
+// TestSmallTableIngestsEveryCatalogMember holds a live copy of a Flights
+// table too small to draw every member, 1 and 3 rows, to the ingest
+// contract: one AppendBatch holding every leaf of the three hierarchies is
+// accepted, and so are FlightRows of any seed, which are promised to pass
+// the append's dictionary check against any Flights-built table.
+func TestSmallTableIngestsEveryCatalogMember(t *testing.T) {
+	// Every airport, month and airline, each column cycling through its
+	// hierarchy's leaves until the longest list is done.
+	airportH, dateH, airlineH := FlightHierarchies()
+	cols := []struct {
+		name string
+		h    *dimension.Hierarchy
+	}{{"airport", airportH}, {"month", dateH}, {"airline", airlineH}}
+	n := 0
+	for _, c := range cols {
+		n = max(n, len(c.h.MembersAt(c.h.Depth())))
+	}
+	members := table.NewRowBatch().Float64s("cancelled", make([]float64, n)...)
+	for _, c := range cols {
+		leaves := c.h.MembersAt(c.h.Depth())
+		vals := make([]string, n)
+		for j := range vals {
+			vals[j] = leaves[j%len(leaves)].Name
+		}
+		members.Strings(c.name, vals...)
+	}
+	at := time.Unix(1, 0)
+	for _, rows := range []int{1, 3} {
+		for _, seed := range []int64{1, 11, 2019} {
+			d, err := Flights(FlightsConfig{Rows: rows, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := d.Table().AppendableCopy(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := live.AppendBatch(members, at); err != nil {
+				t.Fatalf("rows %d seed %d: every catalog member: %v", rows, seed, err)
+			}
+			want := rows + n
+			for _, rowSeed := range []int64{1, 5, 2019} {
+				fr := FlightRows(rowSeed, 256)
+				airports, months, airlines := make([]string, len(fr)), make([]string, len(fr)), make([]string, len(fr))
+				cancelled := make([]float64, len(fr))
+				for i, r := range fr {
+					airports[i], months[i], airlines[i], cancelled[i] = r.Airport, r.Month, r.Airline, r.Cancelled
+				}
+				batch := table.NewRowBatch().Strings("airport", airports...).Strings("month", months...).
+					Strings("airline", airlines...).Float64s("cancelled", cancelled...)
+				if _, err := live.AppendBatch(batch, at); err != nil {
+					t.Fatalf("rows %d seed %d: FlightRows(%d, 256): %v", rows, seed, rowSeed, err)
+				}
+				want += len(fr)
+			}
+			if got := live.NumRows(); got != want {
+				t.Fatalf("rows %d seed %d: %d rows after the appends, want %d", rows, seed, got, want)
+			}
+		}
 	}
 }

@@ -365,7 +365,11 @@ func (fm *flightModel) cancels(v int64, a, m, l int) bool {
 // flightBlockRows is how many rows one block of the stream holds.
 const flightBlockRows = 1 << 15
 
-// Flights generates the synthetic flight-cancellation dataset.
+// Flights generates the synthetic flight-cancellation dataset. A string
+// column's dictionary is its dimension's catalog in catalog order, so a
+// row's code is its catalog index, and every catalog member is a
+// dictionary member however few rows the table has: a live copy accepts
+// an ingest batch of any catalog airport, month and airline.
 func Flights(cfg FlightsConfig) (*olap.Dataset, error) {
 	rows, err := cfg.rows()
 	if err != nil {
@@ -385,30 +389,19 @@ func Flights(cfg FlightsConfig) (*olap.Dataset, error) {
 
 // flightsFrom generates rows flight rows from src: byte for byte the table
 // that drawing row after row from rand.New over src's source gives, at
-// every GOMAXPROCS.
-// Dictionary codes are handed out in first-appearance order, the order
-// appending each row's strings to a StringColumn would intern them in.
+// every GOMAXPROCS, with each dictionary the catalog and each code a
+// catalog index.
 //
 // Rows come in blocks of flightBlockRows, cut from src one at a time, in
-// stream order, under a blockCutter's lock: the only serial stage. The
-// caller decodes blocks in order until every catalog entry has been seen,
-// which fixes the codes; that is the first block unless the table is tiny.
-// The remaining blocks may then be decoded in any order: up to GOMAXPROCS
-// workers, the caller among them, each cut a block and decode it into its
-// own row range. At GOMAXPROCS 1, or with one block, the caller runs the
-// same loop alone.
+// stream order, under a blockCutter's lock: the only serial stage. A code
+// needs nothing but its own row, so blocks may be decoded in any order:
+// up to GOMAXPROCS workers, the caller among them, each cut a block and
+// decode it into its own row range. At GOMAXPROCS 1, or with one block,
+// the caller runs the same loop alone.
 func flightsFrom(src *int63Stream, rows int, fm *flightModel) (*table.Table, error) {
 	workers := min(runtime.GOMAXPROCS(0), (rows+flightBlockRows-1)/flightBlockRows)
 	fc := newFlightColumns(fm, rows)
 	blocks := &blockCutter{src: src, fm: fm, rows: rows}
-	draws := make([]int64, drawsPerRow*min(rows, flightBlockRows))
-	for !fc.settled() {
-		lo, block := blocks.next(draws)
-		if block == nil {
-			break
-		}
-		fc.fill(lo, block)
-	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
@@ -417,7 +410,7 @@ func flightsFrom(src *int63Stream, rows int, fm *flightModel) (*table.Table, err
 			fc.fillFrom(blocks, make([]int64, drawsPerRow*flightBlockRows))
 		}()
 	}
-	fc.fillFrom(blocks, draws)
+	fc.fillFrom(blocks, make([]int64, drawsPerRow*min(rows, flightBlockRows)))
 	wg.Wait()
 	return fc.table()
 }
@@ -445,11 +438,10 @@ func (c *blockCutter) next(buf []int64) (int, []int64) {
 	return lo, block
 }
 
-// flightColumns is a table being generated: the three dimensions'
-// dictionary codes and the measure, one entry per row.
+// flightColumns is a table being generated: the three dimensions' codes,
+// which are catalog indices, and the measure, one entry per row.
 type flightColumns struct {
 	fm                                     *flightModel
-	airports, months, airlines             *firstSeen
 	airportCodes, monthCodes, airlineCodes []int32
 	cancelled                              []float64
 }
@@ -462,12 +454,7 @@ type flightColumns struct {
 // copy the table; pages nobody writes cost no memory.
 func newFlightColumns(fm *flightModel, rows int) *flightColumns {
 	capacity := rows + rows/64
-	fc := &flightColumns{
-		fm:       fm,
-		airports: newFirstSeen(len(airportCatalog)),
-		months:   newFirstSeen(len(fm.months)),
-		airlines: newFirstSeen(len(airlineCatalog)),
-	}
+	fc := &flightColumns{fm: fm}
 	done := make(chan struct{})
 	go func() {
 		fc.cancelled = make([]float64, rows, capacity)
@@ -491,70 +478,43 @@ func (fc *flightColumns) fillFrom(blocks *blockCutter, buf []int64) {
 	}
 }
 
-// fill decodes draws, the accepted draws of the rows from row lo on.
-// Before settled it must see the blocks in row order; after, it only
-// reads the shared dictionaries, and blocks may be filled concurrently.
+// fill decodes draws, the accepted draws of the rows from row lo on, into
+// their own row range; blocks may be filled concurrently. decode's halves
+// inline here. The measure column starts zeroed, so only a cancelled row
+// writes its measure.
 func (fc *flightColumns) fill(lo int, draws []int64) {
 	n := len(draws) / drawsPerRow
 	airports, months, airlines := fc.airportCodes[lo:lo+n], fc.monthCodes[lo:lo+n], fc.airlineCodes[lo:lo+n]
 	cancelled := fc.cancelled[lo : lo+n]
-	if !fc.settled() {
-		for i := range cancelled {
-			a, m, l, c := fc.fm.decode(draws[i*drawsPerRow : (i+1)*drawsPerRow])
-			airports[i] = fc.airports.code(a)
-			months[i] = fc.months.code(m)
-			airlines[i] = fc.airlines.code(l)
-			cancelled[i] = c
-		}
-		return
-	}
-	// Settled codes are a lookup by catalog index, and decode's halves
-	// inline here. The lookup tables are local arrays, which leaves the
-	// loop few enough slices to keep them in registers; an index of 256
-	// or more fails the arrays' bounds check rather than reading a wrong
-	// code. The measure column starts zeroed, so only a cancelled row
-	// writes its measure.
 	fm := fc.fm
-	var airportCode, monthCode, airlineCode [256]int32
-	copy(airportCode[:], fc.airports.codes)
-	copy(monthCode[:], fc.months.codes)
-	copy(airlineCode[:], fc.airlines.codes)
 	for i := range cancelled {
 		row := draws[i*drawsPerRow : (i+1)*drawsPerRow]
 		a, m, l := fm.indices(row)
-		airports[i] = airportCode[a]
-		months[i] = monthCode[m]
-		airlines[i] = airlineCode[l]
+		airports[i], months[i], airlines[i] = int32(a), int32(m), int32(l)
 		if fm.cancels(row[3], a, m, l) {
 			cancelled[i] = 1.0
 		}
 	}
 }
 
-// settled reports whether every catalog entry has its code.
-func (fc *flightColumns) settled() bool {
-	return fc.airports.complete() && fc.months.complete() && fc.airlines.complete()
-}
-
-// table assembles the generated columns. The three string columns check
-// their codes against their dictionaries concurrently, the caller taking
-// the last.
+// table assembles the generated columns, each string column's dictionary
+// its catalog. The three string columns check their codes concurrently,
+// the caller taking the last.
 func (fc *flightColumns) table() (*table.Table, error) {
 	airportNames, monthNames, airlineNames := fc.fm.catalogNames()
 	specs := [...]struct {
 		name  string
-		seen  *firstSeen
 		codes []int32
 		names []string
 	}{
-		{"airport", fc.airports, fc.airportCodes, airportNames},
-		{"month", fc.months, fc.monthCodes, monthNames},
-		{"airline", fc.airlines, fc.airlineCodes, airlineNames},
+		{"airport", fc.airportCodes, airportNames},
+		{"month", fc.monthCodes, monthNames},
+		{"airline", fc.airlineCodes, airlineNames},
 	}
 	var cols [len(specs)]table.Column
 	var errs [len(specs)]error
 	check := func(i int) {
-		cols[i], errs[i] = specs[i].seen.column(specs[i].name, specs[i].codes, specs[i].names)
+		cols[i], errs[i] = table.NewStringColumnFromCodes(specs[i].name, specs[i].names, specs[i].codes)
 	}
 	var wg sync.WaitGroup
 	for i := range len(specs) - 1 {
@@ -573,45 +533,6 @@ func (fc *flightColumns) table() (*table.Table, error) {
 	}
 	return table.New("flights", cols[0], cols[1], cols[2],
 		table.NewFloat64ColumnFromValues("cancelled", fc.cancelled))
-}
-
-// firstSeen hands out dictionary codes to catalog indices in the order they
-// first occur, the order StringColumn.Append would intern their strings in,
-// without hashing a string per row.
-type firstSeen struct {
-	codes []int32 // catalog index -> code, -1 until seen
-	order []int   // catalog indices in code order
-}
-
-func newFirstSeen(catalog int) *firstSeen {
-	f := &firstSeen{codes: make([]int32, catalog)}
-	for i := range f.codes {
-		f.codes[i] = -1
-	}
-	return f
-}
-
-// code returns catalog index i's code, handing out the next one if i is
-// new. Once complete, it only reads.
-func (f *firstSeen) code(i int) int32 {
-	if f.codes[i] < 0 {
-		f.codes[i] = int32(len(f.order))
-		f.order = append(f.order, i)
-	}
-	return f.codes[i]
-}
-
-// complete reports whether every catalog index has its code.
-func (f *firstSeen) complete() bool { return len(f.order) == len(f.codes) }
-
-// column builds the string column of the rows coded so far; names lists
-// the catalog's strings in catalog order.
-func (f *firstSeen) column(col string, codes []int32, names []string) (*table.StringColumn, error) {
-	dict := make([]string, len(f.order))
-	for code, i := range f.order {
-		dict[code] = names[i]
-	}
-	return table.NewStringColumnFromCodes(col, dict, codes)
 }
 
 // catalogNames lists the column strings of the three dimensions in catalog

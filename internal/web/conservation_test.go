@@ -22,6 +22,37 @@ import (
 // arrives, and the plan goes on once release is closed.
 type planGate struct{ parked, release chan struct{} }
 
+// newGatedServer serves 5 000 flights under opts to a small planner whose
+// scan, while a planGate is stored in the returned pointer, parks at it;
+// the first scan to arrive takes the gate.
+func newGatedServer(t *testing.T, opts Options) (*Server, *atomic.Pointer[planGate]) {
+	gate := new(atomic.Pointer[planGate])
+	srv, _ := newFlightsServer(t, core.Config{
+		Seed:                 1,
+		Clock:                voice.NewSimClock(),
+		MaxRoundsPerSentence: 100,
+		Percents:             []int{50, 100},
+		Scanner: func(tb *table.Table, rng *rand.Rand) table.Scanner {
+			if g := gate.Swap(nil); g != nil {
+				close(g.parked)
+				<-g.release
+			}
+			return table.NewRandomScanner(tb, rng)
+		},
+	}, opts)
+	return srv, gate
+}
+
+// waitFor fails the test if ch is not closed within ten seconds.
+func waitFor(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
 // query is one question: an input and the vocalizer asked to answer it.
 type query struct{ input, method string }
 
@@ -120,32 +151,11 @@ type mixOutcomes struct{ served, hits, coalesced, gone, shed int64 }
 
 // conservationMix sends one seeded mix and checks what it booked.
 func conservationMix(t *testing.T, seed int64) mixOutcomes {
-	var gate atomic.Pointer[planGate]
-	srv, _ := newFlightsServer(t, core.Config{
-		Seed:                 1,
-		Clock:                voice.NewSimClock(),
-		MaxRoundsPerSentence: 100,
-		Percents:             []int{50, 100},
-		Scanner: func(tb *table.Table, rng *rand.Rand) table.Scanner {
-			if g := gate.Swap(nil); g != nil {
-				close(g.parked)
-				<-g.release
-			}
-			return table.NewRandomScanner(tb, rng)
-		},
-	}, Options{MaxConcurrent: 2, RequestTimeout: -1})
+	srv, gate := newGatedServer(t, Options{MaxConcurrent: 2, RequestTimeout: -1})
 	h := srv.Handler()
 	rng := rand.New(rand.NewSource(seed))
 	tenants := []string{"t1", "t2", "t3"}
 
-	wait := func(ch <-chan struct{}, what string) {
-		t.Helper()
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
 	var calls []*call
 	send := func(q query) *call {
 		c := startCall(h, fmt.Sprint("s", len(calls)), tenants[rng.Intn(len(tenants))], q)
@@ -189,7 +199,7 @@ func conservationMix(t *testing.T, seed int64) mixOutcomes {
 	finish := func(cs ...*call) {
 		t.Helper()
 		for _, c := range cs {
-			wait(c.done, "a reply")
+			waitFor(t, c.done, "a reply")
 			if c.rec.Code == http.StatusOK && !c.canceled {
 				answered = append(answered, c.q)
 			}
@@ -228,7 +238,7 @@ func conservationMix(t *testing.T, seed int64) mixOutcomes {
 			hold, parked := make(chan struct{}), make(chan struct{})
 			srv.holdVocalize, srv.vocalizeParked = hold, parked
 			c := send(q)
-			wait(parked, "a plan at holdVocalize")
+			waitFor(t, parked, "a plan at holdVocalize")
 			if r, ok := repeat(); ok && rng.Intn(2) == 0 {
 				finish(send(r))
 			}
@@ -246,7 +256,7 @@ func conservationMix(t *testing.T, seed int64) mixOutcomes {
 			g := &planGate{parked: make(chan struct{}), release: make(chan struct{})}
 			gate.Store(g)
 			leader := send(q)
-			wait(g.parked, "a plan at its scan")
+			waitFor(t, g.parked, "a plan at its scan")
 			follower := send(q)
 			waitSlots(2)
 			time.Sleep(2 * time.Millisecond) // let the follower reach the flight

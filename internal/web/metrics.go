@@ -86,6 +86,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			writeSample(w, "voiceolap_tenant_client_gone_total", t.ClientGone, "tenant", t.Tenant)
 		}
 	}
+	writeMetricHeader(w, "voiceolap_tenant_timed_out_total", "counter", "Requests whose deadline passed while they waited on an identical query's plan, per tenant.")
+	for _, t := range stats.Tenants {
+		if t.TimedOut > 0 {
+			writeSample(w, "voiceolap_tenant_timed_out_total", t.TimedOut, "tenant", t.Tenant)
+		}
+	}
 
 	writeMetricHeader(w, "voiceolap_ingest_batches_total", "counter", "Accepted streaming ingest batches.")
 	writeSample(w, "voiceolap_ingest_batches_total", s.ingestBatches.Load())

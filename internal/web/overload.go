@@ -47,8 +47,8 @@ func (s *Server) StartDrain() { s.adm.Drain() }
 
 // tenantCounters holds one tenant's query outcomes.
 type tenantCounters struct {
-	served, hits, coalesced, clientGone int64
-	shed                                map[string]int64
+	served, hits, coalesced, clientGone, timedOut int64
+	shed                                          map[string]int64
 }
 
 // servingCounters books every query's outcome per tenant, once, where its
@@ -80,7 +80,8 @@ func (c *servingCounters) tenant(name string) *tenantCounters {
 
 // book records the outcome of one reply to tenant: a semcache.Outcome name
 // for a 200 ("miss" when a vocalizer ran, "hit" or "coalesced" when the
-// cache answered), "client-gone" for a 499, a shed reason for a 503.
+// cache answered), "client-gone" for a 499, "timed-out" for a 408, a shed
+// reason for a 503.
 func (c *servingCounters) book(tenant, outcome string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,6 +95,8 @@ func (c *servingCounters) book(tenant, outcome string) {
 		t.coalesced++
 	case "client-gone":
 		t.clientGone++
+	case "timed-out":
+		t.timedOut++
 	default:
 		t.shed[outcome]++
 	}
@@ -115,6 +118,9 @@ type TenantServingStats struct {
 	Shed map[string]int64 `json:"shed,omitempty"`
 	// ClientGone counts requests whose client disconnected first.
 	ClientGone int64 `json:"clientGone,omitempty"`
+	// TimedOut counts requests whose deadline passed while they waited on
+	// an identical query's plan (408).
+	TimedOut int64 `json:"timedOut,omitempty"`
 }
 
 // ServingStats reports the overload state: live admission gauges and
@@ -152,6 +158,7 @@ func (s *Server) servingStats() ServingStats {
 			Served:     t.served,
 			Cached:     t.hits + t.coalesced,
 			ClientGone: t.clientGone,
+			TimedOut:   t.timedOut,
 		}
 		if len(t.shed) > 0 {
 			ts.Shed = make(map[string]int64, len(t.shed))

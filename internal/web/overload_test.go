@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,6 +196,74 @@ func TestClientDisconnectIs499(t *testing.T) {
 			t.Errorf("clientGone = %d, want 1; tenants: %+v", gone, st.Tenants)
 		}
 	})
+}
+
+// TestDeadlineWhileCoalescedIs408: a request whose deadline passes while it
+// waits on an identical query's plan, parked at its scan, gets 408 and is
+// booked once, as timed out, on its own tenant, in /api/stats and /metrics.
+func TestDeadlineWhileCoalescedIs408(t *testing.T) {
+	srv, gate := newGatedServer(t, Options{MaxConcurrent: 2, RequestTimeout: 300 * time.Millisecond})
+	h := srv.Handler()
+	g := &planGate{parked: make(chan struct{}), release: make(chan struct{})}
+	gate.Store(g)
+	q := query{"break down by season", "this"}
+	leader := startCall(h, "leader", "lead", q)
+	waitFor(t, g.parked, "the leader's plan at its scan")
+	follower := startCall(h, "follower", "follow", q)
+	waitFor(t, follower.done, "the follower's reply")
+	if follower.rec.Code != http.StatusRequestTimeout {
+		t.Errorf("follower status = %d, want 408: %s", follower.rec.Code, follower.rec.Body)
+	}
+	close(g.release)
+	waitFor(t, leader.done, "the leader's reply")
+	if leader.rec.Code != http.StatusOK {
+		t.Errorf("leader status = %d, want its degraded 200: %s", leader.rec.Code, leader.rec.Body)
+	}
+
+	st := srv.servingStats()
+	want := []TenantServingStats{{Tenant: "follow", TimedOut: 1}, {Tenant: "lead", Served: 1}}
+	if !reflect.DeepEqual(st.Tenants, want) {
+		t.Errorf("tenants = %+v, want %+v", st.Tenants, want)
+	}
+	if a := st.SemCache.Answers.Aborted; a != 1 {
+		t.Errorf("cache Aborted = %d, want the follower's 1", a)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if line := `voiceolap_tenant_timed_out_total{tenant="follow"} 1`; !strings.Contains(rec.Body.String(), line+"\n") {
+		t.Errorf("/metrics lacks %q", line)
+	}
+}
+
+// TestTwoPlansParkAtHoldVocalize: two requests reach plan while the test
+// holds vocalizations; the first there closes vocalizeParked, neither
+// closes it twice, and both are answered once the hold lifts. Under -race
+// it holds the hook to the lock plan reads and clears it under.
+func TestTwoPlansParkAtHoldVocalize(t *testing.T) {
+	srv, _ := newHardenedServer(t, Options{MaxConcurrent: 2, SemCacheEntries: -1})
+	hold, parked := make(chan struct{}), make(chan struct{})
+	srv.holdVocalize, srv.vocalizeParked = hold, parked
+	h := srv.Handler()
+	calls := []*call{
+		startCall(h, "a", "", query{"break down by season", "this"}),
+		startCall(h, "b", "", query{"break down by region", "prior"}),
+	}
+	waitFor(t, parked, "a plan at holdVocalize")
+	// The second request passes the hook whether it parks before the hold
+	// lifts or after; nothing orders its access after the first one's.
+	close(hold)
+	for _, c := range calls {
+		<-c.done
+		if c.rec.Code != http.StatusOK {
+			t.Errorf("%v: status %d, want 200: %s", c.q, c.rec.Code, c.rec.Body)
+		}
+	}
+	srv.mu.Lock()
+	left := srv.vocalizeParked
+	srv.mu.Unlock()
+	if left != nil {
+		t.Error("vocalizeParked still armed after a plan reached the hold")
+	}
 }
 
 // TestRetryAfterHonorsFloor: the hint is admission's constant, in whole

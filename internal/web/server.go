@@ -233,6 +233,7 @@ type Server struct {
 	// vocalizeParked, when non-nil, is closed once a request reaches the
 	// holdVocalize gate (its command is committed, its epoch captured) —
 	// the companion hook that lets a test order events around the hold.
+	// The first request there takes it and clears it under mu.
 	vocalizeParked chan struct{}
 	// committed, when non-nil, is called under s.mu with every request
 	// whose command commit has just published — the test hook that reads
@@ -668,9 +669,12 @@ func (s *Server) commit(req *request, restage bool) error {
 // follows does.
 func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 	if s.holdVocalize != nil {
-		if s.vocalizeParked != nil {
-			close(s.vocalizeParked)
-			s.vocalizeParked = nil
+		s.mu.Lock()
+		parked := s.vocalizeParked
+		s.vocalizeParked = nil
+		s.mu.Unlock()
+		if parked != nil {
+			close(parked)
 		}
 		<-s.holdVocalize
 	}
@@ -752,14 +756,16 @@ func (s *Server) writeCommandError(w http.ResponseWriter, err error) {
 }
 
 // writeAborted answers a request that its own context cut short: 499, booked
-// as gone, when the client hung up, 408 when err is the request deadline.
-// It reports false, writing nothing, otherwise (err may be nil).
+// as gone, when the client hung up, 408, booked as timed out, when err is
+// the request deadline. It reports false, writing nothing, otherwise (err
+// may be nil).
 func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant string, err error) bool {
 	switch {
 	case errors.Is(err, context.Canceled) || r.Context().Err() == context.Canceled:
 		s.serving.book(tenant, "client-gone")
 		writeError(w, statusClientClosedRequest, errors.New("client closed request"))
 	case errors.Is(err, context.DeadlineExceeded):
+		s.serving.book(tenant, "timed-out")
 		writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"))
 	default:
 		return false
