@@ -286,22 +286,6 @@ func BenchmarkAblationPlanningBudget(b *testing.B) {
 	runAblation(b, experiments.AblationPlanningBudget)
 }
 
-// BenchmarkMetricComparison scores the Table 5 speeches under all four
-// belief-to-data metrics.
-func BenchmarkMetricComparison(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.MetricComparison(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Quality, r.Approach+"-quality")
-		}
-	}
-}
-
 // --- Microbenchmarks backing Appendix A ---
 
 type microEnv struct {

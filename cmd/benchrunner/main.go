@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling]
+//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table9|table11|table12|table13|ablations|datascaling]
 //	            [-flight-rows N] [-sessions N] [-seed S]
 //
 // Pass -flight-rows 5300000 for paper-scale runs (slower; the default
@@ -27,7 +27,7 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling)")
+	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table9, table11, table12, table13, ablations, datascaling)")
 	flightRows := flag.Int("flight-rows", experiments.DefaultBenchFlightRows, "flight dataset rows (paper: 5300000)")
 	sessions := flag.Int("sessions", 20, "exploratory study sessions per dataset")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -129,12 +129,6 @@ func run() error {
 			title string
 			run   func(*experiments.Setup) ([]experiments.AblationRow, error)
 		}
-		metrics, err := experiments.MetricComparison(setup)
-		if err != nil {
-			return err
-		}
-		experiments.PrintMetricComparison(w, metrics)
-		fmt.Fprintln(w)
 		for _, a := range []ablation{
 			{"Ablation — UCT vs uniform tree sampling", experiments.AblationUCTVsUniform},
 			{"Ablation — estimate derivation (running mean vs fixed resample)", experiments.AblationResample},
@@ -161,7 +155,7 @@ func run() error {
 		fmt.Fprintln(w)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling",
+		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table9 table11 table12 table13 ablations datascaling",
 			strings.TrimSpace(*exp))
 	}
 	return nil

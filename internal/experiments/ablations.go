@@ -146,3 +146,25 @@ func AblationFragments(s *Setup) ([]AblationRow, error) {
 	}
 	return rows, nil
 }
+
+// AblationPlanningBudget sweeps the planning rounds available per sentence
+// — the learning curve behind the pipelining argument: more overlap means
+// more rounds means better speeches, saturating once estimates converge.
+func AblationPlanningBudget(s *Setup) ([]AblationRow, error) {
+	var rows []AblationRow
+	for _, rounds := range []int{10, 50, 200, 1000, 5000} {
+		rounds := rounds
+		quality, err := s.runHolisticQuality(func(c *core.Config) {
+			c.MaxRoundsPerSentence = rounds
+			c.MinRounds = rounds
+		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, AblationRow{
+			Variant: fmt.Sprintf("%d rounds/sentence", rounds),
+			Quality: quality,
+		})
+	}
+	return rows, nil
+}

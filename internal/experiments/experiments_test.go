@@ -377,40 +377,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestMetricComparison(t *testing.T) {
-	s := setup(t)
-	rows, err := MetricComparison(s)
-	if err != nil {
-		t.Fatalf("MetricComparison: %v", err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]MetricRow{}
-	for _, r := range rows {
-		byName[r.Approach] = r
-	}
-	opt, unm := byName["optimal"], byName["unmerged"]
-	// Every metric must preserve the headline ordering.
-	if opt.Quality <= unm.Quality {
-		t.Error("quality ordering broken")
-	}
-	if opt.LogLoss <= unm.LogLoss {
-		t.Error("log-loss ordering broken")
-	}
-	if opt.ExpAbsError >= unm.ExpAbsError {
-		t.Error("expected-abs-error ordering broken")
-	}
-	if opt.CRPS >= unm.CRPS {
-		t.Error("CRPS ordering broken")
-	}
-	var buf bytes.Buffer
-	PrintMetricComparison(&buf, rows)
-	if !strings.Contains(buf.String(), "CRPS") {
-		t.Error("printout malformed")
-	}
-}
-
 func TestAblationPlanningBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("budget sweep in short mode")

@@ -145,9 +145,9 @@ func (c *Cache[V]) store(key string, val V) {
 // Do returns the value for key, computing it at most once across
 // concurrent callers. compute reports (value, cacheable): a non-cacheable
 // value (a degraded speech) is returned to its caller but never stored,
-// so no later hit can replay it. Callers waiting on
-// another caller's flight whose result was not stored retry the loop and
-// compute for themselves — an error or uncacheable result must not poison
+// so no later hit can replay it. Callers waiting on another caller's
+// flight whose result was not stored retry the loop and compute for
+// themselves — an error, an uncacheable result or a panic must not poison
 // the herd. ctx bounds only the waiting, not the computation (compute
 // carries its own context).
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, bool, error)) (V, Outcome, error) {
@@ -183,20 +183,31 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, bool, 
 		c.flights[key] = f
 		c.stats.Misses++
 		c.mu.Unlock()
+		return c.lead(key, f, compute)
+	}
+}
 
-		val, cacheable, err := compute()
+// lead runs compute as key's flight f and ends the flight however compute
+// returns. A panic ends it unstored, so its waiters retry and compute for
+// themselves rather than wait on a flight that never lands, and then
+// propagates to the caller.
+func (c *Cache[V]) lead(key string, f *flight[V], compute func() (V, bool, error)) (V, Outcome, error) {
+	defer func() {
 		c.mu.Lock()
-		if err == nil && cacheable {
-			c.store(key, val)
-			f.val, f.stored = val, true
-		} else if err == nil {
-			c.stats.Rejected++
-		}
 		delete(c.flights, key)
 		c.mu.Unlock()
 		close(f.done)
-		return val, Miss, err
+	}()
+	val, cacheable, err := compute()
+	c.mu.Lock()
+	if err == nil && cacheable {
+		c.store(key, val)
+		f.val, f.stored = val, true
+	} else if err == nil {
+		c.stats.Rejected++
 	}
+	c.mu.Unlock()
+	return val, Miss, err
 }
 
 // purgeChunk bounds how many deletions PurgePrefix performs per mutex

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCacheGetPutLRU(t *testing.T) {
@@ -128,6 +129,85 @@ func TestCacheDoErrorDoesNotPoisonFollowers(t *testing.T) {
 	}
 	if v, ok := c.Get("k"); !ok || v != "retried" {
 		t.Fatalf("follower's retry was not stored: %q, %v", v, ok)
+	}
+}
+
+// waitSignal is a context that closes waiting the first time its Done
+// channel is read. Do reads it only as it starts waiting on another
+// caller's flight, so waiting closing means the caller has joined one.
+type waitSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (w *waitSignal) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.waiting) })
+	return w.Context.Done()
+}
+
+// panicking runs c.Do(key) with a compute that panics once proceed is
+// closed, closing started as the compute begins, and sends what the
+// caller recovered on the returned channel.
+func panicking(c *Cache[string], key string, started, proceed chan struct{}) <-chan any {
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		_, _, _ = c.Do(context.Background(), key, func() (string, bool, error) {
+			close(started)
+			<-proceed
+			panic("scan fault")
+		})
+	}()
+	return recovered
+}
+
+// TestDoPanicEndsFlight: a compute that panics reaches its caller and ends
+// its flight unstored, so a caller coalesced onto it computes for itself
+// and the next caller misses instead of waiting forever on it.
+func TestDoPanicEndsFlight(t *testing.T) {
+	c := New[string](8)
+	deadline := func() context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		t.Cleanup(cancel)
+		return ctx
+	}
+
+	started, proceed := make(chan struct{}), make(chan struct{})
+	recovered := panicking(c, "k", started, proceed)
+	<-started
+	waiter := &waitSignal{Context: deadline(), waiting: make(chan struct{})}
+	type result struct {
+		val string
+		oc  Outcome
+		err error
+	}
+	coalesced := make(chan result, 1)
+	go func() {
+		v, oc, err := c.Do(waiter, "k", func() (string, bool, error) {
+			return "retried", true, nil
+		})
+		coalesced <- result{v, oc, err}
+	}()
+	<-waiter.waiting
+	close(proceed)
+	if r := <-recovered; r != "scan fault" {
+		t.Fatalf("leader recovered %v, want the compute's panic", r)
+	}
+	if r := <-coalesced; r.err != nil || r.val != "retried" || r.oc != Miss {
+		t.Fatalf("coalesced waiter = %q, %v, %v; want it to compute for itself", r.val, r.oc, r.err)
+	}
+
+	started, proceed = make(chan struct{}), make(chan struct{})
+	recovered = panicking(c, "j", started, proceed)
+	<-started
+	close(proceed)
+	<-recovered
+	v, oc, err := c.Do(deadline(), "j", func() (string, bool, error) {
+		return "fresh", true, nil
+	})
+	if err != nil || v != "fresh" || oc != Miss {
+		t.Fatalf("Do after a panicked flight = %q, %v, %v; want a Miss", v, oc, err)
 	}
 }
 

@@ -2,10 +2,13 @@ package semcache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/dimension"
 	"repro/internal/olap"
 )
@@ -74,7 +77,7 @@ func permutations(n int) [][]int {
 // corpus generates every query over the test schema: all aggregate
 // functions, all non-empty scope subsets with all level choices, and all
 // per-hierarchy filter choices (none or one of two members).
-func corpus(t *testing.T) []olap.Query {
+func corpus(t testing.TB) []olap.Query {
 	t.Helper()
 	airport, date, airline := testHierarchies()
 	hs := []*dimension.Hierarchy{airport, date, airline}
@@ -177,6 +180,147 @@ func TestKeyCanonicalEquality(t *testing.T) {
 		sigByKey[base] = sig
 	}
 	t.Logf("corpus: %d queries, %d distinct canonical forms, zero collisions", len(queries), len(sigByKey))
+}
+
+// The fuzz encoding of a query, a byte a choice (taken modulo the number of
+// choices; a missing byte reads 0): function, measure column, spoken
+// description, window, then a group-by count followed by a hierarchy and
+// a level byte for each, then a filter count followed by a hierarchy, a
+// level and a member byte for each. A group-by or filter on a hierarchy
+// the query already groups or filters by is dropped.
+var (
+	fuzzFcts    = []olap.AggFunc{olap.Count, olap.Sum, olap.Avg}
+	fuzzCols    = []string{"cancelled", "delayed"}
+	fuzzDescs   = []string{"average cancellation probability", "delay share"}
+	fuzzWindows = []time.Duration{0, time.Hour, 24 * time.Hour, 7 * 24 * time.Hour}
+)
+
+// fuzzBytes hands out the choices of a fuzz-encoded query.
+type fuzzBytes []byte
+
+// pick returns the next choice among n.
+func (b *fuzzBytes) pick(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return c
+}
+
+// decodeQuery builds the query data encodes over hierarchies hs.
+func decodeQuery(data []byte, hs []*dimension.Hierarchy) olap.Query {
+	b := fuzzBytes(data)
+	q := olap.Query{
+		Fct:            fuzzFcts[b.pick(len(fuzzFcts))],
+		Col:            fuzzCols[b.pick(len(fuzzCols))],
+		ColDescription: fuzzDescs[b.pick(len(fuzzDescs))],
+		Window:         olap.Window{Last: fuzzWindows[b.pick(len(fuzzWindows))]},
+	}
+	grouped := map[*dimension.Hierarchy]bool{}
+	for n := b.pick(4); n > 0; n-- {
+		h := hs[b.pick(len(hs))]
+		level := 1 + b.pick(h.Depth())
+		if !grouped[h] {
+			grouped[h] = true
+			q.GroupBy = append(q.GroupBy, olap.GroupBy{Hierarchy: h, Level: level})
+		}
+	}
+	filtered := map[*dimension.Hierarchy]bool{}
+	for n := b.pick(4); n > 0; n-- {
+		h := hs[b.pick(len(hs))]
+		members := h.MembersAt(1 + b.pick(h.Depth()))
+		m := members[b.pick(len(members))]
+		if !filtered[h] {
+			filtered[h] = true
+			q.Filters = append(q.Filters, m)
+		}
+	}
+	return q
+}
+
+// encodeQuery is decodeQuery's inverse for a query in the fuzz alphabet
+// whose hierarchies are named as those of hs, in any schema; it panics on
+// a query outside the alphabet.
+func encodeQuery(q olap.Query, hs []*dimension.Hierarchy) []byte {
+	index := func(n int, match func(int) bool) byte {
+		for i := 0; i < n; i++ {
+			if match(i) {
+				return byte(i)
+			}
+		}
+		panic(fmt.Sprintf("encodeQuery: %+v is outside the fuzz alphabet", q))
+	}
+	hier := func(h *dimension.Hierarchy) byte {
+		return index(len(hs), func(i int) bool { return hs[i].Name == h.Name })
+	}
+	out := []byte{
+		index(len(fuzzFcts), func(i int) bool { return fuzzFcts[i] == q.Fct }),
+		index(len(fuzzCols), func(i int) bool { return fuzzCols[i] == q.Col }),
+		index(len(fuzzDescs), func(i int) bool { return fuzzDescs[i] == q.ColDescription }),
+		index(len(fuzzWindows), func(i int) bool { return fuzzWindows[i] == q.Window.Last }),
+		byte(len(q.GroupBy)),
+	}
+	for _, g := range q.GroupBy {
+		out = append(out, hier(g.Hierarchy), byte(g.Level-1))
+	}
+	out = append(out, byte(len(q.Filters)))
+	for _, m := range q.Filters {
+		members := m.Hierarchy().MembersAt(m.Level)
+		out = append(out, hier(m.Hierarchy()), byte(m.Level-1),
+			index(len(members), func(i int) bool { return members[i] == m }))
+	}
+	return out
+}
+
+// sameNormalized reports whether normalized queries a and b agree in every
+// field Key reads; the measure column is ignored for COUNT.
+func sameNormalized(a, b olap.Query) bool {
+	if a.Fct != b.Fct || (a.Fct != olap.Count && a.Col != b.Col) ||
+		a.ColDescription != b.ColDescription || a.Window != b.Window ||
+		len(a.GroupBy) != len(b.GroupBy) || len(a.Filters) != len(b.Filters) {
+		return false
+	}
+	for i := range a.GroupBy {
+		if a.GroupBy[i] != b.GroupBy[i] {
+			return false
+		}
+	}
+	for i := range a.Filters {
+		if a.Filters[i] != b.Filters[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzKeyMatchesNormalize holds Key to its contract over the flights
+// hierarchies: two queries get equal keys exactly when their Normalize'd
+// forms agree. The seeds are TestKeyCanonicalEquality's pairs carried to
+// the flights schema: a corpus query with its scopes and filters reversed
+// (equal keys) and the same query beside the next one (distinct keys).
+func FuzzKeyMatchesNormalize(f *testing.F) {
+	airport, date, airline := datagen.FlightHierarchies()
+	hs := []*dimension.Hierarchy{airport, date, airline}
+	queries := corpus(f)
+	for i := 0; i < len(queries)-1; i += 97 {
+		q := queries[i]
+		r := q
+		r.GroupBy = slices.Clone(q.GroupBy)
+		r.Filters = slices.Clone(q.Filters)
+		slices.Reverse(r.GroupBy)
+		slices.Reverse(r.Filters)
+		f.Add(encodeQuery(q, hs), encodeQuery(r, hs))
+		f.Add(encodeQuery(q, hs), encodeQuery(queries[i+1], hs))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		qa, qb := decodeQuery(a, hs), decodeQuery(b, hs)
+		same := sameNormalized(Normalize(qa), Normalize(qb))
+		if ka, kb := Key(qa), Key(qb); (ka == kb) != same {
+			t.Fatalf("Key equality %v, normalized forms equal %v:\n  a %+v\n  b %+v\n  key a %q\n  key b %q",
+				ka == kb, same, qa, qb, ka, kb)
+		}
+	})
 }
 
 // TestKeySynonymNormalization pins the shared-vocabulary property: a

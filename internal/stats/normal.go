@@ -11,17 +11,11 @@ import (
 )
 
 // Normal is a normal (Gaussian) distribution with mean Mu and standard
-// deviation Sigma. Sigma must be positive for the density functions to be
-// well defined.
+// deviation Sigma. Sigma must be positive for its functions to be well
+// defined.
 type Normal struct {
 	Mu    float64
 	Sigma float64
-}
-
-// PDF returns the probability density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // CDF returns P(X <= x).

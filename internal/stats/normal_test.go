@@ -6,20 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNormalPDFPeak(t *testing.T) {
-	n := Normal{Mu: 5, Sigma: 1}
-	want := 1 / math.Sqrt(2*math.Pi)
-	if got := n.PDF(5); math.Abs(got-want) > 1e-12 {
-		t.Errorf("PDF at mean = %v, want %v", got, want)
-	}
-	if n.PDF(4) != n.PDF(6) {
-		t.Error("PDF should be symmetric around the mean")
-	}
-	if n.PDF(5) <= n.PDF(6) {
-		t.Error("PDF should peak at the mean")
-	}
-}
-
 func TestNormalCDFKnownValues(t *testing.T) {
 	std := Normal{Mu: 0, Sigma: 1}
 	cases := []struct {

@@ -3,16 +3,19 @@ package web
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/table"
 	"repro/internal/voice"
 )
 
@@ -413,5 +416,50 @@ func TestMetricsEscapesLabels(t *testing.T) {
 			}
 			line = line[i+2:]
 		}
+	}
+}
+
+// faultScanner is a row stream whose first read panics, as a storage fault
+// does.
+type faultScanner struct{}
+
+// NextBatch implements table.Scanner.
+func (faultScanner) NextBatch([]int) int { panic("scan fault") }
+
+// TestScanPanicDoesNotStallTheQuery: a scan that panics answers its request
+// 500 and leaves no cache flight behind, so the same query from another
+// session computes afresh at once instead of waiting out its deadline on
+// a flight that never lands.
+func TestScanPanicDoesNotStallTheQuery(t *testing.T) {
+	const timeout = 4 * time.Second
+	var faulted atomic.Bool
+	_, ts := newFlightsServer(t, core.Config{
+		Seed:                 7,
+		Clock:                voice.NewSimClock(),
+		MaxRoundsPerSentence: 100,
+		Percents:             []int{50, 100},
+		Scanner: func(tb *table.Table, rng *rand.Rand) table.Scanner {
+			if faulted.CompareAndSwap(false, true) {
+				return faultScanner{}
+			}
+			return table.NewRandomScanner(tb, rng)
+		},
+	}, Options{RequestTimeout: timeout, Logf: func(string, ...any) {}})
+	ask := func(session string) (map[string]any, int) {
+		return postQuery(t, ts, map[string]string{
+			"session": session, "dataset": "flights",
+			"input": equivalentPhrasings[0], "method": "this",
+		})
+	}
+	if out, code := ask("p1"); code != http.StatusInternalServerError {
+		t.Fatalf("faulted query status = %d, want 500: %v", code, out)
+	}
+	start := time.Now()
+	out, code := ask("p2")
+	if code != http.StatusOK {
+		t.Fatalf("query after the fault: status %d, want 200: %v", code, out)
+	}
+	if took := time.Since(start); took > timeout/4 {
+		t.Errorf("query after the fault took %v, want well inside the %v deadline", took, timeout)
 	}
 }
