@@ -1,6 +1,7 @@
 package nlq
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 // panic; a parse that returns no error and asks for an answer (IsQuery)
 // must leave a query olap.NewSpace accepts; and the parent session's
 // summary must not move, since staging a command on a clone is how the
-// server keeps a refused command from touching its session. The seed
-// corpus is the scripted utterances and their ASR-noise renderings at a
-// few seeds.
+// server keeps a command it sheds from touching its session. The parent
+// then parses the same utterance itself: if Parse refuses it, the parent's
+// summary, query and history depth must be what they were, since a refused
+// command changes nothing. The seed corpus is the scripted utterances and
+// their ASR-noise renderings at a few seeds.
 func FuzzParse(f *testing.F) {
 	d, err := datagen.Flights(datagen.FlightsConfig{Rows: 2000, Seed: 91})
 	if err != nil {
@@ -44,18 +47,30 @@ func FuzzParse(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, input string) {
-		for _, parent := range []*Session{fresh, exploring} {
-			before := parent.Summary()
+		for _, start := range []*Session{fresh, exploring} {
+			parent := start.Clone()
+			before, query, depth := parent.Summary(), parent.Query(), len(parent.history)
 			s := parent.Clone()
 			resp, err := s.Parse(input)
 			if after := parent.Summary(); after != before {
 				t.Fatalf("%q on a clone moved its parent from %q to %q", input, before, after)
 			}
-			if err != nil || !resp.IsQuery {
+			if err == nil && resp.IsQuery {
+				if _, err := olap.NewSpace(d, s.Query()); err != nil {
+					t.Fatalf("%q parsed, but its query %+v has no space: %v", input, s.Query(), err)
+				}
+			}
+			if _, err := parent.Parse(input); err == nil {
 				continue
 			}
-			if _, err := olap.NewSpace(d, s.Query()); err != nil {
-				t.Fatalf("%q parsed, but its query %+v has no space: %v", input, s.Query(), err)
+			if after := parent.Summary(); after != before {
+				t.Fatalf("refused %q moved the summary from %q to %q", input, before, after)
+			}
+			if after := parent.Query(); !reflect.DeepEqual(after, query) {
+				t.Fatalf("refused %q moved the query from %+v to %+v", input, query, after)
+			}
+			if after := len(parent.history); after != depth {
+				t.Fatalf("refused %q left the history %d deep, want %d", input, after, depth)
 			}
 		}
 	})

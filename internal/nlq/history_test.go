@@ -89,7 +89,7 @@ func TestAggregationSwitch(t *testing.T) {
 		t.Fatalf("Parse: %v", err)
 	}
 	// "back" wins over "average" since it is checked first; the state
-	// reverts to the pre-count snapshot.
+	// reverts to the pre-count state.
 	if got := s.Query().Fct; got != olap.Avg {
 		t.Errorf("fct after back = %v, want average", got)
 	}

@@ -171,7 +171,7 @@ func TestCloneIsolationUnderStagedParses(t *testing.T) {
 
 // TestCloneIsolationOfHistory pins the isolation of the undo stack: undoing
 // on a clone after further live mutations must restore the clone's own
-// snapshot, untouched by the live session's history edits.
+// state, untouched by the live session's history edits.
 func TestCloneIsolationOfHistory(t *testing.T) {
 	s := newFlightsSession(t)
 	parse(t, s, "break down by region")
@@ -200,10 +200,10 @@ func TestCloneIsolationOfHistory(t *testing.T) {
 // maxHistory deep) history and then interleave "back" and new commands at
 // random, re-cloning now and then. Each session is checked against its own
 // model stack of summaries, so a push that landed in the other's backing
-// array, or an installed snapshot written through by a later command, shows
+// array, or an installed state written through by a later command, shows
 // up as a "back" that restores the wrong state.
 func TestCloneSharedHistoryInterleaved(t *testing.T) {
-	// Every command here succeeds from any state and pushes one snapshot.
+	// Every command here succeeds from any state and pushes one state.
 	cmds := []string{
 		"only flights in winter", "break down by state", "only flights in summer",
 		"break down by month", "break down by region", "only flights in spring",

@@ -3,12 +3,15 @@
 // and add or remove dimensions in the OLAP result by mentioning related
 // keywords, and can ask for help to hear all available keywords. A Session
 // holds one user's exploration state and turns each utterance into the
-// next OLAP query.
+// next OLAP query. A state is a value: a command builds the next one on a
+// copy, and a state a session holds or remembers is never written again.
 package nlq
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,113 +21,72 @@ import (
 	"repro/internal/olap"
 )
 
-// Session is one user's exploration state over a dataset. Parse writes it
-// in place and nothing here locks, so a session shared between goroutines
+// Session is one user's exploration over a dataset: the current state and
+// the states "back" returns to. Parse replaces the state only when a command
+// succeeds, and nothing here locks, so a session shared between goroutines
 // is shared as a value: once published it is only read (Query, Summary,
 // Clone), and a command runs on a Clone that then replaces it — which is
 // how internal/web keeps its session table.
 type Session struct {
 	dataset *olap.Dataset
-	fct     olap.AggFunc
 	col     string
 	colDesc string
 
+	cur state
+	// history holds the states "back" returns to, most recent last.
+	history []state
+}
+
+// state is one exploration state. Once a session holds it, as its current
+// state or in its history, nothing writes to it again, so sessions and
+// their clones share states freely.
+type state struct {
+	fct     olap.AggFunc
 	levels  map[*dimension.Hierarchy]int
 	order   []*dimension.Hierarchy
 	filters map[*dimension.Hierarchy]*dimension.Member
 	// window restricts queries to rows ingested in the trailing stream-time
 	// window ("in the last hour"); zero means the whole table.
 	window time.Duration
-
-	// history holds snapshots for the "back" command, most recent last.
-	history []snapshot
-}
-
-// snapshot captures the mutable exploration state.
-type snapshot struct {
-	fct     olap.AggFunc
-	levels  map[*dimension.Hierarchy]int
-	order   []*dimension.Hierarchy
-	filters map[*dimension.Hierarchy]*dimension.Member
-	window  time.Duration
 }
 
 // maxHistory bounds the undo stack.
 const maxHistory = 64
 
-// state returns the live exploration state as a snapshot that aliases it.
-func (s *Session) state() snapshot {
-	return snapshot{fct: s.fct, levels: s.levels, order: s.order, filters: s.filters, window: s.window}
-}
-
-// clone deep-copies a snapshot's maps and slice.
-func (snap snapshot) clone() snapshot {
-	c := snapshot{
-		fct:     snap.fct,
-		levels:  make(map[*dimension.Hierarchy]int, len(snap.levels)),
-		order:   append([]*dimension.Hierarchy{}, snap.order...),
-		filters: make(map[*dimension.Hierarchy]*dimension.Member, len(snap.filters)),
-		window:  snap.window,
-	}
-	for h, l := range snap.levels {
-		c.levels[h] = l
-	}
-	for h, m := range snap.filters {
-		c.filters[h] = m
-	}
-	return c
-}
-
-// install makes a private copy of snap the live state: commands write the
-// live maps in place, and snap may be shared with clones.
-func (s *Session) install(snap snapshot) {
-	c := snap.clone()
-	s.fct, s.levels, s.order, s.filters, s.window = c.fct, c.levels, c.order, c.filters, c.window
-}
-
-// pushHistory records the current state before a mutation. A pushed
-// snapshot is never written again.
-func (s *Session) pushHistory() {
-	s.history = append(s.history, s.state().clone())
-	if len(s.history) > maxHistory {
-		s.history = s.history[len(s.history)-maxHistory:]
+// initial is the state a session starts from and "reset" returns to: the
+// first level of the dataset's first hierarchy, unfiltered, over all rows.
+func initial(d *olap.Dataset, fct olap.AggFunc) state {
+	first := d.Hierarchies()[0]
+	return state{
+		fct:     fct,
+		levels:  map[*dimension.Hierarchy]int{first: 1},
+		order:   []*dimension.Hierarchy{first},
+		filters: make(map[*dimension.Hierarchy]*dimension.Member),
 	}
 }
 
-// popHistory restores the most recent snapshot; false if none exists. The
-// shortened stack is capped at its length, so the next push reallocates
-// instead of overwriting a slot a clone still reads.
-func (s *Session) popHistory() bool {
-	n := len(s.history)
-	if n == 0 {
-		return false
-	}
-	s.install(s.history[n-1])
-	s.history = s.history[: n-1 : n-1]
-	return true
+// clone deep-copies a state's maps and slice, for a command to write.
+func (st state) clone() state {
+	st.levels = maps.Clone(st.levels)
+	st.order = slices.Clone(st.order)
+	st.filters = maps.Clone(st.filters)
+	return st
 }
 
-// Clone returns an independent copy of the session's exploration state
-// (the immutable dataset is shared). The live maps are copied; the undo
-// history is shared: pushed snapshots are read-only (popHistory copies the
-// one it installs), and the shared slice is capped at its length, so the
-// first push on either side reallocates rather than appending into the
-// other's backing array.
+// Clone returns a session that starts where s stands and goes its own way.
+// It copies no state: the two share the current state and the history,
+// neither of which is written again. The shared history is capped at its
+// length, so the first command on either side reallocates it rather than
+// appending into the other's backing array.
 //
 // Clone is what lets the web layer treat a published session as a value: a
 // command runs on a clone, which then replaces the published session by
 // pointer swap, so a request that is shed or fails leaves nothing behind
 // and a client retry cannot double-apply "drill down" or "back".
 func (s *Session) Clone() *Session {
-	n := len(s.history)
-	c := &Session{
-		dataset: s.dataset,
-		col:     s.col,
-		colDesc: s.colDesc,
-		history: s.history[:n:n],
-	}
-	c.install(s.state())
-	return c
+	c := *s
+	c.history = s.history[:len(s.history):len(s.history)]
+	return &c
 }
 
 // NewSession starts a session for the dataset's given measure. The initial
@@ -134,38 +96,27 @@ func NewSession(d *olap.Dataset, fct olap.AggFunc, col, colDesc string) (*Sessio
 	if len(d.Hierarchies()) == 0 {
 		return nil, errors.New("nlq: dataset has no dimensions")
 	}
-	s := &Session{
-		dataset: d,
-		fct:     fct,
-		col:     col,
-		colDesc: colDesc,
-		levels:  make(map[*dimension.Hierarchy]int),
-		filters: make(map[*dimension.Hierarchy]*dimension.Member),
-	}
-	first := d.Hierarchies()[0]
-	s.levels[first] = 1
-	s.order = []*dimension.Hierarchy{first}
-	return s, nil
+	return &Session{dataset: d, col: col, colDesc: colDesc, cur: initial(d, fct)}, nil
 }
 
 // Query assembles the current OLAP query, reconciling filter and group
 // levels (a filter finer than the grouping level raises the level).
 func (s *Session) Query() olap.Query {
-	q := olap.Query{Fct: s.fct, Col: s.col, ColDescription: s.colDesc}
-	for _, h := range s.order {
-		level := s.levels[h]
-		if f, ok := s.filters[h]; ok && f.Level > level {
+	q := olap.Query{Fct: s.cur.fct, Col: s.col, ColDescription: s.colDesc}
+	for _, h := range s.cur.order {
+		level := s.cur.levels[h]
+		if f, ok := s.cur.filters[h]; ok && f.Level > level {
 			level = f.Level
 		}
 		q.GroupBy = append(q.GroupBy, olap.GroupBy{Hierarchy: h, Level: level})
 	}
 	for _, h := range s.dataset.Hierarchies() {
-		if f, ok := s.filters[h]; ok && !f.IsRoot() {
+		if f, ok := s.cur.filters[h]; ok && !f.IsRoot() {
 			q.Filters = append(q.Filters, f)
 		}
 	}
-	if s.window > 0 {
-		q.Window = olap.Window{Last: s.window}
+	if s.cur.window > 0 {
+		q.Window = olap.Window{Last: s.cur.window}
 	}
 	return q
 }
@@ -183,7 +134,11 @@ type Response struct {
 // ErrNotUnderstood reports input without any recognized keyword.
 var ErrNotUnderstood = errors.New("nlq: input not understood; say help for available keywords")
 
-// Parse interprets one utterance and updates the session state.
+// Parse interprets one utterance. "help" changes nothing, and "back"
+// reinstates the most recent state of the history. Every other command runs
+// on a copy of the current state, which becomes the current state only if
+// the command succeeds; the state it replaces goes onto the history. A
+// refused command changes nothing.
 func (s *Session) Parse(input string) (Response, error) {
 	text := strings.ToLower(strings.TrimSpace(input))
 	if text == "" {
@@ -193,94 +148,87 @@ func (s *Session) Parse(input string) (Response, error) {
 		return Response{Action: "help", Message: s.HelpText()}, nil
 	}
 	if containsWord(text, "back") || containsWord(text, "undo") {
-		if !s.popHistory() {
+		n := len(s.history)
+		if n == 0 {
 			return Response{}, errors.New("nlq: nothing to go back to")
 		}
-		return Response{Action: "back", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+		// The shortened stack is capped at its length, so the next command
+		// reallocates it instead of overwriting a slot a clone still reads.
+		s.cur, s.history = s.history[n-1], s.history[:n-1:n-1]
+		return Response{Action: "back", Message: s.Summary(), IsQuery: s.cur.anyGrouped()}, nil
 	}
+	next := s.cur.clone()
+	action, err := s.apply(&next, text)
+	if err != nil {
+		return Response{}, err
+	}
+	if s.history = append(s.history, s.cur); len(s.history) > maxHistory {
+		s.history = s.history[len(s.history)-maxHistory:]
+	}
+	s.cur = next
+	msg := s.Summary()
+	if action == "reset" {
+		msg = "Starting over. " + msg
+	}
+	return Response{Action: action, Message: msg, IsQuery: next.anyGrouped()}, nil
+}
+
+// apply runs a command other than help and back on next, the session's own
+// copy of its current state, and names what the command did.
+func (s *Session) apply(next *state, text string) (string, error) {
 	if strings.Contains(text, "reset") {
-		s.pushHistory()
-		first := s.dataset.Hierarchies()[0]
-		s.levels = map[*dimension.Hierarchy]int{first: 1}
-		s.order = []*dimension.Hierarchy{first}
-		s.filters = make(map[*dimension.Hierarchy]*dimension.Member)
-		s.window = 0
-		return Response{Action: "reset", Message: "Starting over. " + s.Summary(), IsQuery: true}, nil
+		*next = initial(s.dataset, next.fct)
+		return "reset", nil
 	}
 	// Aggregation-function switches: "how many"/"count" -> count,
 	// "total"/"sum" -> sum, "average"/"typical" -> average.
 	fctChanged := false
-	if fct, ok := matchAggFunc(text); ok && fct != s.fct {
-		s.pushHistory()
-		s.fct = fct
-		fctChanged = true
+	if fct, ok := matchAggFunc(text); ok && fct != next.fct {
+		next.fct, fctChanged = fct, true
 	}
 	// Time-window switches: "in the last hour" scopes the session to the
 	// trailing stream-time window, "all time" widens it back out.
 	windowChanged := false
-	if d, set, clear := matchWindow(text); (set && d != s.window) || (clear && s.window > 0) {
-		if !fctChanged {
-			s.pushHistory()
-		}
-		s.window = d
-		windowChanged = true
+	if d, set, clear := matchWindow(text); (set && d != next.window) || (clear && next.window > 0) {
+		next.window, windowChanged = d, true
 	}
-	statePushed := fctChanged || windowChanged
 
 	switch {
 	case strings.Contains(text, "drill"):
-		h := s.matchHierarchy(text)
+		h := s.target(next, text)
 		if h == nil {
-			h = s.lastGrouped()
+			return "", fmt.Errorf("nlq: no dimension to drill into")
 		}
-		if h == nil {
-			return Response{}, fmt.Errorf("nlq: no dimension to drill into")
+		if next.levels[h] == 0 {
+			next.addDimension(h, 1)
+		} else if next.levels[h] < h.Depth() {
+			next.levels[h]++
 		}
-		if !statePushed {
-			s.pushHistory()
-		}
-		if s.levels[h] == 0 {
-			s.addDimension(h, 1)
-		} else if s.levels[h] < h.Depth() {
-			s.levels[h]++
-		}
-		return Response{Action: "drill down", Message: s.Summary(), IsQuery: true}, nil
+		return "drill down", nil
 
 	case strings.Contains(text, "roll"):
-		h := s.matchHierarchy(text)
-		if h == nil {
-			h = s.lastGrouped()
+		h := s.target(next, text)
+		if h == nil || next.levels[h] == 0 {
+			return "", fmt.Errorf("nlq: no dimension to roll up")
 		}
-		if h == nil || s.levels[h] == 0 {
-			return Response{}, fmt.Errorf("nlq: no dimension to roll up")
-		}
-		if !statePushed {
-			s.pushHistory()
-		}
-		if s.levels[h] > 1 {
-			s.levels[h]--
+		if next.levels[h] > 1 {
+			next.levels[h]--
 		} else {
-			s.removeDimension(h)
+			next.removeDimension(h)
 		}
-		return Response{Action: "roll up", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+		return "roll up", nil
 
 	case strings.Contains(text, "remove") || strings.Contains(text, "drop"):
 		h := s.matchHierarchy(text)
-		if h == nil || s.levels[h] == 0 {
-			return Response{}, fmt.Errorf("nlq: no matching dimension to remove")
+		if h == nil || next.levels[h] == 0 {
+			return "", fmt.Errorf("nlq: no matching dimension to remove")
 		}
-		if !statePushed {
-			s.pushHistory()
-		}
-		s.removeDimension(h)
-		return Response{Action: "remove", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+		next.removeDimension(h)
+		return "remove", nil
 
 	case strings.Contains(text, "clear"):
-		if !statePushed {
-			s.pushHistory()
-		}
-		s.filters = make(map[*dimension.Hierarchy]*dimension.Member)
-		return Response{Action: "clear filters", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+		next.filters = make(map[*dimension.Hierarchy]*dimension.Member)
+		return "clear filters", nil
 	}
 
 	// Declarative: collect mentioned level names and member names.
@@ -295,13 +243,13 @@ func (s *Session) Parse(input string) (Response, error) {
 				addDims = append(addDims, dimAdd{h, level})
 			}
 		}
-		if containsWord(text, strings.ToLower(h.Name)) && s.levels[h] == 0 {
+		if containsWord(text, strings.ToLower(h.Name)) && next.levels[h] == 0 {
 			addDims = append(addDims, dimAdd{h, 1})
 		}
 	}
 	// Synonyms only when the dataset's own vocabulary did not already name
 	// the hierarchy ("same but by carrier" adds the airline dimension).
-	if h := s.synonymHierarchy(text); h != nil && s.levels[h] == 0 {
+	if h := s.synonymHierarchy(text); h != nil && next.levels[h] == 0 {
 		mentioned := false
 		for _, ad := range addDims {
 			if ad.h == h {
@@ -320,23 +268,20 @@ func (s *Session) Parse(input string) (Response, error) {
 	}
 	if len(addDims) == 0 && len(members) == 0 {
 		if windowChanged {
-			return Response{Action: "window", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+			return "window", nil
 		}
 		if fctChanged {
-			return Response{Action: "function", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+			return "function", nil
 		}
-		return Response{}, ErrNotUnderstood
-	}
-	if !statePushed {
-		s.pushHistory()
+		return "", ErrNotUnderstood
 	}
 	for _, ad := range addDims {
-		s.addDimension(ad.h, ad.level)
+		next.addDimension(ad.h, ad.level)
 	}
 	for _, m := range members {
-		s.filters[m.Hierarchy()] = m
+		next.filters[m.Hierarchy()] = m
 	}
-	return Response{Action: "query", Message: s.Summary(), IsQuery: s.anyGrouped()}, nil
+	return "query", nil
 }
 
 // matchAggFunc detects a requested aggregation function.
@@ -412,37 +357,41 @@ func windowPhrase(d time.Duration) string {
 }
 
 // addDimension groups by h at the given level (idempotent on order).
-func (s *Session) addDimension(h *dimension.Hierarchy, level int) {
-	if s.levels[h] == 0 {
-		s.order = append(s.order, h)
+func (st *state) addDimension(h *dimension.Hierarchy, level int) {
+	if st.levels[h] == 0 {
+		st.order = append(st.order, h)
 	}
 	if level > h.Depth() {
 		level = h.Depth()
 	}
-	s.levels[h] = level
+	st.levels[h] = level
 }
 
 // removeDimension stops grouping by h.
-func (s *Session) removeDimension(h *dimension.Hierarchy) {
-	delete(s.levels, h)
-	for i, o := range s.order {
+func (st *state) removeDimension(h *dimension.Hierarchy) {
+	delete(st.levels, h)
+	for i, o := range st.order {
 		if o == h {
-			s.order = append(s.order[:i], s.order[i+1:]...)
+			st.order = append(st.order[:i], st.order[i+1:]...)
 			break
 		}
 	}
 }
 
-// lastGrouped returns the most recently added grouped hierarchy.
-func (s *Session) lastGrouped() *dimension.Hierarchy {
-	if len(s.order) == 0 {
+// target returns the hierarchy a drill or roll-up acts on: the one text
+// names, else the one st grouped most recently; nil if there is neither.
+func (s *Session) target(st *state, text string) *dimension.Hierarchy {
+	if h := s.matchHierarchy(text); h != nil {
+		return h
+	}
+	if len(st.order) == 0 {
 		return nil
 	}
-	return s.order[len(s.order)-1]
+	return st.order[len(st.order)-1]
 }
 
 // anyGrouped reports whether at least one dimension is grouped.
-func (s *Session) anyGrouped() bool { return len(s.order) > 0 }
+func (st state) anyGrouped() bool { return len(st.order) > 0 }
 
 // matchHierarchy finds a hierarchy mentioned by name or level name; spoken
 // synonyms ("carrier" for the airline dimension) are a fallback so the
@@ -544,25 +493,25 @@ func (s *Session) matchMembers(text string) []*dimension.Member {
 
 // Summary describes the current state in one spoken sentence.
 func (s *Session) Summary() string {
-	if !s.anyGrouped() {
+	if !s.cur.anyGrouped() {
 		return "No dimensions selected."
 	}
 	var groups []string
-	for _, h := range s.order {
-		groups = append(groups, fmt.Sprintf("%s by %s", h.Name, h.LevelName(s.levels[h])))
+	for _, h := range s.cur.order {
+		groups = append(groups, fmt.Sprintf("%s by %s", h.Name, h.LevelName(s.cur.levels[h])))
 	}
-	msg := fmt.Sprintf("Reporting the %s. Breaking down %s.", s.fct, strings.Join(groups, " and "))
+	msg := fmt.Sprintf("Reporting the %s. Breaking down %s.", s.cur.fct, strings.Join(groups, " and "))
 	var filters []string
 	for _, h := range s.dataset.Hierarchies() {
-		if f, ok := s.filters[h]; ok {
+		if f, ok := s.cur.filters[h]; ok {
 			filters = append(filters, h.Phrase(f))
 		}
 	}
 	if len(filters) > 0 {
 		msg += " Considering " + strings.Join(filters, " and ") + "."
 	}
-	if s.window > 0 {
-		msg += " Limited to " + windowPhrase(s.window) + "."
+	if s.cur.window > 0 {
+		msg += " Limited to " + windowPhrase(s.cur.window) + "."
 	}
 	return msg
 }

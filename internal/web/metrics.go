@@ -92,6 +92,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			writeSample(w, "voiceolap_tenant_timed_out_total", t.TimedOut, "tenant", t.Tenant)
 		}
 	}
+	writeMetricHeader(w, "voiceolap_tenant_failed_total", "counter", "Queries whose plan panicked or failed (500), per tenant.")
+	for _, t := range stats.Tenants {
+		if t.Failed > 0 {
+			writeSample(w, "voiceolap_tenant_failed_total", t.Failed, "tenant", t.Tenant)
+		}
+	}
 
 	writeMetricHeader(w, "voiceolap_ingest_batches_total", "counter", "Accepted streaming ingest batches.")
 	writeSample(w, "voiceolap_ingest_batches_total", s.ingestBatches.Load())

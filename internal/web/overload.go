@@ -47,8 +47,8 @@ func (s *Server) StartDrain() { s.adm.Drain() }
 
 // tenantCounters holds one tenant's query outcomes.
 type tenantCounters struct {
-	served, hits, coalesced, clientGone, timedOut int64
-	shed                                          map[string]int64
+	served, hits, coalesced, clientGone, timedOut, failed int64
+	shed                                                  map[string]int64
 }
 
 // servingCounters books every query's outcome per tenant, once, where its
@@ -80,8 +80,9 @@ func (c *servingCounters) tenant(name string) *tenantCounters {
 
 // book records the outcome of one reply to tenant: a semcache.Outcome name
 // for a 200 ("miss" when a vocalizer ran, "hit" or "coalesced" when the
-// cache answered), "client-gone" for a 499, "timed-out" for a 408, a shed
-// reason for a 503.
+// cache answered), "client-gone" for a 499, "timed-out" for a 408,
+// "failed" for a 500 from a plan that panicked or failed, a shed reason for
+// a 503.
 func (c *servingCounters) book(tenant, outcome string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -97,6 +98,8 @@ func (c *servingCounters) book(tenant, outcome string) {
 		t.clientGone++
 	case "timed-out":
 		t.timedOut++
+	case "failed":
+		t.failed++
 	default:
 		t.shed[outcome]++
 	}
@@ -121,6 +124,9 @@ type TenantServingStats struct {
 	// TimedOut counts requests whose deadline passed while they waited on
 	// an identical query's plan (408).
 	TimedOut int64 `json:"timedOut,omitempty"`
+	// Failed counts committed queries whose plan panicked or failed (500);
+	// their commands were taken back.
+	Failed int64 `json:"failed,omitempty"`
 }
 
 // ServingStats reports the overload state: live admission gauges and
@@ -159,6 +165,7 @@ func (s *Server) servingStats() ServingStats {
 			Cached:     t.hits + t.coalesced,
 			ClientGone: t.clientGone,
 			TimedOut:   t.timedOut,
+			Failed:     t.failed,
 		}
 		if len(t.shed) > 0 {
 			ts.Shed = make(map[string]int64, len(t.shed))

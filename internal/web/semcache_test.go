@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/olap"
 	"repro/internal/table"
 	"repro/internal/voice"
 )
@@ -461,5 +463,82 @@ func TestScanPanicDoesNotStallTheQuery(t *testing.T) {
 	}
 	if took := time.Since(start); took > timeout/4 {
 		t.Errorf("query after the fault took %v, want well inside the %v deadline", took, timeout)
+	}
+}
+
+// TestFailedPlanIsBookedAndUndone: a committed query whose scan panics
+// answers 500, is booked as failed in /api/stats and /metrics, and takes its
+// command back, so a client's retry cannot apply it twice: the session's
+// next "drill down" plans the query it would have planned had the failed
+// command never been sent.
+func TestFailedPlanIsBookedAndUndone(t *testing.T) {
+	var armed atomic.Bool
+	srv, ts := newFlightsServer(t, core.Config{
+		Seed:                 7,
+		Clock:                voice.NewSimClock(),
+		MaxRoundsPerSentence: 100,
+		Percents:             []int{50, 100},
+		Scanner: func(tb *table.Table, rng *rand.Rand) table.Scanner {
+			if armed.CompareAndSwap(true, false) {
+				return faultScanner{}
+			}
+			return table.NewRandomScanner(tb, rng)
+		},
+	}, Options{Logf: func(string, ...any) {}})
+	var planned []olap.Query
+	srv.committed = func(req *request) { planned = append(planned, req.staged.Query()) }
+	ask := func(input string) (map[string]any, int) {
+		return postQuery(t, ts, map[string]string{
+			"session": "f", "dataset": "flights", "input": input, "method": "this",
+		})
+	}
+	if out, code := ask("break down by region"); code != http.StatusOK {
+		t.Fatalf("setup query status = %d: %v", code, out)
+	}
+	armed.Store(true)
+	if out, code := ask("break down by airline and season"); code != http.StatusInternalServerError {
+		t.Fatalf("faulted query status = %d, want 500: %v", code, out)
+	}
+	if out, code := ask("drill down"); code != http.StatusOK {
+		t.Fatalf("drill down after the fault: status %d: %v", code, out)
+	}
+
+	ref, err := srv.datasets["flights"].newSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, input := range []string{"break down by region", "drill down"} {
+		if _, err := ref.Parse(input); err != nil {
+			t.Fatalf("reference %q: %v", input, err)
+		}
+	}
+	srv.mu.Lock()
+	got := planned[len(planned)-1]
+	srv.mu.Unlock()
+	if !reflect.DeepEqual(got, ref.Query()) {
+		t.Errorf("drill down after the failed command planned %+v, want %+v", got, ref.Query())
+	}
+
+	resp, err := http.Get(ts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Serving struct {
+			Tenants []map[string]any `json:"tenants"`
+		} `json:"serving"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	want := []map[string]any{{"tenant": "f", "served": 2.0, "failed": 1.0}}
+	if !reflect.DeepEqual(stats.Serving.Tenants, want) {
+		t.Errorf("tenants = %v, want %v", stats.Serving.Tenants, want)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if line := `voiceolap_tenant_failed_total{tenant="f"} 1`; !strings.Contains(rec.Body.String(), line+"\n") {
+		t.Errorf("/metrics lacks %q", line)
 	}
 }

@@ -12,8 +12,10 @@
 // request that finds every slot busy receives 503 with a one-second
 // Retry-After. A request whose client hung up before its reply was written
 // gets 499 and no log entry; one whose deadline passed while it waited on
-// an identical query's plan gets 408. Each query's outcome is booked once,
-// by the code that writes its reply: respondSpeech, admit or writeAborted.
+// an identical query's plan gets 408. A query whose plan panics or fails
+// gets 500, and its command is taken back. Each query's outcome is booked
+// once, by the code that writes its reply or, for a 500, by fail:
+// respondSpeech, admit, writeAborted or fail.
 package web
 
 import (
@@ -189,8 +191,8 @@ func (l *queryLog) snapshot() []QueryLogEntry {
 
 // sessionEntry is one row of the session table. The session it points to
 // is published: nothing calls Parse on it again. A command runs on a clone
-// and commit replaces the pointer, so whoever read sess under s.mu may keep
-// reading it after the lock is gone.
+// and commit replaces the pointer (fail puts the old one back), so whoever
+// read sess under s.mu may keep reading it after the lock is gone.
 type sessionEntry struct {
 	key      string
 	sess     *nlq.Session
@@ -499,7 +501,8 @@ type answer struct {
 // the resulting query with the chosen method. One request value passes
 // through the stages in order — decode, stage, cache lookup, admit, commit,
 // plan, respond — and every stage that can refuse the request does so
-// before commit, so a refused request leaves the session as it was.
+// before commit, so a refused request leaves the session as it was. A plan
+// that panics or fails after commit takes the command back (fail).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeQuery(w, r)
 	if !ok {
@@ -538,9 +541,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, queryResponse{Action: req.resp.Action, Message: req.resp.Message})
 		return
 	}
+	// Until plan returns, a panic in it fails the request: fail runs on the
+	// way out, and withRecovery writes the 500.
+	planned := false
+	defer func() {
+		if !planned {
+			s.fail(req)
+		}
+	}()
 	ans, err := s.plan(r.Context(), req)
+	planned = true
 	if err != nil {
 		if !s.writeAborted(w, r, req.tenant, err) {
+			s.fail(req)
 			s.opts.Logf("web: vocalize: %v", err)
 			writeError(w, http.StatusInternalServerError, errInternal)
 		}
@@ -662,6 +675,22 @@ func (s *Server) commit(req *request, restage bool) error {
 		s.committed(req)
 	}
 	return nil
+}
+
+// fail books a committed request whose plan panicked or failed, and whose
+// reply is therefore a 500, and takes its command back: the session it was
+// committed on returns to the table, unless another command has committed
+// on top of it since, which stays. So a client's retry does not apply the
+// command twice, as it would not after a 503.
+func (s *Server) fail(req *request) {
+	s.serving.book(req.tenant, "failed")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.sessions[req.key]; ok {
+		if e := el.Value.(*sessionEntry); e.sess == req.staged {
+			e.sess = req.base
+		}
+	}
 }
 
 // plan is the plan stage: it gets the committed query's answer from the
