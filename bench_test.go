@@ -1,12 +1,15 @@
-// Package repro_bench holds the benchmark harness that regenerates every
-// table and figure of the paper (one benchmark per experiment) plus
-// microbenchmarks backing the complexity analysis of Appendix A and the
-// ablation sweeps of DESIGN.md. Run with:
+// Package repro_bench holds the root benchmarks that time code: the
+// microbenchmarks backing the complexity analysis of Appendix A, the
+// incremental quality kernel, one holistic answer end to end, the cold
+// plans of the benchmark's warm-up and the admission grid under overload.
+// Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// Shapes, not absolute numbers, are the reproduction target; see
-// EXPERIMENTS.md for the paper-versus-measured record.
+// The paper's tables and figures are not benchmarks: cmd/benchrunner
+// prints each one (-exp fig3, table2, …) and the internal/experiments
+// test of the same table asserts its shape; see EXPERIMENTS.md for the
+// paper-versus-measured record.
 package repro_bench
 
 import (
@@ -58,232 +61,6 @@ func benchSetup(b *testing.B) *experiments.Setup {
 		b.Fatalf("setup: %v", setupErr)
 	}
 	return setupVal
-}
-
-// --- One benchmark per paper table/figure ---
-
-// BenchmarkFigure3 regenerates Figure 3: latency and quality of optimal,
-// holistic, and unmerged across the eight flight queries.
-func BenchmarkFigure3(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure3(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum := experiments.Summarize(rows)
-		b.ReportMetric(float64(sum.MeanLatency["optimal"])/1e6, "optLatMs")
-		b.ReportMetric(float64(sum.MeanLatency["holistic"])/1e6, "holLatMs")
-		b.ReportMetric(sum.MeanQuality["holistic"], "holQuality")
-		b.ReportMetric(sum.MeanQuality["unmerged"], "unmQuality")
-	}
-}
-
-// BenchmarkTable2Pilot regenerates the pilot-study consistency counts.
-func BenchmarkTable2Pilot(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table2(s)
-		b.ReportMetric(float64(res.PerAspect["Variance"].Consistent), "varConsistent")
-	}
-}
-
-// BenchmarkTable5Speeches regenerates the three alternative speeches for
-// the region-by-season query with their exact qualities.
-func BenchmarkTable5Speeches(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table5(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.Approach {
-			case "optimal":
-				b.ReportMetric(r.Quality, "optQuality")
-			case "holistic":
-				b.ReportMetric(r.Quality, "holQuality")
-			case "unmerged":
-				b.ReportMetric(r.Quality, "unmQuality")
-			}
-		}
-	}
-}
-
-// BenchmarkTable6Errors regenerates the estimation study: median absolute
-// user error per approach (Table 6) and tendency accuracy (Table 14).
-func BenchmarkTable6Errors(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		studies, err := experiments.Table6And14(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range studies {
-			switch st.Approach {
-			case "optimal":
-				b.ReportMetric(st.MedianAbsError, "optMedErr")
-			case "holistic":
-				b.ReportMetric(st.MedianAbsError, "holMedErr")
-			case "unmerged":
-				b.ReportMetric(st.MedianAbsError, "unmMedErr")
-			}
-		}
-	}
-}
-
-// BenchmarkTable7Facts regenerates the extracted example facts.
-func BenchmarkTable7Facts(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		facts, err := experiments.Table7(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(facts)), "facts")
-	}
-}
-
-// BenchmarkTable8Preferences regenerates the exploratory preference study
-// (reduced session count; cmd/benchrunner runs the full 20).
-func BenchmarkTable8Preferences(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		studies, err := experiments.Table8And9(s, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		flights := studies[1].Result
-		thisVotes := flights.Prefs[3] + flights.Prefs[4]
-		priorVotes := flights.Prefs[0] + flights.Prefs[1]
-		b.ReportMetric(float64(thisVotes), "thisVotes")
-		b.ReportMetric(float64(priorVotes), "priorVotes")
-	}
-}
-
-// BenchmarkTable9Lengths regenerates the speech-length comparison: prior
-// output dwarfs ours, especially on the multi-dimensional flights data.
-func BenchmarkTable9Lengths(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		studies, err := experiments.Table8And9(s, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fl := studies[1].Result.Lengths
-		b.ReportMetric(float64(fl.ThisAvg), "thisAvg")
-		b.ReportMetric(float64(fl.PriorAvg), "priorAvg")
-		b.ReportMetric(float64(fl.PriorMax), "priorMax")
-	}
-}
-
-// BenchmarkTable11Stats regenerates the dataset statistics.
-func BenchmarkTable11Stats(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats := experiments.Table11(s)
-		b.ReportMetric(float64(stats[1].Rows), "flightRows")
-	}
-}
-
-// BenchmarkTable12FullResult regenerates the exact region-by-season result.
-func BenchmarkTable12FullResult(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table12(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Cancellation, "topCell")
-	}
-}
-
-// BenchmarkTable13Speeches regenerates the fine-grained query comparison.
-func BenchmarkTable13Speeches(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table13(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations (design choices called out in DESIGN.md) ---
-
-func runAblation(b *testing.B, f func(*experiments.Setup) ([]experiments.AblationRow, error)) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := f(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Quality, metricUnit(r.Variant))
-		}
-	}
-}
-
-// metricUnit turns a human-readable variant label into a metric unit
-// (testing.B forbids whitespace in units).
-func metricUnit(label string) string {
-	var out []rune
-	for _, r := range label {
-		switch {
-		case r == ' ' || r == '\t' || r == '/':
-			out = append(out, '-')
-		case r == '(' || r == ')':
-			// drop
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkAblationUniformVsUCT quantifies what UCT prioritization buys
-// over uniform random tree sampling.
-func BenchmarkAblationUniformVsUCT(b *testing.B) {
-	runAblation(b, experiments.AblationUCTVsUniform)
-}
-
-// BenchmarkAblationResampleSize compares running-mean estimates against
-// the fixed-size resampling of the paper's literal Algorithm 3.
-func BenchmarkAblationResampleSize(b *testing.B) {
-	runAblation(b, experiments.AblationResample)
-}
-
-// BenchmarkAblationAbsoluteRefinements compares the relative-refinement
-// grammar against a disjoint-scope (absolute-claim) restriction.
-func BenchmarkAblationAbsoluteRefinements(b *testing.B) {
-	runAblation(b, experiments.AblationRelativeVsAbsolute)
-}
-
-// BenchmarkAblationSigma sweeps the belief σ around the paper's 50%-of-
-// mean choice.
-func BenchmarkAblationSigma(b *testing.B) {
-	runAblation(b, experiments.AblationSigma)
-}
-
-// BenchmarkAblationFragments sweeps the refinement budget k.
-func BenchmarkAblationFragments(b *testing.B) {
-	runAblation(b, experiments.AblationFragments)
-}
-
-// BenchmarkAblationPlanningBudget sweeps rounds per sentence — the
-// learning curve behind the pipelining argument.
-func BenchmarkAblationPlanningBudget(b *testing.B) {
-	runAblation(b, experiments.AblationPlanningBudget)
 }
 
 // --- Microbenchmarks backing Appendix A ---

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/userstudy"
 )
 
 // testSetup shares one small setup across the package tests.
@@ -43,8 +45,8 @@ func TestFlightsQuerySpecs(t *testing.T) {
 }
 
 // TestFigure3Shape asserts the published shape: optimal latency dominates
-// everything, holistic stays fastest to first output, and unmerged quality
-// trails the other two.
+// everything, holistic stays fastest to first output and keeps most of
+// optimal's quality, and unmerged quality trails holistic's.
 func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 3 in short mode")
@@ -66,9 +68,15 @@ func TestFigure3Shape(t *testing.T) {
 		t.Errorf("unmerged latency %v should sit at its 500 ms budget",
 			sum.MeanLatency["unmerged"])
 	}
-	if sum.MeanQuality["holistic"] < 0.6*sum.MeanQuality["optimal"] {
+	// Holistic keeps most of Optimal's quality (0.90 of it at these rows,
+	// seed 1), and unmerged trails it.
+	if sum.MeanQuality["holistic"] < 0.85*sum.MeanQuality["optimal"] {
 		t.Errorf("holistic quality %v too far below optimal %v",
 			sum.MeanQuality["holistic"], sum.MeanQuality["optimal"])
+	}
+	if sum.MeanQuality["unmerged"] >= sum.MeanQuality["holistic"] {
+		t.Errorf("unmerged quality %v should trail holistic %v",
+			sum.MeanQuality["unmerged"], sum.MeanQuality["holistic"])
 	}
 	// Optimal violates interactivity on the two 3-dimensional queries, and
 	// what makes it slow there is work, not the machine: it scores more
@@ -93,9 +101,28 @@ func TestFigure3Shape(t *testing.T) {
 	}
 }
 
+// TestTable2AndPrint asserts Table 2's shape by share of consistent
+// answers: a majority supports every hypothesis, Composition least and
+// Normal (the Variance aspect) most.
 func TestTable2AndPrint(t *testing.T) {
 	s := setup(t)
 	res := Table2(s)
+	share := map[string]float64{}
+	for _, aspect := range userstudy.AspectOrder {
+		cnt := res.PerAspect[aspect]
+		share[aspect] = float64(cnt.Consistent) / float64(cnt.Consistent+cnt.Inconsistent)
+		if cnt.Consistent <= cnt.Inconsistent {
+			t.Errorf("%s: %d consistent against %d, want a majority", aspect, cnt.Consistent, cnt.Inconsistent)
+		}
+	}
+	for _, aspect := range userstudy.AspectOrder {
+		if aspect != "Composition" && share[aspect] <= share["Composition"] {
+			t.Errorf("%s share %.3f should exceed Composition's %.3f", aspect, share[aspect], share["Composition"])
+		}
+		if aspect != "Variance" && share[aspect] >= share["Variance"] {
+			t.Errorf("%s share %.3f should trail Variance's %.3f", aspect, share[aspect], share["Variance"])
+		}
+	}
 	var buf bytes.Buffer
 	PrintTable2(&buf, res)
 	PrintTable10(&buf, res)
@@ -211,6 +238,13 @@ func TestTable8And9(t *testing.T) {
 		t.Fatalf("studies = %d, want 2", len(studies))
 	}
 	for _, st := range studies {
+		// Table 8: on each dataset more sessions prefer this approach
+		// (this+, this++) than the prior one (prior++, prior+).
+		prefs := st.Result.Prefs
+		if this, prior := prefs[3]+prefs[4], prefs[0]+prefs[1]; this <= prior {
+			t.Errorf("%s: %d votes for this approach, not more than %d for prior (%v)",
+				st.Dataset, this, prior, prefs)
+		}
 		if st.Result.Lengths.PriorAvg <= st.Result.Lengths.ThisAvg {
 			t.Errorf("%s: prior avg %d should exceed this avg %d",
 				st.Dataset, st.Result.Lengths.PriorAvg, st.Result.Lengths.ThisAvg)

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5 and Appendix B) against the synthetic datasets.
-// cmd/benchrunner prints them; the repository-root benchmarks wrap them in
-// testing.B harnesses. EXPERIMENTS.md records paper-versus-measured for
-// each experiment.
+// cmd/benchrunner prints them and this package's tests assert their
+// shapes. EXPERIMENTS.md records paper-versus-measured for each
+// experiment.
 package experiments
 
 import (
