@@ -24,7 +24,9 @@
 // by canonical query (scope order and dimension synonyms normalized away)
 // replays finished speeches for equivalent requests. The query port
 // exposes Prometheus-style text metrics at /metrics (admission, per-tenant,
-// ingest, semcache and latency-quantile counters).
+// ingest, semcache and latency-quantile counters). Each request's record
+// feeds its reply's Server-Timing header, its /api/log entry and the
+// latency quantiles of /metrics and /api/stats.
 //
 // -debug-addr serves net/http/pprof on its own listener and mux, so
 // planner hot spots are profileable in production without ever exposing

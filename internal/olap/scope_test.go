@@ -101,8 +101,9 @@ func TestScopeSetCached(t *testing.T) {
 }
 
 // TestScopeSetConcurrent exercises concurrent first-touch resolution of
-// overlapping scopes — the parallel planner's access pattern — under the
-// race detector.
+// overlapping scopes under the race detector: a Space is shared read-only,
+// so ScopeSet must be safe for concurrent callers, although each answer's
+// planner resolves its scopes on one goroutine today.
 func TestScopeSetConcurrent(t *testing.T) {
 	f := newFixture(t)
 	s, err := NewSpace(f.dataset, f.regionSeasonQuery())

@@ -33,8 +33,8 @@ type Space struct {
 	denseFilters []denseFilter
 	// scopeCache memoizes refinement-scope bitsets (scopeKey -> *ScopeSet)
 	// so InScope/ScopeSize are word-indexed loads after the first request
-	// for a scope. A sync.Map because the parallel planner resolves scopes
-	// from many sampling workers at once.
+	// for a scope. A sync.Map keeps ScopeSet safe for concurrent callers,
+	// although each answer's planner resolves its scopes on one goroutine.
 	scopeCache sync.Map
 	// rowLo/rowHi bound the rows in scope when the query carries a
 	// trailing time window; rows outside [rowLo, rowHi) classify as out of

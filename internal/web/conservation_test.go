@@ -303,7 +303,7 @@ func conservationMix(t *testing.T, seed int64) mixOutcomes {
 	srv.mu.Lock()
 	logged := len(srv.log.snapshot())
 	srv.mu.Unlock()
-	_, _, runs, _ := srv.latw.quantiles()
+	runs := srv.runs.Load()
 	sc := st.SemCache
 	t.Logf("%d requests: statuses %v; served %d, cached %d (hit %d, coalesced %d), gone %d, shed %d; %d logged; cache %+v; %d vocalizer runs",
 		len(calls), codes, served, cached, sc.HitsServed, sc.CoalescedServed, gone, shed, logged, sc.Answers, runs)

@@ -4,58 +4,29 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
-// latencyWindow keeps a sliding window of vocalize wall latencies so
-// /metrics and /api/stats can expose p50/p99.
-type latencyWindow struct {
-	mu    sync.Mutex
-	buf   []time.Duration
-	next  int
-	count int64
-}
-
-// newLatencyWindow returns a window over the last size samples.
-func newLatencyWindow(size int) *latencyWindow {
-	if size < 1 {
-		size = 1
+// vocalizeLatency returns the p50 and p99 of the plan stage's wall time,
+// in ms, over the cold answers (Cache "") in the query-log ring; ok is
+// false while there are none.
+func (s *Server) vocalizeLatency() (p50, p99 float64, ok bool) {
+	s.mu.Lock()
+	plans := make([]float64, 0, len(s.log.entries))
+	for i := range s.log.entries {
+		if e := &s.log.entries[i]; e.Cache == "" {
+			plans = append(plans, e.Stages.Plan)
+		}
 	}
-	return &latencyWindow{buf: make([]time.Duration, 0, size)}
-}
-
-// observe records one vocalize latency.
-func (w *latencyWindow) observe(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.count++
-	if len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, d)
-		return
+	s.mu.Unlock()
+	if len(plans) == 0 {
+		return 0, 0, false
 	}
-	w.buf[w.next] = d
-	w.next = (w.next + 1) % cap(w.buf)
-}
-
-// quantiles returns the p50 and p99 over the window plus the total sample
-// count; ok is false while the window is empty.
-func (w *latencyWindow) quantiles() (p50, p99 time.Duration, count int64, ok bool) {
-	w.mu.Lock()
-	sorted := append([]time.Duration(nil), w.buf...)
-	count = w.count
-	w.mu.Unlock()
-	if len(sorted) == 0 {
-		return 0, 0, count, false
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) time.Duration {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return at(0.50), at(0.99), count, true
+	slices.Sort(plans)
+	at := func(q float64) float64 { return plans[int(q*float64(len(plans)-1))] }
+	return at(0.50), at(0.99), true
 }
 
 // handleMetrics serves the serving counters in the Prometheus text
@@ -106,11 +77,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetricHeader(w, "voiceolap_stale_answers_total", "counter", "Answers flagged stale because the dataset epoch advanced mid-answer.")
 	writeSample(w, "voiceolap_stale_answers_total", s.staleAnswers.Load())
 
-	if p50, p99, count, ok := s.latw.quantiles(); ok {
-		writeMetricHeader(w, "voiceolap_vocalize_latency_seconds", "summary", "Wall-clock vocalize latency over a sliding window.")
-		writeSample(w, "voiceolap_vocalize_latency_seconds", p50.Seconds(), "quantile", "0.5")
-		writeSample(w, "voiceolap_vocalize_latency_seconds", p99.Seconds(), "quantile", "0.99")
-		writeSample(w, "voiceolap_vocalize_latency_seconds_count", count)
+	if p50, p99, ok := s.vocalizeLatency(); ok {
+		writeMetricHeader(w, "voiceolap_vocalize_latency_seconds", "summary", "Wall-clock plan stage of the cold answers in the query log; _count counts vocalizer runs.")
+		writeSample(w, "voiceolap_vocalize_latency_seconds", p50/1e3, "quantile", "0.5")
+		writeSample(w, "voiceolap_vocalize_latency_seconds", p99/1e3, "quantile", "0.99")
+		writeSample(w, "voiceolap_vocalize_latency_seconds_count", s.runs.Load())
 	}
 
 	if sc := stats.SemCache; sc != nil {

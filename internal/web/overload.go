@@ -138,8 +138,9 @@ type ServingStats struct {
 	// SemCache reports the semantic answer cache's counters; nil when
 	// caching is disabled.
 	SemCache *SemCacheStats `json:"semcache,omitempty"`
-	// VocalizeLatencyMS reports sliding-window wall-latency quantiles for
-	// real vocalizer runs ("p50", "p99"); absent before the first run.
+	// VocalizeLatencyMS reports the quantiles ("p50", "p99") of the plan
+	// stage's wall time over the cold answers in the query log; absent
+	// while it holds none.
 	VocalizeLatencyMS map[string]float64 `json:"vocalizeLatencyMs,omitempty"`
 }
 
@@ -149,11 +150,8 @@ func (s *Server) servingStats() ServingStats {
 		InFlight: s.adm.InFlight(),
 		SemCache: s.semCacheStats(),
 	}
-	if p50, p99, _, ok := s.latw.quantiles(); ok {
-		out.VocalizeLatencyMS = map[string]float64{
-			"p50": ms(p50),
-			"p99": ms(p99),
-		}
+	if p50, p99, ok := s.vocalizeLatency(); ok {
+		out.VocalizeLatencyMS = map[string]float64{"p50": p50, "p99": p99}
 	}
 	c := &s.serving
 	c.mu.Lock()

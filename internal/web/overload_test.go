@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/olap"
 	"repro/internal/speech"
 	"repro/internal/table"
 	"repro/internal/voice"
@@ -201,9 +202,19 @@ func TestClientDisconnectIs499(t *testing.T) {
 // TestDeadlineWhileCoalescedIs408: a request whose deadline passes while it
 // waits on an identical query's plan, parked at its scan, gets 408 and is
 // booked once, as timed out, on its own tenant, in /api/stats and /metrics.
+// Its command is taken back, as a 500's is, so a client's retry cannot apply
+// it twice: the session's next "drill down" plans the query it would have
+// planned had the timed-out command never been sent.
 func TestDeadlineWhileCoalescedIs408(t *testing.T) {
 	srv, gate := newGatedServer(t, Options{MaxConcurrent: 2, RequestTimeout: 300 * time.Millisecond})
 	h := srv.Handler()
+	planned := map[string]olap.Query{} // by session, written under srv.mu
+	srv.committed = func(req *request) { planned[req.Session] = req.staged.Query() }
+	setup := startCall(h, "follower", "follow", query{"break down by region", "this"})
+	waitFor(t, setup.done, "the follower's first reply")
+	if setup.rec.Code != http.StatusOK {
+		t.Fatalf("setup status = %d: %s", setup.rec.Code, setup.rec.Body)
+	}
 	g := &planGate{parked: make(chan struct{}), release: make(chan struct{})}
 	gate.Store(g)
 	q := query{"break down by season", "this"}
@@ -219,9 +230,29 @@ func TestDeadlineWhileCoalescedIs408(t *testing.T) {
 	if leader.rec.Code != http.StatusOK {
 		t.Errorf("leader status = %d, want its degraded 200: %s", leader.rec.Code, leader.rec.Body)
 	}
+	drill := startCall(h, "follower", "follow", query{"drill down", "this"})
+	waitFor(t, drill.done, "the follower's drill down")
+	if drill.rec.Code != http.StatusOK {
+		t.Fatalf("drill down after the 408: status %d: %s", drill.rec.Code, drill.rec.Body)
+	}
+	ref, err := srv.datasets["flights"].newSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, input := range []string{"break down by region", "drill down"} {
+		if _, err := ref.Parse(input); err != nil {
+			t.Fatalf("reference %q: %v", input, err)
+		}
+	}
+	srv.mu.Lock()
+	got := planned["follower"]
+	srv.mu.Unlock()
+	if !reflect.DeepEqual(got, ref.Query()) {
+		t.Errorf("drill down after the 408 planned %+v, want %+v", got, ref.Query())
+	}
 
 	st := srv.servingStats()
-	want := []TenantServingStats{{Tenant: "follow", TimedOut: 1}, {Tenant: "lead", Served: 1}}
+	want := []TenantServingStats{{Tenant: "follow", Served: 2, TimedOut: 1}, {Tenant: "lead", Served: 1}}
 	if !reflect.DeepEqual(st.Tenants, want) {
 		t.Errorf("tenants = %+v, want %+v", st.Tenants, want)
 	}

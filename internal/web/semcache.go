@@ -70,17 +70,16 @@ func answerKey(dataset string, epoch int64, method string, q olap.Query) string 
 
 // answerQuery produces the answer for the committed query, consulting the
 // semantic cache, which replays stored speeches and coalesces identical
-// in-flight work (singleflight). The latency window observes inside the
-// compute closure, so it times only real vocalizer runs.
+// in-flight work (singleflight). Only the compute closure counts a
+// vocalizer run.
 func (s *Server) answerQuery(ctx context.Context, req *request) (cachedAnswer, semcache.Outcome, error) {
 	// Every vocalizer runs on the canonical query: key equality then
 	// implies identical planner input, which is what makes replaying a
 	// cached speech sound.
 	method, nq := req.method, semcache.Normalize(req.staged.Query())
 	compute := func() (cachedAnswer, bool, error) {
-		wallStart := time.Now()
+		s.runs.Add(1)
 		voc, err := s.vocalize(ctx, req.info, nq, method)
-		s.latw.observe(time.Since(wallStart))
 		if err != nil {
 			return cachedAnswer{}, false, err
 		}

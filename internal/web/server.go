@@ -13,9 +13,9 @@
 // Retry-After. A request whose client hung up before its reply was written
 // gets 499 and no log entry; one whose deadline passed while it waited on
 // an identical query's plan gets 408. A query whose plan panics or fails
-// gets 500, and its command is taken back. Each query's outcome is booked
-// once, by the code that writes its reply or, for a 500, by fail:
-// respondSpeech, admit, writeAborted or fail.
+// gets 500. A 408 and a 500 take their command back. Each query's outcome
+// is booked once, by the code that writes its reply or, for a 500, by
+// fail: respondSpeech, admit, writeAborted or fail.
 package web
 
 import (
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,31 +55,51 @@ type DatasetInfo struct {
 	Format speech.ValueFormat
 }
 
+// Spoken is what a query's reply and its log entry both say about the
+// answer; respondSpeech fills it once for both.
+type Spoken struct {
+	Speech string `json:"speech,omitempty"`
+	// LatencyMS is, for a planned answer, the vocalizer's latency on its own
+	// clock: about 0 for a holistic answer on the daemon's simulated clock,
+	// whose preamble starts before the clock advances. A replay reports the
+	// wall time of its lookup and commit (a hit) or of its plan stage
+	// (coalesced), so AnalyzeLog's averages mix two clocks. Wall time is in
+	// the Server-Timing header and QueryLogEntry.Stages.
+	LatencyMS float64 `json:"latencyMs"`
+	// Degraded marks an answer cut short by the request deadline: still
+	// grammar-valid, but shorter than planned.
+	Degraded bool `json:"degraded,omitempty"`
+	// ServedBy is the requested method ("this" or "prior"), or "cache" for
+	// a replay, whose grammar follows Origin, the vocalizer that planned it.
+	ServedBy string `json:"servedBy,omitempty"`
+	Origin   string `json:"origin,omitempty"`
+	// Cache is "hit" for a replayed answer and "coalesced" for one that
+	// shared another request's plan of the same canonical query; empty for
+	// a cold answer.
+	Cache string `json:"cache,omitempty"`
+	// DataEpoch is the dataset epoch of the answer's data snapshot: an
+	// answer at or above a client's last acknowledged ingest epoch includes
+	// those rows.
+	DataEpoch int64 `json:"dataEpoch"`
+	// Stale flags an answer whose epoch an ingest superseded before the
+	// reply was written; its speech is unchanged (degrade, don't error).
+	Stale bool `json:"stale,omitempty"`
+}
+
 // QueryLogEntry records one vocalized query, as the paper's server did.
 type QueryLogEntry struct {
-	Time      time.Time `json:"time"`
-	Session   string    `json:"session"`
-	Dataset   string    `json:"dataset"`
-	Input     string    `json:"input"`
-	Method    string    `json:"method"`
-	Speech    string    `json:"speech"`
-	LatencyMS float64   `json:"latencyMs"`
-	// Degraded marks answers cut short by the request deadline.
-	Degraded bool `json:"degraded,omitempty"`
-	// ServedBy is the vocalizer that answered: Method itself, or "cache"
-	// for replayed answers.
-	ServedBy string `json:"servedBy,omitempty"`
-	// Origin names the vocalizer that originally produced a cache-served
-	// speech.
-	Origin string `json:"origin,omitempty"`
-	// Cache classifies the semantic-cache path ("hit", "coalesced"); empty
-	// for cold answers.
-	Cache string `json:"cache,omitempty"`
-	// DataEpoch is the dataset epoch the answer was computed against.
-	DataEpoch int64 `json:"dataEpoch"`
-	// Stale marks answers whose epoch advanced before the reply was
-	// written (rows were ingested mid-answer).
-	Stale bool `json:"stale,omitempty"`
+	Time    time.Time `json:"time"`
+	Session string    `json:"session"`
+	Dataset string    `json:"dataset"`
+	Input   string    `json:"input"`
+	Method  string    `json:"method"`
+	Spoken
+	// Stages is the wall time of each stage the request ran before its
+	// reply was written.
+	Stages StageTimes `json:"stages"`
+	// Windows are the planning windows of the answer this request planned
+	// itself; absent for replays and the prior baseline.
+	Windows []Window `json:"windows,omitempty"`
 }
 
 // Options tunes the server's robustness knobs. The zero value selects the
@@ -225,8 +246,8 @@ type Server struct {
 	ingestBatches atomic.Int64
 	ingestRows    atomic.Int64
 	staleAnswers  atomic.Int64
-	// latw tracks vocalize wall latencies for /metrics quantiles.
-	latw *latencyWindow
+	// runs counts vocalizer runs, the _count of the vocalize latency.
+	runs atomic.Int64
 	// now is the server-side bookkeeping clock, stubbed in tests.
 	now func() time.Time
 	// holdVocalize, when non-nil, blocks vocalizations until closed —
@@ -260,7 +281,6 @@ func NewServerWith(cfg core.Config, opts Options, infos ...DatasetInfo) (*Server
 		log:      queryLog{cap: opts.LogCap},
 		cfg:      cfg,
 		opts:     opts,
-		latw:     newLatencyWindow(512),
 		now:      time.Now,
 	}
 	if opts.SemCacheEntries > 0 {
@@ -349,44 +369,16 @@ type queryRequest struct {
 
 // queryResponse is the /api/query reply.
 type queryResponse struct {
-	Action    string  `json:"action"`
-	Message   string  `json:"message,omitempty"`
-	Speech    string  `json:"speech,omitempty"`
-	LatencyMS float64 `json:"latencyMs"`
-	// Degraded marks an answer cut short by the request deadline: the
-	// speech is still grammar-valid but shorter than planned.
-	Degraded bool `json:"degraded,omitempty"`
+	Action  string `json:"action"`
+	Message string `json:"message,omitempty"`
+	Spoken
 	// Structured carries the grammar decomposition for holistic answers,
 	// so clients can render or re-score speeches without re-parsing text.
 	Structured *encode.Speech `json:"structured,omitempty"`
 	// SSML carries speech markup for TTS engines that accept it.
 	SSML string `json:"ssml,omitempty"`
-	// ServedBy names the vocalizer that answered: the requested method
-	// ("this" or "prior"), or "cache" when the speech was replayed from
-	// the semantic answer cache. Clients validating grammar follow Origin
-	// for cache-served answers.
-	ServedBy string `json:"servedBy,omitempty"`
-	// Origin names the vocalizer that originally produced a cache-served
-	// speech ("this" or "prior"); grammar conformance follows Origin when
-	// ServedBy is "cache".
-	Origin string `json:"origin,omitempty"`
-	// Cache classifies the semantic-cache path: "hit" for a replayed
-	// answer, "coalesced" when this request shared another request's
-	// in-flight computation of the same canonical query. Empty for cold
-	// answers.
-	Cache string `json:"cache,omitempty"`
-	// DataEpoch is the dataset epoch the answer's data snapshot belonged
-	// to. Streaming clients compare it with ingest acknowledgements: any
-	// answer with DataEpoch at or above the client's last acked epoch
-	// provably includes those appends.
-	DataEpoch int64 `json:"dataEpoch"`
-	// TableRows is the committed row count of that snapshot.
+	// TableRows is the committed row count of the answer's data snapshot.
 	TableRows int64 `json:"tableRows,omitempty"`
-	// Stale flags an answer computed against an epoch that was already
-	// superseded by an ingest when the reply was written. The speech
-	// itself is unchanged and grammar-valid (degrade, don't error);
-	// StaleNote carries the spoken caveat.
-	Stale bool `json:"stale,omitempty"`
 	// StaleNote is the spoken freshness caveat (speech.StaleNote) set
 	// exactly when Stale is true.
 	StaleNote string `json:"staleNote,omitempty"`
@@ -459,7 +451,8 @@ func (s *Server) dropSession(el *list.Element) {
 
 // request is one /api/query call on its way through handleQuery's stages.
 // Each stage reads what the earlier ones filled in and fills in its own
-// part; nothing in it is shared with another request.
+// part; nothing in it is shared with another request. It is also the
+// call's record, which respond writes to Server-Timing and the query log.
 type request struct {
 	// decode: the payload, the normalized method, the admission tenant and
 	// the session-table key.
@@ -479,6 +472,52 @@ type request struct {
 	st    *datasetState
 	epoch int64
 	info  DatasetInfo
+	// stages is the wall time of each stage so far, and mark is when the
+	// stage running now began.
+	stages StageTimes
+	mark   time.Time
+	// ans is the answer respond speaks; outcome says how it was got.
+	ans     cachedAnswer
+	outcome semcache.Outcome
+}
+
+// StageTimes is the wall time, in milliseconds, of each handleQuery stage
+// a request ran; a stage that did not run reads 0.
+type StageTimes struct {
+	Decode float64 `json:"decode,omitempty"`
+	Stage  float64 `json:"stage,omitempty"`
+	Lookup float64 `json:"lookup,omitempty"`
+	Admit  float64 `json:"admit,omitempty"`
+	Commit float64 `json:"commit,omitempty"`
+	Plan   float64 `json:"plan,omitempty"`
+}
+
+// lap ends the running stage, writing its wall time to *stage (at least
+// 1 ns, so that it reads as run), and starts the next one.
+func (req *request) lap(stage *float64) {
+	now := time.Now()
+	*stage, req.mark = ms(max(now.Sub(req.mark), 1)), now
+}
+
+// serverTiming renders the record as a Server-Timing header value: one
+// entry per stage that ran, in order, then one per planning window of an
+// answer the request planned itself.
+func (req *request) serverTiming(windows []Window) string {
+	b := make([]byte, 0, 256)
+	t := &req.stages
+	for _, st := range [...]struct {
+		name string
+		ms   float64
+	}{{"decode", t.Decode}, {"stage", t.Stage}, {"lookup", t.Lookup}, {"admit", t.Admit}, {"commit", t.Commit}, {"plan", t.Plan}} {
+		if st.ms > 0 {
+			b = append(append(b, st.name...), ";dur="...)
+			b = append(strconv.AppendFloat(b, st.ms, 'f', 3, 64), ", "...)
+		}
+	}
+	for i, win := range windows {
+		b = fmt.Appendf(b, "w%d;desc=\"rows=%d rounds=%d closed=%s\", ", i+1, win.Rows, win.Rounds, win.Closed)
+	}
+	return string(b[:len(b)-2])
 }
 
 // stageOn applies the command to a clone of base. The one place a request
@@ -487,14 +526,6 @@ func (req *request) stageOn(base *nlq.Session) (err error) {
 	req.base, req.staged = base, base.Clone()
 	req.resp, err = req.staged.Parse(req.Input)
 	return err
-}
-
-// answer is what respondSpeech speaks, logs and books: the speech, its
-// origin, and how the cache served it.
-type answer struct {
-	cachedAnswer
-	outcome   semcache.Outcome
-	latencyMS float64
 }
 
 // handleQuery applies the command to the caller's session and vocalizes
@@ -508,10 +539,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	req.lap(&req.stages.Decode)
 	if err := s.stage(req); err != nil {
 		s.writeCommandError(w, err)
 		return
 	}
+	req.lap(&req.stages.Stage)
 	// Only queries vocalize. Help, summaries and navigation feedback skip
 	// the cache and admission and go straight to commit.
 	vocalizes := req.resp.IsQuery
@@ -519,9 +552,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// An equivalent query already answered this epoch replays its speech
 		// before admission — even while shedding — provided session and
 		// epoch still are what the key was computed from.
-		start := time.Now()
-		if hit, ok := s.lookup(req); ok && s.commit(req, false) == nil {
-			s.respondSpeech(w, r, req, answer{hit, semcache.Hit, ms(time.Since(start))})
+		hit, ok := s.lookup(req)
+		req.lap(&req.stages.Lookup)
+		if ok && s.commit(req, false) == nil {
+			req.lap(&req.stages.Commit)
+			req.ans, req.outcome = hit, semcache.Hit
+			s.respondSpeech(w, r, req)
 			return
 		}
 		ticket := s.admit(w, r, req)
@@ -529,11 +565,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer ticket.Release()
+		req.lap(&req.stages.Admit)
 	}
 	if err := s.commit(req, true); err != nil {
 		s.writeCommandError(w, err)
 		return
 	}
+	req.lap(&req.stages.Commit)
 	if !vocalizes || !req.resp.IsQuery {
 		// Also the rare command that a racing one turned from query into
 		// feedback or back: what was committed is what the reply reports,
@@ -549,17 +587,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.fail(req)
 		}
 	}()
-	ans, err := s.plan(r.Context(), req)
+	err := s.plan(r.Context(), req)
 	planned = true
+	req.lap(&req.stages.Plan)
 	if err != nil {
-		if !s.writeAborted(w, r, req.tenant, err) {
+		if !s.writeAborted(w, r, req, err) {
 			s.fail(req)
 			s.opts.Logf("web: vocalize: %v", err)
 			writeError(w, http.StatusInternalServerError, errInternal)
 		}
 		return
 	}
-	s.respondSpeech(w, r, req, ans)
+	s.respondSpeech(w, r, req)
 }
 
 // decodeBody reads a size-capped JSON body into v. On failure it has
@@ -583,7 +622,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // decodeQuery is the decode stage: payload, method and session checks that
 // need no server state. On failure it has written the 4xx.
 func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (*request, bool) {
-	req := &request{}
+	req := &request{mark: time.Now()}
 	if !s.decodeBody(w, r, &req.queryRequest) {
 		return nil, false
 	}
@@ -678,12 +717,18 @@ func (s *Server) commit(req *request, restage bool) error {
 }
 
 // fail books a committed request whose plan panicked or failed, and whose
-// reply is therefore a 500, and takes its command back: the session it was
-// committed on returns to the table, unless another command has committed
-// on top of it since, which stays. So a client's retry does not apply the
-// command twice, as it would not after a 503.
+// reply is therefore a 500, and takes its command back.
 func (s *Server) fail(req *request) {
 	s.serving.book(req.tenant, "failed")
+	s.undo(req)
+}
+
+// undo takes back the command of a committed request whose reply carries
+// no answer: the session it was committed on returns to the table, unless
+// another command has committed on top of it since, which stays. So a
+// client's retry of a 500 or a 408 does not apply the command twice, as it
+// would not after a 503.
+func (s *Server) undo(req *request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.sessions[req.key]; ok {
@@ -693,10 +738,10 @@ func (s *Server) fail(req *request) {
 	}
 }
 
-// plan is the plan stage: it gets the committed query's answer from the
-// requested vocalizer or from the cache. It books nothing: the reply that
-// follows does.
-func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
+// plan is the plan stage: it gets the committed query's answer, req.ans,
+// from the requested vocalizer or from the cache. It books nothing: the
+// reply that follows does.
+func (s *Server) plan(ctx context.Context, req *request) (err error) {
 	if s.holdVocalize != nil {
 		s.mu.Lock()
 		parked := s.vocalizeParked
@@ -707,65 +752,53 @@ func (s *Server) plan(ctx context.Context, req *request) (answer, error) {
 		}
 		<-s.holdVocalize
 	}
-	start := time.Now()
-	cached, outcome, err := s.answerQuery(ctx, req)
-	latency := cached.voc.latency
-	if outcome != semcache.Miss {
-		latency = time.Since(start)
-	}
-	return answer{cached, outcome, ms(latency)}, err
+	req.ans, req.outcome, err = s.answerQuery(ctx, req)
+	return err
 }
 
-// respondSpeech is the respond stage: it books the answer's outcome, writes
-// the speech response and appends the query-log entry. A client that hung
-// up gets a 499 through writeAborted and no log entry; a passed deadline
-// still gets its degraded 200. If the dataset has moved past the epoch the
-// answer was computed against by now, the answer is flagged stale (degrade,
-// don't error) with the spoken caveat attached.
-func (s *Server) respondSpeech(w http.ResponseWriter, r *http.Request, req *request, ans answer) {
-	if s.writeAborted(w, r, req.tenant, nil) {
+// respondSpeech is the respond stage: it books the answer's outcome, appends
+// the query-log entry and writes the reply with its Server-Timing header. A
+// client that hung up gets a 499 through writeAborted and no log entry; a
+// passed deadline still gets its degraded 200. An answer whose dataset has
+// moved past its epoch by now is flagged stale (degrade, don't error) with
+// the spoken caveat attached.
+func (s *Server) respondSpeech(w http.ResponseWriter, r *http.Request, req *request) {
+	if s.writeAborted(w, r, req, nil) {
 		return
 	}
+	ans, windows := req.ans, req.ans.voc.windows
+	sp := Spoken{
+		Speech:    ans.voc.text,
+		LatencyMS: ms(ans.voc.latency),
+		Degraded:  ans.voc.degraded,
+		ServedBy:  req.method,
+		DataEpoch: req.epoch,
+	}
+	if req.outcome != semcache.Miss {
+		sp.ServedBy, sp.Origin, sp.Cache = "cache", ans.origin, req.outcome.String()
+		sp.LatencyMS, windows = req.stages.Plan, nil
+		if req.outcome == semcache.Hit {
+			sp.LatencyMS = req.stages.Lookup + req.stages.Commit
+		}
+	}
+	s.serving.book(req.tenant, req.outcome.String())
+	s.mu.Lock()
+	sp.Stale = req.st.epoch != req.epoch
+	s.log.add(QueryLogEntry{s.now(), req.Session, req.Dataset, req.Input, req.method, sp, req.stages, windows})
+	s.mu.Unlock()
 	out := queryResponse{
 		Action:     req.resp.Action,
 		Message:    req.resp.Message,
-		Speech:     ans.voc.text,
-		LatencyMS:  ans.latencyMS,
-		Degraded:   ans.voc.degraded,
+		Spoken:     sp,
 		Structured: ans.voc.structured,
 		SSML:       ans.voc.ssml,
-		ServedBy:   req.method,
-		DataEpoch:  req.epoch,
 		TableRows:  ans.voc.tableRows,
 	}
-	if ans.outcome != semcache.Miss {
-		out.ServedBy, out.Origin, out.Cache = "cache", ans.origin, ans.outcome.String()
-	}
-	s.serving.book(req.tenant, ans.outcome.String())
-	s.mu.Lock()
-	if req.st.epoch != req.epoch {
-		out.Stale = true
+	if sp.Stale {
 		out.StaleNote = speech.StaleNote
-	}
-	s.log.add(QueryLogEntry{
-		Time:      s.now(),
-		Session:   req.Session,
-		Dataset:   req.Dataset,
-		Input:     req.Input,
-		Method:    req.method,
-		Speech:    out.Speech,
-		LatencyMS: out.LatencyMS,
-		Degraded:  out.Degraded,
-		ServedBy:  out.ServedBy,
-		Origin:    out.Origin,
-		Cache:     out.Cache,
-		DataEpoch: out.DataEpoch,
-		Stale:     out.Stale,
-	})
-	s.mu.Unlock()
-	if out.Stale {
 		s.staleAnswers.Add(1)
 	}
+	w.Header().Set("Server-Timing", req.serverTiming(windows))
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -784,17 +817,18 @@ func (s *Server) writeCommandError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeAborted answers a request that its own context cut short: 499, booked
-// as gone, when the client hung up, 408, booked as timed out, when err is
-// the request deadline. It reports false, writing nothing, otherwise (err
-// may be nil).
-func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, tenant string, err error) bool {
+// writeAborted answers a committed request that its own context cut short:
+// 499, booked as gone, when the client hung up, and 408, booked as timed
+// out, when err is the request deadline. A 408 takes the command back. It
+// reports false, writing nothing, otherwise (err may be nil).
+func (s *Server) writeAborted(w http.ResponseWriter, r *http.Request, req *request, err error) bool {
 	switch {
 	case errors.Is(err, context.Canceled) || r.Context().Err() == context.Canceled:
-		s.serving.book(tenant, "client-gone")
+		s.serving.book(req.tenant, "client-gone")
 		writeError(w, statusClientClosedRequest, errors.New("client closed request"))
 	case errors.Is(err, context.DeadlineExceeded):
-		s.serving.book(tenant, "timed-out")
+		s.serving.book(req.tenant, "timed-out")
+		s.undo(req)
 		writeError(w, http.StatusRequestTimeout, errors.New("request deadline exceeded"))
 	default:
 		return false
@@ -819,6 +853,22 @@ type vocOut struct {
 	// tableRows is the committed row count of the data snapshot the
 	// answer was computed over.
 	tableRows int64
+	// windows are the holistic plan's windows; nil for the prior baseline.
+	windows []Window
+}
+
+// Window is one planning window of a holistic answer, its
+// core.SentenceTrace without the sentence. PlanningMS is on the answer's
+// clock, the simulated playback clock on the daemon.
+type Window struct {
+	Rows           int64   `json:"rows"`
+	Rounds         int     `json:"rounds"`
+	Samples        int64   `json:"samples"`
+	Closed         string  `json:"closed"`
+	PlanningMS     float64 `json:"planningMs"`
+	LeaderReward   float64 `json:"leaderReward"`
+	LeaderVisits   int64   `json:"leaderVisits"`
+	RunnerUpReward float64 `json:"runnerUpReward,omitempty"`
 }
 
 // vocalize runs the chosen vocalizer on the query under ctx.
@@ -842,6 +892,10 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 		return vocOut{}, err
 	}
 	enc := encode.EncodeSpeech(out.Speech)
+	windows := make([]Window, len(out.Trace.Sentences))
+	for i, t := range out.Trace.Sentences {
+		windows[i] = Window{t.RowsRead, t.Rounds, t.TreeSamples, t.Closed, ms(t.PlanningTime), t.BestMeanReward, t.BestVisits, t.RunnerUpReward}
+	}
 	return vocOut{
 		text:       enc.Text,
 		structured: &enc,
@@ -849,6 +903,7 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 		latency:    out.Latency,
 		degraded:   out.Degraded,
 		tableRows:  out.TableRows,
+		windows:    windows,
 	}, nil
 }
 
@@ -864,10 +919,7 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The header is already out; nothing sensible left to do.
-		return
-	}
+	_ = json.NewEncoder(w).Encode(v) // the status line is out: nothing left to do
 }
 
 // writeError writes a JSON error payload.

@@ -37,62 +37,39 @@ type LogAnalysis struct {
 
 // AnalyzeLog aggregates query-log entries by method and session.
 func AnalyzeLog(entries []QueryLogEntry) LogAnalysis {
-	type acc struct {
-		queries  int
-		chars    int
-		maxChars int
-		latency  float64
-		maxLat   float64
-	}
-	methods := map[string]*acc{}
-	order := []string{}
-	sessions := map[string]*SessionStats{}
-	sessionOrder := []string{}
+	var out LogAnalysis
+	methods, sessions := map[string]int{}, map[string]int{}
 	for _, e := range entries {
-		a := methods[e.Method]
-		if a == nil {
-			a = &acc{}
-			methods[e.Method] = a
-			order = append(order, e.Method)
+		i, ok := methods[e.Method]
+		if !ok {
+			i, methods[e.Method] = len(out.Methods), len(out.Methods)
+			out.Methods = append(out.Methods, MethodStats{Method: e.Method})
 		}
-		a.queries++
-		a.chars += len(e.Speech)
-		if len(e.Speech) > a.maxChars {
-			a.maxChars = len(e.Speech)
-		}
-		a.latency += e.LatencyMS
-		if e.LatencyMS > a.maxLat {
-			a.maxLat = e.LatencyMS
-		}
+		m := &out.Methods[i]
+		m.Queries++
+		m.AvgChars += len(e.Speech) // a sum until the division below
+		m.MaxChars = max(m.MaxChars, len(e.Speech))
+		m.AvgLatencyMS += e.LatencyMS
+		m.MaxLatencyMS = max(m.MaxLatencyMS, e.LatencyMS)
 
-		s := sessions[e.Session]
-		if s == nil {
-			s = &SessionStats{Session: e.Session, First: e.Time, Last: e.Time}
-			sessions[e.Session] = s
-			sessionOrder = append(sessionOrder, e.Session)
+		j, ok := sessions[e.Session]
+		if !ok {
+			j, sessions[e.Session] = len(out.Sessions), len(out.Sessions)
+			out.Sessions = append(out.Sessions, SessionStats{Session: e.Session, First: e.Time, Last: e.Time})
 		}
-		s.Queries++
-		if e.Time.Before(s.First) {
-			s.First = e.Time
+		ss := &out.Sessions[j]
+		ss.Queries++
+		if e.Time.Before(ss.First) {
+			ss.First = e.Time
 		}
-		if e.Time.After(s.Last) {
-			s.Last = e.Time
+		if e.Time.After(ss.Last) {
+			ss.Last = e.Time
 		}
 	}
-	out := LogAnalysis{}
-	for _, m := range order {
-		a := methods[m]
-		out.Methods = append(out.Methods, MethodStats{
-			Method:       m,
-			Queries:      a.queries,
-			AvgChars:     a.chars / a.queries,
-			MaxChars:     a.maxChars,
-			AvgLatencyMS: a.latency / float64(a.queries),
-			MaxLatencyMS: a.maxLat,
-		})
-	}
-	for _, s := range sessionOrder {
-		out.Sessions = append(out.Sessions, *sessions[s])
+	for i := range out.Methods {
+		m := &out.Methods[i]
+		m.AvgChars /= m.Queries
+		m.AvgLatencyMS /= float64(m.Queries)
 	}
 	return out
 }

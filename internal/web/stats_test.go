@@ -10,9 +10,9 @@ import (
 func TestAnalyzeLog(t *testing.T) {
 	t0 := time.Date(2019, 6, 30, 21, 33, 0, 0, time.UTC)
 	entries := []QueryLogEntry{
-		{Time: t0, Session: "a", Method: "this", Speech: "short answer", LatencyMS: 2},
-		{Time: t0.Add(time.Minute), Session: "a", Method: "prior", Speech: string(make([]byte, 5000)), LatencyMS: 90},
-		{Time: t0.Add(2 * time.Minute), Session: "b", Method: "this", Speech: "another short answer!", LatencyMS: 4},
+		{Time: t0, Session: "a", Method: "this", Spoken: Spoken{Speech: "short answer", LatencyMS: 2}},
+		{Time: t0.Add(time.Minute), Session: "a", Method: "prior", Spoken: Spoken{Speech: string(make([]byte, 5000)), LatencyMS: 90}},
+		{Time: t0.Add(2 * time.Minute), Session: "b", Method: "this", Spoken: Spoken{Speech: "another short answer!", LatencyMS: 4}},
 	}
 	a := AnalyzeLog(entries)
 	if len(a.Methods) != 2 {
