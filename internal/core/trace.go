@@ -32,32 +32,32 @@ const (
 
 // SentenceTrace describes one planning window: what it read and sampled,
 // the root's leader and runner-up when it closed, why it closed, and what it
-// committed.
+// committed. Its JSON form is a window of the web query log.
 type SentenceTrace struct {
 	// Sentence is the text the window committed and started speaking: one
 	// sentence on Algorithm 1's schedule, the whole speech on the unmerged
 	// one, and empty when the window committed nothing.
-	Sentence string
+	Sentence string `json:"sentence"`
 	// Rounds is the number of planning rounds in the window.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// RowsRead is the number of table rows consumed in the window.
-	RowsRead int64
+	RowsRead int64 `json:"rows"`
 	// TreeSamples is the number of successful MCTS rounds in the window.
-	TreeSamples int64
+	TreeSamples int64 `json:"samples"`
 	// BestMeanReward is the leader's mean sampled reward: the root child
 	// with the best one when the window closed, which Algorithm 1 commits.
-	BestMeanReward float64
+	BestMeanReward float64 `json:"leaderReward"`
 	// BestVisits is the leader's visit count.
-	BestVisits int64
+	BestVisits int64 `json:"leaderVisits"`
 	// RunnerUpReward is the runner-up's mean reward (0 when there was no
 	// competition).
-	RunnerUpReward float64
+	RunnerUpReward float64 `json:"runnerUpReward,omitempty"`
 	// PlanningTime is the time on the answer's clock from the window's first
 	// clock reading to the one that closed it.
-	PlanningTime time.Duration
+	PlanningTime time.Duration `json:"planningNs"`
 	// Closed says why the window closed: ClosedPlayback, ClosedBudget,
 	// ClosedCap or ClosedCancelled.
-	Closed string
+	Closed string `json:"closed"`
 
 	// runnerUpBase and runnerUpRef are the runner-up's fragment, at most
 	// one set: a baseline of the tree's ladder, or a copy of a menu

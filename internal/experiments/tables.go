@@ -24,6 +24,8 @@ type SpeechComparison struct {
 	Approach string
 	Speech   string
 	Quality  float64
+	// structured is the speech itself, which Table6And14's listeners hear.
+	structured *speech.Speech
 }
 
 // regionSeasonQuery is the Table 5 / Table 12 query.
@@ -68,9 +70,10 @@ func (s *Setup) compareSpeeches(q olap.Query) ([]SpeechComparison, error) {
 			return nil, err
 		}
 		out = append(out, SpeechComparison{
-			Approach: v.Name(),
-			Speech:   res.Speech.MainText(),
-			Quality:  quality,
+			Approach:   v.Name(),
+			Speech:     res.Speech.MainText(),
+			Quality:    quality,
+			structured: res.Speech,
 		})
 	}
 	return out, nil
@@ -125,23 +128,9 @@ func Table6And14(s *Setup) ([]EstimationStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-vocalize to obtain structured speeches (Table5 returns text).
-	cfg := s.substrateConfig(s.Seed)
-	structured := map[string]*speech.Speech{}
-	for _, v := range []core.Vocalizer{
-		core.NewOptimal(s.Flights, q, cfg),
-		core.NewUnmerged(s.Flights, q, cfg),
-		core.NewHolistic(s.Flights, q, cfg),
-	} {
-		out, err := v.Vocalize()
-		if err != nil {
-			return nil, err
-		}
-		structured[v.Name()] = out.Speech
-	}
 	var studies []EstimationStudy
 	for _, sc := range speeches {
-		est := userstudy.RunEstimation(model, result, structured[sc.Approach],
+		est := userstudy.RunEstimation(model, result, sc.structured,
 			userstudy.EstimationConfig{Users: 8, MisreadUsers: 2, Seed: s.Seed + 7})
 		studies = append(studies, EstimationStudy{
 			Approach:         sc.Approach,

@@ -29,9 +29,6 @@ type Generator struct {
 	Format ValueFormat
 	// Percents is the change-quantifier menu (DefaultPercents if nil).
 	Percents []int
-	// BaselineMultipliers scale the grand estimate into baseline value
-	// candidates (DefaultBaselineMultipliers if nil).
-	BaselineMultipliers []float64
 	// MaxPredsPerRefinement allows multi-predicate refinements when > 1.
 	// The default 1 keeps the branching factor (and thus the O(m^k) tree)
 	// small, as the paper's simplicity principle demands.
@@ -84,7 +81,6 @@ func NewGenerator(space *olap.Space, prefs Prefs, format ValueFormat) *Generator
 		Prefs:                 prefs,
 		Format:                format,
 		Percents:              DefaultPercents,
-		BaselineMultipliers:   DefaultBaselineMultipliers,
 		MaxPredsPerRefinement: 1,
 	}
 }
@@ -119,16 +115,12 @@ func (g *Generator) BaselineCandidates(scale float64) []*Baseline {
 	if name == "" {
 		name = q.Fct.String() + " " + q.Col
 	}
-	mults := g.BaselineMultipliers
-	if mults == nil {
-		mults = DefaultBaselineMultipliers
-	}
 	if math.IsNaN(scale) || scale <= 0 {
 		return []*Baseline{{Value: 0, AggName: name, Format: g.Format}}
 	}
 	seen := make(map[float64]bool)
 	var values []float64
-	for _, m := range mults {
+	for _, m := range DefaultBaselineMultipliers {
 		v := g.Prefs.RoundForSpeech(scale * m)
 		if !seen[v] {
 			seen[v] = true

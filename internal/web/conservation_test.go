@@ -8,40 +8,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/semcache"
-	"repro/internal/table"
-	"repro/internal/voice"
 )
-
-// planGate parks one holistic plan at its scan: parked closes when the plan
-// arrives, and the plan goes on once release is closed.
-type planGate struct{ parked, release chan struct{} }
-
-// newGatedServer serves 5 000 flights under opts to a small planner whose
-// scan, while a planGate is stored in the returned pointer, parks at it;
-// the first scan to arrive takes the gate.
-func newGatedServer(t *testing.T, opts Options) (*Server, *atomic.Pointer[planGate]) {
-	gate := new(atomic.Pointer[planGate])
-	srv, _ := newFlightsServer(t, core.Config{
-		Seed:                 1,
-		Clock:                voice.NewSimClock(),
-		MaxRoundsPerSentence: 100,
-		Percents:             []int{50, 100},
-		Scanner: func(tb *table.Table, rng *rand.Rand) table.Scanner {
-			if g := gate.Swap(nil); g != nil {
-				close(g.parked)
-				<-g.release
-			}
-			return table.NewRandomScanner(tb, rng)
-		},
-	}, opts)
-	return srv, gate
-}
 
 // waitFor fails the test if ch is not closed within ten seconds.
 func waitFor(t *testing.T, ch <-chan struct{}, what string) {
@@ -119,8 +90,8 @@ func conservationInputs(t *testing.T, srv *Server) []string {
 
 // TestOutcomesConservedUnderInterleavings sends seeded random mixes of cold
 // queries, repeats, identical queries that coalesce, sheds and client
-// cancels at points the test controls (parked at holdVocalize, or waiting
-// on a plan parked at its scan) from three tenants to two slots, each mix
+// cancels at points the test controls (a plan parked at its scan, or a
+// request waiting on one) from three tenants to two slots, each mix
 // to a server of its own, which it drains at the end. Whatever the
 // interleaving, every reply is booked once: each 200 is one Served or
 // Cached count and one log entry, each 499 one ClientGone, each 503 one
@@ -151,7 +122,7 @@ type mixOutcomes struct{ served, hits, coalesced, gone, shed int64 }
 
 // conservationMix sends one seeded mix and checks what it booked.
 func conservationMix(t *testing.T, seed int64) mixOutcomes {
-	srv, gate := newGatedServer(t, Options{MaxConcurrent: 2, RequestTimeout: -1})
+	srv, _ := newHardenedServer(t, Options{MaxConcurrent: 2, RequestTimeout: -1})
 	h := srv.Handler()
 	rng := rand.New(rand.NewSource(seed))
 	tenants := []string{"t1", "t2", "t3"}
@@ -230,31 +201,28 @@ func conservationMix(t *testing.T, seed int64) mixOutcomes {
 				}
 			}
 			finish(cs...)
-		case 2: // a plan parked at holdVocalize, a hit beside it, maybe a cancel
-			q, ok := nextCold("")
+		case 2: // a plan parked at its scan, a hit beside it, maybe a cancel
+			q, ok := nextCold("this")
 			if !ok {
 				continue
 			}
-			hold, parked := make(chan struct{}), make(chan struct{})
-			srv.holdVocalize, srv.vocalizeParked = hold, parked
+			g := parkScans(srv)
 			c := send(q)
-			waitFor(t, parked, "a plan at holdVocalize")
+			waitFor(t, g.parked, "a plan at its scan")
 			if r, ok := repeat(); ok && rng.Intn(2) == 0 {
 				finish(send(r))
 			}
 			if rng.Intn(3) != 0 {
 				abort(c)
 			}
-			close(hold)
+			close(g.release)
 			finish(c)
-			srv.holdVocalize, srv.vocalizeParked = nil, nil
 		case 3: // a leader parked at its scan, a follower waiting on its plan
 			q, ok := nextCold("this")
 			if !ok {
 				continue
 			}
-			g := &planGate{parked: make(chan struct{}), release: make(chan struct{})}
-			gate.Store(g)
+			g := parkScans(srv)
 			leader := send(q)
 			waitFor(t, g.parked, "a plan at its scan")
 			follower := send(q)

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/speech"
 	"repro/internal/table"
@@ -30,8 +29,7 @@ import (
 // ServeGraceful returns nil.
 func TestServeGracefulDrainsInFlightOnSIGTERM(t *testing.T) {
 	srv, _ := newHardenedServer(t, Options{})
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	gate := parkScans(srv)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,7 +55,7 @@ func TestServeGracefulDrainsInFlightOnSIGTERM(t *testing.T) {
 	go func() {
 		b, _ := json.Marshal(map[string]string{
 			"session": "drain", "dataset": "flights",
-			"input": "break down by season", "method": "prior",
+			"input": "break down by season", "method": "this",
 		})
 		resp, err := http.Post(base+"/api/query", "application/json", bytes.NewReader(b))
 		if err != nil {
@@ -67,13 +65,7 @@ func TestServeGracefulDrainsInFlightOnSIGTERM(t *testing.T) {
 		resp.Body.Close()
 		inFlight <- resp.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.adm.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.adm.InFlight() == 0 {
-		t.Fatal("query never reached vocalization")
-	}
+	waitFor(t, gate.parked, "the query's plan at its scan")
 
 	// Shut down mid-query. SIGUSR1 stands in for SIGTERM so a failure
 	// cannot kill the whole test binary.
@@ -91,7 +83,7 @@ func TestServeGracefulDrainsInFlightOnSIGTERM(t *testing.T) {
 	}
 
 	// Release the held vocalization: the drained request must succeed.
-	close(hold)
+	close(gate.release)
 	select {
 	case code := <-inFlight:
 		if code != http.StatusOK {
@@ -145,9 +137,8 @@ func TestServeGracefulContextCancel(t *testing.T) {
 // ServeGraceful reports the deadline error.
 func TestServeGracefulExpiredGraceCutsStragglers(t *testing.T) {
 	srv, _ := newHardenedServer(t, Options{})
-	hold := make(chan struct{})
-	defer close(hold)
-	srv.holdVocalize = hold
+	gate := parkScans(srv)
+	defer close(gate.release)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -163,20 +154,14 @@ func TestServeGracefulExpiredGraceCutsStragglers(t *testing.T) {
 	go func() {
 		b, _ := json.Marshal(map[string]string{
 			"session": "stuck", "dataset": "flights",
-			"input": "break down by season", "method": "prior",
+			"input": "break down by season", "method": "this",
 		})
 		resp, err := http.Post(base+"/api/query", "application/json", bytes.NewReader(b))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.adm.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.adm.InFlight() == 0 {
-		t.Fatal("query never reached vocalization")
-	}
+	waitFor(t, gate.parked, "the query's plan at its scan")
 	cancel()
 	select {
 	case err := <-served:
@@ -193,16 +178,12 @@ func TestServeGracefulExpiredGraceCutsStragglers(t *testing.T) {
 // shed cleanly (503, not a hang or 500), SIGTERM stops admission, and the
 // in-flight request finishes with a degraded but grammar-valid answer.
 func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
-	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
-	if err != nil {
-		t.Fatalf("Flights: %v", err)
-	}
 	// Storage chaos on every scan: slow rows plus periodic truncation.
 	var scans atomic.Int64
 	injector := faults.NewInjector(faults.InjectorOptions{
 		SlowEvery: 2, SlowDelay: 50 * time.Microsecond, FailEvery: 3,
 	})
-	cfg := core.Config{
+	srv, _ := newFlightsServer(t, core.Config{
 		Seed:                 1,
 		Clock:                voice.NewSimClock(),
 		MaxRoundsPerSentence: 100,
@@ -211,17 +192,8 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 			scans.Add(1)
 			return injector.Scanner(t, rng)
 		},
-	}
-	srv, err := NewServerWith(cfg, Options{
-		MaxConcurrent:  1,
-		RequestTimeout: time.Second,
-	}, DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
-		MeasureDesc: "average cancellation probability", Format: speech.PercentFormat})
-	if err != nil {
-		t.Fatalf("NewServerWith: %v", err)
-	}
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	}, Options{MaxConcurrent: 1, RequestTimeout: time.Second})
+	gate := parkScans(srv)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -257,13 +229,7 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 
 	inFlight := make(chan int, 1)
 	go post("inflight", inFlight)
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.adm.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.adm.InFlight() == 0 {
-		t.Fatal("query never reached vocalization")
-	}
+	waitFor(t, gate.parked, "the query's plan at its scan")
 	// Every request beyond the busy slot is shed promptly, although the
 	// slot-holder is still mid-vocalize.
 	shed := make(chan int, 3)
@@ -288,7 +254,7 @@ func TestSIGTERMShedsQueueAndDrainsDegraded(t *testing.T) {
 	// Hold the in-flight request past its own deadline so its answer is
 	// forced through the degradation path, then let it finish.
 	time.Sleep(1100 * time.Millisecond)
-	close(hold)
+	close(gate.release)
 	select {
 	case code := <-inFlight:
 		if code != http.StatusOK {

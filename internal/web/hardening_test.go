@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/speech"
+	"repro/internal/table"
 	"repro/internal/voice"
 )
 
@@ -37,12 +40,24 @@ func newHardenedServerRounds(t *testing.T, maxRounds int, opts Options) (*Server
 }
 
 // newFlightsServer serves 5 000 generated flights under cfg and opts on a
-// test listener.
+// test listener. Every holistic plan opens its scan (cfg.Scanner, or the
+// default random scan) through the server's scan gate, which parkScans arms.
 func newFlightsServer(t testing.TB, cfg core.Config, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: 5000, Seed: 131})
 	if err != nil {
 		t.Fatalf("Flights: %v", err)
+	}
+	gate, scan := new(atomic.Pointer[scanGate]), cfg.Scanner
+	if scan == nil {
+		scan = func(tb *table.Table, rng *rand.Rand) table.Scanner { return table.NewRandomScanner(tb, rng) }
+	}
+	cfg.Scanner = func(tb *table.Table, rng *rand.Rand) table.Scanner {
+		if g := gate.Load(); g != nil {
+			g.arrived.Do(func() { close(g.parked) })
+			<-g.release
+		}
+		return scan(tb, rng)
 	}
 	srv, err := NewServerWith(cfg, opts,
 		DatasetInfo{Name: "flights", Dataset: flights, MeasureCol: "cancelled",
@@ -51,9 +66,34 @@ func newFlightsServer(t testing.TB, cfg core.Config, opts Options) (*Server, *ht
 	if err != nil {
 		t.Fatalf("NewServerWith: %v", err)
 	}
+	scanGates.Store(srv, gate)
+	t.Cleanup(func() { scanGates.Delete(srv) })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// scanGate holds holistic plans at their scan, after their command's commit
+// and inside their cache flight: every plan that opens its scan while the
+// gate is armed waits there until release is closed, and parked closes when
+// the first one arrives. With the cache on, identical queries meanwhile
+// coalesce onto the parked plan's flight. The prior baseline opens no scan
+// and never parks.
+type scanGate struct {
+	parked, release chan struct{}
+	arrived         sync.Once
+}
+
+// scanGates holds each newFlightsServer server's gate slot.
+var scanGates sync.Map // *Server -> *atomic.Pointer[scanGate]
+
+// parkScans arms srv's scan gate with a new gate and returns it. A released
+// gate lets every later scan through until the next parkScans.
+func parkScans(srv *Server) *scanGate {
+	g := &scanGate{parked: make(chan struct{}), release: make(chan struct{})}
+	slot, _ := scanGates.Load(srv)
+	slot.(*atomic.Pointer[scanGate]).Store(g)
+	return g
 }
 
 func TestUnknownMethodRejected(t *testing.T) {
@@ -94,25 +134,18 @@ func TestOversizedBodyRejected(t *testing.T) {
 
 func TestSaturatedServerReturns503(t *testing.T) {
 	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 1})
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	gate := parkScans(srv)
 
 	firstDone := make(chan int, 1)
 	go func() {
 		_, code := postQuery(t, ts, map[string]string{
 			"session": "sat", "dataset": "flights",
-			"input": "break down by season", "method": "prior",
+			"input": "break down by season", "method": "this",
 		})
 		firstDone <- code
 	}()
-	// Wait until the first request holds the admission slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.adm.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.adm.InFlight() == 0 {
-		t.Fatal("first request never acquired the admission slot")
-	}
+	// The first request holds the admission slot while it plans.
+	waitFor(t, gate.parked, "the first request's plan at its scan")
 
 	b, _ := json.Marshal(map[string]string{
 		"session": "sat2", "dataset": "flights",
@@ -130,7 +163,7 @@ func TestSaturatedServerReturns503(t *testing.T) {
 		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 
-	close(hold)
+	close(gate.release)
 	if code := <-firstDone; code != http.StatusOK {
 		t.Errorf("held request finished with %d, want 200", code)
 	}

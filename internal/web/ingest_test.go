@@ -182,10 +182,7 @@ func TestIngestValidation(t *testing.T) {
 // and reply is served anyway, flagged stale, with the spoken caveat.
 func TestStaleFlagOnMidAnswerIngest(t *testing.T) {
 	srv, ts := newCacheServer(t, Options{})
-	hold := make(chan struct{})
-	parked := make(chan struct{})
-	srv.holdVocalize = hold
-	srv.vocalizeParked = parked
+	gate := parkScans(srv)
 
 	type reply struct {
 		out  map[string]any
@@ -200,14 +197,14 @@ func TestStaleFlagOnMidAnswerIngest(t *testing.T) {
 		done <- reply{out, code}
 	}()
 
-	// Wait until the query is parked past its commit (epoch 0 captured),
-	// land a batch, then let it proceed.
-	<-parked
+	// Wait until the query is parked at its scan, past its commit (epoch 0
+	// captured), land a batch, then let it proceed.
+	waitFor(t, gate.parked, "the query's plan at its scan")
 	ack, code := postIngest(t, ts, "flights", datagen.FlightRows(17, 25))
 	if code != http.StatusOK {
 		t.Fatalf("ingest status = %d: %v", code, ack)
 	}
-	close(hold)
+	close(gate.release)
 	r := <-done
 	if r.code != http.StatusOK {
 		t.Fatalf("query status = %d: %v", r.code, r.out)

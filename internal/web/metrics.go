@@ -77,12 +77,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetricHeader(w, "voiceolap_stale_answers_total", "counter", "Answers flagged stale because the dataset epoch advanced mid-answer.")
 	writeSample(w, "voiceolap_stale_answers_total", s.staleAnswers.Load())
 
+	// _count is a counter, written on every scrape; the quantiles only
+	// while the log ring still holds a cold answer.
+	writeMetricHeader(w, "voiceolap_vocalize_latency_seconds", "summary", "Wall-clock plan stage of the cold answers in the query log; _count counts vocalizer runs.")
 	if p50, p99, ok := s.vocalizeLatency(); ok {
-		writeMetricHeader(w, "voiceolap_vocalize_latency_seconds", "summary", "Wall-clock plan stage of the cold answers in the query log; _count counts vocalizer runs.")
 		writeSample(w, "voiceolap_vocalize_latency_seconds", p50/1e3, "quantile", "0.5")
 		writeSample(w, "voiceolap_vocalize_latency_seconds", p99/1e3, "quantile", "0.99")
-		writeSample(w, "voiceolap_vocalize_latency_seconds_count", s.runs.Load())
 	}
+	writeSample(w, "voiceolap_vocalize_latency_seconds_count", s.runs.Load())
 
 	if sc := stats.SemCache; sc != nil {
 		writeMetricHeader(w, "voiceolap_semcache_answers_total", "counter", "Semantic answer cache outcomes.")

@@ -22,18 +22,6 @@ import (
 	"repro/internal/voice"
 )
 
-// waitInFlight blocks until srv holds at least one admission slot.
-func waitInFlight(t *testing.T, srv *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.adm.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.adm.InFlight() == 0 {
-		t.Fatal("no request ever acquired an admission slot")
-	}
-}
-
 // TestShedLeavesSessionUntouched is the retry-safety guarantee: a 503
 // must not have applied the command, or the client's retry would
 // double-apply it ("drill down" twice deep).
@@ -50,17 +38,16 @@ func TestShedLeavesSessionUntouched(t *testing.T) {
 		t.Fatalf("setup query status = %d: %v", code, out)
 	}
 
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	gate := parkScans(srv)
 	blockerDone := make(chan int, 1)
 	go func() {
 		_, code := postQuery(t, ts, map[string]string{
 			"session": "blocker", "dataset": "flights",
-			"input": "break down by season", "method": "prior",
+			"input": "break down by season", "method": "this",
 		})
 		blockerDone <- code
 	}()
-	waitInFlight(t, srv)
+	waitFor(t, gate.parked, "the blocker's plan at its scan")
 
 	// The saturated server sheds this mutating command with 503.
 	out, code = postQuery(t, ts, map[string]string{
@@ -71,7 +58,7 @@ func TestShedLeavesSessionUntouched(t *testing.T) {
 		t.Fatalf("saturated drill down status = %d: %v", code, out)
 	}
 
-	close(hold)
+	close(gate.release)
 	if code := <-blockerDone; code != http.StatusOK {
 		t.Fatalf("blocker finished with %d", code)
 	}
@@ -102,8 +89,8 @@ func TestShedLeavesSessionUntouched(t *testing.T) {
 // TestClientDisconnectIs499: a request whose client hangs up before its
 // reply is written gets 499, not 200 or 500, and is booked as gone, not as
 // served or shed. Its client hangs up either while the request plans its own
-// answer (parked at holdVocalize after its commit), with the cache off and
-// on, or while it waits on an identical query's plan through the cache.
+// answer (parked at its scan), with the cache off and on, or while it waits
+// on an identical query's plan, parked at its scan, through the cache.
 func TestClientDisconnectIs499(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -111,12 +98,11 @@ func TestClientDisconnectIs499(t *testing.T) {
 	}{{"own-plan/cache-off", -1}, {"own-plan/cache-on", 0}} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, _ := newHardenedServer(t, Options{SemCacheEntries: c.entries})
-			hold, parked := make(chan struct{}), make(chan struct{})
-			srv.holdVocalize, srv.vocalizeParked = hold, parked
+			gate := parkScans(srv)
 			c := startCall(srv.Handler(), "gone", "", query{"break down by season", "this"})
-			<-parked
+			waitFor(t, gate.parked, "the plan at its scan")
 			c.cancel()
-			close(hold)
+			close(gate.release)
 			<-c.done
 			if c.rec.Code != statusClientClosedRequest {
 				t.Errorf("canceled-while-planning status = %d, want 499", c.rec.Code)
@@ -137,22 +123,8 @@ func TestClientDisconnectIs499(t *testing.T) {
 		})
 	}
 	t.Run("coalesced-wait", func(t *testing.T) {
-		planning, release := make(chan struct{}), make(chan struct{})
-		var first sync.Once
-		srv, ts := newFlightsServer(t, core.Config{
-			Seed:                 1,
-			Clock:                voice.NewSimClock(),
-			MaxRoundsPerSentence: 100,
-			Percents:             []int{50, 100},
-			// The first plan stops at its scan until the test releases it.
-			Scanner: func(tb *table.Table, rng *rand.Rand) table.Scanner {
-				first.Do(func() {
-					close(planning)
-					<-release
-				})
-				return table.NewRandomScanner(tb, rng)
-			},
-		}, Options{MaxConcurrent: 2})
+		srv, ts := newHardenedServer(t, Options{MaxConcurrent: 2})
+		gate := parkScans(srv)
 		leaderDone := make(chan int, 1)
 		go func() {
 			_, code := postQuery(t, ts, map[string]string{
@@ -161,7 +133,7 @@ func TestClientDisconnectIs499(t *testing.T) {
 			})
 			leaderDone <- code
 		}()
-		<-planning
+		waitFor(t, gate.parked, "the leader's plan at its scan")
 
 		// A second session asks the same query, is admitted and waits on the
 		// leader's plan, then its client hangs up.
@@ -179,7 +151,7 @@ func TestClientDisconnectIs499(t *testing.T) {
 			t.Errorf("canceled-while-planning status = %d, want 499", c.rec.Code)
 		}
 
-		close(release)
+		close(gate.release)
 		if code := <-leaderDone; code != http.StatusOK {
 			t.Errorf("leader finished with %d", code)
 		}
@@ -206,7 +178,7 @@ func TestClientDisconnectIs499(t *testing.T) {
 // it twice: the session's next "drill down" plans the query it would have
 // planned had the timed-out command never been sent.
 func TestDeadlineWhileCoalescedIs408(t *testing.T) {
-	srv, gate := newGatedServer(t, Options{MaxConcurrent: 2, RequestTimeout: 300 * time.Millisecond})
+	srv, _ := newHardenedServer(t, Options{MaxConcurrent: 2, RequestTimeout: 300 * time.Millisecond})
 	h := srv.Handler()
 	planned := map[string]olap.Query{} // by session, written under srv.mu
 	srv.committed = func(req *request) { planned[req.Session] = req.staged.Query() }
@@ -215,8 +187,7 @@ func TestDeadlineWhileCoalescedIs408(t *testing.T) {
 	if setup.rec.Code != http.StatusOK {
 		t.Fatalf("setup status = %d: %s", setup.rec.Code, setup.rec.Body)
 	}
-	g := &planGate{parked: make(chan struct{}), release: make(chan struct{})}
-	gate.Store(g)
+	g := parkScans(srv)
 	q := query{"break down by season", "this"}
 	leader := startCall(h, "leader", "lead", q)
 	waitFor(t, g.parked, "the leader's plan at its scan")
@@ -266,37 +237,6 @@ func TestDeadlineWhileCoalescedIs408(t *testing.T) {
 	}
 }
 
-// TestTwoPlansParkAtHoldVocalize: two requests reach plan while the test
-// holds vocalizations; the first there closes vocalizeParked, neither
-// closes it twice, and both are answered once the hold lifts. Under -race
-// it holds the hook to the lock plan reads and clears it under.
-func TestTwoPlansParkAtHoldVocalize(t *testing.T) {
-	srv, _ := newHardenedServer(t, Options{MaxConcurrent: 2, SemCacheEntries: -1})
-	hold, parked := make(chan struct{}), make(chan struct{})
-	srv.holdVocalize, srv.vocalizeParked = hold, parked
-	h := srv.Handler()
-	calls := []*call{
-		startCall(h, "a", "", query{"break down by season", "this"}),
-		startCall(h, "b", "", query{"break down by region", "prior"}),
-	}
-	waitFor(t, parked, "a plan at holdVocalize")
-	// The second request passes the hook whether it parks before the hold
-	// lifts or after; nothing orders its access after the first one's.
-	close(hold)
-	for _, c := range calls {
-		<-c.done
-		if c.rec.Code != http.StatusOK {
-			t.Errorf("%v: status %d, want 200: %s", c.q, c.rec.Code, c.rec.Body)
-		}
-	}
-	srv.mu.Lock()
-	left := srv.vocalizeParked
-	srv.mu.Unlock()
-	if left != nil {
-		t.Error("vocalizeParked still armed after a plan reached the hold")
-	}
-}
-
 // TestRetryAfterHonorsFloor: the hint is admission's constant, in whole
 // seconds.
 func TestRetryAfterHonorsFloor(t *testing.T) {
@@ -316,8 +256,7 @@ func TestRetryAfterHonorsFloor(t *testing.T) {
 // cleanly as draining although a slot is free.
 func TestDrainUnderOverload(t *testing.T) {
 	srv, ts := newHardenedServer(t, Options{MaxConcurrent: 2})
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	gate := parkScans(srv)
 
 	type result struct {
 		out  map[string]any
@@ -331,7 +270,7 @@ func TestDrainUnderOverload(t *testing.T) {
 		})
 		first <- result{out, code}
 	}()
-	waitInFlight(t, srv)
+	waitFor(t, gate.parked, "the in-flight request's plan at its scan")
 
 	srv.StartDrain()
 	late := make(chan reply, 3)
@@ -348,7 +287,7 @@ func TestDrainUnderOverload(t *testing.T) {
 	}
 	// The in-flight request keeps its slot across the drain and still
 	// answers in-grammar.
-	close(hold)
+	close(gate.release)
 	r := <-first
 	if r.code != http.StatusOK {
 		t.Fatalf("in-flight request status = %d: %v", r.code, r.out)

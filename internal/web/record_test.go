@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -41,8 +42,9 @@ func stageEntries(t StageTimes) []string {
 // TestServerTimingIsTheRecord: a planned holistic answer's Server-Timing
 // lists the stages it ran, in order, then one entry per planning window
 // with the rows, rounds and closing reason a fresh core.Holistic plan of the
-// same normalized query gives; its /api/log entry carries the same numbers.
-// A hit's header and entry have no plan stage and no windows, and a 503
+// same normalized query gives; its /api/log entry carries the same stage
+// times, and windows that decode equal to the fresh plan's exported window
+// fields. A hit's header and entry have no plan stage and no windows, and a 503
 // carries no header. Under -race it also reads /metrics, /api/log and
 // /api/stats while a reply writes its record.
 func TestServerTimingIsTheRecord(t *testing.T) {
@@ -69,6 +71,15 @@ func TestServerTimingIsTheRecord(t *testing.T) {
 	if len(wantWindows) == 0 {
 		t.Fatal("the fresh plan has no windows")
 	}
+	// The log carries each window's exported fields as JSON does.
+	raw, err := json.Marshal(out.Trace.Sentences)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantLogged []core.SentenceTrace
+	if err := json.Unmarshal(raw, &wantLogged); err != nil {
+		t.Fatal(err)
+	}
 
 	hit := serve(h, "hit", equivalentPhrasings[1], "this")
 	if hit.Code != http.StatusOK {
@@ -80,6 +91,11 @@ func TestServerTimingIsTheRecord(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &log); err != nil || len(log) != 2 {
 		t.Fatalf("log: %v, %d entries: %s", err, len(log), rec.Body)
 	}
+	for _, field := range []string{"sentence", "rounds", "rows", "samples", "leaderReward", "leaderVisits", "planningNs", "closed"} {
+		if !strings.Contains(rec.Body.String(), `"`+field+`":`) {
+			t.Errorf("the logged windows lack %q: %s", field, rec.Body)
+		}
+	}
 
 	for _, c := range []struct {
 		name    string
@@ -87,9 +103,10 @@ func TestServerTimingIsTheRecord(t *testing.T) {
 		entry   QueryLogEntry
 		stages  []string
 		windows []string
+		logged  []core.SentenceTrace
 	}{
-		{"cold", cold, log[0], []string{"decode", "stage", "lookup", "admit", "commit", "plan"}, wantWindows},
-		{"hit", hit, log[1], []string{"decode", "stage", "lookup", "commit"}, nil},
+		{"cold", cold, log[0], []string{"decode", "stage", "lookup", "admit", "commit", "plan"}, wantWindows, wantLogged},
+		{"hit", hit, log[1], []string{"decode", "stage", "lookup", "commit"}, nil, nil},
 	} {
 		got := timingEntries(c.rec)
 		var names []string
@@ -108,10 +125,13 @@ func TestServerTimingIsTheRecord(t *testing.T) {
 		}
 		var logged []string
 		for i, w := range c.entry.Windows {
-			logged = append(logged, fmt.Sprintf(`w%d;desc="rows=%d rounds=%d closed=%s"`, i+1, w.Rows, w.Rounds, w.Closed))
+			logged = append(logged, fmt.Sprintf(`w%d;desc="rows=%d rounds=%d closed=%s"`, i+1, w.RowsRead, w.Rounds, w.Closed))
 		}
 		if !slices.Equal(logged, c.windows) {
 			t.Errorf("%s: logged windows %q, want %q", c.name, logged, c.windows)
+		}
+		if !reflect.DeepEqual(c.entry.Windows, c.logged) {
+			t.Errorf("%s: logged windows\n  %+v\nwant the fresh plan's\n  %+v", c.name, c.entry.Windows, c.logged)
 		}
 	}
 
@@ -121,13 +141,12 @@ func TestServerTimingIsTheRecord(t *testing.T) {
 	}
 	t.Logf("cold: %s", cold.Header().Get("Server-Timing"))
 
-	// A plan parked at holdVocalize holds the only slot: a new query sheds.
-	hold, parked := make(chan struct{}), make(chan struct{})
-	srv.holdVocalize, srv.vocalizeParked = hold, parked
+	// A plan parked at its scan holds the only slot: a new query sheds.
+	gate := parkScans(srv)
 	held := startCall(h, "held", "", query{"break down by season", "this"})
-	waitFor(t, parked, "a plan at holdVocalize")
+	waitFor(t, gate.parked, "a plan at its scan")
 	shed := serve(h, "shed", "break down by region", "this")
-	close(hold)
+	close(gate.release)
 	for _, path := range []string{"/metrics", "/api/log", "/api/stats"} { // read while the held reply is written
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
 	}

@@ -3,13 +3,11 @@ package web
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +16,6 @@ import (
 	"repro/internal/olap"
 	"repro/internal/semcache"
 	"repro/internal/speech"
-	"repro/internal/table"
-	"repro/internal/voice"
 )
 
 // renderedReply is the part of a /api/query reply rendered from the speech.
@@ -38,21 +34,7 @@ type renderedReply struct {
 // covers cold replies, cache hits and replies that coalesced onto another
 // request's plan; prior replies carry neither part.
 func TestReplyPartsMatchFreshRender(t *testing.T) {
-	// A herd below coalesces only if its followers reach the leader's flight
-	// before the leader's plan lands, which on a loaded machine a plan of a
-	// few milliseconds does not wait for. So while a herd runs, every scan
-	// waits at a gate the herd opens once its followers have had time to
-	// get there; the rows, and so the speeches, stay the same.
-	var gate atomic.Pointer[chan struct{}]
-	srv, _ := newFlightsServer(t, core.Config{
-		Seed:                 7,
-		Clock:                voice.NewSimClock(),
-		MaxRoundsPerSentence: 100,
-		Percents:             []int{50, 100},
-		Scanner: func(tab *table.Table, rng *rand.Rand) table.Scanner {
-			return &gatedScanner{Scanner: table.NewRandomScanner(tab, rng), gate: gate.Load()}
-		},
-	}, Options{MaxConcurrent: 8})
+	srv, _ := newCacheServer(t, Options{MaxConcurrent: 8})
 	h := srv.Handler()
 	info := srv.datasets["flights"].info
 	committed := map[string]olap.Query{} // by session, written under srv.mu
@@ -121,11 +103,13 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 		check(st.session, st.input, st.method, serve(h, st.session, st.input, st.method))
 	}
 
-	// Herds of equivalent phrasings held at the planner's door and released
-	// together: one plans, the others coalesce onto its flight or, arriving
-	// after it landed, hit the entry it stored.
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	// Herds of equivalent phrasings: one plans, the others coalesce onto its
+	// flight or, arriving after it landed, hit the entry it stored. A
+	// follower coalesces only if it reaches the flight before the plan lands,
+	// which on a loaded machine a plan of a few milliseconds does not wait
+	// for. So the plan parks at its scan until the whole herd holds slots and
+	// the followers have had time to get there; the rows, and so the
+	// speeches, stay the same.
 	herds := [][]string{
 		{"how does cancellation depend on season and carrier", "how does cancellation depend on airline and season"},
 		{"break down by state and season", "break down by season and state"},
@@ -136,6 +120,7 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 			break
 		}
 		const workers = 4
+		gate := parkScans(srv)
 		recs := make([]*httptest.ResponseRecorder, workers)
 		var wg sync.WaitGroup
 		for w := range recs {
@@ -145,46 +130,24 @@ func TestReplyPartsMatchFreshRender(t *testing.T) {
 				recs[w] = serve(h, fmt.Sprintf("herd%d-%d", i, w), herd[w%len(herd)], "this")
 			}(w)
 		}
+		waitFor(t, gate.parked, "the herd's plan at its scan")
 		deadline := time.Now().Add(5 * time.Second)
 		for srv.adm.InFlight() < workers && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		open := make(chan struct{})
-		gate.Store(&open)
-		close(hold)
 		time.Sleep(50 * time.Millisecond)
-		close(open)
+		close(gate.release)
 		wg.Wait()
-		gate.Store(nil)
-		hold = make(chan struct{}) // a closed hold stays open: one per herd
-		srv.holdVocalize = hold
 		for w, rec := range recs {
 			check(fmt.Sprintf("herd%d-%d", i, w), herd[w%len(herd)], "this", rec)
 		}
 	}
-	srv.holdVocalize = nil
 	t.Logf("replies by cache outcome: %v", outcomes)
 	for _, o := range []string{"", semcache.Hit.String(), semcache.Coalesced.String()} {
 		if outcomes[o] == 0 {
 			t.Errorf("no reply with cache outcome %q among %v", o, outcomes)
 		}
 	}
-}
-
-// gatedScanner is a scan whose first read waits until gate, if any, is
-// closed.
-type gatedScanner struct {
-	table.Scanner
-	gate *chan struct{}
-}
-
-// NextBatch implements table.Scanner.
-func (g *gatedScanner) NextBatch(buf []int) int {
-	if g.gate != nil {
-		<-*g.gate
-		g.gate = nil
-	}
-	return g.Scanner.NextBatch(buf)
 }
 
 // cloneEncoded deep-copies an encoded speech.

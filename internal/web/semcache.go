@@ -12,7 +12,6 @@
 package web
 
 import (
-	"context"
 	"strconv"
 	"time"
 
@@ -66,32 +65,6 @@ func epochPrefix(dataset string, epoch int64) string {
 // query). Keying by vocalizer keeps prior and holistic speeches apart.
 func answerKey(dataset string, epoch int64, method string, q olap.Query) string {
 	return epochPrefix(dataset, epoch) + method + "\x00" + semcache.Key(q)
-}
-
-// answerQuery produces the answer for the committed query, consulting the
-// semantic cache, which replays stored speeches and coalesces identical
-// in-flight work (singleflight). Only the compute closure counts a
-// vocalizer run.
-func (s *Server) answerQuery(ctx context.Context, req *request) (cachedAnswer, semcache.Outcome, error) {
-	// Every vocalizer runs on the canonical query: key equality then
-	// implies identical planner input, which is what makes replaying a
-	// cached speech sound.
-	method, nq := req.method, semcache.Normalize(req.staged.Query())
-	compute := func() (cachedAnswer, bool, error) {
-		s.runs.Add(1)
-		voc, err := s.vocalize(ctx, req.info, nq, method)
-		if err != nil {
-			return cachedAnswer{}, false, err
-		}
-		// A deadline-degraded answer is served once and recomputed: no
-		// later hit may replay anything shorter than the cold path's answer.
-		return cachedAnswer{voc: voc, origin: method}, !voc.degraded, nil
-	}
-	if s.answers == nil {
-		ans, _, err := compute()
-		return ans, semcache.Miss, err
-	}
-	return s.answers.Do(ctx, answerKey(req.Dataset, req.epoch, method, nq), compute)
 }
 
 // Close does nothing: the server starts no goroutine of its own. It stays

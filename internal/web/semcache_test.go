@@ -2,6 +2,7 @@ package web
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -245,8 +246,7 @@ func TestDegradedNeverCached(t *testing.T) {
 // immediate hit).
 func TestSingleflightHerd(t *testing.T) {
 	srv, ts := newCacheServer(t, Options{MaxConcurrent: 8})
-	hold := make(chan struct{})
-	srv.holdVocalize = hold
+	gate := parkScans(srv)
 
 	const workers = 4
 	outs := make([]map[string]any, workers)
@@ -261,12 +261,14 @@ func TestSingleflightHerd(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait until every worker is past the fast path and holding a slot.
+	// Wait until the leader is parked in its flight and every worker is
+	// past the fast path and holding a slot.
+	waitFor(t, gate.parked, "the leader's plan at its scan")
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.adm.InFlight() < workers && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	close(hold)
+	close(gate.release)
 	wg.Wait()
 
 	cold, shared := 0, 0
@@ -365,6 +367,29 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestMetricsRunCountOnHitOnlyLog: the vocalizer-run counter is scraped
+// although the query-log ring holds no cold answer any more. With a ring of
+// two, one cold answer and two hits leave only hits there: /metrics still
+// reports _count 1, and no quantile, which only cold entries give.
+func TestMetricsRunCountOnHitOnlyLog(t *testing.T) {
+	srv, _ := newCacheServer(t, Options{LogCap: 2})
+	h := srv.Handler()
+	for i, in := range equivalentPhrasings {
+		if rec := serve(h, fmt.Sprint("r", i), in, "this"); rec.Code != http.StatusOK {
+			t.Fatalf("query %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	out := rec.Body.String()
+	if line := "voiceolap_vocalize_latency_seconds_count 1\n"; !strings.Contains(out, line) {
+		t.Errorf("/metrics lacks %q:\n%s", line, out)
+	}
+	if strings.Contains(out, "voiceolap_vocalize_latency_seconds{quantile=") {
+		t.Errorf("/metrics has quantiles without a cold answer in the log:\n%s", out)
 	}
 }
 

@@ -99,7 +99,7 @@ type QueryLogEntry struct {
 	Stages StageTimes `json:"stages"`
 	// Windows are the planning windows of the answer this request planned
 	// itself; absent for replays and the prior baseline.
-	Windows []Window `json:"windows,omitempty"`
+	Windows []core.SentenceTrace `json:"windows,omitempty"`
 }
 
 // Options tunes the server's robustness knobs. The zero value selects the
@@ -250,14 +250,6 @@ type Server struct {
 	runs atomic.Int64
 	// now is the server-side bookkeeping clock, stubbed in tests.
 	now func() time.Time
-	// holdVocalize, when non-nil, blocks vocalizations until closed —
-	// a test hook for exercising admission control deterministically.
-	holdVocalize chan struct{}
-	// vocalizeParked, when non-nil, is closed once a request reaches the
-	// holdVocalize gate (its command is committed, its epoch captured) —
-	// the companion hook that lets a test order events around the hold.
-	// The first request there takes it and clears it under mu.
-	vocalizeParked chan struct{}
 	// committed, when non-nil, is called under s.mu with every request
 	// whose command commit has just published — the test hook that reads
 	// the order commands were applied in.
@@ -502,7 +494,7 @@ func (req *request) lap(stage *float64) {
 // serverTiming renders the record as a Server-Timing header value: one
 // entry per stage that ran, in order, then one per planning window of an
 // answer the request planned itself.
-func (req *request) serverTiming(windows []Window) string {
+func (req *request) serverTiming(windows []core.SentenceTrace) string {
 	b := make([]byte, 0, 256)
 	t := &req.stages
 	for _, st := range [...]struct {
@@ -515,7 +507,7 @@ func (req *request) serverTiming(windows []Window) string {
 		}
 	}
 	for i, win := range windows {
-		b = fmt.Appendf(b, "w%d;desc=\"rows=%d rounds=%d closed=%s\", ", i+1, win.Rows, win.Rounds, win.Closed)
+		b = fmt.Appendf(b, "w%d;desc=\"rows=%d rounds=%d closed=%s\", ", i+1, win.RowsRead, win.Rounds, win.Closed)
 	}
 	return string(b[:len(b)-2])
 }
@@ -739,20 +731,30 @@ func (s *Server) undo(req *request) {
 }
 
 // plan is the plan stage: it gets the committed query's answer, req.ans,
-// from the requested vocalizer or from the cache. It books nothing: the
+// from the requested vocalizer or from the semantic cache, which replays
+// stored speeches and coalesces identical in-flight work (singleflight).
+// Only the compute closure counts a vocalizer run. It books nothing: the
 // reply that follows does.
 func (s *Server) plan(ctx context.Context, req *request) (err error) {
-	if s.holdVocalize != nil {
-		s.mu.Lock()
-		parked := s.vocalizeParked
-		s.vocalizeParked = nil
-		s.mu.Unlock()
-		if parked != nil {
-			close(parked)
+	// Every vocalizer runs on the canonical query: key equality then
+	// implies identical planner input, which is what makes replaying a
+	// cached speech sound.
+	nq := semcache.Normalize(req.staged.Query())
+	compute := func() (cachedAnswer, bool, error) {
+		s.runs.Add(1)
+		voc, err := s.vocalize(ctx, req.info, nq, req.method)
+		if err != nil {
+			return cachedAnswer{}, false, err
 		}
-		<-s.holdVocalize
+		// A deadline-degraded answer is served once and recomputed: no
+		// later hit may replay anything shorter than the cold path's answer.
+		return cachedAnswer{voc: voc, origin: req.method}, !voc.degraded, nil
 	}
-	req.ans, req.outcome, err = s.answerQuery(ctx, req)
+	if s.answers == nil {
+		req.ans, _, err = compute()
+		return err
+	}
+	req.ans, req.outcome, err = s.answers.Do(ctx, answerKey(req.Dataset, req.epoch, req.method, nq), compute)
 	return err
 }
 
@@ -853,22 +855,9 @@ type vocOut struct {
 	// tableRows is the committed row count of the data snapshot the
 	// answer was computed over.
 	tableRows int64
-	// windows are the holistic plan's windows; nil for the prior baseline.
-	windows []Window
-}
-
-// Window is one planning window of a holistic answer, its
-// core.SentenceTrace without the sentence. PlanningMS is on the answer's
-// clock, the simulated playback clock on the daemon.
-type Window struct {
-	Rows           int64   `json:"rows"`
-	Rounds         int     `json:"rounds"`
-	Samples        int64   `json:"samples"`
-	Closed         string  `json:"closed"`
-	PlanningMS     float64 `json:"planningMs"`
-	LeaderReward   float64 `json:"leaderReward"`
-	LeaderVisits   int64   `json:"leaderVisits"`
-	RunnerUpReward float64 `json:"runnerUpReward,omitempty"`
+	// windows are the holistic plan's windows, its out.Trace.Sentences;
+	// nil for the prior baseline.
+	windows []core.SentenceTrace
 }
 
 // vocalize runs the chosen vocalizer on the query under ctx.
@@ -892,10 +881,6 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 		return vocOut{}, err
 	}
 	enc := encode.EncodeSpeech(out.Speech)
-	windows := make([]Window, len(out.Trace.Sentences))
-	for i, t := range out.Trace.Sentences {
-		windows[i] = Window{t.RowsRead, t.Rounds, t.TreeSamples, t.Closed, ms(t.PlanningTime), t.BestMeanReward, t.BestVisits, t.RunnerUpReward}
-	}
 	return vocOut{
 		text:       enc.Text,
 		structured: &enc,
@@ -903,7 +888,7 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 		latency:    out.Latency,
 		degraded:   out.Degraded,
 		tableRows:  out.TableRows,
-		windows:    windows,
+		windows:    out.Trace.Sentences,
 	}, nil
 }
 
